@@ -2,7 +2,8 @@
 
 One JSON file per entry, keyed by the SHA-256 of the canonical
 (id, params, truncation, ring) tuple.  Files carry a schema version; a
-version mismatch is treated as a miss (with a warning) rather than an error.
+version mismatch, like any entry that cannot be read back, is treated as a
+miss (with a warning) rather than an error.
 Writes go through a temp file + rename so concurrent readers never observe a
 torn entry.
 """
@@ -15,6 +16,7 @@ import os
 import tempfile
 import warnings
 
+from .errors import PayloadError
 from .serialize import series_from_payload, series_to_payload
 
 SCHEMA_VERSION = 1
@@ -24,6 +26,11 @@ ENV_CACHE_DIR = "FISHBURN_CACHE_DIR"
 
 def default_cache_dir():
     return os.environ.get(ENV_CACHE_DIR)
+
+
+def _miss(message):
+    warnings.warn(message, stacklevel=3)
+    return None
 
 
 class SeriesCache:
@@ -43,18 +50,39 @@ class SeriesCache:
         return os.path.join(self.directory, f"{key}.json")
 
     def get(self, expr_id: str, params: dict, truncation: int, ring_tag: str):
-        """Cached series, or None on a miss (including schema mismatches)."""
+        """Cached series, or None on a miss.
+
+        An entry that cannot be used -- undecodable JSON, a missing key, a
+        payload that fails validation, a schema version or a truncation/ring
+        other than the one requested -- is a miss with a warning; the next
+        `put` overwrites it.
+        """
         path = self._path(self._key(expr_id, params, truncation, ring_tag))
         if not os.path.exists(path):
             return None
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
+        name = os.path.basename(path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except ValueError as exc:
+            return _miss(f"cache entry {name} is not valid JSON ({exc}); ignoring")
+        if not isinstance(entry, dict):
+            return _miss(f"cache entry {name} is not a JSON object; ignoring")
         if entry.get("schema") != SCHEMA_VERSION:
-            warnings.warn(
-                f"cache entry {os.path.basename(path)} has schema "
+            return _miss(
+                f"cache entry {name} has schema "
                 f"{entry.get('schema')} (current {SCHEMA_VERSION}); ignoring")
-            return None
-        return series_from_payload(entry["series"])
+        if "series" not in entry:
+            return _miss(f"cache entry {name} has no 'series' key; ignoring")
+        try:
+            series = series_from_payload(entry["series"])
+        except PayloadError as exc:
+            return _miss(f"cache entry {name} holds a bad series ({exc}); ignoring")
+        if series.trunc != truncation or series.ring.tag != ring_tag:
+            return _miss(
+                f"cache entry {name} holds a {series.ring.tag} series truncated "
+                f"at {series.trunc}, not {ring_tag} at {truncation}; ignoring")
+        return series
 
     def put(self, expr_id: str, params: dict, truncation: int, series) -> str:
         key = self._key(expr_id, params, truncation, series.ring.tag)

@@ -1,10 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_k).
 
-Elements are residue polynomials in zeta with rational coefficients, reduced
-modulo the k-th cyclotomic polynomial Phi_k, so every nonzero element has an
-exact inverse (extended gcd over Q[x]).  Conductors stay small here (the
-default cap is 12, where the residue degree phi(12) = 4), which keeps the
-schoolbook polynomial arithmetic essentially free.
+Elements are residue polynomials in zeta of degree < phi(k), stored as a tuple
+of coordinates in the power basis 1, zeta, ..., zeta^(phi(k)-1).  Every
+coordinate is canonical: a plain Python int when it is integral, a Fraction
+only otherwise.  Phi_k is monic with integer coefficients, so reducing modulo
+Phi_k never leaves the integers, and the power basis spans the ring of
+integers Z[zeta_k].  Elements of Z[zeta_k], where the coefficients of the
+root-of-unity expansions lie, are therefore multiplied, added and reduced in
+int arithmetic alone; a Fraction enters only where a non-unit is inverted
+(extended gcd over Q[x]).
+
+A product is the schoolbook product of the two residue polynomials, with its
+high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
+first; powers of zeta are reduced the same way.  Conductors stay small here
+(the default cap is 12, where phi(12) = 4).
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -15,6 +24,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd
+from operator import add, neg, sub
 
 import mpmath as mp
 
@@ -45,6 +55,22 @@ def _poly_divmod(num, den):
     return out, _poly_trim(num)
 
 
+def _rational(c):
+    """c as an exact rational: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(vec) -> tuple:
+    """vec as a coordinate tuple, with integral Fractions turned into ints."""
+    for c in vec:
+        if type(c) is not int:
+            return tuple(c.numerator if c.denominator == 1 else c for c in vec)
+    return tuple(vec)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple:
     """Coefficients of Phi_k, ascending, as exact integers."""
@@ -72,86 +98,66 @@ class CyclotomicField:
             raise ValueError("conductor must be >= 1")
         self.k = k
         self.modulus = cyclotomic_polynomial(k)
-        self.degree = len(self.modulus) - 1  # phi(k)
-        # x^j mod Phi_k for j = 0 .. 2*degree - 2 (enough for products) and
-        # additionally up to k so zeta powers can be written down directly.
-        self._xpow = self._power_table(max(2 * self.degree - 1, k + 1))
-
-    def _power_table(self, upto):
-        table = []
-        d = self.degree
-        for j in range(upto):
-            if j < d:
-                row = [Fraction(0)] * d
-                row[j] = Fraction(1)
-            else:
-                # x^j = x * x^(j-1), reduced
-                prev = table[j - 1]
-                row = [Fraction(0)] + list(prev[: d - 1])
-                lead = prev[d - 1]
-                if lead:
-                    for i in range(d):
-                        row[i] -= lead * self.modulus[i]
-            table.append(row)
-        return table
+        d = self.degree = len(self.modulus) - 1  # phi(k)
+        # x^d = -sum_i m_i x^i: the nonzero m_i, with i - d as the offset at
+        # which a coefficient of x^j lands on x^(j - d + i).
+        self._fold = tuple((i - d, m) for i, m in enumerate(self.modulus[:d]) if m)
+        self._pad = (0,) * (d - 1)
+        self.zero = CyclotomicElement(self, (0,) * d)
+        self.one = CyclotomicElement(self, (1,) + self._pad)
 
     # -- constructors -----------------------------------------------------
 
     def element(self, coeffs) -> "CyclotomicElement":
-        vec = [Fraction(c) for c in coeffs]
+        vec = [_rational(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("residue degree too large")
-        vec += [Fraction(0)] * (self.degree - len(vec))
+        vec += [0] * (self.degree - len(vec))
         return CyclotomicElement(self, tuple(vec))
 
     def from_rational(self, c) -> "CyclotomicElement":
-        return self.element([Fraction(c)])
+        return CyclotomicElement(self, (_rational(c),) + self._pad)
 
     def zeta(self, power: int = 1) -> "CyclotomicElement":
-        row = self._xpow[power % self.k]
-        return CyclotomicElement(self, tuple(row))
-
-    @property
-    def zero(self):
-        return self.from_rational(0)
-
-    @property
-    def one(self):
-        return self.from_rational(1)
+        return CyclotomicElement(self, self._reduce([0] * (power % self.k) + [1]))
 
     # -- arithmetic kernels ------------------------------------------------
 
     def _mul(self, a, b):
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-        out = [Fraction(0)] * d
-        for j, c in enumerate(prod):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        return self._reduce(prod)
+
+    def _reduce(self, poly):
+        """Coordinates of the polynomial `poly` (ascending, a list it
+        consumes) modulo Phi_k, folding its coefficients down from the top."""
+        d = self.degree
+        for j in range(len(poly) - 1, d - 1, -1):
+            c = poly[j]
             if c:
-                row = self._xpow[j]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+                for off, m in self._fold:
+                    poly[j + off] -= c * m
+        if len(poly) < d:
+            poly += [0] * (d - len(poly))
+        return _canonical(poly[:d])
 
     def _invert(self, a):
         # extended Euclid on (residue poly of a, Phi_k) over Q[x]
         r0 = list(self.modulus)
-        r1 = _poly_trim([Fraction(c) for c in a])
+        r1 = _poly_trim(list(a))
         if not r1:
             raise NonInvertibleError("zero has no inverse in Q(zeta_%d)" % self.k)
-        s0, s1 = [], [Fraction(1)]  # Bezout coefficients for the second arg
+        s0, s1 = [], [1]  # Bezout coefficients for the second arg
         while True:
             q, rem = _poly_divmod(r0, r1)
             if not rem:
                 break
             # s_next = s0 - q*s1
-            s_next = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+            s_next = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
             for i, qi in enumerate(q):
                 if not qi:
                     continue
@@ -164,8 +170,8 @@ class CyclotomicField:
             raise AssertionError("non-trivial gcd with cyclotomic modulus")
         scale = Fraction(1) / r1[0]
         inv = [c * scale for c in s1]
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        return tuple(inv[: self.degree])
+        inv += [0] * (self.degree - len(inv))
+        return _canonical(inv[: self.degree])
 
     def embed(self, a, dps: int = 60):
         """Numerical image of a under zeta_k -> exp(2*pi*i/k)."""
@@ -193,7 +199,7 @@ def get_field(k: int) -> CyclotomicField:
 
 
 class CyclotomicElement:
-    """Residue polynomial in zeta_k with Fraction coefficients."""
+    """Residue polynomial in zeta_k with canonical int/Fraction coordinates."""
 
     __slots__ = ("field", "coeffs")
 
@@ -211,33 +217,34 @@ class CyclotomicElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return CyclotomicElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+            self.field, _canonical(tuple(map(add, self.coeffs, other.coeffs))))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicElement(self.field, tuple(-a for a in self.coeffs))
+        return CyclotomicElement(self.field, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return CyclotomicElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+            self.field, _canonical(tuple(map(sub, self.coeffs, other.coeffs))))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CyclotomicElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return CyclotomicElement(self.field, self.field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -264,12 +271,19 @@ class CyclotomicElement:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicElement) and other.field.k != self.field.k:
+            # the fields meet in Q: rational elements compare by value
+            return (self.is_rational() and other.is_rational()
+                    and self.coeffs[0] == other.coeffs[0])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational element hashes like its value, as == with it requires
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.field.k, self.coeffs))
 
     def __bool__(self):
@@ -281,7 +295,7 @@ class CyclotomicElement:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def embed(self, dps: int = 60):
         return self.field.embed(self, dps)

@@ -26,6 +26,10 @@ class SubstitutionError(FishburnError):
     """A substituted series has a nonzero constant term."""
 
 
+class PayloadError(FishburnError):
+    """A serialized series payload is malformed or inconsistent with itself."""
+
+
 class UnknownFamilyError(FishburnError):
     """Series family or identity id not registered."""
 

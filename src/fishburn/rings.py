@@ -8,7 +8,9 @@ coercion, exact/tolerant equality, inversion, and string serialization.
 Integers are the default ring (all coefficients of the interval-order series
 are integers); rationals appear where a non-unit inversion is required, the
 cyclotomic ring backs root-of-unity expansions, and the complex ring exists
-for high-precision cross-checks only.
+for high-precision cross-checks only.  Cyclotomic elements keep plain int
+coordinates while they lie in Z[zeta_k], so those expansions run in integer
+arithmetic; a Fraction coordinate appears only after a non-unit inversion.
 """
 
 from __future__ import annotations
@@ -109,7 +111,12 @@ class RationalRing:
 
 
 class CyclotomicRing:
-    """Q(zeta_k) as a series coefficient ring."""
+    """Q(zeta_k) as a series coefficient ring.
+
+    Coefficients are CyclotomicElement values with canonical coordinates
+    (int when integral, Fraction otherwise); `coeff_to_str` writes them as
+    comma-joined "num" or "num/den" strings, one per power-basis coordinate.
+    """
 
     exact = True
 

@@ -59,6 +59,20 @@ def test_expand_uses_cache(tmp_path, capsys):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_expand_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    argv = ("expand", "--family", "G1", "--order", "8", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:100])
+    with pytest.warns(UserWarning, match="not valid JSON"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["cached"] is False
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["cached"] is True
+
+
 def test_expand_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FISHBURN_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, "expand", "--family", "F2", "--order", "5",

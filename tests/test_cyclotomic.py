@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fishburn.cyclotomic import cyclotomic_polynomial, euler_phi, get_field
 from fishburn.errors import NonInvertibleError
+from fishburn.rings import cyclotomic_ring
 
 
 KNOWN_POLYS = {
@@ -112,3 +115,141 @@ def test_embedding_of_primitive_root():
         z = F.zeta().embed(60)
         assert abs(z ** 8 - 1) < mp.mpf("1e-50")
         assert abs(z ** 4 + 1) < mp.mpf("1e-50")
+
+
+# -- int coordinates: differential and property tests -------------------------
+
+
+def reference_mul(k, a, b):
+    """Schoolbook product over Fraction reduced through the table of
+    x^j mod Phi_k -- the kernel the int coordinates replaced."""
+    modulus = cyclotomic_polynomial(k)
+    d = len(modulus) - 1
+    table = []
+    for j in range(2 * d - 1):
+        if j < d:
+            row = [Fraction(0)] * d
+            row[j] = Fraction(1)
+        else:
+            prev = table[j - 1]
+            row = [Fraction(0)] + list(prev[: d - 1])
+            for i in range(d):
+                row[i] -= prev[d - 1] * modulus[i]
+        table.append(row)
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += Fraction(ai) * Fraction(bj)
+    out = [Fraction(0)] * d
+    for j, c in enumerate(prod):
+        for i in range(d):
+            out[i] += c * table[j][i]
+    return tuple(out)
+
+
+def is_canonical(e):
+    return all(type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+               for c in e.coeffs)
+
+
+conductors = st.integers(min_value=1, max_value=12)
+integral_coords = st.integers(min_value=-2**70, max_value=2**70)
+rational_coords = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@st.composite
+def elements(draw, k, coords=rational_coords):
+    F = get_field(k)
+    return F.element(draw(st.lists(coords, min_size=F.degree, max_size=F.degree)))
+
+
+@st.composite
+def field_and_elements(draw, count, coords=rational_coords):
+    k = draw(conductors)
+    return k, [draw(elements(k, coords)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(field_and_elements(2), field_and_elements(2, integral_coords)))
+def test_mul_matches_fraction_reference(drawn):
+    k, (a, b) = drawn
+    prod = a * b
+    assert prod.coeffs == reference_mul(k, a.coeffs, b.coeffs)
+    assert is_canonical(prod) and is_canonical(a + b) and is_canonical(a - b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_elements(2, integral_coords))
+def test_integral_arithmetic_stays_int(drawn):
+    _, (a, b) = drawn
+    for e in (a, b, a * b, a + b, a - b, -a, a * 3, a ** 3):
+        assert all(type(c) is int for c in e.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_elements(3))
+def test_ring_laws(drawn):
+    _, (a, b, c) = drawn
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    if a:
+        inv = a.inverse()
+        assert is_canonical(inv)
+        assert a * inv == 1
+
+
+def test_integral_fractions_become_ints():
+    F = get_field(12)
+    half = F.element([Fraction(1, 2), Fraction(3, 2)])
+    total = half + half
+    assert total.coeffs == (1, 3, 0, 0)
+    assert all(type(c) is int for c in total.coeffs)
+    assert all(type(c) is int for c in F.element([Fraction(4, 2), 2.0]).coeffs)
+    assert all(type(c) is int for c in (F.zeta() ** 5).coeffs)
+
+
+def test_unit_inverse_is_integral():
+    F = get_field(5)
+    unit = F.one + F.zeta()  # 1 + zeta is a unit for prime conductor
+    assert all(type(c) is int for c in unit.inverse().coeffs)
+    non_unit = F.one - F.zeta()  # norm 5
+    assert any(type(c) is Fraction for c in non_unit.inverse().coeffs)
+
+
+def test_payload_strings_unchanged():
+    ring = cyclotomic_ring(12)
+    e = ring.field.element([Fraction(4, 2), Fraction(-1, 3), 0, 7])
+    assert ring.coeff_to_str(e) == "2,-1/3,0,7"
+    assert ring.coeff_from_str("2,-1/3,0,7") == e
+
+
+# -- hash/equality contract ----------------------------------------------------
+
+
+def test_rational_elements_hash_like_their_value():
+    F = get_field(4)
+    assert F.one in {1}
+    assert F.zero in {0}
+    assert 1 in {F.one}
+    assert hash(F.from_rational(Fraction(3, 7))) == hash(Fraction(3, 7))
+    assert hash(get_field(1).from_rational(-5)) == hash(-5)
+    assert len({F.one, get_field(3).one, 1, Fraction(1)}) == 1
+
+
+def test_equality_across_conductors_meets_in_q():
+    assert get_field(3).from_rational(2) == get_field(4).from_rational(2)
+    assert get_field(3).zeta() != get_field(4).zeta()
+    assert get_field(3).one != get_field(4).zeta()
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_and_elements(2))
+def test_equal_elements_hash_equal(drawn):
+    k, (a, b) = drawn
+    copy = get_field(k).element(list(a.coeffs))
+    assert a == copy and hash(a) == hash(copy)
+    if a.is_rational():
+        assert hash(a) == hash(a.as_rational())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fishburn.cache import SCHEMA_VERSION, SeriesCache
-from fishburn.errors import BFileFormatError, ParameterError
+from fishburn.errors import BFileFormatError, ParameterError, PayloadError
 from fishburn.oeis import cross_check, parse_b_file, parse_b_file_lines
 from fishburn.qseries import expand_family, fishburn_numbers
 from fishburn.rings import QQ, ZZ, cyclotomic_ring
@@ -106,6 +106,38 @@ def test_payload_is_exact_strings_sorted():
     json.dumps(payload)  # must be JSON-clean
 
 
+def _payload(ring="ZZ", nvars=1, trunc=3, terms=(([0], "1"),)):
+    return {"vars": list("xyr"[:nvars]), "truncation": trunc, "ring": ring,
+            "terms": [{"exp": exp, "coeff": coeff} for exp, coeff in terms]}
+
+
+def test_valid_payload_reads_back():
+    s = series_from_payload(_payload(terms=(([0], "1"), ([3], "-2"))))
+    assert s.terms == {(0,): 1, (3,): -2} and s.trunc == 3
+
+
+@pytest.mark.parametrize("payload,match", [
+    (_payload(terms=(([9], "1"),)), "exceeds truncation"),
+    (_payload(nvars=2, trunc=4, terms=(([3, 2], "1"),)), "exceeds truncation"),
+    (_payload(terms=(([1, 1], "1"),)), "entries"),
+    (_payload(nvars=2, terms=(([1], "1"),)), "entries"),
+    (_payload(terms=(([-1], "1"),)), "nonnegative integers"),
+    (_payload(terms=(([1.5], "1"),)), "nonnegative integers"),
+    (_payload(terms=((["1"], "1"),)), "nonnegative integers"),
+    (_payload(ring="QQ(zeta_12)", terms=(([1], "1,0,0"),)), "4 coordinates"),
+    (_payload(ring="QQ(zeta_4)", terms=(([1], "1,0,0"),)), "2 coordinates"),
+    (_payload(terms=(([1], "1/2"),)), "bad coefficient"),
+    (_payload(terms=(([1], "1"), ([1], "2"))), "twice"),
+    (_payload(trunc=-1, terms=()), "truncation"),
+    ({"vars": ["x"], "ring": "ZZ", "terms": []}, "malformed"),
+], ids=["degree", "degree-2var", "arity-long", "arity-short", "negative",
+        "float", "string-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
+        "duplicate", "negative-truncation", "missing-key"])
+def test_rejected_payload_shapes(payload, match):
+    with pytest.raises(PayloadError, match=match):
+        series_from_payload(payload)
+
+
 # -- cache ---------------------------------------------------------------------
 
 
@@ -151,3 +183,33 @@ def test_cache_entries_are_content_addressed(tmp_path):
     assert p1 == p2
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
+
+
+def _rewrite(path, edit):
+    entry = json.loads(open(path).read())
+    edit(entry)
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (lambda path: open(path, "w").write(open(path).read()[:40]), "not valid JSON"),
+    (lambda path: open(path, "w").write("[1, 2]"), "not a JSON object"),
+    (lambda path: _rewrite(path, lambda e: e.pop("series")), "no 'series' key"),
+    (lambda path: _rewrite(path, lambda e: e["series"].pop("terms")), "bad series"),
+    (lambda path: _rewrite(path, lambda e: e["series"]["terms"].append(
+        {"exp": [9, 9], "coeff": "1"})), "bad series"),
+    (lambda path: _rewrite(path, lambda e: e["series"].update(truncation=7)),
+     "truncated at 7"),
+    (lambda path: _rewrite(path, lambda e: e["series"].update(ring="QQ")), "QQ series"),
+], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
+        "rejected-payload", "other-truncation", "other-ring"])
+def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
+    cache = SeriesCache(str(tmp_path))
+    s = expand_family("F1", 6)
+    path = cache.put("F1", {}, 6, s)
+    corrupt(path)
+    with pytest.warns(UserWarning, match=match):
+        assert cache.get("F1", {}, 6, "ZZ") is None
+    assert cache.put("F1", {}, 6, s) == path
+    assert cache.get("F1", {}, 6, "ZZ") == s
