@@ -5,8 +5,7 @@ relatives.
 Layers:
 
 - `series` / `rings` / `cyclotomic`: truncated multivariate formal power
-  series over exact coefficient rings (integers, rationals, Q(zeta_k),
-  high-precision complex for cross-checks).
+  series over exact coefficient rings (integers, rationals, Q(zeta_k)).
 - `qseries`: q-Pochhammer symbols, the six named bivariate series and their
   variants, pentagonal forms, the partition parity table, and dense
   univariate fast paths for the Fishburn / row-Fishburn sequences.
@@ -36,7 +35,7 @@ from .posets import (Poset, ascent_sequences, count_ascent_sequences,
 from .qseries import (PartitionParityTable, expand_family, fishburn_numbers,
                       partition_parity_table, q_pochhammer,
                       row_fishburn_numbers, univariate_fishburn_series)
-from .rings import QQ, ZZ, ComplexRing, CyclotomicRing, cyclotomic_ring
+from .rings import QQ, ZZ, CyclotomicRing, cyclotomic_ring
 from .roots import (ConjectureReport, RootContext, conjecture_explore,
                     expand_at_root, root_terminating_check)
 from .series import MatchReport, TruncatedSeries
@@ -44,7 +43,7 @@ from .series import MatchReport, TruncatedSeries
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountTable", "ComplexRing", "ConjectureReport", "CyclotomicElement",
+    "CountTable", "ConjectureReport", "CyclotomicElement",
     "CyclotomicField", "CyclotomicRing", "FishburnMatrix", "MatchReport",
     "NumericEvalParams", "PartitionParityTable", "Poset", "QQ",
     "RootContext", "SelfDualMatrix", "TruncatedSeries", "VerificationReport",

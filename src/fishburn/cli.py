@@ -21,7 +21,7 @@ from .enumeration import (fishburn_matrices, refined_counts,
                           row_fishburn_matrices, self_dual_matrices)
 from .errors import FishburnError, ParameterError
 from .posets import ascent_sequences, count_ascent_sequences, interval_orders
-from .qseries import FAMILY_IDS, expand_family
+from .qseries import FAMILY_IDS, expand_family, family_ring
 from .serialize import series_to_payload
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def cmd_expand(args) -> int:
     cache_dir = args.cache_dir or default_cache_dir()
     cache = SeriesCache(cache_dir) if cache_dir and not args.no_cache else None
     series = None
-    ring_tag = "QQ" if args.family.startswith("gamma") else "ZZ"
+    ring_tag = family_ring(args.family).tag
     if cache is not None:
         series = cache.get(args.family, params, args.order, ring_tag)
         cached = series is not None

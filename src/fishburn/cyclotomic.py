@@ -258,6 +258,12 @@ class CyclotomicElement:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
+
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)

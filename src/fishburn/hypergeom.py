@@ -121,31 +121,45 @@ def rogers_fine_rhs(a, b, t, q, tol, max_terms, guard):
     return _sum_with_guard(terms(), tol, max_terms)
 
 
-def rogers_fine_check(params: NumericEvalParams) -> VerificationReport:
+def _compare_sides(ident, params, names, lhs, rhs, require=None):
+    """Sum both sides of one numeric identity at `params` and compare them.
+
+    The sides take the parameters `names` in order, then the summation
+    tolerance, the term budget and the pole guard.  `require(vals)` may
+    reject the point before any summation.  A side that fails the decay
+    guard makes the outcome `inconclusive`; a difference at or above the
+    tolerance is a mismatch with the point as witness."""
     t0 = time.perf_counter()
     with mp.workdps(params.dps):
         vals = {k: mp.mpc(v) for k, v in params.values.items()}
-        a, b, t, q = vals["a"], vals["b"], vals["t"], vals["q"]
-        _require_unit_disk(q=q, t=t)
+        args = [vals[name] for name in names]
+        if require is not None:
+            require(vals)
         tol = params.tolerance()
-        tol_sum = tol * SUMMATION_MARGIN
         guard = _pole_guard(params.dps)
-        rep = VerificationReport("rogers-fine", "numeric", None)
+        budget = (tol * SUMMATION_MARGIN, params.max_terms, guard)
+        rep = VerificationReport(ident, "numeric", None)
         try:
-            lhs, nl = rogers_fine_lhs(a, b, t, q, tol_sum, params.max_terms, guard)
-            rhs, nr = rogers_fine_rhs(a, b, t, q, tol_sum, params.max_terms, guard)
+            left, nl = lhs(*args, *budget)
+            right, nr = rhs(*args, *budget)
         except ConvergenceError as exc:
             rep.outcome = "inconclusive"
             rep.detail["reason"] = str(exc)
             return _timed(rep, t0)
-        diff = abs(lhs - rhs)
+        diff = abs(left - right)
         rep.detail.update({"abs_diff": mp.nstr(diff, 8), "terms": [nl, nr],
                            "tol": params.tol})
         if diff >= tol:
             rep.outcome = "mismatch"
-            rep.witness = {"index": _param_strs(vals), "left": mp.nstr(lhs, 30),
-                           "right": mp.nstr(rhs, 30)}
+            rep.witness = {"index": _param_strs(vals), "left": mp.nstr(left, 30),
+                           "right": mp.nstr(right, 30)}
         return _timed(rep, t0)
+
+
+def rogers_fine_check(params: NumericEvalParams) -> VerificationReport:
+    return _compare_sides("rogers-fine", params, ("a", "b", "t", "q"),
+                          rogers_fine_lhs, rogers_fine_rhs,
+                          lambda v: _require_unit_disk(q=v["q"], t=v["t"]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +220,9 @@ def generalized_rf_rhs(alpha, beta, gamma, t, q, tol, max_terms, guard):
 
 
 def generalized_rf_check(params: NumericEvalParams) -> VerificationReport:
-    t0 = time.perf_counter()
-    with mp.workdps(params.dps):
-        vals = {k: mp.mpc(v) for k, v in params.values.items()}
-        alpha, beta, gamma = vals["alpha"], vals["beta"], vals["gamma"]
-        t, q = vals["t"], vals["q"]
-        _require_unit_disk(q=q, t=t)
-        tol = params.tolerance()
-        tol_sum = tol * SUMMATION_MARGIN
-        guard = _pole_guard(params.dps)
-        rep = VerificationReport("generalized-rf", "numeric", None)
-        try:
-            lhs, nl = generalized_rf_lhs(alpha, beta, gamma, t, q, tol_sum,
-                                         params.max_terms, guard)
-            rhs, nr = generalized_rf_rhs(alpha, beta, gamma, t, q, tol_sum,
-                                         params.max_terms, guard)
-        except ConvergenceError as exc:
-            rep.outcome = "inconclusive"
-            rep.detail["reason"] = str(exc)
-            return _timed(rep, t0)
-        diff = abs(lhs - rhs)
-        rep.detail.update({"abs_diff": mp.nstr(diff, 8), "terms": [nl, nr],
-                           "tol": params.tol})
-        if diff >= tol:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": _param_strs(vals), "left": mp.nstr(lhs, 30),
-                           "right": mp.nstr(rhs, 30)}
-        return _timed(rep, t0)
+    return _compare_sides("generalized-rf", params, ("alpha", "beta", "gamma", "t", "q"),
+                          generalized_rf_lhs, generalized_rf_rhs,
+                          lambda v: _require_unit_disk(q=v["q"], t=v["t"]))
 
 
 def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
@@ -331,33 +321,14 @@ def watson_limit_rhs(a, b, c, e, q, tol, max_terms, guard):
 
 
 def watson_limit_check(params: NumericEvalParams) -> VerificationReport:
-    t0 = time.perf_counter()
-    with mp.workdps(params.dps):
-        vals = {k: mp.mpc(v) for k, v in params.values.items()}
-        a, b, c, e, q = vals["a"], vals["b"], vals["c"], vals["e"], vals["q"]
-        _require_unit_disk(q=q)
-        if abs(a) >= abs(e):
-            raise ParameterError(
-                "watson-limit needs |a/e| < 1 for the right-hand sum")
-        tol = params.tolerance()
-        tol_sum = tol * SUMMATION_MARGIN
-        guard = _pole_guard(params.dps)
-        rep = VerificationReport("watson-limit", "numeric", None)
-        try:
-            lhs, nl = watson_limit_lhs(a, b, c, e, q, tol_sum, params.max_terms, guard)
-            rhs, nr = watson_limit_rhs(a, b, c, e, q, tol_sum, params.max_terms, guard)
-        except ConvergenceError as exc:
-            rep.outcome = "inconclusive"
-            rep.detail["reason"] = str(exc)
-            return _timed(rep, t0)
-        diff = abs(lhs - rhs)
-        rep.detail.update({"abs_diff": mp.nstr(diff, 8), "terms": [nl, nr],
-                           "tol": params.tol})
-        if diff >= tol:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": _param_strs(vals), "left": mp.nstr(lhs, 30),
-                           "right": mp.nstr(rhs, 30)}
-        return _timed(rep, t0)
+    return _compare_sides("watson-limit", params, ("a", "b", "c", "e", "q"),
+                          watson_limit_lhs, watson_limit_rhs, _watson_limit_domain)
+
+
+def _watson_limit_domain(vals):
+    _require_unit_disk(q=vals["q"])
+    if abs(vals["a"]) >= abs(vals["e"]):
+        raise ParameterError("watson-limit needs |a/e| < 1 for the right-hand sum")
 
 
 def _require_unit_disk(**named):

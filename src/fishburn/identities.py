@@ -15,11 +15,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .cyclotomic import CyclotomicElement
 from .enumeration import refined_counts
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .qseries import BIVARIATE_NAMES, expand_family
+from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
+                      gamma1_lhs, gamma1_rhs, partial_sum, truncated_sum,
+                      xy_point)
 from .rings import ZZ
 from .series import TruncatedSeries
 
@@ -78,68 +81,51 @@ def _timed(report, t0):
     return report
 
 
-def _series_pair_report(ident, mode, order, left, right, extra=None, t0=None):
-    if t0 is None:
-        t0 = time.perf_counter()
-    match = left.equal_up_to(right, order)
-    rep = VerificationReport(ident, mode, order)
-    if not match.equal:
-        rep.outcome = "mismatch"
-        rep.witness = {
-            "index": list(match.index),
-            "left": str(match.left),
-            "right": str(match.right),
-        }
+def _compare_series(rep, order, cases):
+    """Make `rep` a mismatch at the first (left, right, label) case whose
+    series differ at or below `order`; a label is added to the witness as its
+    case."""
+    for left, right, label in cases:
+        match = left.equal_up_to(right, order)
+        if not match.equal:
+            rep.outcome = "mismatch"
+            rep.witness = {"index": list(match.index), "left": str(match.left),
+                           "right": str(match.right)}
+            if label:
+                rep.witness["case"] = label
+            break
+    return rep
+
+
+def _series_pair_report(ident, order, left, right, t0, extra=None):
+    rep = _compare_series(VerificationReport(ident, "formal", order), order,
+                          [(left, right, None)])
     if extra:
         rep.detail.update(extra)
     return _timed(rep, t0)
 
 
 # ---------------------------------------------------------------------------
-# trivariate Proposition builders: r as a third formal variable
+# the formal-r proposition: the gamma1 sums at gamma = 0, with r a third
+# formal variable
 
 
-def _trivariate_blocks(order):
-    one = TruncatedSeries.constant(ZZ, 3, order, 1, TRIVARIATE_NAMES)
-    x = TruncatedSeries.variable(ZZ, 3, order, 0, TRIVARIATE_NAMES)
-    y = TruncatedSeries.variable(ZZ, 3, order, 1, TRIVARIATE_NAMES)
-    rv = TruncatedSeries.variable(ZZ, 3, order, 2, TRIVARIATE_NAMES)
-    return one, (one - x), (one - y), rv
+def _trivariate(order):
+    """(p, q) = (1-y, 1-x) and r, as series in (x, y, r)."""
+    r = TruncatedSeries.variable(ZZ, 3, order, 2, TRIVARIATE_NAMES)
+    return xy_point(order, ZZ, TRIVARIATE_NAMES), r
 
 
 def proposition_lhs(order: int) -> TruncatedSeries:
     """sum_n (1/(1-y); 1/(1-x))_n r^n with formal r."""
-    one, u, w, rv = _trivariate_blocks(order)
-    ui, wi = u.invert(), w.invert()
-    total = TruncatedSeries.zero(ZZ, 3, order, TRIVARIATE_NAMES)
-    prod = one
-    rpow = one
-    apow = wi
-    for _ in range(order + 1):
-        total = total + prod * rpow
-        prod = prod * (one - apow)
-        apow = apow * ui
-        rpow = rpow * rv
-    return total
+    pt, r = _trivariate(order)
+    return truncated_sum(gamma1_lhs(pt, 0, r))
 
 
 def proposition_rhs(order: int) -> TruncatedSeries:
     """sum_n (1-y)(1-x)^n (1-y; 1-x)_n (r(1-x); 1-x)_n with formal r."""
-    one, u, w, rv = _trivariate_blocks(order)
-    total = TruncatedSeries.zero(ZZ, 3, order, TRIVARIATE_NAMES)
-    pref = w
-    pa = one
-    pb = one
-    apow = w
-    bpow = rv * u
-    for _ in range(order + 1):
-        total = total + pref * pa * pb
-        pa = pa * (one - apow)
-        pb = pb * (one - bpow)
-        apow = apow * u
-        bpow = bpow * u
-        pref = pref * u
-    return total
+    pt, r = _trivariate(order)
+    return truncated_sum(gamma1_rhs(pt, 0, r))
 
 
 def verify_proposition(order: int) -> VerificationReport:
@@ -147,9 +133,8 @@ def verify_proposition(order: int) -> VerificationReport:
         raise ParameterError(
             f"trivariate order capped at {FORMAL_TRIVARIATE_CAP} (got {order})")
     t0 = time.perf_counter()
-    return _series_pair_report("prop12", "formal", order,
-                               proposition_lhs(order), proposition_rhs(order),
-                               t0=t0)
+    return _series_pair_report("prop12", order, proposition_lhs(order),
+                               proposition_rhs(order), t0)
 
 
 def verify_proposition_specializations(order: int) -> VerificationReport:
@@ -161,7 +146,7 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
     t0 = time.perf_counter()
     m = order // 2
     lhs, rhs = proposition_lhs(order), proposition_rhs(order)
-    targets = [
+    cases = [
         (lhs.specialize(2, -1, m), expand_family("G1", m), "r=-1 lhs vs G1"),
         (rhs.specialize(2, -1, m), expand_family("G2", m), "r=-1 rhs vs G2"),
     ]
@@ -169,20 +154,14 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
     x = TruncatedSeries.variable(ZZ, 2, m, 0, BIVARIATE_NAMES)
     y = TruncatedSeries.variable(ZZ, 2, m, 1, BIVARIATE_NAMES)
     shift = {0: -x * (one - x).invert(), 1: -y * (one - y).invert()}
-    targets += [
+    cases += [
         (lhs.specialize(2, 1, m).substitute(shift), expand_family("F1", m),
          "r=1 substituted lhs vs F1"),
         (rhs.specialize(2, 1, m).substitute(shift), expand_family("F2", m),
          "r=1 substituted rhs vs F2"),
     ]
-    rep = VerificationReport("prop12-specializations", "formal", order)
-    for got, want, label in targets:
-        match = got.equal_up_to(want, m)
-        if not match.equal:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": list(match.index), "left": str(match.left),
-                           "right": str(match.right), "case": label}
-            break
+    rep = _compare_series(VerificationReport("prop12-specializations", "formal", order),
+                          m, cases)
     rep.detail["specialized_order"] = m
     return _timed(rep, t0)
 
@@ -228,21 +207,71 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
 # terminating evaluations of the compact p,q identities
 
 
-def _unit_like(p):
-    if isinstance(p, CyclotomicElement):
-        return p.field.one
-    return Fraction(1)
+def _rational_value(x):
+    """x as a Fraction when it is rational, else None."""
+    if isinstance(x, CyclotomicElement):
+        return x.as_rational() if x.is_rational() else None
+    return Fraction(x)
 
 
-def _terminating_exponent(p, q, even_only: bool, cap: int = TERMINATING_SCAN_CAP):
-    """Smallest j (restricted to even j when even_only) with p*q^j = 1."""
-    one = _unit_like(p)
+def _exact_log(base, n):
+    """The j with base^j == n, or None (base >= 2, n >= 1)."""
+    j = 0
+    while n % base == 0:
+        n //= base
+        j += 1
+    return j if n == 1 else None
+
+
+def _rational_exponent(p, q, even_only):
+    """The j >= 0 with p*q^j = 1 for nonzero rationals p and q, or None.
+    For |q| != 1 the prime powers fix j, since p = q^-j means
+    |numerator(p)| = denominator(q)^j and denominator(p) = |numerator(q)|^j."""
+    if abs(q) == 1:
+        # p*q^j takes only the values p and p*q
+        j = 0 if p == 1 else 1 if p * q == 1 else None
+    elif q.denominator > 1:
+        j = _exact_log(q.denominator, abs(p.numerator))
+    else:
+        j = _exact_log(abs(q.numerator), p.denominator)
+    if j is None or p * q**j != 1 or (even_only and j % 2):
+        return None
+    return j
+
+
+def _terminating_exponent(p, q, even_only: bool):
+    """Smallest j >= 0 (even when even_only) with p*q^j = 1, or None when no
+    such j exists.
+
+    Rational p and q are solved exactly.  So is a root of unity q in
+    Q(zeta_k), whose order divides lcm(2, k): p*q^j then repeats with period
+    dividing 2k, and two such periods settle even j too.  Any other q is
+    scanned up to TERMINATING_SCAN_CAP; if that finds nothing, the refusal
+    says the search was not exhaustive instead of claiming that no j exists.
+    """
+    qr = _rational_value(q)
+    if qr is not None:
+        pr = _rational_value(p)
+        # q^j is rational, so p*q^j = 1 needs a rational p
+        return None if pr is None else _rational_exponent(pr, qr, even_only)
+    root_of_unity = q ** (2 * q.field.k) == 1
     t = p
-    for j in range(cap + 1):
-        if t == one and (not even_only or j % 2 == 0):
+    for j in range(4 * q.field.k if root_of_unity else TERMINATING_SCAN_CAP + 1):
+        if t == 1 and not (even_only and j % 2):
             return j
         t = t * q
-    return None
+    if root_of_unity:
+        return None
+    raise CertificateError(
+        f"no j <= {TERMINATING_SCAN_CAP} with p*q^j = 1 at p={p!r}, q={q!r}, and q "
+        "is neither rational nor a root of unity, so the search is not exhaustive; "
+        "refusing to evaluate a possibly non-terminating sum")
+
+
+def _term_count(expr: str, j0: int) -> int:
+    """Number of nonzero terms of a terminating sum with certificate j0:
+    comp2-right runs in base q^2, so its factor p*q^(2n) hits 1 at n = j0/2."""
+    return j0 // 2 + 1 if expr == "comp2-right" else j0 + 1
 
 
 TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",
@@ -259,78 +288,27 @@ def evaluate_terminating(expr: str, p, q):
             f"unknown terminating expression {expr!r}; known: "
             f"{', '.join(TERMINATING_EXPRS)} (the comp1 right-hand side does "
             "not terminate at generic points and is excluded)")
-    one = _unit_like(p)
     if not p or not q:
         raise ParameterError("p and q must be nonzero")
+    p, q = (x if isinstance(x, CyclotomicElement) else Fraction(x) for x in (p, q))
     even_only = expr.startswith("comp2")
     j0 = _terminating_exponent(p, q, even_only)
     if j0 is None:
         kind = "p*q^(2k) = 1" if even_only else "p*q^k = 1"
         raise CertificateError(
-            f"no termination certificate {kind} found for {expr} at "
-            f"p={p!r}, q={q!r} (scanned k <= {TERMINATING_SCAN_CAP}); "
-            "refusing to evaluate a non-terminating sum")
-    pinv, qinv = one / p, one / q
-
-    if expr in ("comp1-left", "comp2-first"):
-        sign_flip = expr == "comp2-first"
-        total = one * 0
-        prod = one
-        qpow = one  # (1/q)^j
-        sign = one
-        for n in range(j0 + 1):
-            total = total + sign * prod
-            prod = prod * (one - pinv * qpow)
-            qpow = qpow * qinv
-            if sign_flip:
-                sign = -sign
-        return total
-
-    if expr in ("comp1-mid", "comp2-mid"):
-        minus = expr == "comp2-mid"
-        total = one * 0
-        pa = one  # (p; q)_n
-        pb = one  # (q; q)_n  or (-q; q)_n
-        qpow = one
-        pref = p  # p * q^n
-        for n in range(j0 + 1):
-            total = total + pref * pa * pb
-            pa = pa * (one - p * qpow)
-            qn1 = qpow * q
-            pb = pb * (one + qn1) if minus else pb * (one - qn1)
-            qpow = qn1
-            pref = pref * q
-        return total
-
-    # comp2-right: sum_n (q/p)^n (p; q^2)_n, terminates at n = j0/2
-    total = one * 0
-    prod = one
-    q2 = q * q
-    q2pow = one
-    pref = one
-    ratio = q * pinv
-    for n in range(j0 // 2 + 1):
-        total = total + pref * prod
-        prod = prod * (one - p * q2pow)
-        q2pow = q2pow * q2
-        pref = pref * ratio
-    return total
+            f"no termination certificate {kind} for {expr} at p={p!r}, q={q!r}: "
+            "no such j exists; refusing to evaluate a non-terminating sum")
+    return partial_sum(COMPACT_SUMS[expr](Point(p, q)), _term_count(expr, j0))
 
 
-def verify_terminating(family: str, p, q) -> VerificationReport:
-    """Evaluate all terminating expressions of a compact identity at (p, q)
-    and assert exact equality."""
-    t0 = time.perf_counter()
-    if family == "comp1":
-        exprs = ("comp1-left", "comp1-mid")
-    elif family == "comp2":
-        exprs = ("comp2-first", "comp2-mid", "comp2-right")
-    else:
-        raise UnknownFamilyError("terminating families are comp1 and comp2")
-    values = [(e, evaluate_terminating(e, p, q)) for e in exprs]
-    rep = VerificationReport(f"{family}-terminating", "terminating-exact",
-                             detail={"p": _fmt_scalar(p), "q": _fmt_scalar(q),
-                                     "values": {e: _fmt_scalar(v) for e, v in values}})
+TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
+                        "comp2": ("comp2-first", "comp2-mid", "comp2-right")}
+
+
+def _terminating_values(family, p, q, rep):
+    """The values of `family`'s expressions at (p, q); `rep` becomes a
+    mismatch at the first value that differs from the first one."""
+    values = [(e, evaluate_terminating(e, p, q)) for e in TERMINATING_FAMILIES[family]]
     base = values[0][1]
     for e, v in values[1:]:
         if v != base:
@@ -338,6 +316,19 @@ def verify_terminating(family: str, p, q) -> VerificationReport:
             rep.witness = {"index": e, "left": _fmt_scalar(base),
                            "right": _fmt_scalar(v)}
             break
+    return values
+
+
+def verify_terminating(family: str, p, q) -> VerificationReport:
+    """Evaluate all terminating expressions of a compact identity at (p, q)
+    and assert exact equality."""
+    t0 = time.perf_counter()
+    if family not in TERMINATING_FAMILIES:
+        raise UnknownFamilyError("terminating families are comp1 and comp2")
+    rep = VerificationReport(f"{family}-terminating", "terminating-exact")
+    values = _terminating_values(family, p, q, rep)
+    rep.detail = {"p": _fmt_scalar(p), "q": _fmt_scalar(q),
+                  "values": {e: _fmt_scalar(v) for e, v in values}}
     return _timed(rep, t0)
 
 
@@ -359,23 +350,20 @@ class IdentityDescriptor:
     runner: object  # callable(**kwargs) -> VerificationReport
 
 
-def _pair_runner(ident, left_family, right_family, default_order, cap=FORMAL_BIVARIATE_CAP,
-                 univariate=False):
+def _pair_runner(ident, left_family, right_family, defaults=None):
+    """Runner comparing two families, at order 8 unless asked otherwise;
+    `defaults` maps the parameters the families take to their defaults."""
     def run(order=None, **kwargs):
-        n = default_order if order is None else order
-        if not univariate and n > cap:
-            raise ParameterError(f"order capped at {cap} for {ident} (got {n})")
+        n = 8 if order is None else order
+        if n > FORMAL_BIVARIATE_CAP:
+            raise ParameterError(
+                f"order capped at {FORMAL_BIVARIATE_CAP} for {ident} (got {n})")
         t0 = time.perf_counter()
-        gamma = kwargs.get("gamma")
-        r = kwargs.get("r")
-        left = expand_family(left_family, n, gamma=gamma, r=r)
-        right = expand_family(right_family, n, gamma=gamma, r=r)
-        extra = {}
-        if gamma is not None:
-            extra["gamma"] = str(gamma)
-        if r is not None:
-            extra["r"] = str(r)
-        return _series_pair_report(ident, "formal", n, left, right, extra, t0=t0)
+        params = {k: kwargs.get(k, v) for k, v in (defaults or {}).items()}
+        left = expand_family(left_family, n, **params)
+        right = expand_family(right_family, n, **params)
+        extra = {k: str(v) for k, v in params.items()}
+        return _series_pair_report(ident, n, left, right, t0, extra)
     return run
 
 
@@ -386,23 +374,10 @@ def _pentagonal_runner(order=None, **_):
     s = expand_family("pentagonal-sum", n)
     prod = expand_family("pentagonal-product", n)
     theta = expand_family("pentagonal-theta", n)
-    rep = VerificationReport("pentagonal-3way", "formal", n)
-    for label, left, right in (("sum vs 1-product", s, one - prod),
-                               ("sum vs 1-theta", s, one - theta)):
-        match = left.equal_up_to(right, n)
-        if not match.equal:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": list(match.index), "left": str(match.left),
-                           "right": str(match.right), "case": label}
-            break
+    rep = _compare_series(VerificationReport("pentagonal-3way", "formal", n), n,
+                          [(s, one - prod, "sum vs 1-product"),
+                           (s, one - theta, "sum vs 1-theta")])
     return _timed(rep, t0)
-
-
-def _gamma_defaults(kwargs):
-    return {
-        "gamma": kwargs.get("gamma", Fraction(2, 3)),
-        "r": kwargs.get("r", Fraction(-3, 5)),
-    }
 
 
 def _terminating_suite_runner(family):
@@ -413,20 +388,17 @@ def _terminating_suite_runner(family):
         t0 = time.perf_counter()
         rep = VerificationReport(f"{family}-terminating", "terminating-exact")
         points = []
-        for q in qs:
-            for k in ks:
-                exponent = 2 * k if family == "comp2" else k
-                p = q ** (-exponent)
-                sub = verify_terminating(family, p, q)
-                points.append({"p": str(p), "q": str(q),
-                               "values": sub.detail["values"]})
-                if not sub.ok:
-                    rep.outcome = sub.outcome
-                    rep.witness = sub.witness
-                    rep.witness["p"] = str(p)
-                    rep.witness["q"] = str(q)
-                    break
-            if not rep.ok:
+        for q, k in product(qs, ks):
+            exponent = 2 * k if family == "comp2" else k
+            p = q ** (-exponent)
+            sub = verify_terminating(family, p, q)
+            points.append({"p": str(p), "q": str(q),
+                           "values": sub.detail["values"]})
+            if not sub.ok:
+                rep.outcome = sub.outcome
+                rep.witness = sub.witness
+                rep.witness["p"] = str(p)
+                rep.witness["q"] = str(q)
                 break
         rep.detail["points"] = points
         return _timed(rep, t0)
@@ -446,10 +418,10 @@ def _build_registry():
     for ident, lf, rf in pairs:
         add(ident, "formal",
             f"interval-order series equality {ident} as bivariate formal series",
-            _pair_runner(ident, lf, rf, default_order=8))
+            _pair_runner(ident, lf, rf))
     add("KR-first=F3", "formal",
         "first Kitaev-Remmel chain form equals the closed form",
-        _pair_runner("KR-first=F3", "F3-KR-first-form", "F3", default_order=8))
+        _pair_runner("KR-first=F3", "F3-KR-first-form", "F3"))
     add("prop12", "formal",
         "generating identity with a formal third variable r",
         lambda order=None, **_: verify_proposition(8 if order is None else order))
@@ -458,18 +430,11 @@ def _build_registry():
         lambda order=None, **_: verify_proposition_specializations(
             8 if order is None else order))
 
-    def gamma1_run(order=None, **kwargs):
-        params = _gamma_defaults(kwargs)
-        return _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs", 8)(
-            order=order, **params)
-
-    def gamma2_run(order=None, **kwargs):
-        gamma = kwargs.get("gamma", Fraction(2, 3))
-        return _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs", 8)(
-            order=order, gamma=gamma)
-
-    add("gamma1", "formal", "gamma-generalized identity (rational gamma, r)", gamma1_run)
-    add("gamma2", "formal", "gamma-generalized even-step identity (rational gamma)", gamma2_run)
+    add("gamma1", "formal", "gamma-generalized identity (rational gamma, r)",
+        _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs",
+                     {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)}))
+    add("gamma2", "formal", "gamma-generalized even-step identity (rational gamma)",
+        _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs", {"gamma": Fraction(2, 3)}))
     add("pentagonal-3way", "formal",
         "pentagonal sum = 1 - product = 1 - theta", _pentagonal_runner)
     add("F1-coefficients", "formal",

@@ -5,17 +5,25 @@ elements, and their self-dual/row analogues), the Kitaev-Remmel chain forms,
 the gamma-generalized families, and the pentagonal sum/product/theta forms
 are all built here on top of TruncatedSeries.
 
-Each family's infinite sum is truncated by a provable summand cutoff: the
-n-th summand is skipped once its minimum total degree exceeds the truncation
-order.  The bound used per family comes from the Pochhammer factor whose
-every monomial has total degree at least n; adding further summands can never
-change a coefficient below the cut (the test suite re-checks this).
+Every Pochhammer sum is written once, as a PochhammerSum: its first term and
+its term ratio.  One generator yields the terms in any arithmetic the
+package uses (series over ZZ, QQ and Q(zeta_k), Fractions, cyclotomic
+elements, mpmath numbers), and each mode applies its own stopping rule.  The
+formal families, the root-of-unity expansions and the terminating
+evaluations all run the same specs.
+
+An exact series sum stops at the first term that truncates to zero.  This
+cutoff is exact: every term ratio is a power series of valuation >= 0, so
+each later term is a multiple of the vanished one and has no monomial at or
+below the truncation order either (the test suite re-checks this).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import inf
+from typing import NamedTuple
 
 from .errors import ParameterError, UnknownFamilyError
 from .rings import QQ, ZZ
@@ -55,285 +63,190 @@ def q_pochhammer(a: TruncatedSeries, q: TruncatedSeries, n) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# building blocks over (x, y)
+# Pochhammer sums as term ratios
 
 
-def _blocks(N, ring):
-    one = TruncatedSeries.constant(ring, 2, N, ring.one, BIVARIATE_NAMES)
-    x = TruncatedSeries.variable(ring, 2, N, 0, BIVARIATE_NAMES)
-    y = TruncatedSeries.variable(ring, 2, N, 1, BIVARIATE_NAMES)
-    u = one - x          # 1-x
-    w = one - y          # 1-y
-    return one, x, y, u, w
+class PochhammerSum(NamedTuple):
+    """The sum of t_0, t_1, ... given by t_0 = `first` and the term ratio
+
+        t_{n+1} / t_n = prod(monos) * prod_i (1 - a_i r_i^n) / prod_j (1 - b_j s_j^n)
+
+    with `factors` the pairs (a_i, r_i) and `inverses` the pairs (b_j, s_j):
+    the term-ratio view of Gasper-Rahman, Basic Hypergeometric Series (2nd
+    ed., 2004), ch. 1.  The entries are truncated series, Fractions,
+    cyclotomic elements or mpmath numbers, all of one arithmetic, except that
+    a mono may be a scalar next to series entries.
+    """
+
+    first: object
+    monos: tuple = ()
+    factors: tuple = ()
+    inverses: tuple = ()
 
 
-def _family_f1(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    prod = one
-    apow = w  # (1-y)*(1-x)^n
-    for _ in range(N + 1):
-        total = total + prod
-        prod = prod * (one - apow)
-        apow = apow * u
-    return total
+def _inv(x):
+    return x.invert() if isinstance(x, TruncatedSeries) else 1 / x
 
 
-def _family_f2(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    ui = u.invert()
-    wi = w.invert()
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = wi              # 1/((1-y)(1-x)^n)
-    pa = one               # (1/(1-y); 1/(1-x))_n
-    pb = one               # (1/(1-x); 1/(1-x))_n
-    apow = wi
-    bpow = ui
-    for _ in range(N + 1):
-        total = total + pref * pa * pb
-        pa = pa * (one - apow)
-        pb = pb * (one - bpow)
-        apow = apow * ui
-        bpow = bpow * ui
-        pref = pref * ui
-    return total
+def _times(term, c):
+    """term * c; a scalar c scales a series term instead of multiplying it."""
+    if isinstance(term, TruncatedSeries) and not isinstance(c, TruncatedSeries):
+        return term.scale(c)
+    return term * c
 
 
-def _family_f3(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    ratio = u * w.invert()  # (1-x)/(1-y)
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = ratio            # ratio^(n+1)
-    prod = one              # (1-x; 1-x)_n
-    apow = u
-    for _ in range(N + 1):
-        total = total + pref * prod
-        prod = prod * (one - apow)
-        apow = apow * u
-        pref = pref * ratio
-    return total
+def pochhammer_terms(spec: PochhammerSum):
+    """Yield t_0, t_1, ... of `spec` without end: the caller's stopping rule
+    decides how many terms are summed."""
+    steps = [[a, r] for a, r in spec.factors]        # [a r^n, r]
+    inv_steps = [[b, s] for b, s in spec.inverses]   # [b s^n, s]
+    term = spec.first
+    yield term
+    while True:
+        for c in spec.monos:
+            term = _times(term, c)
+        for step in steps:
+            term = term * (1 - step[0])
+        for step in inv_steps:
+            term = term * _inv(1 - step[0])
+        yield term
+        for step in steps + inv_steps:
+            step[0] = step[0] * step[1]
 
 
-def _family_g1(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    ui = u.invert()
-    wi = w.invert()
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    prod = one
-    apow = wi
-    sign = 1
-    for _ in range(N + 1):
-        total = total + prod.scale(ring.from_int(sign))
-        prod = prod * (one - apow)
-        apow = apow * ui
-        sign = -sign
-    return total
+def truncated_sum(spec: PochhammerSum) -> TruncatedSeries:
+    """The exact series sum of `spec`, stopping at the first term that
+    truncates to zero.  Every ratio is a power series of valuation >= 0, so
+    each later term is a multiple of that one and vanishes below the cut too."""
+    first = spec.first
+    zero = TruncatedSeries.zero(first.ring, first.nvars, first.trunc, first.names)
+    return sum(takewhile(lambda t: not t.is_zero(), pochhammer_terms(spec)), zero)
 
 
-def _family_g2(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = w               # (1-y)(1-x)^n
-    pa = one               # (1-y; 1-x)_n
-    pb = one               # (-(1-x); 1-x)_n
-    apow = w
-    bpow = u
-    for _ in range(N + 1):
-        total = total + pref * pa * pb
-        pa = pa * (one - apow)
-        pb = pb * (one + bpow)
-        apow = apow * u
-        bpow = bpow * u
-        pref = pref * u
-    return total
+def partial_sum(spec: PochhammerSum, count: int):
+    """t_0 + ... + t_{count-1} in any arithmetic, count >= 1: the value of a
+    terminating sum whose term `count` vanishes."""
+    terms = pochhammer_terms(spec)
+    return sum(islice(terms, count - 1), next(terms))
 
 
-def _family_g3(N, ring=ZZ):
-    one, _, _, u, w = _blocks(N, ring)
-    ratio = u * w.invert()
-    u2 = u * u
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = one             # ratio^n
-    prod = one             # (1-y; (1-x)^2)_n
-    apow = w
-    for _ in range(N + 1):
-        total = total + pref * prod
-        prod = prod * (one - apow)
-        apow = apow * u2
-        pref = pref * ratio
-    return total
+class Point:
+    """A point (p, q) of one arithmetic.  Either p or 1/p may be given, and
+    likewise q; the other is computed on first use, so a sum inverts only the
+    quantities it uses."""
+
+    def __init__(self, p=None, q=None, pinv=None, qinv=None):
+        self._known = {"p": p, "q": q, "pinv": pinv, "qinv": qinv}
+
+    def _get(self, name, inverse):
+        if self._known[name] is None:
+            self._known[name] = _inv(self._known[inverse])
+        return self._known[name]
+
+    p = property(lambda self: self._get("p", "pinv"))
+    q = property(lambda self: self._get("q", "qinv"))
+    pinv = property(lambda self: self._get("pinv", "p"))
+    qinv = property(lambda self: self._get("qinv", "q"))
+
+    @property
+    def one(self):
+        # x ** 0 is the unit of x's arithmetic, whichever arithmetic it is
+        q = self._known["q"]
+        return (self._known["qinv"] if q is None else q) ** 0
 
 
-def _family_kr_first(N, ring=ZZ):
-    # 1 + sum_{n>=0} y/(1-y)^{n+1} * prod_{k=1}^n (1-(1-x)^k)
-    one, _, y, u, w = _blocks(N, ring)
-    wi = w.invert()
-    total = one
-    pref = y * wi          # y/(1-y)^{n+1}
-    prod = one             # (1-x; 1-x)_n
-    apow = u
-    n = 0
-    while n + 1 <= N:
-        total = total + pref * prod
-        prod = prod * (one - apow)
-        apow = apow * u
-        pref = pref * wi
-        n += 1
-    return total
+def xy_point(order: int, ring, names=BIVARIATE_NAMES, inverted=False) -> Point:
+    """(p, q) = (1-y, 1-x), or (1/(1-y), 1/(1-x)) when `inverted`, as series
+    in `names` (x and y first) truncated at `order`."""
+    nvars = len(names)
+    one = TruncatedSeries.constant(ring, nvars, order, ring.one, names)
+    u = one - TruncatedSeries.variable(ring, nvars, order, 0, names)
+    w = one - TruncatedSeries.variable(ring, nvars, order, 1, names)
+    return Point(pinv=w, qinv=u) if inverted else Point(p=w, q=u)
 
 
-def _gamma_blocks(N, gamma):
-    if gamma is None:
-        raise ParameterError("gamma-family requires a gamma parameter")
-    gamma = Fraction(gamma)
-    if gamma == 1:
-        raise ParameterError(
-            "gamma = 1 makes the denominator factors non-invertible")
-    return gamma
+def _comp1_right(pt):
+    step = pt.p * pt.qinv
+    return PochhammerSum(step, (step,), ((pt.qinv, pt.qinv),))
 
 
-def _family_gamma1_lhs(N, gamma, r):
-    # sum_n r^n (gamma/(r(1-x)); 1-x)_n (1/(1-y); 1/(1-x))_n / (gamma; 1-x)_n
-    gamma = _gamma_blocks(N, gamma)
-    if r is None or Fraction(r) == 0:
-        raise ParameterError("gamma1 family requires a nonzero rational r")
-    r = Fraction(r)
-    ring = QQ
-    one, _, _, u, w = _blocks(N, ring)
-    ui = u.invert()
-    wi = w.invert()
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    num1 = one             # (gamma/(r(1-x)); 1-x)_n
-    num2 = one             # (1/(1-y); 1/(1-x))_n
-    deninv = one           # 1/(gamma; 1-x)_n
-    cpow = ui.scale(gamma / r)   # (gamma/r)(1-x)^{k-1}, k = 0, 1, ...
-    apow = wi
-    gpow = one.scale(gamma)      # gamma*(1-x)^k
-    rpow = Fraction(1)
-    for _ in range(N + 1):
-        total = total + (num1 * num2 * deninv).scale(rpow)
-        num1 = num1 * (one - cpow)
-        num2 = num2 * (one - apow)
-        deninv = deninv * (one - gpow).invert()
-        cpow = cpow * u
-        apow = apow * ui
-        gpow = gpow * u
-        rpow *= r
-    return total
+# The compact sums of the paper, each as its first term and term ratio.
+# F1, F2, F3 are the comp1 sums at (p, q) = (1/(1-y), 1/(1-x)); G1, G2, G3
+# are the comp2 sums at (1-y, 1-x).
+COMPACT_SUMS = {
+    # sum_n (1/p; 1/q)_n
+    "comp1-left": lambda pt: PochhammerSum(pt.one, (), ((pt.pinv, pt.qinv),)),
+    # sum_n p q^n (p; q)_n (q; q)_n
+    "comp1-mid": lambda pt: PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (pt.q, pt.q))),
+    # sum_n (p/q)^{n+1} (1/q; 1/q)_n
+    "comp1-right": _comp1_right,
+    # sum_n (-1)^n (1/p; 1/q)_n
+    "comp2-first": lambda pt: PochhammerSum(pt.one, (-1,), ((pt.pinv, pt.qinv),)),
+    # sum_n p q^n (p; q)_n (-q; q)_n
+    "comp2-mid": lambda pt: PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (-pt.q, pt.q))),
+    # sum_n (q/p)^n (p; q^2)_n
+    "comp2-right": lambda pt: PochhammerSum(pt.one, (pt.q * pt.pinv,),
+                                            ((pt.p, pt.q * pt.q),)),
+}
 
 
-def _family_gamma1_rhs(N, gamma, r):
-    # sum_n (1-y)(1-x)^n (1-y; 1-x)_n (r(1-x); 1-x)_n / (gamma; 1-x)_n
-    gamma = _gamma_blocks(N, gamma)
-    if r is None:
-        raise ParameterError("gamma1 family requires a rational r")
-    r = Fraction(r)
-    ring = QQ
-    one, _, _, u, w = _blocks(N, ring)
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = w
-    pa = one               # (1-y; 1-x)_n
-    pb = one               # (r(1-x); 1-x)_n
-    deninv = one
-    apow = w
-    bpow = u.scale(r)
-    gpow = one.scale(gamma)
-    for _ in range(N + 1):
-        total = total + (pref * pa * pb * deninv)
-        pa = pa * (one - apow)
-        pb = pb * (one - bpow)
-        deninv = deninv * (one - gpow).invert()
-        apow = apow * u
-        bpow = bpow * u
-        gpow = gpow * u
-        pref = pref * u
-    return total
+# The gamma generalizations, over series at (p, q) = (1-y, 1-x) with rational
+# gamma != 1.  gamma = 0 removes every gamma factor, which leaves r free to be
+# a formal variable: that is the formal-r proposition.
 
 
-def _family_gamma2_lhs(N, gamma):
-    # sum_n (-1)^n (1/(1-y); 1/(1-x))_n / (gamma; 1/(1-x)^2)_{floor(n/2)}
-    gamma = _gamma_blocks(N, gamma)
-    ring = QQ
-    one, _, _, u, w = _blocks(N, ring)
-    ui = u.invert()
-    ui2 = ui * ui
-    wi = w.invert()
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    prod = one
-    apow = wi
-    deninv = one           # 1/(gamma; 1/(1-x)^2)_{floor(n/2)}
-    gpow = one.scale(gamma)  # gamma * (1/(1-x)^2)^k
-    sign = 1
-    for n in range(N + 1):
-        if n >= 2 and n % 2 == 0:
-            deninv = deninv * (one - gpow).invert()
-            gpow = gpow * ui2
-        total = total + (prod * deninv).scale(ring.from_int(sign))
-        prod = prod * (one - apow)
-        apow = apow * ui
-        sign = -sign
-    return total
+def gamma1_lhs(pt, gamma, r):
+    """sum_n r^n (gamma/(r q); q)_n (1/p; 1/q)_n / (gamma; q)_n"""
+    factors, inverses = ((pt.pinv, pt.qinv),), ()
+    if gamma:
+        factors += ((pt.qinv.scale(gamma / r), pt.q),)
+        inverses = ((pt.one.scale(gamma), pt.q),)
+    return PochhammerSum(pt.one, (r,), factors, inverses)
 
 
-def _family_gamma2_rhs(N, gamma):
-    # sum_n ((1-x)/(1-y))^n (1-y; (1-x)^2)_n (gamma(1-x)(1-y); 1/(1-x)^2)_n
-    #       / (gamma; 1/(1-x)^2)_n
-    gamma = _gamma_blocks(N, gamma)
-    ring = QQ
-    one, _, _, u, w = _blocks(N, ring)
-    ui = u.invert()
-    ui2 = ui * ui
-    u2 = u * u
-    ratio = u * w.invert()
-    total = TruncatedSeries.zero(ring, 2, N, BIVARIATE_NAMES)
-    pref = one
-    pa = one               # (1-y; (1-x)^2)_n
-    pb = one               # (gamma(1-x)(1-y); 1/(1-x)^2)_n
-    deninv = one
-    apow = w
-    bpow = (u * w).scale(gamma)
-    gpow = one.scale(gamma)
-    for _ in range(N + 1):
-        total = total + (pref * pa * pb * deninv)
-        pa = pa * (one - apow)
-        pb = pb * (one - bpow)
-        deninv = deninv * (one - gpow).invert()
-        apow = apow * u2
-        bpow = bpow * ui2
-        gpow = gpow * ui2
-        pref = pref * ratio
-    return total
+def gamma1_rhs(pt, gamma, r):
+    """sum_n p q^n (p; q)_n (r q; q)_n / (gamma; q)_n"""
+    inverses = ((pt.one.scale(gamma), pt.q),) if gamma else ()
+    return PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (_times(pt.q, r), pt.q)), inverses)
+
+
+def gamma2_lhs(pt, gamma):
+    """sum_n (-1)^n (1/p; 1/q)_n / (gamma; 1/q^2)_{floor(n/2)}, summed in the
+    pairs n = 2m, 2m+1, which turns it into the standard sum
+    sum_m (1/p) q^{-2m} (1/p; 1/q^2)_m (1/(pq); 1/q^2)_m / (gamma; 1/q^2)_m."""
+    q2inv = pt.qinv * pt.qinv
+    factors = ((pt.pinv, q2inv), (pt.pinv * pt.qinv, q2inv))
+    inverses = ((pt.one.scale(gamma), q2inv),) if gamma else ()
+    return PochhammerSum(pt.pinv, (q2inv,), factors, inverses)
+
+
+def gamma2_rhs(pt, gamma):
+    """sum_n (q/p)^n (p; q^2)_n (gamma q p; 1/q^2)_n / (gamma; 1/q^2)_n"""
+    factors, inverses = ((pt.p, pt.q * pt.q),), ()
+    if gamma:
+        q2inv = pt.qinv * pt.qinv
+        factors += (((pt.q * pt.p).scale(gamma), q2inv),)
+        inverses = ((pt.one.scale(gamma), q2inv),)
+    return PochhammerSum(pt.one, (pt.q * pt.pinv,), factors, inverses)
 
 
 # ---------------------------------------------------------------------------
 # pentagonal forms (univariate in w)
 
 
-def _pentagonal_sum(N, ring=ZZ):
-    # sum_{n>=0} w^{n+1} (w; w)_n
-    one = TruncatedSeries.constant(ring, 1, N, ring.one, PENTAGONAL_NAMES)
+def _pentagonal_sum(N, ring):
+    # sum_{n>=0} w^{n+1} (w; w)_n: the comp1-right sum at p = 1, q = 1/w
     wv = TruncatedSeries.variable(ring, 1, N, 0, PENTAGONAL_NAMES)
-    total = TruncatedSeries.zero(ring, 1, N, PENTAGONAL_NAMES)
-    pref = wv
-    prod = one
-    apow = wv
-    n = 0
-    while n + 1 <= N:
-        total = total + pref * prod
-        prod = prod * (one - apow)
-        apow = apow * wv
-        pref = pref * wv
-        n += 1
-    return total
+    return truncated_sum(_comp1_right(Point(p=wv ** 0, qinv=wv)))
 
 
-def _pentagonal_product(N, ring=ZZ):
+def _pentagonal_product(N, ring):
     # prod_{n>=1} (1 - w^n) = (w; w)_infinity
     wv = TruncatedSeries.variable(ring, 1, N, 0, PENTAGONAL_NAMES)
     return q_pochhammer(wv, wv, inf)
 
 
-def _pentagonal_theta(N, ring=ZZ):
+def _pentagonal_theta(N, ring):
     # sum_{n=-inf}^{inf} (-1)^n w^{n(3n-1)/2}
     terms = {}
     n = 0
@@ -353,24 +266,54 @@ def _pentagonal_theta(N, ring=ZZ):
 # ---------------------------------------------------------------------------
 # family registry
 
-_PLAIN = {
-    "F1": _family_f1,
-    "F2": _family_f2,
-    "F3": _family_f3,
-    "G1": _family_g1,
-    "G2": _family_g2,
-    "G3": _family_g3,
-    "F3-KR-first-form": _family_kr_first,
-    "F3-KR-second-form": _family_f3,  # the telescoped chain closes into F3 itself
-    "pentagonal-sum": _pentagonal_sum,
-    "pentagonal-product": _pentagonal_product,
-    "pentagonal-theta": _pentagonal_theta,
+
+def _summed(spec, inverted=False):
+    """The expansion of a family that is the sum `spec` at (p, q) =
+    (1-y, 1-x), or at (1/(1-y), 1/(1-x)) when `inverted`."""
+    def expand(N, ring, *params):
+        return truncated_sum(spec(xy_point(N, ring, inverted=inverted), *params))
+    return expand
+
+
+def _kr_first_form(N, ring):
+    # 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n at p = 1-y, q = 1-x, where
+    # y/(1-y) = 1/p - 1
+    pt = xy_point(N, ring)
+    return pt.one + truncated_sum(PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
+
+
+# family id -> (coefficient ring, parameter names, expand(order, ring, *parameters))
+_FAMILIES = {
+    "F1": (ZZ, (), _summed(COMPACT_SUMS["comp1-left"], inverted=True)),
+    "F2": (ZZ, (), _summed(COMPACT_SUMS["comp1-mid"], inverted=True)),
+    "F3": (ZZ, (), _summed(COMPACT_SUMS["comp1-right"], inverted=True)),
+    "G1": (ZZ, (), _summed(COMPACT_SUMS["comp2-first"])),
+    "G2": (ZZ, (), _summed(COMPACT_SUMS["comp2-mid"])),
+    "G3": (ZZ, (), _summed(COMPACT_SUMS["comp2-right"])),
+    "F3-KR-first-form": (ZZ, (), _kr_first_form),
+    "pentagonal-sum": (ZZ, (), _pentagonal_sum),
+    "pentagonal-product": (ZZ, (), _pentagonal_product),
+    "pentagonal-theta": (ZZ, (), _pentagonal_theta),
+    "gamma1-lhs": (QQ, ("gamma", "r"), _summed(gamma1_lhs)),
+    "gamma1-rhs": (QQ, ("gamma", "r"), _summed(gamma1_rhs)),
+    "gamma2-lhs": (QQ, ("gamma",), _summed(gamma2_lhs)),
+    "gamma2-rhs": (QQ, ("gamma",), _summed(gamma2_rhs)),
 }
 
-_GAMMA_R = {"gamma1-lhs": _family_gamma1_lhs, "gamma1-rhs": _family_gamma1_rhs}
-_GAMMA = {"gamma2-lhs": _family_gamma2_lhs, "gamma2-rhs": _family_gamma2_rhs}
+FAMILY_IDS = tuple(sorted(_FAMILIES))
 
-FAMILY_IDS = tuple(sorted(list(_PLAIN) + list(_GAMMA_R) + list(_GAMMA)))
+
+def _family(family):
+    if family not in _FAMILIES:
+        raise UnknownFamilyError(
+            f"unknown series family {family!r}; known: {', '.join(FAMILY_IDS)}")
+    return _FAMILIES[family]
+
+
+def family_ring(family: str):
+    """The coefficient ring of `family`'s expansion: ZZ, or QQ for the
+    gamma families."""
+    return _family(family)[0]
 
 
 def expand_family(family: str, order: int, gamma=None, r=None) -> TruncatedSeries:
@@ -382,18 +325,31 @@ def expand_family(family: str, order: int, gamma=None, r=None) -> TruncatedSerie
     """
     if order < 0:
         raise ParameterError("order must be nonnegative")
-    if family in _PLAIN:
+    ring, params, expand = _family(family)
+    if not params:
         if gamma is not None or r is not None:
             raise ParameterError(f"family {family} takes no parameters")
-        return _PLAIN[family](order)
-    if family in _GAMMA_R:
-        return _GAMMA_R[family](order, gamma, r)
-    if family in _GAMMA:
+        return expand(order, ring)
+    if "r" not in params:
         if r is not None:
             raise ParameterError(f"family {family} takes only gamma")
-        return _GAMMA[family](order, gamma)
-    raise UnknownFamilyError(
-        f"unknown series family {family!r}; known: {', '.join(FAMILY_IDS)}")
+        return expand(order, ring, _gamma_parameter(gamma))
+    gamma = _gamma_parameter(gamma)
+    if family == "gamma1-lhs" and (r is None or Fraction(r) == 0):
+        raise ParameterError("gamma1 family requires a nonzero rational r")
+    if r is None:
+        raise ParameterError("gamma1 family requires a rational r")
+    return expand(order, ring, gamma, Fraction(r))
+
+
+def _gamma_parameter(gamma):
+    if gamma is None:
+        raise ParameterError("gamma-family requires a gamma parameter")
+    gamma = Fraction(gamma)
+    if gamma == 1:
+        raise ParameterError(
+            "gamma = 1 makes the denominator factors non-invertible")
+    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,21 @@
 """Coefficient rings for truncated series.
 
 Ring elements are plain Python objects supporting the arithmetic operators
-(int, Fraction, CyclotomicElement, mpmath.mpc), so series arithmetic works on
-them directly.  A ring object supplies everything the operators cannot:
-coercion, exact/tolerant equality, inversion, and string serialization.
+(int, Fraction, CyclotomicElement), so series arithmetic works on them
+directly.  A ring object supplies everything the operators cannot: coercion,
+equality, inversion, and string serialization.  Every ring is exact.
 
 Integers are the default ring (all coefficients of the interval-order series
-are integers); rationals appear where a non-unit inversion is required, the
-cyclotomic ring backs root-of-unity expansions, and the complex ring exists
-for high-precision cross-checks only.  Cyclotomic elements keep plain int
-coordinates while they lie in Z[zeta_k], so those expansions run in integer
-arithmetic; a Fraction coordinate appears only after a non-unit inversion.
+are integers); rationals appear where a non-unit inversion is required, and
+the cyclotomic ring backs root-of-unity expansions.  Cyclotomic elements keep
+plain int coordinates while they lie in Z[zeta_k], so those expansions run in
+integer arithmetic; a Fraction coordinate appears only after a non-unit
+inversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath as mp
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import NonInvertibleError
@@ -25,7 +23,6 @@ from .errors import NonInvertibleError
 
 class IntegerRing:
     tag = "ZZ"
-    exact = True
 
     zero = 0
     one = 1
@@ -43,7 +40,7 @@ class IntegerRing:
     def is_zero(self, a):
         return a == 0
 
-    def eq(self, a, b, tol=None):
+    def eq(self, a, b):
         return a == b
 
     def invert(self, a):
@@ -69,7 +66,6 @@ class IntegerRing:
 
 class RationalRing:
     tag = "QQ"
-    exact = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -85,7 +81,7 @@ class RationalRing:
     def is_zero(self, a):
         return a == 0
 
-    def eq(self, a, b, tol=None):
+    def eq(self, a, b):
         return a == b
 
     def invert(self, a):
@@ -118,8 +114,6 @@ class CyclotomicRing:
     comma-joined "num" or "num/den" strings, one per power-basis coordinate.
     """
 
-    exact = True
-
     def __init__(self, k: int):
         self.k = k
         self.field = get_field(k)
@@ -142,7 +136,7 @@ class CyclotomicRing:
     def is_zero(self, a):
         return not a
 
-    def eq(self, a, b, tol=None):
+    def eq(self, a, b):
         return a == b
 
     def invert(self, a):
@@ -170,64 +164,6 @@ class CyclotomicRing:
         return self.tag
 
 
-class ComplexRing:
-    """Arbitrary-precision complex coefficients (mpmath), tolerant equality.
-
-    Used for numerical cross-checks; equality is |a - b| <= eps with a
-    caller-visible absolute epsilon (default 1e-25 at 60 digits).
-    """
-
-    exact = False
-
-    def __init__(self, dps: int = 60, eps=None):
-        self.dps = dps
-        self.eps = mp.mpf("1e-25") if eps is None else mp.mpf(eps)
-        self.tag = f"CC({dps})"
-        with mp.workdps(dps):
-            self.zero = mp.mpc(0)
-            self.one = mp.mpc(1)
-
-    def from_int(self, n):
-        with mp.workdps(self.dps):
-            return mp.mpc(n)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            with mp.workdps(self.dps):
-                return mp.mpc(mp.mpf(x.numerator) / mp.mpf(x.denominator))
-        with mp.workdps(self.dps):
-            return mp.mpc(x)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b, tol=None):
-        eps = self.eps if tol is None else mp.mpf(tol)
-        return abs(a - b) <= eps
-
-    def invert(self, a):
-        if a == 0:
-            raise NonInvertibleError("0 is not invertible in CC")
-        with mp.workdps(self.dps):
-            return 1 / a
-
-    def coeff_to_str(self, a):
-        return mp.nstr(a, self.dps)
-
-    def coeff_from_str(self, s):
-        with mp.workdps(self.dps):
-            return mp.mpc(complex(s)) if "j" in s else mp.mpc(mp.mpf(s))
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexRing) and other.dps == self.dps
-
-    def __hash__(self):
-        return hash(self.tag)
-
-    def __repr__(self):
-        return self.tag
-
-
 ZZ = IntegerRing()
 QQ = RationalRing()
 
@@ -244,6 +180,4 @@ def ring_from_tag(tag: str):
         return QQ
     if tag.startswith("QQ(zeta_") and tag.endswith(")"):
         return CyclotomicRing(int(tag[len("QQ(zeta_"):-1]))
-    if tag.startswith("CC(") and tag.endswith(")"):
-        return ComplexRing(int(tag[len("CC("):-1]))
     raise ValueError(f"unknown ring tag {tag!r}")

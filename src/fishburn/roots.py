@@ -2,14 +2,18 @@
 
 Around a point (p0, q0) on the unit circle the sums are handled as formal
 power series in (u, v) = (p - p0, q - q0) over the exact field Q(zeta_k).
-A Pochhammer factor contributes +1 to a summand's minimum (u, v)-degree
-exactly when its constant term vanishes at (p0, q0); summation stops once
-the counted minimum exceeds the truncation order.  When the vanishing count
-is bounded (no certificate), the sum does not converge formally and the
-expansion is refused rather than truncated arbitrarily.
+They run through the same term-ratio specs and the same stopping rule as the
+formal families (`qseries.truncated_sum`): summation stops at the first term
+that truncates to zero.  A Pochhammer factor whose constant term vanishes at
+(p0, q0) raises the (u, v)-valuation of every later term by at least one, so
+the terms reach the cut exactly when such factors recur.  A certificate over
+one period of powers of q0 decides that before summing; without it the sum
+does not converge formally and the expansion is refused rather than
+truncated arbitrarily.
 
 Exact cyclotomic arithmetic is the source of truth throughout; the
-high-precision complex embedding only cross-checks it.
+terminating checks re-sum the same specs in mpmath through the complex
+embedding only to cross-check it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import mpmath as mp
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .identities import (VerificationReport, _terminating_exponent, _timed,
-                         evaluate_terminating)
+from .identities import (VerificationReport, _term_count, _terminating_exponent,
+                         _terminating_values, _timed)
+from .qseries import COMPACT_SUMS, Point, partial_sum, truncated_sum
 from .rings import cyclotomic_ring
 from .series import TruncatedSeries
 
@@ -61,53 +66,31 @@ class RootContext:
         self.p0 = self.field.zeta(self.a)
         self.q0 = self.field.zeta(self.b)
 
-    def comp1_left_exponent(self):
-        """Smallest j >= 0 with p0 * q0^j = 1, or None."""
-        return _terminating_exponent(self.p0, self.q0, even_only=False,
-                                     cap=self.k)
-
     def describe_point(self):
         return f"p0 = zeta_{self.k}^{self.a}, q0 = zeta_{self.k}^{self.b}"
 
 
-def _certificate(expr: str, ctx: RootContext):
-    """(holds, description) for the formal-convergence certificate of expr."""
-    one = ctx.field.one
-    p0, q0, k = ctx.p0, ctx.q0, ctx.k
+def _require_certificate(expr: str, ctx: RootContext):
+    """Refuse expr at ctx unless its formal-convergence certificate holds."""
+    p0, q0 = ctx.p0, ctx.q0
     if expr in ("comp1-left", "comp2-first"):
-        j = ctx.comp1_left_exponent()
-        return (j is not None,
-                f"exists j with p0*q0^j = 1 (j in 0..{k - 1})")
-    if expr == "comp1-right":
+        holds = _terminating_exponent(p0, q0, even_only=False) is not None
+        description = f"exists j with p0*q0^j = 1 (j in 0..{ctx.k - 1})"
+    elif expr == "comp1-right":
         # q0 is a k-th root of unity by construction; (1/q;1/q) factors vanish
-        return True, "q0 is a root of unity"
-    if expr == "comp2-mid":
-        hit = any(p0 * q0**j == one for j in range(k)) \
-            or any(q0**j == -one for j in range(1, k + 1))
-        return hit, "exists j with p0*q0^j = 1 or q0^j = -1"
-    if expr == "comp2-right":
-        hit = any(p0 * q0 ** (2 * j) == one for j in range(k))
-        return hit, "exists j with p0*q0^(2j) = 1"
-    raise UnknownFamilyError(f"unknown root expression {expr!r}")
-
-
-def _require_certificate(expr, ctx):
-    holds, description = _certificate(expr, ctx)
+        holds, description = True, "q0 is a root of unity"
+    elif expr == "comp2-mid":
+        # (-1) * q0^j = 1 is q0^j = -1, which j = 0 never meets
+        holds = (_terminating_exponent(p0, q0, even_only=False) is not None
+                 or _terminating_exponent(-ctx.field.one, q0, even_only=False) is not None)
+        description = "exists j with p0*q0^j = 1 or q0^j = -1"
+    else:  # comp2-right
+        holds = _terminating_exponent(p0, q0, even_only=True) is not None
+        description = "exists j with p0*q0^(2j) = 1"
     if not holds:
         raise CertificateError(
             f"formal-convergence certificate failed for {expr} at "
             f"{ctx.describe_point()}: needs {description}")
-
-
-def _uv_point(ctx):
-    ring = ctx.ring
-    n = ctx.order
-    one = TruncatedSeries.constant(ring, 2, n, ring.one, UV_NAMES)
-    u = TruncatedSeries.variable(ring, 2, n, 0, UV_NAMES)
-    v = TruncatedSeries.variable(ring, 2, n, 1, UV_NAMES)
-    p = u + ctx.p0
-    q = v + ctx.q0
-    return one, p, q
 
 
 def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
@@ -117,83 +100,9 @@ def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
         raise UnknownFamilyError(
             f"unknown root expression {expr!r}; known: {', '.join(ROOT_EXPRS)}")
     _require_certificate(expr, ctx)
-    one, p, q = _uv_point(ctx)
-    ring, order = ctx.ring, ctx.order
-    total = TruncatedSeries.zero(ring, 2, order, UV_NAMES)
-    is_zero = ring.is_zero
-
-    if expr in ("comp1-left", "comp2-first"):
-        pinv, qinv = p.invert(), q.invert()
-        prod = one
-        qpow = one          # (1/q)^n
-        sign_flip = expr == "comp2-first"
-        sign = 1
-        vanished = 0
-        while vanished <= order:
-            total = total + (prod if sign > 0 else -prod)
-            factor = one - pinv * qpow
-            if is_zero(factor.constant_term):
-                vanished += 1
-            prod = prod * factor
-            qpow = qpow * qinv
-            if sign_flip:
-                sign = -sign
-        return total
-
-    if expr == "comp1-right":
-        qinv = q.invert()
-        pref = p * qinv     # (p/q)^{n+1}
-        step = p * qinv
-        prod = one          # (1/q; 1/q)_n
-        qpow = qinv         # (1/q)^{n+1}
-        vanished = 0
-        while vanished <= order:
-            total = total + pref * prod
-            factor = one - qpow
-            if is_zero(factor.constant_term):
-                vanished += 1
-            prod = prod * factor
-            qpow = qpow * qinv
-            pref = pref * step
-        return total
-
-    if expr == "comp2-mid":
-        pa = one            # (p; q)_n
-        pb = one            # (-q; q)_n
-        qpow = one          # q^n
-        pref = p            # p q^n
-        vanished = 0
-        while vanished <= order:
-            total = total + pref * pa * pb
-            fa = one - p * qpow
-            qnext = qpow * q
-            fb = one + qnext
-            for f in (fa, fb):
-                if is_zero(f.constant_term):
-                    vanished += 1
-            pa = pa * fa
-            pb = pb * fb
-            qpow = qnext
-            pref = pref * q
-        return total
-
-    # comp2-right
-    pinv = p.invert()
-    q2 = q * q
-    pref = one              # (q/p)^n
-    step = q * pinv
-    prod = one              # (p; q^2)_n
-    q2pow = one
-    vanished = 0
-    while vanished <= order:
-        total = total + pref * prod
-        factor = one - p * q2pow
-        if is_zero(factor.constant_term):
-            vanished += 1
-        prod = prod * factor
-        q2pow = q2pow * q2
-        pref = pref * step
-    return total
+    u = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 0, UV_NAMES)
+    v = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 1, UV_NAMES)
+    return truncated_sum(COMPACT_SUMS[expr](Point(u + ctx.p0, v + ctx.q0)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,55 +111,13 @@ def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
 
 def expand_q_only(side: str, ctx: RootContext) -> TruncatedSeries:
     """Expand a side of the q-only comparison (mid or right expression) as a
-    series in the formal variable p and v = q - q0."""
-    ring, order = ctx.ring, ctx.order
-    one = TruncatedSeries.constant(ring, 2, order, ring.one, PFORMAL_NAMES)
-    pvar = TruncatedSeries.variable(ring, 2, order, 0, PFORMAL_NAMES)
-    v = TruncatedSeries.variable(ring, 2, order, 1, PFORMAL_NAMES)
-    q = v + ctx.q0
-    total = TruncatedSeries.zero(ring, 2, order, PFORMAL_NAMES)
-    is_zero = ring.is_zero
-
-    if side == "mid":
-        # sum_n p q^n (p; q)_n (q; q)_n: p-degree >= 1, vanishing from (q;q)_n
-        pa = one            # (p; q)_n
-        pb = one            # (q; q)_n
-        qpow = one
-        pref = pvar
-        vanished = 0
-        while 1 + vanished <= order:
-            total = total + pref * pa * pb
-            qnext = qpow * q
-            fb = one - qnext
-            if is_zero(fb.constant_term):
-                vanished += 1
-            pa = pa * (one - pvar * qpow)
-            pb = pb * fb
-            qpow = qnext
-            pref = pref * q
-        return total
-
-    if side == "right":
-        # sum_n (p/q)^{n+1} (1/q; 1/q)_n: p-degree is exactly n+1
-        qinv = q.invert()
-        pref = pvar * qinv
-        step = pvar * qinv
-        prod = one
-        qpow = qinv
-        vanished = 0
-        n = 0
-        while n + 1 + vanished <= order:
-            total = total + pref * prod
-            factor = one - qpow
-            if is_zero(factor.constant_term):
-                vanished += 1
-            prod = prod * factor
-            qpow = qpow * qinv
-            pref = pref * step
-            n += 1
-        return total
-
-    raise UnknownFamilyError("q-only sides are 'mid' and 'right'")
+    series in the formal variable p and v = q - q0.  p has no inverse here,
+    and neither side needs one."""
+    if side not in ("mid", "right"):
+        raise UnknownFamilyError("q-only sides are 'mid' and 'right'")
+    p = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 0, PFORMAL_NAMES)
+    v = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 1, PFORMAL_NAMES)
+    return truncated_sum(COMPACT_SUMS["comp1-" + side](Point(p, v + ctx.q0)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,92 +155,41 @@ def conjecture_explore(ctx: RootContext, include_q_only: bool = True) -> Conject
     the context's root of unity.  Agreement is reported as evidence; the
     statement remains a conjecture."""
     report = ConjectureReport(ctx.k, ctx.a, ctx.b, ctx.order)
-
     t0 = time.perf_counter()
     left = expand_at_root("comp1-left", ctx)
     right = expand_at_root("comp1-right", ctx)
-    match = left.equal_up_to(right, ctx.order)
-    rep = VerificationReport("conj-left-vs-right", "formal", ctx.order,
+    report.conj1 = _agreement_report("conj-left-vs-right", left, right, ctx.order,
+                                     ctx.describe_point(), t0)
+    report.constant_terms["left"] = left.constant_term
+    report.constant_terms["right"] = right.constant_term
+    if include_q_only:
+        t0 = time.perf_counter()
+        report.conj2 = _agreement_report(
+            "conj-mid-vs-right-q-only", expand_q_only("mid", ctx),
+            expand_q_only("right", ctx), ctx.order,
+            f"q0 = zeta_{ctx.k}^{ctx.b}, p formal", t0)
+    return report
+
+
+def _agreement_report(ident, left, right, order, point, t0):
+    match = left.equal_up_to(right, order)
+    rep = VerificationReport(ident, "formal", order,
                              outcome="agreement" if match.equal else "mismatch")
     if not match.equal:
         rep.witness = {"index": list(match.index), "left": repr(match.left),
                        "right": repr(match.right)}
-    rep.detail["point"] = ctx.describe_point()
-    report.conj1 = _timed(rep, t0)
-    report.constant_terms["left"] = left.constant_term
-    report.constant_terms["right"] = right.constant_term
-
-    if include_q_only:
-        t0 = time.perf_counter()
-        mid = expand_q_only("mid", ctx)
-        rgt = expand_q_only("right", ctx)
-        match = mid.equal_up_to(rgt, ctx.order)
-        rep = VerificationReport("conj-mid-vs-right-q-only", "formal", ctx.order,
-                                 outcome="agreement" if match.equal else "mismatch")
-        if not match.equal:
-            rep.witness = {"index": list(match.index), "left": repr(match.left),
-                           "right": repr(match.right)}
-        rep.detail["point"] = f"q0 = zeta_{ctx.k}^{ctx.b}, p formal"
-        report.conj2 = _timed(rep, t0)
-    return report
+    rep.detail["point"] = point
+    return _timed(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # terminating checks over Q(zeta_k) with complex cross-check
 
 
-def _complex_terminating(expr: str, p, q, j0: int, dps: int):
-    """Re-evaluate a terminating sum in complex arithmetic (cross-check)."""
-    with mp.workdps(dps):
-        one = mp.mpc(1)
-        pinv, qinv = 1 / p, 1 / q
-        if expr in ("comp1-left", "comp2-first"):
-            total = mp.mpc(0)
-            prod = one
-            qpow = one
-            sign = 1
-            flip = expr == "comp2-first"
-            for n in range(j0 + 1):
-                total += sign * prod
-                prod *= 1 - pinv * qpow
-                qpow *= qinv
-                if flip:
-                    sign = -sign
-            return total
-        if expr in ("comp1-mid", "comp2-mid"):
-            minus = expr == "comp2-mid"
-            total = mp.mpc(0)
-            pa = pb = one
-            qpow = one
-            pref = p
-            for n in range(j0 + 1):
-                total += pref * pa * pb
-                pa *= 1 - p * qpow
-                qn1 = qpow * q
-                pb *= (1 + qn1) if minus else (1 - qn1)
-                qpow = qn1
-                pref *= q
-            return total
-        if expr == "comp2-right":
-            total = mp.mpc(0)
-            prod = one
-            q2 = q * q
-            q2pow = one
-            pref = one
-            ratio = q * pinv
-            for n in range(j0 // 2 + 1):
-                total += pref * prod
-                prod *= 1 - p * q2pow
-                q2pow *= q2
-                pref *= ratio
-            return total
-    raise UnknownFamilyError(expr)
-
-
-ROOT_CHECK_FAMILIES = ("comp1-left-vs-mid", "comp2-three-way")
+# check family -> the terminating family whose expressions it compares
+ROOT_CHECK_FAMILIES = {"comp1-left-vs-mid": "comp1", "comp2-three-way": "comp2"}
 
 EMBED_TOL = mp.mpf("1e-40")
-TERMINATING_ROOT_CAP = 64
 
 
 def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicElement,
@@ -381,38 +197,25 @@ def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicEleme
     """Exact equality of the terminating sums over Q(zeta), plus a 60-digit
     complex re-check of every value through the embedding."""
     t0 = time.perf_counter()
-    if family == "comp1-left-vs-mid":
-        exprs = ("comp1-left", "comp1-mid")
-        even_only = False
-    elif family == "comp2-three-way":
-        exprs = ("comp2-first", "comp2-mid", "comp2-right")
-        even_only = True
-    else:
+    if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {family!r}; known: {', '.join(ROOT_CHECK_FAMILIES)}")
-    j0 = _terminating_exponent(p, q, even_only=even_only,
-                               cap=max(p.field.k, TERMINATING_ROOT_CAP))
+    even_only = ROOT_CHECK_FAMILIES[family] == "comp2"
+    j0 = _terminating_exponent(p, q, even_only=even_only)
     if j0 is None:
         kind = "p*q^(2k) = 1" if even_only else "p*q^k = 1"
         raise CertificateError(
             f"no termination certificate {kind} in Q(zeta_{p.field.k}) "
             f"for {family}; refusing")
-    values = [(e, evaluate_terminating(e, p, q)) for e in exprs]
     rep = VerificationReport(family, "terminating-exact")
-    base = values[0][1]
-    for e, val in values[1:]:
-        if val != base:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": e, "left": repr(base), "right": repr(val)}
-            break
+    values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
     # complex embedding cross-check
     with mp.workdps(dps):
-        pc, qc = p.embed(dps), q.embed(dps)
+        point = Point(p.embed(dps), q.embed(dps))
         worst = mp.mpf(0)
         for e, val in values:
-            numeric = _complex_terminating(e, pc, qc, j0, dps)
-            diff = abs(numeric - val.embed(dps))
-            worst = max(worst, diff)
+            numeric = partial_sum(COMPACT_SUMS[e](point), _term_count(e, j0))
+            worst = max(worst, abs(numeric - val.embed(dps)))
         rep.detail["embedding_diff"] = mp.nstr(worst, 8)
         if worst > EMBED_TOL and rep.ok:
             rep.outcome = "mismatch"

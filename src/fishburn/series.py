@@ -335,12 +335,11 @@ class TruncatedSeries:
 
     # -- comparison ----------------------------------------------------------
 
-    def equal_up_to(self, other, order, tol=None) -> MatchReport:
+    def equal_up_to(self, other, order) -> MatchReport:
         """Coefficientwise comparison below `order` (inclusive).
 
         Returns a MatchReport; on mismatch it carries the lexicographically
-        least differing multi-index and both coefficients.  For the complex
-        ring the comparison uses the ring's absolute tolerance (or `tol`).
+        least differing multi-index and both coefficients.
         """
         self._compat_loose(other)
         if order > self.trunc or order > other.trunc:
@@ -354,7 +353,7 @@ class TruncatedSeries:
                 continue
             left = self.terms.get(e, zero)
             right = other.terms.get(e, zero)
-            if not self.ring.eq(left, right, tol):
+            if not self.ring.eq(left, right):
                 return MatchReport(False, e, left, right)
         return MatchReport(True, None, None, None)
 

@@ -7,8 +7,10 @@ import pytest
 
 from fishburn.errors import (CertificateError, ParameterError,
                              UnknownFamilyError)
-from fishburn.identities import (THM_MAIN_IDS, evaluate_terminating, registry,
-                                 verify, verify_coefficient_oracle,
+from fishburn.cyclotomic import get_field
+from fishburn.identities import (TERMINATING_SCAN_CAP, THM_MAIN_IDS,
+                                 _terminating_exponent, evaluate_terminating,
+                                 registry, verify, verify_coefficient_oracle,
                                  verify_proposition,
                                  verify_proposition_specializations,
                                  verify_terminating)
@@ -111,6 +113,48 @@ def test_comp1_left_at_p_equal_one():
 def test_terminating_refuses_without_certificate():
     with pytest.raises(CertificateError):
         evaluate_terminating("comp1-left", Fraction(3), Fraction(1, 2))
+
+
+def test_rational_refusal_says_that_no_j_exists():
+    with pytest.raises(CertificateError, match="no such j exists"):
+        evaluate_terminating("comp1-left", Fraction(3), Fraction(1, 2))
+    # p*q^j = 1 only at the odd j = 601, far beyond any scan
+    with pytest.raises(CertificateError, match="no such j exists"):
+        evaluate_terminating("comp2-first", Fraction(2**601), Fraction(1, 2))
+
+
+def test_terminating_exponent_is_exact_beyond_the_scan_cap():
+    """At (2^600, 1/2) the certificate j = 600 lies beyond
+    TERMINATING_SCAN_CAP; the prime powers of p and q fix it without a scan."""
+    p, q = Fraction(2**600), Fraction(1, 2)
+    assert 600 > TERMINATING_SCAN_CAP
+    assert _terminating_exponent(p, q, even_only=False) == 600
+    assert _terminating_exponent(p, q, even_only=True) == 600
+    assert _terminating_exponent(2 * p, q, even_only=True) is None
+    assert _terminating_exponent(-p, q, even_only=False) is None
+    assert _terminating_exponent(Fraction(1, 3**500), Fraction(3), even_only=False) == 500
+    F = get_field(1)
+    assert _terminating_exponent(F.from_rational(p), F.from_rational(q),
+                                 even_only=False) == 600
+
+
+@pytest.mark.parametrize("p,q,even_only,j", [
+    (1, 1, False, 0), (2, 1, False, None), (1, -1, True, 0), (-1, -1, False, 1),
+    (-1, -1, True, None), (-8, Fraction(-1, 2), False, 3),
+    (Fraction(4, 9), Fraction(3, 2), True, 2), (Fraction(4, 9), Fraction(2, 3), False, None),
+])
+def test_terminating_exponent_at_rational_points(p, q, even_only, j):
+    assert _terminating_exponent(Fraction(p), Fraction(q), even_only) == j
+
+
+def test_terminating_exponent_scan_that_cannot_decide_says_so():
+    """1 + zeta_5 is neither rational nor a root of unity: the search for j is
+    a bounded scan, which finds j = 3 but cannot rule out every j."""
+    F = get_field(5)
+    q = F.one + F.zeta(1)
+    assert _terminating_exponent(q ** -3, q, even_only=False) == 3
+    with pytest.raises(CertificateError, match="not exhaustive"):
+        _terminating_exponent(F.zeta(1), q, even_only=False)
 
 
 def test_comp2_requires_even_exponent():

@@ -130,9 +130,10 @@ def test_valid_payload_reads_back():
     (_payload(terms=(([1], "1"), ([1], "2"))), "twice"),
     (_payload(trunc=-1, terms=()), "truncation"),
     ({"vars": ["x"], "ring": "ZZ", "terms": []}, "malformed"),
+    (_payload(ring="CC(60)"), "unknown ring tag"),
 ], ids=["degree", "degree-2var", "arity-long", "arity-short", "negative",
         "float", "string-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
-        "duplicate", "negative-truncation", "missing-key"])
+        "duplicate", "negative-truncation", "missing-key", "complex-ring"])
 def test_rejected_payload_shapes(payload, match):
     with pytest.raises(PayloadError, match=match):
         series_from_payload(payload)

@@ -163,11 +163,6 @@ def test_kr_first_form_equals_f1():
     assert kr.equal_up_to(expand_family("F1", N), N).equal
 
 
-def test_kr_second_form_is_f3():
-    N = 7
-    assert expand_family("F3-KR-second-form", N).terms == expand_family("F3", N).terms
-
-
 def test_gamma_family_rejects_gamma_one():
     with pytest.raises(ParameterError):
         expand_family("gamma1-lhs", 4, gamma=Fraction(1), r=Fraction(1, 2))

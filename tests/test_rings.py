@@ -1,14 +1,11 @@
-"""Coefficient ring contracts, including the tolerant complex ring."""
+"""Coefficient ring contracts."""
 
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from fishburn.errors import NonInvertibleError
-from fishburn.rings import (QQ, ZZ, ComplexRing, cyclotomic_ring,
-                            ring_from_tag)
-from fishburn.series import TruncatedSeries
+from fishburn.rings import QQ, ZZ, cyclotomic_ring, ring_from_tag
 
 
 def test_integer_ring_units():
@@ -42,47 +39,5 @@ def test_ring_equality_and_tags():
     assert QQ == ring_from_tag("QQ")
     assert cyclotomic_ring(6) == ring_from_tag("QQ(zeta_6)")
     assert cyclotomic_ring(6) != cyclotomic_ring(5)
-    assert ComplexRing(60) == ring_from_tag("CC(60)")
     with pytest.raises(ValueError):
         ring_from_tag("GF(7)")
-
-
-def test_complex_ring_tolerant_equality():
-    ring = ComplexRing(60)
-    with mp.workdps(60):
-        a = ring.coerce(1.0)
-        b = a + mp.mpf("1e-30")
-        assert ring.eq(a, b)                   # below the default 1e-25
-        c = a + mp.mpf("1e-20")
-        assert not ring.eq(a, c)
-        assert ring.eq(a, c, tol="1e-15")      # caller-supplied epsilon
-
-
-def test_complex_series_equal_up_to_uses_tolerance():
-    ring = ComplexRing(60)
-    with mp.workdps(60):
-        one = TruncatedSeries.constant(ring, 2, 3, 1)
-        x = TruncatedSeries.variable(ring, 2, 3, 0)
-        a = one + x
-        b = one + x.scale(ring.coerce(1) + mp.mpf("1e-30"))
-        assert a.equal_up_to(b, 3).equal
-        c = one + x.scale(2)
-        rep = a.equal_up_to(c, 3)
-        assert not rep.equal and rep.index == (1, 0)
-
-
-def test_complex_series_arithmetic():
-    ring = ComplexRing(60)
-    one = TruncatedSeries.constant(ring, 1, 4, 1, ("x",))
-    x = TruncatedSeries.variable(ring, 1, 4, 0, ("x",))
-    geom = (one - x).invert()
-    expect = TruncatedSeries(ring, 1, 4,
-                             {(k,): ring.coerce(1) for k in range(5)}, ("x",))
-    assert geom.equal_up_to(expect, 4).equal
-
-
-def test_coerce_fraction_into_complex():
-    ring = ComplexRing(60)
-    val = ring.coerce(Fraction(1, 3))
-    with mp.workdps(60):
-        assert abs(val - mp.mpf(1) / 3) < mp.mpf("1e-55")

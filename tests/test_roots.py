@@ -86,22 +86,25 @@ def test_comp2_right_needs_even_exponent_certificate():
 
 
 def test_expansion_at_one_one_reproduces_f1_and_g1():
-    """Change of variables p = 1/(1-y), q = 1/(1-x) resp. p = 1-y, q = 1-x."""
+    """Change of variables p = 1/(1-y), q = 1/(1-x) turns the comp1 sums into
+    F1 and F3; p = 1-y, q = 1-x turns the comp2 sums into G1, G2 and G3."""
     N = 8
     ctx = RootContext(1, 0, 0, N)
     one = TruncatedSeries.constant(QQ, 2, N, 1)
     x = TruncatedSeries.variable(QQ, 2, N, 0)
     y = TruncatedSeries.variable(QQ, 2, N, 1)
-
-    left = expand_at_root("comp1-left", ctx).map_coefficients(
-        QQ, lambda c: c.as_rational())
-    got = left.substitute({0: y * (one - y).invert(), 1: x * (one - x).invert()})
-    assert got.equal_up_to(expand_family("F1", N).map_coefficients(QQ), N).equal
-
-    first = expand_at_root("comp2-first", ctx).map_coefficients(
-        QQ, lambda c: c.as_rational())
-    got = first.substitute({0: -y, 1: -x})
-    assert got.equal_up_to(expand_family("G1", N).map_coefficients(QQ), N).equal
+    inverted = {0: y * (one - y).invert(), 1: x * (one - x).invert()}
+    direct = {0: -y, 1: -x}
+    for expr, family, shift in (("comp1-left", "F1", inverted),
+                                ("comp1-right", "F3", inverted),
+                                ("comp2-first", "G1", direct),
+                                ("comp2-mid", "G2", direct),
+                                ("comp2-right", "G3", direct)):
+        series = expand_at_root(expr, ctx).map_coefficients(
+            QQ, lambda c: c.as_rational())
+        got = series.substitute(shift)
+        want = expand_family(family, N).map_coefficients(QQ)
+        assert got.equal_up_to(want, N).equal, expr
 
 
 @pytest.mark.parametrize("k,a,b", [(4, 2, 1), (2, 1, 1), (3, 1, 1)])
