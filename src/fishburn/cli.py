@@ -159,29 +159,17 @@ def cmd_terminating(args) -> int:
                 print(f"{args.expr} at p={args.p}, q={args.q}: MISMATCH {vals}")
         _emit(args, payload, text)
         return _report_exit([rep])
-    value = identities.evaluate_terminating(args.expr, args.p, args.q)
-    payload = {"expr": args.expr, "p": str(args.p), "q": str(args.q),
-               "value": str(value)}
+    value = identities.fraction_str(identities.evaluate_terminating(args.expr, args.p, args.q))
+    payload = {"expr": args.expr, "p": str(args.p), "q": str(args.q), "value": value}
     _emit(args, payload, lambda: print(f"{args.expr}({args.p}, {args.q}) = {value}"))
     return EXIT_OK
 
 
-_NUMERIC_IDS = {
-    "rf": ("rogers-fine", hypergeom.random_rf_params, hypergeom.rogers_fine_check,
-           ("a", "b", "t", "q")),
-    "grf": ("generalized-rf", hypergeom.random_grf_params,
-            hypergeom.generalized_rf_check, ("alpha", "beta", "gamma", "t", "q")),
-    "watson-limit": ("watson-limit", hypergeom.random_watson_limit_params,
-                     hypergeom.watson_limit_check, ("a", "b", "c", "e", "q")),
-    "grf-degeneration": ("grf-degeneration", hypergeom.random_rf_params,
-                         hypergeom.grf_degeneration_check, ("a", "b", "t", "q")),
-}
+_NUMERIC_IDS = hypergeom.NUMERIC_IDENTITIES
 
 
 def cmd_numeric(args) -> int:
-    ident, sampler, checker, names = _NUMERIC_IDS[args.id]
-    tol = f"1e-{args.tol_exp}"
-    reports = []
+    _ident, sampler, checker, _names = _NUMERIC_IDS[args.id]
     if args.param:
         values = {}
         for spec in args.param:
@@ -189,20 +177,17 @@ def cmd_numeric(args) -> int:
             if not raw:
                 raise ParameterError(f"--param expects name=value, got {spec!r}")
             values[name] = complex(raw)
-        missing = [n for n in names if n not in values]
-        if missing:
-            raise ParameterError(f"missing parameters for {args.id}: {missing}")
-        params = hypergeom.NumericEvalParams(values=values, dps=args.digits,
-                                             tol=tol, max_terms=args.max_terms)
-        reports.append(checker(params))
+        points = [values]
     else:
+        if args.draws < 1:
+            raise ParameterError(f"--draws must be at least 1, got {args.draws}")
         import random
         rng = random.Random(args.seed)
-        for _ in range(args.draws):
-            params = sampler(rng, dps=args.digits)
-            params.tol = tol
-            params.max_terms = args.max_terms
-            reports.append(checker(params))
+        points = [sampler(rng).values for _ in range(args.draws)]
+    tol = f"1e-{args.tol_exp}"
+    reports = [checker(hypergeom.NumericEvalParams(values=values, dps=args.digits, tol=tol,
+                                                   max_terms=args.max_terms))
+               for values in points]
     payload = [r.to_json_dict() for r in reports]
 
     def text():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -66,7 +67,7 @@ class VerificationReport:
 
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return str(v)
+        return fraction_str(v)
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, dict):
@@ -335,7 +336,16 @@ def verify_terminating(family: str, p, q) -> VerificationReport:
 def _fmt_scalar(v):
     if isinstance(v, CyclotomicElement):
         return repr(v)
-    return str(v)
+    return fraction_str(v) if isinstance(v, (int, Fraction)) else str(v)
+
+
+def fraction_str(x) -> str:
+    """`num/den`, or `num` for an integer, of a rational x with any number of
+    digits: str() of an int stops at sys.get_int_max_str_digits() (4300 by
+    default), a Decimal prints every digit."""
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +463,9 @@ def _build_registry():
     # numeric entries are registered lazily to keep import costs flat
     from . import hypergeom
 
-    add("rogers-fine", "numeric", "Rogers-Fine identity at sampled parameters",
-        hypergeom.registry_rf_runner)
-    add("generalized-rf", "numeric",
-        "generalized Rogers-Fine identity at sampled parameters",
-        hypergeom.registry_grf_runner)
-    add("watson-limit", "numeric",
-        "Watson limit identity at sampled parameters",
-        hypergeom.registry_watson_limit_runner)
+    for alias, (ident, *_rest) in hypergeom.NUMERIC_IDENTITIES.items():
+        add(ident, "numeric", f"{ident} at sampled parameters",
+            hypergeom.sampled_runner(alias))
     add("watson-exact", "terminating-exact",
         "terminating Watson identity at exact rational parameters",
         hypergeom.registry_watson_exact_runner)

@@ -69,19 +69,23 @@ def q_pochhammer(a: TruncatedSeries, q: TruncatedSeries, n) -> TruncatedSeries:
 class PochhammerSum(NamedTuple):
     """The sum of t_0, t_1, ... given by t_0 = `first` and the term ratio
 
-        t_{n+1} / t_n = prod(monos) * prod_i (1 - a_i r_i^n) / prod_j (1 - b_j s_j^n)
+        t_{n+1} / t_n = prod(monos) * prod_k c_k h_k^n
+                        * prod_i (1 - a_i r_i^n) / prod_j (1 - b_j s_j^n)
 
-    with `factors` the pairs (a_i, r_i) and `inverses` the pairs (b_j, s_j):
-    the term-ratio view of Gasper-Rahman, Basic Hypergeometric Series (2nd
-    ed., 2004), ch. 1.  The entries are truncated series, Fractions,
-    cyclotomic elements or mpmath numbers, all of one arithmetic, except that
-    a mono may be a scalar next to series entries.
+    with `powers` the pairs (c_k, h_k), `factors` the pairs (a_i, r_i) and
+    `inverses` the pairs (b_j, s_j): the term-ratio view of Gasper-Rahman,
+    Basic Hypergeometric Series (2nd ed., 2004), ch. 1.  Powers give the
+    quadratic exponents of a front: q^{n^2} is (q, q^2), q^{n(n+1)/2} is
+    (q, q) and q^{binom(n,2) - n} is (1/q, q).  The entries are truncated
+    series, Fractions, cyclotomic elements or mpmath numbers, all of one
+    arithmetic, except that a mono may be a scalar next to series entries.
     """
 
     first: object
     monos: tuple = ()
     factors: tuple = ()
     inverses: tuple = ()
+    powers: tuple = ()
 
 
 def _inv(x):
@@ -100,17 +104,20 @@ def pochhammer_terms(spec: PochhammerSum):
     decides how many terms are summed."""
     steps = [[a, r] for a, r in spec.factors]        # [a r^n, r]
     inv_steps = [[b, s] for b, s in spec.inverses]   # [b s^n, s]
+    pow_steps = [[c, h] for c, h in spec.powers]     # [c h^n, h]
     term = spec.first
     yield term
     while True:
         for c in spec.monos:
             term = _times(term, c)
+        for step in pow_steps:
+            term = _times(term, step[0])
         for step in steps:
             term = term * (1 - step[0])
         for step in inv_steps:
             term = term * _inv(1 - step[0])
         yield term
-        for step in steps + inv_steps:
+        for step in steps + inv_steps + pow_steps:
             step[0] = step[0] * step[1]
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON schemas, golden outputs."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +110,22 @@ def test_terminating_single_expression(capsys):
     assert "3/2" in out
 
 
+def test_terminating_value_past_the_int_string_digit_limit(capsys):
+    from fishburn.identities import evaluate_terminating
+    p = str(2**180)
+    want = evaluate_terminating("comp1-left", Fraction(p), Fraction(1, 2))
+    for expr in ("comp1", "comp1-left"):
+        code, out, _ = run(capsys, "terminating", "--expr", expr, "--p", p,
+                           "--q", "1/2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        text = (payload["value"] if expr == "comp1-left"
+                else payload["detail"]["values"]["comp1-left"])
+        num, den = text.split("/")
+        assert len(num) > 4300
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == want
+
+
 def test_terminating_refusal_exit_2(capsys):
     code, _, err = run(capsys, "terminating", "--expr", "comp1",
                        "--p", "3", "--q", "1/2")
@@ -156,6 +174,35 @@ def test_numeric_missing_param(capsys):
     code, _, err = run(capsys, "numeric", "--id", "rf", "--param", "a=0.3")
     assert code == 2
     assert "missing" in err
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_numeric_needs_at_least_one_draw(capsys, draws):
+    code, out, err = run(capsys, "numeric", "--id", "rf", "--draws", draws)
+    assert code == 2
+    assert "--draws" in err and out == ""
+
+
+def test_numeric_refuses_digits_too_few_for_the_tolerance(capsys):
+    code, _, err = run(capsys, "numeric", "--id", "grf", "--digits", "25")
+    assert code == 2
+    assert "too few" in err
+    code, _, _ = run(capsys, "numeric", "--id", "grf", "--digits", "40",
+                     "--tol-exp", "25", "--draws", "1")
+    assert code == 0
+
+
+def test_numeric_rejects_an_unknown_param(capsys):
+    code, _, err = run(capsys, "numeric", "--id", "rf",
+                       "--param", "a=0.3", "--param", "b=0.2",
+                       "--param", "t=0.4", "--param", "q=0.5", "--param", "zz=3")
+    assert code == 2
+    assert "zz" in err
+
+
+def test_numeric_ids_are_the_hypergeom_table():
+    from fishburn import cli, hypergeom
+    assert cli._NUMERIC_IDS is hypergeom.NUMERIC_IDENTITIES
 
 
 def test_watson_cli(capsys):

@@ -6,12 +6,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from fishburn import hypergeom
 from fishburn.errors import ParameterError, PoleError
-from fishburn.hypergeom import (NumericEvalParams, generalized_rf_check,
+from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams,
+                                generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
                                 random_rf_params, random_watson_limit_params,
                                 rogers_fine_check, watson_exact,
                                 watson_limit_check)
+from fishburn.identities import registry
 
 
 def test_rogers_fine_reference_point():
@@ -46,6 +49,47 @@ def test_grf_degenerates_to_rf():
     rep = grf_degeneration_check(NumericEvalParams(
         values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
     assert rep.outcome == "verified"
+
+
+def test_grf_degeneration_mismatch_witness(monkeypatch):
+    # a Rogers-Fine side that is off by 1e-20 must be reported against the
+    # generalized left-hand side
+    lhs = hypergeom.rogers_fine_lhs
+
+    def shifted(*args):
+        value, n = lhs(*args)
+        return value + mp.mpf("1e-20"), n
+    monkeypatch.setattr(hypergeom, "rogers_fine_lhs", shifted)
+    rep = grf_degeneration_check(NumericEvalParams(
+        values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
+    assert rep.outcome == "mismatch"
+    assert rep.detail["gamma"] == "1e-30"
+    assert mp.mpf(rep.detail["abs_diff"]) == pytest.approx(1e-20, rel=1e-6)
+    assert set(rep.witness) == {"index", "left", "right"}
+    assert set(rep.witness["index"]) == {"a", "b", "t", "q"}
+    assert rep.witness["left"] != rep.witness["right"]
+
+
+def test_precision_must_resolve_the_tolerance():
+    values = {"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}
+    NumericEvalParams(values=values, dps=60, tol="1e-25")
+    NumericEvalParams(values=values, dps=33, tol="1e-25")
+    for dps, tol in ((32, "1e-25"), (25, "1e-25"), (10, "1e-25"), (60, "1e-60")):
+        with pytest.raises(ParameterError, match="too few"):
+            NumericEvalParams(values=values, dps=dps, tol=tol)
+
+
+def test_parameters_must_be_those_of_the_identity():
+    with pytest.raises(ParameterError, match="missing"):
+        rogers_fine_check(NumericEvalParams(values={"a": 0.3, "b": 0.2, "t": 0.4}))
+    with pytest.raises(ParameterError, match="zz"):
+        rogers_fine_check(NumericEvalParams(
+            values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5, "zz": 3}))
+
+
+def test_registry_numeric_entries_are_the_table():
+    numeric = {d.id for d in registry().values() if d.mode == "numeric"}
+    assert numeric == {ident for ident, *_ in NUMERIC_IDENTITIES.values()}
 
 
 def test_unit_disk_hypotheses_enforced():

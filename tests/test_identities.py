@@ -1,6 +1,8 @@
 """The verification registry: formal, terminating, and specialization checks."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,23 @@ def test_rational_refusal_says_that_no_j_exists():
     # p*q^j = 1 only at the odd j = 601, far beyond any scan
     with pytest.raises(CertificateError, match="no such j exists"):
         evaluate_terminating("comp2-first", Fraction(2**601), Fraction(1, 2))
+
+
+def test_exact_values_past_the_int_string_digit_limit():
+    """At (2^180, 1/2) the exact value has more digits than str() of an int
+    allows by default; the report still carries it exactly, and the check
+    leaves the interpreter's limit alone."""
+    limit = sys.get_int_max_str_digits()
+    p, q = Fraction(2**180), Fraction(1, 2)
+    rep = verify_terminating("comp1", p, q)
+    assert rep.ok
+    values = set(rep.detail["values"].values())
+    assert len(values) == 1
+    num, den = values.pop().split("/")
+    assert len(num) > 4300
+    assert (Fraction(int(Decimal(num)), int(Decimal(den)))
+            == evaluate_terminating("comp1-left", p, q))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_terminating_exponent_is_exact_beyond_the_scan_cap():
