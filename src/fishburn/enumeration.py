@@ -2,8 +2,17 @@
 
 These generators are the independent oracle for every series coefficient:
 they know nothing about q-series and count by exhaustive backtracking over
-matrix entries (row-major, with budget and coverage pruning), which is exact
-and fast enough for sizes up to ~9.
+matrix entries.  One walk does all of it: a single loop over an explicit
+stack that fills the cells in row-major order, prunes a branch whose budget
+cannot cover the rows (and columns) still empty, and yields each admissible
+entry vector in lexicographic order.  The matrix generators build their
+objects from those vectors; `refined_counts` reads its keys straight off
+them and builds no matrix.
+
+The cost grows with the number of objects.  On a 2-vCPU Xeon VM with
+Python 3.11, fishburn at size 10 (201,608 matrices), rowFishburn at 8
+(237,348) and selfDual at reduced size 7 (48,426) take about a second each,
+and each size beyond that six to eleven times longer.
 
 Conventions: matrices are 0-indexed internally; `size` is the sum of all
 entries; the empty matrix is the unique object of size 0 and is counted in
@@ -13,7 +22,9 @@ refined tables but not emitted by the generators.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParameterError
 
@@ -132,87 +143,135 @@ class SelfDualMatrix:
 
 
 # ---------------------------------------------------------------------------
-# generic backtracking over cells
+# the walk over cell values
 
 
-def _fill_cells(cells, budget, conditions, kind_overlap):
-    """Yield value assignments (tuples) for `cells` summing to `budget` such
-    that every condition receives a positive entry somewhere in its cells.
+def _walk(cells, budget, conditions, kind_overlap):
+    """Yield every value vector for `cells` that sums to `budget` and gives
+    every condition a positive entry somewhere in its cells.
 
     `conditions` is a list of (kind, cell-index set); `kind_overlap[kind]` is
     the maximum number of same-kind conditions one cell can satisfy.  The
-    remaining budget must cover max over kinds of ceil(unsat/overlap), which
-    prunes hopeless branches.  Values are enumerated ascending, so the output
-    order is lexicographic in the row-major entry vector.
+    remaining budget must cover max over kinds of ceil(unsat/overlap), and a
+    condition still unsatisfied at its last cell ends the branch.  Values go
+    up from 0 and the last cell takes the whole remaining budget, so the
+    vectors come in lexicographic order of the row-major entry vector.
+
+    One loop over an explicit stack (each cell's value and the budget left
+    before it) does the backtracking.  The vector yielded is the walk's own
+    live list: read it before the next step, copy it to keep it.
     """
     ncells = len(cells)
     kinds = sorted(kind_overlap)
-    cond_kind = [k for k, _ in conditions]
+    cond_kind = [kinds.index(k) for k, _ in conditions]
     cond_cells = [sorted(members) for _, members in conditions]
     if any(not members for members in cond_cells):
         return  # a condition with no cells is unsatisfiable
     cell_conds = [[] for _ in range(ncells)]
+    freeze_at = [[] for _ in range(ncells)]  # conditions whose last cell is pos
     for ci, members in enumerate(cond_cells):
         for idx in members:
             cell_conds[idx].append(ci)
-    # conditions freezing after cell `pos` (their last cell is pos)
-    freeze_at = [[] for _ in range(ncells)]
-    for ci, members in enumerate(cond_cells):
-        freeze_at[max(members)].append(ci)
+        freeze_at[members[-1]].append(ci)
+    bounds = [(k, kind_overlap[kind]) for k, kind in enumerate(kinds)]
+    unsat = [cond_kind.count(k) for k in range(len(kinds))]
+    cover = [0] * len(conditions)  # positive cells of each condition so far
     values = [0] * ncells
-    satisfied = [False] * len(cond_cells)
-    unsat = {k: sum(1 for ck in cond_kind if ck == k) for k in kinds}
-
-    def rec(pos, left):
-        if pos == ncells:
-            if left == 0 and not any(unsat.values()):
-                yield tuple(values)
-            return
-        need = 0
-        for k in kinds:
-            u = unsat[k]
-            if u:
-                need = max(need, -(-u // kind_overlap[k]))
-        if left < need:
-            return
-        frozen = freeze_at[pos]
-        for v in range(left + 1):
-            values[pos] = v
-            touched = []
-            if v > 0:
+    lefts = [0] * ncells  # budget left before cell pos
+    last = ncells - 1
+    pos, left = 0, budget
+    while True:
+        # descend: give cells pos, pos + 1, ... their least admissible values
+        while True:
+            need = 0
+            for k, o in bounds:
+                u = -(-unsat[k] // o)
+                if u > need:
+                    need = u
+            if left < need:
+                break
+            v = left if pos == last else 0
+            if not v:
+                for ci in freeze_at[pos]:
+                    if not cover[ci]:
+                        v = 1
+                        break
+                if v and not left:
+                    break
+            if v:
                 for ci in cell_conds[pos]:
-                    if not satisfied[ci]:
-                        satisfied[ci] = True
+                    if not cover[ci]:
                         unsat[cond_kind[ci]] -= 1
-                        touched.append(ci)
-            if all(satisfied[ci] for ci in frozen):
-                yield from rec(pos + 1, left - v)
-            for ci in touched:
-                satisfied[ci] = False
-                unsat[cond_kind[ci]] += 1
-        values[pos] = 0
+                    cover[ci] += 1
+            values[pos] = v
+            if pos == last:
+                yield values
+                break
+            lefts[pos] = left
+            left -= v
+            pos += 1
+        # retreat: clear cell pos, then raise the deepest earlier cell that can
+        while True:
+            if values[pos]:
+                for ci in cell_conds[pos]:
+                    cover[ci] -= 1
+                    if not cover[ci]:
+                        unsat[cond_kind[ci]] += 1
+                values[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return
+            v = values[pos]
+            if v < lefts[pos]:
+                if not v:
+                    for ci in cell_conds[pos]:
+                        if not cover[ci]:
+                            unsat[cond_kind[ci]] -= 1
+                        cover[ci] += 1
+                values[pos] = v + 1
+                left = lefts[pos] - v - 1
+                pos += 1
+                break
 
-    yield from rec(0, budget)
 
-
-def _upper_cells(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _triangular_matrices(size, need_columns):
+def _layouts(family, size):
+    """(dim, cells, conditions, kind overlap) for each dimension an object of
+    `family` and the given size can have (reduced size for selfDual)."""
+    if family == "selfDual":
+        # south-east cells only; the completed matrix is Fishburn exactly when
+        # every row is positive (columns are their mirror images), and one
+        # cell lies in at most two rows of the completion
+        for dim in range(1, 2 * size + 1):
+            cells = [(i, j) for i in range(dim) for j in range(i, dim)
+                     if i + j >= dim - 1]
+            index = {cell: k for k, cell in enumerate(cells)}
+            conditions = []
+            for i in range(dim):
+                members = {index[(i, j)] for j in range(max(i, dim - 1 - i), dim)}
+                # mirrored part of row i: column dim-1-i, rows i+1..dim-1-i
+                members.update(index[(a, dim - 1 - i)] for a in range(i + 1, dim - i)
+                               if (a, dim - 1 - i) in index)
+                conditions.append(("row", members))
+            yield dim, cells, conditions, {"row": 2}
+        return
     for dim in range(1, size + 1):
-        cells = _upper_cells(dim)
+        cells = [(i, j) for i in range(dim) for j in range(i, dim)]
         index = {cell: k for k, cell in enumerate(cells)}
         conditions = [("row", [index[(i, j)] for j in range(i, dim)])
                       for i in range(dim)]
         overlap = {"row": 1}
-        if need_columns:
+        if family == "fishburn":
             conditions += [("col", [index[(i, j)] for i in range(j + 1)])
                            for j in range(dim)]
             overlap["col"] = 1
-        for assignment in _fill_cells(cells, size, conditions, overlap):
+        yield dim, cells, conditions, overlap
+
+
+def _triangular_matrices(family, size):
+    for dim, cells, conditions, overlap in _layouts(family, size):
+        for values in _walk(cells, size, conditions, overlap):
             rows = [[0] * dim for _ in range(dim)]
-            for (i, j), v in zip(cells, assignment):
+            for (i, j), v in zip(cells, values):
                 rows[i][j] = v
             yield FishburnMatrix(tuple(tuple(r) for r in rows))
 
@@ -222,14 +281,14 @@ def fishburn_matrices(size: int):
     row-major lexicographic entry order.  size 0 yields the empty stream."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    return _triangular_matrices(size, need_columns=True)
+    return _triangular_matrices("fishburn", size)
 
 
 def row_fishburn_matrices(size: int):
     """All row-Fishburn matrices (rows positive, columns unconstrained)."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    return _triangular_matrices(size, need_columns=False)
+    return _triangular_matrices("rowFishburn", size)
 
 
 def self_dual_matrices(reduced_size: int):
@@ -241,24 +300,10 @@ def self_dual_matrices(reduced_size: int):
     """
     if reduced_size < 0:
         raise ParameterError("reduced size must be nonnegative")
-    for dim in range(1, 2 * reduced_size + 1):
-        cells = [(i, j) for i in range(dim) for j in range(i, dim)
-                 if i + j >= dim - 1]
-        index = {cell: k for k, cell in enumerate(cells)}
-        conditions = []
-        for i in range(dim):
-            members = set()
-            for j in range(max(i, dim - 1 - i), dim):
-                members.add(index[(i, j)])
-            # mirrored part of row i: south-east column dim-1-i, rows i+1..dim-1-i
-            for a in range(i + 1, dim - i):
-                cell = (a, dim - 1 - i)
-                if cell in index:
-                    members.add(index[cell])
-            conditions.append(("row", members))
-        for assignment in _fill_cells(cells, reduced_size, conditions, {"row": 2}):
+    for dim, cells, conditions, overlap in _layouts("selfDual", reduced_size):
+        for values in _walk(cells, reduced_size, conditions, overlap):
             stored = tuple(sorted(
-                (cell, v) for cell, v in zip(cells, assignment) if v))
+                (cell, v) for cell, v in zip(cells, values) if v))
             yield SelfDualMatrix(dim, stored)
 
 
@@ -286,36 +331,47 @@ class CountTable:
         return out
 
 
+_EMPTY_KEYS = {"fishburn": (0, 0), "rowFishburn": (0,), "selfDual": (0, True)}
+
+
+def _summer(indices):
+    """The function taking a value vector to the sum of its `indices` entries."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda values: values[i]
+    get = itemgetter(*indices)
+    return lambda values: sum(get(values))
+
+
+def _statistic(family, dim, cells):
+    """The function taking a value vector over `cells` to its refined key."""
+    last = _summer([k for k, (_, j) in enumerate(cells) if j == dim - 1])
+    if family == "rowFishburn":
+        return lambda values: (last(values),)
+    if family == "fishburn":
+        first = _summer(range(dim))  # row 0 is the first dim cells
+        return lambda values: (first(values), last(values))
+    diagonal = _summer([k for k, (i, j) in enumerate(cells) if i + j == dim - 1])
+    return lambda values: (last(values), not diagonal(values))
+
+
 def refined_counts(family: str, size: int) -> CountTable:
     """Statistic tables: fishburn -> (firstRowSum, lastColumnSum) joint;
     rowFishburn -> (lastColumnSum,); selfDual (keyed by REDUCED size)
-    -> (lastColumnSum, allDiagonalZero)."""
+    -> (lastColumnSum, allDiagonalZero).  Each object is one value vector of
+    the walk; the key is read off it without building the matrix."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    counts = {}
-
-    def bump(key):
-        counts[key] = counts.get(key, 0) + 1
-
-    if family == "fishburn":
-        if size == 0:
-            bump((0, 0))
-        for m in fishburn_matrices(size):
-            bump((m.first_row_sum, m.last_column_sum))
-    elif family == "rowFishburn":
-        if size == 0:
-            bump((0,))
-        for m in row_fishburn_matrices(size):
-            bump((m.last_column_sum,))
-    elif family == "selfDual":
-        if size == 0:
-            bump((0, True))
-        for m in self_dual_matrices(size):
-            bump((m.last_column_sum, m.has_zero_diagonal()))
-    else:
+    if family not in _EMPTY_KEYS:
         raise ParameterError(
             f"unknown matrix family {family!r}; use fishburn, rowFishburn or selfDual")
-    return CountTable(family, size, counts)
+    counts = Counter()
+    if size == 0:
+        counts[_EMPTY_KEYS[family]] = 1
+    for dim, cells, conditions, overlap in _layouts(family, size):
+        counts.update(map(_statistic(family, dim, cells),
+                          _walk(cells, size, conditions, overlap)))
+    return CountTable(family, size, dict(counts))
 
 
 @dataclass

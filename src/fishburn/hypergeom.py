@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count, islice
 
@@ -61,8 +62,17 @@ class NumericEvalParams:
         return mp.mpf(self.tol)
 
 
+# grf-degeneration puts gamma this many decades below tol * SUMMATION_MARGIN,
+# where the O(gamma) gap between the two identities cannot reach the tolerance
+DEGENERATION_DECADES = 2
+
+
+def _pole_guard_exponent(dps):
+    return -(2 * dps) // 3
+
+
 def _pole_guard(dps):
-    return mp.mpf(10) ** (-(2 * dps) // 3)
+    return mp.mpf(10) ** _pole_guard_exponent(dps)
 
 
 def _refuse_pole(den, guard, label):
@@ -216,16 +226,28 @@ def generalized_rf_check(params: NumericEvalParams) -> VerificationReport:
 
 
 def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
-    """gamma -> 0 path: the generalized identity at gamma = 1e-30 with
-    alpha = a q and beta = b q must match the plain Rogers-Fine values."""
-    gamma = "1e-30"
+    """gamma -> 0 path: the generalized identity at a tiny gamma = 10^e with
+    alpha = a q and beta = b q must match the plain Rogers-Fine values.
+
+    e lies DEGENERATION_DECADES below the decade of tol * SUMMATION_MARGIN
+    (1e-30 at tol 1e-25).  The right side divides by gamma, so a precision
+    whose pole guard would refuse that gamma is refused up front, with the
+    number of digits the tolerance needs."""
+    e = (Decimal(params.tol).adjusted() + Decimal(str(SUMMATION_MARGIN)).adjusted()
+         - DEGENERATION_DECADES)
+    if _pole_guard_exponent(params.dps) > e:
+        need = next(d for d in count(params.dps) if _pole_guard_exponent(d) <= e)
+        raise ParameterError(
+            f"grf-degeneration at tol {params.tol} sets gamma = 1e{e}, inside the pole "
+            f"guard of {params.dps} digits; it needs at least {need} digits")
 
     def at_small_gamma(side):
-        return lambda a, b, t, q, *budget: side(a * q, b * q, mp.mpc(gamma), t, q, *budget)
+        return lambda a, b, t, q, *budget: side(a * q, b * q, mp.mpc(mp.mpf(10) ** e),
+                                                t, q, *budget)
     rep = _compare_sides("grf-degeneration", params,
                          (rogers_fine_lhs, at_small_gamma(generalized_rf_lhs),
                           at_small_gamma(generalized_rf_rhs)))
-    rep.detail["gamma"] = gamma
+    rep.detail["gamma"] = f"1e{e}"
     return rep
 
 

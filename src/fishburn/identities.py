@@ -29,6 +29,9 @@ from .series import TruncatedSeries
 
 FORMAL_BIVARIATE_CAP = 14
 FORMAL_TRIVARIATE_CAP = 10
+# the oracle enumerates every matrix: G1 at size 8 walks the 237,348
+# row-Fishburn matrices of size 8 (about 1 s), size 9 has 2,612,681
+COEFFICIENT_ORACLE_CAP = 8
 TERMINATING_SCAN_CAP = 512
 
 TRIVARIATE_NAMES = ("x", "y", "r")
@@ -176,10 +179,10 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
     counts: F1 against Fishburn tables, G1 against row-Fishburn tables."""
     if family not in ("F1", "G1"):
         raise UnknownFamilyError("coefficient oracle covers F1 and G1")
-    if m_max > 7:
+    if m_max > COEFFICIENT_ORACLE_CAP:
         raise ParameterError(
-            f"coefficient oracle capped at size 7 (got {m_max}); larger sizes "
-            "make the exhaustive enumeration disproportionately slow")
+            f"coefficient oracle capped at size {COEFFICIENT_ORACLE_CAP} (got {m_max}); "
+            "larger sizes make the exhaustive enumeration disproportionately slow")
     t0 = time.perf_counter()
     series = expand_family(family, m_max)
     matrix_family = "fishburn" if family == "F1" else "rowFishburn"

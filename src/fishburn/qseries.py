@@ -114,8 +114,12 @@ def pochhammer_terms(spec: PochhammerSum):
             term = _times(term, step[0])
         for step in steps:
             term = term * (1 - step[0])
-        for step in inv_steps:
-            term = term * _inv(1 - step[0])
+        if not isinstance(term, TruncatedSeries):
+            for step in inv_steps:
+                term = term / (1 - step[0])
+        elif not term.is_zero():  # a term truncated to zero needs no inverses
+            for step in inv_steps:
+                term = term * (1 - step[0]).invert()
         yield term
         for step in steps + inv_steps + pow_steps:
             step[0] = step[0] * step[1]

@@ -192,6 +192,16 @@ def test_numeric_refuses_digits_too_few_for_the_tolerance(capsys):
     assert code == 0
 
 
+def test_numeric_grf_degeneration_names_the_digits_it_needs(capsys):
+    code, out, err = run(capsys, "numeric", "--id", "grf-degeneration", "--digits", "40",
+                         "--draws", "1")
+    assert code == 2
+    assert "at least 44 digits" in err and out == ""
+    code, _, _ = run(capsys, "numeric", "--id", "grf-degeneration", "--digits", "44",
+                     "--draws", "1")
+    assert code == 0
+
+
 def test_numeric_rejects_an_unknown_param(capsys):
     code, _, err = run(capsys, "numeric", "--id", "rf",
                        "--param", "a=0.3", "--param", "b=0.2",

@@ -1,13 +1,134 @@
 """Matrix enumeration oracles: counts, statistics, duality, facts."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
-from fishburn.enumeration import (FishburnMatrix, distinct_partition_parity,
+from fishburn.enumeration import (FishburnMatrix, _layouts, _walk,
+                                  distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
                                   row_fishburn_matrices,
                                   self_dual_count_by_full_size,
                                   self_dual_matrices, verify_facts)
 from fishburn.errors import ParameterError
+from fishburn.identities import verify_coefficient_oracle
+from fishburn.qseries import expand_family
+
+
+def reference_fill_cells(cells, budget, conditions, kind_overlap):
+    """The recursive generator the explicit-stack walk replaced, kept as the
+    reference for the differential tests: one generator frame per cell,
+    the last cell looping over 0..left like every other."""
+    ncells = len(cells)
+    kinds = sorted(kind_overlap)
+    cond_kind = [k for k, _ in conditions]
+    cond_cells = [sorted(members) for _, members in conditions]
+    if any(not members for members in cond_cells):
+        return
+    cell_conds = [[] for _ in range(ncells)]
+    for ci, members in enumerate(cond_cells):
+        for idx in members:
+            cell_conds[idx].append(ci)
+    freeze_at = [[] for _ in range(ncells)]
+    for ci, members in enumerate(cond_cells):
+        freeze_at[max(members)].append(ci)
+    values = [0] * ncells
+    satisfied = [False] * len(cond_cells)
+    unsat = {k: sum(1 for ck in cond_kind if ck == k) for k in kinds}
+
+    def rec(pos, left):
+        if pos == ncells:
+            if left == 0 and not any(unsat.values()):
+                yield tuple(values)
+            return
+        need = 0
+        for k in kinds:
+            u = unsat[k]
+            if u:
+                need = max(need, -(-u // kind_overlap[k]))
+        if left < need:
+            return
+        frozen = freeze_at[pos]
+        for v in range(left + 1):
+            values[pos] = v
+            touched = []
+            if v > 0:
+                for ci in cell_conds[pos]:
+                    if not satisfied[ci]:
+                        satisfied[ci] = True
+                        unsat[cond_kind[ci]] -= 1
+                        touched.append(ci)
+            if all(satisfied[ci] for ci in frozen):
+                yield from rec(pos + 1, left - v)
+            for ci in touched:
+                satisfied[ci] = False
+                unsat[cond_kind[ci]] += 1
+        values[pos] = 0
+
+    yield from rec(0, budget)
+
+
+def walked(cells, budget, conditions, overlap):
+    return [tuple(values) for values in _walk(cells, budget, conditions, overlap)]
+
+
+@pytest.mark.parametrize("family,sizes", [("fishburn", range(7)),
+                                          ("rowFishburn", range(7)),
+                                          ("selfDual", range(6))])
+def test_walk_matches_reference_on_every_layout(family, sizes):
+    for size in sizes:
+        for _dim, cells, conditions, overlap in _layouts(family, size):
+            assert walked(cells, size, conditions, overlap) == \
+                list(reference_fill_cells(cells, size, conditions, overlap))
+
+
+def test_walk_matches_reference_on_random_conditions():
+    rng = random.Random(2024)
+    for _ in range(300):
+        ncells = rng.randint(1, 6)
+        overlap = {"a": rng.randint(1, 3), "b": rng.randint(1, 2)}
+        conditions = [(rng.choice("ab"), {c for c in range(ncells) if rng.random() < 0.4})
+                      for _ in range(rng.randint(0, 4))]
+        cells = list(range(ncells))
+        budget = rng.randint(0, 5)
+        assert walked(cells, budget, conditions, overlap) == \
+            list(reference_fill_cells(cells, budget, conditions, overlap))
+
+
+def test_walk_yields_its_one_live_vector():
+    # callers read the vector before the next step or copy it
+    _dim, cells, conditions, overlap = list(_layouts("rowFishburn", 3))[-1]
+    vectors = list(_walk(cells, 3, conditions, overlap))
+    assert len(vectors) == 6 and all(v is vectors[0] for v in vectors)
+
+
+# sha256 of the sorted (key, count) pairs of refined_counts, recorded from
+# the recursive-generator enumeration that the walk replaced
+REFINED_DIGESTS = {
+    "fishburn": ["0a826aeef9d89834", "c3d67ed486d506e7", "0d6c13283c3d4b67",
+                 "309a4dbaf8c9f5ad", "bfd28d4b310ab315", "db0f194a02fd05fc",
+                 "f69c50aa30e8425d", "6f9dba2f2365aefa", "7a305df16c389f61"],
+    "rowFishburn": ["4c7ea68ad825a11b", "aead728784f07a0a", "e4d00a5d40939709",
+                    "4d79f4aa434785ba", "da2d5d48a855893d", "3e3f962a3c1c6bc8",
+                    "e506510df516a5de", "8c01f3e56aba0926"],
+    "selfDual": ["be1fb18382a16aee", "89e18acf43c7b2e5", "6acc9e1a991b9102",
+                 "e9d95fc25e6287bb", "f5289a9eefedeb7d", "5f5c12c600e528c2",
+                 "9a4b819e04c8a631"],
+}
+
+
+def table_digest(table):
+    items = sorted([list(key), count] for key, count in table.counts.items())
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family", sorted(REFINED_DIGESTS))
+def test_refined_tables_are_frozen(family):
+    got = [table_digest(refined_counts(family, size))
+           for size in range(len(REFINED_DIGESTS[family]))]
+    assert got == REFINED_DIGESTS[family]
 
 
 def test_size_one():
@@ -74,10 +195,20 @@ def test_marginals():
 
 
 def test_coefficient_oracle_cap():
-    from fishburn.errors import ParameterError
-    from fishburn.identities import verify_coefficient_oracle
-    with pytest.raises(ParameterError, match="capped"):
-        verify_coefficient_oracle("F1", 8)
+    with pytest.raises(ParameterError, match="capped at size 8"):
+        verify_coefficient_oracle("F1", 9)
+
+
+def test_coefficient_oracle_at_the_cap():
+    # Fishburn matrices of size 8 by last-column sum, recorded from the
+    # recursive-generator enumeration; F1 must carry them at total degree 8
+    by_ell = {1: 1014, 2: 1926, 3: 1490, 4: 660, 5: 195, 6: 42, 7: 7, 8: 1}
+    assert refined_counts("fishburn", 8).marginal(1) == by_ell
+    series = expand_family("F1", 8)
+    assert {ell: series.coefficient((8 - ell, ell)) for ell in by_ell} == by_ell
+    rep = verify_coefficient_oracle("F1", 8)
+    assert rep.outcome == "verified"
+    assert rep.detail["coefficients_checked"] == 45
 
 
 def test_refined_row_fishburn_m2():

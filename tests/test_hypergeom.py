@@ -70,6 +70,33 @@ def test_grf_degeneration_mismatch_witness(monkeypatch):
     assert rep.witness["left"] != rep.witness["right"]
 
 
+@pytest.mark.parametrize("dps", (33, 43))
+def test_grf_degeneration_refuses_a_precision_whose_guard_hides_gamma(dps):
+    # gamma = 1e-30 at tol 1e-25; the pole guard 10^-floor(2 dps / 3) is
+    # 1e-22 at 33 digits and 1e-29 at 43, so the check names the 44 it needs
+    with pytest.raises(ParameterError, match="gamma = 1e-30.*at least 44 digits"):
+        grf_degeneration_check(NumericEvalParams(
+            values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}, dps=dps))
+
+
+@pytest.mark.parametrize("dps", (44, 60))
+def test_grf_degeneration_verifies_once_gamma_clears_the_guard(dps):
+    rng = random.Random(dps)
+    for values in [{"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}] + \
+            [random_rf_params(rng).values for _ in range(4)]:
+        rep = grf_degeneration_check(NumericEvalParams(values=values, dps=dps))
+        assert rep.outcome == "verified", rep.witness
+        assert rep.detail["gamma"] == "1e-30"
+
+
+def test_grf_degeneration_gamma_follows_the_tolerance():
+    # at tol 1e-10 gamma is 1e-15, well outside the 33-digit guard
+    rep = grf_degeneration_check(NumericEvalParams(
+        values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}, dps=33, tol="1e-10"))
+    assert rep.outcome == "verified"
+    assert rep.detail["gamma"] == "1e-15"
+
+
 def test_precision_must_resolve_the_tolerance():
     values = {"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}
     NumericEvalParams(values=values, dps=60, tol="1e-25")

@@ -6,9 +6,9 @@ import pytest
 
 from fishburn.enumeration import refined_counts, self_dual_count_by_full_size
 from fishburn.errors import BoundExceededError, ParameterError
-from fishburn.posets import (Poset, ascent_sequences, count_ascent_sequences,
-                             interval_orders, interval_order_statistics,
-                             unlabeled_posets)
+from fishburn.posets import (Poset, _naturally_labeled_orders, ascent_sequences,
+                             count_ascent_sequences, interval_orders,
+                             interval_order_statistics, unlabeled_posets)
 
 FISHBURN = [1, 1, 2, 5, 15, 53, 217]
 ALL_POSETS = [1, 2, 5, 16, 63, 318]  # unlabeled posets on 1..6 elements
@@ -29,6 +29,31 @@ def test_exactly_one_non_interval_poset_on_four_elements():
     assert len(unlabeled_posets(4)) - len(interval_orders(4)) == 1
     two_plus_two = Poset(4, [1 << 1, 0, 1 << 3, 0])  # 0<1, 2<3
     assert not two_plus_two.is_interval_order()
+
+
+def reference_is_interval_order(p):
+    """The literal 2+2 search the up-set chain test replaced: no disjoint
+    chains a < b, c < d with all four cross pairs incomparable."""
+    def incomparable(i, j):
+        return not p.less(i, j) and not p.less(j, i)
+    edges = [(i, j) for i in range(p.n) for j in range(p.n) if p.less(i, j)]
+    return not any(len({a, b, c, d}) == 4
+                   and incomparable(a, c) and incomparable(a, d)
+                   and incomparable(b, c) and incomparable(b, d)
+                   for a, b in edges for c, d in edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_order_test_matches_the_literal_2_plus_2_search(n):
+    rng = random.Random(n)
+    for p in _naturally_labeled_orders(n):
+        assert p.is_interval_order() == reference_is_interval_order(p), p
+    # the test must not depend on the labelling either
+    for p in _naturally_labeled_orders(min(n, 5)):
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        q = p.relabel(perm)
+        assert q.is_interval_order() == reference_is_interval_order(q), q
 
 
 def test_bound_is_enforced():

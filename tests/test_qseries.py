@@ -1,15 +1,17 @@
 """q-Pochhammer builders, series families, and the partition side table."""
 
 from fractions import Fraction
+from itertools import islice
 from math import inf
 
 import pytest
 
 from fishburn.enumeration import distinct_partition_parity, refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
-from fishburn.qseries import (expand_family, fishburn_numbers,
-                              partition_parity_table, q_pochhammer,
-                              row_fishburn_numbers, univariate_fishburn_series)
+from fishburn.qseries import (PochhammerSum, expand_family, fishburn_numbers,
+                              partition_parity_table, pochhammer_terms,
+                              q_pochhammer, row_fishburn_numbers,
+                              univariate_fishburn_series)
 from fishburn.rings import ZZ
 from fishburn.series import TruncatedSeries
 
@@ -247,3 +249,21 @@ def test_partition_table_matches_bivariate_machinery():
         for s in range(1, S + 1):
             if r + s <= N:
                 assert total.coefficient((r, s)) == tab.a(r, s), (r, s)
+
+
+def test_a_term_truncated_to_zero_skips_its_inverses():
+    # (1 - 1) kills term 1; the inverse 1/(1 - 1) would not exist, and a
+    # series term that is already zero must not ask for it
+    one = TruncatedSeries.constant(ZZ, 1, 4, ZZ.one)
+    spec = PochhammerSum(one, factors=((one, one),), inverses=((one, one),))
+    first, *rest = islice(pochhammer_terms(spec), 3)
+    assert first == one and all(t.is_zero() for t in rest)
+
+
+def test_a_scalar_zero_over_zero_term_is_still_refused():
+    spec = PochhammerSum(Fraction(1), factors=((Fraction(1), Fraction(1)),),
+                         inverses=((Fraction(1), Fraction(1)),))
+    terms = pochhammer_terms(spec)
+    assert next(terms) == 1
+    with pytest.raises(ZeroDivisionError):
+        next(terms)
