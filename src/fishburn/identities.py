@@ -27,7 +27,7 @@ from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
 from .rings import ZZ
 from .series import TruncatedSeries
 
-FORMAL_BIVARIATE_CAP = 14
+FORMAL_BIVARIATE_CAP = 32
 FORMAL_TRIVARIATE_CAP = 10
 # the oracle enumerates every matrix: G1 at size 8 walks the 237,348
 # row-Fishburn matrices of size 8 (about 1 s), size 9 has 2,612,681

@@ -11,11 +11,21 @@ the cyclotomic ring backs root-of-unity expansions.  Cyclotomic elements keep
 plain int coordinates while they lie in Z[zeta_k], so those expansions run in
 integer arithmetic; a Fraction coordinate appears only after a non-unit
 inversion.
+
+A ring also decides how its coefficients enter the series product kernel:
+`to_kernel` turns a list of coefficients into kernel values and their
+common scale, and `from_kernel` turns kernel values (sums of products of
+two operands' values) back into coefficients, given the product of the two
+scales.  Kernel values are falsy exactly when they are zero.  Integers and
+cyclotomic elements pass through at scale 1; rationals enter as int
+numerators over the lcm of their denominators, so the kernel multiplies
+ints only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import NonInvertibleError
@@ -47,6 +57,12 @@ class IntegerRing:
         if a in (1, -1):
             return a
         raise NonInvertibleError(f"{a} is not a unit in ZZ")
+
+    def to_kernel(self, coeffs):
+        return coeffs, 1
+
+    def from_kernel(self, values, scale):
+        return values
 
     def coeff_to_str(self, a):
         return str(a)
@@ -88,6 +104,14 @@ class RationalRing:
         if a == 0:
             raise NonInvertibleError("0 is not invertible in QQ")
         return Fraction(1) / a
+
+    def to_kernel(self, coeffs):
+        """Int numerators over the lcm of the denominators, and that lcm."""
+        den = lcm(*[c.denominator for c in coeffs])
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+    def from_kernel(self, values, scale):
+        return [Fraction(v, scale) for v in values]
 
     def coeff_to_str(self, a):
         a = Fraction(a)
@@ -143,6 +167,12 @@ class CyclotomicRing:
         if not a:
             raise NonInvertibleError(f"0 is not invertible in {self.tag}")
         return a.inverse()
+
+    def to_kernel(self, coeffs):
+        return coeffs, 1
+
+    def from_kernel(self, values, scale):
+        return values
 
     def zeta(self, power=1):
         return self.field.zeta(power)

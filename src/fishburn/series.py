@@ -6,13 +6,32 @@ TOTAL degree; per-variable views can be derived but are not stored.  Values
 are immutable after construction and all operations are pure, so series can
 be shared freely across threads.
 
-Multiplication is schoolbook with degree-bound pruning; the orders used here
-(N <= 60 univariate, N <= 14 multivariate) do not justify anything fancier.
+`terms` is the public view: a dict from exponent tuples to nonzero
+coefficients.  Multiplication and inversion run on packed int keys instead
+(a sparse Kronecker substitution, cf. Harvey, J. Symbolic Comput. 44, 2009).
+An exponent (e_1..e_v) of total degree d is written in radix N+1 with the
+digits (d, e_1, ..., e_{v-1}); the last exponent is implied by d.  Every
+digit is a linear function of the exponents, so the key of a product
+monomial is the sum of the keys of its factors, and no digit can carry: a
+kept product has total degree <= N, so its degree digit and each exponent
+digit is <= N.  A product that is not kept has degree digit > N, so the cut
+is one comparison of keys, and sorting an operand's keys sorts it by
+degree; each row of the schoolbook product then reads a prefix of the other
+operand.  Keys are turned back into tuples only for the kept terms.
+
+The ring decides how its coefficients enter the kernel (`to_kernel`,
+`from_kernel` in rings.py): integers and cyclotomic elements pass through,
+while a rational operand enters as int numerators over the lcm of its
+denominators, so the product loop multiplies and adds ints only and each
+kept coefficient becomes one Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
+from functools import lru_cache
+from itertools import product
 
 from .errors import (
     NonInvertibleError,
@@ -93,6 +112,8 @@ class TruncatedSeries:
         if len(exp) != self.nvars:
             raise SeriesCompatibilityError(
                 f"multi-index arity {len(exp)} does not match {self.nvars} variables")
+        if min(exp) < 0:
+            raise SeriesCompatibilityError(f"multi-index {exp} has a negative exponent")
         if sum(exp) > self.trunc:
             raise TruncationError(
                 f"degree {sum(exp)} exceeds truncation order {self.trunc}")
@@ -103,14 +124,6 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.terms
-
-    def restrict(self, new_trunc):
-        """Re-truncate to a smaller total degree."""
-        if new_trunc > self.trunc:
-            raise TruncationError(
-                f"cannot extend truncation {self.trunc} to {new_trunc}")
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= new_trunc}
-        return TruncatedSeries(self.ring, self.nvars, new_trunc, terms, self.names)
 
     # -- ring operations ----------------------------------------------------
 
@@ -165,22 +178,27 @@ class TruncatedSeries:
                 return NotImplemented
             return self.scale(scalar)
         self._compat(other)
-        bound = self.trunc
-        a = sorted(((sum(e), e, c) for e, c in self.terms.items()))
-        b = sorted(((sum(e), e, c) for e, c in other.terms.items()))
-        terms = {}
-        for da, ea, ca in a:
-            for db, eb, cb in b:
-                if da + db > bound:
-                    break
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                if exp in terms:
-                    terms[exp] = terms[exp] + prod
+        ring = self.ring
+        pack, unpack, limit = _codec(self.nvars, self.trunc)
+        a_keys, a_vals = _packed(self, pack)
+        b_keys, b_vals = _packed(other, pack)
+        a_vals, a_scale = ring.to_kernel(a_vals)
+        b_vals, b_scale = ring.to_kernel(b_vals)
+        b = list(zip(b_keys, b_vals))
+        acc = {}
+        for ka, ca in zip(a_keys, a_vals):
+            # The terms of b that keep the product below the cut are a prefix.
+            # ka + kb is then exact: a kept product has total degree <= N, so
+            # no digit of the sum exceeds N and none carries.
+            for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
+                k = ka + kb
+                if k in acc:
+                    acc[k] += ca * cb
                 else:
-                    terms[exp] = prod
-        is_zero = self.ring.is_zero
-        return self._wrap({e: c for e, c in terms.items() if not is_zero(c)})
+                    acc[k] = ca * cb
+        keys = [k for k, c in acc.items() if c]
+        vals = ring.from_kernel([acc[k] for k in keys], a_scale * b_scale)
+        return self._wrap(dict(zip([unpack[k] for k in keys], vals)))
 
     __rmul__ = __mul__
 
@@ -188,44 +206,41 @@ class TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires an invertible constant term; computed by the order-by-order
-        recurrence b_d = -c0^{-1} * sum_{e>=1} a_e b_{d-e}.
+        recurrence b_d = -c0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
         """
         c0 = self.constant_term
         if self.ring.is_zero(c0):
             raise NonInvertibleError("constant term 0 is not invertible")
         c0inv = self.ring.invert(c0)
-        zero_exp = (0,) * self.nvars
-        # nonconstant terms of self, grouped by total degree
-        by_deg = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            if d:
-                by_deg.setdefault(d, []).append((e, c))
-        levels = [{zero_exp: c0inv}]  # inverse coefficients, by total degree
         is_zero = self.ring.is_zero
+        pack, unpack, limit = _codec(self.nvars, self.trunc)
+        step = limit // (self.trunc + 1)  # the key of one unit of degree
+        # nonconstant terms of self, grouped by total degree
+        by_deg = [[] for _ in range(self.trunc + 1)]
+        for k, c in zip(*_packed(self, pack)):
+            if k:
+                by_deg[k // step].append((k, c))
+        levels = [[(0, c0inv)]]  # inverse terms, by total degree
         for d in range(1, self.trunc + 1):
             acc = {}
-            for da, entries in by_deg.items():
-                if da > d:
+            for da in range(1, d + 1):
+                entries = by_deg[da]
+                if not entries:
                     continue
-                for eb, cb in levels[d - da].items():
-                    for ea, ca in entries:
-                        exp = tuple(x + y for x, y in zip(ea, eb))
-                        prod = ca * cb
-                        if exp in acc:
-                            acc[exp] = acc[exp] + prod
+                for kb, cb in levels[d - da]:
+                    for ka, ca in entries:
+                        k = ka + kb
+                        if k in acc:
+                            acc[k] += ca * cb
                         else:
-                            acc[exp] = prod
-            level = {}
-            for e, c in acc.items():
+                            acc[k] = ca * cb
+            level = []
+            for k, c in acc.items():
                 val = -(c0inv * c)
                 if not is_zero(val):
-                    level[e] = val
+                    level.append((k, val))
             levels.append(level)
-        terms = {}
-        for level in levels:
-            terms.update(level)
-        return self._wrap(terms)
+        return self._wrap({unpack[k]: c for level in levels for k, c in level})
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -276,18 +291,6 @@ class TruncatedSeries:
                     mono = mono * powi(i, k)
             total = total + mono.scale(c)
         return total
-
-    def map_coefficients(self, new_ring, fn=None):
-        """Same series over `new_ring`; coefficients pass through `fn`
-        (default: the new ring's coercion)."""
-        if fn is None:
-            fn = new_ring.coerce
-        terms = {}
-        for e, c in self.terms.items():
-            val = fn(c)
-            if not new_ring.is_zero(val):
-                terms[e] = val
-        return TruncatedSeries(new_ring, self.nvars, self.trunc, terms, self.names)
 
     def specialize(self, var: int, scalar, new_trunc: int):
         """Substitute a ring scalar for one variable, returning a series in
@@ -395,3 +398,32 @@ class TruncatedSeries:
 
 def _default_names(nvars):
     return ("x", "y", "r")[:nvars]
+
+
+@lru_cache(maxsize=64)
+def _codec(nvars, trunc):
+    """Packed keys for the exponents of total degree <= trunc (see the module
+    docstring): the maps exponent tuple -> key and key -> tuple, and the
+    least key of total degree trunc + 1, below which a key sum is kept."""
+    radix = trunc + 1
+    pack = {}
+    for e in product(range(radix), repeat=nvars):
+        key = sum(e)
+        if key <= trunc:
+            for x in e[:-1]:
+                key = key * radix + x
+            pack[e] = key
+    unpack = {key: e for e, key in pack.items()}
+    return pack, unpack, radix ** nvars
+
+
+def _packed(series, pack):
+    """The packed keys of `series`, ascending (so by total degree), and the
+    coefficients in the same order."""
+    try:
+        keyed = {pack[e]: c for e, c in series.terms.items()}
+    except KeyError as exc:
+        raise TruncationError(
+            f"exponent {exc.args[0]} lies outside truncation order {series.trunc}") from None
+    keys = sorted(keyed)
+    return keys, [keyed[k] for k in keys]

@@ -49,7 +49,7 @@ def test_proposition_order_cap():
 
 def test_formal_order_cap():
     with pytest.raises(ParameterError, match="capped"):
-        verify("F1=F2", order=15)
+        verify("F1=F2", order=33)
 
 
 def test_gamma_identities_for_random_rationals():

@@ -14,6 +14,7 @@ from fishburn.qseries import (PochhammerSum, expand_family, fishburn_numbers,
                               univariate_fishburn_series)
 from fishburn.rings import ZZ
 from fishburn.series import TruncatedSeries
+from series_helpers import map_coefficients
 
 
 def xyu(n):
@@ -184,8 +185,8 @@ def test_gamma_families_degenerate_to_plain_at_gamma_zero():
     lhs = expand_family("gamma1-lhs", N, gamma=0, r=Fraction(-1))
     rhs = expand_family("gamma1-rhs", N, gamma=0, r=Fraction(-1))
     from fishburn.rings import QQ
-    g1 = expand_family("G1", N).map_coefficients(QQ)
-    g2 = expand_family("G2", N).map_coefficients(QQ)
+    g1 = map_coefficients(expand_family("G1", N), QQ)
+    g2 = map_coefficients(expand_family("G2", N), QQ)
     assert lhs.equal_up_to(g1, N).equal
     assert rhs.equal_up_to(g2, N).equal
 

@@ -13,6 +13,7 @@ from fishburn.rings import QQ
 from fishburn.roots import (RootContext, conjecture_explore, expand_at_root,
                             expand_q_only, root_terminating_check)
 from fishburn.series import TruncatedSeries
+from series_helpers import map_coefficients
 
 
 def test_context_validation():
@@ -100,10 +101,10 @@ def test_expansion_at_one_one_reproduces_f1_and_g1():
                                 ("comp2-first", "G1", direct),
                                 ("comp2-mid", "G2", direct),
                                 ("comp2-right", "G3", direct)):
-        series = expand_at_root(expr, ctx).map_coefficients(
-            QQ, lambda c: c.as_rational())
+        series = map_coefficients(expand_at_root(expr, ctx), QQ,
+                                  lambda c: c.as_rational())
         got = series.substitute(shift)
-        want = expand_family(family, N).map_coefficients(QQ)
+        want = map_coefficients(expand_family(family, N), QQ)
         assert got.equal_up_to(want, N).equal, expr
 
 

@@ -2,13 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fishburn.cyclotomic import CyclotomicElement
 from fishburn.errors import (NonInvertibleError, SeriesCompatibilityError,
                              SubstitutionError, TruncationError)
-from fishburn.rings import QQ, ZZ
+from fishburn.rings import QQ, ZZ, cyclotomic_ring
 from fishburn.series import TruncatedSeries
+from series_helpers import restrict
 
 
 def blocks(n, ring=ZZ):
@@ -110,6 +115,8 @@ def test_coefficient_lookup_and_bounds():
     assert s.coefficient((1, 1)) == 0
     with pytest.raises(TruncationError):
         s.coefficient((2, 2))
+    with pytest.raises(SeriesCompatibilityError, match="negative"):
+        s.coefficient((-1, 2))
 
 
 def test_equal_up_to():
@@ -150,7 +157,7 @@ def test_restrict_matches_recomputation():
     s = ((one - x) * (one - y)).invert() * (one + x * y)
     one4, x4, y4 = blocks(4)
     t = ((one4 - x4) * (one4 - y4)).invert() * (one4 + x4 * y4)
-    assert s.restrict(4).terms == t.terms
+    assert restrict(s, 4).terms == t.terms
 
 
 def _random_series(rng, n, max_terms=6):
@@ -206,9 +213,9 @@ def test_truncation_monotonicity():
     rng = random.Random(77)
     for _ in range(30):
         a6, b6 = _random_series(rng, 6), _random_series(rng, 6)
-        prod6 = (a6 * b6).restrict(3)
-        a3 = a6.restrict(3)
-        b3 = b6.restrict(3)
+        prod6 = restrict(a6 * b6, 3)
+        a3 = restrict(a6, 3)
+        b3 = restrict(b6, 3)
         assert prod6.terms == (a3 * b3).terms
 
 
@@ -229,3 +236,142 @@ def test_specialize_sums_variable_powers():
     got = s.specialize(2, -1, 3)
     assert got.terms == {(2, 0): 1}
     assert got.nvars == 2
+
+
+# -- packed-key kernel: differential tests against the tuple-keyed loops -------
+
+
+def reference_mul(a, b):
+    """Schoolbook product on exponent tuples with degree-bound pruning -- the
+    loop the packed-key kernel replaced."""
+    bound = a.trunc
+    sa = sorted(((sum(e), e, c) for e, c in a.terms.items()))
+    sb = sorted(((sum(e), e, c) for e, c in b.terms.items()))
+    terms = {}
+    for da, ea, ca in sa:
+        for db, eb, cb in sb:
+            if da + db > bound:
+                break
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            prod = ca * cb
+            if exp in terms:
+                terms[exp] = terms[exp] + prod
+            else:
+                terms[exp] = prod
+    return {e: c for e, c in terms.items() if not a.ring.is_zero(c)}
+
+
+def reference_invert(a):
+    """Order-by-order inverse on exponent tuples -- the recurrence the
+    packed-key kernel replaced."""
+    ring = a.ring
+    c0inv = ring.invert(a.constant_term)
+    by_deg = {}
+    for e, c in a.terms.items():
+        if sum(e):
+            by_deg.setdefault(sum(e), []).append((e, c))
+    levels = [{(0,) * a.nvars: c0inv}]
+    for d in range(1, a.trunc + 1):
+        acc = {}
+        for da, entries in by_deg.items():
+            if da > d:
+                continue
+            for eb, cb in levels[d - da].items():
+                for ea, ca in entries:
+                    exp = tuple(x + y for x, y in zip(ea, eb))
+                    prod = ca * cb
+                    acc[exp] = acc[exp] + prod if exp in acc else prod
+        levels.append({e: -(c0inv * c) for e, c in acc.items()
+                       if not ring.is_zero(-(c0inv * c))})
+    return {e: c for level in levels for e, c in level.items()}
+
+
+def _coefficients(ring):
+    if ring == ZZ:
+        return st.integers(min_value=-2**70, max_value=2**70)
+    if ring == QQ:
+        return st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    coords = st.one_of(st.integers(min_value=-9, max_value=9),  # integral
+                       st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    return st.lists(coords, min_size=ring.field.degree, max_size=ring.field.degree).map(
+        ring.field.element)
+
+
+RINGS = [ZZ, QQ] + [cyclotomic_ring(k) for k in (3, 4, 12)]
+
+
+@st.composite
+def series_pairs(draw, ring, nvars):
+    """Two compatible series over `ring` in `nvars` variables with at most
+    10 terms each, often empty or with one term."""
+    trunc = draw(st.integers(min_value=0, max_value=8))
+    exps = [e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc]
+
+    def one_series():
+        entries = draw(st.lists(st.tuples(st.sampled_from(exps), _coefficients(ring)),
+                                max_size=draw(st.sampled_from((0, 1, 10)))))
+        terms = {e: ring.coerce(c) for e, c in entries if not ring.is_zero(ring.coerce(c))}
+        return TruncatedSeries(ring, nvars, trunc, terms)
+    return one_series(), one_series()
+
+
+def _assert_canonical(series):
+    ring = series.ring
+    kind = {ZZ: int, QQ: Fraction}.get(ring, CyclotomicElement)
+    for c in series.terms.values():
+        assert not ring.is_zero(c)
+        assert type(c) is kind
+
+
+def _one_term(ring, nvars, trunc, exp, coeff):
+    return TruncatedSeries(ring, nvars, trunc, {exp: ring.coerce(coeff)})
+
+
+def test_mul_edge_operands():
+    """Empty and one-term operands, products just above and exactly on the
+    cut, and truncation order 0."""
+    cases = [
+        (TruncatedSeries.zero(QQ, 2, 4), _one_term(QQ, 2, 4, (1, 2), Fraction(1, 3))),
+        (_one_term(ZZ, 3, 8, (2, 3, 3), 5), _one_term(ZZ, 3, 8, (0, 0, 0), -7)),
+        (_one_term(QQ, 2, 3, (3, 0), Fraction(3, 2)), _one_term(QQ, 2, 3, (0, 1), 2)),
+        (_one_term(QQ, 2, 3, (2, 0), Fraction(3, 2)), _one_term(QQ, 2, 3, (0, 1), 2)),
+        (_one_term(ZZ, 1, 0, (0,), 2), _one_term(ZZ, 1, 0, (0,), 3)),
+    ]
+    for a, b in cases:
+        assert (a * b).terms == reference_mul(a, b)
+    assert cases[2][0] * cases[2][1] == TruncatedSeries.zero(QQ, 2, 3)
+    assert (cases[3][0] * cases[3][1]).terms == {(2, 1): Fraction(3)}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_matches_reference(ring, nvars, data):
+    a, b = data.draw(series_pairs(ring, nvars))
+    got = a * b
+    assert got.terms == reference_mul(a, b)
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_invert_matches_reference(ring, nvars, data):
+    a, _ = data.draw(series_pairs(ring, nvars))
+    unit = data.draw(st.sampled_from((1, -1)) if ring == ZZ else
+                     _coefficients(ring).filter(lambda c: not ring.is_zero(ring.coerce(c))))
+    terms = dict(a.terms)
+    terms[(0,) * nvars] = ring.coerce(unit)
+    a = TruncatedSeries(ring, nvars, a.trunc, terms)
+    got = a.invert()
+    assert got.terms == reference_invert(a)
+    _assert_canonical(got)
+
+
+def test_mul_rejects_exponents_beyond_the_cut():
+    bad = TruncatedSeries(ZZ, 2, 3, {(2, 2): 1})
+    _, x, _ = blocks(3)
+    with pytest.raises(TruncationError, match="outside"):
+        bad * x
