@@ -7,8 +7,9 @@ Layers:
 - `series` / `rings` / `cyclotomic`: truncated multivariate formal power
   series over exact coefficient rings (integers, rationals, Q(zeta_k)).
 - `qseries`: q-Pochhammer symbols, the six named bivariate series and their
-  variants, pentagonal forms, the partition parity table, and dense
-  univariate fast paths for the Fishburn / row-Fishburn sequences.
+  variants, pentagonal forms, the partition parity table, and the Fishburn /
+  row-Fishburn sequences as the F1 / G3 diagonals, all summed by the one
+  term engine.
 - `enumeration` / `posets`: brute-force matrix and poset generation -- the
   independent oracle for every coefficient.
 - `identities` / `hypergeom` / `asymptotics`: the verification registry

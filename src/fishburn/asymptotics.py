@@ -15,7 +15,7 @@ from collections import namedtuple
 import mpmath as mp
 
 from .errors import ParameterError
-from .qseries import fishburn_numbers, row_fishburn_numbers
+from .qseries import univariate_fishburn_series
 
 N_MAX_CAP = 120
 
@@ -34,30 +34,32 @@ def beta_constant(dps: int = 50):
         return 6 * mp.sqrt(2) / mp.pi**2 * mp.e ** (mp.pi**2 / 24)
 
 
+# sequence -> (main-term constant, base numerator, sqrt(n) factor): the main
+# term is n! (base / pi^2)^n * constant, times sqrt(n) where flagged
+MAIN_TERMS = {
+    "fishburn": (alpha_constant, 6, True),
+    "rowFishburn": (beta_constant, 12, False),
+}
+
+
 def trend(which: str, n_max: int, dps: int = 50):
     """Exact coefficients divided by the closed-form main term, for
     n = 1..n_max; returns TrendRow(n, ratio, |ratio - 1|) entries."""
     if not 1 <= n_max <= N_MAX_CAP:
         raise ParameterError(f"n_max must be within 1..{N_MAX_CAP}")
-    if which == "fishburn":
-        coeffs = fishburn_numbers(n_max)
-    elif which == "rowFishburn":
-        coeffs = row_fishburn_numbers(n_max)
-    else:
+    if which not in MAIN_TERMS:
         raise ParameterError("trend families are fishburn and rowFishburn")
+    constant, numerator, sqrt_factor = MAIN_TERMS[which]
+    series = univariate_fishburn_series(which, n_max)
     rows = []
     with mp.workdps(dps):
-        if which == "fishburn":
-            const = alpha_constant(dps)
-            base = 6 / mp.pi**2
-        else:
-            const = beta_constant(dps)
-            base = 12 / mp.pi**2
+        const = constant(dps)
+        base = numerator / mp.pi**2
         for n in range(1, n_max + 1):
             main = mp.factorial(n) * base**n * const
-            if which == "fishburn":
+            if sqrt_factor:
                 main *= mp.sqrt(n)
-            ratio = mp.mpf(coeffs[n]) / main
+            ratio = mp.mpf(series.coefficient((n,))) / main
             rows.append(TrendRow(n, ratio, abs(ratio - 1)))
     return rows
 

@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_watson)
 
     p = sub.add_parser("asymptotics", help="main-term ratio tables")
-    p.add_argument("--which", required=True, choices=("fishburn", "rowFishburn"))
+    p.add_argument("--which", required=True, choices=tuple(asymptotics.MAIN_TERMS))
     p.add_argument("--n-max", type=int, default=100)
     add_format(p)
     p.set_defaults(fn=cmd_asymptotics)

@@ -123,9 +123,6 @@ class Poset:
         self._canon = best
         return best
 
-    def is_isomorphic(self, other: "Poset") -> bool:
-        return self.n == other.n and self.canonical_form() == other.canonical_form()
-
     def is_self_dual(self) -> bool:
         return self.canonical_form() == self.dual().canonical_form()
 

@@ -34,32 +34,24 @@ PENTAGONAL_NAMES = ("w",)
 
 
 def q_pochhammer(a: TruncatedSeries, q: TruncatedSeries, n) -> TruncatedSeries:
-    """(a;q)_n = prod_{k=0}^{n-1} (1 - a*q^k), with (a;q)_0 = 1.
+    """(a;q)_n = prod_{k=0}^{n-1} (1 - a*q^k), with (a;q)_0 = 1: term n of
+    the sum with first term 1 and term ratio (1 - a q^n).
 
     `n` may be a nonnegative integer or `math.inf`; the infinite product
-    requires q to have zero constant term (each extra factor then starts at a
-    strictly higher degree, so the truncated product is exact).
+    requires q to have zero constant term.  Then a q^k vanishes below the cut
+    for k > N, the truncation order, so the product of the first N + 1
+    factors is exact.
     """
     a._compat(q)
-    one = TruncatedSeries.constant(a.ring, a.nvars, a.trunc, a.ring.one, a.names)
     if n == inf:
         if not a.ring.is_zero(q.constant_term):
             raise ParameterError(
                 "infinite q-Pochhammer product requires q with zero constant term")
-        out = one
-        apow = a
-        while not apow.is_zero():
-            out = out * (one - apow)
-            apow = apow * q
-        return out
-    if not isinstance(n, int) or n < 0:
+        n = a.trunc + 1
+    elif not isinstance(n, int) or n < 0:
         raise ParameterError(f"Pochhammer length must be a nonnegative integer, got {n!r}")
-    out = one
-    apow = a
-    for _ in range(n):
-        out = out * (one - apow)
-        apow = apow * q
-    return out
+    one = TruncatedSeries.constant(a.ring, a.nvars, a.trunc, a.ring.one, a.names)
+    return next(islice(pochhammer_terms(PochhammerSum(one, factors=((a, q),))), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +237,14 @@ def gamma2_rhs(pt, gamma):
 # pentagonal forms (univariate in w)
 
 
-def _pentagonal_sum(N, ring):
+def _pentagonal_spec(N, ring):
     # sum_{n>=0} w^{n+1} (w; w)_n: the comp1-right sum at p = 1, q = 1/w
     wv = TruncatedSeries.variable(ring, 1, N, 0, PENTAGONAL_NAMES)
-    return truncated_sum(_comp1_right(Point(p=wv ** 0, qinv=wv)))
+    return _comp1_right(Point(p=wv ** 0, qinv=wv))
+
+
+def _pentagonal_sum(N, ring):
+    return truncated_sum(_pentagonal_spec(N, ring))
 
 
 def _pentagonal_product(N, ring):
@@ -364,67 +360,42 @@ def _gamma_parameter(gamma):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate fast path
+# the Fishburn and row-Fishburn sequences
 
 
-def _poly_mul(a, b, n):
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if i + j > n:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def fishburn_numbers(n_max: int) -> list:
-    """f_0..f_{n_max} via Zagier's sum_n ((1-x); (1-x))_n, dense arithmetic."""
-    total = [0] * (n_max + 1)
-    total[0] = 1
-    prod = [1] + [0] * n_max
-    upow = [1] + [0] * n_max          # (1-x)^k
-    one_minus_x = [1, -1] + [0] * (n_max - 1) if n_max >= 1 else [1]
-    for k in range(1, n_max + 1):
-        upow = _poly_mul(upow, one_minus_x, n_max)
-        factor = [-c for c in upow]
-        factor[0] += 1                # 1 - (1-x)^k
-        prod = _poly_mul(prod, factor, n_max)
-        for i, c in enumerate(prod):
-            total[i] += c
-    return total
-
-
-def row_fishburn_numbers(n_max: int) -> list:
-    """r_0..r_{n_max} via sum_n prod_{k=1}^n (1/(1-x)^k - 1)."""
-    total = [0] * (n_max + 1)
-    total[0] = 1
-    prod = [1] + [0] * n_max
-    geom = [1] * (n_max + 1)          # 1/(1-x)
-    gpow = [1] + [0] * n_max          # 1/(1-x)^k
-    for k in range(1, n_max + 1):
-        gpow = _poly_mul(gpow, geom, n_max)
-        factor = list(gpow)
-        factor[0] -= 1                # 1/(1-x)^k - 1
-        prod = _poly_mul(prod, factor, n_max)
-        for i, c in enumerate(prod):
-            total[i] += c
-    return total
+# The x = y diagonals of the two identities, as sums at u = 1 - x.
+_DIAGONALS = {
+    # F1(x, x) = sum_n (u; u)_n, Zagier's sum (Topology 40, 2001)
+    "fishburn": lambda u: COMPACT_SUMS["comp1-left"](Point(pinv=u, qinv=u)),
+    # G3(x, x) = sum_n (u; u^2)_n: each factor 1 - u^{2k+1} is sparse, where
+    # the G1 diagonal multiplies dense series in 1/u
+    "rowFishburn": lambda u: COMPACT_SUMS["comp2-right"](Point(p=u, q=u)),
+}
 
 
 def univariate_fishburn_series(which: str, order: int) -> TruncatedSeries:
-    """F1(x,x) resp. G1(x,x) as a one-variable series; coefficient of x^m is
+    """F1(x,x) resp. G3(x,x) as a one-variable series; coefficient of x^m is
     the Fishburn number f_m resp. the row-Fishburn number r_m."""
-    if which == "fishburn":
-        coeffs = fishburn_numbers(order)
-    elif which == "rowFishburn":
-        coeffs = row_fishburn_numbers(order)
-    else:
+    if which not in _DIAGONALS:
         raise UnknownFamilyError(
             f"unknown univariate sequence {which!r}; use fishburn or rowFishburn")
-    terms = {(i,): c for i, c in enumerate(coeffs) if c}
-    return TruncatedSeries(ZZ, 1, order, terms, ("x",))
+    one = TruncatedSeries.constant(ZZ, 1, order, 1, ("x",))
+    u = one - TruncatedSeries.variable(ZZ, 1, order, 0, ("x",))
+    return truncated_sum(_DIAGONALS[which](u))
+
+
+def _coefficients(series) -> list:
+    return [series.terms.get((m,), 0) for m in range(series.trunc + 1)]
+
+
+def fishburn_numbers(n_max: int) -> list:
+    """f_0..f_{n_max}, the coefficients of F1(x, x)."""
+    return _coefficients(univariate_fishburn_series("fishburn", n_max))
+
+
+def row_fishburn_numbers(n_max: int) -> list:
+    """r_0..r_{n_max}, the coefficients of G3(x, x)."""
+    return _coefficients(univariate_fishburn_series("rowFishburn", n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +427,8 @@ class PartitionParityTable:
 def partition_parity_table(max_part: int, max_weight: int) -> PartitionParityTable:
     if max_part < 1 or max_weight < 1:
         raise ParameterError("table bounds must be >= 1")
-    entries = {}
-    for r in range(1, max_part + 1):
-        # w^r * (w; w)_{r-1}, truncated at w^max_weight
-        slice_poly = [0] * r + [1] + [0] * max(0, max_weight - r)
-        slice_poly = slice_poly[: max_weight + 1]
-        for k in range(1, r):
-            factor = [1] + [0] * max_weight
-            if k <= max_weight:
-                factor[k] = -1
-            slice_poly = _poly_mul(slice_poly, factor, max_weight)
-        for s, c in enumerate(slice_poly):
-            if c and s >= 1:
-                entries[(r, s)] = c
+    # slice r is term r - 1 of the pentagonal sum, w^r (w; w)_{r-1}
+    terms = pochhammer_terms(_pentagonal_spec(max_weight, ZZ))
+    entries = {(r, s): c for r, term in enumerate(islice(terms, max_part), 1)
+               for (s,), c in sorted(term.terms.items())}
     return PartitionParityTable(max_part, max_weight, entries)

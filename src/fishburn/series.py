@@ -127,12 +127,23 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
+    def _plus_constant(self, terms, scalar):
+        """`terms`, a dict this call may change, plus the constant `scalar`;
+        a constant that cancels to zero is dropped."""
+        origin = (0,) * self.nvars
+        acc = terms.get(origin, self.ring.zero) + scalar
+        if self.ring.is_zero(acc):
+            terms.pop(origin, None)
+        else:
+            terms[origin] = acc
+        return self._wrap(terms)
+
     def __add__(self, other):
-        scalar = None if isinstance(other, TruncatedSeries) else self._as_scalar(other)
-        if scalar is not None:
-            other = TruncatedSeries.constant(self.ring, self.nvars, self.trunc, scalar, self.names)
-        elif not isinstance(other, TruncatedSeries):
-            return NotImplemented
+        if not isinstance(other, TruncatedSeries):
+            scalar = self._as_scalar(other)
+            if scalar is None:
+                return NotImplemented
+            return self._plus_constant(dict(self.terms), scalar)
         self._compat(other)
         terms = dict(self.terms)
         zero = self.ring.zero
@@ -155,10 +166,13 @@ class TruncatedSeries:
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self + (-scalar)
+        return self._plus_constant(dict(self.terms), -scalar)
 
     def __rsub__(self, other):
-        return (-self) + other
+        scalar = self._as_scalar(other)
+        if scalar is None:
+            return NotImplemented
+        return self._plus_constant({e: -c for e, c in self.terms.items()}, scalar)
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)

@@ -127,7 +127,9 @@ def test_univariate_row_fishburn():
 
 
 def test_univariate_matches_diagonal_specialization():
-    """The dense fast path agrees with F1(x, x) from the bivariate expansion."""
+    """f, summed at p = q, agrees with the diagonals of the bivariate F1
+    expansion; r, summed as the G3 diagonal, agrees with the diagonals of
+    G1, which is an independent sum."""
     N = 8
     f = fishburn_numbers(N)
     F1 = expand_family("F1", N)

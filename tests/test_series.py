@@ -24,8 +24,14 @@ def blocks(n, ring=ZZ):
 
 
 def test_add_variables():
-    _, x, y = blocks(2)
+    one, x, y = blocks(2)
     assert (x + y).terms == {(1, 0): 1, (0, 1): 1}
+    assert (1 - (x + y)).terms == {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+    assert ((x + y) - 1).terms == {(0, 0): -1, (1, 0): 1, (0, 1): 1}
+    # a constant that cancels is dropped, not stored as a zero coefficient
+    assert (1 - (one + x)).terms == {(1, 0): -1}
+    assert ((one + x) - 1).terms == {(1, 0): 1}
+    assert (x + 1 + (-1)).terms == {(1, 0): 1}
 
 
 def test_mul_telescoping_geometric():

@@ -1,24 +1,30 @@
-"""Pinned outputs of every Pochhammer sum, in every mode.
+"""Pinned outputs of every Pochhammer product and sum, in every mode.
 
 Each formal family, both sides of the formal-r proposition, every
-root-of-unity expression and q-only side, and the terminating values are
-reduced to a digest (or the exact value as a string) and compared against
-figures recorded from the hand-written per-mode loops that the term-ratio
-evaluator replaced.  A refusal is pinned as "refused", so the certificates
-are pinned as well.
+root-of-unity expression and q-only side, the terminating values, the
+Fishburn and row-Fishburn sequences, the partition parity table and the
+q-Pochhammer products are reduced to a digest (or the exact value as a
+string) and compared against figures recorded from the hand-written loops
+that the term-ratio evaluator replaced.  A refusal is pinned as "refused",
+so the certificates are pinned as well.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from math import inf
 
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError
 from fishburn.identities import (TERMINATING_EXPRS, evaluate_terminating,
                                  proposition_lhs, proposition_rhs)
-from fishburn.qseries import FAMILY_IDS, expand_family
+from fishburn.qseries import (FAMILY_IDS, expand_family, fishburn_numbers,
+                              partition_parity_table, q_pochhammer,
+                              row_fishburn_numbers)
+from fishburn.rings import ZZ
 from fishburn.roots import ROOT_EXPRS, RootContext, expand_at_root, expand_q_only
 from fishburn.serialize import series_to_payload
+from fishburn.series import TruncatedSeries
 
 FAMILY_ORDER = 10
 GAMMA_R_POINTS = ((Fraction(2, 3), Fraction(-3, 5)), (Fraction(-4, 3), Fraction(1, 2)),
@@ -30,11 +36,35 @@ RATIONAL_POINTS = ((2, Fraction(1, 2)), (4, Fraction(1, 2)), (8, Fraction(1, 2))
                    (9, Fraction(1, 3)), (Fraction(81, 16), Fraction(2, 3)),
                    (1, Fraction(5, 7)), (-1, -1), (1, -1), (1, 1), (3, Fraction(1, 2)))
 CYCLOTOMIC_POINTS = ((4, 2, 1), (3, 1, 1), (6, 2, 2), (6, 3, 3), (12, 4, 2), (4, 1, 2))
+SEQUENCE_ORDERS = (0, 1, 20, 120)
+POCHHAMMER_ORDER = 12
+
+
+def _hash(value):
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def digest(series):
-    text = json.dumps(series_to_payload(series), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _hash(series_to_payload(series))
+
+
+def _pochhammers():
+    """The q-Pochhammer products the qseries tests use: (a; q)_n for
+    (a, q) = (1-y, 1-x) and (1-x, 1-x), and (w; w)_n for finite and
+    infinite n."""
+    one = TruncatedSeries.constant(ZZ, 2, POCHHAMMER_ORDER, 1)
+    u = one - TruncatedSeries.variable(ZZ, 2, POCHHAMMER_ORDER, 0)
+    w = one - TruncatedSeries.variable(ZZ, 2, POCHHAMMER_ORDER, 1)
+    out = {}
+    for n in range(POCHHAMMER_ORDER + 2):
+        out[f"(1-y; 1-x)_{n}"] = q_pochhammer(w, u, n)
+        out[f"(1-x; 1-x)_{n}"] = q_pochhammer(u, u, n)
+    for order in (15, 30):
+        wv = TruncatedSeries.variable(ZZ, 1, order, 0, ("w",))
+        out[f"(w; w)_inf@{order}"] = q_pochhammer(wv, wv, inf)
+        out[f"(w; w)_{order // 2}@{order}"] = q_pochhammer(wv, wv, order // 2)
+    return out
 
 
 def _attempt(fn, *args):
@@ -77,6 +107,13 @@ def observed():
         for expr in TERMINATING_EXPRS:
             value = _attempt(evaluate_terminating, expr, field.zeta(a), field.zeta(b))
             out[f"{expr} at p=zeta_{k}^{a} q=zeta_{k}^{b}"] = str(value)
+    for n in SEQUENCE_ORDERS:
+        out[f"fishburn_numbers({n})"] = _hash(fishburn_numbers(n))
+        out[f"row_fishburn_numbers({n})"] = _hash(row_fishburn_numbers(n))
+    entries = partition_parity_table(12, 60).entries
+    out["partition_parity_table(12, 60)"] = _hash(sorted(entries.items()))
+    for name, series in _pochhammers().items():
+        out[f"q_pochhammer {name}"] = digest(series)
     return out
 
 
@@ -213,6 +250,10 @@ EXPECTED = {
     "expand comp2-right at k=4 a=2 b=1": "d006b4c5c47c8698",
     "expand comp2-right at k=6 a=1 b=3": "refused",
     "expand comp2-right at k=6 a=2 b=2": "56a47f9347574dc6",
+    "fishburn_numbers(0)": "080a9ed428559ef6",
+    "fishburn_numbers(1)": "e718fe8edf8a7c29",
+    "fishburn_numbers(120)": "0126d0080c2d04ab",
+    "fishburn_numbers(20)": "23a7fc0331f65e7e",
     "gamma1-lhs gamma=-4/3 r=1/2": "23aa4df80b2d74d7",
     "gamma1-lhs gamma=0 r=-1": "d34a8d625a201bd6",
     "gamma1-lhs gamma=2/3 r=-3/5": "28557faa483ec26c",
@@ -225,6 +266,7 @@ EXPECTED = {
     "gamma2-rhs gamma=-4/3": "010dbf0f91d6e735",
     "gamma2-rhs gamma=0": "d34a8d625a201bd6",
     "gamma2-rhs gamma=2/3": "738adae756935b4c",
+    "partition_parity_table(12, 60)": "b52a84e7ded5a28f",
     "pentagonal-product": "3f499973e357807a",
     "pentagonal-sum": "43747891eece9ba9",
     "pentagonal-theta": "3f499973e357807a",
@@ -250,6 +292,42 @@ EXPECTED = {
     "q-only right at k=4 b=2": "195a35e1c182ea81",
     "q-only right at k=6 b=2": "8c2ba90d376dfd4a",
     "q-only right at k=6 b=3": "618666b3e3dc217b",
+    "q_pochhammer (1-x; 1-x)_0": "3996c8f4f48ab654",
+    "q_pochhammer (1-x; 1-x)_1": "593bcf940ce8d95c",
+    "q_pochhammer (1-x; 1-x)_10": "34115ac17f0a681b",
+    "q_pochhammer (1-x; 1-x)_11": "4791710e962b65fe",
+    "q_pochhammer (1-x; 1-x)_12": "3621ff6c747613da",
+    "q_pochhammer (1-x; 1-x)_13": "489ae8951a47a9d7",
+    "q_pochhammer (1-x; 1-x)_2": "695831daba7f538b",
+    "q_pochhammer (1-x; 1-x)_3": "ff126002f6b698c6",
+    "q_pochhammer (1-x; 1-x)_4": "ae99f9cb33cf7e39",
+    "q_pochhammer (1-x; 1-x)_5": "9b632f081dad548f",
+    "q_pochhammer (1-x; 1-x)_6": "0e703bfe38abbede",
+    "q_pochhammer (1-x; 1-x)_7": "97b96f6c721270fd",
+    "q_pochhammer (1-x; 1-x)_8": "1257794fa9ef7cc7",
+    "q_pochhammer (1-x; 1-x)_9": "87a4837ff007d1df",
+    "q_pochhammer (1-y; 1-x)_0": "3996c8f4f48ab654",
+    "q_pochhammer (1-y; 1-x)_1": "42959ddaebc792f3",
+    "q_pochhammer (1-y; 1-x)_10": "32e59b6c8fc23f44",
+    "q_pochhammer (1-y; 1-x)_11": "cffde08e4c38c00e",
+    "q_pochhammer (1-y; 1-x)_12": "e37009d9de77aa04",
+    "q_pochhammer (1-y; 1-x)_13": "489ae8951a47a9d7",
+    "q_pochhammer (1-y; 1-x)_2": "449d9ee607c20f38",
+    "q_pochhammer (1-y; 1-x)_3": "b3f98d3cb703325b",
+    "q_pochhammer (1-y; 1-x)_4": "fc45643f411cae3c",
+    "q_pochhammer (1-y; 1-x)_5": "86e814172bdaceab",
+    "q_pochhammer (1-y; 1-x)_6": "89ce9a112a4ddfc4",
+    "q_pochhammer (1-y; 1-x)_7": "aeebde57e539ddf3",
+    "q_pochhammer (1-y; 1-x)_8": "a573ad529e069f78",
+    "q_pochhammer (1-y; 1-x)_9": "0cbd3aca81ca31e7",
+    "q_pochhammer (w; w)_15@30": "8eb60b1f4abe7b67",
+    "q_pochhammer (w; w)_7@15": "38cfce94e79fa08d",
+    "q_pochhammer (w; w)_inf@15": "335193733ba89323",
+    "q_pochhammer (w; w)_inf@30": "bbbe61d970828932",
+    "row_fishburn_numbers(0)": "080a9ed428559ef6",
+    "row_fishburn_numbers(1)": "e718fe8edf8a7c29",
+    "row_fishburn_numbers(120)": "6648e5d8f06b59e6",
+    "row_fishburn_numbers(20)": "bf003b6725f0b76c",
 }
 
 
