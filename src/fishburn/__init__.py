@@ -17,47 +17,56 @@ Layers:
 - `roots`: expansions around roots of unity over Q(zeta_k) and the
   conjecture explorer.
 - `cli` / `oeis` / `cache`: command-line surface, b-file cross-checks,
-  content-addressed result cache.
+  content-addressed result cache; `names` holds the plain name tuples the
+  CLI offers as choices.
+
+The package imports lazily: ``import fishburn`` loads no submodule, and
+``fishburn.X`` imports the one submodule that defines X on first use.  The
+CLI likewise imports, per command, only what that command runs.  mpmath is
+loaded only by the numeric checks (`hypergeom`), `asymptotics` and the
+complex embedding of Q(zeta_k); the exact layers never import it.
 """
 
-from .asymptotics import alpha_constant, beta_constant, trend
-from .cyclotomic import CyclotomicElement, CyclotomicField, cyclotomic_polynomial, get_field
-from .enumeration import (CountTable, FishburnMatrix, SelfDualMatrix,
-                          distinct_partition_parity, fishburn_matrices,
-                          refined_counts, row_fishburn_matrices,
-                          self_dual_matrices, verify_facts)
-from .hypergeom import (NumericEvalParams, generalized_rf_check,
-                        rogers_fine_check, watson_exact, watson_limit_check)
-from .identities import (VerificationReport, evaluate_terminating, registry,
-                         verify, verify_coefficient_oracle,
-                         verify_proposition, verify_terminating)
-from .posets import (Poset, ascent_sequences, count_ascent_sequences,
-                     interval_orders, unlabeled_posets)
-from .qseries import (PartitionParityTable, expand_family, fishburn_numbers,
-                      partition_parity_table, q_pochhammer,
-                      row_fishburn_numbers, univariate_fishburn_series)
-from .rings import QQ, ZZ, CyclotomicRing, cyclotomic_ring
-from .roots import (ConjectureReport, RootContext, conjecture_explore,
-                    expand_at_root, root_terminating_check)
-from .series import MatchReport, TruncatedSeries
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountTable", "ConjectureReport", "CyclotomicElement",
-    "CyclotomicField", "CyclotomicRing", "FishburnMatrix", "MatchReport",
-    "NumericEvalParams", "PartitionParityTable", "Poset", "QQ",
-    "RootContext", "SelfDualMatrix", "TruncatedSeries", "VerificationReport",
-    "ZZ", "alpha_constant", "ascent_sequences", "beta_constant",
-    "conjecture_explore", "count_ascent_sequences", "cyclotomic_polynomial",
-    "cyclotomic_ring", "distinct_partition_parity", "evaluate_terminating",
-    "expand_at_root", "expand_family", "fishburn_matrices",
-    "fishburn_numbers", "generalized_rf_check", "get_field",
-    "interval_orders", "partition_parity_table", "q_pochhammer",
-    "refined_counts", "registry", "rogers_fine_check",
-    "root_terminating_check", "row_fishburn_matrices", "row_fishburn_numbers",
-    "self_dual_matrices", "trend", "univariate_fishburn_series",
-    "unlabeled_posets", "verify", "verify_coefficient_oracle",
-    "verify_facts", "verify_proposition", "verify_terminating",
-    "watson_exact", "watson_limit_check",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "asymptotics": ("alpha_constant", "beta_constant", "trend"),
+    "cyclotomic": ("CyclotomicElement", "CyclotomicField", "cyclotomic_polynomial",
+                   "get_field"),
+    "enumeration": ("CountTable", "FishburnMatrix", "SelfDualMatrix",
+                    "distinct_partition_parity", "fishburn_matrices", "refined_counts",
+                    "row_fishburn_matrices", "self_dual_matrices", "verify_facts"),
+    "hypergeom": ("NumericEvalParams", "generalized_rf_check", "rogers_fine_check",
+                  "watson_exact", "watson_limit_check"),
+    "identities": ("VerificationReport", "evaluate_terminating", "registry", "verify",
+                   "verify_coefficient_oracle", "verify_proposition",
+                   "verify_terminating"),
+    "posets": ("Poset", "ascent_sequences", "count_ascent_sequences", "interval_orders",
+               "unlabeled_posets"),
+    "qseries": ("PartitionParityTable", "expand_family", "fishburn_numbers",
+                "partition_parity_table", "q_pochhammer", "row_fishburn_numbers",
+                "univariate_fishburn_series"),
+    "rings": ("QQ", "ZZ", "CyclotomicRing", "cyclotomic_ring"),
+    "roots": ("ConjectureReport", "RootContext", "conjecture_explore", "expand_at_root",
+              "root_terminating_check"),
+    "series": ("MatchReport", "TruncatedSeries"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Looked up on every access and never stored here, so a later rebinding
+    # of the submodule's name (a monkeypatch, a tracer) is what callers see.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,10 @@ Exit codes: 0 on verified/success, 1 when a check ran but found a mismatch,
 exact values cross the boundary as strings ("num/den" rationals, coordinate
 vectors for cyclotomic elements); JSON output never contains floats for
 exact rings.
+
+Each `fishburn` call is a fresh interpreter, so at the top the module imports
+only the standard library, the error types and the name tuples of `names`;
+every `cmd_*` imports the layers it runs inside its body.
 """
 
 from __future__ import annotations
@@ -14,15 +18,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import asymptotics, hypergeom, identities, oeis, roots
-from .cache import SeriesCache, default_cache_dir
-from .cyclotomic import get_field
-from .enumeration import (fishburn_matrices, refined_counts,
-                          row_fishburn_matrices, self_dual_matrices)
 from .errors import FishburnError, ParameterError
-from .posets import ascent_sequences, count_ascent_sequences, interval_orders
-from .qseries import FAMILY_IDS, expand_family, family_ring
-from .serialize import series_to_payload
+from .names import (FAMILY_IDS, NUMERIC_IDS, OEIS_SEQUENCES, ROOT_CHECK_FAMILIES,
+                    ROOT_EXPRS, TERMINATING_EXPRS, TREND_SEQUENCES)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,6 +50,10 @@ def _report_exit(reports) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .cache import SeriesCache, default_cache_dir
+    from .qseries import expand_family, family_ring
+    from .serialize import series_to_payload
+
     params = {}
     if args.gamma is not None:
         params["gamma"] = args.gamma
@@ -84,6 +86,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import (fishburn_matrices, refined_counts,
+                              row_fishburn_matrices, self_dual_matrices)
+    from .posets import ascent_sequences, count_ascent_sequences, interval_orders
+
     fam, size = args.family, args.size
     if fam in ("fishburn", "rowFishburn", "selfDual"):
         table = refined_counts(fam, size)
@@ -127,6 +133,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     kwargs = {}
     if args.gamma is not None:
         kwargs["gamma"] = args.gamma
@@ -145,6 +153,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_terminating(args) -> int:
+    from . import identities
+
     if args.expr in ("comp1", "comp2"):
         rep = identities.verify_terminating(args.expr, args.p, args.q)
         payload = rep.to_json_dict()
@@ -165,11 +175,19 @@ def cmd_terminating(args) -> int:
     return EXIT_OK
 
 
-_NUMERIC_IDS = hypergeom.NUMERIC_IDENTITIES
+def __getattr__(name):
+    # `_NUMERIC_IDS` is the hypergeom table itself, resolved on access so that
+    # importing the CLI loads neither hypergeom nor mpmath
+    if name == "_NUMERIC_IDS":
+        from .hypergeom import NUMERIC_IDENTITIES
+        return NUMERIC_IDENTITIES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cmd_numeric(args) -> int:
-    _ident, sampler, checker, _names = _NUMERIC_IDS[args.id]
+    from . import hypergeom
+
+    _ident, sampler, checker, _names = hypergeom.NUMERIC_IDENTITIES[args.id]
     if args.param:
         values = {}
         for spec in args.param:
@@ -201,6 +219,8 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_watson(args) -> int:
+    from . import hypergeom
+
     rep = hypergeom.watson_exact(args.n, args.a, args.b, args.c, args.e,
                                  args.q, d=args.d)
     payload = rep.to_json_dict()
@@ -212,8 +232,11 @@ def cmd_watson(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    rows = asymptotics.trend(args.which, args.n_max)
     import mpmath as mp
+
+    from . import asymptotics
+
+    rows = asymptotics.trend(args.which, args.n_max)
     payload = {"which": args.which,
                "rows": [{"n": r.n, "ratio": mp.nstr(r.ratio, 12),
                          "deviation": mp.nstr(r.deviation, 8)} for r in rows]}
@@ -229,6 +252,10 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from . import roots
+    from .cyclotomic import get_field
+    from .serialize import series_to_payload
+
     if args.action == "explore":
         ctx = roots.RootContext(args.k, args.a, args.b, args.order)
         rep = roots.conjecture_explore(ctx)
@@ -274,6 +301,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    from . import oeis
+
     path = args.bfile
     if args.fetch:
         import os
@@ -296,6 +325,10 @@ def cmd_oeis_check(args) -> int:
 
 
 def cmd_pentagonal(args) -> int:
+    from . import identities
+    from .qseries import expand_family
+    from .serialize import series_to_payload
+
     rep = identities.registry()["pentagonal-3way"].runner(order=args.order)
     series = expand_family("pentagonal-product", args.order)
     payload = {"report": rep.to_json_dict(),
@@ -352,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("terminating", help="exact terminating sums at (p, q)")
     p.add_argument("--expr", required=True,
-                   choices=("comp1", "comp2") + identities.TERMINATING_EXPRS)
+                   choices=("comp1", "comp2") + TERMINATING_EXPRS)
     p.add_argument("--p", type=_rational, required=True)
     p.add_argument("--q", type=_rational, required=True)
     add_format(p)
     p.set_defaults(fn=cmd_terminating)
 
     p = sub.add_parser("numeric", help="high-precision numeric identity checks")
-    p.add_argument("--id", required=True, choices=sorted(_NUMERIC_IDS))
+    p.add_argument("--id", required=True, choices=NUMERIC_IDS)
     p.add_argument("--param", action="append",
                    help="name=value (complex); repeat per parameter")
     p.add_argument("--digits", type=int, default=60)
@@ -381,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_watson)
 
     p = sub.add_parser("asymptotics", help="main-term ratio tables")
-    p.add_argument("--which", required=True, choices=tuple(asymptotics.MAIN_TERMS))
+    p.add_argument("--which", required=True, choices=TREND_SEQUENCES)
     p.add_argument("--n-max", type=int, default=100)
     add_format(p)
     p.set_defaults(fn=cmd_asymptotics)
@@ -392,16 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=0, help="p0 = zeta_k^a")
     p.add_argument("--b", type=int, default=0, help="q0 = zeta_k^b")
     p.add_argument("--order", type=int, default=6)
-    p.add_argument("--expr", default="comp1-left", choices=roots.ROOT_EXPRS)
+    p.add_argument("--expr", default="comp1-left", choices=ROOT_EXPRS)
     p.add_argument("--family", default="comp2-three-way",
-                   choices=roots.ROOT_CHECK_FAMILIES)
+                   choices=ROOT_CHECK_FAMILIES)
     p.add_argument("--p-exp", type=int, default=0, help="p = zeta_k^THIS (check)")
     p.add_argument("--q-exp", type=int, default=0, help="q = zeta_k^THIS (check)")
     add_format(p)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("oeis-check", help="cross-check a sequence b-file")
-    p.add_argument("--seq", required=True, choices=sorted(oeis.SEQUENCES))
+    p.add_argument("--seq", required=True, choices=OEIS_SEQUENCES)
     p.add_argument("--bfile", required=True)
     p.add_argument("--max-n", type=int, default=64,
                    help="compare indices up to this (default 64; values are "

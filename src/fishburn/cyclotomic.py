@@ -23,10 +23,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
 from operator import add, neg, sub
-
-import mpmath as mp
 
 from .errors import NonInvertibleError
 
@@ -84,10 +81,6 @@ def cyclotomic_polynomial(k: int) -> tuple:
                 raise AssertionError(f"Phi_{d} does not divide x^{k}-1")
             poly = q
     return tuple(int(c) for c in poly)
-
-
-def euler_phi(k: int) -> int:
-    return sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
 
 
 class CyclotomicField:
@@ -175,6 +168,8 @@ class CyclotomicField:
 
     def embed(self, a, dps: int = 60):
         """Numerical image of a under zeta_k -> exp(2*pi*i/k)."""
+        import mpmath as mp  # the exact arithmetic never needs it
+
         with mp.workdps(dps):
             zeta = mp.e ** (2j * mp.pi / self.k)
             acc = mp.mpc(0)

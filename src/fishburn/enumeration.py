@@ -412,12 +412,6 @@ def verify_facts(m_max: int) -> FactsReport:
     return FactsReport(m_max, checked, failures)
 
 
-def self_dual_count_by_full_size(n: int) -> int:
-    """Self-dual Fishburn matrices of full (non-reduced) size n, found by
-    filtering the plain enumeration; independent of self_dual_matrices."""
-    return sum(1 for m in fishburn_matrices(n) if m.is_self_dual())
-
-
 def distinct_partition_parity(largest: int, weight: int) -> int:
     """(#odd - #even) part counts over partitions of `weight` into distinct
     parts with largest part exactly `largest`, by literal enumeration."""

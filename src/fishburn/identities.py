@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 from .cyclotomic import CyclotomicElement
-from .enumeration import refined_counts
 from .errors import CertificateError, ParameterError, UnknownFamilyError
+from .names import TERMINATING_EXPRS
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
                       gamma1_lhs, gamma1_rhs, partial_sum, truncated_sum,
                       xy_point)
@@ -177,6 +177,8 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
 def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
     """Check series coefficients of x^{m-l} y^l against brute-force matrix
     counts: F1 against Fishburn tables, G1 against row-Fishburn tables."""
+    from .enumeration import refined_counts  # loaded only when an oracle runs
+
     if family not in ("F1", "G1"):
         raise UnknownFamilyError("coefficient oracle covers F1 and G1")
     if m_max > COEFFICIENT_ORACLE_CAP:
@@ -276,10 +278,6 @@ def _term_count(expr: str, j0: int) -> int:
     """Number of nonzero terms of a terminating sum with certificate j0:
     comp2-right runs in base q^2, so its factor p*q^(2n) hits 1 at n = j0/2."""
     return j0 // 2 + 1 if expr == "comp2-right" else j0 + 1
-
-
-TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",
-                     "comp2-right")
 
 
 def evaluate_terminating(expr: str, p, q):

@@ -1,0 +1,34 @@
+"""The names the command line offers as argument choices.
+
+Plain tuples that import nothing, so that building the CLI parser loads no
+computing module.  `TERMINATING_EXPRS` and `ROOT_EXPRS` are owned here and
+imported by `identities` and `roots`.  Every other tuple lists, in the order
+the CLI shows them, the keys of a table that lives with its code (`qseries`
+also reads `FAMILY_IDS` for its error message); `tests/test_cli.py` checks
+that each still equals its table.
+"""
+
+# sorted keys of qseries._FAMILIES
+FAMILY_IDS = ("F1", "F2", "F3", "F3-KR-first-form", "G1", "G2", "G3",
+              "gamma1-lhs", "gamma1-rhs", "gamma2-lhs", "gamma2-rhs",
+              "pentagonal-product", "pentagonal-sum", "pentagonal-theta")
+
+# the terminating sums identities.evaluate_terminating evaluates
+TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",
+                     "comp2-right")
+
+# sorted keys of hypergeom.NUMERIC_IDENTITIES
+NUMERIC_IDS = ("grf", "grf-degeneration", "rf", "watson-limit")
+
+# keys of asymptotics.MAIN_TERMS
+TREND_SEQUENCES = ("fishburn", "rowFishburn")
+
+# the sums roots.expand_at_root expands
+ROOT_EXPRS = ("comp1-left", "comp1-right", "comp2-first", "comp2-mid",
+              "comp2-right")
+
+# keys of roots.ROOT_CHECK_FAMILIES
+ROOT_CHECK_FAMILIES = ("comp1-left-vs-mid", "comp2-three-way")
+
+# sorted keys of oeis.SEQUENCES
+OEIS_SEQUENCES = ("A022493", "A158691")

@@ -26,6 +26,7 @@ from math import inf
 from typing import NamedTuple
 
 from .errors import ParameterError, UnknownFamilyError
+from .names import FAMILY_IDS
 from .rings import QQ, ZZ
 from .series import TruncatedSeries
 
@@ -306,8 +307,6 @@ _FAMILIES = {
     "gamma2-lhs": (QQ, ("gamma",), _summed(gamma2_lhs)),
     "gamma2-rhs": (QQ, ("gamma",), _summed(gamma2_rhs)),
 }
-
-FAMILY_IDS = tuple(sorted(_FAMILIES))
 
 
 def _family(family):

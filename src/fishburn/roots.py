@@ -21,20 +21,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import mpmath as mp
-
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import (VerificationReport, _term_count, _terminating_exponent,
                          _terminating_values, _timed)
+from .names import ROOT_EXPRS
 from .qseries import COMPACT_SUMS, Point, partial_sum, truncated_sum
 from .rings import cyclotomic_ring
 from .series import TruncatedSeries
 
 CONDUCTOR_CAP = 12
-
-ROOT_EXPRS = ("comp1-left", "comp1-right", "comp2-first", "comp2-mid",
-              "comp2-right")
 
 UV_NAMES = ("u", "v")
 PFORMAL_NAMES = ("p", "v")
@@ -189,13 +185,15 @@ def _agreement_report(ident, left, right, order, point, t0):
 # check family -> the terminating family whose expressions it compares
 ROOT_CHECK_FAMILIES = {"comp1-left-vs-mid": "comp1", "comp2-three-way": "comp2"}
 
-EMBED_TOL = mp.mpf("1e-40")
+EMBED_TOL = "1e-40"  # read by mpmath, which only the embedding check loads
 
 
 def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicElement,
                            dps: int = 60) -> VerificationReport:
     """Exact equality of the terminating sums over Q(zeta), plus a 60-digit
     complex re-check of every value through the embedding."""
+    import mpmath as mp
+
     t0 = time.perf_counter()
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
@@ -217,7 +215,7 @@ def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicEleme
             numeric = partial_sum(COMPACT_SUMS[e](point), _term_count(e, j0))
             worst = max(worst, abs(numeric - val.embed(dps)))
         rep.detail["embedding_diff"] = mp.nstr(worst, 8)
-        if worst > EMBED_TOL and rep.ok:
+        if worst > mp.mpf(EMBED_TOL) and rep.ok:
             rep.outcome = "mismatch"
             rep.witness = {"index": "embedding", "left": repr(values[0][1]),
                            "right": mp.nstr(worst, 8)}

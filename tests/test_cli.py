@@ -1,11 +1,19 @@
-"""Command-line surface: exit codes, JSON schemas, golden outputs."""
+"""Command-line surface: exit codes, JSON schemas, golden outputs, and the
+lazy imports that keep each command's start-up small."""
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fishburn
+from fishburn import names
 from fishburn.cli import main
 from fishburn.qseries import fishburn_numbers, row_fishburn_numbers
 
@@ -304,3 +312,83 @@ def test_usage_error_without_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# lazy imports
+
+# what neither the package nor the CLI may load before a command needs it
+COMPUTING_MODULES = ("mpmath", "fishburn.enumeration", "fishburn.posets",
+                     "fishburn.hypergeom", "fishburn.roots", "fishburn.asymptotics",
+                     "fishburn.oeis", "fishburn.identities")
+
+
+def computing_modules_after(code):
+    """The COMPUTING_MODULES that a fresh interpreter has loaded once `code`
+    has run."""
+    src = str(Path(fishburn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("FISHBURN_CACHE_DIR", None)
+    script = (f"{code}\nimport sys\n"
+              f"print(' '.join(m for m in {COMPUTING_MODULES!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("code", ["import fishburn", "import fishburn.cli",
+                                  "import fishburn.cli; fishburn.cli.build_parser()"])
+def test_import_loads_no_computing_module(code):
+    assert computing_modules_after(code) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["expand", "--family", "F2", "--order", "6", "--no-cache"], []),
+    (["terminating", "--expr", "comp2", "--p", "4", "--q", "1/2"],
+     ["fishburn.identities"]),
+    (["roots", "expand", "--k", "3", "--a", "1", "--b", "1", "--order", "3"],
+     ["fishburn.roots", "fishburn.identities"]),
+])
+def test_exact_commands_load_only_their_layers(argv, loaded):
+    code = f"from fishburn.cli import main\nmain({argv!r})"
+    assert computing_modules_after(code) == loaded
+
+
+@pytest.mark.parametrize("name", fishburn.__all__)
+def test_package_name_is_the_submodule_binding(name, monkeypatch):
+    module = importlib.import_module(f"fishburn.{fishburn._SOURCE[name]}")
+    assert name in vars(module)
+    assert getattr(fishburn, name) is getattr(module, name)
+    # nothing is cached in the package: a rebinding in the submodule shows
+    stand_in = object()
+    monkeypatch.setattr(module, name, stand_in)
+    assert getattr(fishburn, name) is stand_in
+    assert name not in vars(fishburn)
+
+
+def test_package_star_import_dir_and_unknown_names():
+    namespace = {}
+    exec("from fishburn import *", namespace)
+    assert set(fishburn.__all__) <= set(namespace)
+    assert set(fishburn.__all__) <= set(dir(fishburn))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fishburn.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fishburn import no_such_name", {})
+
+
+# names tuple -> (module, the keys of the table there that it lists)
+NAME_TABLES = {
+    "FAMILY_IDS": ("qseries", lambda m: sorted(m._FAMILIES)),
+    "NUMERIC_IDS": ("hypergeom", lambda m: sorted(m.NUMERIC_IDENTITIES)),
+    "TREND_SEQUENCES": ("asymptotics", lambda m: list(m.MAIN_TERMS)),
+    "ROOT_CHECK_FAMILIES": ("roots", lambda m: list(m.ROOT_CHECK_FAMILIES)),
+    "OEIS_SEQUENCES": ("oeis", lambda m: sorted(m.SEQUENCES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAME_TABLES))
+def test_choice_names_match_their_tables(name):
+    module, keys = NAME_TABLES[name]
+    assert getattr(names, name) == tuple(keys(importlib.import_module(f"fishburn.{module}")))

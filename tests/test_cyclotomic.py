@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishburn.cyclotomic import cyclotomic_polynomial, euler_phi, get_field
+from count_helpers import euler_phi
+from fishburn.cyclotomic import cyclotomic_polynomial, get_field
 from fishburn.errors import NonInvertibleError
 from fishburn.rings import cyclotomic_ring
 

@@ -6,12 +6,12 @@ import random
 
 import pytest
 
+from count_helpers import self_dual_count_by_full_size
 from fishburn.enumeration import (FishburnMatrix, _layouts, _walk,
                                   distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
-                                  row_fishburn_matrices,
-                                  self_dual_count_by_full_size,
-                                  self_dual_matrices, verify_facts)
+                                  row_fishburn_matrices, self_dual_matrices,
+                                  verify_facts)
 from fishburn.errors import ParameterError
 from fishburn.identities import verify_coefficient_oracle
 from fishburn.qseries import expand_family

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fishburn.enumeration import refined_counts, self_dual_count_by_full_size
+from count_helpers import self_dual_count_by_full_size
+from fishburn.enumeration import refined_counts
 from fishburn.errors import BoundExceededError, ParameterError
 from fishburn.posets import (Poset, _naturally_labeled_orders, ascent_sequences,
                              count_ascent_sequences, interval_orders,
