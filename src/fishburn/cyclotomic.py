@@ -15,6 +15,14 @@ high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
 first; powers of zeta are reduced the same way.  Conductors stay small here
 (the default cap is 12, where phi(12) = 4).
 
+A series product over Q(zeta_k) does not multiply elements: rings.py packs
+each coordinate vector into one int (slots wide enough that no coordinate
+of a sum of products overflows), the series kernel multiplies and adds the
+packed ints, and each kept sum of unreduced products of 2 phi(k) - 1
+coordinates is folded by `CyclotomicField._reduce` once.  A sum that is
+nonzero before folding can be zero after it (1 + zeta_3 + zeta_3^2), so the
+series drops zero coefficients only after the fold.
+
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
 """

@@ -20,7 +20,7 @@ from itertools import product
 
 from .cyclotomic import CyclotomicElement
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .names import TERMINATING_EXPRS
+from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
                       gamma1_lhs, gamma1_rhs, partial_sum, truncated_sum,
                       xy_point)
@@ -416,6 +416,15 @@ def _terminating_suite_runner(family):
     return run
 
 
+def _hypergeom_runner(make):
+    """A runner that imports hypergeom, and with it mpmath, only when it
+    runs; `make(hypergeom)` gives the runner it calls."""
+    def run(order=None, **kwargs):
+        from . import hypergeom
+        return make(hypergeom)(order=order, **kwargs)
+    return run
+
+
 def _build_registry():
     reg = {}
 
@@ -461,15 +470,12 @@ def _build_registry():
         "three-way second compact identity at terminating points",
         _terminating_suite_runner("comp2"))
 
-    # numeric entries are registered lazily to keep import costs flat
-    from . import hypergeom
-
-    for alias, (ident, *_rest) in hypergeom.NUMERIC_IDENTITIES.items():
+    for alias, ident in NUMERIC_REGISTRY_IDS.items():
         add(ident, "numeric", f"{ident} at sampled parameters",
-            hypergeom.sampled_runner(alias))
+            _hypergeom_runner(lambda hypergeom, alias=alias: hypergeom.sampled_runner(alias)))
     add("watson-exact", "terminating-exact",
         "terminating Watson identity at exact rational parameters",
-        hypergeom.registry_watson_exact_runner)
+        _hypergeom_runner(lambda hypergeom: hypergeom.registry_watson_exact_runner))
     return reg
 
 

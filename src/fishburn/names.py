@@ -1,11 +1,13 @@
 """The names the command line offers as argument choices.
 
-Plain tuples that import nothing, so that building the CLI parser loads no
-computing module.  `TERMINATING_EXPRS` and `ROOT_EXPRS` are owned here and
-imported by `identities` and `roots`.  Every other tuple lists, in the order
-the CLI shows them, the keys of a table that lives with its code (`qseries`
-also reads `FAMILY_IDS` for its error message); `tests/test_cli.py` checks
-that each still equals its table.
+Plain tuples (and one plain dict) that import nothing, so that building
+the CLI parser loads no computing module.  `TERMINATING_EXPRS` and
+`ROOT_EXPRS` are owned here and imported by `identities` and `roots`.  Every
+other tuple lists, in the order the CLI shows them, the keys of a table that
+lives with its code (`qseries` also reads `FAMILY_IDS` for its error
+message), and `NUMERIC_REGISTRY_IDS` is the alias -> id view of the numeric
+table that `identities` registers; `tests/test_cli.py` checks that each
+still equals its table.
 """
 
 # sorted keys of qseries._FAMILIES
@@ -17,8 +19,15 @@ FAMILY_IDS = ("F1", "F2", "F3", "F3-KR-first-form", "G1", "G2", "G3",
 TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",
                      "comp2-right")
 
+# CLI alias -> registry id of each entry of hypergeom.NUMERIC_IDENTITIES, in
+# its order; the registry lists the numeric identities from this table, so
+# that building it imports neither hypergeom nor mpmath
+NUMERIC_REGISTRY_IDS = {"rf": "rogers-fine", "grf": "generalized-rf",
+                        "watson-limit": "watson-limit",
+                        "grf-degeneration": "grf-degeneration"}
+
 # sorted keys of hypergeom.NUMERIC_IDENTITIES
-NUMERIC_IDS = ("grf", "grf-degeneration", "rf", "watson-limit")
+NUMERIC_IDS = tuple(sorted(NUMERIC_REGISTRY_IDS))
 
 # keys of asymptotics.MAIN_TERMS
 TREND_SEQUENCES = ("fishburn", "rowFishburn")

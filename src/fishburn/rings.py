@@ -12,23 +12,58 @@ plain int coordinates while they lie in Z[zeta_k], so those expansions run in
 integer arithmetic; a Fraction coordinate appears only after a non-unit
 inversion.
 
-A ring also decides how its coefficients enter the series product kernel:
-`to_kernel` turns a list of coefficients into kernel values and their
-common scale, and `from_kernel` turns kernel values (sums of products of
-two operands' values) back into coefficients, given the product of the two
-scales.  Kernel values are falsy exactly when they are zero.  Integers and
-cyclotomic elements pass through at scale 1; rationals enter as int
-numerators over the lcm of their denominators, so the kernel multiplies
-ints only.
+A ring also decides how its coefficients enter the series product kernel,
+which multiplies and adds ints only.  `to_kernel(a, b)` takes the
+coefficient lists of both operands and returns their kernel values and a
+state; `from_kernel(values, state)` turns kernel values (sums of products of
+one value of each operand) back into coefficients.  A zero kernel value is
+a zero coefficient, but a nonzero one may turn into zero, so the series
+drops coefficients after `from_kernel`.
+
+- Integers pass through.
+- Rationals enter as int numerators over the lcm of each operand's
+  denominators; the state is the product of the two lcms.
+- A cyclotomic operand is brought onto the lcm of its coordinate
+  denominators, and its int coordinate vector (c_0..c_{phi-1}) is packed
+  into the one int sum_i c_i 2^(B i) (a Kronecker substitution).  The
+  product of two packed values is then the packed, unreduced product
+  polynomial of 2 phi - 1 coordinates, and sums of such products stay
+  packed.  The slot width B is chosen from both operands so that no
+  coordinate of a kernel value can overflow its slot: a coordinate is a sum
+  of at most phi products per term pair and of at most min(#a, #b) term
+  pairs, so |coordinate| <= phi max|a| max|b| min(#a, #b) < 2^(B-1).
+  `from_kernel` unpacks each value into its signed coordinates, folds them
+  by Phi_k once, and divides by the product of the two lcms.  So the
+  folding runs once per kept coefficient rather than once per term pair,
+  and a value such as 1 + zeta_3 + zeta_3^2 is nonzero until it is folded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import NonInvertibleError
+
+
+def _over_lcm(coeffs):
+    """Rational `coeffs` as int numerators over the lcm of their
+    denominators, and that lcm."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(vecs, width):
+    """Each coordinate vector (c_0, c_1, ...) as the int sum_i c_i 2^(width i)."""
+    packed = []
+    for vec in vecs:
+        p = 0
+        for c in reversed(vec):
+            p = (p << width) + c
+        packed.append(p)
+    return packed
 
 
 class IntegerRing:
@@ -58,10 +93,10 @@ class IntegerRing:
             return a
         raise NonInvertibleError(f"{a} is not a unit in ZZ")
 
-    def to_kernel(self, coeffs):
-        return coeffs, 1
+    def to_kernel(self, a, b):
+        return a, b, None
 
-    def from_kernel(self, values, scale):
+    def from_kernel(self, values, state):
         return values
 
     def coeff_to_str(self, a):
@@ -105,13 +140,15 @@ class RationalRing:
             raise NonInvertibleError("0 is not invertible in QQ")
         return Fraction(1) / a
 
-    def to_kernel(self, coeffs):
-        """Int numerators over the lcm of the denominators, and that lcm."""
-        den = lcm(*[c.denominator for c in coeffs])
-        return [c.numerator * (den // c.denominator) for c in coeffs], den
+    def to_kernel(self, a, b):
+        """Each operand as int numerators over the lcm of its denominators;
+        the state is the product of the two lcms."""
+        a, a_den = _over_lcm(a)
+        b, b_den = _over_lcm(b)
+        return a, b, a_den * b_den
 
-    def from_kernel(self, values, scale):
-        return [Fraction(v, scale) for v in values]
+    def from_kernel(self, values, den):
+        return [Fraction(v, den) for v in values]
 
     def coeff_to_str(self, a):
         a = Fraction(a)
@@ -168,11 +205,42 @@ class CyclotomicRing:
             raise NonInvertibleError(f"0 is not invertible in {self.tag}")
         return a.inverse()
 
-    def to_kernel(self, coeffs):
-        return coeffs, 1
+    def to_kernel(self, a, b):
+        """Each operand's coordinate vectors, over the lcm of its coordinate
+        denominators, packed into ints with slots of one width B; the state
+        is (B, the product of the two lcms)."""
+        a, a_den, a_max = self._scaled(a)
+        b, b_den, b_max = self._scaled(b)
+        width = (self.field.degree * a_max * b_max * min(len(a), len(b))).bit_length() + 1
+        return _pack(a, width), _pack(b, width), (width, a_den * b_den)
 
-    def from_kernel(self, values, scale):
-        return values
+    def from_kernel(self, values, state):
+        """Unpack each value into its 2 phi - 1 signed coordinates, fold them
+        by Phi_k and divide by the scale."""
+        width, den = state
+        field = self.field
+        shifts = range(0, (2 * field.degree - 1) * width, width)
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        # adding half to every slot makes each one nonnegative, so no slot
+        # borrows from the next and each reads off with a shift and a mask
+        bias = sum(half << s for s in shifts)
+        out = []
+        for v in values:
+            v += bias
+            coords = field._reduce([((v >> s) & mask) - half for s in shifts])
+            out.append(CyclotomicElement(field, coords) if den == 1 else
+                       field.element([Fraction(c, den) for c in coords]))
+        return out
+
+    def _scaled(self, coeffs):
+        """The coordinate vectors of `coeffs` as ints over the lcm of their
+        denominators, that lcm, and the largest absolute coordinate."""
+        vecs = [c.coeffs for c in coeffs]
+        den = lcm(*[x.denominator for v in vecs for x in v if type(x) is not int])
+        if den != 1:
+            vecs = [[x.numerator * (den // x.denominator) for x in v] for v in vecs]
+        return vecs, den, max(map(abs, chain.from_iterable(vecs)), default=0)
 
     def zeta(self, power=1):
         return self.field.zeta(power)

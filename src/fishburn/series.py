@@ -19,11 +19,17 @@ is one comparison of keys, and sorting an operand's keys sorts it by
 degree; each row of the schoolbook product then reads a prefix of the other
 operand.  Keys are turned back into tuples only for the kept terms.
 
-The ring decides how its coefficients enter the kernel (`to_kernel`,
-`from_kernel` in rings.py): integers and cyclotomic elements pass through,
-while a rational operand enters as int numerators over the lcm of its
-denominators, so the product loop multiplies and adds ints only and each
-kept coefficient becomes one Fraction.
+The ring decides how its coefficients enter the kernel, so the product
+loop multiplies and adds ints only, over every ring (`to_kernel`,
+`from_kernel` in rings.py).  `to_kernel` takes both operands at once:
+integers pass through; a rational operand enters as int numerators over
+the lcm of its denominators, and each kept coefficient becomes one
+Fraction; a Q(zeta_k) coefficient enters as its coordinate vector packed
+into one int, with a slot width chosen from both operands so that no
+coordinate of a sum of products overflows.  Each kept value is unpacked
+and folded by Phi_k once, not once per term pair.  Folding can turn a
+nonzero kernel value into zero, so coefficients are dropped after
+`from_kernel`.
 """
 
 from __future__ import annotations
@@ -196,8 +202,7 @@ class TruncatedSeries:
         pack, unpack, limit = _codec(self.nvars, self.trunc)
         a_keys, a_vals = _packed(self, pack)
         b_keys, b_vals = _packed(other, pack)
-        a_vals, a_scale = ring.to_kernel(a_vals)
-        b_vals, b_scale = ring.to_kernel(b_vals)
+        a_vals, b_vals, state = ring.to_kernel(a_vals, b_vals)
         b = list(zip(b_keys, b_vals))
         acc = {}
         for ka, ca in zip(a_keys, a_vals):
@@ -210,9 +215,11 @@ class TruncatedSeries:
                     acc[k] += ca * cb
                 else:
                     acc[k] = ca * cb
+        # A zero kernel value is a zero coefficient, but a nonzero one may
+        # still turn into zero (a Q(zeta_k) value folded by Phi_k).
         keys = [k for k, c in acc.items() if c]
-        vals = ring.from_kernel([acc[k] for k in keys], a_scale * b_scale)
-        return self._wrap(dict(zip([unpack[k] for k in keys], vals)))
+        vals = ring.from_kernel([acc[k] for k in keys], state)
+        return self._wrap({unpack[k]: c for k, c in zip(keys, vals) if c})
 
     __rmul__ = __mul__
 

@@ -223,6 +223,12 @@ def test_numeric_ids_are_the_hypergeom_table():
     assert cli._NUMERIC_IDS is hypergeom.NUMERIC_IDENTITIES
 
 
+def test_numeric_registry_ids_are_the_hypergeom_table():
+    from fishburn import hypergeom
+    assert list(names.NUMERIC_REGISTRY_IDS.items()) == [
+        (alias, ident) for alias, (ident, *_) in hypergeom.NUMERIC_IDENTITIES.items()]
+
+
 def test_watson_cli(capsys):
     code, out, _ = run(capsys, "watson", "--n", "1", "--a", "1/3",
                        "--b", "1/5", "--c", "1/7", "--e", "1/11", "--q", "1/2")
@@ -349,6 +355,8 @@ def test_import_loads_no_computing_module(code):
      ["fishburn.identities"]),
     (["roots", "expand", "--k", "3", "--a", "1", "--b", "1", "--order", "3"],
      ["fishburn.roots", "fishburn.identities"]),
+    (["pentagonal", "--order", "10"], ["fishburn.identities"]),
+    (["verify", "--id", "F1=F2", "--order", "4"], ["fishburn.identities"]),
 ])
 def test_exact_commands_load_only_their_layers(argv, loaded):
     code = f"from fishburn.cli import main\nmain({argv!r})"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishburn.cyclotomic import CyclotomicElement
+from fishburn.cyclotomic import CyclotomicElement, CyclotomicField
 from fishburn.errors import (NonInvertibleError, SeriesCompatibilityError,
                              SubstitutionError, TruncationError)
 from fishburn.rings import QQ, ZZ, cyclotomic_ring
@@ -299,11 +299,21 @@ def _coefficients(ring):
         return st.fractions(min_value=-40, max_value=40, max_denominator=12)
     coords = st.one_of(st.integers(min_value=-9, max_value=9),  # integral
                        st.fractions(min_value=-9, max_value=9, max_denominator=6))
-    return st.lists(coords, min_size=ring.field.degree, max_size=ring.field.degree).map(
-        ring.field.element)
+    small = st.lists(coords, min_size=ring.field.degree, max_size=ring.field.degree)
+    # coordinates of +-2^200 and their neighbours, with mixed signs
+    huge = st.lists(st.sampled_from((2**200, -2**200, 2**200 - 1, 1 - 2**200, 3, -1, 0)),
+                    min_size=ring.field.degree, max_size=ring.field.degree)
+    elements = st.one_of(small, huge).map(ring.field.element)
+    # the inverse of an integral non-unit has Fraction coordinates
+    integral = st.lists(st.integers(min_value=-9, max_value=9), min_size=ring.field.degree,
+                        max_size=ring.field.degree).map(ring.field.element)
+    inverses = integral.filter(bool).map(CyclotomicElement.inverse).filter(
+        lambda c: any(type(x) is Fraction for x in c.coeffs))
+    return st.one_of(elements, inverses)
 
 
-RINGS = [ZZ, QQ] + [cyclotomic_ring(k) for k in (3, 4, 12)]
+# conductors with phi(k) = 1 (k = 1, 2), 2 (3, 4), 4 (5, 12) and 6 (7)
+RINGS = [ZZ, QQ] + [cyclotomic_ring(k) for k in (1, 2, 3, 4, 5, 7, 12)]
 
 
 @st.composite
@@ -335,7 +345,8 @@ def _one_term(ring, nvars, trunc, exp, coeff):
 
 def test_mul_edge_operands():
     """Empty and one-term operands, products just above and exactly on the
-    cut, and truncation order 0."""
+    cut, truncation order 0, and over Q(zeta_k) empty operands and
+    coordinates of +-2^200 with mixed signs."""
     cases = [
         (TruncatedSeries.zero(QQ, 2, 4), _one_term(QQ, 2, 4, (1, 2), Fraction(1, 3))),
         (_one_term(ZZ, 3, 8, (2, 3, 3), 5), _one_term(ZZ, 3, 8, (0, 0, 0), -7)),
@@ -343,6 +354,12 @@ def test_mul_edge_operands():
         (_one_term(QQ, 2, 3, (2, 0), Fraction(3, 2)), _one_term(QQ, 2, 3, (0, 1), 2)),
         (_one_term(ZZ, 1, 0, (0,), 2), _one_term(ZZ, 1, 0, (0,), 3)),
     ]
+    for k in (1, 2, 5, 7, 12):
+        ring = cyclotomic_ring(k)
+        big = ring.field.element([(-1) ** i * 2**200 for i in range(ring.field.degree)])
+        a = TruncatedSeries(ring, 2, 4, {(0, 0): big, (1, 2): -big, (0, 3): ring.one})
+        empty = TruncatedSeries.zero(ring, 2, 4)
+        cases += [(a, empty), (empty, a), (empty, empty), (a, a)]
     for a, b in cases:
         assert (a * b).terms == reference_mul(a, b)
     assert cases[2][0] * cases[2][1] == TruncatedSeries.zero(QQ, 2, 3)
@@ -374,6 +391,44 @@ def test_invert_matches_reference(ring, nvars, data):
     got = a.invert()
     assert got.terms == reference_invert(a)
     _assert_canonical(got)
+
+
+def test_folding_to_zero_drops_the_monomial():
+    """In Q(zeta_3) the x coefficient of (1 + zeta x)(zeta + (1 + zeta) x)
+    sums, unreduced, to (1 + zeta) + zeta^2 = 1 + zeta + zeta^2: a nonzero
+    kernel value that Phi_3 folds to 0.  The monomial must not be kept."""
+    ring = cyclotomic_ring(3)
+    zeta = ring.zeta()
+    a = TruncatedSeries(ring, 1, 2, {(0,): ring.one, (1,): zeta})
+    b = TruncatedSeries(ring, 1, 2, {(0,): zeta, (1,): 1 + zeta})
+    ka, kb, state = ring.to_kernel([ring.one, zeta], [zeta, 1 + zeta])
+    value = ka[0] * kb[1] + ka[1] * kb[0]
+    assert value and ring.from_kernel([value], state) == [ring.zero]
+    got = a * b
+    assert (1,) not in got.terms
+    assert got.terms == reference_mul(a, b) == {(0,): zeta, (2,): zeta + zeta * zeta}
+
+
+def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
+    """A Q(zeta_k) series product folds each kept coefficient once and
+    multiplies no pair of elements."""
+    ring = cyclotomic_ring(12)
+    rng = random.Random(12)
+
+    def dense():
+        return TruncatedSeries(ring, 2, 8, {
+            (i, j): ring.field.element([rng.randint(-5, 5) for _ in range(4)])
+            for i in range(9) for j in range(9 - i)})
+    a, b = dense(), dense()
+    calls = []
+    element_mul = CyclotomicField._mul
+    monkeypatch.setattr(CyclotomicField, "_mul",
+                        lambda *args: calls.append(1) or element_mul(*args))
+    got = a * b
+    assert len(a.terms) > 30 and len(b.terms) > 30
+    assert calls == []
+    monkeypatch.undo()
+    assert got.terms == reference_mul(a, b)
 
 
 def test_mul_rejects_exponents_beyond_the_cut():
