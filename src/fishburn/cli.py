@@ -88,7 +88,8 @@ def cmd_expand(args) -> int:
 def cmd_enumerate(args) -> int:
     from .enumeration import (fishburn_matrices, refined_counts,
                               row_fishburn_matrices, self_dual_matrices)
-    from .posets import ascent_sequences, count_ascent_sequences, interval_orders
+    from .posets import (ascent_sequences, count_ascent_sequences,
+                         interval_order_statistics)
 
     fam, size = args.family, args.size
     if fam in ("fishburn", "rowFishburn", "selfDual"):
@@ -105,13 +106,9 @@ def cmd_enumerate(args) -> int:
                 print(m.dump())
             return EXIT_OK
     elif fam == "intervalOrders":
-        posets = interval_orders(size)
-        joint = {}
-        for p in posets:
-            key = (p.minimal_count, p.maximal_count)
-            joint[key] = joint.get(key, 0) + 1
-        payload = {"family": fam, "size": size, "total": len(posets),
-                   "counts": {str(k): v for k, v in sorted(joint.items())}}
+        stats = interval_order_statistics(size)
+        payload = {"family": fam, "size": size, "total": stats["count"],
+                   "counts": {str(k): v for k, v in sorted(stats["joint"].items())}}
         if args.dump:
             raise ParameterError("--dump applies to matrix families only")
     elif fam == "ascentSequences":

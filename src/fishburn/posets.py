@@ -1,15 +1,20 @@
 """Unlabeled posets, interval orders, and ascent sequences.
 
-Small-scale (n <= 6) isomorph-free generation: all naturally labeled strict
-orders are produced by choosing downward-closed predecessor sets, then
-deduplicated by a canonical form.  Canonicalization minimizes the relation
-matrix over relabelings, restricted to permutations compatible with an
-iterated degree-refinement invariant, which keeps the search tiny without a
-canonical-labeling dependency.
+Small-scale (n <= 7) isomorph-free generation by one-point extension: the
+classes on n elements are grown from the classes on n - 1 by adding a new
+element above exactly one order ideal (down-closed subset) of a class
+representative, then deduplicated by a canonical form.  Deleting a maximal
+element of a poset leaves a poset, so every class on n elements arises this
+way.  Canonicalization minimizes the relation matrix over relabelings,
+restricted to permutations compatible with an iterated degree-refinement
+invariant, which keeps the search tiny without a canonical-labeling
+dependency.
 
 A poset is an interval order iff it avoids an induced 2+2 (two disjoint
 2-chains with all four cross-pairs incomparable); these are counted here as
-the independent cross-check for the Fishburn numbers.
+the independent cross-check for the Fishburn numbers.  An induced subposet
+of a 2+2-free poset is 2+2-free, so interval orders are grown from interval
+orders only.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from itertools import permutations
 
 from .errors import BoundExceededError, ParameterError
 
-POSET_SIZE_BOUND = 6
+POSET_SIZE_BOUND = 7
 
 
 class Poset:
@@ -48,9 +53,6 @@ class Poset:
                         raise ParameterError(f"transitivity fails below ({i},{j})")
 
     # -- basic structure -----------------------------------------------------
-
-    def less(self, i: int, j: int) -> bool:
-        return bool(self.rel[i] >> j & 1)
 
     @property
     def maximal_count(self) -> int:
@@ -154,71 +156,52 @@ def _block_arrangements(blocks):
         yield arrangement
 
 
-def _naturally_labeled_orders(n):
-    """All strict orders on 0..n-1 with i < j in P implying i < j as ints,
-    generated by downward-closed predecessor sets."""
-    preds = [0] * n
-
-    def closed_subsets(k):
-        # subsets D of {0..k-1} with: i in D implies preds[i] subset of D
-        for mask in range(1 << k):
-            ok = True
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                if preds[i] & ~mask:
-                    ok = False
-                    break
-                m &= m - 1
-            if ok:
-                yield mask
-        return
-
-    def rec(k):
-        if k == n:
-            rel = [0] * n
-            for j in range(n):
-                m = preds[j]
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    rel[i] |= 1 << j
-                    m &= m - 1
-            yield Poset(n, rel, validate=False)
-            return
-        for mask in closed_subsets(k):
-            preds[k] = mask
-            yield from rec(k + 1)
-        preds[k] = 0
-
-    yield from rec(0)
+def _order_ideals(p):
+    """Bitmasks of the down-closed subsets of p: no element outside the
+    subset lies below an element inside it."""
+    for mask in range(1 << p.n):
+        if not any(p.rel[i] & mask for i in range(p.n) if not mask >> i & 1):
+            yield mask
 
 
-def _check_bound(n):
-    if n < 1:
-        raise ParameterError("poset size must be >= 1")
+def _extend(p, down):
+    """p with a new maximal element p.n lying above exactly `down`."""
+    top = 1 << p.n
+    rel = [r | top if down >> i & 1 else r for i, r in enumerate(p.rel)]
+    rel.append(0)
+    return Poset(p.n + 1, rel, validate=False)
+
+
+def _grow(n, keep=None):
+    """One representative per class of posets on n elements that pass `keep`
+    (a test inherited by induced subposets), sorted by canonical form."""
+    if n < 0:
+        raise ParameterError("poset size must be nonnegative")
     if n > POSET_SIZE_BOUND:
         raise BoundExceededError(
             f"poset generation is configured for n <= {POSET_SIZE_BOUND}")
+    level = [Poset(0, [])]
+    for _ in range(n):
+        seen = {}
+        for p in level:
+            for down in _order_ideals(p):
+                q = _extend(p, down)
+                if keep is None or keep(q):
+                    seen.setdefault(q.canonical_form(), q)
+        level = [seen[k] for k in sorted(seen)]
+    return level
 
 
 def unlabeled_posets(n: int):
-    """All unlabeled posets on n elements (canonical-form deduplication)."""
-    _check_bound(n)
-    seen = {}
-    for p in _naturally_labeled_orders(n):
-        seen.setdefault(p.canonical_form(), p)
-    return [seen[k] for k in sorted(seen)]
+    """All unlabeled posets on n elements, deterministically ordered by
+    canonical form."""
+    return _grow(n)
 
 
 def interval_orders(n: int):
     """All unlabeled 2+2-free posets on n elements, deterministically ordered
     by canonical form."""
-    _check_bound(n)
-    seen = {}
-    for p in _naturally_labeled_orders(n):
-        if p.is_interval_order():
-            seen.setdefault(p.canonical_form(), p)
-    return [seen[k] for k in sorted(seen)]
+    return _grow(n, Poset.is_interval_order)
 
 
 def interval_order_statistics(n: int) -> dict:

@@ -113,7 +113,7 @@ def test_c04_halving_facts_to_reduced_size_6():
 
 def test_c05_interval_order_cross_checks():
     t0 = time.time()
-    for n in range(1, 7):
+    for n in range(1, 8):
         stats = interval_order_statistics(n)
         assert stats["count"] == FISHBURN_NUMBERS[n], n
         matrix_joint = refined_counts("fishburn", n).counts
@@ -121,9 +121,10 @@ def test_c05_interval_order_cross_checks():
         for (_, ell), c in matrix_joint.items():
             by_ell[ell] = by_ell.get(ell, 0) + c
         assert stats["maximal"] == by_ell, n
+        assert stats["joint"] == matrix_joint, n
         for (a, b), c in stats["joint"].items():
             assert stats["joint"].get((b, a), 0) == c, (n, a, b)
-    assert interval_order_statistics(6)["count"] == 217
+    assert stats["count"] == 1014  # n = 7, the poset size bound
     for n in range(11):
         expected = fishburn_numbers(n)[n]
         assert count_ascent_sequences(n) == expected, n

@@ -163,6 +163,13 @@ def test_enumerate_interval_orders(capsys):
     assert json.loads(out)["total"] == 15
 
 
+def test_enumerate_interval_orders_of_size_zero(capsys):
+    code, out, _ = run(capsys, "enumerate", "--family", "intervalOrders",
+                       "--size", "0")
+    assert code == 0
+    assert out.splitlines() == ["intervalOrders size 0: total 1", "  (0, 0): 1"]
+
+
 def test_numeric_rf(capsys):
     code, out, _ = run(capsys, "numeric", "--id", "rf", "--draws", "2",
                        "--format", "json")

@@ -7,22 +7,48 @@ import pytest
 from count_helpers import self_dual_count_by_full_size
 from fishburn.enumeration import refined_counts
 from fishburn.errors import BoundExceededError, ParameterError
-from fishburn.posets import (Poset, _naturally_labeled_orders, ascent_sequences,
-                             count_ascent_sequences, interval_orders,
-                             interval_order_statistics, unlabeled_posets)
+from fishburn.posets import (Poset, ascent_sequences, count_ascent_sequences,
+                             interval_orders, interval_order_statistics,
+                             unlabeled_posets)
+from poset_helpers import labelled_classes, less, naturally_labeled_orders
 
 FISHBURN = [1, 1, 2, 5, 15, 53, 217]
-ALL_POSETS = [1, 2, 5, 16, 63, 318]  # unlabeled posets on 1..6 elements
+ALL_POSETS = [1, 1, 2, 5, 16, 63, 318]  # unlabeled posets on 0..6 elements
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(7))
 def test_unlabeled_poset_counts(n):
-    assert len(unlabeled_posets(n)) == ALL_POSETS[n - 1]
+    assert len(unlabeled_posets(n)) == ALL_POSETS[n]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(6))
 def test_interval_order_counts(n):
     assert len(interval_orders(n)) == FISHBURN[n]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_extension_matches_labelled_enumeration(n):
+    """One-point extension of class representatives gives exactly the
+    classes that enumerating every labelled order and deduplicating gives."""
+    assert ([p.canonical_form() for p in interval_orders(n)]
+            == labelled_classes(n, Poset.is_interval_order))
+    assert ([p.canonical_form() for p in unlabeled_posets(n)]
+            == labelled_classes(n))
+
+
+def test_extension_canonicalises_few_orders(monkeypatch):
+    """interval_orders(6) canonicalises its extensions, not the 2,637
+    labelled 2+2-free orders on six elements."""
+    calls = []
+    canonical_form = Poset.canonical_form
+
+    def counted(self):
+        calls.append(None)
+        return canonical_form(self)
+
+    monkeypatch.setattr(Poset, "canonical_form", counted)
+    assert len(interval_orders(6)) == FISHBURN[6]
+    assert len(calls) < 1000
 
 
 def test_exactly_one_non_interval_poset_on_four_elements():
@@ -36,8 +62,8 @@ def reference_is_interval_order(p):
     """The literal 2+2 search the up-set chain test replaced: no disjoint
     chains a < b, c < d with all four cross pairs incomparable."""
     def incomparable(i, j):
-        return not p.less(i, j) and not p.less(j, i)
-    edges = [(i, j) for i in range(p.n) for j in range(p.n) if p.less(i, j)]
+        return not less(p, i, j) and not less(p, j, i)
+    edges = [(i, j) for i in range(p.n) for j in range(p.n) if less(p, i, j)]
     return not any(len({a, b, c, d}) == 4
                    and incomparable(a, c) and incomparable(a, d)
                    and incomparable(b, c) and incomparable(b, d)
@@ -47,10 +73,10 @@ def reference_is_interval_order(p):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_interval_order_test_matches_the_literal_2_plus_2_search(n):
     rng = random.Random(n)
-    for p in _naturally_labeled_orders(n):
+    for p in naturally_labeled_orders(n):
         assert p.is_interval_order() == reference_is_interval_order(p), p
     # the test must not depend on the labelling either
-    for p in _naturally_labeled_orders(min(n, 5)):
+    for p in naturally_labeled_orders(min(n, 5)):
         perm = list(range(p.n))
         rng.shuffle(perm)
         q = p.relabel(perm)
@@ -58,10 +84,10 @@ def test_interval_order_test_matches_the_literal_2_plus_2_search(n):
 
 
 def test_bound_is_enforced():
-    with pytest.raises(BoundExceededError, match="6"):
-        interval_orders(7)
+    with pytest.raises(BoundExceededError, match="7"):
+        interval_orders(8)
     with pytest.raises(ParameterError):
-        interval_orders(0)
+        interval_orders(-1)
 
 
 def test_chain_and_antichain_are_interval_orders():
@@ -86,7 +112,7 @@ def test_canonical_form_is_relabeling_invariant():
 def test_dual_poset():
     chain = Poset(3, [0b110, 0b100, 0])
     d = chain.dual()
-    assert d.less(2, 1) and d.less(1, 0) and d.less(2, 0)
+    assert less(d, 2, 1) and less(d, 1, 0) and less(d, 2, 0)
     assert chain.is_self_dual()  # a chain is isomorphic to its dual
     v_shape = Poset(3, [0b110, 0, 0])  # one element below two
     assert not v_shape.is_self_dual()
