@@ -44,8 +44,7 @@ _EXPORTS = {
     "identities": ("VerificationReport", "evaluate_terminating", "registry", "verify",
                    "verify_coefficient_oracle", "verify_proposition",
                    "verify_terminating"),
-    "posets": ("Poset", "ascent_sequences", "count_ascent_sequences", "interval_orders",
-               "unlabeled_posets"),
+    "posets": ("Poset", "ascent_sequences", "count_ascent_sequences", "interval_orders"),
     "qseries": ("PartitionParityTable", "expand_family", "fishburn_numbers",
                 "partition_parity_table", "q_pochhammer", "row_fishburn_numbers",
                 "univariate_fishburn_series"),

@@ -5,6 +5,8 @@ which it holds: `formal` identities are checked as exact truncated power
 series, `terminating-exact` ones as finite sums over exact fields, and
 `numeric` ones (the Rogers-Fine circle) by high-precision summation with a
 decay guard.  An analytic identity is never "proved" by truncation alone.
+A sum is terminating at a point when a factor (1 - a r^n) of its term ratio
+vanishes there (`qseries.termination_index`); where none does it is refused.
 
 Mismatches always carry a reproducible witness (the first differing
 multi-index or parameter point with both values).
@@ -22,8 +24,8 @@ from .cyclotomic import CyclotomicElement
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
-                      gamma1_lhs, gamma1_rhs, partial_sum, truncated_sum,
-                      xy_point)
+                      gamma1_lhs, gamma1_rhs, partial_sum, termination_index,
+                      truncated_sum, xy_point)
 from .rings import ZZ
 from .series import TruncatedSeries
 
@@ -32,7 +34,6 @@ FORMAL_TRIVARIATE_CAP = 10
 # the oracle enumerates every matrix: G1 at size 8 walks the 237,348
 # row-Fishburn matrices of size 8 (about 1 s), size 9 has 2,612,681
 COEFFICIENT_ORACLE_CAP = 8
-TERMINATING_SCAN_CAP = 512
 
 TRIVARIATE_NAMES = ("x", "y", "r")
 
@@ -191,11 +192,9 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
     rep = VerificationReport(f"{family}-coefficients", "formal", m_max)
     checked = 0
     for m in range(m_max + 1):
-        table = refined_counts(matrix_family, m)
-        by_ell = {}
-        for key, c in table.counts.items():
-            ell = key[-1] if matrix_family == "fishburn" else key[0]
-            by_ell[ell] = by_ell.get(ell, 0) + c
+        # both families key each object by a tuple ending in ell, the
+        # last-column sum
+        by_ell = refined_counts(matrix_family, m).marginal(-1)
         for ell in range(m + 1):
             want = by_ell.get(ell, 0)
             got = series.coefficient((m - ell, ell))
@@ -213,78 +212,11 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
 # terminating evaluations of the compact p,q identities
 
 
-def _rational_value(x):
-    """x as a Fraction when it is rational, else None."""
-    if isinstance(x, CyclotomicElement):
-        return x.as_rational() if x.is_rational() else None
-    return Fraction(x)
-
-
-def _exact_log(base, n):
-    """The j with base^j == n, or None (base >= 2, n >= 1)."""
-    j = 0
-    while n % base == 0:
-        n //= base
-        j += 1
-    return j if n == 1 else None
-
-
-def _rational_exponent(p, q, even_only):
-    """The j >= 0 with p*q^j = 1 for nonzero rationals p and q, or None.
-    For |q| != 1 the prime powers fix j, since p = q^-j means
-    |numerator(p)| = denominator(q)^j and denominator(p) = |numerator(q)|^j."""
-    if abs(q) == 1:
-        # p*q^j takes only the values p and p*q
-        j = 0 if p == 1 else 1 if p * q == 1 else None
-    elif q.denominator > 1:
-        j = _exact_log(q.denominator, abs(p.numerator))
-    else:
-        j = _exact_log(abs(q.numerator), p.denominator)
-    if j is None or p * q**j != 1 or (even_only and j % 2):
-        return None
-    return j
-
-
-def _terminating_exponent(p, q, even_only: bool):
-    """Smallest j >= 0 (even when even_only) with p*q^j = 1, or None when no
-    such j exists.
-
-    Rational p and q are solved exactly.  So is a root of unity q in
-    Q(zeta_k), whose order divides lcm(2, k): p*q^j then repeats with period
-    dividing 2k, and two such periods settle even j too.  Any other q is
-    scanned up to TERMINATING_SCAN_CAP; if that finds nothing, the refusal
-    says the search was not exhaustive instead of claiming that no j exists.
-    """
-    qr = _rational_value(q)
-    if qr is not None:
-        pr = _rational_value(p)
-        # q^j is rational, so p*q^j = 1 needs a rational p
-        return None if pr is None else _rational_exponent(pr, qr, even_only)
-    root_of_unity = q ** (2 * q.field.k) == 1
-    t = p
-    for j in range(4 * q.field.k if root_of_unity else TERMINATING_SCAN_CAP + 1):
-        if t == 1 and not (even_only and j % 2):
-            return j
-        t = t * q
-    if root_of_unity:
-        return None
-    raise CertificateError(
-        f"no j <= {TERMINATING_SCAN_CAP} with p*q^j = 1 at p={p!r}, q={q!r}, and q "
-        "is neither rational nor a root of unity, so the search is not exhaustive; "
-        "refusing to evaluate a possibly non-terminating sum")
-
-
-def _term_count(expr: str, j0: int) -> int:
-    """Number of nonzero terms of a terminating sum with certificate j0:
-    comp2-right runs in base q^2, so its factor p*q^(2n) hits 1 at n = j0/2."""
-    return j0 // 2 + 1 if expr == "comp2-right" else j0 + 1
-
-
-def evaluate_terminating(expr: str, p, q):
-    """Exact value of a terminating sum at scalar (p, q), both rational or
-    both cyclotomic.  Requires the appropriate termination certificate
-    (p*q^k = 1 for the comp1 pair; p*q^{2k} = 1 for the comp2 family) and
-    refuses to evaluate otherwise."""
+def _certified(expr: str, p, q):
+    """The sum `expr` at scalar (p, q), both rational or both cyclotomic, as
+    its spec and the count of its terms up to the first that a vanishing
+    factor (1 - a r^n) makes zero.  With no such factor the sum does not
+    terminate and is refused."""
     if expr not in TERMINATING_EXPRS:
         raise UnknownFamilyError(
             f"unknown terminating expression {expr!r}; known: "
@@ -293,14 +225,19 @@ def evaluate_terminating(expr: str, p, q):
     if not p or not q:
         raise ParameterError("p and q must be nonzero")
     p, q = (x if isinstance(x, CyclotomicElement) else Fraction(x) for x in (p, q))
-    even_only = expr.startswith("comp2")
-    j0 = _terminating_exponent(p, q, even_only)
-    if j0 is None:
-        kind = "p*q^(2k) = 1" if even_only else "p*q^k = 1"
+    spec = COMPACT_SUMS[expr](Point(p, q))
+    try:
+        return spec, termination_index(spec) + 1
+    except CertificateError as err:
         raise CertificateError(
-            f"no termination certificate {kind} for {expr} at p={p!r}, q={q!r}: "
-            "no such j exists; refusing to evaluate a non-terminating sum")
-    return partial_sum(COMPACT_SUMS[expr](Point(p, q)), _term_count(expr, j0))
+            f"{expr} at p={_fmt_scalar(p)}, q={_fmt_scalar(q)}: {err}") from None
+
+
+def evaluate_terminating(expr: str, p, q):
+    """Exact value of a terminating sum at scalar (p, q), both rational or
+    both cyclotomic.  Requires a termination certificate, a factor
+    (1 - a r^n) of the sum that vanishes, and refuses to evaluate otherwise."""
+    return partial_sum(*_certified(expr, p, q))
 
 
 TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
@@ -308,11 +245,15 @@ TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
 
 
 def _terminating_values(family, p, q, rep):
-    """The values of `family`'s expressions at (p, q); `rep` becomes a
-    mismatch at the first value that differs from the first one."""
-    values = [(e, evaluate_terminating(e, p, q)) for e in TERMINATING_FAMILIES[family]]
+    """The (expression, value, term count) of each of `family`'s expressions
+    at (p, q); `rep` becomes a mismatch at the first value that differs from
+    the first one."""
+    # every certificate is asked before any sum is summed, so a refusal
+    # costs no summing
+    certified = [(e, *_certified(e, p, q)) for e in TERMINATING_FAMILIES[family]]
+    values = [(e, partial_sum(spec, count), count) for e, spec, count in certified]
     base = values[0][1]
-    for e, v in values[1:]:
+    for e, v, _ in values[1:]:
         if v != base:
             rep.outcome = "mismatch"
             rep.witness = {"index": e, "left": _fmt_scalar(base),
@@ -330,7 +271,7 @@ def verify_terminating(family: str, p, q) -> VerificationReport:
     rep = VerificationReport(f"{family}-terminating", "terminating-exact")
     values = _terminating_values(family, p, q, rep)
     rep.detail = {"p": _fmt_scalar(p), "q": _fmt_scalar(q),
-                  "values": {e: _fmt_scalar(v) for e, v in values}}
+                  "values": {e: _fmt_scalar(v) for e, v, _ in values}}
     return _timed(rep, t0)
 
 

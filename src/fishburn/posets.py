@@ -65,14 +65,6 @@ class Poset:
             above |= mask
         return sum(1 for i in range(self.n) if not (above >> i & 1))
 
-    def dual(self) -> "Poset":
-        rel = [0] * self.n
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rel[i] >> j & 1:
-                    rel[j] |= 1 << i
-        return Poset(self.n, rel, validate=False)
-
     def relabel(self, perm) -> "Poset":
         """perm[i] is the new name of element i."""
         rel = [0] * self.n
@@ -125,9 +117,6 @@ class Poset:
         self._canon = best
         return best
 
-    def is_self_dual(self) -> bool:
-        return self.canonical_form() == self.dual().canonical_form()
-
     def is_interval_order(self) -> bool:
         """2+2-free test.  An order is 2+2-free exactly when its up-sets are
         totally ordered by inclusion (as are, dually, its down-sets): a 2+2
@@ -172,7 +161,7 @@ def _extend(p, down):
     return Poset(p.n + 1, rel, validate=False)
 
 
-def _grow(n, keep=None):
+def _grow(n, keep):
     """One representative per class of posets on n elements that pass `keep`
     (a test inherited by induced subposets), sorted by canonical form."""
     if n < 0:
@@ -186,16 +175,10 @@ def _grow(n, keep=None):
         for p in level:
             for down in _order_ideals(p):
                 q = _extend(p, down)
-                if keep is None or keep(q):
+                if keep(q):
                     seen.setdefault(q.canonical_form(), q)
         level = [seen[k] for k in sorted(seen)]
     return level
-
-
-def unlabeled_posets(n: int):
-    """All unlabeled posets on n elements, deterministically ordered by
-    canonical form."""
-    return _grow(n)
 
 
 def interval_orders(n: int):

@@ -16,6 +16,14 @@ An exact series sum stops at the first term that truncates to zero.  This
 cutoff is exact: every term ratio is a power series of valuation >= 0, so
 each later term is a multiple of the vanished one and has no monomial at or
 below the truncation order either (the test suite re-checks this).
+
+A scalar sum is finite when a factor (1 - a r^n) of its term ratio
+vanishes: then term n + 1 is zero, and so is every later term.  The one
+termination rule, `termination_index`, reads that certificate off the spec:
+it solves a r^n = 1 exactly for each factor and takes the least such n, so
+terms 0..n (`partial_sum`) are the whole sum; when no factor ever vanishes
+it refuses.  The terminating evaluations and the root-of-unity
+certificates both ask it.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from itertools import islice, takewhile
 from math import inf
 from typing import NamedTuple
 
-from .errors import ParameterError, UnknownFamilyError
+from .cyclotomic import CyclotomicElement
+from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .names import FAMILY_IDS
 from .rings import QQ, ZZ
 from .series import TruncatedSeries
@@ -132,6 +141,92 @@ def partial_sum(spec: PochhammerSum, count: int):
     terminating sum whose term `count` vanishes."""
     terms = pochhammer_terms(spec)
     return sum(islice(terms, count - 1), next(terms))
+
+
+TERMINATING_SCAN_CAP = 512
+
+
+def _rational_value(x):
+    """x as a Fraction when it is rational, else None."""
+    if isinstance(x, CyclotomicElement):
+        return x.as_rational() if x.is_rational() else None
+    return Fraction(x)
+
+
+def _exact_log(base, n):
+    """The j with base^j == n, or None (base >= 2, n >= 1)."""
+    j = 0
+    while n % base == 0:
+        n //= base
+        j += 1
+    return j if n == 1 else None
+
+
+def _rational_index(a, r):
+    """The j >= 0 with a*r^j = 1 for rationals a and r, or None.  For
+    |r| != 1 the prime powers fix j, since a = r^-j means
+    |numerator(a)| = denominator(r)^j and denominator(a) = |numerator(r)|^j."""
+    if not a or abs(r) in (0, 1):
+        # a*r^j takes only the values a and a*r
+        j = 0 if a == 1 else 1 if a * r == 1 else None
+    elif r.denominator > 1:
+        j = _exact_log(r.denominator, abs(a.numerator))
+    else:
+        j = _exact_log(abs(r.numerator), a.denominator)
+    return j if j is not None and a * r**j == 1 else None
+
+
+def _vanishing_index(a, r):
+    """Smallest j >= 0 with a*r^j = 1, that is, at which the factor
+    (1 - a r^j) vanishes, or None when no such j exists.
+
+    Rational a and r are solved exactly.  So is a root of unity r in
+    Q(zeta_k), whose order divides lcm(2, k): a*r^j then repeats with period
+    dividing 2k.  Any other r is scanned up to TERMINATING_SCAN_CAP; if that
+    finds nothing, the refusal says the search was not exhaustive instead of
+    claiming that no j exists.
+    """
+    rr = _rational_value(r)
+    if rr is not None:
+        ar = _rational_value(a)
+        # r^j is rational, so a*r^j = 1 needs a rational a
+        return None if ar is None else _rational_index(ar, rr)
+    root_of_unity = r ** (2 * r.field.k) == 1
+    t = a
+    for j in range(2 * r.field.k if root_of_unity else TERMINATING_SCAN_CAP + 1):
+        if t == 1:
+            return j
+        t = t * r
+    if root_of_unity:
+        return None
+    raise CertificateError(
+        f"no j <= {TERMINATING_SCAN_CAP} with a*r^j = 1 at a={a!r}, r={r!r}, and r "
+        "is neither rational nor a root of unity, so the search is not exhaustive; "
+        "refusing to evaluate a possibly non-terminating sum")
+
+
+def termination_index(spec: PochhammerSum) -> int:
+    """The least n at which a factor (1 - a r^n) of scalar `spec` vanishes,
+    so that terms 0..n are the whole sum; refused when no factor vanishes.
+
+    A factor whose scan cannot decide is passed over when another factor
+    vanishes: every term after a zero term is zero, so the sum is the same
+    whichever vanishing factor ends it."""
+    found, undecided = [], None
+    for a, r in spec.factors:
+        try:
+            j = _vanishing_index(a, r)
+        except CertificateError as err:
+            undecided = err
+            continue
+        if j is not None:
+            found.append(j)
+    if found:
+        return min(found)
+    raise undecided or CertificateError(
+        "no termination certificate: no factor (1 - a*r^j) of the sum vanishes "
+        "at any j >= 0, so no such j exists; refusing to evaluate a "
+        "non-terminating sum")
 
 
 class Point:
@@ -262,7 +357,7 @@ def _pentagonal_theta(N, ring):
         exps = [n * (3 * n - 1) // 2, n * (3 * n + 1) // 2]  # n and -n
         if min(exps) > N:
             break
-        sign = ring.from_int(1 if n % 2 == 0 else -1)
+        sign = ring.coerce(1 if n % 2 == 0 else -1)
         for e in exps if n else exps[:1]:
             if e <= N:
                 terms[(e,)] = terms.get((e,), ring.zero) + sign

@@ -3,7 +3,8 @@
 Ring elements are plain Python objects supporting the arithmetic operators
 (int, Fraction, CyclotomicElement), so series arithmetic works on them
 directly.  A ring object supplies everything the operators cannot: coercion,
-equality, inversion, and string serialization.  Every ring is exact.
+inversion, and string serialization.  Every ring is exact, so `==` is
+equality.
 
 Integers are the default ring (all coefficients of the interval-order series
 are integers); rationals appear where a non-unit inversion is required, and
@@ -72,9 +73,6 @@ class IntegerRing:
     zero = 0
     one = 1
 
-    def from_int(self, n):
-        return int(n)
-
     def coerce(self, x):
         if isinstance(x, int):
             return x
@@ -84,9 +82,6 @@ class IntegerRing:
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def invert(self, a):
         if a in (1, -1):
@@ -121,9 +116,6 @@ class RationalRing:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def coerce(self, x):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
@@ -131,9 +123,6 @@ class RationalRing:
 
     def is_zero(self, a):
         return a == 0
-
-    def eq(self, a, b):
-        return a == b
 
     def invert(self, a):
         if a == 0:
@@ -182,9 +171,6 @@ class CyclotomicRing:
         self.zero = self.field.zero
         self.one = self.field.one
 
-    def from_int(self, n):
-        return self.field.from_rational(n)
-
     def coerce(self, x):
         if isinstance(x, CyclotomicElement):
             if x.field.k != self.k:
@@ -196,9 +182,6 @@ class CyclotomicRing:
 
     def is_zero(self, a):
         return not a
-
-    def eq(self, a, b):
-        return a == b
 
     def invert(self, a):
         if not a:
@@ -241,9 +224,6 @@ class CyclotomicRing:
         if den != 1:
             vecs = [[x.numerator * (den // x.denominator) for x in v] for v in vecs]
         return vecs, den, max(map(abs, chain.from_iterable(vecs)), default=0)
-
-    def zeta(self, power=1):
-        return self.field.zeta(power)
 
     def coeff_to_str(self, a):
         rat = RationalRing()

@@ -4,12 +4,15 @@ Around a point (p0, q0) on the unit circle the sums are handled as formal
 power series in (u, v) = (p - p0, q - q0) over the exact field Q(zeta_k).
 They run through the same term-ratio specs and the same stopping rule as the
 formal families (`qseries.truncated_sum`): summation stops at the first term
-that truncates to zero.  A Pochhammer factor whose constant term vanishes at
-(p0, q0) raises the (u, v)-valuation of every later term by at least one, so
-the terms reach the cut exactly when such factors recur.  A certificate over
-one period of powers of q0 decides that before summing; without it the sum
-does not converge formally and the expansion is refused rather than
-truncated arbitrarily.
+that truncates to zero.  A Pochhammer factor (1 - a r^n) whose constant term
+vanishes at (p0, q0) raises the (u, v)-valuation of every later term by at
+least one, so the terms reach the cut exactly when such factors recur.  In
+every expansion r is q0, 1/q0 or q0^2, a root of unity, so a factor that
+vanishes once vanishes again every period of r.  The certificate is
+therefore the scalar termination rule (`qseries.termination_index`) asked
+at the constants (p0, q0) before summing; without it the sum does not
+converge formally and the expansion is refused rather than truncated
+arbitrarily.
 
 Exact cyclotomic arithmetic is the source of truth throughout; the
 terminating checks re-sum the same specs in mpmath through the complex
@@ -23,10 +26,10 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .identities import (VerificationReport, _term_count, _terminating_exponent,
-                         _terminating_values, _timed)
+from .identities import (VerificationReport, _compare_series, _terminating_values,
+                         _timed)
 from .names import ROOT_EXPRS
-from .qseries import COMPACT_SUMS, Point, partial_sum, truncated_sum
+from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
 from .rings import cyclotomic_ring
 from .series import TruncatedSeries
 
@@ -40,9 +43,8 @@ PFORMAL_NAMES = ("p", "v")
 class RootContext:
     """Expansion point p0 = zeta_k^a, q0 = zeta_k^b and an expansion order.
 
-    Formal-convergence certificates are computed, not assumed: for each
-    expression the factor constants are scanned over one full period of
-    powers of q0, which decides whether vanishing factors recur forever.
+    Formal-convergence certificates are computed, not assumed: an expression
+    expands only when a factor of its sum vanishes at (p0, q0).
     """
 
     k: int
@@ -67,26 +69,17 @@ class RootContext:
 
 
 def _require_certificate(expr: str, ctx: RootContext):
-    """Refuse expr at ctx unless its formal-convergence certificate holds."""
-    p0, q0 = ctx.p0, ctx.q0
-    if expr in ("comp1-left", "comp2-first"):
-        holds = _terminating_exponent(p0, q0, even_only=False) is not None
-        description = f"exists j with p0*q0^j = 1 (j in 0..{ctx.k - 1})"
-    elif expr == "comp1-right":
-        # q0 is a k-th root of unity by construction; (1/q;1/q) factors vanish
-        holds, description = True, "q0 is a root of unity"
-    elif expr == "comp2-mid":
-        # (-1) * q0^j = 1 is q0^j = -1, which j = 0 never meets
-        holds = (_terminating_exponent(p0, q0, even_only=False) is not None
-                 or _terminating_exponent(-ctx.field.one, q0, even_only=False) is not None)
-        description = "exists j with p0*q0^j = 1 or q0^j = -1"
-    else:  # comp2-right
-        holds = _terminating_exponent(p0, q0, even_only=True) is not None
-        description = "exists j with p0*q0^(2j) = 1"
-    if not holds:
+    """Refuse expr at ctx unless a factor (1 - a r^n) of its sum vanishes at
+    the constants (p0, q0)."""
+    field = ctx.field
+    point = Point(ctx.p0, ctx.q0, field.zeta(-ctx.a), field.zeta(-ctx.b))
+    try:
+        termination_index(COMPACT_SUMS[expr](point))
+    except CertificateError:
         raise CertificateError(
             f"formal-convergence certificate failed for {expr} at "
-            f"{ctx.describe_point()}: needs {description}")
+            f"{ctx.describe_point()}: no factor (1 - a*r^j) of the sum "
+            "vanishes there for any j >= 0") from None
 
 
 def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
@@ -168,12 +161,8 @@ def conjecture_explore(ctx: RootContext, include_q_only: bool = True) -> Conject
 
 
 def _agreement_report(ident, left, right, order, point, t0):
-    match = left.equal_up_to(right, order)
-    rep = VerificationReport(ident, "formal", order,
-                             outcome="agreement" if match.equal else "mismatch")
-    if not match.equal:
-        rep.witness = {"index": list(match.index), "left": repr(match.left),
-                       "right": repr(match.right)}
+    rep = _compare_series(VerificationReport(ident, "formal", order, outcome="agreement"),
+                          order, [(left, right, None)])
     rep.detail["point"] = point
     return _timed(rep, t0)
 
@@ -198,26 +187,19 @@ def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicEleme
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {family!r}; known: {', '.join(ROOT_CHECK_FAMILIES)}")
-    even_only = ROOT_CHECK_FAMILIES[family] == "comp2"
-    j0 = _terminating_exponent(p, q, even_only=even_only)
-    if j0 is None:
-        kind = "p*q^(2k) = 1" if even_only else "p*q^k = 1"
-        raise CertificateError(
-            f"no termination certificate {kind} in Q(zeta_{p.field.k}) "
-            f"for {family}; refusing")
     rep = VerificationReport(family, "terminating-exact")
     values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
-    # complex embedding cross-check
+    # complex embedding cross-check, summing as many terms as the exact sums
     with mp.workdps(dps):
         point = Point(p.embed(dps), q.embed(dps))
         worst = mp.mpf(0)
-        for e, val in values:
-            numeric = partial_sum(COMPACT_SUMS[e](point), _term_count(e, j0))
+        for e, val, count in values:
+            numeric = partial_sum(COMPACT_SUMS[e](point), count)
             worst = max(worst, abs(numeric - val.embed(dps)))
         rep.detail["embedding_diff"] = mp.nstr(worst, 8)
         if worst > mp.mpf(EMBED_TOL) and rep.ok:
             rep.outcome = "mismatch"
             rep.witness = {"index": "embedding", "left": repr(values[0][1]),
                            "right": mp.nstr(worst, 8)}
-    rep.detail["values"] = {e: repr(v) for e, v in values}
+    rep.detail["values"] = {e: repr(v) for e, v, _ in values}
     return _timed(rep, t0)

@@ -377,7 +377,7 @@ class TruncatedSeries:
                 continue
             left = self.terms.get(e, zero)
             right = other.terms.get(e, zero)
-            if not self.ring.eq(left, right):
+            if left != right:
                 return MatchReport(False, e, left, right)
         return MatchReport(True, None, None, None)
 

@@ -1,13 +1,33 @@
 """Reference poset routes that only the tests need: labelled enumeration,
-against which the one-point extension in `fishburn.posets` is checked, and
-the plain order relation."""
+against which the one-point extension in `fishburn.posets` is checked, all
+unlabeled posets, duality and the plain order relation."""
 
-from fishburn.posets import Poset
+from fishburn.posets import Poset, _grow
 
 
 def less(p, i: int, j: int) -> bool:
     """i < j in the poset p."""
     return bool(p.rel[i] >> j & 1)
+
+
+def unlabeled_posets(n: int):
+    """All unlabeled posets on n elements, deterministically ordered by
+    canonical form."""
+    return _grow(n, lambda p: True)
+
+
+def dual(p) -> Poset:
+    """p with every relation reversed."""
+    rel = [0] * p.n
+    for i in range(p.n):
+        for j in range(p.n):
+            if less(p, i, j):
+                rel[j] |= 1 << i
+    return Poset(p.n, rel, validate=False)
+
+
+def is_self_dual(p) -> bool:
+    return p.canonical_form() == dual(p).canonical_form()
 
 
 def naturally_labeled_orders(n):

@@ -118,6 +118,19 @@ def test_terminating_single_expression(capsys):
     assert "3/2" in out
 
 
+def test_terminating_comp2_first_at_an_odd_certificate(capsys):
+    # p*q = 1 makes the factor (1/p; 1/q) of comp2-first vanish at j = 1, but
+    # the factor (p; q^2) of comp2-right never vanishes, so the family refuses
+    code, out, _ = run(capsys, "terminating", "--expr", "comp2-first",
+                       "--p", "2", "--q", "1/2")
+    assert code == 0
+    assert out.strip() == "comp2-first(2, 1/2) = 1/2"
+    code, _, err = run(capsys, "terminating", "--expr", "comp2",
+                       "--p", "2", "--q", "1/2")
+    assert code == 2
+    assert "comp2-right" in err and "certificate" in err
+
+
 def test_terminating_value_past_the_int_string_digit_limit(capsys):
     from fishburn.identities import evaluate_terminating
     p = str(2**180)

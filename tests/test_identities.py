@@ -10,13 +10,13 @@ import pytest
 from fishburn.errors import (CertificateError, ParameterError,
                              UnknownFamilyError)
 from fishburn.cyclotomic import get_field
-from fishburn.identities import (TERMINATING_SCAN_CAP, THM_MAIN_IDS,
-                                 _terminating_exponent, evaluate_terminating,
+from fishburn.identities import (THM_MAIN_IDS, evaluate_terminating,
                                  registry, verify, verify_coefficient_oracle,
                                  verify_proposition,
                                  verify_proposition_specializations,
                                  verify_terminating)
-from fishburn.qseries import expand_family
+from fishburn.qseries import (TERMINATING_SCAN_CAP, _vanishing_index,
+                              expand_family)
 
 
 @pytest.mark.parametrize("ident", THM_MAIN_IDS)
@@ -120,9 +120,14 @@ def test_terminating_refuses_without_certificate():
 def test_rational_refusal_says_that_no_j_exists():
     with pytest.raises(CertificateError, match="no such j exists"):
         evaluate_terminating("comp1-left", Fraction(3), Fraction(1, 2))
-    # p*q^j = 1 only at the odd j = 601, far beyond any scan
+    # p*q^j = 1 only at the odd j = 601, far beyond any scan, so the factor
+    # (p; q^2) of comp2-right never vanishes
     with pytest.raises(CertificateError, match="no such j exists"):
-        evaluate_terminating("comp2-first", Fraction(2**601), Fraction(1, 2))
+        evaluate_terminating("comp2-right", Fraction(2**601), Fraction(1, 2))
+    # the family check asks every certificate before it sums the 602 terms
+    # of comp2-first and comp2-mid
+    with pytest.raises(CertificateError, match="comp2-right .*no such j exists"):
+        verify_terminating("comp2", Fraction(2**601), Fraction(1, 2))
 
 
 def test_exact_values_past_the_int_string_digit_limit():
@@ -144,26 +149,29 @@ def test_exact_values_past_the_int_string_digit_limit():
 
 def test_terminating_exponent_is_exact_beyond_the_scan_cap():
     """At (2^600, 1/2) the certificate j = 600 lies beyond
-    TERMINATING_SCAN_CAP; the prime powers of p and q fix it without a scan."""
+    TERMINATING_SCAN_CAP; the prime powers of a and r fix it without a scan.
+    In base r = q^2 it is j = 300."""
     p, q = Fraction(2**600), Fraction(1, 2)
     assert 600 > TERMINATING_SCAN_CAP
-    assert _terminating_exponent(p, q, even_only=False) == 600
-    assert _terminating_exponent(p, q, even_only=True) == 600
-    assert _terminating_exponent(2 * p, q, even_only=True) is None
-    assert _terminating_exponent(-p, q, even_only=False) is None
-    assert _terminating_exponent(Fraction(1, 3**500), Fraction(3), even_only=False) == 500
+    assert _vanishing_index(p, q) == 600
+    assert _vanishing_index(p, q * q) == 300
+    assert _vanishing_index(2 * p, q * q) is None
+    assert _vanishing_index(-p, q) is None
+    assert _vanishing_index(Fraction(1, 3**500), Fraction(3)) == 500
     F = get_field(1)
-    assert _terminating_exponent(F.from_rational(p), F.from_rational(q),
-                                 even_only=False) == 600
+    assert _vanishing_index(F.from_rational(p), F.from_rational(q)) == 600
 
 
-@pytest.mark.parametrize("p,q,even_only,j", [
+# j is the least index with p*r^j = 1, where r = q^2 when `squared`
+@pytest.mark.parametrize("p,q,squared,j", [
     (1, 1, False, 0), (2, 1, False, None), (1, -1, True, 0), (-1, -1, False, 1),
     (-1, -1, True, None), (-8, Fraction(-1, 2), False, 3),
-    (Fraction(4, 9), Fraction(3, 2), True, 2), (Fraction(4, 9), Fraction(2, 3), False, None),
+    (Fraction(4, 9), Fraction(3, 2), True, 1), (Fraction(4, 9), Fraction(2, 3), False, None),
+    (0, 2, False, None), (2, 0, False, None), (1, 0, False, 0),
 ])
-def test_terminating_exponent_at_rational_points(p, q, even_only, j):
-    assert _terminating_exponent(Fraction(p), Fraction(q), even_only) == j
+def test_terminating_exponent_at_rational_points(p, q, squared, j):
+    r = Fraction(q) ** 2 if squared else Fraction(q)
+    assert _vanishing_index(Fraction(p), r) == j
 
 
 def test_terminating_exponent_scan_that_cannot_decide_says_so():
@@ -171,15 +179,28 @@ def test_terminating_exponent_scan_that_cannot_decide_says_so():
     a bounded scan, which finds j = 3 but cannot rule out every j."""
     F = get_field(5)
     q = F.one + F.zeta(1)
-    assert _terminating_exponent(q ** -3, q, even_only=False) == 3
+    assert _vanishing_index(q ** -3, q) == 3
     with pytest.raises(CertificateError, match="not exhaustive"):
-        _terminating_exponent(F.zeta(1), q, even_only=False)
+        _vanishing_index(F.zeta(1), q)
+
+
+def test_undecided_factor_does_not_hide_one_that_vanishes():
+    """comp1-mid at p = q^-3, q = 1 + zeta_5: the scan cannot decide whether
+    its factor (q; q) ever vanishes, but (p; q) vanishes at j = 3, so the
+    sum has four terms.  comp1-left has only the factor that vanishes."""
+    F = get_field(5)
+    q = F.one + F.zeta(1)
+    p = q ** -3
+    assert evaluate_terminating("comp1-mid", p, q) == evaluate_terminating("comp1-left", p, q)
 
 
 def test_comp2_requires_even_exponent():
-    # p*q = 1 has only the odd solution k=1, so the comp2 family refuses
+    # p*q = 1 has only the odd solution k=1, so comp2-right's factor
+    # (p; q^2) never vanishes, and the comp2 family check refuses with it
     with pytest.raises(CertificateError):
-        evaluate_terminating("comp2-first", Fraction(2), Fraction(1, 2))
+        evaluate_terminating("comp2-right", Fraction(2), Fraction(1, 2))
+    with pytest.raises(CertificateError, match="comp2-right"):
+        verify_terminating("comp2", Fraction(2), Fraction(1, 2))
 
 
 def test_comp1_right_is_not_evaluatable():

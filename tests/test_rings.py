@@ -28,7 +28,7 @@ def test_rational_ring():
 
 def test_cyclotomic_ring_roundtrip():
     ring = cyclotomic_ring(4)
-    z = ring.zeta()
+    z = ring.field.zeta()
     s = ring.coeff_to_str(z)
     assert ring.coeff_from_str(s) == z
     assert ring.invert(z) == z ** 3  # 1/i = -i = i^3

@@ -10,8 +10,10 @@ from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating
 from fishburn.qseries import expand_family
 from fishburn.rings import QQ
-from fishburn.roots import (RootContext, conjecture_explore, expand_at_root,
-                            expand_q_only, root_terminating_check)
+from fishburn.names import ROOT_EXPRS
+from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
+                            conjecture_explore, expand_at_root, expand_q_only,
+                            root_terminating_check)
 from fishburn.series import TruncatedSeries
 from series_helpers import map_coefficients
 
@@ -66,6 +68,47 @@ def test_certificate_refusal():
         expand_at_root("comp1-left", ctx)
     with pytest.raises(CertificateError):
         conjecture_explore(ctx)
+
+
+def _four_branch_certificate(expr, ctx):
+    """The explorer's certificate as it was written per expression before it
+    was read off the factors: some j in one scan of 4k steps with
+    p0*q0^j = 1 (comp1-left, comp2-first), with that or q0^j = -1
+    (comp2-mid), or with p0*q0^j = 1 for an even j (comp2-right);
+    comp1-right always holds."""
+    one = ctx.field.one
+
+    def hits(c, even_only=False):
+        t = c
+        for j in range(4 * ctx.k):
+            if t == one and not (even_only and j % 2):
+                return True
+            t = t * ctx.q0
+        return False
+
+    if expr in ("comp1-left", "comp2-first"):
+        return hits(ctx.p0)
+    if expr == "comp1-right":
+        return True
+    if expr == "comp2-mid":
+        return hits(ctx.p0) or hits(-one)
+    return hits(ctx.p0, even_only=True)
+
+
+def test_certificate_matches_the_four_branch_rule():
+    """Reading the certificate off the factors of each sum decides every
+    explorer point as the per-expression rule did."""
+    for k in range(1, CONDUCTOR_CAP + 1):
+        for a in range(k):
+            for b in range(k):
+                ctx = RootContext(k, a, b, 0)
+                for expr in ROOT_EXPRS:
+                    try:
+                        _require_certificate(expr, ctx)
+                        holds = True
+                    except CertificateError:
+                        holds = False
+                    assert holds == _four_branch_certificate(expr, ctx), (expr, k, a, b)
 
 
 def test_comp1_right_certificate_always_holds():

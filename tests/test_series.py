@@ -398,7 +398,7 @@ def test_folding_to_zero_drops_the_monomial():
     sums, unreduced, to (1 + zeta) + zeta^2 = 1 + zeta + zeta^2: a nonzero
     kernel value that Phi_3 folds to 0.  The monomial must not be kept."""
     ring = cyclotomic_ring(3)
-    zeta = ring.zeta()
+    zeta = ring.field.zeta()
     a = TruncatedSeries(ring, 1, 2, {(0,): ring.one, (1,): zeta})
     b = TruncatedSeries(ring, 1, 2, {(0,): zeta, (1,): 1 + zeta})
     ka, kb, state = ring.to_kernel([ring.one, zeta], [zeta, 1 + zeta])

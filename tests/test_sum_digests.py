@@ -6,7 +6,9 @@ Fishburn and row-Fishburn sequences, the partition parity table and the
 q-Pochhammer products are reduced to a digest (or the exact value as a
 string) and compared against figures recorded from the hand-written loops
 that the term-ratio evaluator replaced.  A refusal is pinned as "refused",
-so the certificates are pinned as well.
+so the certificates are pinned as well.  Ten terminating values were
+refusals until the termination certificate was read off the factors of
+each sum; the last test here checks them independently.
 """
 
 import hashlib
@@ -14,13 +16,16 @@ import json
 from fractions import Fraction
 from math import inf
 
+import pytest
+
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError
 from fishburn.identities import (TERMINATING_EXPRS, evaluate_terminating,
                                  proposition_lhs, proposition_rhs)
-from fishburn.qseries import (FAMILY_IDS, expand_family, fishburn_numbers,
-                              partition_parity_table, q_pochhammer,
-                              row_fishburn_numbers)
+from fishburn.qseries import (COMPACT_SUMS, FAMILY_IDS, Point, expand_family,
+                              fishburn_numbers, partial_sum, partition_parity_table,
+                              q_pochhammer, row_fishburn_numbers,
+                              termination_index)
 from fishburn.rings import ZZ
 from fishburn.roots import ROOT_EXPRS, RootContext, expand_at_root, expand_q_only
 from fishburn.serialize import series_to_payload
@@ -153,18 +158,18 @@ EXPECTED = {
     "comp1-mid at p=9 q=1/3": "67/27",
     "comp1-mid at p=zeta_12^4 q=zeta_12^2": "(16 + -3*z^2 : k=12)",
     "comp1-mid at p=zeta_3^1 q=zeta_3^1": "(6 + z : k=3)",
-    "comp1-mid at p=zeta_4^1 q=zeta_4^2": "refused",
+    "comp1-mid at p=zeta_4^1 q=zeta_4^2": "(-2 + -1*z : k=4)",
     "comp1-mid at p=zeta_4^2 q=zeta_4^1": "(5 + -2*z : k=4)",
     "comp1-mid at p=zeta_6^2 q=zeta_6^2": "(5 + z : k=6)",
     "comp1-mid at p=zeta_6^3 q=zeta_6^3": "(3 : k=6)",
-    "comp2-first at p=-1 q=-1": "refused",
+    "comp2-first at p=-1 q=-1": "-1",
     "comp2-first at p=1 q=-1": "1",
     "comp2-first at p=1 q=1": "1",
     "comp2-first at p=1 q=5/7": "1",
-    "comp2-first at p=2 q=1/2": "refused",
+    "comp2-first at p=2 q=1/2": "1/2",
     "comp2-first at p=3 q=1/2": "refused",
     "comp2-first at p=4 q=1/2": "5/8",
-    "comp2-first at p=8 q=1/2": "refused",
+    "comp2-first at p=8 q=1/2": "29/64",
     "comp2-first at p=81/16 q=2/3": "32659/59049",
     "comp2-first at p=9 q=1/3": "19/27",
     "comp2-first at p=zeta_12^4 q=zeta_12^2": "(2 + -5*z^2 : k=12)",
@@ -172,23 +177,23 @@ EXPECTED = {
     "comp2-first at p=zeta_4^1 q=zeta_4^2": "refused",
     "comp2-first at p=zeta_4^2 q=zeta_4^1": "(1 + -2*z : k=4)",
     "comp2-first at p=zeta_6^2 q=zeta_6^2": "(3 + -1*z : k=6)",
-    "comp2-first at p=zeta_6^3 q=zeta_6^3": "refused",
-    "comp2-mid at p=-1 q=-1": "refused",
+    "comp2-first at p=zeta_6^3 q=zeta_6^3": "(-1 : k=6)",
+    "comp2-mid at p=-1 q=-1": "-1",
     "comp2-mid at p=1 q=-1": "1",
     "comp2-mid at p=1 q=1": "1",
     "comp2-mid at p=1 q=5/7": "1",
-    "comp2-mid at p=2 q=1/2": "refused",
+    "comp2-mid at p=2 q=1/2": "1/2",
     "comp2-mid at p=3 q=1/2": "refused",
     "comp2-mid at p=4 q=1/2": "5/8",
-    "comp2-mid at p=8 q=1/2": "refused",
+    "comp2-mid at p=8 q=1/2": "29/64",
     "comp2-mid at p=81/16 q=2/3": "32659/59049",
     "comp2-mid at p=9 q=1/3": "19/27",
     "comp2-mid at p=zeta_12^4 q=zeta_12^2": "(2 + -5*z^2 : k=12)",
     "comp2-mid at p=zeta_3^1 q=zeta_3^1": "(2 + -1*z : k=3)",
-    "comp2-mid at p=zeta_4^1 q=zeta_4^2": "refused",
+    "comp2-mid at p=zeta_4^1 q=zeta_4^2": "(z : k=4)",
     "comp2-mid at p=zeta_4^2 q=zeta_4^1": "(1 + -2*z : k=4)",
     "comp2-mid at p=zeta_6^2 q=zeta_6^2": "(3 + -1*z : k=6)",
-    "comp2-mid at p=zeta_6^3 q=zeta_6^3": "refused",
+    "comp2-mid at p=zeta_6^3 q=zeta_6^3": "(-1 : k=6)",
     "comp2-right at p=-1 q=-1": "refused",
     "comp2-right at p=1 q=-1": "1",
     "comp2-right at p=1 q=1": "1",
@@ -335,3 +340,34 @@ def test_every_sum_matches_its_recorded_output():
     got = observed()
     assert sorted(got) == sorted(EXPECTED)
     assert {key: value for key, value in got.items() if EXPECTED[key] != value} == {}
+
+
+def _zeta(k, power):
+    return get_field(k).zeta(power)
+
+
+# The entries of EXPECTED that changed from "refused" to a value, grouped by
+# family.  The comp2-first and comp2-mid sums vanish from an odd j with
+# p*q^j = 1 on; at (zeta_4, zeta_4^2) the factor (q; q) of comp1-mid and the
+# factor (-q; q) of comp2-mid vanish, while no other sum of either family
+# terminates there.
+NEWLY_TERMINATING = [
+    (("comp2-first", "comp2-mid"), Fraction(2), Fraction(1, 2)),
+    (("comp2-first", "comp2-mid"), Fraction(8), Fraction(1, 2)),
+    (("comp2-first", "comp2-mid"), Fraction(-1), Fraction(-1)),
+    (("comp2-first", "comp2-mid"), _zeta(6, 3), _zeta(6, 3)),
+    (("comp1-mid",), _zeta(4, 1), _zeta(4, 2)),
+    (("comp2-mid",), _zeta(4, 1), _zeta(4, 2)),
+]
+
+
+@pytest.mark.parametrize("exprs, p, q", NEWLY_TERMINATING)
+def test_newly_terminating_values_have_zero_tails_and_agree(exprs, p, q):
+    values = []
+    for expr in exprs:
+        value = evaluate_terminating(expr, p, q)
+        spec = COMPACT_SUMS[expr](Point(p, q))
+        # eight more terms add nothing: the tail past the vanishing factor is zero
+        assert partial_sum(spec, termination_index(spec) + 9) == value
+        values.append(value)
+    assert all(v == values[0] for v in values)
