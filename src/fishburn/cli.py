@@ -93,9 +93,6 @@ def cmd_enumerate(args) -> int:
 
     fam, size = args.family, args.size
     if fam in ("fishburn", "rowFishburn", "selfDual"):
-        table = refined_counts(fam, size)
-        payload = {"family": fam, "size": size, "total": table.total,
-                   "counts": {str(k): v for k, v in sorted(table.counts.items())}}
         if args.dump:
             gen = {"fishburn": fishburn_matrices,
                    "rowFishburn": row_fishburn_matrices}.get(fam)
@@ -105,6 +102,9 @@ def cmd_enumerate(args) -> int:
             for m in matrices:
                 print(m.dump())
             return EXIT_OK
+        table = refined_counts(fam, size)
+        payload = {"family": fam, "size": size, "total": table.total,
+                   "counts": {str(k): v for k, v in sorted(table.counts.items())}}
     elif fam == "intervalOrders":
         stats = interval_order_statistics(size)
         payload = {"family": fam, "size": size, "total": stats["count"],

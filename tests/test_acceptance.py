@@ -103,12 +103,12 @@ def test_c03_univariate_sequences_triple_checked():
     _report(3, "f_n (n <= 8) and r_m (m <= 5) triple-checked", t0)
 
 
-def test_c04_halving_facts_to_reduced_size_6():
+def test_c04_halving_facts_to_reduced_size_8():
     t0 = time.time()
-    report = verify_facts(6)
+    report = verify_facts(8)
     assert report.ok, report.failures
-    assert {m for m, _ in report.checked} == set(range(1, 7))
-    _report(4, "zero-diagonal self-dual = s/2 = row-Fishburn for m <= 6", t0)
+    assert {m for m, _ in report.checked} == set(range(1, 9))
+    _report(4, "zero-diagonal self-dual = s/2 = row-Fishburn for m <= 8", t0)
 
 
 def test_c05_interval_order_cross_checks():

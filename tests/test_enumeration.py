@@ -3,18 +3,20 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from count_helpers import self_dual_count_by_full_size
-from fishburn.enumeration import (FishburnMatrix, _layouts, _walk,
+from fishburn.enumeration import (FishburnMatrix, _count, _layouts, _walk,
                                   distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
                                   row_fishburn_matrices, self_dual_matrices,
                                   verify_facts)
 from fishburn.errors import ParameterError
 from fishburn.identities import verify_coefficient_oracle
-from fishburn.qseries import expand_family
+from fishburn.qseries import (expand_family, fishburn_numbers,
+                              row_fishburn_numbers)
 
 
 def reference_fill_cells(cells, budget, conditions, kind_overlap):
@@ -84,17 +86,37 @@ def test_walk_matches_reference_on_every_layout(family, sizes):
                 list(reference_fill_cells(cells, size, conditions, overlap))
 
 
-def test_walk_matches_reference_on_random_conditions():
-    rng = random.Random(2024)
+def random_layouts(rng):
+    """300 random (cells, budget, conditions, overlap).  A condition may have
+    no cells, and an overlap bound need not hold, so the bound can prune
+    admissible vectors too: the walk's exact pruning is under test."""
     for _ in range(300):
         ncells = rng.randint(1, 6)
         overlap = {"a": rng.randint(1, 3), "b": rng.randint(1, 2)}
         conditions = [(rng.choice("ab"), {c for c in range(ncells) if rng.random() < 0.4})
                       for _ in range(rng.randint(0, 4))]
-        cells = list(range(ncells))
-        budget = rng.randint(0, 5)
+        yield list(range(ncells)), rng.randint(0, 5), conditions, overlap
+
+
+def test_walk_matches_reference_on_random_conditions():
+    for cells, budget, conditions, overlap in random_layouts(random.Random(2024)):
         assert walked(cells, budget, conditions, overlap) == \
             list(reference_fill_cells(cells, budget, conditions, overlap))
+
+
+def test_count_matches_walk_on_random_conditions():
+    rng = random.Random(7)
+    for cells, budget, conditions, overlap in random_layouts(random.Random(2024)):
+        statistics = [({c for c in cells if rng.random() < 0.5}, rng.random() < 0.3)
+                      for _ in range(rng.randint(0, 3))]
+
+        def key(values):
+            sums = (sum(values[c] for c in members) for members, _ in statistics)
+            return tuple(min(1, total) if saturates else total
+                         for total, (_, saturates) in zip(sums, statistics))
+
+        want = Counter(map(key, _walk(cells, budget, conditions, overlap)))
+        assert _count(cells, budget, conditions, overlap, statistics) == want
 
 
 def test_walk_yields_its_one_live_vector():
@@ -129,6 +151,35 @@ def test_refined_tables_are_frozen(family):
     got = [table_digest(refined_counts(family, size))
            for size in range(len(REFINED_DIGESTS[family]))]
     assert got == REFINED_DIGESTS[family]
+
+
+def object_table(family, size):
+    """The refined table of `size` >= 1 rebuilt from the generator objects,
+    each keyed by the statistics the object itself reports."""
+    if family == "fishburn":
+        keys = ((m.first_row_sum, m.last_column_sum) for m in fishburn_matrices(size))
+    elif family == "rowFishburn":
+        keys = ((m.last_column_sum,) for m in row_fishburn_matrices(size))
+    else:
+        keys = ((m.last_column_sum, m.has_zero_diagonal())
+                for m in self_dual_matrices(size))
+    return Counter(keys)
+
+
+@pytest.mark.parametrize("family,top", [("fishburn", 7), ("rowFishburn", 6),
+                                        ("selfDual", 5)])
+def test_refined_counts_match_generator_objects(family, top):
+    for size in range(1, top + 1):
+        assert refined_counts(family, size).counts == object_table(family, size)
+
+
+def test_counts_reach_sizes_the_walk_cannot():
+    # the series route: 6,271,362,282 and 10,886,503 objects, counted
+    # without visiting one
+    assert refined_counts("rowFishburn", 12).total == \
+        row_fishburn_numbers(12)[12] == 6_271_362_282
+    assert refined_counts("fishburn", 12).total == \
+        fishburn_numbers(12)[12] == 10_886_503
 
 
 def test_size_one():
@@ -195,20 +246,25 @@ def test_marginals():
 
 
 def test_coefficient_oracle_cap():
-    with pytest.raises(ParameterError, match="capped at size 8"):
-        verify_coefficient_oracle("F1", 9)
+    with pytest.raises(ParameterError, match="capped at size 12"):
+        verify_coefficient_oracle("F1", 13)
 
 
 def test_coefficient_oracle_at_the_cap():
-    # Fishburn matrices of size 8 by last-column sum, recorded from the
-    # recursive-generator enumeration; F1 must carry them at total degree 8
-    by_ell = {1: 1014, 2: 1926, 3: 1490, 4: 660, 5: 195, 6: 42, 7: 7, 8: 1}
-    assert refined_counts("fishburn", 8).marginal(1) == by_ell
-    series = expand_family("F1", 8)
-    assert {ell: series.coefficient((8 - ell, ell)) for ell in by_ell} == by_ell
-    rep = verify_coefficient_oracle("F1", 8)
-    assert rep.outcome == "verified"
-    assert rep.detail["coefficients_checked"] == 45
+    # the joint table of Fishburn matrices of size 12 and its last-column
+    # marginal, recorded from the walk over all 10,886,503 of them; F1 must
+    # carry the marginal at total degree 12
+    by_ell = {1: 1422074, 2: 3351901, 3: 3294744, 4: 1868825, 5: 706580,
+              6: 193732, 7: 40740, 8: 6840, 9: 945, 10: 110, 11: 11, 12: 1}
+    table = refined_counts("fishburn", 12)
+    assert table_digest(table) == "62b991a28344b1be"
+    assert table.marginal(1) == by_ell
+    series = expand_family("F1", 12)
+    assert {ell: series.coefficient((12 - ell, ell)) for ell in by_ell} == by_ell
+    for family in ("F1", "G1"):
+        rep = verify_coefficient_oracle(family, 12)
+        assert rep.outcome == "verified"
+        assert rep.detail["coefficients_checked"] == 91
 
 
 def test_refined_row_fishburn_m2():
