@@ -106,11 +106,11 @@ def cmd_enumerate(args) -> int:
         payload = {"family": fam, "size": size, "total": table.total,
                    "counts": {str(k): v for k, v in sorted(table.counts.items())}}
     elif fam == "intervalOrders":
+        if args.dump:
+            raise ParameterError("--dump applies to matrix families only")
         stats = interval_order_statistics(size)
         payload = {"family": fam, "size": size, "total": stats["count"],
                    "counts": {str(k): v for k, v in sorted(stats["joint"].items())}}
-        if args.dump:
-            raise ParameterError("--dump applies to matrix families only")
     elif fam == "ascentSequences":
         payload = {"family": fam, "size": size,
                    "total": count_ascent_sequences(size)}

@@ -1,21 +1,22 @@
 """Brute-force enumeration of Fishburn-type matrices.
 
 These generators are the independent oracle for every series coefficient:
-they know nothing about q-series and work only on matrix entries.  One walk,
-a single loop over an explicit stack, fills the cells in row-major order,
-prunes a branch whose budget cannot cover the rows (and columns) still
-empty, and yields each admissible entry vector in lexicographic order; the
-matrix generators build their objects from those vectors.  `refined_counts`
-visits no object: `_count` goes down the same tree with the same pruning,
-memoised on the state that fixes a subtree (cell, budget left, and which
-open conditions are met), so each distinct subtree is counted once.
+they know nothing about q-series and work only on matrix entries.  One tree,
+built by `_tree`, fills the cells in row-major order: a node is the cell, the
+budget left and which open conditions (rows, and columns) already have a
+positive entry, and its subtree is counted once, memoised on the node.  It
+is read two ways.  `refined_counts` reads the count at the root (`_count`)
+and visits no object.  The matrix generators walk the tree (`_walk`) and
+yield each admissible entry vector in lexicographic order, entering a branch
+only when its count shows a completion, so they never visit a dead subtree.
 
 Counting costs grow with the number of distinct subtrees, not of objects.
 On a 2-vCPU Xeon VM with Python 3.11, fishburn at size 12 (10,886,503
-matrices) takes about 0.2 s, rowFishburn at 12 (6,271,362,282) about 0.03 s
-and selfDual at reduced size 8 (474,696) about 0.3 s.  The walk, and so the
-generators, still visit every object: about a second for fishburn at 10,
-rowFishburn at 8 or selfDual at 7.
+matrices) takes about 0.15 s, rowFishburn at 12 (6,271,362,282) about
+0.03 s and selfDual at reduced size 8 (474,696) about 0.2 s.  The generators
+pay for each object they yield: fishburn at 9 (31,240 matrices) takes about
+0.4 s, rowFishburn at 7 (24,213) about 0.3 s and selfDual at 6 (5,630)
+about 0.1 s.
 
 Conventions: matrices are 0-indexed internally; `size` is the sum of all
 entries; the empty matrix is the unique object of size 0 and is counted in
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ParameterError
 
@@ -145,153 +147,55 @@ class SelfDualMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the walk over cell values
+# the tree of cell values
 
 
-def _rules(ncells, conditions, kind_overlap):
-    """The constraint tables the walk and the count share, or None when a
-    condition has no cells and so can never be satisfied.
+def _tree(cells, budget, conditions, kind_overlap, statistics=()):
+    """The tree of value vectors for `cells` that sum to `budget` and give
+    every condition a positive entry somewhere in its cells, as the pair of
+    functions (child, count) and the packed width of a statistic.
 
-    Returns (cond_kind, cond_cells, cell_conds, freeze_at, need): the kind
-    index and sorted cell indices of each condition, the conditions on each
-    cell, the conditions whose last cell each cell is, and `need(unsat)`,
-    the least budget that can still satisfy `unsat[k]` open conditions of
-    each kind k when one cell satisfies at most `kind_overlap[kind]` of them.
+    `conditions` is a list of (kind, cell-index set); `kind_overlap[kind]` is
+    the maximum number of same-kind conditions one cell can satisfy.  A node
+    is (pos, left, met): cells before pos are filled, `left` is the budget
+    still to spend, and `met` has a bit for each open condition that is
+    satisfied.  Open means its first cell lies before pos and its last at or
+    after it; a condition not yet started is unsatisfied, and one already
+    closed was checked at its last cell, so these three fix the subtree.
+
+    `child(pos, met, v)` is the `met` of the node below once cell pos takes
+    value v, or None when a condition closing at pos is left unmet.
+
+    `count(pos, left, met)` is the table of statistic suffixes (the part
+    cells pos.. contribute) over the completions of the node; an empty table
+    means the node has none.  `statistics` is a list of (cell-index set,
+    saturates): the statistic is the sum of the vector over its cells, or
+    with `saturates` 1 if any of them is positive and 0 if none is.  Each
+    suffix is one packed int, statistic s in the bits from s * width up.  A
+    node is cut when its budget cannot cover, for some kind, the open
+    conditions still unmet with `kind_overlap[kind]` of them per cell.
+    `count` is memoised on its node, so each distinct subtree is counted
+    once (the transfer-matrix method, Stanley, *EC1* 4.7); it refers to
+    itself, so call `count.cache_clear()` to free its tables.
     """
+    ncells = len(cells)
     kinds = sorted(kind_overlap)
     overlaps = [kind_overlap[kind] for kind in kinds]
     cond_kind = [kinds.index(k) for k, _ in conditions]
-    cond_cells = [sorted(members) for _, members in conditions]
-    if any(not members for members in cond_cells):
-        return None
-    cell_conds = [[] for _ in range(ncells)]
-    freeze_at = [[] for _ in range(ncells)]
-    for ci, members in enumerate(cond_cells):
-        for idx in members:
-            cell_conds[idx].append(ci)
-        freeze_at[members[-1]].append(ci)
-
-    def need(unsat):
-        least = 0
-        for u, o in zip(unsat, overlaps):
-            u = -(-u // o)
-            if u > least:
-                least = u
-        return least
-
-    return cond_kind, cond_cells, cell_conds, freeze_at, need
-
-
-def _walk(cells, budget, conditions, kind_overlap):
-    """Yield every value vector for `cells` that sums to `budget` and gives
-    every condition a positive entry somewhere in its cells.
-
-    `conditions` is a list of (kind, cell-index set); `kind_overlap[kind]` is
-    the maximum number of same-kind conditions one cell can satisfy.  The
-    remaining budget must cover max over kinds of ceil(unsat/overlap), and a
-    condition still unsatisfied at its last cell ends the branch.  Values go
-    up from 0 and the last cell takes the whole remaining budget, so the
-    vectors come in lexicographic order of the row-major entry vector.
-
-    One loop over an explicit stack (each cell's value and the budget left
-    before it) does the backtracking.  The vector yielded is the walk's own
-    live list: read it before the next step, copy it to keep it.
-    """
-    ncells = len(cells)
-    rules = _rules(ncells, conditions, kind_overlap)
-    if rules is None:
-        return
-    cond_kind, _, cell_conds, freeze_at, need = rules
-    unsat = [cond_kind.count(k) for k in range(len(kind_overlap))]
-    cover = [0] * len(conditions)  # positive cells of each condition so far
-    values = [0] * ncells
-    lefts = [0] * ncells  # budget left before cell pos
-    last = ncells - 1
-    pos, left = 0, budget
-    least = need(unsat)  # kept up to date wherever unsat changes
-    while True:
-        # descend: give cells pos, pos + 1, ... their least admissible values
-        while True:
-            if left < least:
-                break
-            v = left if pos == last else 0
-            if not v:
-                for ci in freeze_at[pos]:
-                    if not cover[ci]:
-                        v = 1
-                        break
-                if v and not left:
-                    break
-            if v:
-                for ci in cell_conds[pos]:
-                    if not cover[ci]:
-                        unsat[cond_kind[ci]] -= 1
-                    cover[ci] += 1
-                least = need(unsat)
-            values[pos] = v
-            if pos == last:
-                yield values
-                break
-            lefts[pos] = left
-            left -= v
-            pos += 1
-        # retreat: clear cell pos, then raise the deepest earlier cell that can
-        while True:
-            if values[pos]:
-                for ci in cell_conds[pos]:
-                    cover[ci] -= 1
-                    if not cover[ci]:
-                        unsat[cond_kind[ci]] += 1
-                values[pos] = 0
-            pos -= 1
-            if pos < 0:
-                return
-            v = values[pos]
-            if v < lefts[pos]:
-                if not v:
-                    for ci in cell_conds[pos]:
-                        if not cover[ci]:
-                            unsat[cond_kind[ci]] -= 1
-                        cover[ci] += 1
-                values[pos] = v + 1
-                left = lefts[pos] - v - 1
-                least = need(unsat)
-                pos += 1
-                break
-
-
-def _count(cells, budget, conditions, kind_overlap, statistics):
-    """{statistic tuple: number of vectors} over the vectors `_walk` yields
-    for the same arguments, found without visiting them.
-
-    `statistics` is a list of (cell-index set, saturates): the statistic is
-    the sum of the vector over its cells, or with `saturates` 1 if any of
-    them is positive and 0 if none is.
-
-    `count(pos, left, met)` is the table of statistic suffixes (the part
-    cells pos.. contribute) over the completions from cell pos with `left`
-    to spend.  `met` has a bit for each open condition that is satisfied:
-    open means its first cell lies before pos and its last at or after it.  A
-    condition not yet started is unsatisfied, and one already closed was
-    checked at its last cell, so these three arguments fix the subtree, and
-    `count` is memoised on them: each distinct subtree is counted once (the
-    transfer-matrix method, Stanley, *EC1* 4.7).  Each suffix is one packed
-    int, statistic s in the bits from s * width up.
-    """
-    ncells = len(cells)
-    rules = _rules(ncells, conditions, kind_overlap)
-    if rules is None:
-        return {}
-    cond_kind, cond_cells, cell_conds, freeze_at, need = rules
-    kinds = range(len(kind_overlap))
+    # a condition with no cells closes, unmet, at cell 0
+    ends = [max(members, default=0) for _, members in conditions]
     kind_bits = [sum(1 << ci for ci, k in enumerate(cond_kind) if k == kind)
-                 for kind in kinds]
+                 for kind in range(len(kinds))]
     # conditions of each kind not yet closed before cell pos
-    still_open = [[sum(1 for ci, members in enumerate(cond_cells)
-                       if cond_kind[ci] == kind and members[-1] >= pos)
-                   for kind in kinds] for pos in range(ncells)]
-    cell_bits = [sum(1 << ci for ci in conds) for conds in cell_conds]
-    freeze_bits = [sum(1 << ci for ci in conds) for conds in freeze_at]
+    still_open = [[sum(1 for ci, end in enumerate(ends)
+                       if cond_kind[ci] == kind and end >= pos)
+                   for kind in range(len(kinds))] for pos in range(ncells)]
+    cell_bits = [0] * ncells
+    freeze_bits = [0] * ncells
+    for ci, (_, members) in enumerate(conditions):
+        for idx in members:
+            cell_bits[idx] |= 1 << ci
+        freeze_bits[ends[ci]] |= 1 << ci
     width = budget.bit_length() or 1
     adds = [0] * ncells  # per unit of value: + adds, then | flags
     flags = [0] * ncells
@@ -302,36 +206,73 @@ def _count(cells, budget, conditions, kind_overlap, statistics):
             else:
                 adds[idx] += 1 << (s * width)
     last = ncells - 1
-    memo = {}
 
-    def count(pos, left, met):
-        state = (pos, left, met)
-        table = memo.get(state)
-        if table is not None:
-            return table
-        unsat = [open_ - (met & bits).bit_count()
-                 for open_, bits in zip(still_open[pos], kind_bits)]
+    def child(pos, met, v):
+        if v:
+            met |= cell_bits[pos]
         closing = freeze_bits[pos]
+        return None if closing & ~met else met & ~closing
+
+    @cache
+    def count(pos, left, met):
         table = {}
-        # a condition closing here and still unmet needs a positive value
-        if left >= need(unsat) and (left or not closing & ~met):
-            if pos == last:
+        for open_, bits, overlap in zip(still_open[pos], kind_bits, overlaps):
+            if open_ - (met & bits).bit_count() > left * overlap:
+                return table
+        if pos == last:
+            if child(pos, met, left) is not None:
                 table[left * adds[pos] | (flags[pos] if left else 0)] = 1
-            else:
-                if not closing & ~met:
-                    table.update(count(pos + 1, left, met & ~closing))
-                add, flag = adds[pos], flags[pos]
-                met = (met | cell_bits[pos]) & ~closing
-                for v in range(1, left + 1):
-                    shift = v * add
-                    for suffix, n in count(pos + 1, left - v, met).items():
-                        suffix = (suffix + shift) | flag
-                        table[suffix] = table.get(suffix, 0) + n
-        memo[state] = table
+            return table
+        below = child(pos, met, 0)
+        if below is not None:
+            table.update(count(pos + 1, left, below))
+        below = child(pos, met, 1)  # the same node for every positive value
+        if below is not None:
+            add, flag = adds[pos], flags[pos]
+            for v in range(1, left + 1):
+                shift = v * add
+                for suffix, n in count(pos + 1, left - v, below).items():
+                    suffix = (suffix + shift) | flag
+                    table[suffix] = table.get(suffix, 0) + n
         return table
 
+    return child, count, width
+
+
+def _walk(cells, budget, conditions, kind_overlap):
+    """Yield, as tuples, the value vectors of the tree of `_tree` in
+    lexicographic order: values go up from 0, and a branch is entered only
+    when `count` finds a completion below it, so no dead subtree is visited.
+    """
+    child, count, _ = _tree(cells, budget, conditions, kind_overlap)
+    last = len(cells) - 1
+    values = [0] * len(cells)
+
+    def walk(pos, left, met):
+        if pos == last:
+            values[pos] = left
+            yield tuple(values)
+            return
+        for v in range(left + 1):
+            below = child(pos, met, v)
+            if below is not None and count(pos + 1, left - v, below):
+                values[pos] = v
+                yield from walk(pos + 1, left - v, below)
+
+    try:
+        if count(0, budget, 0):
+            yield from walk(0, budget, 0)
+    finally:
+        count.cache_clear()
+
+
+def _count(cells, budget, conditions, kind_overlap, statistics):
+    """{statistic tuple: number of vectors} over the vectors `_walk` yields
+    for the same arguments, read off the root of the same tree without
+    visiting them; `statistics` is as in `_tree`."""
+    _, count, width = _tree(cells, budget, conditions, kind_overlap, statistics)
     packed = count(0, budget, 0)
-    memo.clear()  # count refers to itself: free the tables now, not at gc
+    count.cache_clear()
     mask = (1 << width) - 1
     return {tuple(suffix >> (s * width) & mask for s in range(len(statistics))): n
             for suffix, n in packed.items()}
@@ -454,9 +395,10 @@ def refined_counts(family: str, size: int) -> CountTable:
     rowFishburn -> (lastColumnSum,); selfDual (keyed by REDUCED size)
     -> (lastColumnSum, allDiagonalZero).
 
-    Each layout's objects are counted by `_count`, which walks the tree of
-    `_walk` with the same pruning but counts each distinct subtree once, so
-    the cost grows with the number of subtrees, not of objects."""
+    Each layout's objects are counted by `_count`, which reads the count at
+    the root of the tree the generators walk; each distinct subtree is
+    counted once, so the cost grows with the number of subtrees, not of
+    objects."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
     if family not in _EMPTY_KEYS:

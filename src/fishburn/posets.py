@@ -19,6 +19,7 @@ orders only.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 from .errors import BoundExceededError, ParameterError
@@ -232,18 +233,21 @@ def ascent_sequences(n: int):
 
 
 def count_ascent_sequences(n: int) -> int:
-    """Number of ascent sequences of length n, by direct recursive generation."""
+    """Number of ascent sequences of length n, by the recursion that
+    `ascent_sequences` follows, memoised on (position, last entry, ascents):
+    those fix the completions, so each distinct subtree is counted once."""
     if n < 0:
         raise ParameterError("length must be nonnegative")
     if n == 0:
         return 1
 
+    @cache
     def rec(i, last, ascents):
         if i == n:
             return 1
-        total = 0
-        for v in range(ascents + 2):
-            total += rec(i + 1, v, ascents + (1 if v > last else 0))
-        return total
+        return sum(rec(i + 1, v, ascents + (v > last))
+                   for v in range(ascents + 2))
 
-    return rec(1, 0, 0)
+    total = rec(1, 0, 0)
+    rec.cache_clear()  # rec refers to itself: free the table now, not at gc
+    return total

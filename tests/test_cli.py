@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON schemas, golden outputs, and the
 lazy imports that keep each command's start-up small."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -167,6 +168,33 @@ def test_enumerate_dump_format(capsys):
                        "--size", "2", "--dump")
     assert code == 0
     assert out.splitlines() == ["n=1", "2", "n=2", "1 0", "0 1"]
+
+
+# sha256 prefix and object count of each dump, recorded from the
+# explicit-stack walk the memoised tree replaced; selfDual goes through
+# SelfDualMatrix.completed()
+@pytest.mark.parametrize("family,size,objects,digest", [
+    ("fishburn", 6, 217, "4b8fcded9c1013a9"),
+    ("rowFishburn", 5, 380, "2e70effedb1eb1d5"),
+    ("selfDual", 4, 122, "e8cda88d2e795330"),
+])
+def test_enumerate_dump_is_frozen(capsys, family, size, objects, digest):
+    code, out, _ = run(capsys, "enumerate", "--family", family,
+                       "--size", str(size), "--dump")
+    assert code == 0
+    assert sum(line.startswith("n=") for line in out.splitlines()) == objects
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_enumerate_dump_of_interval_orders_fails_before_work(capsys, monkeypatch):
+    def refuse(size):
+        raise AssertionError("interval orders enumerated before the usage check")
+
+    monkeypatch.setattr("fishburn.posets.interval_order_statistics", refuse)
+    code, _, err = run(capsys, "enumerate", "--family", "intervalOrders",
+                       "--size", "7", "--dump")
+    assert code == 2
+    assert "--dump applies to matrix families only" in err
 
 
 def test_enumerate_interval_orders(capsys):

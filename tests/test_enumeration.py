@@ -20,9 +20,10 @@ from fishburn.qseries import (expand_family, fishburn_numbers,
 
 
 def reference_fill_cells(cells, budget, conditions, kind_overlap):
-    """The recursive generator the explicit-stack walk replaced, kept as the
-    reference for the differential tests: one generator frame per cell,
-    the last cell looping over 0..left like every other."""
+    """An independent recursive generator of the vectors `_walk` yields,
+    the reference for the differential tests: it tracks which conditions
+    are satisfied cell by cell instead of reading the memoised tree, and
+    its last cell loops over 0..left like every other."""
     ncells = len(cells)
     kinds = sorted(kind_overlap)
     cond_kind = [k for k, _ in conditions]
@@ -72,17 +73,13 @@ def reference_fill_cells(cells, budget, conditions, kind_overlap):
     yield from rec(0, budget)
 
 
-def walked(cells, budget, conditions, overlap):
-    return [tuple(values) for values in _walk(cells, budget, conditions, overlap)]
-
-
 @pytest.mark.parametrize("family,sizes", [("fishburn", range(7)),
                                           ("rowFishburn", range(7)),
                                           ("selfDual", range(6))])
 def test_walk_matches_reference_on_every_layout(family, sizes):
     for size in sizes:
         for _dim, cells, conditions, overlap in _layouts(family, size):
-            assert walked(cells, size, conditions, overlap) == \
+            assert list(_walk(cells, size, conditions, overlap)) == \
                 list(reference_fill_cells(cells, size, conditions, overlap))
 
 
@@ -100,11 +97,11 @@ def random_layouts(rng):
 
 def test_walk_matches_reference_on_random_conditions():
     for cells, budget, conditions, overlap in random_layouts(random.Random(2024)):
-        assert walked(cells, budget, conditions, overlap) == \
+        assert list(_walk(cells, budget, conditions, overlap)) == \
             list(reference_fill_cells(cells, budget, conditions, overlap))
 
 
-def test_count_matches_walk_on_random_conditions():
+def test_count_matches_reference_on_random_conditions():
     rng = random.Random(7)
     for cells, budget, conditions, overlap in random_layouts(random.Random(2024)):
         statistics = [({c for c in cells if rng.random() < 0.5}, rng.random() < 0.3)
@@ -115,15 +112,9 @@ def test_count_matches_walk_on_random_conditions():
             return tuple(min(1, total) if saturates else total
                          for total, (_, saturates) in zip(sums, statistics))
 
-        want = Counter(map(key, _walk(cells, budget, conditions, overlap)))
+        want = Counter(map(key, reference_fill_cells(cells, budget, conditions,
+                                                     overlap)))
         assert _count(cells, budget, conditions, overlap, statistics) == want
-
-
-def test_walk_yields_its_one_live_vector():
-    # callers read the vector before the next step or copy it
-    _dim, cells, conditions, overlap = list(_layouts("rowFishburn", 3))[-1]
-    vectors = list(_walk(cells, 3, conditions, overlap))
-    assert len(vectors) == 6 and all(v is vectors[0] for v in vectors)
 
 
 # sha256 of the sorted (key, count) pairs of refined_counts, recorded from

@@ -9,6 +9,7 @@ from fishburn.enumeration import refined_counts
 from fishburn.errors import BoundExceededError, ParameterError
 from fishburn.posets import (Poset, ascent_sequences, count_ascent_sequences,
                              interval_orders, interval_order_statistics)
+from fishburn.qseries import fishburn_numbers
 from poset_helpers import (dual, is_self_dual, labelled_classes, less,
                            naturally_labeled_orders, unlabeled_posets)
 
@@ -168,3 +169,8 @@ def test_ascent_sequence_counts(n):
     assert count_ascent_sequences(n) == expected
     if n <= 6:
         assert sum(1 for _ in ascent_sequences(n)) == expected
+
+
+def test_ascent_sequence_counts_match_the_series_to_thirty():
+    # the memoised recursion against the q-series Fishburn numbers
+    assert [count_ascent_sequences(n) for n in range(31)] == fishburn_numbers(30)
