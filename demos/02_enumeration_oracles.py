@@ -36,7 +36,7 @@ print("  zero-diagonal half = row-Fishburn count at every (m, l):",
 print()
 print("=== interval orders (2+2-free posets) ===")
 f = fishburn_numbers(10)
-for n in range(1, 7):
+for n in range(1, 9):
     stats = interval_order_statistics(n)
     print(f"  n={n}: {stats['count']} interval orders (f_{n} = {f[n]}), "
           f"maximal-element distribution {stats['maximal']}")

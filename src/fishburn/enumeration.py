@@ -313,11 +313,14 @@ def _layouts(family, size):
 
 def _triangular_matrices(family, size):
     for dim, cells, conditions, overlap in _layouts(family, size):
+        # row i of the upper triangle is the slice [starts[i], starts[i + 1])
+        # of the row-major cell vector
+        starts = [0]
+        for i in range(dim):
+            starts.append(starts[-1] + dim - i)
+        slices = [((0,) * i, starts[i], starts[i + 1]) for i in range(dim)]
         for values in _walk(cells, size, conditions, overlap):
-            rows = [[0] * dim for _ in range(dim)]
-            for (i, j), v in zip(cells, values):
-                rows[i][j] = v
-            yield FishburnMatrix(tuple(tuple(r) for r in rows))
+            yield FishburnMatrix(tuple(zeros + values[a:b] for zeros, a, b in slices))
 
 
 def fishburn_matrices(size: int):

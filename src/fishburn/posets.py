@@ -1,41 +1,48 @@
-"""Unlabeled posets, interval orders, and ascent sequences.
-
-Small-scale (n <= 7) isomorph-free generation by one-point extension: the
-classes on n elements are grown from the classes on n - 1 by adding a new
-element above exactly one order ideal (down-closed subset) of a class
-representative, then deduplicated by a canonical form.  Deleting a maximal
-element of a poset leaves a poset, so every class on n elements arises this
-way.  Canonicalization minimizes the relation matrix over relabelings,
-restricted to permutations compatible with an iterated degree-refinement
-invariant, which keeps the search tiny without a canonical-labeling
-dependency.
+"""Interval orders and ascent sequences.
 
 A poset is an interval order iff it avoids an induced 2+2 (two disjoint
-2-chains with all four cross-pairs incomparable); these are counted here as
-the independent cross-check for the Fishburn numbers.  An induced subposet
-of a 2+2-free poset is 2+2-free, so interval orders are grown from interval
-orders only.
+2-chains with all four cross-pairs incomparable), which holds exactly when
+its strict down-sets are totally ordered by inclusion (and, dually, its
+up-sets).  Interval orders are counted here as the independent cross-check
+for the Fishburn numbers, for n <= 8 elements.
+
+The classes on n elements grow from the classes on n - 1 by one-point
+extension.  Deleting a maximal element leaves an interval order, so every
+class arises from a representative p by adding a new maximal element above
+an order ideal D.  The new order is 2+2-free exactly when D is comparable
+with every down-set of p, that is when D lies between two consecutive
+members A ⊆ D ⊆ B of p's down-set chain (with the empty and the full set
+added).  Every such D is down-closed: an element of B - A has its down-set
+inside A.  So the candidates are read off the chain, not off all 2^n
+subsets, and no extension needs a 2+2 test.
+
+Extensions are deduplicated by Fishburn's characteristic representation
+(*J. Math. Psych.* 7 (1970)): rank each element's down-set among the
+distinct down-sets (smallest first) and its up-set among the distinct
+up-sets (largest first).  The pair (down rank, up rank) is an interval
+[l, r] with x < y iff r(x) < l(y), so the sorted multiset of pairs rebuilds
+the order and is a complete isomorphism invariant.  It costs O(n log n) and
+needs no relabelling; the count of each pair is the order's characteristic
+Fishburn matrix.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
 
 from .errors import BoundExceededError, ParameterError
 
-POSET_SIZE_BOUND = 7
+POSET_SIZE_BOUND = 8
 
 
 class Poset:
     """Finite strict order; rel[i] is the bitmask of elements above i."""
 
-    __slots__ = ("n", "rel", "_canon")
+    __slots__ = ("n", "rel")
 
     def __init__(self, n: int, rel, validate: bool = True):
         self.n = n
         self.rel = tuple(rel)
-        self._canon = None
         if validate:
             self._validate()
 
@@ -53,8 +60,6 @@ class Poset:
                     if rel[j] & ~rel[i]:
                         raise ParameterError(f"transitivity fails below ({i},{j})")
 
-    # -- basic structure -----------------------------------------------------
-
     @property
     def maximal_count(self) -> int:
         return sum(1 for i in range(self.n) if self.rel[i] == 0)
@@ -66,126 +71,56 @@ class Poset:
             above |= mask
         return sum(1 for i in range(self.n) if not (above >> i & 1))
 
-    def relabel(self, perm) -> "Poset":
-        """perm[i] is the new name of element i."""
-        rel = [0] * self.n
-        for i in range(self.n):
-            mask = self.rel[i]
-            j = 0
-            while mask:
-                if mask & 1:
-                    rel[perm[i]] |= 1 << perm[j]
-                mask >>= 1
-                j += 1
-        return Poset(self.n, rel, validate=False)
-
-    # -- isomorphism ---------------------------------------------------------
-
-    def _refined_keys(self):
-        n = self.n
-        succ = [tuple(j for j in range(n) if self.rel[i] >> j & 1) for i in range(n)]
-        pred = [tuple(j for j in range(n) if self.rel[j] >> i & 1) for i in range(n)]
-        keys = [(len(succ[i]), len(pred[i])) for i in range(n)]
-        for _ in range(2):
-            keys = [
-                (keys[i],
-                 tuple(sorted(keys[j] for j in succ[i])),
-                 tuple(sorted(keys[j] for j in pred[i])))
-                for i in range(n)
-            ]
-        return keys
-
-    def canonical_form(self) -> tuple:
-        """Lexicographically minimal relation matrix over all relabelings."""
-        if self._canon is not None:
-            return self._canon
-        keys = self._refined_keys()
-        order = sorted(range(self.n), key=lambda i: (keys[i], i))
-        blocks = []
-        for i in order:
-            if blocks and keys[blocks[-1][-1]] == keys[i]:
-                blocks[-1].append(i)
-            else:
-                blocks.append([i])
-        best = None
-        for arrangement in _block_arrangements(blocks):
-            perm = [0] * self.n  # old index -> position
-            for pos, old in enumerate(arrangement):
-                perm[old] = pos
-            cand = self.relabel(perm).rel
-            if best is None or cand < best:
-                best = cand
-        self._canon = best
-        return best
-
-    def is_interval_order(self) -> bool:
-        """2+2-free test.  An order is 2+2-free exactly when its up-sets are
-        totally ordered by inclusion (as are, dually, its down-sets): a 2+2
-        a < b, c < d puts b above a but not c and d above c but not a, and
-        two up-sets neither inside the other give such a pair.  Sorted by
-        size, each up-set bitmask must lie inside the next."""
-        ups = sorted(self.rel, key=int.bit_count)
-        return not any(a & ~b for a, b in zip(ups, ups[1:]))
-
     def __repr__(self):
         pairs = [(i, j) for i in range(self.n) for j in range(self.n)
                  if self.rel[i] >> j & 1]
         return f"Poset(n={self.n}, pairs={pairs})"
 
 
-def _block_arrangements(blocks):
-    def rec(idx):
-        if idx == len(blocks):
-            yield []
-            return
-        for tail in rec(idx + 1):
-            for perm in permutations(blocks[idx]):
-                yield list(perm) + tail
-    # build from the back so the first block varies fastest
-    for arrangement in rec(0):
-        yield arrangement
+def _characteristic_key(ups, downs):
+    """Sorted (down rank, up rank) pairs of the interval order whose element
+    i has up-set mask ups[i] and strict down-set mask downs[i].  Each family
+    is a chain, so its members are ordered by size."""
+    down_rank = {d: r for r, d in enumerate(sorted(set(downs), key=int.bit_count))}
+    up_rank = {u: r for r, u in enumerate(
+        sorted(set(ups), key=int.bit_count, reverse=True))}
+    return tuple(sorted((down_rank[d], up_rank[u]) for d, u in zip(downs, ups)))
 
 
-def _order_ideals(p):
-    """Bitmasks of the down-closed subsets of p: no element outside the
-    subset lies below an element inside it."""
-    for mask in range(1 << p.n):
-        if not any(p.rel[i] & mask for i in range(p.n) if not mask >> i & 1):
-            yield mask
+def _extensions(ups, downs):
+    """(ups, downs) of every 2+2-free order that adds a maximal element above
+    an ideal D of the interval order (ups, downs), each D once: D = A | S
+    for consecutive chain members A ⊂ B and S ⊊ B - A, then D = everything."""
+    n = len(ups)
+    top, full = 1 << n, (1 << n) - 1
+    chain = sorted(set(downs) | {0, full}, key=int.bit_count)
+    ideals = [full]
+    for a, b in zip(chain, chain[1:]):
+        gap = s = b & ~a
+        while s:
+            s = (s - 1) & gap
+            ideals.append(a | s)
+    for d in ideals:
+        yield (tuple(u | top if d >> i & 1 else u for i, u in enumerate(ups))
+               + (0,), downs + (d,))
 
 
-def _extend(p, down):
-    """p with a new maximal element p.n lying above exactly `down`."""
-    top = 1 << p.n
-    rel = [r | top if down >> i & 1 else r for i, r in enumerate(p.rel)]
-    rel.append(0)
-    return Poset(p.n + 1, rel, validate=False)
-
-
-def _grow(n, keep):
-    """One representative per class of posets on n elements that pass `keep`
-    (a test inherited by induced subposets), sorted by canonical form."""
+def interval_orders(n: int):
+    """All unlabeled 2+2-free posets on n elements, one per class, ordered
+    by characteristic key."""
     if n < 0:
         raise ParameterError("poset size must be nonnegative")
     if n > POSET_SIZE_BOUND:
         raise BoundExceededError(
             f"poset generation is configured for n <= {POSET_SIZE_BOUND}")
-    level = [Poset(0, [])]
+    level = [((), ())]
     for _ in range(n):
         seen = {}
-        for p in level:
-            for down in _order_ideals(p):
-                q = _extend(p, down)
-                if keep(q):
-                    seen.setdefault(q.canonical_form(), q)
+        for ups, downs in level:
+            for ext in _extensions(ups, downs):
+                seen.setdefault(_characteristic_key(*ext), ext)
         level = [seen[k] for k in sorted(seen)]
-    return level
-
-
-def interval_orders(n: int):
-    """All unlabeled 2+2-free posets on n elements, deterministically ordered
-    by canonical form."""
-    return _grow(n, Poset.is_interval_order)
+    return [Poset(n, ups, validate=False) for ups, _ in level]
 
 
 def interval_order_statistics(n: int) -> dict:

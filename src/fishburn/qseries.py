@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import inf
+from math import inf, lcm
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicElement
@@ -139,8 +139,21 @@ def truncated_sum(spec: PochhammerSum) -> TruncatedSeries:
 def partial_sum(spec: PochhammerSum, count: int):
     """t_0 + ... + t_{count-1} in any arithmetic, count >= 1: the value of a
     terminating sum whose term `count` vanishes."""
-    terms = pochhammer_terms(spec)
-    return sum(islice(terms, count - 1), next(terms))
+    terms = list(islice(pochhammer_terms(spec), count))
+    if all(type(t) is Fraction for t in terms):
+        return _fraction_sum(terms)
+    return sum(islice(terms, 1, None), terms[0])
+
+
+def _fraction_sum(terms) -> Fraction:
+    """Sum of Fractions over the lcm of their denominators, reduced once.
+    Adding them one by one reduces every partial sum by a gcd of numbers as
+    large as the sum itself."""
+    den = 1
+    for t in terms:
+        if den % t.denominator:
+            den = lcm(den, t.denominator)
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
 
 
 TERMINATING_SCAN_CAP = 512

@@ -113,7 +113,7 @@ def test_c04_halving_facts_to_reduced_size_8():
 
 def test_c05_interval_order_cross_checks():
     t0 = time.time()
-    for n in range(1, 8):
+    for n in range(1, 9):
         stats = interval_order_statistics(n)
         assert stats["count"] == FISHBURN_NUMBERS[n], n
         matrix_joint = refined_counts("fishburn", n).counts
@@ -124,7 +124,7 @@ def test_c05_interval_order_cross_checks():
         assert stats["joint"] == matrix_joint, n
         for (a, b), c in stats["joint"].items():
             assert stats["joint"].get((b, a), 0) == c, (n, a, b)
-    assert stats["count"] == 1014  # n = 7, the poset size bound
+    assert stats["count"] == 5335  # n = 8, the poset size bound
     for n in range(11):
         expected = fishburn_numbers(n)[n]
         assert count_ascent_sequences(n) == expected, n

@@ -204,6 +204,13 @@ def test_enumerate_interval_orders(capsys):
     assert json.loads(out)["total"] == 15
 
 
+def test_enumerate_interval_orders_at_the_size_bound(capsys):
+    code, out, _ = run(capsys, "enumerate", "--family", "intervalOrders",
+                       "--size", "8", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["total"] == 5335
+
+
 def test_enumerate_interval_orders_of_size_zero(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "intervalOrders",
                        "--size", "0")

@@ -1,4 +1,4 @@
-"""Interval orders, canonical forms, ascent sequences."""
+"""Interval orders, their characteristic key, ascent sequences."""
 
 import random
 
@@ -7,14 +7,21 @@ import pytest
 from count_helpers import self_dual_count_by_full_size
 from fishburn.enumeration import refined_counts
 from fishburn.errors import BoundExceededError, ParameterError
-from fishburn.posets import (Poset, ascent_sequences, count_ascent_sequences,
+from fishburn.posets import (Poset, _characteristic_key, _extensions,
+                             ascent_sequences, count_ascent_sequences,
                              interval_orders, interval_order_statistics)
 from fishburn.qseries import fishburn_numbers
-from poset_helpers import (dual, is_self_dual, labelled_classes, less,
-                           naturally_labeled_orders, unlabeled_posets)
+from poset_helpers import (_order_ideals, canonical_form, down_sets, dual,
+                           extend, grow, is_interval_order, is_self_dual,
+                           labelled_classes, less, naturally_labeled_orders,
+                           relabel, unlabeled_posets)
 
-FISHBURN = [1, 1, 2, 5, 15, 53, 217]
+FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
 ALL_POSETS = [1, 1, 2, 5, 16, 63, 318]  # unlabeled posets on 0..6 elements
+
+
+def key(p):
+    return _characteristic_key(p.rel, down_sets(p))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -22,7 +29,7 @@ def test_unlabeled_poset_counts(n):
     assert len(unlabeled_posets(n)) == ALL_POSETS[n]
 
 
-@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("n", range(9))
 def test_interval_order_counts(n):
     assert len(interval_orders(n)) == FISHBURN[n]
 
@@ -31,32 +38,78 @@ def test_interval_order_counts(n):
 def test_extension_matches_labelled_enumeration(n):
     """One-point extension of class representatives gives exactly the
     classes that enumerating every labelled order and deduplicating gives."""
-    assert ([p.canonical_form() for p in interval_orders(n)]
-            == labelled_classes(n, Poset.is_interval_order))
-    assert ([p.canonical_form() for p in unlabeled_posets(n)]
+    assert (sorted(canonical_form(p) for p in interval_orders(n))
+            == labelled_classes(n, is_interval_order))
+    assert ([canonical_form(p) for p in unlabeled_posets(n)]
             == labelled_classes(n))
 
 
-def test_extension_canonicalises_few_orders(monkeypatch):
-    """interval_orders(6) canonicalises its extensions, not the 2,637
-    labelled 2+2-free orders on six elements."""
+@pytest.mark.parametrize("n", range(8))
+def test_key_classes_match_canonical_form_classes(n):
+    """Deduplicating by the characteristic key keeps one order per class of
+    the relabelling canonical form, none twice."""
+    forms = [canonical_form(p) for p in interval_orders(n)]
+    assert len(set(forms)) == len(forms)
+    assert set(forms) == {canonical_form(q) for q in grow(n, is_interval_order)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_key_is_relabeling_invariant(n):
+    rng = random.Random(n)
+    for p in interval_orders(n):
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert key(relabel(p, perm)) == key(p), p
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_key_intervals_rebuild_the_order(n):
+    """The pairs are intervals [l, r] with x < y iff r(x) < l(y)."""
+    for p in interval_orders(n):
+        pairs = key(p)
+        rebuilt = Poset(n, [sum(1 << y for y, (l, _) in enumerate(pairs) if r < l)
+                            for _, r in pairs])
+        assert canonical_form(rebuilt) == canonical_form(p)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_chain_candidates_are_the_2_plus_2_free_extensions(n):
+    """The ideals read off the down-set chain are exactly the order ideals
+    whose extension is 2+2-free, each once."""
+    for p in interval_orders(n - 1):
+        exts = list(_extensions(p.rel, down_sets(p)))
+        built = [ups for ups, _ in exts]
+        assert len(set(built)) == len(built)
+        assert all(is_interval_order(Poset(n, ups, validate=False))
+                   for ups in built)
+        reference = {extend(p, down).rel for down in _order_ideals(p)
+                     if is_interval_order(extend(p, down))}
+        assert set(built) == reference
+        assert all(downs == down_sets(Poset(n, ups)) for ups, downs in exts)
+
+
+def test_extension_candidates_at_six(monkeypatch):
+    """interval_orders(6) keys only the 2+2-free one-point extensions: 517
+    from the 53 classes on five elements (not all 53 * 2^5 subsets), 667 over
+    all six levels."""
     calls = []
-    canonical_form = Poset.canonical_form
+    characteristic_key = _characteristic_key
 
-    def counted(self):
-        calls.append(None)
-        return canonical_form(self)
+    def counted(ups, downs):
+        calls.append(len(ups))
+        return characteristic_key(ups, downs)
 
-    monkeypatch.setattr(Poset, "canonical_form", counted)
+    monkeypatch.setattr("fishburn.posets._characteristic_key", counted)
     assert len(interval_orders(6)) == FISHBURN[6]
-    assert len(calls) < 1000
+    assert [calls.count(n) for n in range(1, 7)] == [1, 2, 7, 27, 113, 517]
 
 
 def test_exactly_one_non_interval_poset_on_four_elements():
     """The only 2+2-containing poset on 4 elements is the 2+2 itself."""
     assert len(unlabeled_posets(4)) - len(interval_orders(4)) == 1
     two_plus_two = Poset(4, [1 << 1, 0, 1 << 3, 0])  # 0<1, 2<3
-    assert not two_plus_two.is_interval_order()
+    assert not is_interval_order(two_plus_two)
 
 
 def reference_is_interval_order(p):
@@ -75,18 +128,18 @@ def reference_is_interval_order(p):
 def test_interval_order_test_matches_the_literal_2_plus_2_search(n):
     rng = random.Random(n)
     for p in naturally_labeled_orders(n):
-        assert p.is_interval_order() == reference_is_interval_order(p), p
+        assert is_interval_order(p) == reference_is_interval_order(p), p
     # the test must not depend on the labelling either
     for p in naturally_labeled_orders(min(n, 5)):
         perm = list(range(p.n))
         rng.shuffle(perm)
-        q = p.relabel(perm)
-        assert q.is_interval_order() == reference_is_interval_order(q), q
+        q = relabel(p, perm)
+        assert is_interval_order(q) == reference_is_interval_order(q), q
 
 
 def test_bound_is_enforced():
-    with pytest.raises(BoundExceededError, match="7"):
-        interval_orders(8)
+    with pytest.raises(BoundExceededError, match="8"):
+        interval_orders(9)
     with pytest.raises(ParameterError):
         interval_orders(-1)
 
@@ -94,10 +147,21 @@ def test_bound_is_enforced():
 def test_chain_and_antichain_are_interval_orders():
     chain = Poset(4, [0b1110, 0b1100, 0b1000, 0])
     antichain = Poset(4, [0, 0, 0, 0])
-    assert chain.is_interval_order()
-    assert antichain.is_interval_order()
+    assert is_interval_order(chain)
+    assert is_interval_order(antichain)
     assert chain.minimal_count == 1 and chain.maximal_count == 1
     assert antichain.minimal_count == 4
+
+
+@pytest.mark.parametrize("n, rel, message", [
+    (1, [0b1], "irreflexive"),
+    (2, [0b10, 0b1], "antisymmetry"),
+    (3, [0b10, 0b100, 0], "transitivity"),
+    (2, [0], "row count"),
+])
+def test_a_relation_that_is_not_a_strict_order_is_refused(n, rel, message):
+    with pytest.raises(ParameterError, match=message):
+        Poset(n, rel)
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -106,8 +170,8 @@ def test_canonical_form_is_relabeling_invariant():
         for _ in range(5):
             perm = list(range(p.n))
             rng.shuffle(perm)
-            q = p.relabel(perm)
-            assert q.canonical_form() == p.canonical_form()
+            q = relabel(p, perm)
+            assert canonical_form(q) == canonical_form(p)
 
 
 def test_dual_poset():

@@ -8,10 +8,11 @@ import pytest
 
 from fishburn.enumeration import distinct_partition_parity, refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
-from fishburn.qseries import (PochhammerSum, expand_family, fishburn_numbers,
+from fishburn.qseries import (COMPACT_SUMS, Point, PochhammerSum,
+                              expand_family, fishburn_numbers, partial_sum,
                               partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
-                              univariate_fishburn_series)
+                              termination_index, univariate_fishburn_series)
 from fishburn.rings import ZZ
 from fishburn.series import TruncatedSeries
 from series_helpers import map_coefficients
@@ -270,3 +271,15 @@ def test_a_scalar_zero_over_zero_term_is_still_refused():
     assert next(terms) == 1
     with pytest.raises(ZeroDivisionError):
         next(terms)
+
+
+def test_fraction_partial_sum_equals_the_plain_fraction_sum():
+    # comp1-left at (2^301, 1/2) terminates after 302 terms whose numerators
+    # and denominators grow to tens of thousands of bits
+    spec = COMPACT_SUMS["comp1-left"](Point(Fraction(2**301), Fraction(1, 2)))
+    count = termination_index(spec) + 1
+    assert count == 302
+    terms = list(islice(pochhammer_terms(spec), count))
+    assert all(type(t) is Fraction for t in terms)
+    assert partial_sum(spec, count) == sum(terms[1:], terms[0])
+
