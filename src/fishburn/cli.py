@@ -92,14 +92,12 @@ def cmd_enumerate(args) -> int:
                          interval_order_statistics)
 
     fam, size = args.family, args.size
-    if fam in ("fishburn", "rowFishburn", "selfDual"):
+    generators = {"fishburn": fishburn_matrices,
+                  "rowFishburn": row_fishburn_matrices,
+                  "selfDual": self_dual_matrices}
+    if fam in generators:
         if args.dump:
-            gen = {"fishburn": fishburn_matrices,
-                   "rowFishburn": row_fishburn_matrices}.get(fam)
-            matrices = (m.completed() if fam == "selfDual" else m
-                        for m in (self_dual_matrices(size) if fam == "selfDual"
-                                  else gen(size)))
-            for m in matrices:
+            for m in generators[fam](size):
                 print(m.dump())
             return EXIT_OK
         table = refined_counts(fam, size)

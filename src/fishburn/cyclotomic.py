@@ -35,8 +35,6 @@ from operator import add, neg, sub
 
 from .errors import NonInvertibleError
 
-DEFAULT_CONDUCTOR_CAP = 12
-
 
 def _poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:

@@ -6,17 +6,20 @@ built by `_tree`, fills the cells in row-major order: a node is the cell, the
 budget left and which open conditions (rows, and columns) already have a
 positive entry, and its subtree is counted once, memoised on the node.  It
 is read two ways.  `refined_counts` reads the count at the root (`_count`)
-and visits no object.  The matrix generators walk the tree (`_walk`) and
-yield each admissible entry vector in lexicographic order, entering a branch
-only when its count shows a completion, so they never visit a dead subtree.
+and visits no object.  The matrix generators walk the tree (`_walk`), which
+yields each admissible entry vector in lexicographic order, entering a branch
+only when its count shows a completion, so it never visits a dead subtree.
+One generator, `_matrices`, turns the vectors of all three families into
+full square matrices; a self-dual matrix is walked by its south-east cells
+and its other entries are read from their mirror cells.
 
 Counting costs grow with the number of distinct subtrees, not of objects.
 On a 2-vCPU Xeon VM with Python 3.11, fishburn at size 12 (10,886,503
 matrices) takes about 0.15 s, rowFishburn at 12 (6,271,362,282) about
 0.03 s and selfDual at reduced size 8 (474,696) about 0.2 s.  The generators
-pay for each object they yield: fishburn at 9 (31,240 matrices) takes about
-0.4 s, rowFishburn at 7 (24,213) about 0.3 s and selfDual at 6 (5,630)
-about 0.1 s.
+pay for each object they yield, about two thirds of it in the walk:
+fishburn at 9 (31,240 matrices) takes about 0.25 s, rowFishburn at 8
+(237,348) about 1.8 s and selfDual at 6 (5,630) about 0.06 s.
 
 Conventions: matrices are 0-indexed internally; `size` is the sum of all
 entries; the empty matrix is the unique object of size 0 and is counted in
@@ -29,6 +32,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 
 from .errors import ParameterError
 
@@ -55,95 +59,10 @@ class FishburnMatrix:
     def last_column_sum(self) -> int:
         return sum(row[-1] for row in self.rows)
 
-    def is_upper_triangular(self) -> bool:
-        return all(self.rows[i][j] == 0
-                   for i in range(self.dim) for j in range(i))
-
-    def rows_all_positive(self) -> bool:
-        return all(any(v > 0 for v in row) for row in self.rows)
-
-    def columns_all_positive(self) -> bool:
-        return all(any(self.rows[i][j] > 0 for i in range(self.dim))
-                   for j in range(self.dim))
-
-    def is_row_fishburn(self) -> bool:
-        return self.is_upper_triangular() and self.rows_all_positive()
-
-    def is_fishburn(self) -> bool:
-        return self.is_row_fishburn() and self.columns_all_positive()
-
-    def reverse_transpose(self) -> "FishburnMatrix":
-        """Reflection through the north-east diagonal: (i,j) -> (n-1-j, n-1-i).
-
-        An involution on Fishburn matrices that swaps first-row and
-        last-column sums.
-        """
-        n = self.dim
-        return FishburnMatrix(tuple(
-            tuple(self.rows[n - 1 - j][n - 1 - i] for j in range(n))
-            for i in range(n)))
-
-    def is_self_dual(self) -> bool:
-        return self.rows == self.reverse_transpose().rows
-
     def dump(self) -> str:
         lines = [f"n={self.dim}"]
         lines.extend(" ".join(str(v) for v in row) for row in self.rows)
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class SelfDualMatrix:
-    """Self-dual Fishburn matrix stored by its south-east entries.
-
-    `southeast` maps 0-based (i, j) with i <= j and i + j >= dim - 1 to the
-    entry; the full matrix is recovered via M[i][j] = M[n-1-j][n-1-i].
-    The reduced size is the sum of the stored entries; the diagonal entries
-    are those on the anti-diagonal i + j = dim - 1.
-    """
-
-    dim: int
-    southeast: tuple  # sorted tuple of ((i, j), value), zero entries omitted
-
-    @property
-    def reduced_size(self) -> int:
-        return sum(v for _, v in self.southeast)
-
-    @property
-    def diagonal_entries(self) -> tuple:
-        n = self.dim
-        se = dict(self.southeast)
-        out = []
-        for i in range(n):
-            j = n - 1 - i
-            if i <= j:
-                out.append(se.get((i, j), 0))
-        return tuple(out)
-
-    def has_zero_diagonal(self) -> bool:
-        return all(v == 0 for v in self.diagonal_entries)
-
-    def completed(self) -> FishburnMatrix:
-        n = self.dim
-        se = dict(self.southeast)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if j < i:
-                    row.append(0)
-                elif i + j >= n - 1:
-                    row.append(se.get((i, j), 0))
-                else:
-                    row.append(se.get((n - 1 - j, n - 1 - i), 0))
-            rows.append(tuple(row))
-        return FishburnMatrix(tuple(rows))
-
-    @property
-    def last_column_sum(self) -> int:
-        # the whole last column lies in the south-east region
-        se = dict(self.southeast)
-        return sum(se.get((i, self.dim - 1), 0) for i in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +230,24 @@ def _layouts(family, size):
         yield dim, cells, conditions, overlap
 
 
-def _triangular_matrices(family, size):
+def _matrices(family, size):
+    """The matrices of `family` whose vectors `_walk` yields, in its order.
+
+    Entry (i, j) of a matrix is read from its cell, else, for selfDual, from
+    the mirror cell (dim-1-j, dim-1-i), else it is 0: each row is one gather
+    from the vector padded with that 0."""
     for dim, cells, conditions, overlap in _layouts(family, size):
-        # row i of the upper triangle is the slice [starts[i], starts[i + 1])
-        # of the row-major cell vector
-        starts = [0]
-        for i in range(dim):
-            starts.append(starts[-1] + dim - i)
-        slices = [((0,) * i, starts[i], starts[i + 1]) for i in range(dim)]
+        index = {cell: k for k, cell in enumerate(cells)}
+        zero = len(cells)
+        sources = [[index.get((i, j), index.get((dim - 1 - j, dim - 1 - i), zero)
+                              if family == "selfDual" else zero)
+                    for j in range(dim)] for i in range(dim)]
+        # itemgetter of one index returns the entry, not a 1-tuple
+        rows = [itemgetter(*source) if dim > 1 else itemgetter(slice(0, 1))
+                for source in sources]
         for values in _walk(cells, size, conditions, overlap):
-            yield FishburnMatrix(tuple(zeros + values[a:b] for zeros, a, b in slices))
+            values += (0,)
+            yield FishburnMatrix(tuple([row(values) for row in rows]))
 
 
 def fishburn_matrices(size: int):
@@ -328,30 +255,28 @@ def fishburn_matrices(size: int):
     row-major lexicographic entry order.  size 0 yields the empty stream."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    return _triangular_matrices("fishburn", size)
+    return _matrices("fishburn", size)
 
 
 def row_fishburn_matrices(size: int):
     """All row-Fishburn matrices (rows positive, columns unconstrained)."""
     if size < 0:
         raise ParameterError("size must be nonnegative")
-    return _triangular_matrices("rowFishburn", size)
+    return _matrices("rowFishburn", size)
 
 
 def self_dual_matrices(reduced_size: int):
-    """All self-dual Fishburn matrices of the given reduced size.
+    """All self-dual Fishburn matrices of the given reduced size (the sum of
+    the entries on and below the anti-diagonal), completed.
 
-    Enumerates south-east entries; the completed matrix must be Fishburn,
-    which for self-dual matrices reduces to the row conditions (columns are
-    their mirror images).  Dimensions range over 1..2*reduced_size.
+    The walk fills the south-east cells only; the completed matrix must be
+    Fishburn, which for self-dual matrices reduces to the row conditions
+    (columns are their mirror images).  Dimensions range over
+    1..2*reduced_size.
     """
     if reduced_size < 0:
         raise ParameterError("reduced size must be nonnegative")
-    for dim, cells, conditions, overlap in _layouts("selfDual", reduced_size):
-        for values in _walk(cells, reduced_size, conditions, overlap):
-            stored = tuple(sorted(
-                (cell, v) for cell, v in zip(cells, values) if v))
-            yield SelfDualMatrix(dim, stored)
+    return _matrices("selfDual", reduced_size)
 
 
 # ---------------------------------------------------------------------------

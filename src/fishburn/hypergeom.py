@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count, islice
+from operator import itemgetter
 
 import mpmath as mp
 
 from .errors import ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _timed, fraction_str
-from .qseries import PochhammerSum, partial_sum, pochhammer_terms
+from .qseries import (PochhammerSum, _vanishing_index, partial_sum,
+                      pochhammer_terms)
 
 DECAY_RATIO = mp.mpf("0.9")
 DECAY_RUN = 5
@@ -304,12 +306,13 @@ def _require_unit_disk(**named):
 
 
 def _refuse_exact_poles(named, q, N):
-    """PoleError for the first j < N (then the first label) at which a
+    """PoleError for the least j < N (then the first label) at which a
     denominator factor 1 - x q^j of (x; q)_N vanishes."""
-    for j in range(N):
-        for label, x in named.items():
-            if x * q**j == 1:
-                raise PoleError(f"({label}; q)_{j + 1} vanishes at factor j={j}")
+    poles = [(j, label) for label, x in named.items()
+             if (j := _vanishing_index(x, q)) is not None and j < N]
+    if poles:
+        j, label = min(poles, key=itemgetter(0))
+        raise PoleError(f"({label}; q)_{j + 1} vanishes at factor j={j}")
 
 
 def watson_exact(N: int, a, b, c, e, q, d=None) -> VerificationReport:

@@ -171,8 +171,9 @@ def test_enumerate_dump_format(capsys):
 
 
 # sha256 prefix and object count of each dump, recorded from the
-# explicit-stack walk the memoised tree replaced; selfDual goes through
-# SelfDualMatrix.completed()
+# explicit-stack walk the memoised tree replaced; selfDual was recorded from
+# matrices completed out of their south-east half by a separate class, so it
+# pins the mirror map of the one generator to the same rows in the same order
 @pytest.mark.parametrize("family,size,objects,digest", [
     ("fishburn", 6, 217, "4b8fcded9c1013a9"),
     ("rowFishburn", 5, 380, "2e70effedb1eb1d5"),

@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
-from count_helpers import self_dual_count_by_full_size
+from count_helpers import (anti_diagonal_is_zero, is_fishburn, is_row_fishburn,
+                           is_self_dual, reverse_transpose,
+                           self_dual_count_by_full_size)
 from fishburn.enumeration import (FishburnMatrix, _count, _layouts, _walk,
                                   distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
@@ -152,7 +154,7 @@ def object_table(family, size):
     elif family == "rowFishburn":
         keys = ((m.last_column_sum,) for m in row_fishburn_matrices(size))
     else:
-        keys = ((m.last_column_sum, m.has_zero_diagonal())
+        keys = ((m.last_column_sum, anti_diagonal_is_zero(m.rows))
                 for m in self_dual_matrices(size))
     return Counter(keys)
 
@@ -207,14 +209,30 @@ def test_unrefined_totals():
 
 def test_all_generated_matrices_are_valid():
     for m in fishburn_matrices(4):
-        assert m.is_fishburn() and m.size == 4
+        assert is_fishburn(m.rows) and m.size == 4
     for m in row_fishburn_matrices(4):
-        assert m.is_row_fishburn() and m.size == 4
+        assert is_row_fishburn(m.rows) and m.size == 4
     for m in self_dual_matrices(3):
-        completed = m.completed()
-        assert completed.is_fishburn()
-        assert completed.is_self_dual()
-        assert m.reduced_size == 3
+        assert is_fishburn(m.rows)
+        assert is_self_dual(m.rows)
+        # the reduced size sums the entries on and below the anti-diagonal
+        assert sum(v for i, row in enumerate(m.rows) for j, v in enumerate(row)
+                   if i + j >= m.dim - 1) == 3
+
+
+@pytest.mark.parametrize("m,count", [(1, 2), (2, 6), (3, 24), (4, 122)])
+def test_self_dual_matrices_are_the_filtered_fishburn_matrices(m, count):
+    # a self-dual matrix of reduced size m and anti-diagonal sum d has full
+    # size n = 2m - d, so m <= n <= 2m
+    want = set()
+    for n in range(m, 2 * m + 1):
+        for mat in fishburn_matrices(n):
+            diagonal = sum(mat.rows[i][mat.dim - 1 - i] for i in range(mat.dim))
+            if n + diagonal == 2 * m and is_self_dual(mat.rows):
+                want.add(mat.rows)
+    got = [mat.rows for mat in self_dual_matrices(m)]
+    assert len(got) == len(set(got)) == count
+    assert set(got) == want
 
 
 def test_deterministic_order():
@@ -274,15 +292,15 @@ def test_refined_self_dual_m1():
     dims = sorted(m.dim for m in mats)
     assert dims == [1, 2]
     two = next(m for m in mats if m.dim == 2)
-    assert two.completed().rows == ((1, 0), (0, 1))
-    assert two.has_zero_diagonal()   # anti-diagonal entry is the corner 0
+    assert two.rows == ((1, 0), (0, 1))
+    assert anti_diagonal_is_zero(two.rows)   # the anti-diagonal is the corner 0
 
 
 def test_reverse_transpose_involution_swaps_statistics():
     for m in fishburn_matrices(5):
-        rt = m.reverse_transpose()
-        assert rt.is_fishburn()
-        assert rt.reverse_transpose().rows == m.rows
+        rt = FishburnMatrix(reverse_transpose(m.rows))
+        assert is_fishburn(rt.rows)
+        assert reverse_transpose(rt.rows) == m.rows
         assert rt.first_row_sum == m.last_column_sum
         assert rt.last_column_sum == m.first_row_sum
 
@@ -296,8 +314,7 @@ def test_joint_table_swap_symmetric(m):
 
 def test_self_dual_completion_is_fixed_point():
     for m in self_dual_matrices(3):
-        completed = m.completed()
-        assert completed.rows == completed.reverse_transpose().rows
+        assert m.rows == reverse_transpose(m.rows)
 
 
 def test_verify_facts():

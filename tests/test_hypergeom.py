@@ -191,3 +191,29 @@ def test_watson_exact_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         watson_exact(1, Fraction(0), Fraction(1, 5), Fraction(1, 7),
                      Fraction(1, 11), Fraction(1, 2))
+
+
+def test_exact_pole_refusal_matches_a_plain_scan():
+    # the reference: scan j < N, labels in order, multiplying out x q^j
+    def scan(named, q, N):
+        for j in range(N):
+            for label, x in named.items():
+                if x * q**j == 1:
+                    return f"({label}; q)_{j + 1} vanishes at factor j={j}"
+        return None
+
+    rng = random.Random(16)
+    for _ in range(300):
+        q = Fraction(rng.choice([-3, -2, 2, 3, 5]), rng.choice([1, 2, 3, 4]))
+        # half of the bases are q^-j for a small j, so poles and ties occur
+        named = {label: q**-rng.randint(0, 5) if rng.random() < 0.5
+                 else Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+                 for label in ("q", "aq/b", "aq/c", "def/a")}
+        N = rng.randint(1, 5)
+        want = scan(named, q, N)
+        if want is None:
+            hypergeom._refuse_exact_poles(named, q, N)
+        else:
+            with pytest.raises(PoleError) as err:
+                hypergeom._refuse_exact_poles(named, q, N)
+            assert str(err.value) == want
