@@ -16,12 +16,13 @@ first; powers of zeta are reduced the same way.  Conductors stay small here
 (the default cap is 12, where phi(12) = 4).
 
 A series product over Q(zeta_k) does not multiply elements: rings.py packs
-each coordinate vector into one int (slots wide enough that no coordinate
-of a sum of products overflows), the series kernel multiplies and adds the
-packed ints, and each kept sum of unreduced products of 2 phi(k) - 1
-coordinates is folded by `CyclotomicField._reduce` once.  A sum that is
-nonzero before folding can be zero after it (1 + zeta_3 + zeta_3^2), so the
-series drops zero coefficients only after the fold.
+each coordinate vector into one int (slots wide enough that no folded
+coordinate of a sum of products overflows, given the field's `fold_gain`),
+the series kernel multiplies and adds the packed ints, and each kept sum of
+unreduced products of 2 phi(k) - 1 coordinates is folded once, in packed
+form, as a residue modulo Phi_k(2^B).  A sum that is nonzero before folding
+can be zero after it (1 + zeta_3 + zeta_3^2), so the series drops zero
+coefficients only after the fold.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -102,6 +103,11 @@ class CyclotomicField:
         # which a coefficient of x^j lands on x^(j - d + i).
         self._fold = tuple((i - d, m) for i, m in enumerate(self.modulus[:d]) if m)
         self._pad = (0,) * (d - 1)
+        # folding a product of 2d - 1 coordinates of absolute value at most c
+        # gives coordinates of absolute value at most fold_gain * c: the
+        # largest column sum of |x^j mod Phi_k| over j < 2d - 1
+        powers = [self._reduce([0] * j + [1]) for j in range(2 * d - 1)]
+        self.fold_gain = max(sum(abs(row[i]) for row in powers) for i in range(d))
         self.zero = CyclotomicElement(self, (0,) * d)
         self.one = CyclotomicElement(self, (1,) + self._pad)
 

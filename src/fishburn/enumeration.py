@@ -4,9 +4,14 @@ These generators are the independent oracle for every series coefficient:
 they know nothing about q-series and work only on matrix entries.  One tree,
 built by `_tree`, fills the cells in row-major order: a node is the cell, the
 budget left and which open conditions (rows, and columns) already have a
-positive entry, and its subtree is counted once, memoised on the node.  It
-is read two ways.  `refined_counts` reads the count at the root (`_count`)
-and visits no object.  The matrix generators walk the tree (`_walk`), which
+positive entry, and its subtree is counted once, memoised on the node.  A
+subtree's table is one packed int, the generating polynomial of its
+statistics, so merging two tables is one addition and raising their
+statistics is one shift.  It is read two ways.  `refined_counts` reads the
+count at the root (`_count`) and visits no object; a subtree does not
+depend on the total size, so `_refined_tables` builds each dimension's tree
+once and reads it at every size a caller needs (`verify_facts` and the
+coefficient oracle).  The matrix generators walk the tree (`_walk`), which
 yields each admissible entry vector in lexicographic order, entering a branch
 only when its count shows a completion, so it never visits a dead subtree.
 One generator, `_matrices`, turns the vectors of all three families into
@@ -15,9 +20,11 @@ and its other entries are read from their mirror cells.
 
 Counting costs grow with the number of distinct subtrees, not of objects.
 On a 2-vCPU Xeon VM with Python 3.11, fishburn at size 12 (10,886,503
-matrices) takes about 0.15 s, rowFishburn at 12 (6,271,362,282) about
-0.03 s and selfDual at reduced size 8 (474,696) about 0.2 s.  The generators
-pay for each object they yield, about two thirds of it in the walk:
+matrices) takes about 0.06 s, rowFishburn at 12 (6,271,362,282) about
+0.006 s and selfDual at reduced size 8 (474,696) about 0.075 s; all the
+sizes up to 12 of fishburn together take about 1.1 times what 12 alone
+does.  The generators pay for each object they yield, about two thirds of
+it in the walk:
 fishburn at 9 (31,240 matrices) takes about 0.25 s, rowFishburn at 8
 (237,348) about 1.8 s and selfDual at 6 (5,630) about 0.06 s.
 
@@ -32,7 +39,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import ParameterError
 
@@ -46,10 +55,6 @@ class FishburnMatrix:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(map(sum, self.rows))
 
     @property
     def first_row_sum(self) -> int:
@@ -69,10 +74,25 @@ class FishburnMatrix:
 # the tree of cell values
 
 
+class _Tree(NamedTuple):
+    """The functions of one tree, as `_tree` describes them."""
+
+    child: Callable
+    count: Callable
+    positive: Callable
+    unpack: Callable
+
+    def free(self):
+        """Clear the memos of `count` and `positive`: they refer to each
+        other, so their tables would otherwise live until a collection."""
+        self.count.cache_clear()
+        self.positive.cache_clear()
+
+
 def _tree(cells, budget, conditions, kind_overlap, statistics=()):
-    """The tree of value vectors for `cells` that sum to `budget` and give
-    every condition a positive entry somewhere in its cells, as the pair of
-    functions (child, count) and the packed width of a statistic.
+    """The tree of value vectors for `cells` that give every condition a
+    positive entry somewhere in its cells, for every root budget (the sum of
+    the vector) up to `budget`, as a `_Tree`.
 
     `conditions` is a list of (kind, cell-index set); `kind_overlap[kind]` is
     the maximum number of same-kind conditions one cell can satisfy.  A node
@@ -80,22 +100,39 @@ def _tree(cells, budget, conditions, kind_overlap, statistics=()):
     still to spend, and `met` has a bit for each open condition that is
     satisfied.  Open means its first cell lies before pos and its last at or
     after it; a condition not yet started is unsatisfied, and one already
-    closed was checked at its last cell, so these three fix the subtree.
+    closed was checked at its last cell, so these three fix the subtree.  It
+    does not depend on the root budget, so `count(0, m, 0)` reads the
+    vectors that sum to m off the same tree for every m <= `budget`.
 
     `child(pos, met, v)` is the `met` of the node below once cell pos takes
     value v, or None when a condition closing at pos is left unmet.
 
-    `count(pos, left, met)` is the table of statistic suffixes (the part
-    cells pos.. contribute) over the completions of the node; an empty table
-    means the node has none.  `statistics` is a list of (cell-index set,
-    saturates): the statistic is the sum of the vector over its cells, or
-    with `saturates` 1 if any of them is positive and 0 if none is.  Each
-    suffix is one packed int, statistic s in the bits from s * width up.  A
-    node is cut when its budget cannot cover, for some kind, the open
+    `count(pos, left, met)` is the generating polynomial of the statistic
+    suffixes (the part cells pos.. contribute) over the completions of the
+    node, packed into one int; 0 means the node has none.  `statistics` is a
+    list of (cell-index set, saturates): the statistic is the sum of the
+    vector over its cells, or with `saturates` 1 if any of them is positive
+    and 0 if none is.  A suffix e is one int, statistic s in the digit from
+    bit s * width up, and the number of completions with suffix e sits in
+    bits e * slot to (e + 1) * slot.  `slot` is the bit length of the number
+    of all vectors of the cells that sum to `budget`, which bounds every
+    count of the tree, so no slot overflows: raising the suffixes by v at a
+    cell is one shift, merging is one addition, and a saturating statistic
+    moves the slots whose digit is 0 up by one in that digit (a mask and a
+    shift).  `unpack` reads a root polynomial as {statistic tuple: number}.
+
+    `positive(pos, left, below)` is the positive branch of cell pos: over
+    v = 1..left, count(pos + 1, left - v, below) raised by v at cell pos.
+    It is memoised beside `count` and built from its value one unit of
+    budget lower, so the branch costs one addition and one shift per node;
+    saturation is linear, so `count` applies it once, to the sum.
+
+    A node is cut when its budget cannot cover, for some kind, the open
     conditions still unmet with `kind_overlap[kind]` of them per cell.
     `count` is memoised on its node, so each distinct subtree is counted
-    once (the transfer-matrix method, Stanley, *EC1* 4.7); it refers to
-    itself, so call `count.cache_clear()` to free its tables.
+    once (the transfer-matrix method, Stanley, *EC1* 4.7, with generating
+    polynomials as the transfer entries); call `free()` to release the
+    memos.
     """
     ncells = len(cells)
     kinds = sorted(kind_overlap)
@@ -116,14 +153,22 @@ def _tree(cells, budget, conditions, kind_overlap, statistics=()):
             cell_bits[idx] |= 1 << ci
         freeze_bits[ends[ci]] |= 1 << ci
     width = budget.bit_length() or 1
-    adds = [0] * ncells  # per unit of value: + adds, then | flags
-    flags = [0] * ncells
+    digit = (1 << width) - 1
+    slot = comb(budget + ncells - 1, ncells - 1).bit_length()
+    ones = (1 << slot) - 1
+    steps = [0] * ncells  # the shift that raises the suffixes by one unit
+    saturations = [[] for _ in range(ncells)]  # (mask, shift) pairs
     for s, (members, saturates) in enumerate(statistics):
-        for idx in members:
-            if saturates:
-                flags[idx] |= 1 << (s * width)
-            else:
-                adds[idx] += 1 << (s * width)
+        if saturates:
+            # the slots whose digit s is 0, moved to digit 1
+            mask = sum(ones << (e * slot)
+                       for e in range(1 << (len(statistics) * width))
+                       if not e >> (s * width) & digit)
+            for idx in members:
+                saturations[idx].append((mask, slot << (s * width)))
+        else:
+            for idx in members:
+                steps[idx] += slot << (s * width)
     last = ncells - 1
 
     def child(pos, met, v):
@@ -132,30 +177,57 @@ def _tree(cells, budget, conditions, kind_overlap, statistics=()):
         closing = freeze_bits[pos]
         return None if closing & ~met else met & ~closing
 
+    cuts = [[(open_, bits, overlap)
+             for open_, bits, overlap in zip(still_open[pos], kind_bits, overlaps)
+             if open_] for pos in range(ncells)]
+
     @cache
     def count(pos, left, met):
-        table = {}
-        for open_, bits, overlap in zip(still_open[pos], kind_bits, overlaps):
+        for open_, bits, overlap in cuts[pos]:
             if open_ - (met & bits).bit_count() > left * overlap:
-                return table
+                return 0
+        # the two children of `child`, written out: calling it twice per
+        # node costs about a quarter of the count
+        closing = freeze_bits[pos]
         if pos == last:
-            if child(pos, met, left) is not None:
-                table[left * adds[pos] | (flags[pos] if left else 0)] = 1
-            return table
-        below = child(pos, met, 0)
-        if below is not None:
-            table.update(count(pos + 1, left, below))
-        below = child(pos, met, 1)  # the same node for every positive value
-        if below is not None:
-            add, flag = adds[pos], flags[pos]
-            for v in range(1, left + 1):
-                shift = v * add
-                for suffix, n in count(pos + 1, left - v, below).items():
-                    suffix = (suffix + shift) | flag
-                    table[suffix] = table.get(suffix, 0) + n
+            if left:
+                met |= cell_bits[pos]
+            if closing & ~met:
+                return 0
+            if not left:
+                return 1
+            total, raised = 0, 1 << left * steps[pos]
+        else:
+            total = 0 if closing & ~met else count(pos + 1, left, met & ~closing)
+            met |= cell_bits[pos]  # the same child for every positive value
+            if closing & ~met or not left:
+                return total
+            raised = positive(pos, left, met & ~closing)
+        for mask, shift in saturations[pos]:
+            moved = raised & mask
+            raised += (moved << shift) - moved
+        return total + raised
+
+    @cache
+    def positive(pos, left, below):
+        if not left:
+            return 0
+        return (count(pos + 1, left - 1, below)
+                + positive(pos, left - 1, below)) << steps[pos]
+
+    def unpack(packed):
+        table = {}
+        e = 0
+        while packed:
+            n = packed & ones
+            if n:
+                table[tuple(e >> (s * width) & digit
+                            for s in range(len(statistics)))] = n
+            packed >>= slot
+            e += 1
         return table
 
-    return child, count, width
+    return _Tree(child, count, positive, unpack)
 
 
 def _walk(cells, budget, conditions, kind_overlap):
@@ -163,7 +235,8 @@ def _walk(cells, budget, conditions, kind_overlap):
     lexicographic order: values go up from 0, and a branch is entered only
     when `count` finds a completion below it, so no dead subtree is visited.
     """
-    child, count, _ = _tree(cells, budget, conditions, kind_overlap)
+    tree = _tree(cells, budget, conditions, kind_overlap)
+    child, count = tree.child, tree.count
     last = len(cells) - 1
     values = [0] * len(cells)
 
@@ -182,19 +255,19 @@ def _walk(cells, budget, conditions, kind_overlap):
         if count(0, budget, 0):
             yield from walk(0, budget, 0)
     finally:
-        count.cache_clear()
+        tree.free()
 
 
-def _count(cells, budget, conditions, kind_overlap, statistics):
-    """{statistic tuple: number of vectors} over the vectors `_walk` yields
-    for the same arguments, read off the root of the same tree without
-    visiting them; `statistics` is as in `_tree`."""
-    _, count, width = _tree(cells, budget, conditions, kind_overlap, statistics)
-    packed = count(0, budget, 0)
-    count.cache_clear()
-    mask = (1 << width) - 1
-    return {tuple(suffix >> (s * width) & mask for s in range(len(statistics))): n
-            for suffix, n in packed.items()}
+def _count(cells, budgets, conditions, kind_overlap, statistics):
+    """For each budget in `budgets`, {statistic tuple: number of vectors}
+    over the vectors `_walk` yields for that budget and the same other
+    arguments, read off the root of one tree, built for the largest budget,
+    without visiting them; `statistics` is as in `_tree`."""
+    tree = _tree(cells, max(budgets), conditions, kind_overlap, statistics)
+    try:
+        return [tree.unpack(tree.count(0, budget, 0)) for budget in budgets]
+    finally:
+        tree.free()
 
 
 def _layouts(family, size):
@@ -318,6 +391,31 @@ def _statistics(family, dim, cells):
     return [(last, False), (diagonal, True)]
 
 
+def _refined_tables(family, sizes):
+    """The `refined_counts` tables of `family` at each of `sizes`, in order.
+
+    Each layout's tree is built once, for the largest size, and read at
+    every size, since a subtree does not depend on the root budget; so all
+    the sizes up to m cost about what m alone does."""
+    if any(size < 0 for size in sizes):
+        raise ParameterError("size must be nonnegative")
+    if family not in _EMPTY_KEYS:
+        raise ParameterError(
+            f"unknown matrix family {family!r}; use fishburn, rowFishburn or selfDual")
+    counts = [Counter({_EMPTY_KEYS[family]: 1} if size == 0 else {})
+              for size in sizes]
+    for dim, cells, conditions, overlap in _layouts(family, max(sizes, default=0)):
+        tables = _count(cells, sizes, conditions, overlap,
+                        _statistics(family, dim, cells))
+        for total, table in zip(counts, tables):
+            for key, n in table.items():
+                if family == "selfDual":
+                    key = (key[0], not key[1])
+                total[key] += n
+    return [CountTable(family, size, dict(total))
+            for size, total in zip(sizes, counts)]
+
+
 def refined_counts(family: str, size: int) -> CountTable:
     """Statistic tables: fishburn -> (firstRowSum, lastColumnSum) joint;
     rowFishburn -> (lastColumnSum,); selfDual (keyed by REDUCED size)
@@ -327,22 +425,7 @@ def refined_counts(family: str, size: int) -> CountTable:
     the root of the tree the generators walk; each distinct subtree is
     counted once, so the cost grows with the number of subtrees, not of
     objects."""
-    if size < 0:
-        raise ParameterError("size must be nonnegative")
-    if family not in _EMPTY_KEYS:
-        raise ParameterError(
-            f"unknown matrix family {family!r}; use fishburn, rowFishburn or selfDual")
-    counts = Counter()
-    if size == 0:
-        counts[_EMPTY_KEYS[family]] = 1
-    for dim, cells, conditions, overlap in _layouts(family, size):
-        table = _count(cells, size, conditions, overlap,
-                       _statistics(family, dim, cells))
-        for key, n in table.items():
-            if family == "selfDual":
-                key = (key[0], not key[1])
-            counts[key] += n
-    return CountTable(family, size, dict(counts))
+    return _refined_tables(family, (size,))[0]
 
 
 @dataclass
@@ -365,9 +448,9 @@ def verify_facts(m_max: int) -> FactsReport:
     if m_max < 0:
         raise ParameterError("m_max must be nonnegative")
     checked, failures = [], []
-    for m in range(1, m_max + 1):
-        sd = refined_counts("selfDual", m)
-        rf = refined_counts("rowFishburn", m)
+    sizes = range(1, m_max + 1)
+    for m, sd, rf in zip(sizes, _refined_tables("selfDual", sizes),
+                         _refined_tables("rowFishburn", sizes)):
         ells = {key[0] for key in sd.counts} | {key[0] for key in rf.counts}
         for ell in sorted(ells):
             zero_diag = sd.counts.get((ell, True), 0)

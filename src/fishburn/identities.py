@@ -179,7 +179,7 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
 def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
     """Check series coefficients of x^{m-l} y^l against brute-force matrix
     counts: F1 against Fishburn tables, G1 against row-Fishburn tables."""
-    from .enumeration import refined_counts  # loaded only when an oracle runs
+    from .enumeration import _refined_tables  # loaded only when an oracle runs
 
     if family not in ("F1", "G1"):
         raise UnknownFamilyError("coefficient oracle covers F1 and G1")
@@ -192,10 +192,10 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
     matrix_family = "fishburn" if family == "F1" else "rowFishburn"
     rep = VerificationReport(f"{family}-coefficients", "formal", m_max)
     checked = 0
-    for m in range(m_max + 1):
+    for m, table in enumerate(_refined_tables(matrix_family, range(m_max + 1))):
         # both families key each object by a tuple ending in ell, the
         # last-column sum
-        by_ell = refined_counts(matrix_family, m).marginal(-1)
+        by_ell = table.marginal(-1)
         for ell in range(m + 1):
             want = by_ell.get(ell, 0)
             got = series.coefficient((m - ell, ell))

@@ -28,15 +28,18 @@ drops coefficients after `from_kernel`.
   denominators, and its int coordinate vector (c_0..c_{phi-1}) is packed
   into the one int sum_i c_i 2^(B i) (a Kronecker substitution).  The
   product of two packed values is then the packed, unreduced product
-  polynomial of 2 phi - 1 coordinates, and sums of such products stay
-  packed.  The slot width B is chosen from both operands so that no
-  coordinate of a kernel value can overflow its slot: a coordinate is a sum
-  of at most phi products per term pair and of at most min(#a, #b) term
-  pairs, so |coordinate| <= phi max|a| max|b| min(#a, #b) < 2^(B-1).
-  `from_kernel` unpacks each value into its signed coordinates, folds them
-  by Phi_k once, and divides by the product of the two lcms.  So the
-  folding runs once per kept coefficient rather than once per term pair,
-  and a value such as 1 + zeta_3 + zeta_3^2 is nonzero until it is folded.
+  polynomial of 2 phi - 1 coordinates evaluated at 2^B, and sums of such
+  products stay packed.  A coordinate of a kernel value is a sum of at most
+  phi products per term pair and of at most min(#a, #b) term pairs, so
+  |coordinate| <= phi max|a| max|b| min(#a, #b); folding by Phi_k
+  multiplies that bound by at most the field's `fold_gain`.  The slot width
+  B keeps the folded coordinates below 2^(B-3).  `from_kernel` then folds
+  each value in packed form, as its centred residue modulo Phi_k(2^B),
+  which is the folded polynomial at 2^B exactly because its coordinates are
+  that small; it unpacks the phi signed coordinates and divides by the
+  product of the two lcms.  So the folding runs once per kept coefficient
+  rather than once per term pair, and a value such as 1 + zeta_3 + zeta_3^2
+  is nonzero until it is folded.
 """
 
 from __future__ import annotations
@@ -191,27 +194,35 @@ class CyclotomicRing:
     def to_kernel(self, a, b):
         """Each operand's coordinate vectors, over the lcm of its coordinate
         denominators, packed into ints with slots of one width B; the state
-        is (B, the product of the two lcms)."""
+        is (B, Phi_k(2^B), the product of the two lcms)."""
+        field = self.field
         a, a_den, a_max = self._scaled(a)
         b, b_den, b_max = self._scaled(b)
-        width = (self.field.degree * a_max * b_max * min(len(a), len(b))).bit_length() + 1
-        return _pack(a, width), _pack(b, width), (width, a_den * b_den)
+        folded = field.fold_gain * field.degree * a_max * b_max * min(len(a), len(b))
+        width = folded.bit_length() + 3
+        modulus = sum(m << (width * i) for i, m in enumerate(field.modulus))
+        return _pack(a, width), _pack(b, width), (width, modulus, a_den * b_den)
 
     def from_kernel(self, values, state):
-        """Unpack each value into its 2 phi - 1 signed coordinates, fold them
-        by Phi_k and divide by the scale."""
-        width, den = state
+        """Fold each value by Phi_k in packed form, as its centred residue
+        modulo Phi_k(2^B), unpack its phi signed coordinates and divide by
+        the scale."""
+        width, modulus, den = state
         field = self.field
-        shifts = range(0, (2 * field.degree - 1) * width, width)
+        shifts = range(0, field.degree * width, width)
         half = 1 << (width - 1)
         mask = (1 << width) - 1
+        centre = modulus >> 1
         # adding half to every slot makes each one nonnegative, so no slot
         # borrows from the next and each reads off with a shift and a mask
         bias = sum(half << s for s in shifts)
         out = []
         for v in values:
+            v %= modulus
+            if v > centre:
+                v -= modulus
             v += bias
-            coords = field._reduce([((v >> s) & mask) - half for s in shifts])
+            coords = tuple([((v >> s) & mask) - half for s in shifts])
             out.append(CyclotomicElement(field, coords) if den == 1 else
                        field.element([Fraction(c, den) for c in coords]))
         return out

@@ -26,8 +26,9 @@ integers pass through; a rational operand enters as int numerators over
 the lcm of its denominators, and each kept coefficient becomes one
 Fraction; a Q(zeta_k) coefficient enters as its coordinate vector packed
 into one int, with a slot width chosen from both operands so that no
-coordinate of a sum of products overflows.  Each kept value is unpacked
-and folded by Phi_k once, not once per term pair.  Folding can turn a
+folded coordinate of a sum of products overflows.  Each kept value is
+folded by Phi_k once, in packed form, and then unpacked, not once per term
+pair.  Folding can turn a
 nonzero kernel value into zero, so coefficients are dropped after
 `from_kernel`.
 """

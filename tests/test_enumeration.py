@@ -4,13 +4,15 @@ import hashlib
 import json
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
 from count_helpers import (anti_diagonal_is_zero, is_fishburn, is_row_fishburn,
                            is_self_dual, reverse_transpose,
                            self_dual_count_by_full_size)
-from fishburn.enumeration import (FishburnMatrix, _count, _layouts, _walk,
+from fishburn.enumeration import (FishburnMatrix, _count, _layouts,
+                                  _refined_tables, _tree, _walk,
                                   distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
                                   row_fishburn_matrices, self_dual_matrices,
@@ -104,6 +106,7 @@ def test_walk_matches_reference_on_random_conditions():
 
 
 def test_count_matches_reference_on_random_conditions():
+    # one tree, built for the largest budget, read at every budget below it
     rng = random.Random(7)
     for cells, budget, conditions, overlap in random_layouts(random.Random(2024)):
         statistics = [({c for c in cells if rng.random() < 0.5}, rng.random() < 0.3)
@@ -114,9 +117,43 @@ def test_count_matches_reference_on_random_conditions():
             return tuple(min(1, total) if saturates else total
                          for total, (_, saturates) in zip(sums, statistics))
 
-        want = Counter(map(key, reference_fill_cells(cells, budget, conditions,
-                                                     overlap)))
-        assert _count(cells, budget, conditions, overlap, statistics) == want
+        budgets = range(budget + 1)
+        want = [Counter(map(key, reference_fill_cells(cells, b, conditions, overlap)))
+                for b in budgets]
+        assert _count(cells, budgets, conditions, overlap, statistics) == want
+
+
+@pytest.mark.parametrize("ncells,budget", [(2, 14), (3, 4), (5, 9), (12, 6)])
+def test_counts_at_the_slot_bound_leave_the_next_slot_intact(ncells, budget):
+    # with no conditions every vector counts, so the root of the largest
+    # budget holds the binomial bound itself (15 = 0b1111 at (2, 14) and
+    # (3, 4), a full slot): a carry out of it would show as a key (1,)
+    cells = list(range(ncells))
+    budgets = range(budget + 1)
+    assert _count(cells, budgets, [], {}, [(set(), False)]) == \
+        [{(0,): comb(b + ncells - 1, ncells - 1)} for b in budgets]
+    # the last cell's value puts the counts in neighbouring slots
+    assert _count(cells, budgets, [], {}, [({ncells - 1}, False)]) == \
+        [{(e,): comb(b - e + ncells - 2, ncells - 2) for e in range(b + 1)}
+         for b in budgets]
+
+
+def test_free_empties_both_memos():
+    _dim, cells, conditions, overlap = list(_layouts("fishburn", 5))[-1]
+    tree = _tree(cells, 5, conditions, overlap, [({0, 1}, False), ({4}, True)])
+    assert tree.count(0, 5, 0)
+    assert tree.count.cache_info().currsize and tree.positive.cache_info().currsize
+    tree.free()
+    assert tree.count.cache_info().currsize == tree.positive.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family,top", [("fishburn", 8), ("rowFishburn", 8),
+                                        ("selfDual", 6)])
+def test_one_tree_read_at_every_size_matches_fresh_tables(family, top):
+    tables = _refined_tables(family, range(top + 1))
+    assert [t.size for t in tables] == list(range(top + 1))
+    for m, table in enumerate(tables):
+        assert table == refined_counts(family, m)
 
 
 # sha256 of the sorted (key, count) pairs of refined_counts, recorded from
@@ -209,9 +246,9 @@ def test_unrefined_totals():
 
 def test_all_generated_matrices_are_valid():
     for m in fishburn_matrices(4):
-        assert is_fishburn(m.rows) and m.size == 4
+        assert is_fishburn(m.rows) and sum(map(sum, m.rows)) == 4
     for m in row_fishburn_matrices(4):
-        assert is_row_fishburn(m.rows) and m.size == 4
+        assert is_row_fishburn(m.rows) and sum(map(sum, m.rows)) == 4
     for m in self_dual_matrices(3):
         assert is_fishburn(m.rows)
         assert is_self_dual(m.rows)

@@ -1,6 +1,8 @@
 """Coefficient ring contracts."""
 
+import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -41,3 +43,31 @@ def test_ring_equality_and_tags():
     assert cyclotomic_ring(6) != cyclotomic_ring(5)
     with pytest.raises(ValueError):
         ring_from_tag("GF(7)")
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 15, 21, 30])
+def test_packed_fold_matches_reduce_at_the_slot_bound(k):
+    """Kernel values whose unreduced coordinates reach the bound that
+    `to_kernel` sizes its slots for, phi max|a| max|b| min(#a, #b), fold in
+    packed form to the coordinates `_reduce` gives.  The bound sits just
+    below a power of two, where the slots have the least room; conductors
+    15, 21 and 30 fold with gains 6, 7 and 6."""
+    ring = cyclotomic_ring(k)
+    field = ring.field
+    d = field.degree
+    rng = random.Random(k)
+    terms = rng.randint(1, 5)
+    top = isqrt((2 ** rng.randint(30, 60) - 1) // (d * terms))
+    operand = [field.element([top] + [-top] * (d - 1))] * terms
+    *_, state = ring.to_kernel(operand, operand)
+    width, bound = state[0], d * top * top * terms
+    cases = [[rng.choice((-bound, bound, rng.randint(-bound, bound)))
+              for _ in range(2 * d - 1)] for _ in range(50)]
+    # the worst case of each folded coordinate: every term pushes it one way
+    powers = [field._reduce([0] * j + [1]) for j in range(2 * d - 1)]
+    for i in range(d):
+        worst = [bound if row[i] >= 0 else -bound for row in powers]
+        cases += [worst, [-c for c in worst]]
+    for coords in cases:
+        packed = sum(c << (width * j) for j, c in enumerate(coords))
+        assert ring.from_kernel([packed], state)[0].coeffs == field._reduce(coords)
