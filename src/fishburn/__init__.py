@@ -36,9 +36,8 @@ _EXPORTS = {
     "asymptotics": ("alpha_constant", "beta_constant", "trend"),
     "cyclotomic": ("CyclotomicElement", "CyclotomicField", "cyclotomic_polynomial",
                    "get_field"),
-    "enumeration": ("CountTable", "FishburnMatrix", "distinct_partition_parity",
-                    "fishburn_matrices", "refined_counts", "row_fishburn_matrices",
-                    "self_dual_matrices", "verify_facts"),
+    "enumeration": ("CountTable", "FishburnMatrix", "fishburn_matrices", "refined_counts",
+                    "row_fishburn_matrices", "self_dual_matrices", "verify_facts"),
     "hypergeom": ("NumericEvalParams", "generalized_rf_check", "rogers_fine_check",
                   "watson_exact", "watson_limit_check"),
     "identities": ("VerificationReport", "evaluate_terminating", "registry", "verify",

@@ -149,6 +149,7 @@ def cmd_verify(args) -> int:
 
 def cmd_terminating(args) -> int:
     from . import identities
+    from .rings import fraction_str
 
     if args.expr in ("comp1", "comp2"):
         rep = identities.verify_terminating(args.expr, args.p, args.q)
@@ -164,7 +165,7 @@ def cmd_terminating(args) -> int:
                 print(f"{args.expr} at p={args.p}, q={args.q}: MISMATCH {vals}")
         _emit(args, payload, text)
         return _report_exit([rep])
-    value = identities.fraction_str(identities.evaluate_terminating(args.expr, args.p, args.q))
+    value = fraction_str(identities.evaluate_terminating(args.expr, args.p, args.q))
     payload = {"expr": args.expr, "p": str(args.p), "q": str(args.q), "value": value}
     _emit(args, payload, lambda: print(f"{args.expr}({args.p}, {args.q}) = {value}"))
     return EXIT_OK
@@ -261,9 +262,8 @@ def cmd_roots(args) -> int:
             print(f"  constants: left = {rep.constant_terms['left']!r}, "
                   f"right = {rep.constant_terms['right']!r}")
             for sub in (rep.conj1, rep.conj2):
-                if sub is not None:
-                    print(f"  {sub.id}: {sub.outcome}"
-                          + (f" witness: {sub.witness}" if sub.witness else ""))
+                print(f"  {sub.id}: {sub.outcome}"
+                      + (f" witness: {sub.witness}" if sub.witness else ""))
         _emit(args, payload, text)
         return EXIT_OK if rep.ok else EXIT_MISMATCH
     if args.action == "expand":

@@ -13,7 +13,7 @@ int arithmetic alone; a Fraction enters only where a non-unit is inverted
 A product is the schoolbook product of the two residue polynomials, with its
 high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
 first; powers of zeta are reduced the same way.  Conductors stay small here
-(the default cap is 12, where phi(12) = 4).
+(`roots.CONDUCTOR_CAP` is 12, where phi(12) = 4).
 
 A series product over Q(zeta_k) does not multiply elements: rings.py packs
 each coordinate vector into one int (slots wide enough that no folded

@@ -35,7 +35,6 @@ refined tables but not emitted by the generators.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -464,21 +463,3 @@ def verify_facts(m_max: int) -> FactsReport:
                     "self_dual_total": s_total, "row_fishburn": r_count,
                 })
     return FactsReport(m_max, checked, failures)
-
-
-def distinct_partition_parity(largest: int, weight: int) -> int:
-    """(#odd - #even) part counts over partitions of `weight` into distinct
-    parts with largest part exactly `largest`, by literal enumeration."""
-    if largest < 1 or weight < 1:
-        raise ParameterError("arguments must be >= 1")
-    rest = weight - largest
-    if rest < 0:
-        return 0
-    total = 0
-    pool = range(1, largest)
-    for k in range(0, largest):
-        for combo in itertools.combinations(pool, k):
-            if sum(combo) == rest:
-                # part count is k + 1; odd count means k even
-                total += 1 if k % 2 == 0 else -1
-    return total

@@ -21,7 +21,6 @@ evaluated exactly over the rationals, once no denominator factor vanishes.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -31,9 +30,10 @@ from operator import itemgetter
 import mpmath as mp
 
 from .errors import ConvergenceError, ParameterError, PoleError
-from .identities import VerificationReport, _timed, fraction_str
+from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _vanishing_index, partial_sum,
                       pochhammer_terms)
+from .rings import fraction_str
 
 DECAY_RATIO = mp.mpf("0.9")
 DECAY_RUN = 5
@@ -140,35 +140,33 @@ def _compare_sides(alias, params, sides, require=None):
     `inconclusive`; a difference at or above the tolerance is a mismatch,
     with the point and the first two sides as witness."""
     ident, _sampler, _checker, names = NUMERIC_IDENTITIES[alias]
+    rep = VerificationReport(ident, "numeric", None)
     missing = [name for name in names if name not in params.values]
     if missing:
         raise ParameterError(f"missing parameters for {ident}: {missing}")
     unknown = [name for name in params.values if name not in names]
     if unknown:
         raise ParameterError(f"{ident} takes only {list(names)}, not {unknown}")
-    t0 = time.perf_counter()
     with mp.workdps(params.dps):
         vals = {k: mp.mpc(v) for k, v in params.values.items()}
         if require is not None:
             require(vals)
         tol = params.tolerance()
         budget = (tol * SUMMATION_MARGIN, params.max_terms, _pole_guard(params.dps))
-        rep = VerificationReport(ident, "numeric", None)
         try:
             sums = [side(*(vals[name] for name in names), *budget) for side in sides]
         except ConvergenceError as exc:
             rep.outcome = "inconclusive"
             rep.detail["reason"] = str(exc)
-            return _timed(rep, t0)
+            return rep.finish()
         (left, _), (right, _) = sums[:2]
         diff = max(abs(left - value) for value, _ in sums[1:])
         rep.detail.update({"abs_diff": mp.nstr(diff, 8), "terms": [n for _, n in sums],
                            "tol": params.tol})
         if diff >= tol:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": {k: mp.nstr(v, 20) for k, v in vals.items()},
-                           "left": mp.nstr(left, 30), "right": mp.nstr(right, 30)}
-        return _timed(rep, t0)
+            rep.mismatch({k: mp.nstr(v, 20) for k, v in vals.items()},
+                         mp.nstr(left, 30), mp.nstr(right, 30))
+        return rep.finish()
 
 
 def _q_t_in_disk(vals):
@@ -332,7 +330,7 @@ def watson_exact(N: int, a, b, c, e, q, d=None) -> VerificationReport:
         raise ParameterError("parameters must be nonzero")
     if q in (1, -1):
         raise ParameterError("q must not be a root of unity for the exact check")
-    t0 = time.perf_counter()
+    rep = VerificationReport("watson-exact", "terminating-exact", N)
     f = q ** (-N)
     if 1 - a == 0:
         raise PoleError("(1 - a) vanishes")
@@ -357,15 +355,12 @@ def watson_exact(N: int, a, b, c, e, q, d=None) -> VerificationReport:
                              tuple((x, q) for x in (q, d * e * f / a, aq / b, aq / c)))
     rhs = pref * partial_sum(rhs_spec, N + 1)
 
-    rep = VerificationReport("watson-exact", "terminating-exact", N)
     rep.detail.update({"lhs": fraction_str(lhs), "rhs": fraction_str(rhs),
                        "params": {k: str(v) for k, v in
                                   zip("abcdeq", (a, b, c, d, e, q))}})
     if lhs != rhs:
-        rep.outcome = "mismatch"
-        rep.witness = {"index": f"N={N}", "left": fraction_str(lhs),
-                       "right": fraction_str(rhs)}
-    return _timed(rep, t0)
+        rep.mismatch(f"N={N}", lhs, rhs)
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -421,39 +416,24 @@ def _random_disk(rng, radius, min_mag=0.02, avoid_one=False):
         return complex(re, im)
 
 
-def _first_failure_report(ident, mode, key, reports):
-    """One registry report over the sub-reports `reports` (an iterator): their
-    outcomes under `key`, up to the first that is not verified, whose outcome
-    and witness it takes."""
-    t0 = time.perf_counter()
-    rep = VerificationReport(ident, mode)
-    outcomes = []
-    for sub in reports:
-        outcomes.append(sub.outcome)
-        if not sub.ok:
-            rep.outcome = sub.outcome
-            rep.witness = sub.witness
-            break
-    rep.detail[key] = outcomes
-    return _timed(rep, t0)
-
-
-def sampled_runner(alias, draws=3, seed=20260809):
+def sampled_runner(alias):
     """The registry runner of the numeric identity `alias`: its checker at
-    `draws` sampled points."""
+    three points drawn with one fixed seed."""
     def run(order=None, **_):
         ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
-        rng = random.Random(seed)
-        return _first_failure_report(ident, "numeric", "draws",
-                                     (checker(sampler(rng)) for _ in range(draws)))
+        rep = VerificationReport(ident, "numeric")
+        rng = random.Random(20260809)
+        draws = (checker(sampler(rng)) for _ in range(3))
+        return _record_until_failure(rep, "draws", draws).finish()
     return run
 
 
 def registry_watson_exact_runner(order=None, **_):
+    rep = VerificationReport("watson-exact", "terminating-exact")
     cases = ((1, ("1/3", "1/5", "1/7", "1/11", "1/2")),
              (2, ("2/3", "-1/5", "3/7", "5/11", "1/3")))
-    return _first_failure_report("watson-exact", "terminating-exact", "cases",
-                                 (watson_exact(N, *params) for N, params in cases))
+    return _record_until_failure(
+        rep, "cases", (watson_exact(N, *params) for N, params in cases)).finish()
 
 
 # The numeric identities, the one source for the CLI, the registry and the

@@ -8,17 +8,22 @@ decay guard.  An analytic identity is never "proved" by truncation alone.
 A sum is terminating at a point when a factor (1 - a r^n) of its term ratio
 vanishes there (`qseries.termination_index`); where none does it is refused.
 
-Mismatches always carry a reproducible witness (the first differing
-multi-index or parameter point with both values).
+Every check makes its VerificationReport first and returns `rep.finish()`,
+which sets the report's time from the moment it was made.  In between,
+`rep.compare(order, cases)` makes it a mismatch at the first pair of series
+that differ, and `rep.mismatch(index, left, right)` records any other
+failure.  A mismatch always carries a reproducible witness: the first
+differing multi-index or parameter point, with both values.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
+from operator import attrgetter
 
 from .cyclotomic import CyclotomicElement
 from .errors import CertificateError, ParameterError, UnknownFamilyError
@@ -26,7 +31,7 @@ from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
                       gamma1_lhs, gamma1_rhs, partial_sum, termination_index,
                       truncated_sum, xy_point)
-from .rings import ZZ
+from .rings import ZZ, fraction_str
 from .series import TruncatedSeries
 
 FORMAL_BIVARIATE_CAP = 32
@@ -37,6 +42,8 @@ FORMAL_TRIVARIATE_CAP = 10
 COEFFICIENT_ORACLE_CAP = 12
 
 TRIVARIATE_NAMES = ("x", "y", "r")
+
+THM_MAIN_IDS = ("F1=F2", "F2=F3", "F1=F3", "G1=G2", "G2=G3", "G1=G3")
 
 
 @dataclass
@@ -50,10 +57,35 @@ class VerificationReport:
     witness: dict = None
     timing_ms: float = 0.0
     detail: dict = field(default_factory=dict)
+    _start: float = field(default_factory=time.perf_counter, init=False, repr=False,
+                          compare=False)
 
     @property
     def ok(self) -> bool:
         return self.outcome in ("verified", "agreement")
+
+    def compare(self, order, cases):
+        """A mismatch at the first (left, right, label) case whose series
+        differ at or below `order`; a label is added to the witness as its
+        case."""
+        for left, right, label in cases:
+            match = left.equal_up_to(right, order)
+            if not match.equal:
+                more = {"case": label} if label else {}
+                return self.mismatch(list(match.index), match.left, match.right, **more)
+        return self
+
+    def mismatch(self, index, left, right, **more):
+        """A mismatch at `index`, where the two sides are `left` and `right`."""
+        self.outcome = "mismatch"
+        self.witness = {"index": index, "left": _fmt_scalar(left),
+                        "right": _fmt_scalar(right), **more}
+        return self
+
+    def finish(self):
+        """The report, timed from when it was made."""
+        self.timing_ms = (time.perf_counter() - self._start) * 1000.0
+        return self
 
     def to_json_dict(self) -> dict:
         out = {
@@ -82,33 +114,23 @@ def _jsonable(v):
     return str(v)
 
 
-def _timed(report, t0):
-    report.timing_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+def _fmt_scalar(v):
+    if isinstance(v, CyclotomicElement):
+        return repr(v)
+    return fraction_str(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
-def _compare_series(rep, order, cases):
-    """Make `rep` a mismatch at the first (left, right, label) case whose
-    series differ at or below `order`; a label is added to the witness as its
-    case."""
-    for left, right, label in cases:
-        match = left.equal_up_to(right, order)
-        if not match.equal:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": list(match.index), "left": str(match.left),
-                           "right": str(match.right)}
-            if label:
-                rep.witness["case"] = label
+def _record_until_failure(rep, key, subs, entry=attrgetter("outcome")):
+    """`rep` with `entry(sub)` under detail[key] for each report of `subs` (an
+    iterator) up to the first that is not ok, whose outcome and witness it
+    takes."""
+    entries = rep.detail[key] = []
+    for sub in subs:
+        entries.append(entry(sub))
+        if not sub.ok:
+            rep.outcome, rep.witness = sub.outcome, sub.witness
             break
     return rep
-
-
-def _series_pair_report(ident, order, left, right, t0, extra=None):
-    rep = _compare_series(VerificationReport(ident, "formal", order), order,
-                          [(left, right, None)])
-    if extra:
-        rep.detail.update(extra)
-    return _timed(rep, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +160,9 @@ def verify_proposition(order: int) -> VerificationReport:
     if order > FORMAL_TRIVARIATE_CAP:
         raise ParameterError(
             f"trivariate order capped at {FORMAL_TRIVARIATE_CAP} (got {order})")
-    t0 = time.perf_counter()
-    return _series_pair_report("prop12", order, proposition_lhs(order),
-                               proposition_rhs(order), t0)
+    rep = VerificationReport("prop12", "formal", order)
+    cases = [(proposition_lhs(order), proposition_rhs(order), None)]
+    return rep.compare(order, cases).finish()
 
 
 def verify_proposition_specializations(order: int) -> VerificationReport:
@@ -149,7 +171,7 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
     if order > FORMAL_TRIVARIATE_CAP:
         raise ParameterError(
             f"trivariate order capped at {FORMAL_TRIVARIATE_CAP} (got {order})")
-    t0 = time.perf_counter()
+    rep = VerificationReport("prop12-specializations", "formal", order)
     m = order // 2
     lhs, rhs = proposition_lhs(order), proposition_rhs(order)
     cases = [
@@ -166,10 +188,8 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
         (rhs.specialize(2, 1, m).substitute(shift), expand_family("F2", m),
          "r=1 substituted rhs vs F2"),
     ]
-    rep = _compare_series(VerificationReport("prop12-specializations", "formal", order),
-                          m, cases)
-    rep.detail["specialized_order"] = m
-    return _timed(rep, t0)
+    rep.compare(m, cases).detail["specialized_order"] = m
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +207,9 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
         raise ParameterError(
             f"coefficient oracle capped at size {COEFFICIENT_ORACLE_CAP} (got {m_max}); "
             "the matrix count takes about twice as long with each size beyond it")
-    t0 = time.perf_counter()
+    rep = VerificationReport(f"{family}-coefficients", "formal", m_max)
     series = expand_family(family, m_max)
     matrix_family = "fishburn" if family == "F1" else "rowFishburn"
-    rep = VerificationReport(f"{family}-coefficients", "formal", m_max)
     checked = 0
     for m, table in enumerate(_refined_tables(matrix_family, range(m_max + 1))):
         # both families key each object by a tuple ending in ell, the
@@ -201,12 +220,9 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
             got = series.coefficient((m - ell, ell))
             checked += 1
             if got != want:
-                rep.outcome = "mismatch"
-                rep.witness = {"index": [m - ell, ell], "left": str(got),
-                               "right": str(want), "m": m, "ell": ell}
-                return _timed(rep, t0)
+                return rep.mismatch([m - ell, ell], got, want, m=m, ell=ell).finish()
     rep.detail["coefficients_checked"] = checked
-    return _timed(rep, t0)
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +272,7 @@ def _terminating_values(family, p, q, rep):
     base = values[0][1]
     for e, v, _ in values[1:]:
         if v != base:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": e, "left": _fmt_scalar(base),
-                           "right": _fmt_scalar(v)}
+            rep.mismatch(e, base, v)
             break
     return values
 
@@ -266,29 +280,13 @@ def _terminating_values(family, p, q, rep):
 def verify_terminating(family: str, p, q) -> VerificationReport:
     """Evaluate all terminating expressions of a compact identity at (p, q)
     and assert exact equality."""
-    t0 = time.perf_counter()
+    rep = VerificationReport(f"{family}-terminating", "terminating-exact")
     if family not in TERMINATING_FAMILIES:
         raise UnknownFamilyError("terminating families are comp1 and comp2")
-    rep = VerificationReport(f"{family}-terminating", "terminating-exact")
     values = _terminating_values(family, p, q, rep)
     rep.detail = {"p": _fmt_scalar(p), "q": _fmt_scalar(q),
                   "values": {e: _fmt_scalar(v) for e, v, _ in values}}
-    return _timed(rep, t0)
-
-
-def _fmt_scalar(v):
-    if isinstance(v, CyclotomicElement):
-        return repr(v)
-    return fraction_str(v) if isinstance(v, (int, Fraction)) else str(v)
-
-
-def fraction_str(x) -> str:
-    """`num/den`, or `num` for an integer, of a rational x with any number of
-    digits: str() of an int stops at sys.get_int_max_str_digits() (4300 by
-    default), a Decimal prints every digit."""
-    x = Fraction(x)
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +309,23 @@ def _pair_runner(ident, left_family, right_family, defaults=None):
         if n > FORMAL_BIVARIATE_CAP:
             raise ParameterError(
                 f"order capped at {FORMAL_BIVARIATE_CAP} for {ident} (got {n})")
-        t0 = time.perf_counter()
         params = {k: kwargs.get(k, v) for k, v in (defaults or {}).items()}
-        left = expand_family(left_family, n, **params)
-        right = expand_family(right_family, n, **params)
-        extra = {k: str(v) for k, v in params.items()}
-        return _series_pair_report(ident, n, left, right, t0, extra)
+        rep = VerificationReport(ident, "formal", n,
+                                 detail={k: str(v) for k, v in params.items()})
+        return rep.compare(n, [(expand_family(left_family, n, **params),
+                                expand_family(right_family, n, **params), None)]).finish()
     return run
 
 
 def _pentagonal_runner(order=None, **_):
     n = 30 if order is None else order
-    t0 = time.perf_counter()
+    rep = VerificationReport("pentagonal-3way", "formal", n)
     one = TruncatedSeries.constant(ZZ, 1, n, 1, ("w",))
     s = expand_family("pentagonal-sum", n)
     prod = expand_family("pentagonal-product", n)
     theta = expand_family("pentagonal-theta", n)
-    rep = _compare_series(VerificationReport("pentagonal-3way", "formal", n), n,
-                          [(s, one - prod, "sum vs 1-product"),
-                           (s, one - theta, "sum vs 1-theta")])
-    return _timed(rep, t0)
+    return rep.compare(n, [(s, one - prod, "sum vs 1-product"),
+                           (s, one - theta, "sum vs 1-theta")]).finish()
 
 
 def _terminating_suite_runner(family):
@@ -338,33 +333,21 @@ def _terminating_suite_runner(family):
     qs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
 
     def run(order=None, **_):
-        t0 = time.perf_counter()
         rep = VerificationReport(f"{family}-terminating", "terminating-exact")
-        points = []
-        for q, k in product(qs, ks):
-            exponent = 2 * k if family == "comp2" else k
-            p = q ** (-exponent)
-            sub = verify_terminating(family, p, q)
-            points.append({"p": str(p), "q": str(q),
-                           "values": sub.detail["values"]})
-            if not sub.ok:
-                rep.outcome = sub.outcome
-                rep.witness = sub.witness
-                rep.witness["p"] = str(p)
-                rep.witness["q"] = str(q)
-                break
-        rep.detail["points"] = points
-        return _timed(rep, t0)
+        subs = (verify_terminating(family, q ** -(2 * k if family == "comp2" else k), q)
+                for q, k in product(qs, ks))
+        _record_until_failure(rep, "points", subs, attrgetter("detail"))
+        if not rep.ok:
+            # the point of the failing sub-report, the last one recorded
+            rep.witness.update((key, rep.detail["points"][-1][key]) for key in "pq")
+        return rep.finish()
     return run
 
 
-def _hypergeom_runner(make):
-    """A runner that imports hypergeom, and with it mpmath, only when it
-    runs; `make(hypergeom)` gives the runner it calls."""
-    def run(order=None, **kwargs):
-        from . import hypergeom
-        return make(hypergeom)(order=order, **kwargs)
-    return run
+def _hypergeom():
+    """The hypergeom module, imported (and with it mpmath) only when a
+    numeric check runs."""
+    return import_module(".hypergeom", __package__)
 
 
 def _build_registry():
@@ -373,14 +356,10 @@ def _build_registry():
     def add(ident, mode, description, runner):
         reg[ident] = IdentityDescriptor(ident, mode, description, runner)
 
-    pairs = [
-        ("F1=F2", "F1", "F2"), ("F2=F3", "F2", "F3"), ("F1=F3", "F1", "F3"),
-        ("G1=G2", "G1", "G2"), ("G2=G3", "G2", "G3"), ("G1=G3", "G1", "G3"),
-    ]
-    for ident, lf, rf in pairs:
+    for ident in THM_MAIN_IDS:
         add(ident, "formal",
             f"interval-order series equality {ident} as bivariate formal series",
-            _pair_runner(ident, lf, rf))
+            _pair_runner(ident, *ident.split("=")))
     add("KR-first=F3", "formal",
         "first Kitaev-Remmel chain form equals the closed form",
         _pair_runner("KR-first=F3", "F3-KR-first-form", "F3"))
@@ -414,16 +393,14 @@ def _build_registry():
 
     for alias, ident in NUMERIC_REGISTRY_IDS.items():
         add(ident, "numeric", f"{ident} at sampled parameters",
-            _hypergeom_runner(lambda hypergeom, alias=alias: hypergeom.sampled_runner(alias)))
+            lambda order=None, alias=alias, **_: _hypergeom().sampled_runner(alias)())
     add("watson-exact", "terminating-exact",
         "terminating Watson identity at exact rational parameters",
-        _hypergeom_runner(lambda hypergeom: hypergeom.registry_watson_exact_runner))
+        lambda order=None, **_: _hypergeom().registry_watson_exact_runner())
     return reg
 
 
 _REGISTRY = None
-
-THM_MAIN_IDS = ("F1=F2", "F2=F3", "F1=F3", "G1=G2", "G2=G3", "G1=G3")
 
 
 def registry():
@@ -433,13 +410,10 @@ def registry():
     return _REGISTRY
 
 
-PARAMETRIC_IDS = ("gamma1", "gamma2")
-
-
 def verify(ident: str, order=None, **kwargs):
     """Run one registry identity (or the thm-main / all aggregates); returns
-    a list of VerificationReport.  gamma/r parameters are routed only to the
-    identities that take them."""
+    a list of VerificationReport.  The order and the gamma/r parameters go to
+    every runner, and each reads only the ones it takes."""
     reg = registry()
     if ident == "all":
         ids = list(reg)
@@ -450,8 +424,4 @@ def verify(ident: str, order=None, **kwargs):
     else:
         raise UnknownFamilyError(
             f"unknown identity {ident!r}; known: thm-main, all, {', '.join(sorted(reg))}")
-    reports = []
-    for i in ids:
-        params = kwargs if i in PARAMETRIC_IDS else {}
-        reports.append(reg[i].runner(order=order, **params))
-    return reports
+    return [reg[i].runner(order=order, **kwargs) for i in ids]

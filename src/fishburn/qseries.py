@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import inf, lcm
+from math import inf
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicElement
@@ -138,22 +138,42 @@ def truncated_sum(spec: PochhammerSum) -> TruncatedSeries:
 
 def partial_sum(spec: PochhammerSum, count: int):
     """t_0 + ... + t_{count-1} in any arithmetic, count >= 1: the value of a
-    terminating sum whose term `count` vanishes."""
-    terms = list(islice(pochhammer_terms(spec), count))
-    if all(type(t) is Fraction for t in terms):
-        return _fraction_sum(terms)
-    return sum(islice(terms, 1, None), terms[0])
+    terminating sum whose term `count` vanishes.
+
+    A sum of Fractions is summed inside-out, t_0 (1 + rho_0 (1 + rho_1 (...)))
+    over the term ratios rho_n = t_{n+1}/t_n, so that each step multiplies
+    the partial value by one small ratio instead of adding a term whose
+    numerator and denominator grow with n."""
+    if type(spec.first) is Fraction:
+        s = Fraction(1)
+        for ratio in reversed(list(islice(_ratios(spec), count - 1))):
+            s = 1 + ratio * s
+        return spec.first * s
+    terms = pochhammer_terms(spec)
+    return sum(islice(terms, count - 1), next(terms))
 
 
-def _fraction_sum(terms) -> Fraction:
-    """Sum of Fractions over the lcm of their denominators, reduced once.
-    Adding them one by one reduces every partial sum by a gcd of numbers as
-    large as the sum itself."""
-    den = 1
-    for t in terms:
-        if den % t.denominator:
-            den = lcm(den, t.denominator)
-    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
+def _ratios(spec: PochhammerSum):
+    """Yield the term ratios rho_0, rho_1, ... of a scalar `spec`.  The term
+    generator does not multiply by these: it applies each factor in turn,
+    the order in which the numeric sums were pinned."""
+    steps = [[a, r] for a, r in spec.factors]        # [a r^n, r]
+    inv_steps = [[b, s] for b, s in spec.inverses]   # [b s^n, s]
+    pow_steps = [[c, h] for c, h in spec.powers]     # [c h^n, h]
+    mono = 1
+    for c in spec.monos:
+        mono *= c
+    while True:
+        ratio = mono
+        for step in pow_steps:
+            ratio *= step[0]
+        for step in steps:
+            ratio *= 1 - step[0]
+        for step in inv_steps:
+            ratio /= 1 - step[0]
+        yield ratio
+        for step in steps + inv_steps + pow_steps:
+            step[0] = step[0] * step[1]
 
 
 TERMINATING_SCAN_CAP = 512

@@ -44,6 +44,7 @@ drops coefficients after `from_kernel`.
 
 from __future__ import annotations
 
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -68,6 +69,29 @@ def _pack(vecs, width):
             p = (p << width) + c
         packed.append(p)
     return packed
+
+
+def fraction_str(x) -> str:
+    """`num/den`, or `num` for an integer, of a rational x with any number of
+    digits: str() of an int stops at sys.get_int_max_str_digits() (4300 by
+    default), a Decimal prints every digit."""
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The rational that `fraction_str` writes as `text`, with any number of
+    digits: each part is read as a Decimal, which has no digit limit, and
+    converted exactly."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a string, got {text!r}")
+    num, slash, den = text.partition("/")
+    try:
+        value = Fraction(Decimal(num))
+        return value / Fraction(Decimal(den)) if slash else value
+    except (InvalidOperation, OverflowError) as exc:
+        raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
 class IntegerRing:
@@ -98,10 +122,10 @@ class IntegerRing:
         return values
 
     def coeff_to_str(self, a):
-        return str(a)
+        return fraction_str(a)
 
     def coeff_from_str(self, s):
-        return int(s)
+        return self.coerce(parse_fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -143,11 +167,10 @@ class RationalRing:
         return [Fraction(v, den) for v in values]
 
     def coeff_to_str(self, a):
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+        return fraction_str(a)
 
     def coeff_from_str(self, s):
-        return Fraction(s)
+        return parse_fraction(s)
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -237,11 +260,10 @@ class CyclotomicRing:
         return vecs, den, max(map(abs, chain.from_iterable(vecs)), default=0)
 
     def coeff_to_str(self, a):
-        rat = RationalRing()
-        return ",".join(rat.coeff_to_str(c) for c in a.coeffs)
+        return ",".join(map(fraction_str, a.coeffs))
 
     def coeff_from_str(self, s):
-        return self.field.element([Fraction(part) for part in s.split(",")])
+        return self.field.element([parse_fraction(part) for part in s.split(",")])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicRing) and other.k == self.k

@@ -21,13 +21,11 @@ embedding only to cross-check it.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .identities import (VerificationReport, _compare_series, _terminating_values,
-                         _timed)
+from .identities import VerificationReport, _terminating_values
 from .names import ROOT_EXPRS
 from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
 from .rings import cyclotomic_ring
@@ -121,50 +119,36 @@ class ConjectureReport:
     a: int
     b: int
     order: int
-    conj1: VerificationReport = None
-    conj2: VerificationReport = None
-    constant_terms: dict = field(default_factory=dict)
+    conj1: VerificationReport
+    conj2: VerificationReport
+    constant_terms: dict
 
     @property
     def ok(self) -> bool:
-        return all(rep is None or rep.ok for rep in (self.conj1, self.conj2))
+        return self.conj1.ok and self.conj2.ok
 
     def to_json_dict(self):
-        out = {"k": self.k, "a": self.a, "b": self.b, "order": self.order,
-               "constant_terms": {k: str(v) for k, v in self.constant_terms.items()}}
-        if self.conj1 is not None:
-            out["conj1"] = self.conj1.to_json_dict()
-        if self.conj2 is not None:
-            out["conj2"] = self.conj2.to_json_dict()
-        return out
+        return {"k": self.k, "a": self.a, "b": self.b, "order": self.order,
+                "constant_terms": {k: str(v) for k, v in self.constant_terms.items()},
+                "conj1": self.conj1.to_json_dict(), "conj2": self.conj2.to_json_dict()}
 
 
-def conjecture_explore(ctx: RootContext, include_q_only: bool = True) -> ConjectureReport:
+def conjecture_explore(ctx: RootContext) -> ConjectureReport:
     """Compare the expansions on both sides of the conjectured equalities at
-    the context's root of unity.  Agreement is reported as evidence; the
-    statement remains a conjecture."""
-    report = ConjectureReport(ctx.k, ctx.a, ctx.b, ctx.order)
-    t0 = time.perf_counter()
+    the context's root of unity: the comp1 left and right sides in (u, v),
+    and the q-only mid and right sides in (p, v).  Agreement is reported as
+    evidence; the statement remains a conjecture."""
+    conj1 = VerificationReport("conj-left-vs-right", "formal", ctx.order, "agreement",
+                               detail={"point": ctx.describe_point()})
     left = expand_at_root("comp1-left", ctx)
     right = expand_at_root("comp1-right", ctx)
-    report.conj1 = _agreement_report("conj-left-vs-right", left, right, ctx.order,
-                                     ctx.describe_point(), t0)
-    report.constant_terms["left"] = left.constant_term
-    report.constant_terms["right"] = right.constant_term
-    if include_q_only:
-        t0 = time.perf_counter()
-        report.conj2 = _agreement_report(
-            "conj-mid-vs-right-q-only", expand_q_only("mid", ctx),
-            expand_q_only("right", ctx), ctx.order,
-            f"q0 = zeta_{ctx.k}^{ctx.b}, p formal", t0)
-    return report
-
-
-def _agreement_report(ident, left, right, order, point, t0):
-    rep = _compare_series(VerificationReport(ident, "formal", order, outcome="agreement"),
-                          order, [(left, right, None)])
-    rep.detail["point"] = point
-    return _timed(rep, t0)
+    conj1.compare(ctx.order, [(left, right, None)]).finish()
+    conj2 = VerificationReport("conj-mid-vs-right-q-only", "formal", ctx.order, "agreement",
+                               detail={"point": f"q0 = zeta_{ctx.k}^{ctx.b}, p formal"})
+    conj2.compare(ctx.order, [(expand_q_only("mid", ctx), expand_q_only("right", ctx),
+                               None)]).finish()
+    return ConjectureReport(ctx.k, ctx.a, ctx.b, ctx.order, conj1, conj2,
+                            {"left": left.constant_term, "right": right.constant_term})
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +159,29 @@ def _agreement_report(ident, left, right, order, point, t0):
 ROOT_CHECK_FAMILIES = {"comp1-left-vs-mid": "comp1", "comp2-three-way": "comp2"}
 
 EMBED_TOL = "1e-40"  # read by mpmath, which only the embedding check loads
+EMBED_DPS = 60
 
 
-def root_terminating_check(family: str, p: CyclotomicElement, q: CyclotomicElement,
-                           dps: int = 60) -> VerificationReport:
+def root_terminating_check(family: str, p: CyclotomicElement,
+                           q: CyclotomicElement) -> VerificationReport:
     """Exact equality of the terminating sums over Q(zeta), plus a 60-digit
     complex re-check of every value through the embedding."""
     import mpmath as mp
 
-    t0 = time.perf_counter()
+    rep = VerificationReport(family, "terminating-exact")
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {family!r}; known: {', '.join(ROOT_CHECK_FAMILIES)}")
-    rep = VerificationReport(family, "terminating-exact")
     values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
     # complex embedding cross-check, summing as many terms as the exact sums
-    with mp.workdps(dps):
-        point = Point(p.embed(dps), q.embed(dps))
+    with mp.workdps(EMBED_DPS):
+        point = Point(p.embed(EMBED_DPS), q.embed(EMBED_DPS))
         worst = mp.mpf(0)
         for e, val, count in values:
             numeric = partial_sum(COMPACT_SUMS[e](point), count)
-            worst = max(worst, abs(numeric - val.embed(dps)))
+            worst = max(worst, abs(numeric - val.embed(EMBED_DPS)))
         rep.detail["embedding_diff"] = mp.nstr(worst, 8)
         if worst > mp.mpf(EMBED_TOL) and rep.ok:
-            rep.outcome = "mismatch"
-            rep.witness = {"index": "embedding", "left": repr(values[0][1]),
-                           "right": mp.nstr(worst, 8)}
+            rep.mismatch("embedding", values[0][1], mp.nstr(worst, 8))
     rep.detail["values"] = {e: repr(v) for e, v, _ in values}
-    return _timed(rep, t0)
+    return rep.finish()

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -46,6 +47,7 @@ from .errors import (
     SubstitutionError,
     TruncationError,
 )
+from .rings import fraction_str
 
 MatchReport = namedtuple("MatchReport", "equal index left right")
 MatchReport.__doc__ = """Outcome of equal_up_to: either equal, or the
@@ -405,13 +407,14 @@ class TruncatedSeries:
         shown = []
         for e in self.support()[:8]:
             c = self.terms[e]
+            coeff = fraction_str(c) if isinstance(c, (int, Fraction)) else str(c)
             mono = "*".join(
                 f"{n}^{k}" if k > 1 else n
                 for n, k in zip(self.names, e) if k)
             if mono:
-                shown.append(f"{c}*{mono}" if str(c) != "1" else mono)
+                shown.append(f"{coeff}*{mono}" if coeff != "1" else mono)
             else:
-                shown.append(str(c))
+                shown.append(coeff)
         body = " + ".join(shown) if shown else "0"
         if len(self.terms) > 8:
             body += " + ..."

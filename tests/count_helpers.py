@@ -2,9 +2,11 @@
 filtering or by reading every entry, so that they stay independent of the
 code they check.  The matrix checks take the `rows` of a matrix."""
 
+from itertools import combinations
 from math import gcd
 
 from fishburn.enumeration import fishburn_matrices
+from fishburn.errors import ParameterError
 
 
 def euler_phi(k: int) -> int:
@@ -55,3 +57,21 @@ def self_dual_count_by_full_size(n: int) -> int:
     """Self-dual Fishburn matrices of full (non-reduced) size n, found by
     filtering the plain enumeration; independent of self_dual_matrices."""
     return sum(1 for m in fishburn_matrices(n) if is_self_dual(m.rows))
+
+
+def distinct_partition_parity(largest: int, weight: int) -> int:
+    """(#odd - #even) part counts over partitions of `weight` into distinct
+    parts with largest part exactly `largest`, by literal enumeration."""
+    if largest < 1 or weight < 1:
+        raise ParameterError("arguments must be >= 1")
+    rest = weight - largest
+    if rest < 0:
+        return 0
+    total = 0
+    pool = range(1, largest)
+    for k in range(0, largest):
+        for combo in combinations(pool, k):
+            if sum(combo) == rest:
+                # part count is k + 1; odd count means k even
+                total += 1 if k % 2 == 0 else -1
+    return total

@@ -261,7 +261,7 @@ def test_c13_pentagonal_and_partition_table():
     theta = expand_family("pentagonal-theta", order)
     assert s.equal_up_to(one - prod, order).equal
     assert s.equal_up_to(one - theta, order).equal
-    from fishburn.enumeration import distinct_partition_parity
+    from count_helpers import distinct_partition_parity
     table = partition_parity_table(8, 30)
     for r in range(1, 9):
         for w in range(1, 31):

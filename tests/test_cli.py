@@ -70,6 +70,22 @@ def test_expand_uses_cache(tmp_path, capsys):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_expand_past_the_int_string_digit_limit(tmp_path, capsys):
+    # a 3001-digit gamma gives coefficients beyond the 4300 digits that
+    # str(int) prints by default; the cache must read the entry back as a hit
+    argv = ("expand", "--family", "gamma2-lhs", "--order", "6", "--gamma",
+            "1" + "0" * 3000, "--format", "json")
+    code, out, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    fresh = json.loads(out)
+    assert max(len(t["coeff"]) for t in fresh["terms"]) > 4300
+    for cached in (False, True):
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        payload = json.loads(out)
+        assert code == 0 and payload["cached"] is cached
+        assert payload["terms"] == fresh["terms"]
+
+
 def test_expand_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     argv = ("expand", "--family", "G1", "--order", "8", "--format", "json",
             "--cache-dir", str(tmp_path))

@@ -8,12 +8,11 @@ from math import comb
 
 import pytest
 
-from count_helpers import (anti_diagonal_is_zero, is_fishburn, is_row_fishburn,
-                           is_self_dual, reverse_transpose,
-                           self_dual_count_by_full_size)
+from count_helpers import (anti_diagonal_is_zero, distinct_partition_parity,
+                           is_fishburn, is_row_fishburn, is_self_dual,
+                           reverse_transpose, self_dual_count_by_full_size)
 from fishburn.enumeration import (FishburnMatrix, _count, _layouts,
                                   _refined_tables, _tree, _walk,
-                                  distinct_partition_parity,
                                   fishburn_matrices, refined_counts,
                                   row_fishburn_matrices, self_dual_matrices,
                                   verify_facts)

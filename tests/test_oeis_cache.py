@@ -87,6 +87,19 @@ def test_roundtrip_integer_and_rational():
         assert series_from_payload(series_to_payload(t)) == t
 
 
+def test_roundtrip_past_the_int_string_digit_limit():
+    # str(int) and int(str) stop at 4300 digits by default
+    huge = Fraction(-(10**5000 + 7), 3 * 10**4999 + 1)
+    s = TruncatedSeries(QQ, 2, 3, {(0, 0): Fraction(1), (1, 2): huge})
+    payload = series_to_payload(s)
+    assert len(payload["terms"][1]["coeff"]) > 10_000
+    assert series_from_payload(json.loads(json.dumps(payload))) == s
+    z = TruncatedSeries(ZZ, 1, 2, {(1,): 10**5000 - 1}, ("w",))
+    assert series_from_payload(series_to_payload(z)) == z
+    assert f"{payload['terms'][1]['coeff']}*x*y^2" in repr(s)
+    assert "9" * 5000 in repr(z)
+
+
 def test_roundtrip_cyclotomic():
     ring = cyclotomic_ring(5)
     rng = random.Random(5)

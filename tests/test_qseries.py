@@ -6,7 +6,8 @@ from math import inf
 
 import pytest
 
-from fishburn.enumeration import distinct_partition_parity, refined_counts
+from count_helpers import distinct_partition_parity
+from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.qseries import (COMPACT_SUMS, Point, PochhammerSum,
                               expand_family, fishburn_numbers, partial_sum,

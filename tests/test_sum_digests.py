@@ -8,12 +8,14 @@ string) and compared against figures recorded from the hand-written loops
 that the term-ratio evaluator replaced.  A refusal is pinned as "refused",
 so the certificates are pinned as well.  Ten terminating values were
 refusals until the termination certificate was read off the factors of
-each sum; the last test here checks them independently.
+each sum; a test below checks them independently.  The last test checks
+the inside-out Fraction sums against the term generator.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from itertools import islice
 from math import inf
 
 import pytest
@@ -24,7 +26,7 @@ from fishburn.identities import (TERMINATING_EXPRS, evaluate_terminating,
                                  proposition_lhs, proposition_rhs)
 from fishburn.qseries import (COMPACT_SUMS, FAMILY_IDS, Point, expand_family,
                               fishburn_numbers, partial_sum, partition_parity_table,
-                              q_pochhammer, row_fishburn_numbers,
+                              pochhammer_terms, q_pochhammer, row_fishburn_numbers,
                               termination_index)
 from fishburn.rings import ZZ
 from fishburn.roots import ROOT_EXPRS, RootContext, expand_at_root, expand_q_only
@@ -371,3 +373,17 @@ def test_newly_terminating_values_have_zero_tails_and_agree(exprs, p, q):
         assert partial_sum(spec, termination_index(spec) + 9) == value
         values.append(value)
     assert all(v == values[0] for v in values)
+
+
+def test_inside_out_sums_equal_the_sums_of_their_terms():
+    # partial_sum sums a Fraction spec inside-out over its term ratios; the
+    # term generator, summed one term at a time, is the reference at every
+    # rational point pinned above with a value
+    for p, q in RATIONAL_POINTS:
+        for expr in TERMINATING_EXPRS:
+            if EXPECTED[f"{expr} at p={p} q={q}"] == "refused":
+                continue
+            spec = COMPACT_SUMS[expr](Point(Fraction(p), Fraction(q)))
+            count = termination_index(spec) + 1
+            terms = list(islice(pochhammer_terms(spec), count))
+            assert partial_sum(spec, count) == sum(terms[1:], terms[0]), (expr, p, q)
