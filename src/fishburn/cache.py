@@ -16,6 +16,7 @@ import os
 import tempfile
 import warnings
 
+from .cyclotomic import fraction_str
 from .errors import PayloadError
 from .serialize import series_from_payload, series_to_payload
 
@@ -26,6 +27,11 @@ ENV_CACHE_DIR = "FISHBURN_CACHE_DIR"
 
 def default_cache_dir():
     return os.environ.get(ENV_CACHE_DIR)
+
+
+def _exact_params(params):
+    """The parameters, sorted, with each value written exactly."""
+    return {k: fraction_str(v) for k, v in sorted((params or {}).items())}
 
 
 def _miss(message):
@@ -41,7 +47,7 @@ class SeriesCache:
     @staticmethod
     def _key(expr_id: str, params: dict, truncation: int, ring_tag: str) -> str:
         canonical = json.dumps(
-            {"id": expr_id, "params": {k: str(v) for k, v in sorted((params or {}).items())},
+            {"id": expr_id, "params": _exact_params(params),
              "truncation": truncation, "ring": ring_tag},
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
@@ -90,7 +96,7 @@ class SeriesCache:
         entry = {
             "schema": SCHEMA_VERSION,
             "id": expr_id,
-            "params": {k: str(v) for k, v in sorted((params or {}).items())},
+            "params": _exact_params(params),
             "series": series_to_payload(series),
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

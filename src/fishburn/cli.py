@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .errors import FishburnError, ParameterError
 from .names import (FAMILY_IDS, NUMERIC_IDS, OEIS_SEQUENCES, ROOT_CHECK_FAMILIES,
-                    ROOT_EXPRS, TERMINATING_EXPRS, TREND_SEQUENCES)
+                    ROOT_EXPRS, TERMINATING_EXPRS, TERMINATING_FAMILIES,
+                    TREND_SEQUENCES)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -28,8 +29,10 @@ EXIT_ERROR = 2
 
 
 def _rational(text: str) -> Fraction:
+    from .cyclotomic import parse_fraction  # read at any number of digits
+
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
@@ -149,9 +152,10 @@ def cmd_verify(args) -> int:
 
 def cmd_terminating(args) -> int:
     from . import identities
-    from .rings import fraction_str
+    from .cyclotomic import fraction_str
 
-    if args.expr in ("comp1", "comp2"):
+    p, q = fraction_str(args.p), fraction_str(args.q)
+    if args.expr in TERMINATING_FAMILIES:
         rep = identities.verify_terminating(args.expr, args.p, args.q)
         payload = rep.to_json_dict()
 
@@ -159,15 +163,15 @@ def cmd_terminating(args) -> int:
             vals = rep.detail["values"]
             if rep.ok:
                 uniq = sorted(set(vals.values()))
-                print(f"{args.expr} at p={args.p}, q={args.q}: "
+                print(f"{args.expr} at p={p}, q={q}: "
                       f"all {len(vals)} expressions = {uniq[0]}")
             else:
-                print(f"{args.expr} at p={args.p}, q={args.q}: MISMATCH {vals}")
+                print(f"{args.expr} at p={p}, q={q}: MISMATCH {vals}")
         _emit(args, payload, text)
         return _report_exit([rep])
     value = fraction_str(identities.evaluate_terminating(args.expr, args.p, args.q))
-    payload = {"expr": args.expr, "p": str(args.p), "q": str(args.q), "value": value}
-    _emit(args, payload, lambda: print(f"{args.expr}({args.p}, {args.q}) = {value}"))
+    payload = {"expr": args.expr, "p": p, "q": q, "value": value}
+    _emit(args, payload, lambda: print(f"{args.expr}({p}, {q}) = {value}"))
     return EXIT_OK
 
 
@@ -324,7 +328,7 @@ def cmd_pentagonal(args) -> int:
     from .qseries import expand_family
     from .serialize import series_to_payload
 
-    rep = identities.registry()["pentagonal-3way"].runner(order=args.order)
+    rep = identities.registry()["pentagonal-3way"](order=args.order)
     series = expand_family("pentagonal-product", args.order)
     payload = {"report": rep.to_json_dict(),
                "product": series_to_payload(series)}
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("terminating", help="exact terminating sums at (p, q)")
     p.add_argument("--expr", required=True,
-                   choices=("comp1", "comp2") + TERMINATING_EXPRS)
+                   choices=(*TERMINATING_FAMILIES, *TERMINATING_EXPRS))
     p.add_argument("--p", type=_rational, required=True)
     p.add_argument("--q", type=_rational, required=True)
     add_format(p)

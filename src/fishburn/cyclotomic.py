@@ -15,14 +15,8 @@ high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
 first; powers of zeta are reduced the same way.  Conductors stay small here
 (`roots.CONDUCTOR_CAP` is 12, where phi(12) = 4).
 
-A series product over Q(zeta_k) does not multiply elements: rings.py packs
-each coordinate vector into one int (slots wide enough that no folded
-coordinate of a sum of products overflows, given the field's `fold_gain`),
-the series kernel multiplies and adds the packed ints, and each kept sum of
-unreduced products of 2 phi(k) - 1 coordinates is folded once, in packed
-form, as a residue modulo Phi_k(2^B).  A sum that is nonzero before folding
-can be zero after it (1 + zeta_3 + zeta_3^2), so the series drops zero
-coefficients only after the fold.
+A series product over Q(zeta_k) multiplies no elements: it runs on the
+packed coordinate vectors that rings.py describes.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -31,10 +25,34 @@ cyclotomic polynomials of the proper divisors of k.
 from __future__ import annotations
 
 import functools
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import NonInvertibleError
+
+
+def fraction_str(x) -> str:
+    """`num/den`, or `num` for an integer, of a rational x with any number of
+    digits: str() of an int stops at sys.get_int_max_str_digits() (4300 by
+    default), a Decimal prints every digit."""
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The rational that `fraction_str` writes as `text`, with any number of
+    digits: each part is read as a Decimal, which has no digit limit, and
+    converted exactly."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a string, got {text!r}")
+    num, slash, den = text.partition("/")
+    try:
+        value = Fraction(Decimal(num))
+        return value / Fraction(Decimal(den)) if slash else value
+    except (InvalidOperation, OverflowError) as exc:
+        raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
 def _poly_trim(coeffs):
@@ -178,18 +196,6 @@ class CyclotomicField:
         inv += [0] * (self.degree - len(inv))
         return _canonical(inv[: self.degree])
 
-    def embed(self, a, dps: int = 60):
-        """Numerical image of a under zeta_k -> exp(2*pi*i/k)."""
-        import mpmath as mp  # the exact arithmetic never needs it
-
-        with mp.workdps(dps):
-            zeta = mp.e ** (2j * mp.pi / self.k)
-            acc = mp.mpc(0)
-            for j, c in enumerate(a.coeffs):
-                if c:
-                    acc += mp.mpf(c.numerator) / mp.mpf(c.denominator) * zeta**j
-            return acc
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.k == self.k
 
@@ -311,18 +317,28 @@ class CyclotomicElement:
         return Fraction(self.coeffs[0])
 
     def embed(self, dps: int = 60):
-        return self.field.embed(self, dps)
+        """Numerical image under zeta_k -> exp(2*pi*i/k)."""
+        import mpmath as mp  # the exact arithmetic never needs it
+
+        with mp.workdps(dps):
+            zeta = mp.e ** (2j * mp.pi / self.field.k)
+            acc = mp.mpc(0)
+            for j, c in enumerate(self.coeffs):
+                if c:
+                    acc += mp.mpf(c.numerator) / mp.mpf(c.denominator) * zeta**j
+            return acc
 
     def __repr__(self):
         parts = []
         for j, c in enumerate(self.coeffs):
             if not c:
                 continue
+            c = fraction_str(c)
             if j == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif j == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
+                parts.append(f"{c}*z" if c != "1" else "z")
             else:
-                parts.append(f"{c}*z^{j}" if c != 1 else f"z^{j}")
+                parts.append(f"{c}*z^{j}" if c != "1" else f"z^{j}")
         body = " + ".join(parts) if parts else "0"
         return f"({body} : k={self.field.k})"

@@ -29,11 +29,11 @@ from operator import itemgetter
 
 import mpmath as mp
 
+from .cyclotomic import fraction_str
 from .errors import ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _vanishing_index, partial_sum,
                       pochhammer_terms)
-from .rings import fraction_str
 
 DECAY_RATIO = mp.mpf("0.9")
 DECAY_RUN = 5
@@ -356,7 +356,7 @@ def watson_exact(N: int, a, b, c, e, q, d=None) -> VerificationReport:
     rhs = pref * partial_sum(rhs_spec, N + 1)
 
     rep.detail.update({"lhs": fraction_str(lhs), "rhs": fraction_str(rhs),
-                       "params": {k: str(v) for k, v in
+                       "params": {k: fraction_str(v) for k, v in
                                   zip("abcdeq", (a, b, c, d, e, q))}})
     if lhs != rhs:
         rep.mismatch(f"N={N}", lhs, rhs)

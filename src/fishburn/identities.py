@@ -25,13 +25,13 @@ from importlib import import_module
 from itertools import product
 from operator import attrgetter
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, fraction_str
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS
+from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS, TERMINATING_FAMILIES
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
                       gamma1_lhs, gamma1_rhs, partial_sum, termination_index,
                       truncated_sum, xy_point)
-from .rings import ZZ, fraction_str
+from .rings import ZZ
 from .series import TruncatedSeries
 
 FORMAL_BIVARIATE_CAP = 32
@@ -257,10 +257,6 @@ def evaluate_terminating(expr: str, p, q):
     return partial_sum(*_certified(expr, p, q))
 
 
-TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
-                        "comp2": ("comp2-first", "comp2-mid", "comp2-right")}
-
-
 def _terminating_values(family, p, q, rep):
     """The (expression, value, term count) of each of `family`'s expressions
     at (p, q); `rep` becomes a mismatch at the first value that differs from
@@ -293,14 +289,6 @@ def verify_terminating(family: str, p, q) -> VerificationReport:
 # registry
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    id: str
-    mode: str
-    description: str
-    runner: object  # callable(**kwargs) -> VerificationReport
-
-
 def _pair_runner(ident, left_family, right_family, defaults=None):
     """Runner comparing two families, at order 8 unless asked otherwise;
     `defaults` maps the parameters the families take to their defaults."""
@@ -311,7 +299,7 @@ def _pair_runner(ident, left_family, right_family, defaults=None):
                 f"order capped at {FORMAL_BIVARIATE_CAP} for {ident} (got {n})")
         params = {k: kwargs.get(k, v) for k, v in (defaults or {}).items()}
         rep = VerificationReport(ident, "formal", n,
-                                 detail={k: str(v) for k, v in params.items()})
+                                 detail={k: fraction_str(v) for k, v in params.items()})
         return rep.compare(n, [(expand_family(left_family, n, **params),
                                 expand_family(right_family, n, **params), None)]).finish()
     return run
@@ -351,52 +339,32 @@ def _hypergeom():
 
 
 def _build_registry():
-    reg = {}
-
-    def add(ident, mode, description, runner):
-        reg[ident] = IdentityDescriptor(ident, mode, description, runner)
-
-    for ident in THM_MAIN_IDS:
-        add(ident, "formal",
-            f"interval-order series equality {ident} as bivariate formal series",
-            _pair_runner(ident, *ident.split("=")))
-    add("KR-first=F3", "formal",
-        "first Kitaev-Remmel chain form equals the closed form",
-        _pair_runner("KR-first=F3", "F3-KR-first-form", "F3"))
-    add("prop12", "formal",
-        "generating identity with a formal third variable r",
-        lambda order=None, **_: verify_proposition(8 if order is None else order))
-    add("prop12-specializations", "formal",
-        "r = -1 and substituted r = 1 respecializations",
-        lambda order=None, **_: verify_proposition_specializations(
-            8 if order is None else order))
-
-    add("gamma1", "formal", "gamma-generalized identity (rational gamma, r)",
-        _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs",
-                     {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)}))
-    add("gamma2", "formal", "gamma-generalized even-step identity (rational gamma)",
-        _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs", {"gamma": Fraction(2, 3)}))
-    add("pentagonal-3way", "formal",
-        "pentagonal sum = 1 - product = 1 - theta", _pentagonal_runner)
-    add("F1-coefficients", "formal",
-        "F1 coefficients equal Fishburn matrix counts",
-        lambda order=None, **_: verify_coefficient_oracle("F1", 5 if order is None else order))
-    add("G1-coefficients", "formal",
-        "G1 coefficients equal row-Fishburn matrix counts",
-        lambda order=None, **_: verify_coefficient_oracle("G1", 5 if order is None else order))
-    add("comp1-terminating", "terminating-exact",
-        "left = mid of the first compact identity at terminating points",
-        _terminating_suite_runner("comp1"))
-    add("comp2-terminating", "terminating-exact",
-        "three-way second compact identity at terminating points",
-        _terminating_suite_runner("comp2"))
-
+    """Identity id -> runner: a callable(order=None, **kwargs) that returns
+    the identity's VerificationReport, which carries its id and mode."""
+    reg = {ident: _pair_runner(ident, *ident.split("=")) for ident in THM_MAIN_IDS}
+    # the first Kitaev-Remmel chain form equals the closed form
+    reg["KR-first=F3"] = _pair_runner("KR-first=F3", "F3-KR-first-form", "F3")
+    # the generating identity with a formal third variable r, and its
+    # r = -1 and substituted r = 1 specializations
+    reg["prop12"] = lambda order=None, **_: verify_proposition(8 if order is None else order)
+    reg["prop12-specializations"] = lambda order=None, **_: (
+        verify_proposition_specializations(8 if order is None else order))
+    # the gamma generalizations, at rational gamma (and r)
+    reg["gamma1"] = _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs",
+                                 {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)})
+    reg["gamma2"] = _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs",
+                                 {"gamma": Fraction(2, 3)})
+    reg["pentagonal-3way"] = _pentagonal_runner
+    # F1 and G1 coefficients against Fishburn and row-Fishburn matrix counts
+    reg["F1-coefficients"] = lambda order=None, **_: verify_coefficient_oracle(
+        "F1", 5 if order is None else order)
+    reg["G1-coefficients"] = lambda order=None, **_: verify_coefficient_oracle(
+        "G1", 5 if order is None else order)
+    reg["comp1-terminating"] = _terminating_suite_runner("comp1")
+    reg["comp2-terminating"] = _terminating_suite_runner("comp2")
     for alias, ident in NUMERIC_REGISTRY_IDS.items():
-        add(ident, "numeric", f"{ident} at sampled parameters",
-            lambda order=None, alias=alias, **_: _hypergeom().sampled_runner(alias)())
-    add("watson-exact", "terminating-exact",
-        "terminating Watson identity at exact rational parameters",
-        lambda order=None, **_: _hypergeom().registry_watson_exact_runner())
+        reg[ident] = lambda order=None, alias=alias, **_: _hypergeom().sampled_runner(alias)()
+    reg["watson-exact"] = lambda order=None, **_: _hypergeom().registry_watson_exact_runner()
     return reg
 
 
@@ -424,4 +392,4 @@ def verify(ident: str, order=None, **kwargs):
     else:
         raise UnknownFamilyError(
             f"unknown identity {ident!r}; known: thm-main, all, {', '.join(sorted(reg))}")
-    return [reg[i].runner(order=order, **kwargs) for i in ids]
+    return [reg[i](order=order, **kwargs) for i in ids]

@@ -1,8 +1,9 @@
 """The names the command line offers as argument choices.
 
-Plain tuples (and one plain dict) that import nothing, so that building
-the CLI parser loads no computing module.  `TERMINATING_EXPRS` and
-`ROOT_EXPRS` are owned here and imported by `identities` and `roots`.  Every
+Plain tuples and dicts that import nothing, so that building the CLI
+parser loads no computing module.  `TERMINATING_EXPRS`,
+`TERMINATING_FAMILIES` and `ROOT_EXPRS` are owned here and imported by
+`identities` and `roots`.  Every
 other tuple lists, in the order the CLI shows them, the keys of a table that
 lives with its code (`qseries` also reads `FAMILY_IDS` for its error
 message), and `NUMERIC_REGISTRY_IDS` is the alias -> id view of the numeric
@@ -18,6 +19,11 @@ FAMILY_IDS = ("F1", "F2", "F3", "F3-KR-first-form", "G1", "G2", "G3",
 # the terminating sums identities.evaluate_terminating evaluates
 TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",
                      "comp2-right")
+
+# each compact identity whose terminating sums identities.verify_terminating
+# compares, with its sums
+TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
+                        "comp2": ("comp2-first", "comp2-mid", "comp2-right")}
 
 # CLI alias -> registry id of each entry of hypergeom.NUMERIC_IDENTITIES, in
 # its order; the registry lists the numeric identities from this table, so

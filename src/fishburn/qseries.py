@@ -54,7 +54,7 @@ def q_pochhammer(a: TruncatedSeries, q: TruncatedSeries, n) -> TruncatedSeries:
     """
     a._compat(q)
     if n == inf:
-        if not a.ring.is_zero(q.constant_term):
+        if q.constant_term:
             raise ParameterError(
                 "infinite q-Pochhammer product requires q with zero constant term")
         n = a.trunc + 1
@@ -94,13 +94,6 @@ def _inv(x):
     return x.invert() if isinstance(x, TruncatedSeries) else 1 / x
 
 
-def _times(term, c):
-    """term * c; a scalar c scales a series term instead of multiplying it."""
-    if isinstance(term, TruncatedSeries) and not isinstance(c, TruncatedSeries):
-        return term.scale(c)
-    return term * c
-
-
 def pochhammer_terms(spec: PochhammerSum):
     """Yield t_0, t_1, ... of `spec` without end: the caller's stopping rule
     decides how many terms are summed."""
@@ -111,9 +104,9 @@ def pochhammer_terms(spec: PochhammerSum):
     yield term
     while True:
         for c in spec.monos:
-            term = _times(term, c)
+            term = term * c
         for step in pow_steps:
-            term = _times(term, step[0])
+            term = term * step[0]
         for step in steps:
             term = term * (1 - step[0])
         if not isinstance(term, TruncatedSeries):
@@ -339,7 +332,7 @@ def gamma1_lhs(pt, gamma, r):
 def gamma1_rhs(pt, gamma, r):
     """sum_n p q^n (p; q)_n (r q; q)_n / (gamma; q)_n"""
     inverses = ((pt.one.scale(gamma), pt.q),) if gamma else ()
-    return PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (_times(pt.q, r), pt.q)), inverses)
+    return PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (pt.q * r, pt.q)), inverses)
 
 
 def gamma2_lhs(pt, gamma):
@@ -395,7 +388,7 @@ def _pentagonal_theta(N, ring):
             if e <= N:
                 terms[(e,)] = terms.get((e,), ring.zero) + sign
         n += 1
-    terms = {e: c for e, c in terms.items() if not ring.is_zero(c)}
+    terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(ring, 1, N, terms, PENTAGONAL_NAMES)
 
 

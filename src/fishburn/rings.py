@@ -2,9 +2,12 @@
 
 Ring elements are plain Python objects supporting the arithmetic operators
 (int, Fraction, CyclotomicElement), so series arithmetic works on them
-directly.  A ring object supplies everything the operators cannot: coercion,
-inversion, and string serialization.  Every ring is exact, so `==` is
-equality.
+directly, and each is falsy exactly when it is zero, so a zero test is
+`if c:`.  A ring supplies only what the numbers cannot do themselves:
+coercion (`coerce`, `zero`, `one`), inversion (`invert`), the kernel pair
+(`to_kernel`, `from_kernel`) and the exact string form (`coeff_to_str`,
+`coeff_from_str`), all under one `tag`.  Every ring is exact, so `==` is
+equality; two rings are equal when their tags are.
 
 Integers are the default ring (all coefficients of the interval-order series
 are integers); rationals appear where a non-unit inversion is required, and
@@ -44,12 +47,11 @@ drops coefficients after `from_kernel`.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .cyclotomic import CyclotomicElement, get_field
+from .cyclotomic import CyclotomicElement, fraction_str, get_field, parse_fraction
 from .errors import NonInvertibleError
 
 
@@ -71,49 +73,9 @@ def _pack(vecs, width):
     return packed
 
 
-def fraction_str(x) -> str:
-    """`num/den`, or `num` for an integer, of a rational x with any number of
-    digits: str() of an int stops at sys.get_int_max_str_digits() (4300 by
-    default), a Decimal prints every digit."""
-    x = Fraction(x)
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """The rational that `fraction_str` writes as `text`, with any number of
-    digits: each part is read as a Decimal, which has no digit limit, and
-    converted exactly."""
-    if not isinstance(text, str):
-        raise TypeError(f"expected a string, got {text!r}")
-    num, slash, den = text.partition("/")
-    try:
-        value = Fraction(Decimal(num))
-        return value / Fraction(Decimal(den)) if slash else value
-    except (InvalidOperation, OverflowError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
-
-
-class IntegerRing:
-    tag = "ZZ"
-
-    zero = 0
-    one = 1
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        raise TypeError(f"cannot coerce {x!r} into ZZ")
-
-    def is_zero(self, a):
-        return a == 0
-
-    def invert(self, a):
-        if a in (1, -1):
-            return a
-        raise NonInvertibleError(f"{a} is not a unit in ZZ")
+class _Ring:
+    """What every ring shares: equality, hash and repr by tag, the rational
+    string form, and kernel values that are the coefficients themselves."""
 
     def to_kernel(self, a, b):
         return a, b, None
@@ -128,16 +90,35 @@ class IntegerRing:
         return self.coerce(parse_fraction(s))
 
     def __eq__(self, other):
-        return isinstance(other, IntegerRing)
+        return isinstance(other, _Ring) and other.tag == self.tag
 
     def __hash__(self):
         return hash(self.tag)
 
     def __repr__(self):
-        return "ZZ"
+        return self.tag
 
 
-class RationalRing:
+class IntegerRing(_Ring):
+    tag = "ZZ"
+
+    zero = 0
+    one = 1
+
+    def coerce(self, x):
+        if isinstance(x, int):
+            return x
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return int(x)
+        raise TypeError(f"cannot coerce {x!r} into ZZ")
+
+    def invert(self, a):
+        if a in (1, -1):
+            return a
+        raise NonInvertibleError(f"{a} is not a unit in ZZ")
+
+
+class RationalRing(_Ring):
     tag = "QQ"
 
     zero = Fraction(0)
@@ -148,11 +129,8 @@ class RationalRing:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def is_zero(self, a):
-        return a == 0
-
     def invert(self, a):
-        if a == 0:
+        if not a:
             raise NonInvertibleError("0 is not invertible in QQ")
         return Fraction(1) / a
 
@@ -166,23 +144,8 @@ class RationalRing:
     def from_kernel(self, values, den):
         return [Fraction(v, den) for v in values]
 
-    def coeff_to_str(self, a):
-        return fraction_str(a)
 
-    def coeff_from_str(self, s):
-        return parse_fraction(s)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
-
-    def __hash__(self):
-        return hash(self.tag)
-
-    def __repr__(self):
-        return "QQ"
-
-
-class CyclotomicRing:
+class CyclotomicRing(_Ring):
     """Q(zeta_k) as a series coefficient ring.
 
     Coefficients are CyclotomicElement values with canonical coordinates
@@ -205,9 +168,6 @@ class CyclotomicRing:
         if isinstance(x, (int, Fraction)):
             return self.field.from_rational(x)
         raise TypeError(f"cannot coerce {x!r} into {self.tag}")
-
-    def is_zero(self, a):
-        return not a
 
     def invert(self, a):
         if not a:
@@ -265,22 +225,9 @@ class CyclotomicRing:
     def coeff_from_str(self, s):
         return self.field.element([parse_fraction(part) for part in s.split(",")])
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicRing) and other.k == self.k
-
-    def __hash__(self):
-        return hash(self.tag)
-
-    def __repr__(self):
-        return self.tag
-
 
 ZZ = IntegerRing()
 QQ = RationalRing()
-
-
-def cyclotomic_ring(k: int) -> CyclotomicRing:
-    return CyclotomicRing(k)
 
 
 def ring_from_tag(tag: str):

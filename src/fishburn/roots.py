@@ -28,7 +28,7 @@ from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, _terminating_values
 from .names import ROOT_EXPRS
 from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
-from .rings import cyclotomic_ring
+from .rings import CyclotomicRing
 from .series import TruncatedSeries
 
 CONDUCTOR_CAP = 12
@@ -58,7 +58,7 @@ class RootContext:
         if self.order < 0:
             raise ParameterError("expansion order must be nonnegative")
         self.field = get_field(self.k)
-        self.ring = cyclotomic_ring(self.k)
+        self.ring = CyclotomicRing(self.k)
         self.p0 = self.field.zeta(self.a)
         self.q0 = self.field.zeta(self.b)
 

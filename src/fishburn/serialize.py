@@ -64,6 +64,6 @@ def series_from_payload(payload: dict) -> TruncatedSeries:
             coeff = ring.coeff_from_str(text)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise PayloadError(f"bad coefficient {text!r} for {ring.tag}") from exc
-        if not ring.is_zero(coeff):
+        if coeff:
             terms[exp] = coeff
     return TruncatedSeries(ring, nvars, trunc, terms, names)

@@ -20,17 +20,8 @@ degree; each row of the schoolbook product then reads a prefix of the other
 operand.  Keys are turned back into tuples only for the kept terms.
 
 The ring decides how its coefficients enter the kernel, so the product
-loop multiplies and adds ints only, over every ring (`to_kernel`,
-`from_kernel` in rings.py).  `to_kernel` takes both operands at once:
-integers pass through; a rational operand enters as int numerators over
-the lcm of its denominators, and each kept coefficient becomes one
-Fraction; a Q(zeta_k) coefficient enters as its coordinate vector packed
-into one int, with a slot width chosen from both operands so that no
-folded coordinate of a sum of products overflows.  Each kept value is
-folded by Phi_k once, in packed form, and then unpacked, not once per term
-pair.  Folding can turn a
-nonzero kernel value into zero, so coefficients are dropped after
-`from_kernel`.
+loop multiplies and adds ints only, over every ring; rings.py gives the
+whole account, the packed Q(zeta_k) kernel included.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from .errors import (
     SubstitutionError,
     TruncationError,
 )
-from .rings import fraction_str
+from .cyclotomic import fraction_str
 
 MatchReport = namedtuple("MatchReport", "equal index left right")
 MatchReport.__doc__ = """Outcome of equal_up_to: either equal, or the
@@ -75,7 +66,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, ring, nvars, trunc, value, names=None):
         value = ring.coerce(value)
-        terms = {} if ring.is_zero(value) else {(0,) * nvars: value}
+        terms = {(0,) * nvars: value} if value else {}
         return cls(ring, nvars, trunc, terms, names)
 
     @classmethod
@@ -93,12 +84,7 @@ class TruncatedSeries:
     # -- plumbing ----------------------------------------------------------
 
     def _compat(self, other):
-        if self.ring != other.ring:
-            raise SeriesCompatibilityError(
-                f"ring mismatch: {self.ring!r} vs {other.ring!r}")
-        if self.nvars != other.nvars:
-            raise SeriesCompatibilityError(
-                f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        self._compat_loose(other)
         if self.trunc != other.trunc:
             raise SeriesCompatibilityError(
                 f"truncation mismatch: {self.trunc} vs {other.trunc}")
@@ -141,10 +127,10 @@ class TruncatedSeries:
         a constant that cancels to zero is dropped."""
         origin = (0,) * self.nvars
         acc = terms.get(origin, self.ring.zero) + scalar
-        if self.ring.is_zero(acc):
-            terms.pop(origin, None)
-        else:
+        if acc:
             terms[origin] = acc
+        else:
+            terms.pop(origin, None)
         return self._wrap(terms)
 
     def __add__(self, other):
@@ -158,10 +144,10 @@ class TruncatedSeries:
         zero = self.ring.zero
         for e, c in other.terms.items():
             acc = terms.get(e, zero) + c
-            if self.ring.is_zero(acc):
-                terms.pop(e, None)
-            else:
+            if acc:
                 terms[e] = acc
+            else:
+                terms.pop(e, None)
         return self._wrap(terms)
 
     __radd__ = __add__
@@ -185,12 +171,12 @@ class TruncatedSeries:
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)
-        if self.ring.is_zero(scalar):
+        if not scalar:
             return self._wrap({})
         terms = {}
         for e, c in self.terms.items():
             acc = c * scalar
-            if not self.ring.is_zero(acc):
+            if acc:
                 terms[e] = acc
         return self._wrap(terms)
 
@@ -233,10 +219,9 @@ class TruncatedSeries:
         recurrence b_d = -c0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
         """
         c0 = self.constant_term
-        if self.ring.is_zero(c0):
+        if not c0:
             raise NonInvertibleError("constant term 0 is not invertible")
         c0inv = self.ring.invert(c0)
-        is_zero = self.ring.is_zero
         pack, unpack, limit = _codec(self.nvars, self.trunc)
         step = limit // (self.trunc + 1)  # the key of one unit of degree
         # nonconstant terms of self, grouped by total degree
@@ -261,7 +246,7 @@ class TruncatedSeries:
             level = []
             for k, c in acc.items():
                 val = -(c0inv * c)
-                if not is_zero(val):
+                if val:
                     level.append((k, val))
             levels.append(level)
         return self._wrap({unpack[k]: c for level in levels for k, c in level})
@@ -293,7 +278,7 @@ class TruncatedSeries:
                 s = TruncatedSeries.variable(self.ring, self.nvars, self.trunc, i, self.names)
             else:
                 self._compat(s)
-                if not self.ring.is_zero(s.constant_term):
+                if s.constant_term:
                     raise SubstitutionError(
                         f"substitution for variable {self.names[i]} has nonzero "
                         f"constant term {s.constant_term!r}")
@@ -336,7 +321,6 @@ class TruncatedSeries:
                 f"specialization is exact only up to {self.trunc // 2}, "
                 f"requested {new_trunc}")
         scalar = self.ring.coerce(scalar)
-        powers = {0: self.ring.one}
         terms = {}
         zero = self.ring.zero
         for e, c in self.terms.items():
@@ -348,15 +332,9 @@ class TruncatedSeries:
                     f"offending index {e}")
             if rest > new_trunc:
                 continue
-            if k not in powers:
-                p = self.ring.one
-                for _ in range(k):
-                    p = p * scalar
-                powers[k] = p
             exp = e[:var] + e[var + 1:]
-            acc = terms.get(exp, zero) + c * powers[k]
-            terms[exp] = acc
-        terms = {e: c for e, c in terms.items() if not self.ring.is_zero(c)}
+            terms[exp] = terms.get(exp, zero) + c * scalar ** k
+        terms = {e: c for e, c in terms.items() if c}
         names = self.names[:var] + self.names[var + 1:]
         return TruncatedSeries(self.ring, self.nvars - 1, new_trunc, terms, names)
 

@@ -22,6 +22,6 @@ def map_coefficients(series, new_ring, fn=None):
     terms = {}
     for e, c in series.terms.items():
         val = fn(c)
-        if not new_ring.is_zero(val):
+        if val:
             terms[e] = val
     return TruncatedSeries(new_ring, series.nvars, series.trunc, terms, series.names)

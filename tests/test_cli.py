@@ -86,6 +86,29 @@ def test_expand_past_the_int_string_digit_limit(tmp_path, capsys):
         assert payload["terms"] == fresh["terms"]
 
 
+def test_rational_options_past_the_int_string_digit_limit(tmp_path, capsys):
+    # a 5001-digit option value is read, keyed in the cache and reported in
+    # full, where Fraction(text) and str(Fraction) stop at 4300 digits
+    big = "1" + "0" * 5000
+    argv = ("expand", "--family", "gamma2-lhs", "--order", "2", f"--gamma={big}",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    for cached in (False, True):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["cached"] is cached
+    code, out, _ = run(capsys, "verify", "--id", "gamma2", "--order", "2",
+                       f"--gamma={big}", "--format", "json")
+    (report,) = json.loads(out)
+    assert code == 0 and report["detail"] == {"gamma": big}
+    # p q = 1 ends comp1-left and comp1-mid after two terms
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "terminating", "--expr", "comp1", "--p", big,
+                           "--q", f"1/{big}", "--format", fmt)
+        assert code == 0 and big in out
+        code, out, _ = run(capsys, "terminating", "--expr", "comp1-left", "--p", big,
+                           "--q", f"1/{big}", "--format", fmt)
+        assert code == 0 and f"1/{big}" in out
+
+
 def test_expand_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     argv = ("expand", "--family", "G1", "--order", "8", "--format", "json",
             "--cache-dir", str(tmp_path))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from count_helpers import euler_phi
 from fishburn.cyclotomic import cyclotomic_polynomial, get_field
 from fishburn.errors import NonInvertibleError
-from fishburn.rings import cyclotomic_ring
+from fishburn.rings import CyclotomicRing
 
 
 KNOWN_POLYS = {
@@ -220,8 +220,12 @@ def test_unit_inverse_is_integral():
     assert any(type(c) is Fraction for c in non_unit.inverse().coeffs)
 
 
+def test_repr_past_the_int_string_digit_limit():
+    assert repr(get_field(3).element([10**5000, 1])) == f"(1{'0' * 5000} + z : k=3)"
+
+
 def test_payload_strings_unchanged():
-    ring = cyclotomic_ring(12)
+    ring = CyclotomicRing(12)
     e = ring.field.element([Fraction(4, 2), Fraction(-1, 3), 0, 7])
     assert ring.coeff_to_str(e) == "2,-1/3,0,7"
     assert ring.coeff_from_str("2,-1/3,0,7") == e

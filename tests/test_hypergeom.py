@@ -14,7 +14,7 @@ from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams,
                                 random_rf_params, random_watson_limit_params,
                                 rogers_fine_check, watson_exact,
                                 watson_limit_check)
-from fishburn.identities import registry
+from fishburn.identities import verify
 
 
 def test_rogers_fine_reference_point():
@@ -115,7 +115,7 @@ def test_parameters_must_be_those_of_the_identity():
 
 
 def test_registry_numeric_entries_are_the_table():
-    numeric = {d.id for d in registry().values() if d.mode == "numeric"}
+    numeric = {r.id for r in verify("all") if r.mode == "numeric"}
     assert numeric == {ident for ident, *_ in NUMERIC_IDENTITIES.values()}
 
 
@@ -150,6 +150,15 @@ def test_watson_exact_reference():
                        Fraction(1, 11), Fraction(1, 2))
     assert rep.outcome == "verified"
     assert rep.detail["lhs"] == rep.detail["rhs"]
+
+
+def test_watson_exact_past_the_int_string_digit_limit():
+    big = 10**5000
+    rep = watson_exact(1, Fraction(big + 1, 3), Fraction(1, 5), Fraction(1, 7),
+                       Fraction(1, 11), Fraction(1, 2))
+    assert rep.outcome == "verified"
+    assert rep.detail["params"]["a"] == "1" + "0" * 4999 + "1/3"
+    assert rep.detail["lhs"] == rep.detail["rhs"] and len(rep.detail["lhs"]) > 10_000
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -227,15 +227,20 @@ def test_comp1_left_mid_grid(q, k):
 # -- registry plumbing -------------------------------------------------------
 
 
-def test_registry_covers_every_mode():
-    modes = {d.mode for d in registry().values()}
+@pytest.fixture(scope="module")
+def all_reports():
+    return verify("all")
+
+
+def test_registry_covers_every_mode(all_reports):
+    modes = {r.mode for r in all_reports}
     assert modes == {"formal", "terminating-exact", "numeric"}
 
 
-def test_verify_all_aggregate():
-    reports = verify("all")
-    assert len(reports) == len(registry())
-    assert all(r.ok for r in reports)
+def test_verify_all_aggregate(all_reports):
+    # one report per registry entry, in registry order, each under its id
+    assert [r.id for r in all_reports] == list(registry())
+    assert all(r.ok for r in all_reports)
 
 
 def test_verify_unknown_id():

@@ -7,7 +7,7 @@ from math import isqrt
 import pytest
 
 from fishburn.errors import NonInvertibleError
-from fishburn.rings import QQ, ZZ, cyclotomic_ring, ring_from_tag
+from fishburn.rings import QQ, ZZ, CyclotomicRing, ring_from_tag
 
 
 def test_integer_ring_units():
@@ -29,7 +29,7 @@ def test_rational_ring():
 
 
 def test_cyclotomic_ring_roundtrip():
-    ring = cyclotomic_ring(4)
+    ring = CyclotomicRing(4)
     z = ring.field.zeta()
     s = ring.coeff_to_str(z)
     assert ring.coeff_from_str(s) == z
@@ -39,8 +39,13 @@ def test_cyclotomic_ring_roundtrip():
 def test_ring_equality_and_tags():
     assert ZZ == ring_from_tag("ZZ")
     assert QQ == ring_from_tag("QQ")
-    assert cyclotomic_ring(6) == ring_from_tag("QQ(zeta_6)")
-    assert cyclotomic_ring(6) != cyclotomic_ring(5)
+    assert CyclotomicRing(6) == ring_from_tag("QQ(zeta_6)")
+    assert hash(CyclotomicRing(6)) == hash(ring_from_tag("QQ(zeta_6)"))
+    assert CyclotomicRing(6) != CyclotomicRing(5)
+    assert ZZ != QQ
+    assert QQ != CyclotomicRing(1)
+    for ring in (ZZ, QQ, CyclotomicRing(6)):
+        assert ring != ring.tag and ring.tag != ring
     with pytest.raises(ValueError):
         ring_from_tag("GF(7)")
 
@@ -52,7 +57,7 @@ def test_packed_fold_matches_reduce_at_the_slot_bound(k):
     packed form to the coordinates `_reduce` gives.  The bound sits just
     below a power of two, where the slots have the least room; conductors
     15, 21 and 30 fold with gains 6, 7 and 6."""
-    ring = cyclotomic_ring(k)
+    ring = CyclotomicRing(k)
     field = ring.field
     d = field.degree
     rng = random.Random(k)
