@@ -7,7 +7,6 @@ matches their statistics against the matrix counts.
 
 from fishburn import (count_ascent_sequences, fishburn_matrices,
                       fishburn_numbers, refined_counts, verify_facts)
-from fishburn.enumeration import _refined_tables
 from fishburn.posets import interval_order_statistics
 
 print("=== Fishburn matrices of size 3 ===")
@@ -25,10 +24,8 @@ print("note the symmetry under swapping the two statistics (poset duality)")
 
 print()
 print("=== self-dual matrices and the halving facts ===")
-# one tree per dimension, read at every reduced size 1..5
-sizes = range(1, 6)
-for m, sd, rf in zip(sizes, _refined_tables("selfDual", sizes),
-                     _refined_tables("rowFishburn", sizes)):
+for m in range(1, 6):
+    sd, rf = refined_counts("selfDual", m), refined_counts("rowFishburn", m)
     print(f"  reduced size {m}: self-dual total {sd.total}, "
           f"row-Fishburn total {rf.total} (half)")
 report = verify_facts(5)

@@ -48,8 +48,8 @@ print(f"  exact N=2: {rep.outcome}; both sides = {rep.detail['lhs']}")
 
 print()
 print("=== asymptotic main terms ===")
-print(f"  alpha = {mp.nstr(alpha_constant(30), 25)}")
-print(f"  beta  = {mp.nstr(beta_constant(30), 25)}")
+print(f"  alpha = {mp.nstr(alpha_constant(), 25)}")
+print(f"  beta  = {mp.nstr(beta_constant(), 25)}")
 for which in ("fishburn", "rowFishburn"):
     rows = trend(which, 100)
     dev = {row.n: row.deviation for row in rows}

@@ -47,7 +47,7 @@ _EXPORTS = {
     "qseries": ("PartitionParityTable", "expand_family", "fishburn_numbers",
                 "partition_parity_table", "q_pochhammer", "row_fishburn_numbers",
                 "univariate_fishburn_series"),
-    "rings": ("QQ", "ZZ", "CyclotomicRing"),
+    "rings": ("QQ", "ZZ"),
     "roots": ("ConjectureReport", "RootContext", "conjecture_explore", "expand_at_root",
               "root_terminating_check"),
     "series": ("MatchReport", "TruncatedSeries"),

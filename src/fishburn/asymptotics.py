@@ -18,19 +18,20 @@ from .errors import ParameterError
 from .qseries import univariate_fishburn_series
 
 N_MAX_CAP = 120
+DPS = 50  # working digits of the constants and the trend ratios
 
 TrendRow = namedtuple("TrendRow", "n ratio deviation")
 
 
-def alpha_constant(dps: int = 50):
-    """12*sqrt(3) * pi^(-5/2) * e^(pi^2/12), to the requested precision."""
-    with mp.workdps(dps):
+def alpha_constant():
+    """12*sqrt(3) * pi^(-5/2) * e^(pi^2/12), to DPS digits."""
+    with mp.workdps(DPS):
         return 12 * mp.sqrt(3) * mp.pi ** mp.mpf("-2.5") * mp.e ** (mp.pi**2 / 12)
 
 
-def beta_constant(dps: int = 50):
-    """6*sqrt(2) * pi^(-2) * e^(pi^2/24), to the requested precision."""
-    with mp.workdps(dps):
+def beta_constant():
+    """6*sqrt(2) * pi^(-2) * e^(pi^2/24), to DPS digits."""
+    with mp.workdps(DPS):
         return 6 * mp.sqrt(2) / mp.pi**2 * mp.e ** (mp.pi**2 / 24)
 
 
@@ -42,7 +43,7 @@ MAIN_TERMS = {
 }
 
 
-def trend(which: str, n_max: int, dps: int = 50):
+def trend(which: str, n_max: int):
     """Exact coefficients divided by the closed-form main term, for
     n = 1..n_max; returns TrendRow(n, ratio, |ratio - 1|) entries."""
     if not 1 <= n_max <= N_MAX_CAP:
@@ -52,8 +53,8 @@ def trend(which: str, n_max: int, dps: int = 50):
     constant, numerator, sqrt_factor = MAIN_TERMS[which]
     series = univariate_fishburn_series(which, n_max)
     rows = []
-    with mp.workdps(dps):
-        const = constant(dps)
+    with mp.workdps(DPS):
+        const = constant()
         base = numerator / mp.pi**2
         for n in range(1, n_max + 1):
             main = mp.factorial(n) * base**n * const

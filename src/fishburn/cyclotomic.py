@@ -1,4 +1,5 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_k).
+"""Exact arithmetic in cyclotomic fields Q(zeta_k), each its own series
+coefficient ring.
 
 Elements are residue polynomials in zeta of degree < phi(k), stored as a tuple
 of coordinates in the power basis 1, zeta, ..., zeta^(phi(k)-1).  Every
@@ -7,16 +8,37 @@ only otherwise.  Phi_k is monic with integer coefficients, so reducing modulo
 Phi_k never leaves the integers, and the power basis spans the ring of
 integers Z[zeta_k].  Elements of Z[zeta_k], where the coefficients of the
 root-of-unity expansions lie, are therefore multiplied, added and reduced in
-int arithmetic alone; a Fraction enters only where a non-unit is inverted
-(extended gcd over Q[x]).
+int arithmetic alone; a Fraction enters only where a non-unit is inverted.
 
 A product is the schoolbook product of the two residue polynomials, with its
 high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
-first; powers of zeta are reduced the same way.  Conductors stay small here
-(`roots.CONDUCTOR_CAP` is 12, where phi(12) = 4).
+first; powers of zeta are reduced the same way.  The inverse of a is the
+product of its other Galois conjugates a(zeta^j), 1 < j < k with
+gcd(j, k) = 1, divided by the norm N(a), which is a times that product and
+rational.  Conductors stay small here (`roots.CONDUCTOR_CAP` is 12, where
+phi(12) = 4).
 
-A series product over Q(zeta_k) multiplies no elements: it runs on the
-packed coordinate vectors that rings.py describes.
+`CyclotomicField` is also the coefficient ring of a series over Q(zeta_k),
+with the protocol of the rings in rings.py: the tag "QQ(zeta_k)", `coerce`,
+`invert`, the exact string form (comma-joined coordinates) and the kernel
+pair.  The series product kernel multiplies and adds ints only, so a series
+product over Q(zeta_k) multiplies no elements.  `to_kernel` brings each
+operand onto the lcm of its coordinate denominators and packs its int
+coordinate vector (c_0..c_{phi-1}) into the one int sum_i c_i 2^(B i) (a
+Kronecker substitution).  The product of two packed values is then the
+packed, unreduced product polynomial of 2 phi - 1 coordinates evaluated at
+2^B, and sums of such products stay packed.  A coordinate of a kernel value
+is a sum of at most phi products per term pair and of at most
+min(#a, #b) term pairs, so |coordinate| <= phi max|a| max|b| min(#a, #b);
+folding by Phi_k multiplies that bound by at most the field's `fold_gain`,
+the largest column sum of |x^j mod Phi_k| over j < 2 phi - 1.  The slot
+width B keeps the folded coordinates below 2^(B-3).  `from_kernel` then
+folds each value in packed form, as its centred residue modulo Phi_k(2^B),
+which is the folded polynomial at 2^B exactly because its coordinates are
+that small; it unpacks the phi signed coordinates and divides by the
+product of the two lcms.  So the folding runs once per kept coefficient
+rather than once per term pair, and a value such as 1 + zeta_3 + zeta_3^2
+is nonzero until it is folded.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -27,6 +49,8 @@ from __future__ import annotations
 import functools
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import add, neg, sub
 
 from .errors import NonInvertibleError
@@ -55,26 +79,17 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_divmod(num, den):
-    """Exact division of integer/rational coefficient lists (ascending)."""
+    """Quotient and remainder of the integer polynomial `num` by the monic
+    `den` (coefficient lists, ascending)."""
     num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1]
-        if c == 0:
-            continue
-        q = c if lead == 1 else Fraction(c, lead)
-        out[shift] = q
-        for i, d in enumerate(den):
-            num[shift + i] -= q * d
-    return out, _poly_trim(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for shift in reversed(range(len(quot))):
+        q = quot[shift] = num[shift + len(den) - 1]
+        if q:
+            for i, d in enumerate(den):
+                num[shift + i] -= q * d
+    return quot, num[:len(den) - 1]
 
 
 def _rational(c):
@@ -83,6 +98,27 @@ def _rational(c):
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _pack(vecs, width):
+    """Each coordinate vector (c_0, c_1, ...) as the int sum_i c_i 2^(width i)."""
+    packed = []
+    for vec in vecs:
+        p = 0
+        for c in reversed(vec):
+            p = (p << width) + c
+        packed.append(p)
+    return packed
+
+
+def _scaled(coeffs):
+    """The coordinate vectors of the elements `coeffs` as ints over the lcm
+    of their denominators, that lcm, and the largest absolute coordinate."""
+    vecs = [c.coeffs for c in coeffs]
+    den = lcm(*[x.denominator for v in vecs for x in v if type(x) is not int])
+    if den != 1:
+        vecs = [[x.numerator * (den // x.denominator) for x in v] for v in vecs]
+    return vecs, den, max(map(abs, chain.from_iterable(vecs)), default=0)
 
 
 def _canonical(vec) -> tuple:
@@ -102,19 +138,21 @@ def cyclotomic_polynomial(k: int) -> tuple:
     for d in range(1, k):
         if k % d == 0:
             q, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            if rem:
+            if any(rem):
                 raise AssertionError(f"Phi_{d} does not divide x^{k}-1")
             poly = q
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
 
 
 class CyclotomicField:
-    """The field Q(zeta_k); produces and operates on CyclotomicElement."""
+    """The field Q(zeta_k): it makes and operates on CyclotomicElement, and
+    it is the coefficient ring of series over Q(zeta_k)."""
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("conductor must be >= 1")
         self.k = k
+        self.tag = f"QQ(zeta_{k})"
         self.modulus = cyclotomic_polynomial(k)
         d = self.degree = len(self.modulus) - 1  # phi(k)
         # x^d = -sum_i m_i x^i: the nonzero m_i, with i - d as the offset at
@@ -168,42 +206,69 @@ class CyclotomicField:
             poly += [0] * (d - len(poly))
         return _canonical(poly[:d])
 
-    def _invert(self, a):
-        # extended Euclid on (residue poly of a, Phi_k) over Q[x]
-        r0 = list(self.modulus)
-        r1 = _poly_trim(list(a))
-        if not r1:
-            raise NonInvertibleError("zero has no inverse in Q(zeta_%d)" % self.k)
-        s0, s1 = [], [1]  # Bezout coefficients for the second arg
-        while True:
-            q, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            # s_next = s0 - q*s1
-            s_next = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                for j, sj in enumerate(s1):
-                    s_next[i + j] -= qi * sj
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(s_next)
-        if len(r1) != 1:
-            # gcd not a unit: cannot happen when Phi_k is irreducible
-            raise AssertionError("non-trivial gcd with cyclotomic modulus")
-        scale = Fraction(1) / r1[0]
-        inv = [c * scale for c in s1]
-        inv += [0] * (self.degree - len(inv))
-        return _canonical(inv[: self.degree])
+    # -- the coefficient ring ---------------------------------------------
+
+    def coerce(self, x):
+        if isinstance(x, CyclotomicElement):
+            if x.field.k != self.k:
+                raise TypeError(f"conductor mismatch: {x.field.k} vs {self.k}")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        raise TypeError(f"cannot coerce {x!r} into {self.tag}")
+
+    def invert(self, a):
+        return a.inverse()
+
+    def to_kernel(self, a, b):
+        """Each operand's coordinate vectors, over the lcm of its coordinate
+        denominators, packed into ints with slots of one width B; the state
+        is (B, Phi_k(2^B), the product of the two lcms)."""
+        a, a_den, a_max = _scaled(a)
+        b, b_den, b_max = _scaled(b)
+        folded = self.fold_gain * self.degree * a_max * b_max * min(len(a), len(b))
+        width = folded.bit_length() + 3
+        modulus = sum(m << (width * i) for i, m in enumerate(self.modulus))
+        return _pack(a, width), _pack(b, width), (width, modulus, a_den * b_den)
+
+    def from_kernel(self, values, state):
+        """Fold each value by Phi_k in packed form, as its centred residue
+        modulo Phi_k(2^B), unpack its phi signed coordinates and divide by
+        the scale."""
+        width, modulus, den = state
+        shifts = range(0, self.degree * width, width)
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        centre = modulus >> 1
+        # adding half to every slot makes each one nonnegative, so no slot
+        # borrows from the next and each reads off with a shift and a mask
+        bias = sum(half << s for s in shifts)
+        out = []
+        for v in values:
+            v %= modulus
+            if v > centre:
+                v -= modulus
+            v += bias
+            coords = tuple([((v >> s) & mask) - half for s in shifts])
+            out.append(CyclotomicElement(self, coords) if den == 1 else
+                       self.element([Fraction(c, den) for c in coords]))
+        return out
+
+    def coeff_to_str(self, a):
+        """The coordinates of `a`, each as "num" or "num/den", comma-joined."""
+        return ",".join(map(fraction_str, a.coeffs))
+
+    def coeff_from_str(self, s):
+        return self.element([parse_fraction(part) for part in s.split(",")])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.k == self.k
 
     def __hash__(self):
-        return hash(("CyclotomicField", self.k))
+        return hash(self.tag)
 
     def __repr__(self):
-        return f"CyclotomicField({self.k})"
+        return self.tag
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,7 +328,21 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        return CyclotomicElement(self.field, self.field._invert(self.coeffs))
+        """The product of the other Galois conjugates a(zeta^j), 1 < j < k
+        with gcd(j, k) = 1, over the norm: a times that product, a rational."""
+        field, coeffs = self.field, self.coeffs
+        if not self:
+            raise NonInvertibleError(f"0 is not invertible in {field.tag}")
+        k = field.k
+        prod = field.one.coeffs
+        for j in range(2, k):
+            if gcd(j, k) == 1:
+                conjugate = [0] * k  # sum_i c_i zeta^(i j), unreduced
+                for i, c in enumerate(coeffs):
+                    conjugate[i * j % k] += c
+                prod = field._mul(prod, field._reduce(conjugate))
+        norm = field._mul(coeffs, prod)[0]
+        return CyclotomicElement(field, _canonical([Fraction(c, norm) for c in prod]))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -2,13 +2,13 @@
 
 Plain tuples and dicts that import nothing, so that building the CLI
 parser loads no computing module.  `TERMINATING_EXPRS`,
-`TERMINATING_FAMILIES` and `ROOT_EXPRS` are owned here and imported by
-`identities` and `roots`.  Every
-other tuple lists, in the order the CLI shows them, the keys of a table that
-lives with its code (`qseries` also reads `FAMILY_IDS` for its error
-message), and `NUMERIC_REGISTRY_IDS` is the alias -> id view of the numeric
-table that `identities` registers; `tests/test_cli.py` checks that each
-still equals its table.
+`TERMINATING_FAMILIES`, `ROOT_EXPRS` and `ROOT_CHECK_FAMILIES` are owned
+here and imported by `identities` and `roots`.  Every other tuple lists,
+in the order the CLI shows them, the keys of a table that lives with its
+code (`qseries` also reads `FAMILY_IDS` for its error message), and
+`NUMERIC_REGISTRY_IDS` is the alias -> id view of the numeric table that
+`identities` registers; `tests/test_cli.py` checks that each still equals
+its table.
 """
 
 # sorted keys of qseries._FAMILIES
@@ -42,8 +42,9 @@ TREND_SEQUENCES = ("fishburn", "rowFishburn")
 ROOT_EXPRS = ("comp1-left", "comp1-right", "comp2-first", "comp2-mid",
               "comp2-right")
 
-# keys of roots.ROOT_CHECK_FAMILIES
-ROOT_CHECK_FAMILIES = ("comp1-left-vs-mid", "comp2-three-way")
+# each root-of-unity check roots.root_terminating_check runs, with the
+# terminating family whose sums it compares
+ROOT_CHECK_FAMILIES = {"comp1-left-vs-mid": "comp1", "comp2-three-way": "comp2"}
 
 # sorted keys of oeis.SEQUENCES
 OEIS_SEQUENCES = ("A022493", "A158691")

@@ -15,6 +15,8 @@ from .qseries import fishburn_numbers, row_fishburn_numbers
 
 BFileRecord = namedtuple("BFileRecord", "index value")
 
+FETCH_TIMEOUT_S = 30.0  # seconds `fetch_b_file` waits for the server
+
 # the two sequences this library materializes
 SEQUENCES = {
     "A022493": ("Fishburn numbers (interval orders by size)", fishburn_numbers),
@@ -79,7 +81,7 @@ def cross_check(tag: str, records, max_n=None) -> dict:
     return {"tag": tag, "checked": len(rows), "matches": matches, "rows": rows}
 
 
-def fetch_b_file(tag: str, dest_path: str, timeout: float = 30.0) -> str:
+def fetch_b_file(tag: str, dest_path: str) -> str:
     """Download https://oeis.org/<tag>/b<digits>.txt to dest_path.
 
     Only invoked behind an explicit --fetch; never needed by the test suite.
@@ -88,7 +90,7 @@ def fetch_b_file(tag: str, dest_path: str, timeout: float = 30.0) -> str:
 
     digits = tag.lstrip("A")
     url = f"https://oeis.org/{tag}/b{digits}.txt"
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
+    with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
         data = resp.read()
     with open(dest_path, "wb") as fh:
         fh.write(data)

@@ -94,30 +94,37 @@ def _inv(x):
     return x.invert() if isinstance(x, TruncatedSeries) else 1 / x
 
 
-def pochhammer_terms(spec: PochhammerSum):
-    """Yield t_0, t_1, ... of `spec` without end: the caller's stopping rule
-    decides how many terms are summed."""
+def _ratio_factors(spec: PochhammerSum):
+    """Yield, for n = 0, 1, ..., the factors of the term ratio rho_n: its
+    multipliers (the monos, each c h^n and each 1 - a r^n, in that order)
+    and its divisors (each 1 - b s^n).  This is the one place where a r^n,
+    b s^n and c h^n advance."""
     steps = [[a, r] for a, r in spec.factors]        # [a r^n, r]
     inv_steps = [[b, s] for b, s in spec.inverses]   # [b s^n, s]
     pow_steps = [[c, h] for c, h in spec.powers]     # [c h^n, h]
-    term = spec.first
-    yield term
+    monos = list(spec.monos)
     while True:
-        for c in spec.monos:
-            term = term * c
-        for step in pow_steps:
-            term = term * step[0]
-        for step in steps:
-            term = term * (1 - step[0])
-        if not isinstance(term, TruncatedSeries):
-            for step in inv_steps:
-                term = term / (1 - step[0])
-        elif not term.is_zero():  # a term truncated to zero needs no inverses
-            for step in inv_steps:
-                term = term * (1 - step[0]).invert()
-        yield term
+        yield (monos + [c for c, _ in pow_steps] + [1 - a for a, _ in steps],
+               [1 - b for b, _ in inv_steps])
         for step in steps + inv_steps + pow_steps:
             step[0] = step[0] * step[1]
+
+
+def pochhammer_terms(spec: PochhammerSum):
+    """Yield t_0, t_1, ... of `spec` without end: the caller's stopping rule
+    decides how many terms are summed."""
+    term = spec.first
+    yield term
+    for multipliers, divisors in _ratio_factors(spec):
+        for m in multipliers:
+            term = term * m
+        if not isinstance(term, TruncatedSeries):
+            for d in divisors:
+                term = term / d
+        elif not term.is_zero():  # a term truncated to zero needs no inverses
+            for d in divisors:
+                term = term * d.invert()
+        yield term
 
 
 def truncated_sum(spec: PochhammerSum) -> TruncatedSeries:
@@ -150,23 +157,13 @@ def _ratios(spec: PochhammerSum):
     """Yield the term ratios rho_0, rho_1, ... of a scalar `spec`.  The term
     generator does not multiply by these: it applies each factor in turn,
     the order in which the numeric sums were pinned."""
-    steps = [[a, r] for a, r in spec.factors]        # [a r^n, r]
-    inv_steps = [[b, s] for b, s in spec.inverses]   # [b s^n, s]
-    pow_steps = [[c, h] for c, h in spec.powers]     # [c h^n, h]
-    mono = 1
-    for c in spec.monos:
-        mono *= c
-    while True:
-        ratio = mono
-        for step in pow_steps:
-            ratio *= step[0]
-        for step in steps:
-            ratio *= 1 - step[0]
-        for step in inv_steps:
-            ratio /= 1 - step[0]
+    for multipliers, divisors in _ratio_factors(spec):
+        ratio = 1
+        for m in multipliers:
+            ratio *= m
+        for d in divisors:
+            ratio /= d
         yield ratio
-        for step in steps + inv_steps + pow_steps:
-            step[0] = step[0] * step[1]
 
 
 TERMINATING_SCAN_CAP = 512

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from .cyclotomic import CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, _terminating_values
-from .names import ROOT_EXPRS
+from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
 from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
-from .rings import CyclotomicRing
 from .series import TruncatedSeries
 
 CONDUCTOR_CAP = 12
@@ -58,7 +57,6 @@ class RootContext:
         if self.order < 0:
             raise ParameterError("expansion order must be nonnegative")
         self.field = get_field(self.k)
-        self.ring = CyclotomicRing(self.k)
         self.p0 = self.field.zeta(self.a)
         self.q0 = self.field.zeta(self.b)
 
@@ -87,8 +85,8 @@ def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
         raise UnknownFamilyError(
             f"unknown root expression {expr!r}; known: {', '.join(ROOT_EXPRS)}")
     _require_certificate(expr, ctx)
-    u = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 0, UV_NAMES)
-    v = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 1, UV_NAMES)
+    u = TruncatedSeries.variable(ctx.field, 2, ctx.order, 0, UV_NAMES)
+    v = TruncatedSeries.variable(ctx.field, 2, ctx.order, 1, UV_NAMES)
     return truncated_sum(COMPACT_SUMS[expr](Point(u + ctx.p0, v + ctx.q0)))
 
 
@@ -102,8 +100,8 @@ def expand_q_only(side: str, ctx: RootContext) -> TruncatedSeries:
     and neither side needs one."""
     if side not in ("mid", "right"):
         raise UnknownFamilyError("q-only sides are 'mid' and 'right'")
-    p = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 0, PFORMAL_NAMES)
-    v = TruncatedSeries.variable(ctx.ring, 2, ctx.order, 1, PFORMAL_NAMES)
+    p = TruncatedSeries.variable(ctx.field, 2, ctx.order, 0, PFORMAL_NAMES)
+    v = TruncatedSeries.variable(ctx.field, 2, ctx.order, 1, PFORMAL_NAMES)
     return truncated_sum(COMPACT_SUMS["comp1-" + side](Point(p, v + ctx.q0)))
 
 
@@ -154,9 +152,6 @@ def conjecture_explore(ctx: RootContext) -> ConjectureReport:
 # ---------------------------------------------------------------------------
 # terminating checks over Q(zeta_k) with complex cross-check
 
-
-# check family -> the terminating family whose expressions it compares
-ROOT_CHECK_FAMILIES = {"comp1-left-vs-mid": "comp1", "comp2-three-way": "comp2"}
 
 EMBED_TOL = "1e-40"  # read by mpmath, which only the embedding check loads
 EMBED_DPS = 60

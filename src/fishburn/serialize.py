@@ -14,8 +14,9 @@ silently wrong series.
 
 from __future__ import annotations
 
+from .cyclotomic import CyclotomicField
 from .errors import PayloadError
-from .rings import CyclotomicRing, ring_from_tag
+from .rings import ring_from_tag
 from .series import TruncatedSeries
 
 
@@ -44,7 +45,7 @@ def series_from_payload(payload: dict) -> TruncatedSeries:
         raise PayloadError(f"{nvars} variables; supported counts are 1..3")
     if type(trunc) is not int or trunc < 0:
         raise PayloadError(f"truncation {trunc!r} is not a nonnegative integer")
-    width = ring.field.degree if isinstance(ring, CyclotomicRing) else None
+    width = ring.degree if isinstance(ring, CyclotomicField) else None
     terms = {}
     seen = set()
     for exp, text in items:

@@ -21,7 +21,7 @@ operand.  Keys are turned back into tuples only for the kept terms.
 
 The ring decides how its coefficients enter the kernel, so the product
 loop multiplies and adds ints only, over every ring; rings.py gives the
-whole account, the packed Q(zeta_k) kernel included.
+account, and cyclotomic.py that of the packed Q(zeta_k) kernel.
 """
 
 from __future__ import annotations

@@ -486,7 +486,6 @@ NAME_TABLES = {
     "FAMILY_IDS": ("qseries", lambda m: sorted(m._FAMILIES)),
     "NUMERIC_IDS": ("hypergeom", lambda m: sorted(m.NUMERIC_IDENTITIES)),
     "TREND_SEQUENCES": ("asymptotics", lambda m: list(m.MAIN_TERMS)),
-    "ROOT_CHECK_FAMILIES": ("roots", lambda m: list(m.ROOT_CHECK_FAMILIES)),
     "OEIS_SEQUENCES": ("oeis", lambda m: sorted(m.SEQUENCES)),
 }
 

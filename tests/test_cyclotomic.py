@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from count_helpers import euler_phi
 from fishburn.cyclotomic import cyclotomic_polynomial, get_field
 from fishburn.errors import NonInvertibleError
-from fishburn.rings import CyclotomicRing
 
 
 KNOWN_POLYS = {
@@ -70,17 +69,58 @@ def test_zeta_power_wraps():
     assert F.zeta(5) == F.one
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+def _trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _divmod_over_q(num, den):
+    """Quotient and remainder of polynomials over Q (coefficient lists,
+    ascending)."""
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for shift in reversed(range(len(quot))):
+        q = quot[shift] = Fraction(num[shift + len(den) - 1]) / den[-1]
+        for i, d in enumerate(den):
+            num[shift + i] -= q * d
+    return quot, _trim(num[:len(den) - 1])
+
+
+def euclid_inverse(field, coeffs):
+    """The inverse coordinates of a nonzero element by extended Euclid on
+    (its residue polynomial, Phi_k) over Q[x]: the reference route for the
+    conjugate product of `CyclotomicElement.inverse`."""
+    r0, r1 = list(field.modulus), _trim(list(coeffs))
+    s0, s1 = [], [1]  # Bezout coefficients of the second argument
+    while True:
+        q, rem = _divmod_over_q(r0, r1)
+        if not rem:
+            break
+        s_next = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                s_next[i + j] -= qi * sj
+        r0, r1, s0, s1 = r1, rem, s1, _trim(s_next)
+    assert len(r1) == 1  # Phi_k is irreducible, so the gcd is a unit
+    return [c / Fraction(r1[0]) for c in s1]
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 15, 21, 30])
 def test_random_nonzero_elements_invert(k):
     F = get_field(k)
     rng = random.Random(100 + k)
-    for _ in range(25):
-        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    big = (2**200, -2**200)
+    for n in range(50):
+        coeffs = [rng.choice(big) if n % 2 and rng.random() < 0.5 else
+                  Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for _ in range(F.degree)]
         e = F.element(coeffs)
         if not e:
             continue
-        assert e * e.inverse() == F.one
+        inverse = e.inverse()
+        assert inverse == F.element(euclid_inverse(F, e.coeffs))
+        assert e * inverse == F.one
 
 
 def test_zero_has_no_inverse():
@@ -225,8 +265,8 @@ def test_repr_past_the_int_string_digit_limit():
 
 
 def test_payload_strings_unchanged():
-    ring = CyclotomicRing(12)
-    e = ring.field.element([Fraction(4, 2), Fraction(-1, 3), 0, 7])
+    ring = get_field(12)
+    e = ring.element([Fraction(4, 2), Fraction(-1, 3), 0, 7])
     assert ring.coeff_to_str(e) == "2,-1/3,0,7"
     assert ring.coeff_from_str("2,-1/3,0,7") == e
 

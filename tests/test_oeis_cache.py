@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from fishburn.cache import SCHEMA_VERSION, SeriesCache
+from fishburn.cyclotomic import get_field
 from fishburn.errors import BFileFormatError, ParameterError, PayloadError
 from fishburn.oeis import cross_check, parse_b_file, parse_b_file_lines
 from fishburn.qseries import expand_family, fishburn_numbers
-from fishburn.rings import QQ, ZZ, CyclotomicRing
+from fishburn.rings import QQ, ZZ
 from fishburn.serialize import series_from_payload, series_to_payload
 from fishburn.series import TruncatedSeries
 
@@ -101,12 +102,11 @@ def test_roundtrip_past_the_int_string_digit_limit():
 
 
 def test_roundtrip_cyclotomic():
-    ring = CyclotomicRing(5)
+    ring = get_field(5)
     rng = random.Random(5)
     s = _random_series(
         rng, ring,
-        lambda: ring.field.element([Fraction(rng.randint(-4, 4), 3)
-                                    for _ in range(4)]))
+        lambda: ring.element([Fraction(rng.randint(-4, 4), 3) for _ in range(4)]))
     assert series_from_payload(series_to_payload(s)) == s
 
 

@@ -1,11 +1,13 @@
-"""Every public function and class of the package is put to work.
+"""Every public name of the package is put to work.
 
-A module-level name without a leading underscore in `src/fishburn/` must be
-used somewhere other than its own definition: in `src/` (outside the lazy
-export table `__init__._EXPORTS`), in `demos/` or in `perfbench/`.  A name
-that only the tests use belongs in the tests' helpers.  A use is a name, an attribute, an import, or a dotted string such
-as the benchmark tracer's "hypergeom.rogers_fine_check"; comments and
-docstrings do not count.
+A public name in `src/fishburn/` -- a module-level function, class or
+constant without a leading underscore, or such a method or class attribute
+of a class there -- must be used somewhere other than its own definition:
+in `src/` (outside the lazy export table `__init__._EXPORTS`), in `demos/`
+or in `perfbench/`.  A name that only the tests use belongs in the tests'
+helpers.  A use is a name or attribute that is read, an import, or a dotted
+string such as the benchmark tracer's "hypergeom.rogers_fine_check";
+comments, docstrings and assignments do not count.
 """
 
 import ast
@@ -31,9 +33,9 @@ def _uses(node):
     docs = _docstrings(node)
     found = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             found.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
             found.add(n.attr)
         elif isinstance(n, ast.alias):
             found.update(n.name.split("."))
@@ -50,17 +52,39 @@ def _counts(stmt):
                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets))
 
 
+def _defined(stmt):
+    """The public names that the statement `stmt` defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _used_elsewhere(name, stmt, scope):
+    """Whether a statement of `scope` other than `stmt` uses `name`; `scope`
+    pairs each statement with its uses."""
+    return any(name in used for other, used in scope if other is not stmt)
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    statements = [(stmt, _uses(stmt))
-                  for path in sorted(PACKAGE.glob("*.py"))
-                  for stmt in ast.parse(path.read_text()).body if _counts(stmt)]
     outside = set(USED_BY_THE_DOCUMENTED_SURFACE)
     for directory in ("demos", "perfbench"):
         for path in sorted((ROOT / directory).rglob("*.py")):
             outside |= _uses(ast.parse(path.read_text()))
-    unused = [stmt.name for stmt, _ in statements
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_") and stmt.name not in outside
-              and not any(stmt.name in used
-                          for other, used in statements if other is not stmt)]
+    module = [(stmt, _uses(stmt)) for path in sorted(PACKAGE.glob("*.py"))
+              for stmt in ast.parse(path.read_text()).body if _counts(stmt)]
+    unused = [name for stmt, _ in module for name in _defined(stmt)
+              if name not in outside and not _used_elsewhere(name, stmt, module)]
+    for cls, _ in module:
+        if isinstance(cls, ast.ClassDef):
+            members = [(member, _uses(member)) for member in cls.body]
+            unused += [f"{cls.name}.{name}" for member, _ in members
+                       for name in _defined(member)
+                       if name not in outside and not _used_elsewhere(name, cls, module)
+                       and not _used_elsewhere(name, member, members)]
     assert unused == []
