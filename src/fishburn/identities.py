@@ -35,7 +35,7 @@ from .rings import ZZ
 from .series import TruncatedSeries
 
 FORMAL_BIVARIATE_CAP = 32
-FORMAL_TRIVARIATE_CAP = 10
+FORMAL_TRIVARIATE_CAP = 32
 # the oracle counts matrices by memoised subtrees, not one by one: F1 to size
 # 12 (10,886,503 Fishburn matrices at 12) takes about 0.35 s, G1 less, and
 # each further size about doubles the Fishburn count

@@ -2,14 +2,13 @@
 
 A series lives in R[[x_1..x_v]] / (total degree > N): operations are exact
 below the cut and every monomial above it is discarded.  Truncation is by
-TOTAL degree; per-variable views can be derived but are not stored.  Values
-are immutable after construction and all operations are pure, so series can
-be shared freely across threads.
+TOTAL degree; per-variable views can be derived but are not stored.
 
-`terms` is the public view: a dict from exponent tuples to nonzero
-coefficients.  Multiplication and inversion run on packed int keys instead
-(a sparse Kronecker substitution, cf. Harvey, J. Symbolic Comput. 44, 2009).
-An exponent (e_1..e_v) of total degree d is written in radix N+1 with the
+A series is stored as a dict from packed int keys to nonzero coefficients
+(a sparse Kronecker substitution, cf. Harvey, J. Symbolic Comput. 44, 2009;
+Monagan and Pearce, CASC 2007, keep packed monomials as the storage format
+in the same way), and every ring operation reads and writes that dict.  An
+exponent (e_1..e_v) of total degree d is written in radix N+1 with the
 digits (d, e_1, ..., e_{v-1}); the last exponent is implied by d.  Every
 digit is a linear function of the exponents, so the key of a product
 monomial is the sum of the keys of its factors, and no digit can carry: a
@@ -17,11 +16,29 @@ kept product has total degree <= N, so its degree digit and each exponent
 digit is <= N.  A product that is not kept has degree digit > N, so the cut
 is one comparison of keys, and sorting an operand's keys sorts it by
 degree; each row of the schoolbook product then reads a prefix of the other
-operand.  Keys are turned back into tuples only for the kept terms.
+operand.  The key 0 is the constant monomial.
+
+Values are immutable after construction and all operations are pure, so
+series can be shared freely across threads.  A series caches what it derives
+from its terms: its keys and coefficients sorted by key, made the first time
+it is a product operand (or by the product that made it), and `terms`, the
+public view, a dict from exponent tuples to coefficients built on its first
+read.  Each cache is a pure function of the stored terms, so two threads
+that race to fill one compute the same value.  A series constructed from a
+tuple dict keeps that dict as its view and packs it on first use; an
+exponent beyond the cut is refused there.
+
+A product runs the operand with fewer terms in the outer loop, so a factor
+of one or two terms makes one or two passes over a prefix of the other.
+It sums into a list indexed by key when the key span of the product,
+[a_0 + b_0, min(limit, a_last + b_last + 1)), is no longer than the number
+of term pairs, as it is for the dense bivariate series, and into a dict
+otherwise, as for the trivariate series, whose span is mostly empty.
 
 The ring decides how its coefficients enter the kernel, so the product
-loop multiplies and adds ints only, over every ring; rings.py gives the
-account, and cyclotomic.py that of the packed Q(zeta_k) kernel.
+loop multiplies and adds ints only, over every ring, and the order of the
+outer loop changes no sum; rings.py gives the account, and cyclotomic.py
+that of the packed Q(zeta_k) kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +63,7 @@ lexicographically least differing multi-index with both coefficients."""
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "nvars", "trunc", "names", "terms")
+    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_sorted", "_terms")
 
     def __init__(self, ring, nvars, trunc, terms=None, names=None):
         if not 1 <= nvars <= 3:
@@ -59,7 +76,9 @@ class TruncatedSeries:
         self.names = tuple(names) if names else _default_names(nvars)
         if len(self.names) != nvars:
             raise ValueError("one name per variable required")
-        self.terms = {} if terms is None else terms
+        self._terms = {} if terms is None else terms
+        self._keyed = None
+        self._sorted = None
 
     # -- constructors ------------------------------------------------------
 
@@ -89,8 +108,56 @@ class TruncatedSeries:
             raise SeriesCompatibilityError(
                 f"truncation mismatch: {self.trunc} vs {other.trunc}")
 
-    def _wrap(self, terms):
-        return TruncatedSeries(self.ring, self.nvars, self.trunc, terms, self.names)
+    def _wrap(self, keyed, ordered=None):
+        """A series like self with the packed terms `keyed`, and `ordered`,
+        their keys ascending and the coefficients in the same order, when
+        the caller has them."""
+        out = object.__new__(TruncatedSeries)
+        out.ring = self.ring
+        out.nvars = self.nvars
+        out.trunc = self.trunc
+        out.names = self.names
+        out._keyed = keyed
+        out._sorted = ordered
+        out._terms = None
+        return out
+
+    def _packed_terms(self):
+        """The terms as a dict from packed keys; a series constructed from
+        exponent tuples is packed here, once."""
+        keyed = self._keyed
+        if keyed is None:
+            pack = _codec(self.nvars, self.trunc)[0]
+            try:
+                keyed = {pack[e]: c for e, c in self._terms.items()}
+            except KeyError as exc:
+                raise TruncationError(
+                    f"exponent {exc.args[0]} lies outside truncation order "
+                    f"{self.trunc}") from None
+            self._keyed = keyed
+        return keyed
+
+    def _ordered(self):
+        """The packed keys ascending (so by total degree), and the
+        coefficients in the same order."""
+        ordered = self._sorted
+        if ordered is None:
+            keyed = self._packed_terms()
+            keys = sorted(keyed)
+            ordered = self._sorted = (keys, [keyed[k] for k in keys])
+        return ordered
+
+    @property
+    def terms(self):
+        """The nonzero coefficients as a dict from exponent tuples: a view of
+        the packed terms, built on first read and then kept."""
+        if self._terms is None:
+            self._terms = self._tuple_view()
+        return self._terms
+
+    def _tuple_view(self):
+        unpack = _codec(self.nvars, self.trunc)[1]
+        return {unpack[k]: c for k, c in self._keyed.items()}
 
     def _as_scalar(self, x):
         try:
@@ -100,7 +167,7 @@ class TruncatedSeries:
 
     @property
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.ring.zero)
+        return self._packed_terms().get(0, self.ring.zero)
 
     def coefficient(self, exponents):
         exp = tuple(exponents)
@@ -112,48 +179,51 @@ class TruncatedSeries:
         if sum(exp) > self.trunc:
             raise TruncationError(
                 f"degree {sum(exp)} exceeds truncation order {self.trunc}")
-        return self.terms.get(exp, self.ring.zero)
+        pack = _codec(self.nvars, self.trunc)[0]
+        return self._packed_terms().get(pack[exp], self.ring.zero)
 
     def support(self):
         return sorted(self.terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self._packed_terms()
 
     # -- ring operations ----------------------------------------------------
 
-    def _plus_constant(self, terms, scalar):
-        """`terms`, a dict this call may change, plus the constant `scalar`;
-        a constant that cancels to zero is dropped."""
-        origin = (0,) * self.nvars
-        acc = terms.get(origin, self.ring.zero) + scalar
+    def _plus_constant(self, keyed, scalar):
+        """`keyed`, a dict of packed terms this call may change, plus the
+        constant `scalar`; a constant that cancels to zero is dropped."""
+        acc = keyed.get(0, self.ring.zero) + scalar
         if acc:
-            terms[origin] = acc
+            keyed[0] = acc
         else:
-            terms.pop(origin, None)
-        return self._wrap(terms)
+            keyed.pop(0, None)
+        return self._wrap(keyed)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             scalar = self._as_scalar(other)
             if scalar is None:
                 return NotImplemented
-            return self._plus_constant(dict(self.terms), scalar)
+            return self._plus_constant(dict(self._packed_terms()), scalar)
         self._compat(other)
-        terms = dict(self.terms)
+        big, small = self._packed_terms(), other._packed_terms()
+        if len(big) < len(small):
+            big, small = small, big
+        keyed = dict(big)
         zero = self.ring.zero
-        for e, c in other.terms.items():
-            acc = terms.get(e, zero) + c
+        for k, c in small.items():
+            acc = keyed.get(k, zero) + c
             if acc:
-                terms[e] = acc
+                keyed[k] = acc
             else:
-                terms.pop(e, None)
-        return self._wrap(terms)
+                keyed.pop(k, None)
+        return self._wrap(keyed)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self.terms.items()})
+        return self._wrap({k: -c for k, c in self._packed_terms().items()})
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -161,24 +231,24 @@ class TruncatedSeries:
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant(dict(self.terms), -scalar)
+        return self._plus_constant(dict(self._packed_terms()), -scalar)
 
     def __rsub__(self, other):
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant({e: -c for e, c in self.terms.items()}, scalar)
+        return self._plus_constant({k: -c for k, c in self._packed_terms().items()}, scalar)
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)
         if not scalar:
             return self._wrap({})
-        terms = {}
-        for e, c in self.terms.items():
+        keyed = {}
+        for k, c in self._packed_terms().items():
             acc = c * scalar
             if acc:
-                terms[e] = acc
-        return self._wrap(terms)
+                keyed[k] = acc
+        return self._wrap(keyed)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -187,28 +257,47 @@ class TruncatedSeries:
                 return NotImplemented
             return self.scale(scalar)
         self._compat(other)
-        ring = self.ring
-        pack, unpack, limit = _codec(self.nvars, self.trunc)
-        a_keys, a_vals = _packed(self, pack)
-        b_keys, b_vals = _packed(other, pack)
-        a_vals, b_vals, state = ring.to_kernel(a_vals, b_vals)
+        a_keys, a_vals = self._ordered()
+        b_keys, b_vals = other._ordered()
+        if len(a_keys) > len(b_keys):
+            a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
+        if not a_keys:
+            return self._wrap({}, ([], []))
+        limit = _codec(self.nvars, self.trunc)[2]
+        a_vals, b_vals, state = self.ring.to_kernel(a_vals, b_vals)
         b = list(zip(b_keys, b_vals))
-        acc = {}
-        for ka, ca in zip(a_keys, a_vals):
-            # The terms of b that keep the product below the cut are a prefix.
-            # ka + kb is then exact: a kept product has total degree <= N, so
-            # no digit of the sum exceeds N and none carries.
-            for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
-                k = ka + kb
-                if k in acc:
-                    acc[k] += ca * cb
-                else:
-                    acc[k] = ca * cb
+        # Each row reads the terms of b that keep the product below the cut,
+        # a prefix.  ka + kb is then exact: a kept product has total degree
+        # <= N, so no digit of the sum exceeds N and none carries.
+        low = a_keys[0] + b_keys[0]
+        span = min(limit, a_keys[-1] + b_keys[-1] + 1) - low
+        dense = span <= len(a_keys) * len(b_keys)
+        if dense:
+            acc = [0] * span
+            for ka, ca in zip(a_keys, a_vals):
+                row = ka - low
+                for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
+                    acc[row + kb] += ca * cb
+            keys = [low + i for i, c in enumerate(acc) if c]
+            values = [c for c in acc if c]
+        else:
+            acc = {}
+            for ka, ca in zip(a_keys, a_vals):
+                for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
+                    k = ka + kb
+                    if k in acc:
+                        acc[k] += ca * cb
+                    else:
+                        acc[k] = ca * cb
+            keys = [k for k, c in acc.items() if c]
+            values = [acc[k] for k in keys]
         # A zero kernel value is a zero coefficient, but a nonzero one may
         # still turn into zero (a Q(zeta_k) value folded by Phi_k).
-        keys = [k for k, c in acc.items() if c]
-        vals = ring.from_kernel([acc[k] for k in keys], state)
-        return self._wrap({unpack[k]: c for k, c in zip(keys, vals) if c})
+        values = self.ring.from_kernel(values, state)
+        if not all(values):
+            keys = [k for k, c in zip(keys, values) if c]
+            values = [c for c in values if c]
+        return self._wrap(dict(zip(keys, values)), (keys, values) if dense else None)
 
     __rmul__ = __mul__
 
@@ -222,11 +311,11 @@ class TruncatedSeries:
         if not c0:
             raise NonInvertibleError("constant term 0 is not invertible")
         c0inv = self.ring.invert(c0)
-        pack, unpack, limit = _codec(self.nvars, self.trunc)
+        limit = _codec(self.nvars, self.trunc)[2]
         step = limit // (self.trunc + 1)  # the key of one unit of degree
         # nonconstant terms of self, grouped by total degree
         by_deg = [[] for _ in range(self.trunc + 1)]
-        for k, c in zip(*_packed(self, pack)):
+        for k, c in zip(*self._ordered()):
             if k:
                 by_deg[k // step].append((k, c))
         levels = [[(0, c0inv)]]  # inverse terms, by total degree
@@ -249,7 +338,7 @@ class TruncatedSeries:
                 if val:
                     level.append((k, val))
             levels.append(level)
-        return self._wrap({unpack[k]: c for level in levels for k, c in level})
+        return self._wrap({k: c for level in levels for k, c in level})
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -351,8 +440,15 @@ class TruncatedSeries:
             raise TruncationError(
                 f"comparison order {order} exceeds truncation "
                 f"({self.trunc}, {other.trunc})")
-        keys = set(self.terms) | set(other.terms)
         zero = self.ring.zero
+        if self.trunc == other.trunc:
+            # one key space: the keys of degree <= order are those below bound
+            a, b = self._packed_terms(), other._packed_terms()
+            bound = (order + 1) * (_codec(self.nvars, self.trunc)[2] // (self.trunc + 1))
+            if a == b or all(a.get(k, zero) == b.get(k, zero)
+                             for k in a.keys() | b.keys() if k < bound):
+                return MatchReport(True, None, None, None)
+        keys = set(self.terms) | set(other.terms)
         for e in sorted(keys):
             if sum(e) > order:
                 continue
@@ -418,15 +514,3 @@ def _codec(nvars, trunc):
             pack[e] = key
     unpack = {key: e for e, key in pack.items()}
     return pack, unpack, radix ** nvars
-
-
-def _packed(series, pack):
-    """The packed keys of `series`, ascending (so by total degree), and the
-    coefficients in the same order."""
-    try:
-        keyed = {pack[e]: c for e, c in series.terms.items()}
-    except KeyError as exc:
-        raise TruncationError(
-            f"exponent {exc.args[0]} lies outside truncation order {series.trunc}") from None
-    keys = sorted(keyed)
-    return keys, [keyed[k] for k in keys]

@@ -131,12 +131,12 @@ def test_c05_interval_order_cross_checks():
     _report(5, "posets/ascent sequences match Fishburn statistics", t0)
 
 
-def test_c06_proposition_with_formal_r_degree_10():
+def test_c06_proposition_with_formal_r_degree_24():
     t0 = time.time()
-    assert verify_proposition(10).outcome == "verified"
-    spec = verify_proposition_specializations(10)
+    assert verify_proposition(24).outcome == "verified"
+    spec = verify_proposition_specializations(24)
     assert spec.outcome == "verified"
-    _report(6, "formal-r identity to degree 10 plus respecializations", t0)
+    _report(6, "formal-r identity to degree 24 plus respecializations", t0)
 
 
 def test_c07_gamma_identities_ten_random_draws():

@@ -44,7 +44,7 @@ def test_proposition_specializations():
 
 def test_proposition_order_cap():
     with pytest.raises(ParameterError, match="capped"):
-        verify_proposition(11)
+        verify_proposition(33)
 
 
 def test_formal_order_cap():

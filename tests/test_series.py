@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from fishburn.cyclotomic import CyclotomicElement, CyclotomicField, get_field
 from fishburn.errors import (NonInvertibleError, SeriesCompatibilityError,
                              SubstitutionError, TruncationError)
+from fishburn.qseries import expand_family
 from fishburn.rings import QQ, ZZ
-from fishburn.series import TruncatedSeries
+from fishburn.roots import RootContext, expand_at_root
+from fishburn.series import TruncatedSeries, _codec
 from series_helpers import restrict
 
 
@@ -135,6 +137,10 @@ def test_equal_up_to():
     rep = s.equal_up_to(u, 2)
     assert not rep.equal
     assert rep.index == (1, 0) and rep.left == 1 and rep.right == 2
+    one5, x5, _ = blocks(5)                # truncations 3 and 5
+    assert s.equal_up_to(one5 + x5 + x5 ** 4, 3).equal
+    rep = (one5 + x5 + x5 * x5).equal_up_to(s, 3)
+    assert rep.index == (2, 0) and rep.left == 1 and rep.right == 0
 
 
 def test_mismatch_witness_is_lexicographically_least():
@@ -435,3 +441,88 @@ def test_mul_rejects_exponents_beyond_the_cut():
     _, x, _ = blocks(3)
     with pytest.raises(TruncationError, match="outside"):
         bad * x
+
+
+def _small(ring, rng):
+    """A random nonzero coefficient of `ring` with small entries."""
+    while True:
+        if ring == ZZ:
+            c = rng.randint(-9, 9)
+        elif ring == QQ:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        else:
+            c = ring.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(ring.degree)])
+        if c:
+            return c
+
+
+def _dense(ring, nvars, trunc, rng):
+    """Every monomial of total degree <= trunc, with a unit constant term."""
+    terms = {e: _small(ring, rng) for e in product(range(trunc + 1), repeat=nvars)
+             if sum(e) <= trunc}
+    terms[(0,) * nvars] = ring.one
+    return TruncatedSeries(ring, nvars, trunc, terms)
+
+
+def _span_and_pairs(a, b):
+    """The key span a product of a and b sums over, and its number of term
+    pairs: the list accumulator is taken when the span is not longer."""
+    pack, _, limit = _codec(a.nvars, a.trunc)
+    ka, kb = sorted(pack[e] for e in a.terms), sorted(pack[e] for e in b.terms)
+    return min(limit, ka[-1] + kb[-1] + 1) - ka[0] - kb[0], len(ka) * len(kb)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3), get_field(12)], ids=repr)
+def test_dense_times_short_operands_matches_reference(ring, nvars):
+    """A dense operand times operands of 0, 1 and 2 terms, in both orders,
+    so the short operand runs in the outer loop from either side."""
+    rng = random.Random(8 * nvars + len(ring.tag))
+    n = 8
+    dense = _dense(ring, nvars, n, rng)
+    exps = [e for e in dense.terms if 0 < sum(e) <= 3]
+    shorts = [TruncatedSeries.zero(ring, nvars, n),
+              _one_term(ring, nvars, n, rng.choice(exps), _small(ring, rng)),
+              _one_term(ring, nvars, n, (0,) * nvars, ring.one)
+              - _one_term(ring, nvars, n, rng.choice(exps), _small(ring, rng))]
+    for short in shorts:
+        assert (dense * short).terms == reference_mul(dense, short)
+        assert (short * dense).terms == reference_mul(short, dense)
+        _assert_canonical(dense * short)
+    assert shorts[2].invert().terms == reference_invert(shorts[2])
+    assert dense.invert().terms == reference_invert(dense)
+
+
+def test_products_on_both_accumulators_match_reference():
+    """A bivariate dense product sums into the list over its key span; a
+    trivariate sparse one, whose span is longer than its term pairs, into
+    the dict."""
+    rng = random.Random(2009)
+    a, b = _dense(ZZ, 2, 8, rng), _dense(ZZ, 2, 8, rng)
+    span, pairs = _span_and_pairs(a, b)
+    assert span <= pairs
+    assert (a * b).terms == reference_mul(a, b)
+    c = TruncatedSeries(ZZ, 3, 8, {(0, 0, 0): 1, (1, 0, 2): -3, (0, 0, 4): 2**80})
+    d = TruncatedSeries(ZZ, 3, 8, {(0, 1, 0): 5, (2, 0, 1): 1, (0, 3, 3): -1})
+    span, pairs = _span_and_pairs(c, d)
+    assert span > pairs
+    assert (c * d).terms == reference_mul(c, d)
+
+
+def test_expansions_build_no_tuple_view(monkeypatch):
+    """Family and root expansions, and a comparison that agrees, run on the
+    packed terms; the tuple view is built on the first read of `terms` and
+    then kept."""
+    calls = []
+    view = TruncatedSeries._tuple_view
+    monkeypatch.setattr(TruncatedSeries, "_tuple_view",
+                        lambda self: calls.append(1) or view(self))
+    g1 = expand_family("G1", 12)
+    root = expand_at_root("comp1-left", RootContext(12, 6, 1, 6))
+    assert g1.equal_up_to(expand_family("G1", 12), 12).equal
+    assert calls == []
+    terms = g1.terms
+    assert len(calls) == 1
+    assert g1.terms is terms and len(calls) == 1
+    assert root.terms and len(calls) == 2
