@@ -19,6 +19,7 @@ differing multi-index or parameter point, with both values.
 from __future__ import annotations
 
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
@@ -44,6 +45,22 @@ COEFFICIENT_ORACLE_CAP = 12
 TRIVARIATE_NAMES = ("x", "y", "r")
 
 THM_MAIN_IDS = ("F1=F2", "F2=F3", "F1=F3", "G1=G2", "G2=G3", "G1=G3")
+
+# the expansions made by the verify call in progress, by (family, order,
+# parameters); None outside one, so no expansion outlives its call
+_EXPANSIONS = ContextVar("expansions", default=None)
+
+
+def _expanded(family, order, **params):
+    """expand_family(family, order, **params), made once per verify call:
+    thm-main's six pairs share their six families."""
+    made = _EXPANSIONS.get()
+    if made is None:
+        return expand_family(family, order, **params)
+    key = (family, order, tuple(sorted(params.items())))
+    if key not in made:
+        made[key] = expand_family(family, order, **params)
+    return made[key]
 
 
 @dataclass
@@ -175,17 +192,17 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
     m = order // 2
     lhs, rhs = proposition_lhs(order), proposition_rhs(order)
     cases = [
-        (lhs.specialize(2, -1, m), expand_family("G1", m), "r=-1 lhs vs G1"),
-        (rhs.specialize(2, -1, m), expand_family("G2", m), "r=-1 rhs vs G2"),
+        (lhs.specialize(2, -1, m), _expanded("G1", m), "r=-1 lhs vs G1"),
+        (rhs.specialize(2, -1, m), _expanded("G2", m), "r=-1 rhs vs G2"),
     ]
     one = TruncatedSeries.constant(ZZ, 2, m, 1, BIVARIATE_NAMES)
     x = TruncatedSeries.variable(ZZ, 2, m, 0, BIVARIATE_NAMES)
     y = TruncatedSeries.variable(ZZ, 2, m, 1, BIVARIATE_NAMES)
     shift = {0: -x * (one - x).invert(), 1: -y * (one - y).invert()}
     cases += [
-        (lhs.specialize(2, 1, m).substitute(shift), expand_family("F1", m),
+        (lhs.specialize(2, 1, m).substitute(shift), _expanded("F1", m),
          "r=1 substituted lhs vs F1"),
-        (rhs.specialize(2, 1, m).substitute(shift), expand_family("F2", m),
+        (rhs.specialize(2, 1, m).substitute(shift), _expanded("F2", m),
          "r=1 substituted rhs vs F2"),
     ]
     rep.compare(m, cases).detail["specialized_order"] = m
@@ -208,7 +225,7 @@ def verify_coefficient_oracle(family: str, m_max: int) -> VerificationReport:
             f"coefficient oracle capped at size {COEFFICIENT_ORACLE_CAP} (got {m_max}); "
             "the matrix count takes about twice as long with each size beyond it")
     rep = VerificationReport(f"{family}-coefficients", "formal", m_max)
-    series = expand_family(family, m_max)
+    series = _expanded(family, m_max)
     matrix_family = "fishburn" if family == "F1" else "rowFishburn"
     checked = 0
     for m, table in enumerate(_refined_tables(matrix_family, range(m_max + 1))):
@@ -300,8 +317,8 @@ def _pair_runner(ident, left_family, right_family, defaults=None):
         params = {k: kwargs.get(k, v) for k, v in (defaults or {}).items()}
         rep = VerificationReport(ident, "formal", n,
                                  detail={k: fraction_str(v) for k, v in params.items()})
-        return rep.compare(n, [(expand_family(left_family, n, **params),
-                                expand_family(right_family, n, **params), None)]).finish()
+        return rep.compare(n, [(_expanded(left_family, n, **params),
+                                _expanded(right_family, n, **params), None)]).finish()
     return run
 
 
@@ -309,9 +326,9 @@ def _pentagonal_runner(order=None, **_):
     n = 30 if order is None else order
     rep = VerificationReport("pentagonal-3way", "formal", n)
     one = TruncatedSeries.constant(ZZ, 1, n, 1, ("w",))
-    s = expand_family("pentagonal-sum", n)
-    prod = expand_family("pentagonal-product", n)
-    theta = expand_family("pentagonal-theta", n)
+    s = _expanded("pentagonal-sum", n)
+    prod = _expanded("pentagonal-product", n)
+    theta = _expanded("pentagonal-theta", n)
     return rep.compare(n, [(s, one - prod, "sum vs 1-product"),
                            (s, one - theta, "sum vs 1-theta")]).finish()
 
@@ -392,4 +409,8 @@ def verify(ident: str, order=None, **kwargs):
     else:
         raise UnknownFamilyError(
             f"unknown identity {ident!r}; known: thm-main, all, {', '.join(sorted(reg))}")
-    return [reg[i](order=order, **kwargs) for i in ids]
+    token = _EXPANSIONS.set({})
+    try:
+        return [reg[i](order=order, **kwargs) for i in ids]
+    finally:
+        _EXPANSIONS.reset(token)

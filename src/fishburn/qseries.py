@@ -385,7 +385,6 @@ def _pentagonal_theta(N, ring):
             if e <= N:
                 terms[(e,)] = terms.get((e,), ring.zero) + sign
         n += 1
-    terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(ring, 1, N, terms, PENTAGONAL_NAMES)
 
 

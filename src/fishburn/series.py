@@ -18,15 +18,19 @@ is one comparison of keys, and sorting an operand's keys sorts it by
 degree; each row of the schoolbook product then reads a prefix of the other
 operand.  The key 0 is the constant monomial.
 
+The constructor takes a dict from exponent tuples and packs it at once.
+Each exponent is checked there, by the one check `coefficient` also uses:
+it must be nvars ints (not bools or floats), each >= 0, of total degree <=
+N.  Zero coefficients are dropped there too, so no stored coefficient is
+zero and two equal series have equal dicts.
+
 Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.  A series caches what it derives
 from its terms: its keys and coefficients sorted by key, made the first time
 it is a product operand (or by the product that made it), and `terms`, the
 public view, a dict from exponent tuples to coefficients built on its first
 read.  Each cache is a pure function of the stored terms, so two threads
-that race to fill one compute the same value.  A series constructed from a
-tuple dict keeps that dict as its view and packs it on first use; an
-exponent beyond the cut is refused there.
+that race to fill one compute the same value.
 
 A product runs the operand with fewer terms in the outer loop, so a factor
 of one or two terms makes one or two passes over a prefix of the other.
@@ -68,25 +72,26 @@ class TruncatedSeries:
     def __init__(self, ring, nvars, trunc, terms=None, names=None):
         if not 1 <= nvars <= 3:
             raise ValueError("supported variable counts are 1..3")
-        if trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
+        if type(trunc) is not int or trunc < 0:
+            raise ValueError(f"truncation order {trunc!r} is not a nonnegative integer")
         self.ring = ring
         self.nvars = nvars
         self.trunc = trunc
         self.names = tuple(names) if names else _default_names(nvars)
         if len(self.names) != nvars:
             raise ValueError("one name per variable required")
-        self._terms = {} if terms is None else terms
-        self._keyed = None
-        self._sorted = None
+        self._keyed = {}
+        self._sorted = self._terms = None
+        for exp, c in (terms or {}).items():
+            key = self._key(exp)
+            if c:
+                self._keyed[key] = c
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, ring, nvars, trunc, value, names=None):
-        value = ring.coerce(value)
-        terms = {(0,) * nvars: value} if value else {}
-        return cls(ring, nvars, trunc, terms, names)
+        return cls(ring, nvars, trunc, {(0,) * nvars: ring.coerce(value)}, names)
 
     @classmethod
     def variable(cls, ring, nvars, trunc, index, names=None):
@@ -122,27 +127,26 @@ class TruncatedSeries:
         out._terms = None
         return out
 
-    def _packed_terms(self):
-        """The terms as a dict from packed keys; a series constructed from
-        exponent tuples is packed here, once."""
-        keyed = self._keyed
-        if keyed is None:
-            pack = _codec(self.nvars, self.trunc)[0]
-            try:
-                keyed = {pack[e]: c for e, c in self._terms.items()}
-            except KeyError as exc:
-                raise TruncationError(
-                    f"exponent {exc.args[0]} lies outside truncation order "
-                    f"{self.trunc}") from None
-            self._keyed = keyed
-        return keyed
+    def _key(self, exp):
+        """The packed key of the exponent tuple `exp`, refused unless it is
+        nvars ints (not bools or floats), each >= 0, of total degree <=
+        trunc."""
+        if len(exp) != self.nvars:
+            raise SeriesCompatibilityError(
+                f"exponent {exp!r} does not have {self.nvars} entries")
+        if not all(type(e) is int and e >= 0 for e in exp):
+            raise SeriesCompatibilityError(f"exponent {exp!r} is not nonnegative integers")
+        if sum(exp) > self.trunc:
+            raise TruncationError(
+                f"exponent {exp!r} exceeds truncation order {self.trunc}")
+        return _pack(exp, self.trunc + 1)
 
     def _ordered(self):
         """The packed keys ascending (so by total degree), and the
         coefficients in the same order."""
         ordered = self._sorted
         if ordered is None:
-            keyed = self._packed_terms()
+            keyed = self._keyed
             keys = sorted(keyed)
             ordered = self._sorted = (keys, [keyed[k] for k in keys])
         return ordered
@@ -167,26 +171,16 @@ class TruncatedSeries:
 
     @property
     def constant_term(self):
-        return self._packed_terms().get(0, self.ring.zero)
+        return self._keyed.get(0, self.ring.zero)
 
     def coefficient(self, exponents):
-        exp = tuple(exponents)
-        if len(exp) != self.nvars:
-            raise SeriesCompatibilityError(
-                f"multi-index arity {len(exp)} does not match {self.nvars} variables")
-        if min(exp) < 0:
-            raise SeriesCompatibilityError(f"multi-index {exp} has a negative exponent")
-        if sum(exp) > self.trunc:
-            raise TruncationError(
-                f"degree {sum(exp)} exceeds truncation order {self.trunc}")
-        pack = _codec(self.nvars, self.trunc)[0]
-        return self._packed_terms().get(pack[exp], self.ring.zero)
+        return self._keyed.get(self._key(tuple(exponents)), self.ring.zero)
 
     def support(self):
         return sorted(self.terms)
 
     def is_zero(self):
-        return not self._packed_terms()
+        return not self._keyed
 
     # -- ring operations ----------------------------------------------------
 
@@ -205,9 +199,9 @@ class TruncatedSeries:
             scalar = self._as_scalar(other)
             if scalar is None:
                 return NotImplemented
-            return self._plus_constant(dict(self._packed_terms()), scalar)
+            return self._plus_constant(dict(self._keyed), scalar)
         self._compat(other)
-        big, small = self._packed_terms(), other._packed_terms()
+        big, small = self._keyed, other._keyed
         if len(big) < len(small):
             big, small = small, big
         keyed = dict(big)
@@ -223,7 +217,7 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self._packed_terms().items()})
+        return self._wrap({k: -c for k, c in self._keyed.items()})
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -231,20 +225,20 @@ class TruncatedSeries:
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant(dict(self._packed_terms()), -scalar)
+        return self._plus_constant(dict(self._keyed), -scalar)
 
     def __rsub__(self, other):
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant({k: -c for k, c in self._packed_terms().items()}, scalar)
+        return self._plus_constant({k: -c for k, c in self._keyed.items()}, scalar)
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)
         if not scalar:
             return self._wrap({})
         keyed = {}
-        for k, c in self._packed_terms().items():
+        for k, c in self._keyed.items():
             acc = c * scalar
             if acc:
                 keyed[k] = acc
@@ -423,7 +417,6 @@ class TruncatedSeries:
                 continue
             exp = e[:var] + e[var + 1:]
             terms[exp] = terms.get(exp, zero) + c * scalar ** k
-        terms = {e: c for e, c in terms.items() if c}
         names = self.names[:var] + self.names[var + 1:]
         return TruncatedSeries(self.ring, self.nvars - 1, new_trunc, terms, names)
 
@@ -440,23 +433,24 @@ class TruncatedSeries:
             raise TruncationError(
                 f"comparison order {order} exceeds truncation "
                 f"({self.trunc}, {other.trunc})")
+        a, b = self._cut(order), other._cut(order)
+        if a == b:
+            return MatchReport(True, None, None, None)
         zero = self.ring.zero
-        if self.trunc == other.trunc:
-            # one key space: the keys of degree <= order are those below bound
-            a, b = self._packed_terms(), other._packed_terms()
-            bound = (order + 1) * (_codec(self.nvars, self.trunc)[2] // (self.trunc + 1))
-            if a == b or all(a.get(k, zero) == b.get(k, zero)
-                             for k in a.keys() | b.keys() if k < bound):
-                return MatchReport(True, None, None, None)
-        keys = set(self.terms) | set(other.terms)
-        for e in sorted(keys):
-            if sum(e) > order:
-                continue
-            left = self.terms.get(e, zero)
-            right = other.terms.get(e, zero)
-            if left != right:
-                return MatchReport(False, e, left, right)
-        return MatchReport(True, None, None, None)
+        unpack = _codec(self.nvars, order)[1]
+        k = min((k for k in a.keys() | b.keys() if a.get(k, zero) != b.get(k, zero)),
+                key=unpack.__getitem__)
+        return MatchReport(False, unpack[k], a.get(k, zero), b.get(k, zero))
+
+    def _cut(self, order):
+        """The terms of total degree <= order, keyed in the codec of order."""
+        if order == self.trunc:
+            return self._keyed
+        unpack = _codec(self.nvars, self.trunc)[1]
+        pack = _codec(self.nvars, order)[0]
+        # the keys of degree <= order are those whose degree digit is <= order
+        bound = (order + 1) * (self.trunc + 1) ** (self.nvars - 1)
+        return {pack[unpack[k]]: c for k, c in self._keyed.items() if k < bound}
 
     def _compat_loose(self, other):
         # comparison allows different truncations (order is checked separately)
@@ -471,7 +465,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.ring == other.ring and self.nvars == other.nvars
-                and self.trunc == other.trunc and self.terms == other.terms)
+                and self.trunc == other.trunc and self._keyed == other._keyed)
 
     __hash__ = None  # mutable-by-content; not hashable
 
@@ -505,12 +499,18 @@ def _codec(nvars, trunc):
     docstring): the maps exponent tuple -> key and key -> tuple, and the
     least key of total degree trunc + 1, below which a key sum is kept."""
     radix = trunc + 1
-    pack = {}
-    for e in product(range(radix), repeat=nvars):
-        key = sum(e)
-        if key <= trunc:
-            for x in e[:-1]:
-                key = key * radix + x
-            pack[e] = key
+    pack = {e: _pack(e, radix) for e in product(range(radix), repeat=nvars)
+            if sum(e) <= trunc}
     unpack = {key: e for e, key in pack.items()}
     return pack, unpack, radix ** nvars
+
+
+def _pack(exp, radix):
+    """The key of the exponent tuple `exp` in radix `radix`: its total degree,
+    then each exponent but the last, as digits.  The constructor packs with
+    this directly, so making a series builds no `_codec` tables, whose size
+    grows as trunc ** nvars."""
+    key = sum(exp)
+    for x in exp[:-1]:
+        key = key * radix + x
+    return key

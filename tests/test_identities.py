@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fishburn import identities
 from fishburn.errors import (CertificateError, ParameterError,
                              UnknownFamilyError)
 from fishburn.cyclotomic import get_field
@@ -241,6 +242,23 @@ def test_verify_all_aggregate(all_reports):
     # one report per registry entry, in registry order, each under its id
     assert [r.id for r in all_reports] == list(registry())
     assert all(r.ok for r in all_reports)
+
+
+def test_thm_main_expands_each_family_once_per_call(monkeypatch):
+    """The six thm-main pairs share their six expansions within one verify
+    call, and a second call expands them afresh."""
+    calls = []
+    real = identities.expand_family
+    monkeypatch.setattr(identities, "expand_family",
+                        lambda family, order, **kw: calls.append((family, order))
+                        or real(family, order, **kw))
+    reports = verify("thm-main", order=6)
+    assert all(r.outcome == "verified" for r in reports)
+    assert sorted(calls) == [(f, 6) for f in ("F1", "F2", "F3", "G1", "G2", "G3")]
+    verify("thm-main", order=6)
+    assert len(calls) == 12
+    verify("F1=F2", order=6)
+    assert len(calls) == 14
 
 
 def test_verify_unknown_id():

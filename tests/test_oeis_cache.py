@@ -137,6 +137,7 @@ def test_valid_payload_reads_back():
     (_payload(terms=(([-1], "1"),)), "nonnegative integers"),
     (_payload(terms=(([1.5], "1"),)), "nonnegative integers"),
     (_payload(terms=((["1"], "1"),)), "nonnegative integers"),
+    (_payload(terms=(([[1]], "1"),)), "malformed"),
     (_payload(ring="QQ(zeta_12)", terms=(([1], "1,0,0"),)), "4 coordinates"),
     (_payload(ring="QQ(zeta_4)", terms=(([1], "1,0,0"),)), "2 coordinates"),
     (_payload(terms=(([1], "1/2"),)), "bad coefficient"),
@@ -145,7 +146,7 @@ def test_valid_payload_reads_back():
     ({"vars": ["x"], "ring": "ZZ", "terms": []}, "malformed"),
     (_payload(ring="CC(60)"), "unknown ring tag"),
 ], ids=["degree", "degree-2var", "arity-long", "arity-short", "negative",
-        "float", "string-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
+        "float", "string-exp", "list-in-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
         "duplicate", "negative-truncation", "missing-key", "complex-ring"])
 def test_rejected_payload_shapes(payload, match):
     with pytest.raises(PayloadError, match=match):
@@ -216,8 +217,10 @@ def _rewrite(path, edit):
     (lambda path: _rewrite(path, lambda e: e["series"].update(truncation=7)),
      "truncated at 7"),
     (lambda path: _rewrite(path, lambda e: e["series"].update(ring="QQ")), "QQ series"),
+    (lambda path: _rewrite(path, lambda e: e["series"].update(truncation=10**9)),
+     "truncated at 1000000000"),
 ], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
-        "rejected-payload", "other-truncation", "other-ring"])
+        "rejected-payload", "other-truncation", "other-ring", "huge-truncation"])
 def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 6)

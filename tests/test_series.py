@@ -15,7 +15,7 @@ from fishburn.qseries import expand_family
 from fishburn.rings import QQ, ZZ
 from fishburn.roots import RootContext, expand_at_root
 from fishburn.series import TruncatedSeries, _codec
-from series_helpers import restrict
+from series_helpers import reference_equal_up_to, restrict
 
 
 def blocks(n, ring=ZZ):
@@ -321,12 +321,16 @@ def _coefficients(ring):
 RINGS = [ZZ, QQ] + [get_field(k) for k in (1, 2, 3, 4, 5, 7, 12)]
 
 
+def _exponents(nvars, trunc):
+    return [e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc]
+
+
 @st.composite
 def series_pairs(draw, ring, nvars):
     """Two compatible series over `ring` in `nvars` variables with at most
     10 terms each, often empty or with one term."""
     trunc = draw(st.integers(min_value=0, max_value=8))
-    exps = [e for e in product(range(trunc + 1), repeat=nvars) if sum(e) <= trunc]
+    exps = _exponents(nvars, trunc)
 
     def one_series():
         entries = draw(st.lists(st.tuples(st.sampled_from(exps), _coefficients(ring)),
@@ -436,11 +440,44 @@ def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
     assert got.terms == reference_mul(a, b)
 
 
-def test_mul_rejects_exponents_beyond_the_cut():
-    bad = TruncatedSeries(ZZ, 2, 3, {(2, 2): 1})
+def test_construction_refuses_bad_exponents():
+    """The constructor and `coefficient` refuse, with one check, an exponent
+    beyond the cut, a negative one, one of the wrong length, and a float or
+    bool entry; each message names its fault, and a zero coefficient does
+    not excuse a bad exponent."""
+    cases = [
+        ((2, 2), TruncationError, r"\(2, 2\) exceeds truncation order 3"),
+        ((5, 0), TruncationError, r"\(5, 0\) exceeds truncation order 3"),
+        ((-1, 1), SeriesCompatibilityError, r"\(-1, 1\) is not nonnegative integers"),
+        ((1,), SeriesCompatibilityError, r"\(1,\) does not have 2 entries"),
+        ((1, 0, 0), SeriesCompatibilityError, "does not have 2 entries"),
+        ((1.0, 0), SeriesCompatibilityError, r"\(1.0, 0\) is not nonnegative integers"),
+        ((True, 0), SeriesCompatibilityError, r"\(True, 0\) is not nonnegative integers"),
+    ]
     _, x, _ = blocks(3)
-    with pytest.raises(TruncationError, match="outside"):
-        bad * x
+    for exp, error, match in cases:
+        for coeff in (1, 0):
+            with pytest.raises(error, match=match):
+                TruncatedSeries(ZZ, 2, 3, {exp: coeff})
+        with pytest.raises(error, match=match):
+            x.coefficient(exp)
+    for trunc in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            TruncatedSeries(ZZ, 2, trunc)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3)], ids=repr)
+def test_explicit_zero_coefficients_are_dropped(ring):
+    """A zero given to the constructor is not stored, so `is_zero`, `==` and
+    `equal_up_to` agree on it."""
+    zero = TruncatedSeries.zero(ring, 2, 3)
+    s = TruncatedSeries(ring, 2, 3, {(1, 0): ring.zero})
+    assert s.is_zero() and s == zero and s.equal_up_to(zero, 3).equal
+    assert s.terms == {} and s.coefficient((1, 0)) == ring.zero
+    t = TruncatedSeries(ring, 2, 3, {(1, 0): ring.zero, (0, 1): ring.one})
+    u = TruncatedSeries.variable(ring, 2, 3, 1)
+    assert t == u and t.equal_up_to(u, 3).equal and t.terms == {(0, 1): ring.one}
+    assert TruncatedSeries.constant(ring, 2, 3, 0) == zero
 
 
 def _small(ring, rng):
@@ -459,8 +496,7 @@ def _small(ring, rng):
 
 def _dense(ring, nvars, trunc, rng):
     """Every monomial of total degree <= trunc, with a unit constant term."""
-    terms = {e: _small(ring, rng) for e in product(range(trunc + 1), repeat=nvars)
-             if sum(e) <= trunc}
+    terms = {e: _small(ring, rng) for e in _exponents(nvars, trunc)}
     terms[(0,) * nvars] = ring.one
     return TruncatedSeries(ring, nvars, trunc, terms)
 
@@ -511,9 +547,9 @@ def test_products_on_both_accumulators_match_reference():
 
 
 def test_expansions_build_no_tuple_view(monkeypatch):
-    """Family and root expansions, and a comparison that agrees, run on the
-    packed terms; the tuple view is built on the first read of `terms` and
-    then kept."""
+    """Family and root expansions, and comparisons that agree, that differ,
+    or that span two truncations, and `==`, run on the packed terms; the
+    tuple view is built on the first read of `terms` and then kept."""
     calls = []
     view = TruncatedSeries._tuple_view
     monkeypatch.setattr(TruncatedSeries, "_tuple_view",
@@ -521,8 +557,44 @@ def test_expansions_build_no_tuple_view(monkeypatch):
     g1 = expand_family("G1", 12)
     root = expand_at_root("comp1-left", RootContext(12, 6, 1, 6))
     assert g1.equal_up_to(expand_family("G1", 12), 12).equal
+    g1_10 = expand_family("G1", 10)
+    assert g1.equal_up_to(g1_10, 10).equal and g1_10.equal_up_to(g1, 9).equal
+    shifted = g1 + TruncatedSeries(ZZ, 2, 12, {(3, 1): 1, (0, 4): -1})
+    rep = g1.equal_up_to(shifted, 12)
+    assert not rep.equal and rep.index == (0, 4)
+    assert rep.right == rep.left - 1
+    rep = g1_10.equal_up_to(shifted, 10)
+    assert not rep.equal and rep.index == (0, 4)
+    assert g1 == expand_family("G1", 12) and g1 != shifted and g1 != g1_10
     assert calls == []
     terms = g1.terms
     assert len(calls) == 1
     assert g1.terms is terms and len(calls) == 1
     assert root.terms and len(calls) == 2
+
+
+@pytest.mark.parametrize("ta,tb", [(3, 3), (3, 5), (5, 3)])
+@pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3)], ids=repr)
+def test_equal_up_to_matches_reference(ring, ta, tb):
+    """Random pairs that share most terms, at every order up to the smaller
+    truncation: the verdict and the witness are those of the comparison on
+    exponent tuples."""
+    rng = random.Random(100 * ta + 10 * tb + len(ring.tag))
+    verdicts = set()
+    for nvars in (1, 2, 3):
+        for _ in range(15):
+            top = _exponents(nvars, max(ta, tb))
+            base = {e: _small(ring, rng) for e in top if rng.random() < 0.5}
+            b_terms = {e: c for e, c in base.items() if sum(e) <= tb}
+            # change up to three coefficients of b, to zero or to another value
+            for e in rng.sample(_exponents(nvars, tb), rng.randint(0, 3)):
+                b_terms[e] = rng.choice((ring.zero, _small(ring, rng)))
+            a = TruncatedSeries(ring, nvars, ta, {e: c for e, c in base.items()
+                                                  if sum(e) <= ta})
+            b = TruncatedSeries(ring, nvars, tb, b_terms)
+            for order in range(min(ta, tb) + 1):
+                for left, right in ((a, b), (b, a)):
+                    got = left.equal_up_to(right, order)
+                    assert got == reference_equal_up_to(left, right, order)
+                    verdicts.add(got.equal)
+    assert verdicts == {True, False}
