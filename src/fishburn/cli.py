@@ -419,18 +419,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_asymptotics)
 
     p = sub.add_parser("roots", help="root-of-unity expansions and checks")
-    p.add_argument("action", choices=("explore", "expand", "check"))
-    p.add_argument("--k", type=int, required=True, help="conductor")
-    p.add_argument("--a", type=int, default=0, help="p0 = zeta_k^a")
-    p.add_argument("--b", type=int, default=0, help="q0 = zeta_k^b")
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--expr", default="comp1-left", choices=ROOT_EXPRS)
-    p.add_argument("--family", default="comp2-three-way",
-                   choices=ROOT_CHECK_FAMILIES)
-    p.add_argument("--p-exp", type=int, default=0, help="p = zeta_k^THIS (check)")
-    p.add_argument("--q-exp", type=int, default=0, help="q = zeta_k^THIS (check)")
-    add_format(p)
-    p.set_defaults(fn=cmd_roots)
+    actions = p.add_subparsers(dest="action", required=True)
+    # each action takes only its own options, so a flag of another is a usage error
+    for action, help_text in (("explore", "compare both sides at (p0, q0)"),
+                              ("expand", "expand one expression at (p0, q0)"),
+                              ("check", "terminating families at a root of unity")):
+        a = actions.add_parser(action, help=help_text)
+        a.add_argument("--k", type=int, required=True, help="conductor")
+        if action == "check":
+            a.add_argument("--family", default="comp2-three-way",
+                           choices=ROOT_CHECK_FAMILIES)
+            a.add_argument("--p-exp", type=int, default=0, help="p = zeta_k^THIS")
+            a.add_argument("--q-exp", type=int, default=0, help="q = zeta_k^THIS")
+        else:
+            a.add_argument("--a", type=int, default=0, help="p0 = zeta_k^a")
+            a.add_argument("--b", type=int, default=0, help="q0 = zeta_k^b")
+            a.add_argument("--order", type=int, default=6)
+            if action == "expand":
+                a.add_argument("--expr", default="comp1-left", choices=ROOT_EXPRS)
+        add_format(a)
+        a.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("oeis-check", help="cross-check a sequence b-file")
     p.add_argument("--seq", required=True, choices=OEIS_SEQUENCES)

@@ -15,8 +15,9 @@ high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
 first; powers of zeta are reduced the same way.  The inverse of a is the
 product of its other Galois conjugates a(zeta^j), 1 < j < k with
 gcd(j, k) = 1, divided by the norm N(a), which is a times that product and
-rational.  Conductors stay small here (`roots.CONDUCTOR_CAP` is 12, where
-phi(12) = 4).
+rational.  Conductors stay small here: `CONDUCTOR_CAP` below is 12, where
+phi(12) = 4, and the root explorer and the payload reader refuse a larger
+one.
 
 `CyclotomicField` is also the coefficient ring of a series over Q(zeta_k),
 with the protocol of the rings in rings.py: the tag "QQ(zeta_k)", `coerce`,
@@ -54,6 +55,11 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 from .errors import NonInvertibleError
+
+# The largest conductor a root context or a series payload may name: a field
+# keeps 2 phi(k) - 1 reduced powers of zeta to size `fold_gain`, so building
+# one for an arbitrary k from untrusted input could take minutes.
+CONDUCTOR_CAP = 12
 
 
 def fraction_str(x) -> str:

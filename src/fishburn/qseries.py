@@ -373,18 +373,13 @@ def _pentagonal_product(N, ring):
 
 
 def _pentagonal_theta(N, ring):
-    # sum_{n=-inf}^{inf} (-1)^n w^{n(3n-1)/2}
+    # sum_{n=-inf}^{inf} (-1)^n w^{n(3n-1)/2}: the exponents are distinct and
+    # each is at least |n|, so n in [-N, N] reaches every one <= N
     terms = {}
-    n = 0
-    while True:
-        exps = [n * (3 * n - 1) // 2, n * (3 * n + 1) // 2]  # n and -n
-        if min(exps) > N:
-            break
-        sign = ring.coerce(1 if n % 2 == 0 else -1)
-        for e in exps if n else exps[:1]:
-            if e <= N:
-                terms[(e,)] = terms.get((e,), ring.zero) + sign
-        n += 1
+    for n in range(-N, N + 1):
+        e = n * (3 * n - 1) // 2
+        if e <= N:
+            terms[(e,)] = ring.coerce(1 - 2 * (n % 2))
     return TruncatedSeries(ring, 1, N, terms, PENTAGONAL_NAMES)
 
 

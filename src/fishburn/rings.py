@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import fraction_str, get_field, parse_fraction
+from .cyclotomic import CONDUCTOR_CAP, fraction_str, get_field, parse_fraction
 from .errors import NonInvertibleError
 
 
@@ -119,11 +119,15 @@ QQ = RationalRing()
 
 
 def ring_from_tag(tag: str):
-    """Inverse of the .tag property, for deserialization."""
+    """Inverse of the .tag property, for deserialization; a conductor above
+    CONDUCTOR_CAP is refused before its field is built."""
     if tag == "ZZ":
         return ZZ
     if tag == "QQ":
         return QQ
     if tag.startswith("QQ(zeta_") and tag.endswith(")"):
-        return get_field(int(tag[len("QQ(zeta_"):-1]))
+        k = int(tag[len("QQ(zeta_"):-1])
+        if not 1 <= k <= CONDUCTOR_CAP:
+            raise ValueError(f"conductor {k} of {tag!r} is outside 1..{CONDUCTOR_CAP}")
+        return get_field(k)
     raise ValueError(f"unknown ring tag {tag!r}")

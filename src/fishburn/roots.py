@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicElement, get_field
+from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, _terminating_values
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
 from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
 from .series import TruncatedSeries
-
-CONDUCTOR_CAP = 12
 
 UV_NAMES = ("u", "v")
 PFORMAL_NAMES = ("p", "v")

@@ -16,7 +16,10 @@ kept product has total degree <= N, so its degree digit and each exponent
 digit is <= N.  A product that is not kept has degree digit > N, so the cut
 is one comparison of keys, and sorting an operand's keys sorts it by
 degree; each row of the schoolbook product then reads a prefix of the other
-operand.  The key 0 is the constant monomial.
+operand.  The key 0 is the constant monomial.  This layout is written only
+in `_pack` and its inverse `_unpack`, which read a key back by divmod; no
+exponent or key is tabulated, so no operation builds a structure sized by
+the (N+1)^v keys below the cut.
 
 The constructor takes a dict from exponent tuples and packs it at once.
 Each exponent is checked there, by the one check `coefficient` also uses:
@@ -50,8 +53,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 
 from .errors import (
     NonInvertibleError,
@@ -160,8 +161,8 @@ class TruncatedSeries:
         return self._terms
 
     def _tuple_view(self):
-        unpack = _codec(self.nvars, self.trunc)[1]
-        return {unpack[k]: c for k, c in self._keyed.items()}
+        radix, nvars = self.trunc + 1, self.nvars
+        return {_unpack(k, radix, nvars): c for k, c in self._keyed.items()}
 
     def _as_scalar(self, x):
         try:
@@ -257,7 +258,7 @@ class TruncatedSeries:
             a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
         if not a_keys:
             return self._wrap({}, ([], []))
-        limit = _codec(self.nvars, self.trunc)[2]
+        limit = (self.trunc + 1) ** self.nvars  # the least key of degree N + 1
         a_vals, b_vals, state = self.ring.to_kernel(a_vals, b_vals)
         b = list(zip(b_keys, b_vals))
         # Each row reads the terms of b that keep the product below the cut,
@@ -305,8 +306,7 @@ class TruncatedSeries:
         if not c0:
             raise NonInvertibleError("constant term 0 is not invertible")
         c0inv = self.ring.invert(c0)
-        limit = _codec(self.nvars, self.trunc)[2]
-        step = limit // (self.trunc + 1)  # the key of one unit of degree
+        step = (self.trunc + 1) ** (self.nvars - 1)  # the key of one unit of degree
         # nonconstant terms of self, grouped by total degree
         by_deg = [[] for _ in range(self.trunc + 1)]
         for k, c in zip(*self._ordered()):
@@ -437,20 +437,21 @@ class TruncatedSeries:
         if a == b:
             return MatchReport(True, None, None, None)
         zero = self.ring.zero
-        unpack = _codec(self.nvars, order)[1]
-        k = min((k for k in a.keys() | b.keys() if a.get(k, zero) != b.get(k, zero)),
-                key=unpack.__getitem__)
-        return MatchReport(False, unpack[k], a.get(k, zero), b.get(k, zero))
+        radix, nvars = order + 1, self.nvars
+        index = min(_unpack(k, radix, nvars) for k in a.keys() | b.keys()
+                    if a.get(k, zero) != b.get(k, zero))
+        k = _pack(index, radix)
+        return MatchReport(False, index, a.get(k, zero), b.get(k, zero))
 
     def _cut(self, order):
-        """The terms of total degree <= order, keyed in the codec of order."""
+        """The terms of total degree <= order, keyed in radix order + 1."""
         if order == self.trunc:
             return self._keyed
-        unpack = _codec(self.nvars, self.trunc)[1]
-        pack = _codec(self.nvars, order)[0]
+        radix, nvars = self.trunc + 1, self.nvars
         # the keys of degree <= order are those whose degree digit is <= order
-        bound = (order + 1) * (self.trunc + 1) ** (self.nvars - 1)
-        return {pack[unpack[k]]: c for k, c in self._keyed.items() if k < bound}
+        bound = (order + 1) * radix ** (nvars - 1)
+        return {_pack(_unpack(k, radix, nvars), order + 1): c
+                for k, c in self._keyed.items() if k < bound}
 
     def _compat_loose(self, other):
         # comparison allows different truncations (order is checked separately)
@@ -493,24 +494,22 @@ def _default_names(nvars):
     return ("x", "y", "r")[:nvars]
 
 
-@lru_cache(maxsize=64)
-def _codec(nvars, trunc):
-    """Packed keys for the exponents of total degree <= trunc (see the module
-    docstring): the maps exponent tuple -> key and key -> tuple, and the
-    least key of total degree trunc + 1, below which a key sum is kept."""
-    radix = trunc + 1
-    pack = {e: _pack(e, radix) for e in product(range(radix), repeat=nvars)
-            if sum(e) <= trunc}
-    unpack = {key: e for e, key in pack.items()}
-    return pack, unpack, radix ** nvars
-
-
 def _pack(exp, radix):
     """The key of the exponent tuple `exp` in radix `radix`: its total degree,
-    then each exponent but the last, as digits.  The constructor packs with
-    this directly, so making a series builds no `_codec` tables, whose size
-    grows as trunc ** nvars."""
+    then each exponent but the last, as digits."""
     key = sum(exp)
     for x in exp[:-1]:
         key = key * radix + x
     return key
+
+
+def _unpack(key, radix, nvars):
+    """The exponent tuple of `key`, the inverse of `_pack`: the low nvars - 1
+    digits are the exponents but the last, which is the degree digit minus
+    their sum."""
+    head = []
+    for _ in range(nvars - 1):
+        key, x = divmod(key, radix)
+        head.append(x)
+    head.reverse()
+    return (*head, key - sum(head))

@@ -374,6 +374,19 @@ def test_roots_check(capsys):
     assert json.loads(out)["outcome"] == "verified"
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "check", "--k", "4", "--expr", "comp1-left"],
+    ["roots", "check", "--k", "4", "--order", "99", "--a", "3"],
+    ["roots", "explore", "--k", "2", "--p-exp", "5"],
+    ["roots", "expand", "--k", "2", "--family", "comp2-three-way"],
+], ids=["check-expr", "check-point", "explore-p-exp", "expand-family"])
+def test_roots_flag_of_another_action_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_oeis_check_cli(tmp_path, capsys):
     path = tmp_path / "b158691.txt"
     path.write_text("\n".join(f"{n} {v}" for n, v in

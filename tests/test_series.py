@@ -1,6 +1,7 @@
 """Truncated-series core: arithmetic, inversion, substitution, comparison."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from fishburn.errors import (NonInvertibleError, SeriesCompatibilityError,
 from fishburn.qseries import expand_family
 from fishburn.rings import QQ, ZZ
 from fishburn.roots import RootContext, expand_at_root
-from fishburn.series import TruncatedSeries, _codec
+from fishburn.series import TruncatedSeries, _pack, _unpack
 from series_helpers import reference_equal_up_to, restrict
 
 
@@ -504,9 +505,9 @@ def _dense(ring, nvars, trunc, rng):
 def _span_and_pairs(a, b):
     """The key span a product of a and b sums over, and its number of term
     pairs: the list accumulator is taken when the span is not longer."""
-    pack, _, limit = _codec(a.nvars, a.trunc)
-    ka, kb = sorted(pack[e] for e in a.terms), sorted(pack[e] for e in b.terms)
-    return min(limit, ka[-1] + kb[-1] + 1) - ka[0] - kb[0], len(ka) * len(kb)
+    radix = a.trunc + 1
+    ka, kb = (sorted(_pack(e, radix) for e in s.terms) for s in (a, b))
+    return min(radix ** a.nvars, ka[-1] + kb[-1] + 1) - ka[0] - kb[0], len(ka) * len(kb)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -598,3 +599,25 @@ def test_equal_up_to_matches_reference(ring, ta, tb):
                     assert got == reference_equal_up_to(left, right, order)
                     verdicts.add(got.equal)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_unpack_inverts_pack(nvars):
+    for radix in (13, 20):
+        for e in _exponents(nvars, 12):
+            assert _unpack(_pack(e, radix), radix, nvars) == e
+
+
+def test_high_truncation_trivariate_reads_back_by_arithmetic():
+    """A product of one-term trivariate series at truncation 1000, its tuple
+    view, repr and a comparison witness build nothing sized by the
+    (N+1)^3 keys below the cut."""
+    start = time.perf_counter()
+    a = TruncatedSeries(ZZ, 3, 1000, {(300, 200, 100): 2})
+    b = TruncatedSeries(ZZ, 3, 1000, {(100, 0, 200): -3})
+    prod = a * b
+    assert prod.terms == {(400, 200, 300): -6}
+    assert repr(prod) == "<-6*x^400*y^200*r^300 | N=1000, ZZ>"
+    rep = prod.equal_up_to(prod + b, 900)
+    assert (rep.equal, rep.index, rep.left, rep.right) == (False, (100, 0, 200), 0, -3)
+    assert time.perf_counter() - start < 0.05
