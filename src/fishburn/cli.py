@@ -187,6 +187,8 @@ def __getattr__(name):
 def cmd_numeric(args) -> int:
     from . import hypergeom
 
+    if args.tol_exp < 1:
+        raise ParameterError(f"--tol-exp must be at least 1, got {args.tol_exp}")
     _ident, sampler, checker, _names = hypergeom.NUMERIC_IDENTITIES[args.id]
     if args.param:
         values = {}

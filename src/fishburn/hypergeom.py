@@ -14,6 +14,15 @@ The very-well-poised factor (1 - x r^n) is a weight on each term, not part
 of the term ratio, where it would divide and turn a vanishing factor into a
 pole the sum does not have.
 
+The parameters, the side prefactors and every reported value are mpmath
+numbers at the working precision.  The term-by-term sums are not: without
+gmpy2, mpmath runs on its pure-Python backend, so each side's spec is read
+exactly into complex numbers with `decimal.Decimal` parts (the C library
+libmpdec) and summed at the working digits plus SUM_GUARD_DIGITS, with an
+unbounded exponent range so that the q^{n^2} tails never underflow.
+Magnitudes are compared squared, and the sum is rounded back to an mpmath
+number.
+
 Watson's transformation with f = q^{-N} is a finite sum on both sides and is
 evaluated exactly over the rationals, once no denominator factor vanishes.
 """
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter
@@ -35,7 +44,7 @@ from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _vanishing_index, partial_sum,
                       pochhammer_terms)
 
-DECAY_RATIO = mp.mpf("0.9")
+DECAY_RATIO = Decimal("0.9")
 DECAY_RUN = 5
 # each side is summed three orders tighter than the comparison tolerance so
 # the neglected tails cannot push |LHS - RHS| across the reporting bound
@@ -44,6 +53,8 @@ SUMMATION_MARGIN = mp.mpf("1e-3")
 # rounding in the partial sums stays below it: at tol 1e-25 the sampled
 # points differ by up to 1e-27 at 28 digits and report mismatches at 25
 GUARD_DIGITS = 5
+# digits that the decimal term sums carry beyond the working precision
+SUM_GUARD_DIGITS = 5
 
 
 @dataclass
@@ -56,6 +67,9 @@ class NumericEvalParams:
     max_terms: int = 400
 
     def __post_init__(self):
+        if self.max_terms < 1:
+            raise ParameterError(f"the term budget max_terms (--max-terms) must be at "
+                                 f"least 1, got {self.max_terms}")
         if mp.mpf(10) ** (GUARD_DIGITS - self.dps) > self.tolerance() * SUMMATION_MARGIN:
             raise ParameterError(f"{self.dps} digits are too few for tol {self.tol}: summing "
                                  f"to tol * {SUMMATION_MARGIN} needs {GUARD_DIGITS} more")
@@ -77,9 +91,13 @@ def _pole_guard(dps):
     return mp.mpf(10) ** _pole_guard_exponent(dps)
 
 
+def _pole(guard, label):
+    return PoleError(f"denominator {label} is within {guard} of zero")
+
+
 def _refuse_pole(den, guard, label):
     if abs(den) < guard:
-        raise PoleError(f"denominator {label} is within {guard} of zero")
+        raise _pole(guard, label)
 
 
 def _div(num, den, guard, label):
@@ -95,6 +113,60 @@ def _weighted(terms, x, r):
         x = x * r
 
 
+def _decimal(x):
+    """The finite mpf `x`, read exactly from its mantissa and exponent and
+    rounded once to the current decimal context."""
+    sign, man, exp, _bc = x._mpf_
+    if not man and x:  # the mantissa of inf and nan is 0 as well
+        raise ParameterError(f"numeric sums need finite values, got {x}")
+    man = -man if sign else man
+    if exp >= 0:
+        return +Decimal(man << exp)
+    return Decimal(man * 5 ** -exp).scaleb(exp)  # man 2^exp = man 5^-exp 10^exp
+
+
+class _DecimalComplex:
+    """re + i im with Decimal parts, computed in the current decimal context:
+    the arithmetic that pochhammer_terms and _weighted ask of a term (z * w,
+    z / w, 1 - z, z + w)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def mpc(self):
+        return mp.mpc(mp.mpf(str(self.re)), mp.mpf(str(self.im)))
+
+    def norm(self):
+        """|z|^2."""
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        return _DecimalComplex(self.re + other.re, self.im + other.im)
+
+    def __rsub__(self, one):
+        return _DecimalComplex(one - self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _DecimalComplex(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        return _DecimalComplex((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def _to_decimal(entry):
+    """A number, or a tuple of them such as a spec, as _DecimalComplex."""
+    if isinstance(entry, tuple):
+        return tuple(map(_to_decimal, entry))
+    z = mp.mpc(entry)
+    return _DecimalComplex(_decimal(z.real), _decimal(z.imag))
+
+
 def _sum_with_guard(spec, tol, max_terms, guard, label, den0=1, weight=None):
     """Sum the terms of `spec` divided by `den0`, each times the weight
     (1 - x r^n) when `weight` is (x, r), until five consecutive terms are
@@ -104,29 +176,40 @@ def _sum_with_guard(spec, tol, max_terms, guard, label, den0=1, weight=None):
     prod_j (1 - b_j s_j^k) over the inverses (b_j, s_j) of `spec` must be at
     least `guard` away from zero, else PoleError names `label`.  These
     denominators are the terms of the spec with first term den0 and the
-    inverses of `spec` as factors."""
-    terms = pochhammer_terms(spec._replace(first=_div(spec.first, den0, guard, label)))
-    if weight is not None:
-        terms = _weighted(terms, *weight)
-    dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
-    total = mp.mpc(0)
-    prev_mag = None
-    run = 0
-    for n in count():
-        _refuse_pole(next(dens), guard, label)
-        term = next(terms)
-        total += term
-        mag = abs(term)
-        small = mag < tol * max(1, abs(total))
-        decaying = prev_mag is None or mag <= DECAY_RATIO * prev_mag or mag == 0
-        run = run + 1 if (small and decaying) else 0
-        if run >= DECAY_RUN:
-            return total, n + 1
-        prev_mag = mag
-        if n + 1 >= max_terms:
-            raise ConvergenceError(
-                f"no convergence within {max_terms} terms "
-                f"(last |term| = {mp.nstr(mag, 5)})")
+    inverses of `spec` as factors.
+
+    The arguments and the sum are mpmath numbers; the terms, the partial
+    sums and the squared magnitudes that the stopping rule and the pole
+    guard compare are decimal (see the module docstring)."""
+    first = _div(spec.first, den0, guard, label)
+    with localcontext(Context(prec=mp.mp.dps + SUM_GUARD_DIGITS,
+                              Emin=MIN_EMIN, Emax=MAX_EMAX)):
+        spec = PochhammerSum(*_to_decimal(spec._replace(first=first)))
+        terms = pochhammer_terms(spec)
+        if weight is not None:
+            terms = _weighted(terms, *_to_decimal(weight))
+        dens = pochhammer_terms(PochhammerSum(_to_decimal(den0), factors=spec.inverses))
+        tol2, guard2 = _decimal(tol) ** 2, _decimal(guard) ** 2
+        decay2 = DECAY_RATIO ** 2
+        total = _to_decimal(0)
+        prev = None
+        run = 0
+        for n in count():
+            if next(dens).norm() < guard2:
+                raise _pole(guard, label)
+            term = next(terms)
+            total += term
+            mag2 = term.norm()
+            small = mag2 < tol2 * max(1, total.norm())
+            decaying = prev is None or mag2 <= decay2 * prev or mag2 == 0
+            run = run + 1 if (small and decaying) else 0
+            if run >= DECAY_RUN:
+                return total.mpc(), n + 1
+            prev = mag2
+            if n + 1 >= max_terms:
+                raise ConvergenceError(
+                    f"no convergence within {max_terms} terms "
+                    f"(last |term| = {mp.nstr(abs(term.mpc()), 5)})")
 
 
 def _compare_sides(alias, params, sides, require=None):

@@ -28,6 +28,7 @@ the product of the two lcms.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -125,8 +126,10 @@ def ring_from_tag(tag: str):
         return ZZ
     if tag == "QQ":
         return QQ
-    if tag.startswith("QQ(zeta_") and tag.endswith(")"):
-        k = int(tag[len("QQ(zeta_"):-1])
+    # the conductor is a decimal as .tag writes it: no sign, space,
+    # underscore or leading zero
+    if match := re.fullmatch(r"QQ\(zeta_(0|[1-9][0-9]*)\)", tag):
+        k = int(match[1])
         if not 1 <= k <= CONDUCTOR_CAP:
             raise ValueError(f"conductor {k} of {tag!r} is outside 1..{CONDUCTOR_CAP}")
         return get_field(k)

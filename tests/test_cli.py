@@ -286,6 +286,32 @@ def test_numeric_needs_at_least_one_draw(capsys, draws):
     assert "--draws" in err and out == ""
 
 
+@pytest.mark.parametrize("max_terms", ["0", "-3"])
+def test_numeric_needs_a_term_budget_of_at_least_one(capsys, max_terms):
+    code, out, err = run(capsys, "numeric", "--id", "rf", "--draws", "1",
+                         "--max-terms", max_terms)
+    assert code == 2 and out == ""
+    assert "--max-terms" in err and f"got {max_terms}" in err
+
+
+@pytest.mark.parametrize("tol_exp", ["0", "-2"])
+def test_numeric_needs_a_positive_tolerance_exponent(capsys, tol_exp):
+    code, out, err = run(capsys, "numeric", "--id", "rf", "--draws", "1",
+                         "--tol-exp", tol_exp)
+    assert code == 2 and out == ""
+    assert err == f"error: --tol-exp must be at least 1, got {tol_exp}\n"
+
+
+@pytest.mark.parametrize("digits, guard", [("60", "1.0e-40"), ("100", "1.0e-67")])
+def test_numeric_exactly_vanishing_denominator_is_a_pole(capsys, digits, guard):
+    # b q = 2 at q = 1/2: the factor 1 - bq q^1 of (bq; q)_2 is exactly zero
+    code, out, err = run(capsys, "numeric", "--id", "rf", "--digits", digits,
+                         "--param", "a=0.3", "--param", "b=4",
+                         "--param", "t=0.4", "--param", "q=0.5")
+    assert code == 2 and out == ""
+    assert err == f"error: denominator (bq;q)_n is within {guard} of zero\n"
+
+
 def test_numeric_refuses_digits_too_few_for_the_tolerance(capsys):
     code, _, err = run(capsys, "numeric", "--id", "grf", "--digits", "25")
     assert code == 2

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from fishburn import hypergeom
-from fishburn.errors import ParameterError, PoleError
+from fishburn.errors import ConvergenceError, ParameterError, PoleError
 from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams,
                                 generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
@@ -15,6 +15,8 @@ from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams,
                                 rogers_fine_check, watson_exact,
                                 watson_limit_check)
 from fishburn.identities import verify
+from fishburn.qseries import PochhammerSum
+from numeric_helpers import reference_sum_with_guard
 
 
 def test_rogers_fine_reference_point():
@@ -140,6 +142,66 @@ def test_pole_guard():
     with pytest.raises(PoleError):
         rogers_fine_check(NumericEvalParams(
             values={"a": 0.3, "b": 0.0, "t": 0.4, "q": 0.5}))
+
+
+@pytest.mark.parametrize("value", ("inf", "nan"))
+def test_non_finite_parameter_is_refused(value):
+    with pytest.raises(ParameterError, match="finite"):
+        rogers_fine_check(NumericEvalParams(
+            values={"a": complex(value), "b": 0.2, "t": 0.4, "q": 0.5}))
+
+
+# -- decimal sums against the mpmath reference --------------------------------
+
+DIFFERENTIAL_DRAWS = 10
+
+
+def _recording(summer, sums):
+    def record(*args, **kwargs):
+        total, used = summer(*args, **kwargs)
+        sums.append((total, used))
+        return total, used
+    return record
+
+
+def _run_with(monkeypatch, summer, checker, params):
+    sums = []
+    monkeypatch.setattr(hypergeom, "_sum_with_guard", _recording(summer, sums))
+    return checker(params), sums
+
+
+@pytest.mark.parametrize("summer", (hypergeom._sum_with_guard, reference_sum_with_guard))
+def test_decay_guard_bounds_the_magnitude_ratio(summer):
+    # squared magnitudes must decay by DECAY_RATIO^2: a geometric sum of
+    # ratio 0.88 converges, one of ratio 0.92i never counts as decaying
+    with mp.workdps(60):
+        budget = (mp.mpf("1e-6"), 400, hypergeom._pole_guard(60), "none")
+        total, used = summer(PochhammerSum(mp.mpc(1), (mp.mpc("0.88"),)), *budget)
+        assert abs(total - 1 / mp.mpf("0.12")) < mp.mpf("1e-4")
+        assert used == 97
+        with pytest.raises(ConvergenceError, match="within 400 terms"):
+            summer(PochhammerSum(mp.mpc(1), (mp.mpc(0, "0.92"),)), *budget)
+
+
+@pytest.mark.parametrize("dps, tol", ((40, "1e-20"), (60, "1e-25"), (100, "1e-40")))
+@pytest.mark.parametrize("alias", NUMERIC_IDENTITIES)
+def test_decimal_sums_match_the_mpmath_reference(monkeypatch, alias, dps, tol):
+    # the same outcome, term counts and |diff| string as the mpmath term
+    # loop, and every side's sum within 10^(10 - dps) of it
+    _ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
+    decimal_sum = hypergeom._sum_with_guard
+    rng = random.Random(f"{alias} {dps}")
+    for _ in range(DIFFERENTIAL_DRAWS):
+        params = NumericEvalParams(values=sampler(rng).values, dps=dps, tol=tol)
+        fast, fast_sums = _run_with(monkeypatch, decimal_sum, checker, params)
+        ref, ref_sums = _run_with(monkeypatch, reference_sum_with_guard, checker, params)
+        assert fast.outcome == ref.outcome
+        assert fast.detail.get("terms") == ref.detail.get("terms")
+        assert fast.detail.get("abs_diff") == ref.detail.get("abs_diff")
+        assert [n for _, n in fast_sums] == [n for _, n in ref_sums]
+        with mp.workdps(dps):
+            for (value, _), (want, _) in zip(fast_sums, ref_sums):
+                assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * max(1, abs(want))
 
 
 # -- exact Watson -------------------------------------------------------------

@@ -147,10 +147,17 @@ def test_valid_payload_reads_back():
     (_payload(ring="CC(60)"), "unknown ring tag"),
     (_payload(ring="QQ(zeta_100003)", terms=(([1], "1"),)), "conductor 100003"),
     (_payload(ring="QQ(zeta_0)"), "conductor 0"),
+    (_payload(ring="QQ(zeta_+6)"), "unknown ring tag"),
+    (_payload(ring="QQ(zeta_06)"), "unknown ring tag"),
+    (_payload(ring="QQ(zeta_ 6)"), "unknown ring tag"),
+    (_payload(ring="QQ(zeta_1_2)"), "unknown ring tag"),
+    (_payload(ring=6), "malformed"),
 ], ids=["degree", "degree-2var", "arity-long", "arity-short", "negative",
         "float", "string-exp", "list-in-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
         "duplicate", "negative-truncation", "missing-key", "complex-ring",
-        "conductor-above-cap", "conductor-zero"])
+        "conductor-above-cap", "conductor-zero", "conductor-plus-sign",
+        "conductor-leading-zero", "conductor-space", "conductor-underscore",
+        "ring-not-a-string"])
 def test_rejected_payload_shapes(payload, match):
     with pytest.raises(PayloadError, match=match):
         series_from_payload(payload)
@@ -224,9 +231,10 @@ def _rewrite(path, edit):
      "truncated at 1000000000"),
     (lambda path: _rewrite(path, lambda e: e["series"].update(ring="QQ(zeta_100003)")),
      "conductor 100003"),
+    (lambda path: _rewrite(path, lambda e: e["series"].update(ring=6)), "malformed"),
 ], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
         "rejected-payload", "other-truncation", "other-ring", "huge-truncation",
-        "huge-conductor"])
+        "huge-conductor", "ring-not-a-string"])
 def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 6)
