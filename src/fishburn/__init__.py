@@ -23,8 +23,9 @@ Layers:
 The package imports lazily: ``import fishburn`` loads no submodule, and
 ``fishburn.X`` imports the one submodule that defines X on first use.  The
 CLI likewise imports, per command, only what that command runs.  mpmath is
-loaded only by the numeric checks (`hypergeom`), `asymptotics` and the
-complex embedding of Q(zeta_k); the exact layers never import it.
+loaded only by `asymptotics`, the complex embedding of Q(zeta_k) and the
+reports of the numeric checks: `hypergeom` computes in `decimal` and imports
+mpmath only to render its strings.  The exact layers never import it.
 """
 
 import importlib

@@ -255,7 +255,6 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_roots(args) -> int:
     from . import roots
-    from .cyclotomic import get_field
     from .serialize import series_to_payload
 
     if args.action == "explore":
@@ -284,11 +283,10 @@ def cmd_roots(args) -> int:
                 print(f"  {term['exp']}: {term['coeff']}")
         _emit(args, payload, text)
         return EXIT_OK
-    # check: terminating families at cyclotomic points
-    field = get_field(args.k)
-    p = field.zeta(args.p_exp)
-    q = field.zeta(args.q_exp)
-    rep = roots.root_terminating_check(args.family, p, q)
+    # check: terminating families at cyclotomic points, whose conductor the
+    # context bounds before any field is built
+    ctx = roots.RootContext(args.k, args.p_exp, args.q_exp, 0)
+    rep = roots.root_terminating_check(args.family, ctx.p0, ctx.q0)
     payload = rep.to_json_dict()
 
     def text():

@@ -14,14 +14,14 @@ The very-well-poised factor (1 - x r^n) is a weight on each term, not part
 of the term ratio, where it would divide and turn a vanishing factor into a
 pole the sum does not have.
 
-The parameters, the side prefactors and every reported value are mpmath
-numbers at the working precision.  The term-by-term sums are not: without
-gmpy2, mpmath runs on its pure-Python backend, so each side's spec is read
-exactly into complex numbers with `decimal.Decimal` parts (the C library
-libmpdec) and summed at the working digits plus SUM_GUARD_DIGITS, with an
-unbounded exponent range so that the q^{n^2} tails never underflow.
-Magnitudes are compared squared, and the sum is rounded back to an mpmath
-number.
+A numeric check computes in one arithmetic: complex numbers with
+`decimal.Decimal` parts (the C library libmpdec), in one decimal context of
+the working digits plus SUM_GUARD_DIGITS with an unbounded exponent range, so
+that the q^{n^2} tails never underflow.  Each parameter is read once, exactly,
+from its Python complex; the side prefactors, the pole guards, the sums and
+|LHS - RHS| are all computed there, and magnitudes are compared squared.
+mpmath only renders the report and error strings (`_nstr`), and is imported
+only when one is printed.
 
 Watson's transformation with f = q^{-N} is a finite sum on both sides and is
 evaluated exactly over the rationals, once no denominator factor vanishes.
@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter
-
-import mpmath as mp
 
 from .cyclotomic import fraction_str
 from .errors import ConvergenceError, ParameterError, PoleError
@@ -48,12 +46,12 @@ DECAY_RATIO = Decimal("0.9")
 DECAY_RUN = 5
 # each side is summed three orders tighter than the comparison tolerance so
 # the neglected tails cannot push |LHS - RHS| across the reporting bound
-SUMMATION_MARGIN = mp.mpf("1e-3")
+SUMMATION_MARGIN = Decimal("1e-3")
 # digits of working precision kept beyond the summation tolerance, so that
 # rounding in the partial sums stays below it: at tol 1e-25 the sampled
 # points differ by up to 1e-27 at 28 digits and report mismatches at 25
 GUARD_DIGITS = 5
-# digits that the decimal term sums carry beyond the working precision
+# digits that a numeric check carries beyond the working precision
 SUM_GUARD_DIGITS = 5
 
 
@@ -70,12 +68,9 @@ class NumericEvalParams:
         if self.max_terms < 1:
             raise ParameterError(f"the term budget max_terms (--max-terms) must be at "
                                  f"least 1, got {self.max_terms}")
-        if mp.mpf(10) ** (GUARD_DIGITS - self.dps) > self.tolerance() * SUMMATION_MARGIN:
+        if Decimal(f"1e{GUARD_DIGITS - self.dps}") > Decimal(self.tol) * SUMMATION_MARGIN:
             raise ParameterError(f"{self.dps} digits are too few for tol {self.tol}: summing "
                                  f"to tol * {SUMMATION_MARGIN} needs {GUARD_DIGITS} more")
-
-    def tolerance(self):
-        return mp.mpf(self.tol)
 
 
 # grf-degeneration puts gamma this many decades below tol * SUMMATION_MARGIN,
@@ -83,20 +78,36 @@ class NumericEvalParams:
 DEGENERATION_DECADES = 2
 
 
+def _context(dps):
+    """The one decimal context of a numeric check at `dps` working digits."""
+    return localcontext(Context(prec=dps + SUM_GUARD_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX))
+
+
+def _nstr(x, digits):
+    """The Decimal or _DecimalComplex `x` as mpmath's nstr prints it to
+    `digits` digits, read at the precision of the current decimal context."""
+    import mpmath as mp  # only the printed strings need it
+
+    with mp.workdps(getcontext().prec):
+        if isinstance(x, _DecimalComplex):
+            return mp.nstr(mp.mpc(str(x.re), str(x.im)), digits)
+        return mp.nstr(mp.mpf(str(x)), digits)
+
+
 def _pole_guard_exponent(dps):
     return -(2 * dps) // 3
 
 
 def _pole_guard(dps):
-    return mp.mpf(10) ** _pole_guard_exponent(dps)
+    return Decimal(f"1e{_pole_guard_exponent(dps)}")
 
 
 def _pole(guard, label):
-    return PoleError(f"denominator {label} is within {guard} of zero")
+    return PoleError(f"denominator {label} is within {_nstr(guard, 8)} of zero")
 
 
 def _refuse_pole(den, guard, label):
-    if abs(den) < guard:
+    if den.norm() < guard * guard:
         raise _pole(guard, label)
 
 
@@ -113,31 +124,25 @@ def _weighted(terms, x, r):
         x = x * r
 
 
-def _decimal(x):
-    """The finite mpf `x`, read exactly from its mantissa and exponent and
-    rounded once to the current decimal context."""
-    sign, man, exp, _bc = x._mpf_
-    if not man and x:  # the mantissa of inf and nan is 0 as well
-        raise ParameterError(f"numeric sums need finite values, got {x}")
-    man = -man if sign else man
-    if exp >= 0:
-        return +Decimal(man << exp)
-    return Decimal(man * 5 ** -exp).scaleb(exp)  # man 2^exp = man 5^-exp 10^exp
-
-
 class _DecimalComplex:
     """re + i im with Decimal parts, computed in the current decimal context:
-    the arithmetic that pochhammer_terms and _weighted ask of a term (z * w,
-    z / w, 1 - z, z + w)."""
+    the arithmetic of the side builders, pochhammer_terms and _weighted."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im):
+    def __init__(self, re, im=Decimal(0)):
         self.re = re
         self.im = im
 
-    def mpc(self):
-        return mp.mpc(mp.mpf(str(self.re)), mp.mpf(str(self.im)))
+    @classmethod
+    def read(cls, z):
+        """The Python complex (or real) `z`, exactly: a float's binary value
+        has a finite decimal expansion, which is kept unrounded."""
+        z = complex(z)
+        re, im = Decimal(z.real), Decimal(z.imag)
+        if not (re.is_finite() and im.is_finite()):
+            raise ParameterError(f"numeric sums need finite values, got {z}")
+        return cls(re, im)
 
     def norm(self):
         """|z|^2."""
@@ -146,8 +151,14 @@ class _DecimalComplex:
     def __add__(self, other):
         return _DecimalComplex(self.re + other.re, self.im + other.im)
 
+    def __sub__(self, other):
+        return _DecimalComplex(self.re - other.re, self.im - other.im)
+
     def __rsub__(self, one):
         return _DecimalComplex(one - self.re, -self.im)
+
+    def __neg__(self):
+        return _DecimalComplex(-self.re, -self.im)
 
     def __mul__(self, other):
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -158,16 +169,14 @@ class _DecimalComplex:
         n = c * c + d * d
         return _DecimalComplex((a * c + b * d) / n, (b * c - a * d) / n)
 
-
-def _to_decimal(entry):
-    """A number, or a tuple of them such as a spec, as _DecimalComplex."""
-    if isinstance(entry, tuple):
-        return tuple(map(_to_decimal, entry))
-    z = mp.mpc(entry)
-    return _DecimalComplex(_decimal(z.real), _decimal(z.imag))
+    def __rtruediv__(self, one):
+        return _DecimalComplex(Decimal(one)) / self
 
 
-def _sum_with_guard(spec, tol, max_terms, guard, label, den0=1, weight=None):
+_ONE = _DecimalComplex(Decimal(1))
+
+
+def _sum_with_guard(spec, tol, max_terms, guard, label, den0=_ONE, weight=None):
     """Sum the terms of `spec` divided by `den0`, each times the weight
     (1 - x r^n) when `weight` is (x, r), until five consecutive terms are
     both small and geometrically decaying.  Returns (sum, terms used).
@@ -178,48 +187,47 @@ def _sum_with_guard(spec, tol, max_terms, guard, label, den0=1, weight=None):
     denominators are the terms of the spec with first term den0 and the
     inverses of `spec` as factors.
 
-    The arguments and the sum are mpmath numbers; the terms, the partial
-    sums and the squared magnitudes that the stopping rule and the pole
-    guard compare are decimal (see the module docstring)."""
-    first = _div(spec.first, den0, guard, label)
-    with localcontext(Context(prec=mp.mp.dps + SUM_GUARD_DIGITS,
-                              Emin=MIN_EMIN, Emax=MAX_EMAX)):
-        spec = PochhammerSum(*_to_decimal(spec._replace(first=first)))
-        terms = pochhammer_terms(spec)
-        if weight is not None:
-            terms = _weighted(terms, *_to_decimal(weight))
-        dens = pochhammer_terms(PochhammerSum(_to_decimal(den0), factors=spec.inverses))
-        tol2, guard2 = _decimal(tol) ** 2, _decimal(guard) ** 2
-        decay2 = DECAY_RATIO ** 2
-        total = _to_decimal(0)
-        prev = None
-        run = 0
-        for n in count():
-            if next(dens).norm() < guard2:
-                raise _pole(guard, label)
-            term = next(terms)
-            total += term
-            mag2 = term.norm()
-            small = mag2 < tol2 * max(1, total.norm())
-            decaying = prev is None or mag2 <= decay2 * prev or mag2 == 0
-            run = run + 1 if (small and decaying) else 0
-            if run >= DECAY_RUN:
-                return total.mpc(), n + 1
-            prev = mag2
-            if n + 1 >= max_terms:
-                raise ConvergenceError(
-                    f"no convergence within {max_terms} terms "
-                    f"(last |term| = {mp.nstr(abs(term.mpc()), 5)})")
+    Everything is decimal, in the context that the check opened: the spec,
+    den0, the weight and the sum are _DecimalComplex, tol and guard are
+    Decimal, and the stopping rule and the pole guard compare squared
+    magnitudes."""
+    terms = pochhammer_terms(spec._replace(first=_div(spec.first, den0, guard, label)))
+    if weight is not None:
+        terms = _weighted(terms, *weight)
+    dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
+    tol2, guard2 = tol * tol, guard * guard
+    decay2 = DECAY_RATIO ** 2
+    total = _DecimalComplex(Decimal(0))
+    prev = None
+    run = 0
+    for n in count():
+        if next(dens).norm() < guard2:
+            raise _pole(guard, label)
+        term = next(terms)
+        total += term
+        mag2 = term.norm()
+        small = mag2 < tol2 * max(1, total.norm())
+        decaying = prev is None or mag2 <= decay2 * prev or mag2 == 0
+        run = run + 1 if (small and decaying) else 0
+        if run >= DECAY_RUN:
+            return total, n + 1
+        prev = mag2
+        if n + 1 >= max_terms:
+            raise ConvergenceError(
+                f"no convergence within {max_terms} terms "
+                f"(last |term| = {_nstr(mag2.sqrt(), 5)})")
 
 
 def _compare_sides(alias, params, sides, require=None):
     """Sum every side of the numeric identity `alias` at `params` and
     compare the first side with each other one.
 
-    The sides take the identity's parameters in the order of
-    NUMERIC_IDENTITIES, then the summation tolerance, the term budget and
-    the pole guard.  `require(vals)` may reject the point before any
-    summation.  A side that fails the decay guard makes the outcome
+    One decimal context (`_context`) holds the whole check: the parameters
+    are read into it once, exactly, and the sides, the sums and |LHS - RHS|
+    are computed in it.  The sides take the identity's parameters in the
+    order of NUMERIC_IDENTITIES, then the summation tolerance, the term
+    budget and the pole guard.  `require(vals)` may reject the point before
+    any summation.  A side that fails the decay guard makes the outcome
     `inconclusive`; a difference at or above the tolerance is a mismatch,
     with the point and the first two sides as witness."""
     ident, _sampler, _checker, names = NUMERIC_IDENTITIES[alias]
@@ -230,11 +238,11 @@ def _compare_sides(alias, params, sides, require=None):
     unknown = [name for name in params.values if name not in names]
     if unknown:
         raise ParameterError(f"{ident} takes only {list(names)}, not {unknown}")
-    with mp.workdps(params.dps):
-        vals = {k: mp.mpc(v) for k, v in params.values.items()}
+    with _context(params.dps):
+        vals = {k: _DecimalComplex.read(v) for k, v in params.values.items()}
         if require is not None:
             require(vals)
-        tol = params.tolerance()
+        tol = Decimal(params.tol)
         budget = (tol * SUMMATION_MARGIN, params.max_terms, _pole_guard(params.dps))
         try:
             sums = [side(*(vals[name] for name in names), *budget) for side in sides]
@@ -243,12 +251,12 @@ def _compare_sides(alias, params, sides, require=None):
             rep.detail["reason"] = str(exc)
             return rep.finish()
         (left, _), (right, _) = sums[:2]
-        diff = max(abs(left - value) for value, _ in sums[1:])
-        rep.detail.update({"abs_diff": mp.nstr(diff, 8), "terms": [n for _, n in sums],
+        diff2 = max((left - value).norm() for value, _ in sums[1:])
+        rep.detail.update({"abs_diff": _nstr(diff2.sqrt(), 8), "terms": [n for _, n in sums],
                            "tol": params.tol})
-        if diff >= tol:
-            rep.mismatch({k: mp.nstr(v, 20) for k, v in vals.items()},
-                         mp.nstr(left, 30), mp.nstr(right, 30))
+        if diff2 >= tol * tol:
+            rep.mismatch({k: _nstr(v, 20) for k, v in vals.items()},
+                         _nstr(left, 30), _nstr(right, 30))
         return rep.finish()
 
 
@@ -262,13 +270,13 @@ def _q_t_in_disk(vals):
 
 def rogers_fine_lhs(a, b, t, q, tol, max_terms, guard):
     # sum_n (aq; q)_n t^n / (bq; q)_n
-    spec = PochhammerSum(mp.mpc(1), (t,), ((a * q, q),), ((b * q, q),))
+    spec = PochhammerSum(_ONE, (t,), ((a * q, q),), ((b * q, q),))
     return _sum_with_guard(spec, tol, max_terms, guard, "(bq;q)_n")
 
 
 def rogers_fine_rhs(a, b, t, q, tol, max_terms, guard):
     # sum_n (aq, atq/b; q)_n (bt)^n q^{n^2} (1 - atq^{2n+1}) / ((bq; q)_n (t; q)_{n+1})
-    spec = PochhammerSum(mp.mpc(1), (b * t,),
+    spec = PochhammerSum(_ONE, (b * t,),
                          ((a * q, q), (_div(a * t * q, b, guard, "b"), q)),
                          ((b * q, q), (t * q, q)), powers=((q, q * q),))
     return _sum_with_guard(spec, tol, max_terms, guard, "(bq;q)_n (t;q)_{n+1}",
@@ -286,7 +294,7 @@ def rogers_fine_check(params: NumericEvalParams) -> VerificationReport:
 def generalized_rf_lhs(alpha, beta, gamma, t, q, tol, max_terms, guard):
     # sum_n (beta gamma/(alpha q t), alpha; q)_n t^n / (beta, gamma; q)_n
     base = _div(beta * gamma, alpha * q * t, guard, "alpha*q*t")
-    spec = PochhammerSum(mp.mpc(1), (t,), ((base, q), (alpha, q)), ((beta, q), (gamma, q)))
+    spec = PochhammerSum(_ONE, (t,), ((base, q), (alpha, q)), ((beta, q), (gamma, q)))
     return _sum_with_guard(spec, tol, max_terms, guard, "(beta;q)_n (gamma;q)_n")
 
 
@@ -296,7 +304,7 @@ def generalized_rf_rhs(alpha, beta, gamma, t, q, tol, max_terms, guard):
     ab = _div(alpha * q * t, beta, guard, "beta")
     ac = _div(alpha * q * t, gamma, guard, "gamma")
     ratio = _div(beta * gamma, alpha, guard, "alpha")
-    spec = PochhammerSum(mp.mpc(1), (-ratio,), ((ab, q), (ac, q), (alpha, q)),
+    spec = PochhammerSum(_ONE, (-ratio,), ((ab, q), (ac, q), (alpha, q)),
                          ((beta, q), (gamma, q), (t * q, q)), powers=((1 / q, q),))
     return _sum_with_guard(spec, tol, max_terms, guard,
                            "(beta;q)_n (gamma;q)_n (t;q)_{n+1}",
@@ -316,7 +324,7 @@ def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
     (1e-30 at tol 1e-25).  The right side divides by gamma, so a precision
     whose pole guard would refuse that gamma is refused up front, with the
     number of digits the tolerance needs."""
-    e = (Decimal(params.tol).adjusted() + Decimal(str(SUMMATION_MARGIN)).adjusted()
+    e = (Decimal(params.tol).adjusted() + SUMMATION_MARGIN.adjusted()
          - DEGENERATION_DECADES)
     if _pole_guard_exponent(params.dps) > e:
         need = next(d for d in count(params.dps) if _pole_guard_exponent(d) <= e)
@@ -324,9 +332,10 @@ def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
             f"grf-degeneration at tol {params.tol} sets gamma = 1e{e}, inside the pole "
             f"guard of {params.dps} digits; it needs at least {need} digits")
 
+    gamma = _DecimalComplex(Decimal(f"1e{e}"))
+
     def at_small_gamma(side):
-        return lambda a, b, t, q, *budget: side(a * q, b * q, mp.mpc(mp.mpf(10) ** e),
-                                                t, q, *budget)
+        return lambda a, b, t, q, *budget: side(a * q, b * q, gamma, t, q, *budget)
     rep = _compare_sides("grf-degeneration", params,
                          (rogers_fine_lhs, at_small_gamma(generalized_rf_lhs),
                           at_small_gamma(generalized_rf_rhs)))
@@ -347,7 +356,7 @@ def watson_limit_lhs(a, b, c, e, q, tol, max_terms, guard):
     ratio = _div(-a * a, b * c * e, guard, "b*c*e")
     inverses = tuple((_div(a * q, x, guard, label), q)
                      for x, label in ((b, "b"), (c, "c"), (e, "e")))
-    spec = PochhammerSum(mp.mpc(1), (ratio,), ((b, q), (c, q), (e, q)), inverses,
+    spec = PochhammerSum(_ONE, (ratio,), ((b, q), (c, q), (e, q)), inverses,
                          powers=((q, q),))
     return _sum_with_guard(spec, tol, max_terms, guard, "(aq/b,aq/c,aq/e;q)_n (1-a)",
                            den0=1 - a, weight=(a, q * q))
@@ -360,7 +369,7 @@ def watson_limit_rhs(a, b, c, e, q, tol, max_terms, guard):
     abc = _div(a * q, b * c, guard, "b*c")
     ab = _div(a * q, b, guard, "b")
     ac = _div(a * q, c, guard, "c")
-    spec = PochhammerSum(mp.mpc(1), (ae,), ((abc, q), (e, q)), ((ab, q), (ac, q)))
+    spec = PochhammerSum(_ONE, (ae,), ((abc, q), (e, q)), ((ab, q), (ac, q)))
     total, n = _sum_with_guard(spec, tol, max_terms, guard, "(aq/b;q)_n (aq/c;q)_n")
     return pref * total, n
 
@@ -372,14 +381,14 @@ def watson_limit_check(params: NumericEvalParams) -> VerificationReport:
 
 def _watson_limit_domain(vals):
     _require_unit_disk(q=vals["q"])
-    if abs(vals["a"]) >= abs(vals["e"]):
+    if vals["a"].norm() >= vals["e"].norm():
         raise ParameterError("watson-limit needs |a/e| < 1 for the right-hand sum")
 
 
 def _require_unit_disk(**named):
     for name, val in named.items():
-        if abs(val) >= 1:
-            raise ParameterError(f"|{name}| must be < 1 (got {mp.nstr(abs(val), 8)})")
+        if val.norm() >= 1:
+            raise ParameterError(f"|{name}| must be < 1 (got {_nstr(val.norm().sqrt(), 8)})")
 
 
 # ---------------------------------------------------------------------------

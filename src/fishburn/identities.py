@@ -350,8 +350,7 @@ def _terminating_suite_runner(family):
 
 
 def _hypergeom():
-    """The hypergeom module, imported (and with it mpmath) only when a
-    numeric check runs."""
+    """The hypergeom module, imported only when a numeric check runs."""
     return import_module(".hypergeom", __package__)
 
 

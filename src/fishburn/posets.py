@@ -28,7 +28,7 @@ Fishburn matrix.
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import accumulate
 
 from .errors import BoundExceededError, ParameterError
 
@@ -168,21 +168,24 @@ def ascent_sequences(n: int):
 
 
 def count_ascent_sequences(n: int) -> int:
-    """Number of ascent sequences of length n, by the recursion that
-    `ascent_sequences` follows, memoised on (position, last entry, ascents):
-    those fix the completions, so each distinct subtree is counted once."""
+    """Number of ascent sequences of length n, by a loop over positions.
+
+    After each position, counts[a][l] is the number of prefixes with a
+    ascents and last entry l (so l <= a).  The next entry v <= a + 1 keeps
+    a ascents when v <= l and makes a + 1 when v > l, so row a passes its
+    suffix sums to entries 0..a of row a and its prefix sums to entries
+    1..a + 1 of row a + 1."""
     if n < 0:
         raise ParameterError("length must be nonnegative")
     if n == 0:
         return 1
-
-    @cache
-    def rec(i, last, ascents):
-        if i == n:
-            return 1
-        return sum(rec(i + 1, v, ascents + (v > last))
-                   for v in range(ascents + 2))
-
-    total = rec(1, 0, 0)
-    rec.cache_clear()  # rec refers to itself: free the table now, not at gc
-    return total
+    counts = [[1]]
+    for _ in range(n - 1):
+        nxt = [[0] * (a + 1) for a in range(len(counts) + 1)]
+        for a, row in enumerate(counts):
+            for last, s in enumerate(reversed(list(accumulate(reversed(row))))):
+                nxt[a][last] += s
+            for v, s in enumerate(accumulate(row), 1):
+                nxt[a + 1][v] += s
+        counts = nxt
+    return sum(map(sum, counts))

@@ -8,9 +8,9 @@ are all built here on top of TruncatedSeries.
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
 package uses (series over ZZ, QQ and Q(zeta_k), Fractions, cyclotomic
-elements, mpmath numbers), and each mode applies its own stopping rule.  The
-formal families, the root-of-unity expansions and the terminating
-evaluations all run the same specs.
+elements, mpmath and decimal complex numbers), and each mode applies its
+own stopping rule.  The formal families, the root-of-unity expansions and
+the terminating evaluations all run the same specs.
 
 An exact series sum stops at the first term that truncates to zero.  This
 cutoff is exact: every term ratio is a power series of valuation >= 0, so
@@ -79,8 +79,9 @@ class PochhammerSum(NamedTuple):
     Basic Hypergeometric Series (2nd ed., 2004), ch. 1.  Powers give the
     quadratic exponents of a front: q^{n^2} is (q, q^2), q^{n(n+1)/2} is
     (q, q) and q^{binom(n,2) - n} is (1/q, q).  The entries are truncated
-    series, Fractions, cyclotomic elements or mpmath numbers, all of one
-    arithmetic, except that a mono may be a scalar next to series entries.
+    series, Fractions, cyclotomic elements, mpmath or decimal complex
+    numbers, all of one arithmetic, except that a mono may be a scalar next
+    to series entries.
     """
 
     first: object

@@ -34,6 +34,14 @@ UV_NAMES = ("u", "v")
 PFORMAL_NAMES = ("p", "v")
 
 
+def _require_conductor(k):
+    """Refuse a conductor outside 1..CONDUCTOR_CAP before its field is built."""
+    if k < 1:
+        raise ParameterError("conductor must be >= 1")
+    if k > CONDUCTOR_CAP:
+        raise ParameterError(f"conductor capped at {CONDUCTOR_CAP}")
+
+
 @dataclass
 class RootContext:
     """Expansion point p0 = zeta_k^a, q0 = zeta_k^b and an expansion order.
@@ -48,10 +56,7 @@ class RootContext:
     order: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError("conductor must be >= 1")
-        if self.k > CONDUCTOR_CAP:
-            raise ParameterError(f"conductor capped at {CONDUCTOR_CAP}")
+        _require_conductor(self.k)
         if self.order < 0:
             raise ParameterError("expansion order must be nonnegative")
         self.field = get_field(self.k)
@@ -157,14 +162,17 @@ EMBED_DPS = 60
 
 def root_terminating_check(family: str, p: CyclotomicElement,
                            q: CyclotomicElement) -> VerificationReport:
-    """Exact equality of the terminating sums over Q(zeta), plus a 60-digit
-    complex re-check of every value through the embedding."""
+    """Exact equality of the terminating sums over Q(zeta_k), plus a 60-digit
+    complex re-check of every value through the embedding.  Elements of a
+    field beyond CONDUCTOR_CAP are refused, as RootContext refuses them."""
     import mpmath as mp
 
     rep = VerificationReport(family, "terminating-exact")
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {family!r}; known: {', '.join(ROOT_CHECK_FAMILIES)}")
+    for x in (p, q):
+        _require_conductor(x.field.k)
     values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
     # complex embedding cross-check, summing as many terms as the exact sums
     with mp.workdps(EMBED_DPS):

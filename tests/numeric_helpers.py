@@ -1,39 +1,64 @@
 """The mpmath summation of a numeric side that hypergeom's decimal sums
 replaced, kept as the reference they are tested against."""
 
+from decimal import Decimal, getcontext
 from itertools import count
 
 import mpmath as mp
 
 from fishburn.errors import ConvergenceError
-from fishburn.hypergeom import DECAY_RUN, _div, _refuse_pole, _weighted
+from fishburn.hypergeom import (_ONE, DECAY_RUN, SUM_GUARD_DIGITS, _DecimalComplex,
+                                _pole, _weighted)
 from fishburn.qseries import PochhammerSum, pochhammer_terms
 
 DECAY_RATIO = mp.mpf("0.9")
 
 
-def reference_sum_with_guard(spec, tol, max_terms, guard, label, den0=1, weight=None):
+def _to_mp(entry):
+    """A _DecimalComplex, or a tuple of them such as a spec, as mpmath numbers."""
+    if isinstance(entry, tuple):
+        return tuple(map(_to_mp, entry))
+    return mp.mpc(str(entry.re), str(entry.im))
+
+
+def _to_decimal(z):
+    digits = mp.mp.dps + SUM_GUARD_DIGITS
+    return _DecimalComplex(Decimal(mp.nstr(z.real, digits)), Decimal(mp.nstr(z.imag, digits)))
+
+
+def reference_sum_with_guard(spec, tol, max_terms, guard, label, den0=_ONE, weight=None):
     """hypergeom._sum_with_guard with every term, partial sum and magnitude
-    an mpmath number at the working precision."""
-    terms = pochhammer_terms(spec._replace(first=_div(spec.first, den0, guard, label)))
-    if weight is not None:
-        terms = _weighted(terms, *weight)
-    dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
-    total = mp.mpc(0)
-    prev_mag = None
-    run = 0
-    for n in count():
-        _refuse_pole(next(dens), guard, label)
-        term = next(terms)
-        total += term
-        mag = abs(term)
-        small = mag < tol * max(1, abs(total))
-        decaying = prev_mag is None or mag <= DECAY_RATIO * prev_mag or mag == 0
-        run = run + 1 if (small and decaying) else 0
-        if run >= DECAY_RUN:
-            return total, n + 1
-        prev_mag = mag
-        if n + 1 >= max_terms:
-            raise ConvergenceError(
-                f"no convergence within {max_terms} terms "
-                f"(last |term| = {mp.nstr(mag, 5)})")
+    an mpmath number at the working precision, the digits of the current
+    decimal context less SUM_GUARD_DIGITS.  It takes and returns the decimal
+    numbers that hypergeom's sides pass."""
+    with mp.workdps(getcontext().prec - SUM_GUARD_DIGITS):
+        spec, den0 = PochhammerSum(*_to_mp(spec)), _to_mp(den0)
+        tol, guard_mp = mp.mpf(str(tol)), mp.mpf(str(guard))
+
+        def refuse_pole(den):
+            if abs(den) < guard_mp:
+                raise _pole(guard, label)
+
+        refuse_pole(den0)
+        terms = pochhammer_terms(spec._replace(first=spec.first / den0))
+        if weight is not None:
+            terms = _weighted(terms, *_to_mp(weight))
+        dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
+        total = mp.mpc(0)
+        prev_mag = None
+        run = 0
+        for n in count():
+            refuse_pole(next(dens))
+            term = next(terms)
+            total += term
+            mag = abs(term)
+            small = mag < tol * max(1, abs(total))
+            decaying = prev_mag is None or mag <= DECAY_RATIO * prev_mag or mag == 0
+            run = run + 1 if (small and decaying) else 0
+            if run >= DECAY_RUN:
+                return _to_decimal(total), n + 1
+            prev_mag = mag
+            if n + 1 >= max_terms:
+                raise ConvergenceError(
+                    f"no convergence within {max_terms} terms "
+                    f"(last |term| = {mp.nstr(mag, 5)})")

@@ -16,6 +16,7 @@ import pytest
 import fishburn
 from fishburn import names
 from fishburn.cli import main
+from fishburn.cyclotomic import CONDUCTOR_CAP
 from fishburn.qseries import fishburn_numbers, row_fishburn_numbers
 
 
@@ -400,6 +401,16 @@ def test_roots_check(capsys):
     assert json.loads(out)["outcome"] == "verified"
 
 
+@pytest.mark.parametrize("k", ["13", "300"])
+def test_roots_check_refuses_a_conductor_beyond_the_cap(capsys, k):
+    # at k = 300 the exact values agree but the embedding check read 5.9e-38
+    # against its 1e-40 bound: no field beyond the cap is built
+    code, out, err = run(capsys, "roots", "check", "--k", k, "--family", "comp2-three-way",
+                         "--p-exp", "2", "--q-exp", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: conductor capped at {CONDUCTOR_CAP}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["roots", "check", "--k", "4", "--expr", "comp1-left"],
     ["roots", "check", "--k", "4", "--order", "99", "--a", "3"],
@@ -481,6 +492,12 @@ def computing_modules_after(code):
                                   "import fishburn.cli; fishburn.cli.build_parser()"])
 def test_import_loads_no_computing_module(code):
     assert computing_modules_after(code) == []
+
+
+def test_numeric_module_loads_no_mpmath():
+    # the numeric checks compute in decimal: mpmath loads only to print
+    assert computing_modules_after("import fishburn.hypergeom") == [
+        "fishburn.hypergeom", "fishburn.identities"]
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -1,6 +1,7 @@
 """Numeric Rogers-Fine circle checks and the exact Watson transformation."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -60,7 +61,7 @@ def test_grf_degeneration_mismatch_witness(monkeypatch):
 
     def shifted(*args):
         value, n = lhs(*args)
-        return value + mp.mpf("1e-20"), n
+        return value + hypergeom._DecimalComplex(Decimal("1e-20")), n
     monkeypatch.setattr(hypergeom, "rogers_fine_lhs", shifted)
     rep = grf_degeneration_check(NumericEvalParams(
         values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
@@ -174,13 +175,28 @@ def _run_with(monkeypatch, summer, checker, params):
 def test_decay_guard_bounds_the_magnitude_ratio(summer):
     # squared magnitudes must decay by DECAY_RATIO^2: a geometric sum of
     # ratio 0.88 converges, one of ratio 0.92i never counts as decaying
-    with mp.workdps(60):
-        budget = (mp.mpf("1e-6"), 400, hypergeom._pole_guard(60), "none")
-        total, used = summer(PochhammerSum(mp.mpc(1), (mp.mpc("0.88"),)), *budget)
-        assert abs(total - 1 / mp.mpf("0.12")) < mp.mpf("1e-4")
+    with hypergeom._context(60):
+        budget = (Decimal("1e-6"), 400, hypergeom._pole_guard(60), "none")
+        ratio = hypergeom._DecimalComplex(Decimal("0.88"))
+        total, used = summer(PochhammerSum(hypergeom._ONE, (ratio,)), *budget)
+        assert (total - hypergeom._DecimalComplex(1 / Decimal("0.12"))).norm() < Decimal("1e-8")
         assert used == 97
         with pytest.raises(ConvergenceError, match="within 400 terms"):
-            summer(PochhammerSum(mp.mpc(1), (mp.mpc(0, "0.92"),)), *budget)
+            ratio = hypergeom._DecimalComplex(Decimal(0), Decimal("0.92"))
+            summer(PochhammerSum(hypergeom._ONE, (ratio,)), *budget)
+
+
+def test_pole_guard_bounds_the_modulus_not_its_square():
+    # the 60-digit guard is 1e-40, compared with squared moduli: a first
+    # denominator of modulus 1e-30 is summed, one of modulus 1e-41 is a pole
+    dc = hypergeom._DecimalComplex
+    with hypergeom._context(60):
+        budget = (Decimal("1e-6"), 400, hypergeom._pole_guard(60), "d")
+        spec = PochhammerSum(hypergeom._ONE, (dc(Decimal("0.5")),))
+        total, _ = hypergeom._sum_with_guard(spec, *budget, den0=dc(Decimal("1e-30")))
+        assert (total - dc(Decimal("2e30"))).norm() < Decimal("1e48")
+        with pytest.raises(PoleError, match=r"^denominator d is within 1\.0e-40 of zero$"):
+            hypergeom._sum_with_guard(spec, *budget, den0=dc(Decimal(0), Decimal("1e-41")))
 
 
 @pytest.mark.parametrize("dps, tol", ((40, "1e-20"), (60, "1e-25"), (100, "1e-40")))
@@ -199,9 +215,10 @@ def test_decimal_sums_match_the_mpmath_reference(monkeypatch, alias, dps, tol):
         assert fast.detail.get("terms") == ref.detail.get("terms")
         assert fast.detail.get("abs_diff") == ref.detail.get("abs_diff")
         assert [n for _, n in fast_sums] == [n for _, n in ref_sums]
-        with mp.workdps(dps):
+        with hypergeom._context(dps):
             for (value, _), (want, _) in zip(fast_sums, ref_sums):
-                assert abs(value - want) <= mp.mpf(10) ** (10 - dps) * max(1, abs(want))
+                bound2 = Decimal(f"1e{2 * (10 - dps)}") * max(1, want.norm())
+                assert (value - want).norm() <= bound2
 
 
 # -- exact Watson -------------------------------------------------------------

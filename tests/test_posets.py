@@ -1,11 +1,16 @@
 """Interval orders, their characteristic key, ascent sequences."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from count_helpers import self_dual_count_by_full_size
 from fishburn.enumeration import refined_counts
+from fishburn import posets
 from fishburn.errors import BoundExceededError, ParameterError
 from fishburn.posets import (Poset, _characteristic_key, _extensions,
                              ascent_sequences, count_ascent_sequences,
@@ -235,6 +240,19 @@ def test_ascent_sequence_counts(n):
         assert sum(1 for _ in ascent_sequences(n)) == expected
 
 
-def test_ascent_sequence_counts_match_the_series_to_thirty():
-    # the memoised recursion against the q-series Fishburn numbers
-    assert [count_ascent_sequences(n) for n in range(31)] == fishburn_numbers(30)
+def test_ascent_sequence_counts_match_the_series_to_sixty():
+    # the loop over (ascents, last entry) against the q-series Fishburn numbers
+    assert [count_ascent_sequences(n) for n in range(61)] == fishburn_numbers(60)
+
+
+def test_ascent_sequence_count_needs_no_recursion():
+    # at a recursion limit of 120 a recursion over positions fails long
+    # before n = 150
+    script = ("import sys\nfrom fishburn.posets import count_ascent_sequences\n"
+              "sys.setrecursionlimit(120)\nprint(count_ascent_sequences(150))")
+    src = str(Path(posets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) == fishburn_numbers(150)[150]

@@ -235,6 +235,16 @@ def test_root_terminating_refusal():
         root_terminating_check("comp2-three-way", F.zeta(1), F.zeta(2))
 
 
+def test_root_terminating_check_refuses_a_field_beyond_the_cap():
+    # the 60-digit embedding check and its 1e-40 bound are set for the
+    # conductors up to the cap, so larger fields are refused as in RootContext
+    F = get_field(CONDUCTOR_CAP + 1)
+    with pytest.raises(ParameterError, match=f"^conductor capped at {CONDUCTOR_CAP}$"):
+        root_terminating_check("comp2-three-way", F.zeta(2), F.zeta(1))
+    with pytest.raises(ParameterError, match="capped"):
+        root_terminating_check("comp2-three-way", get_field(4).zeta(2), F.zeta(1))
+
+
 def _eval_uv_polynomial(series, u_val, v_val, dps):
     with mp.workdps(dps):
         total = mp.mpc(0)
