@@ -1,7 +1,11 @@
 """Rogers-Fine machinery: numeric checks and the exact Watson identity.
 
 Every sum here is one qseries.PochhammerSum, its first term and term ratio,
-summed by the package's one term generator.  The analytic identities
+summed by the package's one term loop.  A side of a numeric identity is a
+function of the identity's parameters alone that returns its description, a
+`Side`: the spec, its first denominator, weight and prefactor, and the label
+of its denominator.  `_compare_sides` is the one place that knows the
+summation budget, and the one caller of the summer.  The analytic identities
 (|q| < 1, |t| < 1) are validated numerically at high precision: both sides
 are summed independently until the current term is small relative to the
 partial sum AND geometric decay has held for five consecutive terms.
@@ -10,9 +14,12 @@ outcome, distinct from a mismatch, so slow divergence is never mistaken for
 agreement.  Near-zero denominators raise PoleError instead of silently
 amplifying noise: before each term the accumulated denominator of the term
 is tested, since a guard on each factor alone would refuse other inputs.
-The very-well-poised factor (1 - x r^n) is a weight on each term, not part
-of the term ratio, where it would divide and turn a vanishing factor into a
-pole the sum does not have.
+That denominator is the first one times every divisor 1 - b s^n that the
+terms so far were divided by, read off the same stream of ratio factors
+that the terms are, so each factor is stepped once.  The very-well-poised
+factor (1 - x r^n) is a weight on each term, not part of the term ratio,
+where it would divide and turn a vanishing factor into a pole the sum does
+not have.
 
 A numeric check computes in one arithmetic: complex numbers with
 `decimal.Decimal` parts (the C library libmpdec), in one decimal context of
@@ -35,12 +42,13 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localconte
 from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from .cyclotomic import fraction_str
 from .errors import ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _record_until_failure
-from .qseries import (PochhammerSum, _vanishing_index, partial_sum,
-                      pochhammer_terms)
+from .qseries import (PochhammerSum, _ratio_factors, _terms, _vanishing_index,
+                      partial_sum, pochhammer_terms)
 
 DECAY_RATIO = Decimal("0.9")
 DECAY_RUN = 5
@@ -98,21 +106,18 @@ def _pole_guard_exponent(dps):
     return -(2 * dps) // 3
 
 
-def _pole_guard(dps):
-    return Decimal(f"1e{_pole_guard_exponent(dps)}")
+def _pole_guard():
+    """The pole guard of the open check, read off its decimal context."""
+    return Decimal(f"1e{_pole_guard_exponent(getcontext().prec - SUM_GUARD_DIGITS)}")
 
 
-def _pole(guard, label):
-    return PoleError(f"denominator {label} is within {_nstr(guard, 8)} of zero")
+def _pole(label):
+    return PoleError(f"denominator {label} is within {_nstr(_pole_guard(), 8)} of zero")
 
 
-def _refuse_pole(den, guard, label):
-    if den.norm() < guard * guard:
-        raise _pole(guard, label)
-
-
-def _div(num, den, guard, label):
-    _refuse_pole(den, guard, label)
+def _div(num, den, label):
+    if den.norm() < _pole_guard() ** 2:
+        raise _pole(label)
     return num / den
 
 
@@ -126,7 +131,7 @@ def _weighted(terms, x, r):
 
 class _DecimalComplex:
     """re + i im with Decimal parts, computed in the current decimal context:
-    the arithmetic of the side builders, pochhammer_terms and _weighted."""
+    the arithmetic of the side builders, the term loop and _weighted."""
 
     __slots__ = ("re", "im")
 
@@ -176,41 +181,64 @@ class _DecimalComplex:
 _ONE = _DecimalComplex(Decimal(1))
 
 
-def _sum_with_guard(spec, tol, max_terms, guard, label, den0=_ONE, weight=None):
-    """Sum the terms of `spec` divided by `den0`, each times the weight
-    (1 - x r^n) when `weight` is (x, r), until five consecutive terms are
-    both small and geometrically decaying.  Returns (sum, terms used).
+class Side(NamedTuple):
+    """One side of a numeric identity: `prefactor` times the sum over n of
+    t_n / den0, each times the weight (1 - x r^n) when `weight` is (x, r),
+    where t_0, t_1, ... are the terms of `spec`.  `label` names the
+    denominator in a PoleError."""
 
-    Before term n is computed, its accumulated denominator den0 * prod_{k<n}
-    prod_j (1 - b_j s_j^k) over the inverses (b_j, s_j) of `spec` must be at
-    least `guard` away from zero, else PoleError names `label`.  These
-    denominators are the terms of the spec with first term den0 and the
-    inverses of `spec` as factors.
+    spec: PochhammerSum
+    label: str
+    den0: _DecimalComplex = _ONE
+    weight: tuple | None = None
+    prefactor: _DecimalComplex = _ONE
 
-    Everything is decimal, in the context that the check opened: the spec,
-    den0, the weight and the sum are _DecimalComplex, tol and guard are
-    Decimal, and the stopping rule and the pole guard compare squared
-    magnitudes."""
-    terms = pochhammer_terms(spec._replace(first=_div(spec.first, den0, guard, label)))
-    if weight is not None:
-        terms = _weighted(terms, *weight)
-    dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
-    tol2, guard2 = tol * tol, guard * guard
+
+def _guarded(ratio_factors, den, label):
+    """Pass on the items of the `_ratio_factors` stream `ratio_factors`.
+    Before each, multiply `den` by its divisors, which makes `den` the
+    denominator of the term that the item makes, and raise PoleError naming
+    `label` when that is within the pole guard of zero."""
+    guard2 = _pole_guard() ** 2
+    for multipliers, divisors in ratio_factors:
+        for d in divisors:
+            den = den * d
+        if den.norm() < guard2:
+            raise _pole(label)
+        yield multipliers, divisors
+
+
+def _sum_with_guard(side, tol, max_terms):
+    """The value of the Side `side`, summed until five consecutive terms are
+    both small and geometrically decaying.  Returns (value, terms used).
+
+    Before term n is computed, its denominator den0 * prod_{k<n} prod_j
+    (1 - b_j s_j^k), the product of the divisors that the terms are divided
+    by over the inverses (b_j, s_j) of the spec, must be at least the pole
+    guard away from zero, else PoleError names the side's label.  One stream
+    of ratio factors feeds both the terms and these denominators.
+
+    Everything is decimal, in the context that the check opened: the side
+    and the sum are _DecimalComplex, tol is Decimal, and the stopping rule
+    and the pole guard compare squared magnitudes."""
+    spec, den0, label = side.spec, side.den0, side.label
+    terms = _terms(_div(spec.first, den0, label),
+                   _guarded(_ratio_factors(spec), den0, label))
+    if side.weight is not None:
+        terms = _weighted(terms, *side.weight)
+    tol2 = tol * tol
     decay2 = DECAY_RATIO ** 2
     total = _DecimalComplex(Decimal(0))
     prev = None
     run = 0
-    for n in count():
-        if next(dens).norm() < guard2:
-            raise _pole(guard, label)
-        term = next(terms)
+    for n, term in enumerate(terms):
         total += term
         mag2 = term.norm()
         small = mag2 < tol2 * max(1, total.norm())
         decaying = prev is None or mag2 <= decay2 * prev or mag2 == 0
         run = run + 1 if (small and decaying) else 0
         if run >= DECAY_RUN:
-            return total, n + 1
+            return side.prefactor * total, n + 1
         prev = mag2
         if n + 1 >= max_terms:
             raise ConvergenceError(
@@ -224,9 +252,10 @@ def _compare_sides(alias, params, sides, require=None):
 
     One decimal context (`_context`) holds the whole check: the parameters
     are read into it once, exactly, and the sides, the sums and |LHS - RHS|
-    are computed in it.  The sides take the identity's parameters in the
-    order of NUMERIC_IDENTITIES, then the summation tolerance, the term
-    budget and the pole guard.  `require(vals)` may reject the point before
+    are computed in it.  Each side takes the identity's parameters in the
+    order of NUMERIC_IDENTITIES and returns its Side, which is summed to the
+    summation tolerance within the term budget before the next side is
+    built.  `require(vals)` may reject the point before
     any summation.  A side that fails the decay guard makes the outcome
     `inconclusive`; a difference at or above the tolerance is a mismatch,
     with the point and the first two sides as witness."""
@@ -243,9 +272,10 @@ def _compare_sides(alias, params, sides, require=None):
         if require is not None:
             require(vals)
         tol = Decimal(params.tol)
-        budget = (tol * SUMMATION_MARGIN, params.max_terms, _pole_guard(params.dps))
+        args = [vals[name] for name in names]
         try:
-            sums = [side(*(vals[name] for name in names), *budget) for side in sides]
+            sums = [_sum_with_guard(side(*args), tol * SUMMATION_MARGIN, params.max_terms)
+                    for side in sides]
         except ConvergenceError as exc:
             rep.outcome = "inconclusive"
             rep.detail["reason"] = str(exc)
@@ -268,19 +298,17 @@ def _q_t_in_disk(vals):
 # the two Rogers-Fine sides
 
 
-def rogers_fine_lhs(a, b, t, q, tol, max_terms, guard):
+def rogers_fine_lhs(a, b, t, q):
     # sum_n (aq; q)_n t^n / (bq; q)_n
-    spec = PochhammerSum(_ONE, (t,), ((a * q, q),), ((b * q, q),))
-    return _sum_with_guard(spec, tol, max_terms, guard, "(bq;q)_n")
+    return Side(PochhammerSum(_ONE, (t,), ((a * q, q),), ((b * q, q),)), "(bq;q)_n")
 
 
-def rogers_fine_rhs(a, b, t, q, tol, max_terms, guard):
+def rogers_fine_rhs(a, b, t, q):
     # sum_n (aq, atq/b; q)_n (bt)^n q^{n^2} (1 - atq^{2n+1}) / ((bq; q)_n (t; q)_{n+1})
     spec = PochhammerSum(_ONE, (b * t,),
-                         ((a * q, q), (_div(a * t * q, b, guard, "b"), q)),
+                         ((a * q, q), (_div(a * t * q, b, "b"), q)),
                          ((b * q, q), (t * q, q)), powers=((q, q * q),))
-    return _sum_with_guard(spec, tol, max_terms, guard, "(bq;q)_n (t;q)_{n+1}",
-                           den0=1 - t, weight=(a * t * q, q * q))
+    return Side(spec, "(bq;q)_n (t;q)_{n+1}", den0=1 - t, weight=(a * t * q, q * q))
 
 
 def rogers_fine_check(params: NumericEvalParams) -> VerificationReport:
@@ -291,24 +319,23 @@ def rogers_fine_check(params: NumericEvalParams) -> VerificationReport:
 # generalized Rogers-Fine
 
 
-def generalized_rf_lhs(alpha, beta, gamma, t, q, tol, max_terms, guard):
+def generalized_rf_lhs(alpha, beta, gamma, t, q):
     # sum_n (beta gamma/(alpha q t), alpha; q)_n t^n / (beta, gamma; q)_n
-    base = _div(beta * gamma, alpha * q * t, guard, "alpha*q*t")
+    base = _div(beta * gamma, alpha * q * t, "alpha*q*t")
     spec = PochhammerSum(_ONE, (t,), ((base, q), (alpha, q)), ((beta, q), (gamma, q)))
-    return _sum_with_guard(spec, tol, max_terms, guard, "(beta;q)_n (gamma;q)_n")
+    return Side(spec, "(beta;q)_n (gamma;q)_n")
 
 
-def generalized_rf_rhs(alpha, beta, gamma, t, q, tol, max_terms, guard):
+def generalized_rf_rhs(alpha, beta, gamma, t, q):
     # sum_n (alpha q t/beta, alpha q t/gamma, alpha; q)_n (1 - alpha t q^{2n})
     #   (-1)^n q^{binom(n,2)-n} (beta gamma/alpha)^n / ((beta, gamma; q)_n (t; q)_{n+1})
-    ab = _div(alpha * q * t, beta, guard, "beta")
-    ac = _div(alpha * q * t, gamma, guard, "gamma")
-    ratio = _div(beta * gamma, alpha, guard, "alpha")
+    ab = _div(alpha * q * t, beta, "beta")
+    ac = _div(alpha * q * t, gamma, "gamma")
+    ratio = _div(beta * gamma, alpha, "alpha")
     spec = PochhammerSum(_ONE, (-ratio,), ((ab, q), (ac, q), (alpha, q)),
                          ((beta, q), (gamma, q), (t * q, q)), powers=((1 / q, q),))
-    return _sum_with_guard(spec, tol, max_terms, guard,
-                           "(beta;q)_n (gamma;q)_n (t;q)_{n+1}",
-                           den0=1 - t, weight=(alpha * t, q * q))
+    return Side(spec, "(beta;q)_n (gamma;q)_n (t;q)_{n+1}",
+                den0=1 - t, weight=(alpha * t, q * q))
 
 
 def generalized_rf_check(params: NumericEvalParams) -> VerificationReport:
@@ -335,7 +362,7 @@ def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
     gamma = _DecimalComplex(Decimal(f"1e{e}"))
 
     def at_small_gamma(side):
-        return lambda a, b, t, q, *budget: side(a * q, b * q, gamma, t, q, *budget)
+        return lambda a, b, t, q: side(a * q, b * q, gamma, t, q)
     rep = _compare_sides("grf-degeneration", params,
                          (rogers_fine_lhs, at_small_gamma(generalized_rf_lhs),
                           at_small_gamma(generalized_rf_rhs)))
@@ -347,31 +374,29 @@ def grf_degeneration_check(params: NumericEvalParams) -> VerificationReport:
 # Watson limit (numeric) and Watson terminating (exact)
 
 
-def watson_limit_lhs(a, b, c, e, q, tol, max_terms, guard):
+def watson_limit_lhs(a, b, c, e, q):
     # sum_n (b, c, e; q)_n q^{n(n+1)/2} (-a^2/(bce))^n (1 - a q^{2n})
     #   / ((aq/b, aq/c, aq/e; q)_n (1 - a))
     # exponent n(n+1)/2: the d=q, N->infinity limit of the terminating
     # transformation, consistent with the generalized Rogers-Fine
     # substitution a = alpha*t, b = alpha*q*t/beta, c = alpha*q*t/gamma
-    ratio = _div(-a * a, b * c * e, guard, "b*c*e")
-    inverses = tuple((_div(a * q, x, guard, label), q)
+    ratio = _div(-a * a, b * c * e, "b*c*e")
+    inverses = tuple((_div(a * q, x, label), q)
                      for x, label in ((b, "b"), (c, "c"), (e, "e")))
     spec = PochhammerSum(_ONE, (ratio,), ((b, q), (c, q), (e, q)), inverses,
                          powers=((q, q),))
-    return _sum_with_guard(spec, tol, max_terms, guard, "(aq/b,aq/c,aq/e;q)_n (1-a)",
-                           den0=1 - a, weight=(a, q * q))
+    return Side(spec, "(aq/b,aq/c,aq/e;q)_n (1-a)", den0=1 - a, weight=(a, q * q))
 
 
-def watson_limit_rhs(a, b, c, e, q, tol, max_terms, guard):
+def watson_limit_rhs(a, b, c, e, q):
     # (1 - a/e)/(1 - a) sum_n (aq/bc, e; q)_n (a/e)^n / (aq/b, aq/c; q)_n
-    ae = _div(a, e, guard, "e")
-    pref = _div(1 - ae, 1 - a, guard, "1-a")
-    abc = _div(a * q, b * c, guard, "b*c")
-    ab = _div(a * q, b, guard, "b")
-    ac = _div(a * q, c, guard, "c")
+    ae = _div(a, e, "e")
+    pref = _div(1 - ae, 1 - a, "1-a")
+    abc = _div(a * q, b * c, "b*c")
+    ab = _div(a * q, b, "b")
+    ac = _div(a * q, c, "c")
     spec = PochhammerSum(_ONE, (ae,), ((abc, q), (e, q)), ((ab, q), (ac, q)))
-    total, n = _sum_with_guard(spec, tol, max_terms, guard, "(aq/b;q)_n (aq/c;q)_n")
-    return pref * total, n
+    return Side(spec, "(aq/b;q)_n (aq/c;q)_n", prefactor=pref)
 
 
 def watson_limit_check(params: NumericEvalParams) -> VerificationReport:
@@ -508,16 +533,14 @@ def _random_disk(rng, radius, min_mag=0.02, avoid_one=False):
         return complex(re, im)
 
 
-def sampled_runner(alias):
-    """The registry runner of the numeric identity `alias`: its checker at
+def sampled_report(alias):
+    """The registry report of the numeric identity `alias`: its checker at
     three points drawn with one fixed seed."""
-    def run(order=None, **_):
-        ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
-        rep = VerificationReport(ident, "numeric")
-        rng = random.Random(20260809)
-        draws = (checker(sampler(rng)) for _ in range(3))
-        return _record_until_failure(rep, "draws", draws).finish()
-    return run
+    ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
+    rep = VerificationReport(ident, "numeric")
+    rng = random.Random(20260809)
+    draws = (checker(sampler(rng)) for _ in range(3))
+    return _record_until_failure(rep, "draws", draws).finish()
 
 
 def registry_watson_exact_runner(order=None, **_):

@@ -379,7 +379,7 @@ def _build_registry():
     reg["comp1-terminating"] = _terminating_suite_runner("comp1")
     reg["comp2-terminating"] = _terminating_suite_runner("comp2")
     for alias, ident in NUMERIC_REGISTRY_IDS.items():
-        reg[ident] = lambda order=None, alias=alias, **_: _hypergeom().sampled_runner(alias)()
+        reg[ident] = lambda order=None, alias=alias, **_: _hypergeom().sampled_report(alias)
     reg["watson-exact"] = lambda order=None, **_: _hypergeom().registry_watson_exact_runner()
     return reg
 

@@ -59,16 +59,21 @@ def cross_check(tag: str, records, max_n=None) -> dict:
 
     Returns {"tag", "checked", "matches", "rows": [(n, ours, theirs, ok)]}.
     Negative or out-of-range indices are skipped (b-files may carry offsets
-    the library does not materialize).
+    the library does not materialize).  A negative `max_n`, or records that
+    leave no index to compare, raise ParameterError: a check of nothing
+    neither matches nor mismatches.
     """
     if tag not in SEQUENCES:
         raise ParameterError(
             f"unsupported sequence {tag!r}; supported: {', '.join(sorted(SEQUENCES))}")
+    if max_n is not None and max_n < 0:
+        raise ParameterError(f"max_n (--max-n) must be nonnegative, got {max_n}")
     usable = [r for r in records if r.index >= 0]
     if max_n is not None:
         usable = [r for r in usable if r.index <= max_n]
     if not usable:
-        return {"tag": tag, "checked": 0, "matches": 0, "rows": []}
+        upto = "" if max_n is None else f" up to {max_n}"
+        raise ParameterError(f"the records of {tag} have no index from 0{upto} to compare")
     top = max(r.index for r in usable)
     ours = SEQUENCES[tag][1](top)
     rows = []

@@ -114,9 +114,15 @@ def _ratio_factors(spec: PochhammerSum):
 def pochhammer_terms(spec: PochhammerSum):
     """Yield t_0, t_1, ... of `spec` without end: the caller's stopping rule
     decides how many terms are summed."""
-    term = spec.first
+    yield from _terms(spec.first, _ratio_factors(spec))
+
+
+def _terms(term, ratio_factors):
+    """Yield `term`, then each next term: the one before it times the
+    multipliers, then divided by the divisors, of the next item of
+    `ratio_factors`, a `_ratio_factors` stream."""
     yield term
-    for multipliers, divisors in _ratio_factors(spec):
+    for multipliers, divisors in ratio_factors:
         for m in multipliers:
             term = term * m
         if not isinstance(term, TruncatedSeries):

@@ -7,8 +7,8 @@ from itertools import count
 import mpmath as mp
 
 from fishburn.errors import ConvergenceError
-from fishburn.hypergeom import (_ONE, DECAY_RUN, SUM_GUARD_DIGITS, _DecimalComplex,
-                                _pole, _weighted)
+from fishburn.hypergeom import (DECAY_RUN, SUM_GUARD_DIGITS, _DecimalComplex, _pole,
+                                _pole_guard, _weighted)
 from fishburn.qseries import PochhammerSum, pochhammer_terms
 
 DECAY_RATIO = mp.mpf("0.9")
@@ -26,23 +26,24 @@ def _to_decimal(z):
     return _DecimalComplex(Decimal(mp.nstr(z.real, digits)), Decimal(mp.nstr(z.imag, digits)))
 
 
-def reference_sum_with_guard(spec, tol, max_terms, guard, label, den0=_ONE, weight=None):
+def reference_sum_with_guard(side, tol, max_terms):
     """hypergeom._sum_with_guard with every term, partial sum and magnitude
     an mpmath number at the working precision, the digits of the current
-    decimal context less SUM_GUARD_DIGITS.  It takes and returns the decimal
-    numbers that hypergeom's sides pass."""
+    decimal context less SUM_GUARD_DIGITS.  It takes the decimal Side that
+    hypergeom's sides return and returns a decimal value.  Its denominators
+    are a second term stream, with the spec's inverses as factors."""
     with mp.workdps(getcontext().prec - SUM_GUARD_DIGITS):
-        spec, den0 = PochhammerSum(*_to_mp(spec)), _to_mp(den0)
-        tol, guard_mp = mp.mpf(str(tol)), mp.mpf(str(guard))
+        spec, den0 = PochhammerSum(*_to_mp(side.spec)), _to_mp(side.den0)
+        tol, guard = mp.mpf(str(tol)), mp.mpf(str(_pole_guard()))
 
         def refuse_pole(den):
-            if abs(den) < guard_mp:
-                raise _pole(guard, label)
+            if abs(den) < guard:
+                raise _pole(side.label)
 
         refuse_pole(den0)
         terms = pochhammer_terms(spec._replace(first=spec.first / den0))
-        if weight is not None:
-            terms = _weighted(terms, *_to_mp(weight))
+        if side.weight is not None:
+            terms = _weighted(terms, *_to_mp(side.weight))
         dens = pochhammer_terms(PochhammerSum(den0, factors=spec.inverses))
         total = mp.mpc(0)
         prev_mag = None
@@ -56,7 +57,7 @@ def reference_sum_with_guard(spec, tol, max_terms, guard, label, den0=_ONE, weig
             decaying = prev_mag is None or mag <= DECAY_RATIO * prev_mag or mag == 0
             run = run + 1 if (small and decaying) else 0
             if run >= DECAY_RUN:
-                return _to_decimal(total), n + 1
+                return side.prefactor * _to_decimal(total), n + 1
             prev_mag = mag
             if n + 1 >= max_terms:
                 raise ConvergenceError(

@@ -227,6 +227,13 @@ def test_enumerate_dump_is_frozen(capsys, family, size, objects, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_enumerate_above_the_size_bound_is_refused(capsys):
+    # past the bound the tree's recursion would overflow: a clean refusal
+    code, out, err = run(capsys, "enumerate", "--family", "rowFishburn", "--size", "30")
+    assert (code, out) == (2, "")
+    assert err == "error: rowFishburn enumeration is configured for size <= 24, got 30\n"
+
+
 def test_enumerate_dump_of_interval_orders_fails_before_work(capsys, monkeypatch):
     def refuse(size):
         raise AssertionError("interval orders enumerated before the usage check")
@@ -451,6 +458,18 @@ def test_oeis_check_bad_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "oeis-check", "--seq", "A022493",
                        "--bfile", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--max-n", "-1"), "error: max_n (--max-n) must be nonnegative, got -1\n"),
+    ((), "error: the records of A022493 have no index from 0 up to 64 to compare\n"),
+])
+def test_oeis_check_of_nothing_exit_2(tmp_path, capsys, argv, message):
+    # exit 1 means a mismatch was found; comparing no index finds none
+    path = tmp_path / "b022493.txt"
+    path.write_text("# no records\n")
+    code, out, err = run(capsys, "oeis-check", "--seq", "A022493", "--bfile", str(path), *argv)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_pentagonal_cli(capsys):

@@ -11,12 +11,12 @@ import pytest
 from count_helpers import (anti_diagonal_is_zero, distinct_partition_parity,
                            is_fishburn, is_row_fishburn, is_self_dual,
                            reverse_transpose, self_dual_count_by_full_size)
-from fishburn.enumeration import (FishburnMatrix, _count, _layouts,
-                                  _refined_tables, _tree, _walk,
+from fishburn.enumeration import (MATRIX_SIZE_BOUNDS, FishburnMatrix, _count,
+                                  _layouts, _refined_tables, _tree, _walk,
                                   fishburn_matrices, refined_counts,
                                   row_fishburn_matrices, self_dual_matrices,
                                   verify_facts)
-from fishburn.errors import ParameterError
+from fishburn.errors import BoundExceededError, ParameterError
 from fishburn.identities import verify_coefficient_oracle
 from fishburn.qseries import (expand_family, fishburn_numbers,
                               row_fishburn_numbers)
@@ -168,6 +168,19 @@ REFINED_DIGESTS = {
                  "e9d95fc25e6287bb", "f5289a9eefedeb7d", "5f5c12c600e528c2",
                  "9a4b819e04c8a631"],
 }
+
+
+@pytest.mark.parametrize("family, generator", [("fishburn", fishburn_matrices),
+                                               ("rowFishburn", row_fishburn_matrices),
+                                               ("selfDual", self_dual_matrices)])
+def test_size_above_the_bound_is_refused(family, generator):
+    # the counts and the generators both refuse before the tree is built
+    bound = MATRIX_SIZE_BOUNDS[family]
+    message = f"{family} enumeration is configured for size <= {bound}, got {bound + 1}"
+    with pytest.raises(BoundExceededError, match=message):
+        refined_counts(family, bound + 1)
+    with pytest.raises(BoundExceededError, match=message):
+        next(generator(bound + 1))
 
 
 def table_digest(table):

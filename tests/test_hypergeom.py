@@ -1,5 +1,6 @@
 """Numeric Rogers-Fine circle checks and the exact Watson transformation."""
 
+import inspect
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from fishburn import hypergeom
 from fishburn.errors import ConvergenceError, ParameterError, PoleError
-from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams,
+from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams, Side,
                                 generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
                                 random_rf_params, random_watson_limit_params,
@@ -57,12 +58,14 @@ def test_grf_degenerates_to_rf():
 def test_grf_degeneration_mismatch_witness(monkeypatch):
     # a Rogers-Fine side that is off by 1e-20 must be reported against the
     # generalized left-hand side
-    lhs = hypergeom.rogers_fine_lhs
+    summer = hypergeom._sum_with_guard
 
-    def shifted(*args):
-        value, n = lhs(*args)
-        return value + hypergeom._DecimalComplex(Decimal("1e-20")), n
-    monkeypatch.setattr(hypergeom, "rogers_fine_lhs", shifted)
+    def shifted(side, *budget):
+        value, n = summer(side, *budget)
+        if side.label == "(bq;q)_n":  # the Rogers-Fine left side
+            value += hypergeom._DecimalComplex(Decimal("1e-20"))
+        return value, n
+    monkeypatch.setattr(hypergeom, "_sum_with_guard", shifted)
     rep = grf_degeneration_check(NumericEvalParams(
         values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
     assert rep.outcome == "mismatch"
@@ -152,6 +155,38 @@ def test_non_finite_parameter_is_refused(value):
             values={"a": complex(value), "b": 0.2, "t": 0.4, "q": 0.5}))
 
 
+SIDES = {"rf": ("rogers_fine_lhs", "rogers_fine_rhs"),
+         "grf": ("generalized_rf_lhs", "generalized_rf_rhs"),
+         "watson-limit": ("watson_limit_lhs", "watson_limit_rhs")}
+
+
+@pytest.mark.parametrize("alias", SIDES)
+def test_sides_take_only_the_identity_parameters(alias):
+    # the summation budget belongs to _compare_sides, not to a side
+    names = list(NUMERIC_IDENTITIES[alias][3])
+    for side in SIDES[alias]:
+        assert list(inspect.signature(getattr(hypergeom, side)).parameters) == names
+
+
+def test_each_inverse_factor_is_stepped_once_per_term(monkeypatch):
+    # summing sum_n (aq; q)_n t^n / (bq; q)_n forms 1 - a q^{n+1} and
+    # 1 - b q^{n+1} once for each term after the first: the pole guard reads
+    # the same divisors that the terms are divided by
+    dc = hypergeom._DecimalComplex
+    ones = []
+    rsub = dc.__rsub__
+
+    def counted(self, one):
+        ones.append(self)
+        return rsub(self, one)
+    with hypergeom._context(60):
+        side = hypergeom.rogers_fine_lhs(*map(dc.read, (0.3, 0.2, 0.4, 0.5)))
+        monkeypatch.setattr(dc, "__rsub__", counted)
+        _, used = hypergeom._sum_with_guard(side, Decimal("1e-28"), 400)
+    assert used == 75
+    assert len(ones) == (used - 1) * (len(side.spec.factors) + len(side.spec.inverses))
+
+
 # -- decimal sums against the mpmath reference --------------------------------
 
 DIFFERENTIAL_DRAWS = 10
@@ -176,14 +211,14 @@ def test_decay_guard_bounds_the_magnitude_ratio(summer):
     # squared magnitudes must decay by DECAY_RATIO^2: a geometric sum of
     # ratio 0.88 converges, one of ratio 0.92i never counts as decaying
     with hypergeom._context(60):
-        budget = (Decimal("1e-6"), 400, hypergeom._pole_guard(60), "none")
+        budget = (Decimal("1e-6"), 400)
         ratio = hypergeom._DecimalComplex(Decimal("0.88"))
-        total, used = summer(PochhammerSum(hypergeom._ONE, (ratio,)), *budget)
+        total, used = summer(Side(PochhammerSum(hypergeom._ONE, (ratio,)), "none"), *budget)
         assert (total - hypergeom._DecimalComplex(1 / Decimal("0.12"))).norm() < Decimal("1e-8")
         assert used == 97
         with pytest.raises(ConvergenceError, match="within 400 terms"):
             ratio = hypergeom._DecimalComplex(Decimal(0), Decimal("0.92"))
-            summer(PochhammerSum(hypergeom._ONE, (ratio,)), *budget)
+            summer(Side(PochhammerSum(hypergeom._ONE, (ratio,)), "none"), *budget)
 
 
 def test_pole_guard_bounds_the_modulus_not_its_square():
@@ -191,12 +226,13 @@ def test_pole_guard_bounds_the_modulus_not_its_square():
     # denominator of modulus 1e-30 is summed, one of modulus 1e-41 is a pole
     dc = hypergeom._DecimalComplex
     with hypergeom._context(60):
-        budget = (Decimal("1e-6"), 400, hypergeom._pole_guard(60), "d")
+        budget = (Decimal("1e-6"), 400)
         spec = PochhammerSum(hypergeom._ONE, (dc(Decimal("0.5")),))
-        total, _ = hypergeom._sum_with_guard(spec, *budget, den0=dc(Decimal("1e-30")))
+        total, _ = hypergeom._sum_with_guard(Side(spec, "d", dc(Decimal("1e-30"))), *budget)
         assert (total - dc(Decimal("2e30"))).norm() < Decimal("1e48")
         with pytest.raises(PoleError, match=r"^denominator d is within 1\.0e-40 of zero$"):
-            hypergeom._sum_with_guard(spec, *budget, den0=dc(Decimal(0), Decimal("1e-41")))
+            hypergeom._sum_with_guard(Side(spec, "d", dc(Decimal(0), Decimal("1e-41"))),
+                                      *budget)
 
 
 @pytest.mark.parametrize("dps, tol", ((40, "1e-20"), (60, "1e-25"), (100, "1e-40")))
