@@ -48,6 +48,11 @@ def _report_exit(reports) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
 
+def _family_params(args) -> dict:
+    """The --gamma and --r values given, by parameter name."""
+    return {k: v for k, v in (("gamma", args.gamma), ("r", args.r)) if v is not None}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -57,11 +62,7 @@ def cmd_expand(args) -> int:
     from .qseries import expand_family, family_ring
     from .serialize import series_to_payload
 
-    params = {}
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    if args.r is not None:
-        params["r"] = args.r
+    params = _family_params(args)
     cache_dir = args.cache_dir or default_cache_dir()
     cache = SeriesCache(cache_dir) if cache_dir and not args.no_cache else None
     series = None
@@ -70,8 +71,7 @@ def cmd_expand(args) -> int:
         series = cache.get(args.family, params, args.order, ring_tag)
         cached = series is not None
     if series is None:
-        series = expand_family(args.family, args.order,
-                               gamma=params.get("gamma"), r=params.get("r"))
+        series = expand_family(args.family, args.order, **params)
         cached = False
         if cache is not None:
             cache.put(args.family, params, args.order, series)
@@ -112,15 +112,13 @@ def cmd_enumerate(args) -> int:
         stats = interval_order_statistics(size)
         payload = {"family": fam, "size": size, "total": stats["count"],
                    "counts": {str(k): v for k, v in sorted(stats["joint"].items())}}
-    elif fam == "ascentSequences":
+    else:  # ascentSequences, the last of the --family choices
         payload = {"family": fam, "size": size,
                    "total": count_ascent_sequences(size)}
         if args.dump:
             for seq in ascent_sequences(size):
                 print(" ".join(map(str, seq)))
             return EXIT_OK
-    else:
-        raise ParameterError(f"unknown enumeration family {fam!r}")
 
     def text():
         print(f"{fam} size {size}: total {payload['total']}")
@@ -133,12 +131,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     from . import identities
 
-    kwargs = {}
-    if args.gamma is not None:
-        kwargs["gamma"] = args.gamma
-    if args.r is not None:
-        kwargs["r"] = args.r
-    reports = identities.verify(args.id, order=args.order, **kwargs)
+    reports = identities.verify(args.id, order=args.order, **_family_params(args))
     payload = [r.to_json_dict() for r in reports]
 
     def text():
@@ -464,10 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FishburnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (FishburnError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -48,7 +48,8 @@ cyclotomic polynomials of the proper divisors of k.
 from __future__ import annotations
 
 import functools
-from decimal import Decimal, InvalidOperation
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -71,18 +72,24 @@ def fraction_str(x) -> str:
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
+# a signed run of ASCII digits with at most one decimal point, optionally
+# over a second one: what `fraction_str` writes, and decimals such as 0.5
+_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)"
+_FRACTION = re.compile(rf"{_DECIMAL}(/{_DECIMAL})?")
+
+
 def parse_fraction(text: str) -> Fraction:
     """The rational that `fraction_str` writes as `text`, with any number of
     digits: each part is read as a Decimal, which has no digit limit, and
-    converted exactly."""
+    converted exactly.  Only `_FRACTION` is read, so an exponent, a space,
+    an underscore or a non-ASCII digit is a ValueError."""
     if not isinstance(text, str):
         raise TypeError(f"expected a string, got {text!r}")
+    if not _FRACTION.fullmatch(text):
+        raise ValueError(f"not an exact rational: {text!r}")
     num, slash, den = text.partition("/")
-    try:
-        value = Fraction(Decimal(num))
-        return value / Fraction(Decimal(den)) if slash else value
-    except (InvalidOperation, OverflowError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+    value = Fraction(Decimal(num))
+    return value / Fraction(Decimal(den)) if slash else value
 
 
 def _poly_divmod(num, den):

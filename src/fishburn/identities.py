@@ -30,19 +30,20 @@ from .cyclotomic import CyclotomicElement, fraction_str
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS, TERMINATING_FAMILIES
 from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
-                      gamma1_lhs, gamma1_rhs, partial_sum, termination_index,
-                      truncated_sum, xy_point)
+                      family_parameters, partial_sum, termination_index)
 from .rings import ZZ
 from .series import TruncatedSeries
 
-FORMAL_BIVARIATE_CAP = 32
-FORMAL_TRIVARIATE_CAP = 32
+# the largest total degree of a formal check, bivariate or trivariate
+FORMAL_ORDER_CAP = 32
 # the oracle counts matrices by memoised subtrees, not one by one: F1 to size
 # 12 (10,886,503 Fishburn matrices at 12) takes about 0.35 s, G1 less, and
 # each further size about doubles the Fishburn count
 COEFFICIENT_ORACLE_CAP = 12
 
-TRIVARIATE_NAMES = ("x", "y", "r")
+# the parameters a formal pair runner gives its families when not asked
+# otherwise
+PAIR_DEFAULTS = {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)}
 
 THM_MAIN_IDS = ("F1=F2", "F2=F3", "F1=F3", "G1=G2", "G2=G3", "G1=G3")
 
@@ -150,47 +151,31 @@ def _record_until_failure(rep, key, subs, entry=attrgetter("outcome")):
     return rep
 
 
+def _capped(order, what):
+    """`order`, refused above FORMAL_ORDER_CAP for the formal check `what`."""
+    if order > FORMAL_ORDER_CAP:
+        raise ParameterError(f"order capped at {FORMAL_ORDER_CAP} for {what} (got {order})")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # the formal-r proposition: the gamma1 sums at gamma = 0, with r a third
-# formal variable
-
-
-def _trivariate(order):
-    """(p, q) = (1-y, 1-x) and r, as series in (x, y, r)."""
-    r = TruncatedSeries.variable(ZZ, 3, order, 2, TRIVARIATE_NAMES)
-    return xy_point(order, ZZ, TRIVARIATE_NAMES), r
-
-
-def proposition_lhs(order: int) -> TruncatedSeries:
-    """sum_n (1/(1-y); 1/(1-x))_n r^n with formal r."""
-    pt, r = _trivariate(order)
-    return truncated_sum(gamma1_lhs(pt, 0, r))
-
-
-def proposition_rhs(order: int) -> TruncatedSeries:
-    """sum_n (1-y)(1-x)^n (1-y; 1-x)_n (r(1-x); 1-x)_n with formal r."""
-    pt, r = _trivariate(order)
-    return truncated_sum(gamma1_rhs(pt, 0, r))
+# formal variable, are the families prop12-lhs and prop12-rhs, and the
+# registry compares them as the pair prop12
 
 
 def verify_proposition(order: int) -> VerificationReport:
-    if order > FORMAL_TRIVARIATE_CAP:
-        raise ParameterError(
-            f"trivariate order capped at {FORMAL_TRIVARIATE_CAP} (got {order})")
-    rep = VerificationReport("prop12", "formal", order)
-    cases = [(proposition_lhs(order), proposition_rhs(order), None)]
-    return rep.compare(order, cases).finish()
+    """The registry's prop12 report at `order`."""
+    return registry()["prop12"](order)
 
 
 def verify_proposition_specializations(order: int) -> VerificationReport:
     """Specialize the formal-r identity at r = -1 (row/self-dual pair) and,
     after x -> -x/(1-x), y -> -y/(1-y), at r = 1 (interval-order pair)."""
-    if order > FORMAL_TRIVARIATE_CAP:
-        raise ParameterError(
-            f"trivariate order capped at {FORMAL_TRIVARIATE_CAP} (got {order})")
-    rep = VerificationReport("prop12-specializations", "formal", order)
+    rep = VerificationReport("prop12-specializations", "formal",
+                             _capped(order, "prop12-specializations"))
     m = order // 2
-    lhs, rhs = proposition_lhs(order), proposition_rhs(order)
+    lhs, rhs = _expanded("prop12-lhs", order), _expanded("prop12-rhs", order)
     cases = [
         (lhs.specialize(2, -1, m), _expanded("G1", m), "r=-1 lhs vs G1"),
         (rhs.specialize(2, -1, m), _expanded("G2", m), "r=-1 rhs vs G2"),
@@ -306,15 +291,15 @@ def verify_terminating(family: str, p, q) -> VerificationReport:
 # registry
 
 
-def _pair_runner(ident, left_family, right_family, defaults=None):
-    """Runner comparing two families, at order 8 unless asked otherwise;
-    `defaults` maps the parameters the families take to their defaults."""
+def _pair_runner(ident, left_family, right_family):
+    """Runner comparing two families, at order 8 unless asked otherwise, with
+    the parameters the left family takes, each from PAIR_DEFAULTS unless
+    given."""
+    names = family_parameters(left_family)
+
     def run(order=None, **kwargs):
-        n = 8 if order is None else order
-        if n > FORMAL_BIVARIATE_CAP:
-            raise ParameterError(
-                f"order capped at {FORMAL_BIVARIATE_CAP} for {ident} (got {n})")
-        params = {k: kwargs.get(k, v) for k, v in (defaults or {}).items()}
+        n = _capped(8 if order is None else order, ident)
+        params = {k: kwargs.get(k, PAIR_DEFAULTS[k]) for k in names}
         rep = VerificationReport(ident, "formal", n,
                                  detail={k: fraction_str(v) for k, v in params.items()})
         return rep.compare(n, [(_expanded(left_family, n, **params),
@@ -362,14 +347,12 @@ def _build_registry():
     reg["KR-first=F3"] = _pair_runner("KR-first=F3", "F3-KR-first-form", "F3")
     # the generating identity with a formal third variable r, and its
     # r = -1 and substituted r = 1 specializations
-    reg["prop12"] = lambda order=None, **_: verify_proposition(8 if order is None else order)
+    reg["prop12"] = _pair_runner("prop12", "prop12-lhs", "prop12-rhs")
     reg["prop12-specializations"] = lambda order=None, **_: (
         verify_proposition_specializations(8 if order is None else order))
     # the gamma generalizations, at rational gamma (and r)
-    reg["gamma1"] = _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs",
-                                 {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)})
-    reg["gamma2"] = _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs",
-                                 {"gamma": Fraction(2, 3)})
+    reg["gamma1"] = _pair_runner("gamma1", "gamma1-lhs", "gamma1-rhs")
+    reg["gamma2"] = _pair_runner("gamma2", "gamma2-lhs", "gamma2-rhs")
     reg["pentagonal-3way"] = _pentagonal_runner
     # F1 and G1 coefficients against Fishburn and row-Fishburn matrix counts
     reg["F1-coefficients"] = lambda order=None, **_: verify_coefficient_oracle(

@@ -14,7 +14,8 @@ its table.
 # sorted keys of qseries._FAMILIES
 FAMILY_IDS = ("F1", "F2", "F3", "F3-KR-first-form", "G1", "G2", "G3",
               "gamma1-lhs", "gamma1-rhs", "gamma2-lhs", "gamma2-rhs",
-              "pentagonal-product", "pentagonal-sum", "pentagonal-theta")
+              "pentagonal-product", "pentagonal-sum", "pentagonal-theta",
+              "prop12-lhs", "prop12-rhs")
 
 # the terminating sums identities.evaluate_terminating evaluates
 TERMINATING_EXPRS = ("comp1-left", "comp1-mid", "comp2-first", "comp2-mid",

@@ -2,8 +2,11 @@
 
 The six bivariate series F1..F3, G1..G3 (interval orders refined by maximal
 elements, and their self-dual/row analogues), the Kitaev-Remmel chain forms,
-the gamma-generalized families, and the pentagonal sum/product/theta forms
-are all built here on top of TruncatedSeries.
+the gamma-generalized families, both sides of the formal-r proposition
+(prop12-lhs and prop12-rhs, in x, y and r), and the pentagonal
+sum/product/theta forms are all built here on top of TruncatedSeries.  The
+family table `_FAMILIES` gives each its coefficient ring and the parameters
+it takes, and `expand_family` reads both from it.
 
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, takewhile
-from math import inf
+from math import inf, log
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicElement
@@ -40,6 +43,7 @@ from .rings import QQ, ZZ
 from .series import TruncatedSeries
 
 BIVARIATE_NAMES = ("x", "y")
+PROPOSITION_NAMES = ("x", "y", "r")
 PENTAGONAL_NAMES = ("w",)
 
 
@@ -184,12 +188,11 @@ def _rational_value(x):
 
 
 def _exact_log(base, n):
-    """The j with base^j == n, or None (base >= 2, n >= 1)."""
-    j = 0
-    while n % base == 0:
-        n //= base
-        j += 1
-    return j if n == 1 else None
+    """The j with base^j == n, or None (base >= 2, n >= 1).  The float
+    logarithm is off by far less than 1/2 for any n that fits in memory, so
+    rounding it gives the one candidate, and one exact power confirms it."""
+    j = round(log(n) / log(base))
+    return j if base ** j == n else None
 
 
 def _rational_index(a, r):
@@ -321,7 +324,7 @@ COMPACT_SUMS = {
 
 # The gamma generalizations, over series at (p, q) = (1-y, 1-x) with rational
 # gamma != 1.  gamma = 0 removes every gamma factor, which leaves r free to be
-# a formal variable: that is the formal-r proposition.
+# a formal variable: that is the formal-r proposition (`_formal_r`).
 
 
 def gamma1_lhs(pt, gamma, r):
@@ -402,6 +405,15 @@ def _summed(spec, inverted=False):
     return expand
 
 
+def _formal_r(spec):
+    """The expansion of the gamma1 side `spec` at gamma = 0, (p, q) =
+    (1-y, 1-x) and r the third variable: a side of the formal-r proposition."""
+    def expand(N, ring):
+        r = TruncatedSeries.variable(ring, 3, N, 2, PROPOSITION_NAMES)
+        return truncated_sum(spec(xy_point(N, ring, PROPOSITION_NAMES), 0, r))
+    return expand
+
+
 def _kr_first_form(N, ring):
     # 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n at p = 1-y, q = 1-x, where
     # y/(1-y) = 1/p - 1
@@ -425,6 +437,8 @@ _FAMILIES = {
     "gamma1-rhs": (QQ, ("gamma", "r"), _summed(gamma1_rhs)),
     "gamma2-lhs": (QQ, ("gamma",), _summed(gamma2_lhs)),
     "gamma2-rhs": (QQ, ("gamma",), _summed(gamma2_rhs)),
+    "prop12-lhs": (ZZ, (), _formal_r(gamma1_lhs)),
+    "prop12-rhs": (ZZ, (), _formal_r(gamma1_rhs)),
 }
 
 
@@ -441,40 +455,35 @@ def family_ring(family: str):
     return _family(family)[0]
 
 
-def expand_family(family: str, order: int, gamma=None, r=None) -> TruncatedSeries:
+def family_parameters(family: str) -> tuple:
+    """The names of the parameters `family` takes, in the order its
+    expansion takes them."""
+    return _family(family)[1]
+
+
+def expand_family(family: str, order: int, **params) -> TruncatedSeries:
     """Expand a named series family to the given total-degree order.
 
-    F/G families expand over the integers; gamma families take exact rational
-    parameters (gamma != 1) and expand over the rationals.  Pentagonal forms
-    are univariate in w.
+    A family takes exactly the parameters its table entry names (a None
+    value is not given), each an exact rational: the gamma families take
+    gamma != 1, and gamma1-lhs a nonzero r, and expand over the rationals.
+    Every other family takes none and expands over the integers; the
+    pentagonal forms are univariate in w.
     """
     if order < 0:
         raise ParameterError("order must be nonnegative")
-    ring, params, expand = _family(family)
-    if not params:
-        if gamma is not None or r is not None:
-            raise ParameterError(f"family {family} takes no parameters")
-        return expand(order, ring)
-    if "r" not in params:
-        if r is not None:
-            raise ParameterError(f"family {family} takes only gamma")
-        return expand(order, ring, _gamma_parameter(gamma))
-    gamma = _gamma_parameter(gamma)
-    if family == "gamma1-lhs" and (r is None or Fraction(r) == 0):
-        raise ParameterError("gamma1 family requires a nonzero rational r")
-    if r is None:
-        raise ParameterError("gamma1 family requires a rational r")
-    return expand(order, ring, gamma, Fraction(r))
-
-
-def _gamma_parameter(gamma):
-    if gamma is None:
-        raise ParameterError("gamma-family requires a gamma parameter")
-    gamma = Fraction(gamma)
-    if gamma == 1:
+    ring, names, expand = _family(family)
+    given = {k: v for k, v in params.items() if v is not None}
+    if sorted(given) != sorted(names):
         raise ParameterError(
-            "gamma = 1 makes the denominator factors non-invertible")
-    return gamma
+            f"family {family} takes {' and '.join(names) or 'no parameters'}, "
+            f"got {' and '.join(sorted(given)) or 'none'}")
+    values = {name: Fraction(given[name]) for name in names}
+    if values.get("gamma") == 1:
+        raise ParameterError("gamma = 1 makes the denominator factors non-invertible")
+    if family == "gamma1-lhs" and values["r"] == 0:
+        raise ParameterError("gamma1 family requires a nonzero rational r")
+    return expand(order, ring, *values.values())
 
 
 # ---------------------------------------------------------------------------

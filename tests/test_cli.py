@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -108,6 +109,35 @@ def test_rational_options_past_the_int_string_digit_limit(tmp_path, capsys):
         code, out, _ = run(capsys, "terminating", "--expr", "comp1-left", "--p", big,
                            "--q", f"1/{big}", "--format", fmt)
         assert code == 0 and f"1/{big}" in out
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1_0", "\u0661", " 1"],
+                         ids=["exponent", "underscore", "arabic-indic-digit", "space"])
+def test_rational_option_reads_only_what_fraction_str_writes(text, capsys):
+    # an exponent would make a nine-character argument a million-digit number
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["terminating", "--expr", "comp1", "--p", text, "--q", "1/2"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    assert "not an exact rational" in capsys.readouterr().err
+
+
+def test_expand_proposition_sides(tmp_path, capsys):
+    payloads = {}
+    for side in ("prop12-lhs", "prop12-rhs"):
+        argv = ("expand", "--family", side, "--order", "6", "--format", "json",
+                "--cache-dir", str(tmp_path))
+        for cached in (False, True):
+            code, out, _ = run(capsys, *argv)
+            payloads[side] = json.loads(out)
+            assert code == 0 and payloads[side]["cached"] is cached
+    lhs, rhs = payloads["prop12-lhs"], payloads["prop12-rhs"]
+    assert lhs["vars"] == rhs["vars"] == ["x", "y", "r"]
+    assert lhs["terms"] == rhs["terms"] and len(lhs["terms"]) == 18
+    code, _, err = run(capsys, "expand", "--family", "prop12-lhs", "--order", "2",
+                       "--r", "1/2", "--no-cache")
+    assert code == 2 and "takes no parameters" in err
 
 
 def test_expand_corrupt_cache_entry_is_a_miss(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -46,6 +47,8 @@ def test_proposition_specializations():
 def test_proposition_order_cap():
     with pytest.raises(ParameterError, match="capped"):
         verify_proposition(33)
+    with pytest.raises(ParameterError, match="capped"):
+        verify_proposition_specializations(33)
 
 
 def test_formal_order_cap():
@@ -163,6 +166,16 @@ def test_terminating_exponent_is_exact_beyond_the_scan_cap():
     assert _vanishing_index(F.from_rational(p), F.from_rational(q)) == 600
 
 
+def test_terminating_exponent_of_a_large_power_is_quick():
+    # j is estimated from logarithms and confirmed by one power, not found by
+    # j divisions, so neither a certificate nor a refusal grows with j
+    start = time.perf_counter()
+    assert _vanishing_index(Fraction(1, 2**200000), Fraction(2)) == 200000
+    assert _vanishing_index(Fraction(3**20000), Fraction(1, 3)) == 20000
+    assert _vanishing_index(Fraction(1, 10**30000), Fraction(2)) is None
+    assert time.perf_counter() - start < 1
+
+
 # j is the least index with p*r^j = 1, where r = q^2 when `squared`
 @pytest.mark.parametrize("p,q,squared,j", [
     (1, 1, False, 0), (2, 1, False, None), (1, -1, True, 0), (-1, -1, False, 1),
@@ -259,6 +272,22 @@ def test_thm_main_expands_each_family_once_per_call(monkeypatch):
     assert len(calls) == 12
     verify("F1=F2", order=6)
     assert len(calls) == 14
+
+
+def test_verify_all_requests_each_expansion_once(monkeypatch):
+    """Within one `verify --id all`, every formal check reads its families
+    through the shared expansions, the formal-r proposition's sides too."""
+    requests = []
+    real = identities.expand_family
+
+    def counted(family, order, **params):
+        requests.append((family, order, tuple(sorted(params.items()))))
+        return real(family, order, **params)
+    monkeypatch.setattr(identities, "expand_family", counted)
+    assert all(r.ok for r in verify("all"))
+    assert len(requests) == len(set(requests))
+    assert [f for f, _, _ in requests if f.startswith("prop12")] == ["prop12-lhs",
+                                                                      "prop12-rhs"]
 
 
 def test_verify_unknown_id():

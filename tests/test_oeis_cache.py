@@ -152,12 +152,15 @@ def test_valid_payload_reads_back():
     (_payload(ring="QQ(zeta_ 6)"), "unknown ring tag"),
     (_payload(ring="QQ(zeta_1_2)"), "unknown ring tag"),
     (_payload(ring=6), "malformed"),
+    (_payload(terms=(([1], "1e50"),)), "bad coefficient"),
+    (_payload(terms=(([1], "1_0"),)), "bad coefficient"),
+    (_payload(terms=(([1], " 1"),)), "bad coefficient"),
 ], ids=["degree", "degree-2var", "arity-long", "arity-short", "negative",
         "float", "string-exp", "list-in-exp", "cyclo-width-12", "cyclo-width-4", "zz-fraction",
         "duplicate", "negative-truncation", "missing-key", "complex-ring",
         "conductor-above-cap", "conductor-zero", "conductor-plus-sign",
         "conductor-leading-zero", "conductor-space", "conductor-underscore",
-        "ring-not-a-string"])
+        "ring-not-a-string", "coeff-exponent", "coeff-underscore", "coeff-space"])
 def test_rejected_payload_shapes(payload, match):
     with pytest.raises(PayloadError, match=match):
         series_from_payload(payload)
@@ -232,9 +235,11 @@ def _rewrite(path, edit):
     (lambda path: _rewrite(path, lambda e: e["series"].update(ring="QQ(zeta_100003)")),
      "conductor 100003"),
     (lambda path: _rewrite(path, lambda e: e["series"].update(ring=6)), "malformed"),
+    (lambda path: _rewrite(path, lambda e: e["series"]["terms"][0].update(coeff="1e50")),
+     "bad series"),
 ], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
         "rejected-payload", "other-truncation", "other-ring", "huge-truncation",
-        "huge-conductor", "ring-not-a-string"])
+        "huge-conductor", "ring-not-a-string", "exponent-coefficient"])
 def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 6)

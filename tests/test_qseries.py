@@ -9,8 +9,10 @@ import pytest
 from count_helpers import distinct_partition_parity
 from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
+from fishburn.names import FAMILY_IDS
 from fishburn.qseries import (COMPACT_SUMS, Point, PochhammerSum,
-                              expand_family, fishburn_numbers, partial_sum,
+                              expand_family, family_parameters, family_ring,
+                              fishburn_numbers, partial_sum,
                               partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
                               termination_index, univariate_fishburn_series)
@@ -203,6 +205,25 @@ def test_unknown_family():
 def test_plain_family_rejects_parameters():
     with pytest.raises(ParameterError):
         expand_family("F1", 3, gamma=Fraction(1, 2))
+
+
+PARAMETER_VALUES = {"gamma": Fraction(2, 3), "r": Fraction(-3, 5)}
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_each_family_takes_exactly_its_declared_parameters(family):
+    names = family_parameters(family)
+    params = {name: PARAMETER_VALUES[name] for name in names}
+    series = expand_family(family, 2, **params)
+    assert series.trunc == 2 and series.ring == family_ring(family)
+    # a None value is a parameter not given
+    assert expand_family(family, 2, **params, delta=None) == series
+    extra = next((n for n in PARAMETER_VALUES if n not in names), "delta")
+    with pytest.raises(ParameterError, match=f"family {family} takes"):
+        expand_family(family, 2, **params, **{extra: Fraction(1, 2)})
+    for name in names:
+        with pytest.raises(ParameterError, match=f"family {family} takes"):
+            expand_family(family, 2, **{k: v for k, v in params.items() if k != name})
 
 
 def test_partition_table_examples():
