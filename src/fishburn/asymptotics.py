@@ -15,9 +15,8 @@ from collections import namedtuple
 import mpmath as mp
 
 from .errors import ParameterError
-from .qseries import univariate_fishburn_series
+from .qseries import N_MAX_CAP, univariate_fishburn_series
 
-N_MAX_CAP = 120
 DPS = 50  # working digits of the constants and the trend ratios
 
 TrendRow = namedtuple("TrendRow", "n ratio deviation")

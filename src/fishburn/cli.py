@@ -180,7 +180,7 @@ def __getattr__(name):
 def cmd_numeric(args) -> int:
     from . import hypergeom
 
-    if args.tol_exp < 1:
+    if args.tol_exp is not None and args.tol_exp < 1:
         raise ParameterError(f"--tol-exp must be at least 1, got {args.tol_exp}")
     _ident, sampler, checker, _names = hypergeom.NUMERIC_IDENTITIES[args.id]
     if args.param:
@@ -189,24 +189,28 @@ def cmd_numeric(args) -> int:
             name, _, raw = spec.partition("=")
             if not raw:
                 raise ParameterError(f"--param expects name=value, got {spec!r}")
+            if name in values:
+                raise ParameterError(f"--param {name} is given more than once")
             values[name] = complex(raw)
         points = [values]
     else:
         if args.draws < 1:
             raise ParameterError(f"--draws must be at least 1, got {args.draws}")
         import random
-        rng = random.Random(args.seed)
+        rng = random.Random(hypergeom.DRAW_SEED if args.seed is None else args.seed)
         points = [sampler(rng).values for _ in range(args.draws)]
-    tol = f"1e-{args.tol_exp}"
-    reports = [checker(hypergeom.NumericEvalParams(values=values, dps=args.digits, tol=tol,
-                                                   max_terms=args.max_terms))
-               for values in points]
+    # the settings given; NumericEvalParams holds the defaults of the others
+    given = {"dps": args.digits, "max_terms": args.max_terms,
+             "tol": None if args.tol_exp is None else f"1e-{args.tol_exp}"}
+    settings = {k: v for k, v in given.items() if v is not None}
+    params = [hypergeom.NumericEvalParams(values=values, **settings) for values in points]
+    reports = [checker(pt) for pt in params]
     payload = [r.to_json_dict() for r in reports]
 
     def text():
-        for r in reports:
+        for r, pt in zip(reports, params):
             print(f"{r.id}: {r.outcome} (|diff| = {r.detail.get('abs_diff')}, "
-                  f"tol = {r.detail.get('tol', tol)})")
+                  f"tol = {pt.tol})")
     _emit(args, payload, text)
     if any(r.outcome == "inconclusive" for r in reports):
         return EXIT_ERROR
@@ -322,12 +326,12 @@ def cmd_pentagonal(args) -> int:
     from .serialize import series_to_payload
 
     rep = identities.registry()["pentagonal-3way"](order=args.order)
-    series = expand_family("pentagonal-product", args.order)
+    series = expand_family("pentagonal-product", rep.order)
     payload = {"report": rep.to_json_dict(),
                "product": series_to_payload(series)}
 
     def text():
-        print(f"pentagonal three-way identity to degree {args.order}: {rep.outcome}")
+        print(f"pentagonal three-way identity to degree {rep.order}: {rep.outcome}")
         print(f"  product {series!r}")
     _emit(args, payload, text)
     return _report_exit([rep])
@@ -387,12 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=NUMERIC_IDS)
     p.add_argument("--param", action="append",
                    help="name=value (complex); repeat per parameter")
-    p.add_argument("--digits", type=int, default=60)
-    p.add_argument("--tol-exp", type=int, default=25,
-                   help="tolerance is 10^-THIS")
+    # unset settings take the defaults of hypergeom.NumericEvalParams and
+    # hypergeom.DRAW_SEED
+    p.add_argument("--digits", type=int)
+    p.add_argument("--tol-exp", type=int, help="tolerance is 10^-THIS")
     p.add_argument("--draws", type=int, default=5)
-    p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--max-terms", type=int, default=400)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-terms", type=int)
     add_format(p)
     p.set_defaults(fn=cmd_numeric)
 
@@ -445,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oeis_check)
 
     p = sub.add_parser("pentagonal", help="pentagonal three-way identity")
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=int, help="defaults to the registry entry's order")
     add_format(p)
     p.set_defaults(fn=cmd_pentagonal)
 

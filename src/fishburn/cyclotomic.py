@@ -162,8 +162,6 @@ class CyclotomicField:
     it is the coefficient ring of series over Q(zeta_k)."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("conductor must be >= 1")
         self.k = k
         self.tag = f"QQ(zeta_{k})"
         self.modulus = cyclotomic_polynomial(k)

@@ -61,6 +61,9 @@ SUMMATION_MARGIN = Decimal("1e-3")
 GUARD_DIGITS = 5
 # digits that a numeric check carries beyond the working precision
 SUM_GUARD_DIGITS = 5
+# the seed of the registry's parameter draws, and of `fishburn numeric`'s
+# unless it is given one
+DRAW_SEED = 20260809
 
 
 @dataclass
@@ -538,7 +541,7 @@ def sampled_report(alias):
     three points drawn with one fixed seed."""
     ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
     rep = VerificationReport(ident, "numeric")
-    rng = random.Random(20260809)
+    rng = random.Random(DRAW_SEED)
     draws = (checker(sampler(rng)) for _ in range(3))
     return _record_until_failure(rep, "draws", draws).finish()
 

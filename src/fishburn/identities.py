@@ -34,8 +34,6 @@ from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
 from .rings import ZZ
 from .series import TruncatedSeries
 
-# the largest total degree of a formal check, bivariate or trivariate
-FORMAL_ORDER_CAP = 32
 # the oracle counts matrices by memoised subtrees, not one by one: F1 to size
 # 12 (10,886,503 Fishburn matrices at 12) takes about 0.35 s, G1 less, and
 # each further size about doubles the Fishburn count
@@ -151,13 +149,6 @@ def _record_until_failure(rep, key, subs, entry=attrgetter("outcome")):
     return rep
 
 
-def _capped(order, what):
-    """`order`, refused above FORMAL_ORDER_CAP for the formal check `what`."""
-    if order > FORMAL_ORDER_CAP:
-        raise ParameterError(f"order capped at {FORMAL_ORDER_CAP} for {what} (got {order})")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # the formal-r proposition: the gamma1 sums at gamma = 0, with r a third
 # formal variable, are the families prop12-lhs and prop12-rhs, and the
@@ -172,8 +163,7 @@ def verify_proposition(order: int) -> VerificationReport:
 def verify_proposition_specializations(order: int) -> VerificationReport:
     """Specialize the formal-r identity at r = -1 (row/self-dual pair) and,
     after x -> -x/(1-x), y -> -y/(1-y), at r = 1 (interval-order pair)."""
-    rep = VerificationReport("prop12-specializations", "formal",
-                             _capped(order, "prop12-specializations"))
+    rep = VerificationReport("prop12-specializations", "formal", order)
     m = order // 2
     lhs, rhs = _expanded("prop12-lhs", order), _expanded("prop12-rhs", order)
     cases = [
@@ -298,7 +288,7 @@ def _pair_runner(ident, left_family, right_family):
     names = family_parameters(left_family)
 
     def run(order=None, **kwargs):
-        n = _capped(8 if order is None else order, ident)
+        n = 8 if order is None else order
         params = {k: kwargs.get(k, PAIR_DEFAULTS[k]) for k in names}
         rep = VerificationReport(ident, "formal", n,
                                  detail={k: fraction_str(v) for k, v in params.items()})

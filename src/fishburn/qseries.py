@@ -5,8 +5,15 @@ elements, and their self-dual/row analogues), the Kitaev-Remmel chain forms,
 the gamma-generalized families, both sides of the formal-r proposition
 (prop12-lhs and prop12-rhs, in x, y and r), and the pentagonal
 sum/product/theta forms are all built here on top of TruncatedSeries.  The
-family table `_FAMILIES` gives each its coefficient ring and the parameters
-it takes, and `expand_family` reads both from it.
+family table `_FAMILIES` gives each its coefficient ring, the parameters it
+takes and its order cap, and `expand_family` reads all three from it.
+
+Every family expansion and every expansion at a root of unity refuses an
+order above its cap in the one function it starts in, before it does any
+work: `expand_family` for the families, against `FORMAL_ORDER_CAP` for the
+series in two or three variables and `N_MAX_CAP` for the one-variable
+pentagonal forms, and `roots.RootContext`, against `FORMAL_ORDER_CAP`, for
+the expansions at roots of unity.  `_require_order` is the one check.
 
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
@@ -45,6 +52,20 @@ from .series import TruncatedSeries
 BIVARIATE_NAMES = ("x", "y")
 PROPOSITION_NAMES = ("x", "y", "r")
 PENTAGONAL_NAMES = ("w",)
+
+# the largest total degree of an expansion in two or three variables
+FORMAL_ORDER_CAP = 32
+# the largest order of the one-variable pentagonal forms, and of the
+# asymptotic trend tables
+N_MAX_CAP = 120
+
+
+def _require_order(order, cap, what):
+    """Refuse an `order` below 0 or above `cap` for the expansion `what`."""
+    if order < 0:
+        raise ParameterError("order must be nonnegative")
+    if order > cap:
+        raise ParameterError(f"order capped at {cap} for {what} (got {order})")
 
 
 def q_pochhammer(a: TruncatedSeries, q: TruncatedSeries, n) -> TruncatedSeries:
@@ -421,24 +442,25 @@ def _kr_first_form(N, ring):
     return pt.one + truncated_sum(PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
 
 
-# family id -> (coefficient ring, parameter names, expand(order, ring, *parameters))
+# family id -> (coefficient ring, parameter names, order cap,
+#                expand(order, ring, *parameters))
 _FAMILIES = {
-    "F1": (ZZ, (), _summed(COMPACT_SUMS["comp1-left"], inverted=True)),
-    "F2": (ZZ, (), _summed(COMPACT_SUMS["comp1-mid"], inverted=True)),
-    "F3": (ZZ, (), _summed(COMPACT_SUMS["comp1-right"], inverted=True)),
-    "G1": (ZZ, (), _summed(COMPACT_SUMS["comp2-first"])),
-    "G2": (ZZ, (), _summed(COMPACT_SUMS["comp2-mid"])),
-    "G3": (ZZ, (), _summed(COMPACT_SUMS["comp2-right"])),
-    "F3-KR-first-form": (ZZ, (), _kr_first_form),
-    "pentagonal-sum": (ZZ, (), _pentagonal_sum),
-    "pentagonal-product": (ZZ, (), _pentagonal_product),
-    "pentagonal-theta": (ZZ, (), _pentagonal_theta),
-    "gamma1-lhs": (QQ, ("gamma", "r"), _summed(gamma1_lhs)),
-    "gamma1-rhs": (QQ, ("gamma", "r"), _summed(gamma1_rhs)),
-    "gamma2-lhs": (QQ, ("gamma",), _summed(gamma2_lhs)),
-    "gamma2-rhs": (QQ, ("gamma",), _summed(gamma2_rhs)),
-    "prop12-lhs": (ZZ, (), _formal_r(gamma1_lhs)),
-    "prop12-rhs": (ZZ, (), _formal_r(gamma1_rhs)),
+    "F1": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-left"], inverted=True)),
+    "F2": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-mid"], inverted=True)),
+    "F3": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-right"], inverted=True)),
+    "G1": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-first"])),
+    "G2": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-mid"])),
+    "G3": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-right"])),
+    "F3-KR-first-form": (ZZ, (), FORMAL_ORDER_CAP, _kr_first_form),
+    "pentagonal-sum": (ZZ, (), N_MAX_CAP, _pentagonal_sum),
+    "pentagonal-product": (ZZ, (), N_MAX_CAP, _pentagonal_product),
+    "pentagonal-theta": (ZZ, (), N_MAX_CAP, _pentagonal_theta),
+    "gamma1-lhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(gamma1_lhs)),
+    "gamma1-rhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(gamma1_rhs)),
+    "gamma2-lhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(gamma2_lhs)),
+    "gamma2-rhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(gamma2_rhs)),
+    "prop12-lhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(gamma1_lhs)),
+    "prop12-rhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(gamma1_rhs)),
 }
 
 
@@ -468,11 +490,11 @@ def expand_family(family: str, order: int, **params) -> TruncatedSeries:
     value is not given), each an exact rational: the gamma families take
     gamma != 1, and gamma1-lhs a nonzero r, and expand over the rationals.
     Every other family takes none and expands over the integers; the
-    pentagonal forms are univariate in w.
+    pentagonal forms are univariate in w.  An order above the family's cap
+    is refused before any work.
     """
-    if order < 0:
-        raise ParameterError("order must be nonnegative")
-    ring, names, expand = _family(family)
+    ring, names, cap, expand = _family(family)
+    _require_order(order, cap, family)
     given = {k: v for k, v in params.items() if v is not None}
     if sorted(given) != sorted(names):
         raise ParameterError(

@@ -14,6 +14,11 @@ at the constants (p0, q0) before summing; without it the sum does not
 converge formally and the expansion is refused rather than truncated
 arbitrarily.
 
+Every expansion here is a series in two variables, so `RootContext` refuses
+an order above `qseries.FORMAL_ORDER_CAP` when it is made, with the check
+the formal families use (`qseries._require_order`), before any field is
+built or any sum summed.
+
 Exact cyclotomic arithmetic is the source of truth throughout; the
 terminating checks re-sum the same specs in mpmath through the complex
 embedding only to cross-check it.
@@ -27,7 +32,8 @@ from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, _terminating_values
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from .qseries import COMPACT_SUMS, Point, partial_sum, termination_index, truncated_sum
+from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order, partial_sum,
+                      termination_index, truncated_sum)
 from .series import TruncatedSeries
 
 UV_NAMES = ("u", "v")
@@ -44,7 +50,8 @@ def _require_conductor(k):
 
 @dataclass
 class RootContext:
-    """Expansion point p0 = zeta_k^a, q0 = zeta_k^b and an expansion order.
+    """Expansion point p0 = zeta_k^a, q0 = zeta_k^b and an expansion order,
+    at most FORMAL_ORDER_CAP.
 
     Formal-convergence certificates are computed, not assumed: an expression
     expands only when a factor of its sum vanishes at (p0, q0).
@@ -57,8 +64,7 @@ class RootContext:
 
     def __post_init__(self):
         _require_conductor(self.k)
-        if self.order < 0:
-            raise ParameterError("expansion order must be nonnegative")
+        _require_order(self.order, FORMAL_ORDER_CAP, "root expansions")
         self.field = get_field(self.k)
         self.p0 = self.field.zeta(self.a)
         self.q0 = self.field.zeta(self.b)

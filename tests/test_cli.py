@@ -16,9 +16,10 @@ import pytest
 
 import fishburn
 from fishburn import names
-from fishburn.cli import main
+from fishburn.cli import build_parser, main
 from fishburn.cyclotomic import CONDUCTOR_CAP
-from fishburn.qseries import fishburn_numbers, row_fishburn_numbers
+from fishburn.qseries import (FORMAL_ORDER_CAP, N_MAX_CAP, fishburn_numbers,
+                              row_fishburn_numbers)
 
 
 def run(capsys, *argv):
@@ -375,6 +376,63 @@ def test_numeric_rejects_an_unknown_param(capsys):
                        "--param", "t=0.4", "--param", "q=0.5", "--param", "zz=3")
     assert code == 2
     assert "zz" in err
+
+
+
+def test_numeric_refuses_a_repeated_param(capsys):
+    code, out, err = run(capsys, "numeric", "--id", "rf",
+                         "--param", "a=0.1", "--param", "b=0.2", "--param", "t=0.3",
+                         "--param", "q=0.4", "--param", "q=0.5")
+    assert (code, out, err) == (2, "", "error: --param q is given more than once\n")
+
+
+def _untimed(payload):
+    """The JSON `payload` with every report's timing_ms dropped."""
+    if isinstance(payload, list):
+        return [_untimed(x) for x in payload]
+    if isinstance(payload, dict):
+        return {k: _untimed(v) for k, v in payload.items() if k != "timing_ms"}
+    return payload
+
+
+def test_numeric_and_pentagonal_defaults_are_the_library_defaults(capsys):
+    parser = build_parser()
+    numeric = parser.parse_args(["numeric", "--id", "rf"])
+    assert [numeric.digits, numeric.tol_exp, numeric.max_terms, numeric.seed] == [None] * 4
+    assert parser.parse_args(["pentagonal"]).order is None
+    outputs = []
+    for argv in (["numeric", "--id", "rf", "--draws", "2"],
+                 ["numeric", "--id", "rf", "--draws", "2", "--digits", "60",
+                  "--tol-exp", "25", "--max-terms", "400", "--seed", "20260809"],
+                 ["pentagonal"], ["pentagonal", "--order", "30"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        outputs.append(_untimed(json.loads(out)))
+    assert outputs[0] == outputs[1]
+    assert outputs[2] == outputs[3] and outputs[2]["report"]["order"] == 30
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["expand", "--family", "G1", "--order", "100", "--no-cache"], FORMAL_ORDER_CAP),
+    (["pentagonal", "--order", "100000"], N_MAX_CAP),
+    (["roots", "explore", "--k", "12", "--a", "5", "--b", "7", "--order", "40"],
+     FORMAL_ORDER_CAP),
+    (["roots", "expand", "--k", "4", "--order", "33"], FORMAL_ORDER_CAP),
+    (["verify", "--id", "pentagonal-3way", "--order", "121"], N_MAX_CAP),
+])
+def test_an_order_above_its_cap_is_refused_before_any_work(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: order capped at {cap} for ")
+
+
+def test_expand_above_the_cap_writes_no_cache_file(capsys, tmp_path):
+    code, _, err = run(capsys, "expand", "--family", "G1", "--order", "100",
+                       "--cache-dir", str(tmp_path))
+    assert code == 2 and "order capped" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numeric_ids_are_the_hypergeom_table():

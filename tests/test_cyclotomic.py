@@ -37,6 +37,12 @@ def test_degree_is_euler_phi(k):
     assert len(cyclotomic_polynomial(k)) - 1 == euler_phi(k)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_field_below_conductor_one_is_refused(k):
+    with pytest.raises(ValueError, match="^conductor must be >= 1$"):
+        get_field(k)
+
+
 def test_k1_is_rationals():
     F = get_field(1)
     assert F.zeta() == F.one

@@ -7,11 +7,12 @@ from math import inf
 import pytest
 
 from count_helpers import distinct_partition_parity
+from fishburn import qseries
 from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.names import FAMILY_IDS
-from fishburn.qseries import (COMPACT_SUMS, Point, PochhammerSum,
-                              expand_family, family_parameters, family_ring,
+from fishburn.qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, N_MAX_CAP, Point,
+                              PochhammerSum, expand_family, family_parameters, family_ring,
                               fishburn_numbers, partial_sum,
                               partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
@@ -224,6 +225,33 @@ def test_each_family_takes_exactly_its_declared_parameters(family):
     for name in names:
         with pytest.raises(ParameterError, match=f"family {family} takes"):
             expand_family(family, 2, **{k: v for k, v in params.items() if k != name})
+
+
+def _no_work(*args):
+    raise AssertionError("the expansion ran")
+
+
+@pytest.mark.parametrize("family", FAMILY_IDS)
+def test_each_family_refuses_an_order_above_its_cap_before_any_work(family, monkeypatch):
+    # two- and three-variable families stop at FORMAL_ORDER_CAP, the
+    # one-variable pentagonal forms at N_MAX_CAP
+    params = {name: PARAMETER_VALUES[name] for name in family_parameters(family)}
+    cap = FORMAL_ORDER_CAP if expand_family(family, 1, **params).nvars > 1 else N_MAX_CAP
+    entry = qseries._FAMILIES[family]
+    monkeypatch.setitem(qseries._FAMILIES, family, (*entry[:-1], _no_work))
+    with pytest.raises(ParameterError,
+                       match=f"^order capped at {cap} for {family} \\(got {cap + 1}\\)$"):
+        expand_family(family, cap + 1, **params)
+    with pytest.raises(AssertionError, match="the expansion ran"):
+        expand_family(family, cap, **params)
+
+
+def test_a_family_expands_at_its_cap():
+    series = expand_family("F1", FORMAL_ORDER_CAP)
+    assert series.trunc == FORMAL_ORDER_CAP
+    # F1(x, x) is the Fishburn series
+    top = sum(series.coefficient((FORMAL_ORDER_CAP - l, l)) for l in range(FORMAL_ORDER_CAP + 1))
+    assert top == fishburn_numbers(FORMAL_ORDER_CAP)[-1]
 
 
 def test_partition_table_examples():

@@ -8,7 +8,7 @@ import pytest
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating
-from fishburn.qseries import expand_family
+from fishburn.qseries import FORMAL_ORDER_CAP, expand_family
 from fishburn.rings import QQ
 from fishburn.names import ROOT_EXPRS
 from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
@@ -25,6 +25,16 @@ def test_context_validation():
         RootContext(13, 0, 0, 4)
     with pytest.raises(ParameterError):
         RootContext(2, 1, 1, -1)
+
+
+
+def test_context_refuses_an_order_above_the_formal_cap():
+    # every root expansion is a series in two variables
+    with pytest.raises(ParameterError,
+                       match=f"^order capped at {FORMAL_ORDER_CAP} for root expansions "
+                             r"\(got 33\)$"):
+        RootContext(4, 1, 1, 33)
+    assert RootContext(4, 1, 1, FORMAL_ORDER_CAP).order == FORMAL_ORDER_CAP
 
 
 def test_constant_terms_at_minus_one_minus_one():
