@@ -8,12 +8,11 @@ transformation, and the asymptotic main-term trends for both sequences.
 import random
 from fractions import Fraction
 
-import mpmath as mp
-
 from fishburn import (NumericEvalParams, alpha_constant, beta_constant,
                       generalized_rf_check, rogers_fine_check, trend,
                       watson_exact, watson_limit_check)
 from fishburn.asymptotics import deviation_band
+from fishburn.cyclotomic import decimal_str
 from fishburn.hypergeom import (grf_degeneration_check, random_grf_params,
                                 random_watson_limit_params)
 
@@ -48,12 +47,12 @@ print(f"  exact N=2: {rep.outcome}; both sides = {rep.detail['lhs']}")
 
 print()
 print("=== asymptotic main terms ===")
-print(f"  alpha = {mp.nstr(alpha_constant(), 25)}")
-print(f"  beta  = {mp.nstr(beta_constant(), 25)}")
+print(f"  alpha = {decimal_str(alpha_constant(), 25)}")
+print(f"  beta  = {decimal_str(beta_constant(), 25)}")
 for which in ("fishburn", "rowFishburn"):
     rows = trend(which, 100)
     dev = {row.n: row.deviation for row in rows}
     lo, hi = deviation_band(rows, 20, 100)
-    print(f"  {which}: |ratio-1| at n=30: {mp.nstr(dev[30], 6)}, "
-          f"at n=60: {mp.nstr(dev[60], 6)} (shrinking); "
-          f"n*|ratio-1| stays within [{mp.nstr(lo, 4)}, {mp.nstr(hi, 4)}]")
+    print(f"  {which}: |ratio-1| at n=30: {decimal_str(dev[30], 6)}, "
+          f"at n=60: {decimal_str(dev[60], 6)} (shrinking); "
+          f"n*|ratio-1| stays within [{decimal_str(lo, 4)}, {decimal_str(hi, 4)}]")

@@ -22,10 +22,11 @@ Layers:
 
 The package imports lazily: ``import fishburn`` loads no submodule, and
 ``fishburn.X`` imports the one submodule that defines X on first use.  The
-CLI likewise imports, per command, only what that command runs.  mpmath is
-loaded only by `asymptotics`, the complex embedding of Q(zeta_k) and the
-reports of the numeric checks: `hypergeom` computes in `decimal` and imports
-mpmath only to render its strings.  The exact layers never import it.
+CLI likewise imports, per command, only what that command runs.  The
+numeric checks (`hypergeom`) and the asymptotic trends (`asymptotics`)
+compute in `decimal`, and `cyclotomic.decimal_str` prints their numbers.
+mpmath is loaded only by the complex embedding of Q(zeta_k), the roots
+cross-check; the exact layers never import it.
 """
 
 import importlib

@@ -6,32 +6,40 @@ The closed-form main terms are
 with O(1/n) relative corrections whose constants are unspecified, so the
 checks here are trend assertions (deviation shrinking, n * deviation staying
 in a bounded band), never absolute thresholds.
+
+The constants and the ratios are Decimals, computed in one decimal context
+of DPS digits from the literal PI, Decimal.sqrt and Decimal.exp.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-
-import mpmath as mp
+from decimal import Context, Decimal, localcontext
+from math import factorial
 
 from .errors import ParameterError
 from .qseries import N_MAX_CAP, univariate_fishburn_series
 
 DPS = 50  # working digits of the constants and the trend ratios
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 TrendRow = namedtuple("TrendRow", "n ratio deviation")
 
 
+def _context():
+    return localcontext(Context(prec=DPS))
+
+
 def alpha_constant():
     """12*sqrt(3) * pi^(-5/2) * e^(pi^2/12), to DPS digits."""
-    with mp.workdps(DPS):
-        return 12 * mp.sqrt(3) * mp.pi ** mp.mpf("-2.5") * mp.e ** (mp.pi**2 / 12)
+    with _context():
+        return 12 * Decimal(3).sqrt() / (PI * PI * PI.sqrt()) * (PI * PI / 12).exp()
 
 
 def beta_constant():
     """6*sqrt(2) * pi^(-2) * e^(pi^2/24), to DPS digits."""
-    with mp.workdps(DPS):
-        return 6 * mp.sqrt(2) / mp.pi**2 * mp.e ** (mp.pi**2 / 24)
+    with _context():
+        return 6 * Decimal(2).sqrt() / (PI * PI) * (PI * PI / 24).exp()
 
 
 # sequence -> (main-term constant, base numerator, sqrt(n) factor): the main
@@ -44,7 +52,8 @@ MAIN_TERMS = {
 
 def trend(which: str, n_max: int):
     """Exact coefficients divided by the closed-form main term, for
-    n = 1..n_max; returns TrendRow(n, ratio, |ratio - 1|) entries."""
+    n = 1..n_max; returns TrendRow(n, ratio, |ratio - 1|) entries, with
+    Decimal ratio and deviation."""
     if not 1 <= n_max <= N_MAX_CAP:
         raise ParameterError(f"n_max must be within 1..{N_MAX_CAP}")
     if which not in MAIN_TERMS:
@@ -52,14 +61,14 @@ def trend(which: str, n_max: int):
     constant, numerator, sqrt_factor = MAIN_TERMS[which]
     series = univariate_fishburn_series(which, n_max)
     rows = []
-    with mp.workdps(DPS):
+    with _context():
         const = constant()
-        base = numerator / mp.pi**2
+        base = numerator / (PI * PI)
         for n in range(1, n_max + 1):
-            main = mp.factorial(n) * base**n * const
+            main = factorial(n) * base**n * const
             if sqrt_factor:
-                main *= mp.sqrt(n)
-            ratio = mp.mpf(series.coefficient((n,))) / main
+                main *= Decimal(n).sqrt()
+            ratio = series.coefficient((n,)) / main
             rows.append(TrendRow(n, ratio, abs(ratio - 1)))
     return rows
 

@@ -170,7 +170,7 @@ def cmd_terminating(args) -> int:
 
 def __getattr__(name):
     # `_NUMERIC_IDS` is the hypergeom table itself, resolved on access so that
-    # importing the CLI loads neither hypergeom nor mpmath
+    # importing the CLI does not load hypergeom
     if name == "_NUMERIC_IDS":
         from .hypergeom import NUMERIC_IDENTITIES
         return NUMERIC_IDENTITIES
@@ -231,21 +231,20 @@ def cmd_watson(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    import mpmath as mp
-
     from . import asymptotics
+    from .cyclotomic import decimal_str
 
     rows = asymptotics.trend(args.which, args.n_max)
     payload = {"which": args.which,
-               "rows": [{"n": r.n, "ratio": mp.nstr(r.ratio, 12),
-                         "deviation": mp.nstr(r.deviation, 8)} for r in rows]}
+               "rows": [{"n": r.n, "ratio": decimal_str(r.ratio, 12),
+                         "deviation": decimal_str(r.deviation, 8)} for r in rows]}
 
     def text():
         print(f"{args.which}: coefficient / closed-form main term")
         step = max(1, len(rows) // 20)
         for r in rows[::step]:
-            print(f"  n={r.n:4d} ratio={mp.nstr(r.ratio, 10)} "
-                  f"n*|ratio-1|={mp.nstr(r.n * r.deviation, 6)}")
+            print(f"  n={r.n:4d} ratio={decimal_str(r.ratio, 10)} "
+                  f"n*|ratio-1|={decimal_str(r.n * r.deviation, 6)}")
     _emit(args, payload, text)
     return EXIT_OK
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -70,6 +70,25 @@ def fraction_str(x) -> str:
     x = Fraction(x)
     num = str(Decimal(x.numerator))
     return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def decimal_str(x: Decimal, digits: int) -> str:
+    """The Decimal x to `digits` significant digits, rounded half up, laid out
+    as mpmath's nstr lays out a real: fixed notation when the exponent e of
+    the leading digit has min(-(digits // 3), -5) < e < digits, else
+    scientific, with trailing zeros stripped but for one after the point."""
+    if not x:
+        return "0.0"
+    rounding = Context(prec=digits, rounding=ROUND_HALF_UP, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    sign, mantissa, exponent = rounding.plus(x).as_tuple()
+    mantissa = "".join(map(str, mantissa))
+    e = exponent + len(mantissa) - 1
+    suffix, point = f"e{e:+d}", 1
+    if min(-(digits // 3), -5) < e < digits:
+        suffix, point = "", max(e, 0) + 1
+        mantissa = "0" * -e + mantissa if e < 0 else mantissa.ljust(point, "0")
+    text = f"{mantissa[:point]}.{mantissa[point:]}".rstrip("0")
+    return "-" * sign + text + "0" * text.endswith(".") + suffix
 
 
 # a signed run of ASCII digits with at most one decimal point, optionally

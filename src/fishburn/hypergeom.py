@@ -27,8 +27,9 @@ the working digits plus SUM_GUARD_DIGITS with an unbounded exponent range, so
 that the q^{n^2} tails never underflow.  Each parameter is read once, exactly,
 from its Python complex; the side prefactors, the pole guards, the sums and
 |LHS - RHS| are all computed there, and magnitudes are compared squared.
-mpmath only renders the report and error strings (`_nstr`), and is imported
-only when one is printed.
+The report and error strings print those decimals to a fixed number of
+significant digits (`_nstr`, through `cyclotomic.decimal_str`), so no other
+arithmetic is loaded.
 
 Watson's transformation with f = q^{-N} is a finite sum on both sides and is
 evaluated exactly over the rationals, once no denominator factor vanishes.
@@ -44,8 +45,8 @@ from itertools import count, islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cyclotomic import fraction_str
-from .errors import ConvergenceError, ParameterError, PoleError
+from .cyclotomic import decimal_str, fraction_str
+from .errors import BoundExceededError, ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _ratio_factors, _terms, _vanishing_index,
                       partial_sum, pochhammer_terms)
@@ -61,6 +62,9 @@ SUMMATION_MARGIN = Decimal("1e-3")
 GUARD_DIGITS = 5
 # digits that a numeric check carries beyond the working precision
 SUM_GUARD_DIGITS = 5
+# the largest N of the exact Watson check: its rationals grow with N, so
+# N = 128 took 0.29 s and N = 256 took 5.6 s
+WATSON_N_CAP = 128
 # the seed of the registry's parameter draws, and of `fishburn numeric`'s
 # unless it is given one
 DRAW_SEED = 20260809
@@ -95,14 +99,13 @@ def _context(dps):
 
 
 def _nstr(x, digits):
-    """The Decimal or _DecimalComplex `x` as mpmath's nstr prints it to
-    `digits` digits, read at the precision of the current decimal context."""
-    import mpmath as mp  # only the printed strings need it
-
-    with mp.workdps(getcontext().prec):
-        if isinstance(x, _DecimalComplex):
-            return mp.nstr(mp.mpc(str(x.re), str(x.im)), digits)
-        return mp.nstr(mp.mpf(str(x)), digits)
+    """The Decimal or _DecimalComplex `x` to `digits` significant digits,
+    a complex one as (re + imj) or (re - |im|j)."""
+    if isinstance(x, _DecimalComplex):
+        sign = "-" if x.im < 0 else "+"
+        im = decimal_str(x.im.copy_abs(), digits)
+        return f"({decimal_str(x.re, digits)} {sign} {im}j)"
+    return decimal_str(x, digits)
 
 
 def _pole_guard_exponent(dps):
@@ -438,12 +441,16 @@ def watson_exact(N: int, a, b, c, e, q, d=None) -> VerificationReport:
 
     Both sides are finite sums (the (f;q)_n factors vanish beyond n = N) and
     are evaluated over the rationals.  `d` defaults to q, the specialization
-    used throughout; any rational d is accepted.  Parameter choices that hit
-    a pole raise PoleError naming the vanishing factor, before any summation:
-    a term whose numerator and denominator both vanish is refused as well.
+    used throughout; any rational d is accepted.  An N above WATSON_N_CAP is
+    refused before any work.  Parameter choices that hit a pole raise
+    PoleError naming the vanishing factor, before any summation: a term
+    whose numerator and denominator both vanish is refused as well.
     """
     if N < 1:
         raise ParameterError("N must be a positive integer")
+    if N > WATSON_N_CAP:
+        raise BoundExceededError(f"the exact Watson check is capped at N = {WATSON_N_CAP} "
+                                 f"(got {N})")
     a, b, c, e, q = (Fraction(v) for v in (a, b, c, e, q))
     d = q if d is None else Fraction(d)
     if 0 in (a, b, c, d, e, q):

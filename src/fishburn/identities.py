@@ -27,10 +27,11 @@ from itertools import product
 from operator import attrgetter
 
 from .cyclotomic import CyclotomicElement, fraction_str
-from .errors import CertificateError, ParameterError, UnknownFamilyError
+from .errors import (BoundExceededError, CertificateError, ParameterError,
+                     UnknownFamilyError)
 from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS, TERMINATING_FAMILIES
-from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, Point, expand_family,
-                      family_parameters, partial_sum, termination_index)
+from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, TERMINATING_TERM_CAP, Point,
+                      expand_family, family_parameters, partial_sum, termination_index)
 from .rings import ZZ
 from .series import TruncatedSeries
 
@@ -242,20 +243,33 @@ def _certified(expr: str, p, q):
             f"{expr} at p={_fmt_scalar(p)}, q={_fmt_scalar(q)}: {err}") from None
 
 
+def _all_certified(exprs, p, q):
+    """The (expression, spec, term count) of each of the sums `exprs` at
+    (p, q).  Every certificate is asked first, then a sum of more than
+    TERMINATING_TERM_CAP terms is refused, so a refusal costs no summing."""
+    certified = [(e, *_certified(e, p, q)) for e in exprs]
+    for e, _, count in certified:
+        if count > TERMINATING_TERM_CAP:
+            raise BoundExceededError(
+                f"{e} at p={_fmt_scalar(p)}, q={_fmt_scalar(q)} has {count} terms; "
+                f"exact terminating sums are capped at {TERMINATING_TERM_CAP}")
+    return certified
+
+
 def evaluate_terminating(expr: str, p, q):
     """Exact value of a terminating sum at scalar (p, q), both rational or
     both cyclotomic.  Requires a termination certificate, a factor
-    (1 - a r^n) of the sum that vanishes, and refuses to evaluate otherwise."""
-    return partial_sum(*_certified(expr, p, q))
+    (1 - a r^n) of the sum that vanishes, and refuses to evaluate otherwise,
+    or when the sum has more than TERMINATING_TERM_CAP terms."""
+    ((_, spec, count),) = _all_certified((expr,), p, q)
+    return partial_sum(spec, count)
 
 
 def _terminating_values(family, p, q, rep):
     """The (expression, value, term count) of each of `family`'s expressions
     at (p, q); `rep` becomes a mismatch at the first value that differs from
     the first one."""
-    # every certificate is asked before any sum is summed, so a refusal
-    # costs no summing
-    certified = [(e, *_certified(e, p, q)) for e in TERMINATING_FAMILIES[family]]
+    certified = _all_certified(TERMINATING_FAMILIES[family], p, q)
     values = [(e, partial_sum(spec, count), count) for e, spec, count in certified]
     base = values[0][1]
     for e, v, _ in values[1:]:

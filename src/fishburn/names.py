@@ -28,7 +28,7 @@ TERMINATING_FAMILIES = {"comp1": ("comp1-left", "comp1-mid"),
 
 # CLI alias -> registry id of each entry of hypergeom.NUMERIC_IDENTITIES, in
 # its order; the registry lists the numeric identities from this table, so
-# that building it imports neither hypergeom nor mpmath
+# that building it does not import hypergeom
 NUMERIC_REGISTRY_IDS = {"rf": "rogers-fine", "grf": "generalized-rf",
                         "watson-limit": "watson-limit",
                         "grf-degeneration": "grf-degeneration"}

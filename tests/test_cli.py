@@ -621,6 +621,30 @@ def test_exact_commands_load_only_their_layers(argv, loaded):
     assert computing_modules_after(code) == loaded
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--id", "all"],
+     ["fishburn.enumeration", "fishburn.hypergeom", "fishburn.identities"]),
+    *[(["numeric", "--id", alias, "--draws", "1"],
+       ["fishburn.hypergeom", "fishburn.identities"]) for alias in names.NUMERIC_IDS],
+    *[(["asymptotics", "--which", which], ["fishburn.asymptotics"])
+      for which in names.TREND_SEQUENCES],
+])
+def test_numeric_and_asymptotic_commands_load_no_mpmath(argv, loaded):
+    # their values are decimals from parameter to printed digit
+    code = f"from fishburn.cli import main\nmain({argv!r})"
+    assert computing_modules_after(code) == loaded
+
+
+def test_roots_check_still_loads_mpmath_for_its_embedding():
+    # the complex embedding cross-check of the cyclotomic values is the one
+    # computation left in mpmath
+    argv = ["roots", "check", "--family", "comp1-left-vs-mid", "--k", "3",
+            "--p-exp", "1", "--q-exp", "1"]
+    code = f"from fishburn.cli import main\nmain({argv!r})"
+    assert computing_modules_after(code) == ["mpmath", "fishburn.roots",
+                                             "fishburn.identities"]
+
+
 @pytest.mark.parametrize("name", fishburn.__all__)
 def test_package_name_is_the_submodule_binding(name, monkeypatch):
     module = importlib.import_module(f"fishburn.{fishburn._SOURCE[name]}")
@@ -657,3 +681,21 @@ NAME_TABLES = {
 def test_choice_names_match_their_tables(name):
     module, keys = NAME_TABLES[name]
     assert getattr(names, name) == tuple(keys(importlib.import_module(f"fishburn.{module}")))
+
+
+def test_terminating_above_the_term_cap_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "terminating", "--expr", "comp1", "--p", str(2**2000),
+                         "--q", "1/2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "capped at" in err
+
+
+def test_watson_above_its_cap_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "watson", "--n", "3000", "--a", "1/3", "--b", "1/5",
+                         "--c", "1/7", "--e", "1/11", "--q", "1/2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "capped at" in err

@@ -341,3 +341,11 @@ def test_exact_pole_refusal_matches_a_plain_scan():
             with pytest.raises(PoleError) as err:
                 hypergeom._refuse_exact_poles(named, q, N)
             assert str(err.value) == want
+
+
+def test_watson_exact_n_cap():
+    from fishburn.errors import BoundExceededError
+    params = ("1/3", "1/5", "1/7", "1/11", "1/2")
+    assert watson_exact(hypergeom.WATSON_N_CAP, *params).outcome == "verified"
+    with pytest.raises(BoundExceededError, match="capped at"):
+        watson_exact(hypergeom.WATSON_N_CAP + 1, *params)

@@ -300,3 +300,21 @@ def test_report_json_shape():
     d = report.to_json_dict()
     assert set(d) >= {"id", "mode", "order", "outcome", "timing_ms"}
     assert d["outcome"] == "verified"
+
+
+def test_terminating_term_cap():
+    # at p = 2^k, q = 1/2 the comp1 sums have k + 1 terms: the cap passes,
+    # one term more is refused after every certificate is asked and before
+    # any summing
+    from fishburn.errors import BoundExceededError
+    from fishburn.qseries import TERMINATING_TERM_CAP
+    q, p = Fraction(1, 2), Fraction(2**(TERMINATING_TERM_CAP - 1))
+    assert identities._certified("comp1-left", p, q)[1] == TERMINATING_TERM_CAP
+    assert verify_terminating("comp1", p, q).ok
+    start = time.perf_counter()
+    for p in (2**TERMINATING_TERM_CAP, 2**2000):
+        with pytest.raises(BoundExceededError, match="capped at"):
+            evaluate_terminating("comp1-left", Fraction(p), q)
+        with pytest.raises(BoundExceededError, match="capped at"):
+            verify_terminating("comp1", Fraction(p), q)
+    assert time.perf_counter() - start < 1
