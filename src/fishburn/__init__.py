@@ -22,11 +22,11 @@ Layers:
 
 The package imports lazily: ``import fishburn`` loads no submodule, and
 ``fishburn.X`` imports the one submodule that defines X on first use.  The
-CLI likewise imports, per command, only what that command runs.  The
-numeric checks (`hypergeom`) and the asymptotic trends (`asymptotics`)
-compute in `decimal`, and `cyclotomic.decimal_str` prints their numbers.
-mpmath is loaded only by the complex embedding of Q(zeta_k), the roots
-cross-check; the exact layers never import it.
+CLI likewise imports, per command, only what that command runs.  Every
+computation is exact or in `decimal`: the numeric checks (`hypergeom`), the
+asymptotic trends (`asymptotics`) and the complex embedding of Q(zeta_k)
+that the roots cross-check sums at, and `cyclotomic.decimal_str` prints
+their numbers.  The package depends on nothing beyond the standard library.
 """
 
 import importlib

@@ -8,7 +8,8 @@ checks here are trend assertions (deviation shrinking, n * deviation staying
 in a bounded band), never absolute thresholds.
 
 The constants and the ratios are Decimals, computed in one decimal context
-of DPS digits from the literal PI, Decimal.sqrt and Decimal.exp.
+of DPS digits from the literal `cyclotomic.PI`, Decimal.sqrt and
+Decimal.exp.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from math import factorial
 
+from .cyclotomic import PI
 from .errors import ParameterError
 from .qseries import N_MAX_CAP, univariate_fishburn_series
 
 DPS = 50  # working digits of the constants and the trend ratios
-PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
 
 TrendRow = namedtuple("TrendRow", "n ratio deviation")
 

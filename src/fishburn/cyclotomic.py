@@ -43,19 +43,24 @@ is nonzero until it is folded.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
+
+The package's one numeric type lives here too: `_DecimalComplex`, a complex
+number with `decimal.Decimal` parts, which the numeric checks sum in and
+`CyclotomicElement.embed` maps an element to, with zeta_k = e^(2 pi i/k)
+summed from the literal `PI`.  `decimal_str` prints every such number.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import add, neg, sub
 
-from .errors import NonInvertibleError
+from .errors import NonInvertibleError, ParameterError
 
 # The largest conductor a root context or a series payload may name: a field
 # keeps 2 phi(k) - 1 reduced powers of zeta to size `fold_gain`, so building
@@ -89,6 +94,86 @@ def decimal_str(x: Decimal, digits: int) -> str:
         mantissa = "0" * -e + mantissa if e < 0 else mantissa.ljust(point, "0")
     text = f"{mantissa[:point]}.{mantissa[point:]}".rstrip("0")
     return "-" * sign + text + "0" * text.endswith(".") + suffix
+
+
+# pi to 85 significant digits: the embedding of Q(zeta_k) and the asymptotic
+# constants read it, so either is good to about 80 digits
+PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+             "5820974944592307816406286208998628")
+
+
+class _DecimalComplex:
+    """re + i im with Decimal parts, computed in the current decimal context:
+    the arithmetic of the numeric sides, the term loop, _weighted and the
+    embedding of Q(zeta_k)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=Decimal(0)):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def read(cls, z):
+        """The Python complex (or real) `z`, exactly: a float's binary value
+        has a finite decimal expansion, which is kept unrounded."""
+        z = complex(z)
+        re, im = Decimal(z.real), Decimal(z.imag)
+        if not (re.is_finite() and im.is_finite()):
+            raise ParameterError(f"numeric sums need finite values, got {z}")
+        return cls(re, im)
+
+    def norm(self):
+        """|z|^2."""
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        return _DecimalComplex(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _DecimalComplex(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, one):
+        return _DecimalComplex(one - self.re, -self.im)
+
+    def __neg__(self):
+        return _DecimalComplex(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if type(other) is int:  # the -1 mono of comp2-first
+            return _DecimalComplex(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _DecimalComplex(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        return _DecimalComplex((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def __rtruediv__(self, one):
+        return _DecimalComplex(Decimal(one)) / self
+
+    def __pow__(self, n):
+        """z ** 0, the unit, which `qseries.Point.one` asks for."""
+        if n:
+            raise ValueError("a decimal complex number is raised to the power 0 only")
+        return _DecimalComplex(Decimal(1))
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_image(k, dps):
+    """e^(2 pi i/k) to `dps` digits, by the Taylor series of the exponential:
+    the term (2 pi i/k)^n/n! lies on 1, i, -1 or -i as n is 0, 1, 2 or 3
+    mod 4.  The terms are summed until one falls below 10^(-dps - 1)."""
+    with localcontext(Context(prec=dps)):
+        x = 2 * PI / k
+        parts = [Decimal(0)] * 4
+        term, n = Decimal(1), 0
+        while term.adjusted() > -dps - 2:
+            parts[n % 4] += term
+            n += 1
+            term = term * x / n
+        return _DecimalComplex(parts[0] - parts[2], parts[1] - parts[3])
 
 
 # a signed run of ASCII digits with at most one decimal point, optionally
@@ -425,17 +510,15 @@ class CyclotomicElement:
             raise ValueError("element is not rational")
         return Fraction(self.coeffs[0])
 
-    def embed(self, dps: int = 60):
-        """Numerical image under zeta_k -> exp(2*pi*i/k)."""
-        import mpmath as mp  # the exact arithmetic never needs it
-
-        with mp.workdps(dps):
-            zeta = mp.e ** (2j * mp.pi / self.field.k)
-            acc = mp.mpc(0)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    acc += mp.mpf(c.numerator) / mp.mpf(c.denominator) * zeta**j
-            return acc
+    def embed(self, dps: int):
+        """The image under zeta_k -> e^(2 pi i/k), a _DecimalComplex computed
+        in a decimal context of `dps` digits, at most 80."""
+        with localcontext(Context(prec=dps)):
+            zeta = _zeta_image(self.field.k, dps)
+            image = _DecimalComplex(Decimal(0))
+            for c in reversed(self.coeffs):
+                image = image * zeta + _DecimalComplex(Decimal(c.numerator) / c.denominator)
+            return image
 
     def __repr__(self):
         parts = []

@@ -22,7 +22,8 @@ where it would divide and turn a vanishing factor into a pole the sum does
 not have.
 
 A numeric check computes in one arithmetic: complex numbers with
-`decimal.Decimal` parts (the C library libmpdec), in one decimal context of
+`decimal.Decimal` parts (`cyclotomic._DecimalComplex`, over the C library
+libmpdec), the package's one numeric type, in one decimal context of
 the working digits plus SUM_GUARD_DIGITS with an unbounded exponent range, so
 that the q^{n^2} tails never underflow.  Each parameter is read once, exactly,
 from its Python complex; the side prefactors, the pole guards, the sums and
@@ -45,7 +46,7 @@ from itertools import count, islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cyclotomic import decimal_str, fraction_str
+from .cyclotomic import _DecimalComplex, decimal_str, fraction_str
 from .errors import BoundExceededError, ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _ratio_factors, _terms, _vanishing_index,
@@ -133,55 +134,6 @@ def _weighted(terms, x, r):
     for term in terms:
         yield term * (1 - x)
         x = x * r
-
-
-class _DecimalComplex:
-    """re + i im with Decimal parts, computed in the current decimal context:
-    the arithmetic of the side builders, the term loop and _weighted."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=Decimal(0)):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def read(cls, z):
-        """The Python complex (or real) `z`, exactly: a float's binary value
-        has a finite decimal expansion, which is kept unrounded."""
-        z = complex(z)
-        re, im = Decimal(z.real), Decimal(z.imag)
-        if not (re.is_finite() and im.is_finite()):
-            raise ParameterError(f"numeric sums need finite values, got {z}")
-        return cls(re, im)
-
-    def norm(self):
-        """|z|^2."""
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        return _DecimalComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _DecimalComplex(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, one):
-        return _DecimalComplex(one - self.re, -self.im)
-
-    def __neg__(self):
-        return _DecimalComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _DecimalComplex(a * c - b * d, a * d + b * c)
-
-    def __truediv__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        n = c * c + d * d
-        return _DecimalComplex((a * c + b * d) / n, (b * c - a * d) / n)
-
-    def __rtruediv__(self, one):
-        return _DecimalComplex(Decimal(one)) / self
 
 
 _ONE = _DecimalComplex(Decimal(1))

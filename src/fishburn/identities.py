@@ -137,6 +137,20 @@ def _fmt_scalar(v):
     return fraction_str(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
+# the most characters of a parameter that a refusal prints: a longer one is
+# named by its number of digits, so that the refusal stays one short line
+BRIEF_CHARS = 40
+
+
+def _brief(v):
+    """v as a report writes it, or its count of digits when that is longer
+    than BRIEF_CHARS."""
+    text = _fmt_scalar(v)
+    if len(text) <= BRIEF_CHARS:
+        return text
+    return f"<a number of {sum(c.isdigit() for c in text)} digits>"
+
+
 def _record_until_failure(rep, key, subs, entry=attrgetter("outcome")):
     """`rep` with `entry(sub)` under detail[key] for each report of `subs` (an
     iterator) up to the first that is not ok, whose outcome and witness it
@@ -240,7 +254,7 @@ def _certified(expr: str, p, q):
         return spec, termination_index(spec) + 1
     except CertificateError as err:
         raise CertificateError(
-            f"{expr} at p={_fmt_scalar(p)}, q={_fmt_scalar(q)}: {err}") from None
+            f"{expr} at p={_brief(p)}, q={_brief(q)}: {err}") from None
 
 
 def _all_certified(exprs, p, q):
@@ -251,7 +265,7 @@ def _all_certified(exprs, p, q):
     for e, _, count in certified:
         if count > TERMINATING_TERM_CAP:
             raise BoundExceededError(
-                f"{e} at p={_fmt_scalar(p)}, q={_fmt_scalar(q)} has {count} terms; "
+                f"{e} at p={_brief(p)}, q={_brief(q)} has {count} terms; "
                 f"exact terminating sums are capped at {TERMINATING_TERM_CAP}")
     return certified
 

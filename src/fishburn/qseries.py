@@ -18,7 +18,7 @@ the expansions at roots of unity.  `_require_order` is the one check.
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
 package uses (series over ZZ, QQ and Q(zeta_k), Fractions, cyclotomic
-elements, mpmath and decimal complex numbers), and each mode applies its
+elements and decimal complex numbers), and each mode applies its
 own stopping rule.  The formal families, the root-of-unity expansions and
 the terminating evaluations all run the same specs.
 
@@ -106,9 +106,9 @@ class PochhammerSum(NamedTuple):
     Basic Hypergeometric Series (2nd ed., 2004), ch. 1.  Powers give the
     quadratic exponents of a front: q^{n^2} is (q, q^2), q^{n(n+1)/2} is
     (q, q) and q^{binom(n,2) - n} is (1/q, q).  The entries are truncated
-    series, Fractions, cyclotomic elements, mpmath or decimal complex
-    numbers, all of one arithmetic, except that a mono may be a scalar next
-    to series entries.
+    series, Fractions, cyclotomic elements or decimal complex numbers, all
+    of one arithmetic, except that a mono may be a scalar, such as the -1
+    of comp2-first.
     """
 
     first: object

@@ -20,15 +20,17 @@ the formal families use (`qseries._require_order`), before any field is
 built or any sum summed.
 
 Exact cyclotomic arithmetic is the source of truth throughout; the
-terminating checks re-sum the same specs in mpmath through the complex
-embedding only to cross-check it.
+terminating checks re-sum the same specs in `decimal`, at the complex
+image of (p, q) under zeta_k -> e^(2 pi i/k) (`CyclotomicElement.embed`),
+only to cross-check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
-from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, get_field
+from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, decimal_str, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, _terminating_values
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
@@ -162,17 +164,18 @@ def conjecture_explore(ctx: RootContext) -> ConjectureReport:
 # terminating checks over Q(zeta_k) with complex cross-check
 
 
-EMBED_TOL = "1e-40"  # read by mpmath, which only the embedding check loads
+# the embedding cross-check computes at EMBED_DPS digits plus
+# EMBED_GUARD_DIGITS, and accepts |exact image - decimal sum| up to EMBED_TOL
+EMBED_TOL = Decimal("1e-40")
 EMBED_DPS = 60
+EMBED_GUARD_DIGITS = 5
 
 
 def root_terminating_check(family: str, p: CyclotomicElement,
                            q: CyclotomicElement) -> VerificationReport:
     """Exact equality of the terminating sums over Q(zeta_k), plus a 60-digit
-    complex re-check of every value through the embedding.  Elements of a
-    field beyond CONDUCTOR_CAP are refused, as RootContext refuses them."""
-    import mpmath as mp
-
+    decimal re-check of every value through the complex embedding.  Elements
+    of a field beyond CONDUCTOR_CAP are refused, as RootContext refuses them."""
     rep = VerificationReport(family, "terminating-exact")
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
@@ -181,14 +184,13 @@ def root_terminating_check(family: str, p: CyclotomicElement,
         _require_conductor(x.field.k)
     values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
     # complex embedding cross-check, summing as many terms as the exact sums
-    with mp.workdps(EMBED_DPS):
-        point = Point(p.embed(EMBED_DPS), q.embed(EMBED_DPS))
-        worst = mp.mpf(0)
-        for e, val, count in values:
-            numeric = partial_sum(COMPACT_SUMS[e](point), count)
-            worst = max(worst, abs(numeric - val.embed(EMBED_DPS)))
-        rep.detail["embedding_diff"] = mp.nstr(worst, 8)
-        if worst > mp.mpf(EMBED_TOL) and rep.ok:
-            rep.mismatch("embedding", values[0][1], mp.nstr(worst, 8))
+    dps = EMBED_DPS + EMBED_GUARD_DIGITS
+    with localcontext(Context(prec=dps)):
+        point = Point(p.embed(dps), q.embed(dps))
+        worst2 = max((partial_sum(COMPACT_SUMS[e](point), count) - val.embed(dps)).norm()
+                     for e, val, count in values)
+        diff = rep.detail["embedding_diff"] = decimal_str(worst2.sqrt(), 8)
+        if worst2 > EMBED_TOL * EMBED_TOL and rep.ok:
+            rep.mismatch("embedding", values[0][1], diff)
     rep.detail["values"] = {e: repr(v) for e, v, _ in values}
     return rep.finish()

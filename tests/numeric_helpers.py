@@ -1,5 +1,6 @@
-"""The mpmath summation of a numeric side that hypergeom's decimal sums
-replaced, kept as the reference they are tested against."""
+"""The mpmath references that the package's decimal arithmetic replaced:
+the summation of a numeric side, and the complex image of an element of
+Q(zeta_k)."""
 
 from decimal import Decimal, getcontext
 from itertools import count
@@ -12,6 +13,15 @@ from fishburn.hypergeom import (DECAY_RUN, SUM_GUARD_DIGITS, _DecimalComplex, _p
 from fishburn.qseries import PochhammerSum, pochhammer_terms
 
 DECAY_RATIO = mp.mpf("0.9")
+
+
+def mp_image(x, dps):
+    """The image of the CyclotomicElement x under zeta_k -> e^(2 pi i/k), as
+    an mpmath complex number computed at `dps` digits."""
+    with mp.workdps(dps):
+        zeta = mp.expjpi(mp.mpf(2) / x.field.k)
+        return sum((mp.mpf(c.numerator) / c.denominator * zeta**j
+                    for j, c in enumerate(x.coeffs)), mp.mpc(0))
 
 
 def _to_mp(entry):

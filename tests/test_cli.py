@@ -581,18 +581,23 @@ COMPUTING_MODULES = ("mpmath", "fishburn.enumeration", "fishburn.posets",
                      "fishburn.oeis", "fishburn.identities")
 
 
-def computing_modules_after(code):
-    """The COMPUTING_MODULES that a fresh interpreter has loaded once `code`
-    has run."""
+def last_line_of(script):
+    """The last line that a fresh interpreter prints when it runs `script`."""
     src = str(Path(fishburn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.pop("FISHBURN_CACHE_DIR", None)
-    script = (f"{code}\nimport sys\n"
-              f"print(' '.join(m for m in {COMPUTING_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1].split()
+    return proc.stdout.splitlines()[-1]
+
+
+def computing_modules_after(code):
+    """The COMPUTING_MODULES that a fresh interpreter has loaded once `code`
+    has run."""
+    return last_line_of(
+        f"{code}\nimport sys\n"
+        f"print(' '.join(m for m in {COMPUTING_MODULES!r} if m in sys.modules))").split()
 
 
 @pytest.mark.parametrize("code", ["import fishburn", "import fishburn.cli",
@@ -602,7 +607,7 @@ def test_import_loads_no_computing_module(code):
 
 
 def test_numeric_module_loads_no_mpmath():
-    # the numeric checks compute in decimal: mpmath loads only to print
+    # the numeric checks compute and print in decimal
     assert computing_modules_after("import fishburn.hypergeom") == [
         "fishburn.hypergeom", "fishburn.identities"]
 
@@ -628,21 +633,50 @@ def test_exact_commands_load_only_their_layers(argv, loaded):
        ["fishburn.hypergeom", "fishburn.identities"]) for alias in names.NUMERIC_IDS],
     *[(["asymptotics", "--which", which], ["fishburn.asymptotics"])
       for which in names.TREND_SEQUENCES],
+    (["roots", "check", "--family", "comp1-left-vs-mid", "--k", "3", "--p-exp", "1",
+      "--q-exp", "1"], ["fishburn.roots", "fishburn.identities"]),
+    (["roots", "explore", "--k", "4", "--a", "1", "--b", "1", "--order", "3"],
+     ["fishburn.roots", "fishburn.identities"]),
 ])
 def test_numeric_and_asymptotic_commands_load_no_mpmath(argv, loaded):
-    # their values are decimals from parameter to printed digit
+    # their values are decimals from parameter to printed digit, and the
+    # roots cross-check embeds Q(zeta_k) in decimal
     code = f"from fishburn.cli import main\nmain({argv!r})"
     assert computing_modules_after(code) == loaded
 
 
-def test_roots_check_still_loads_mpmath_for_its_embedding():
-    # the complex embedding cross-check of the cyclotomic values is the one
-    # computation left in mpmath
-    argv = ["roots", "check", "--family", "comp1-left-vs-mid", "--k", "3",
-            "--p-exp", "1", "--q-exp", "1"]
-    code = f"from fishburn.cli import main\nmain({argv!r})"
-    assert computing_modules_after(code) == ["mpmath", "fishburn.roots",
-                                             "fishburn.identities"]
+# one cheap command of every subcommand but oeis-check, which needs a b-file,
+# and of every roots action
+EVERY_SUBCOMMAND = [
+    ["verify", "--id", "all"],
+    ["numeric", "--id", "grf", "--draws", "2"],
+    ["asymptotics", "--which", "fishburn", "--n-max", "20"],
+    ["roots", "check", "--k", "3", "--p-exp", "1", "--q-exp", "1"],
+    ["roots", "explore", "--k", "4", "--a", "1", "--b", "1", "--order", "3"],
+    ["roots", "expand", "--k", "3", "--a", "1", "--b", "1", "--order", "3"],
+    ["terminating", "--expr", "comp2", "--p", "4", "--q", "1/2"],
+    ["watson", "--n", "2", "--a", "2/3", "--b=-1/5", "--c", "3/7", "--e", "5/11",
+     "--q", "1/3"],
+    ["pentagonal", "--order", "10"],
+    ["expand", "--family", "F2", "--order", "6", "--no-cache"],
+    ["enumerate", "--family", "fishburn", "--size", "5"],
+]
+
+
+def test_every_subcommand_runs_with_mpmath_blocked(tmp_path):
+    bfile = tmp_path / "b022493.txt"
+    bfile.write_text("\n".join(f"{n} {v}" for n, v in enumerate(fishburn_numbers(10))))
+    commands = EVERY_SUBCOMMAND + [["oeis-check", "--seq", "A022493", "--bfile", str(bfile),
+                                    "--max-n", "10"]]
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted({argv[0] for argv in commands}) == sorted(subcommands)
+    assert sorted(argv[1] for argv in commands if argv[0] == "roots") == [
+        "check", "expand", "explore"]
+    # a None entry in sys.modules makes any import of mpmath fail
+    exits = last_line_of("import sys\nsys.modules['mpmath'] = None\n"
+                         "from fishburn.cli import main\n"
+                         f"print([main(argv) for argv in {commands!r}])")
+    assert exits == str([0] * len(commands))
 
 
 @pytest.mark.parametrize("name", fishburn.__all__)
@@ -690,6 +724,9 @@ def test_terminating_above_the_term_cap_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "capped at" in err
+    # the 603-digit p is named by its size, so the error stays one short line
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "p=<a number of 603 digits>" in err
 
 
 def test_watson_above_its_cap_exits_2_at_once(capsys):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from count_helpers import euler_phi
-from fishburn.cyclotomic import cyclotomic_polynomial, get_field
+from fishburn.cyclotomic import CONDUCTOR_CAP, cyclotomic_polynomial, get_field
 from fishburn.errors import NonInvertibleError
+from numeric_helpers import mp_image
 
 
 KNOWN_POLYS = {
@@ -151,17 +152,32 @@ def test_embedding_consistency(k):
         for _ in range(10):
             a = F.element([rng.randint(-3, 3) for _ in range(F.degree)])
             b = F.element([rng.randint(-3, 3) for _ in range(F.degree)])
-            exact = (a * b).embed(60)
-            numeric = a.embed(60) * b.embed(60)
+            exact = mp_image(a * b, 60)
+            numeric = mp_image(a, 60) * mp_image(b, 60)
             assert abs(exact - numeric) < mp.mpf("1e-40")
 
 
 def test_embedding_of_primitive_root():
     F = get_field(8)
     with mp.workdps(60):
-        z = F.zeta().embed(60)
+        z = mp_image(F.zeta(), 60)
         assert abs(z ** 8 - 1) < mp.mpf("1e-50")
         assert abs(z ** 4 + 1) < mp.mpf("1e-50")
+
+
+@pytest.mark.parametrize("k", range(1, CONDUCTOR_CAP + 1))
+def test_decimal_embedding_matches_the_mpmath_image(k):
+    """The decimal image of random elements, integral and fractional, equals
+    the mpmath image to 1e-55, at the 65 digits the roots cross-check uses."""
+    F = get_field(k)
+    rng = random.Random(31 + k)
+    elements = [F.zeta(j) for j in range(k)]
+    elements += [F.element([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
+                            for _ in range(F.degree)]) for _ in range(20)]
+    with mp.workdps(80):
+        for x in elements:
+            image = x.embed(65)
+            assert abs(mp.mpc(str(image.re), str(image.im)) - mp_image(x, 80)) < mp.mpf("1e-55")
 
 
 # -- int coordinates: differential and property tests -------------------------

@@ -1,10 +1,12 @@
 """Root-of-unity expansions, the conjecture explorer, terminating checks."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from fishburn import roots
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating
@@ -15,6 +17,7 @@ from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
                             conjecture_explore, expand_at_root, expand_q_only,
                             root_terminating_check)
 from fishburn.series import TruncatedSeries
+from numeric_helpers import mp_image
 from series_helpers import map_coefficients
 
 
@@ -255,11 +258,52 @@ def test_root_terminating_check_refuses_a_field_beyond_the_cap():
         root_terminating_check("comp2-three-way", get_field(4).zeta(2), F.zeta(1))
 
 
+# (family, k, a, b) at p = zeta_k^a, q = zeta_k^b for k in 3, 4, 5, 12:
+# the number whose sums carry a termination certificate
+EMBEDDING_SWEEP_CERTIFIED = {3: 14, 4: 17, 5: 42, 12: 119}
+
+
+@pytest.mark.parametrize("k", sorted(EMBEDDING_SWEEP_CERTIFIED))
+def test_embedding_cross_check_verifies_every_certified_point(k):
+    """Every certified point of the field is verified, with the decimal
+    re-sum within 1e-40 of the exact values' images."""
+    F = get_field(k)
+    certified = 0
+    for family in ("comp1-left-vs-mid", "comp2-three-way"):
+        for a in range(k):
+            for b in range(k):
+                try:
+                    rep = root_terminating_check(family, F.zeta(a), F.zeta(b))
+                except CertificateError:
+                    continue
+                certified += 1
+                assert rep.outcome == "verified", (family, a, b)
+                assert Decimal(rep.detail["embedding_diff"]) < Decimal("1e-40")
+    assert certified == EMBEDDING_SWEEP_CERTIFIED[k]
+
+
+def test_embedding_cross_check_catches_a_value_times_zeta(monkeypatch):
+    """The first value, multiplied by zeta after the exact values were
+    compared, is refused by the embedding cross-check alone."""
+    real = roots._terminating_values
+
+    def first_times_zeta(*args):
+        (e, value, count), *rest = real(*args)
+        return [(e, value * value.field.zeta(), count), *rest]
+
+    monkeypatch.setattr(roots, "_terminating_values", first_times_zeta)
+    F = get_field(4)
+    rep = root_terminating_check("comp2-three-way", F.zeta(2), F.zeta(1))
+    assert rep.outcome == "mismatch"
+    assert rep.witness["index"] == "embedding"
+    assert Decimal(rep.witness["right"]) > 1
+
+
 def _eval_uv_polynomial(series, u_val, v_val, dps):
     with mp.workdps(dps):
         total = mp.mpc(0)
         for (i, j), c in series.terms.items():
-            total += c.embed(dps) * u_val**i * v_val**j
+            total += mp_image(c, dps) * u_val**i * v_val**j
         return total
 
 
