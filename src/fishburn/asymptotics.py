@@ -7,39 +7,35 @@ with O(1/n) relative corrections whose constants are unspecified, so the
 checks here are trend assertions (deviation shrinking, n * deviation staying
 in a bounded band), never absolute thresholds.
 
-The constants and the ratios are Decimals, computed in one decimal context
-of DPS digits from the literal `cyclotomic.PI`, Decimal.sqrt and
-Decimal.exp.
+The constants and the ratios are Decimals, computed in the package's one
+decimal context (`cyclotomic.decimal_context`) at DPS digits, from the
+literal `cyclotomic.PI`, Decimal.sqrt and Decimal.exp.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Context, Decimal, localcontext
+from decimal import Decimal
 from math import factorial
 
-from .cyclotomic import PI
+from .cyclotomic import PI, decimal_context
 from .errors import ParameterError
 from .qseries import N_MAX_CAP, univariate_fishburn_series
 
-DPS = 50  # working digits of the constants and the trend ratios
+DPS = 50  # digits of the constants and the trend ratios, before the guard digits
 
 TrendRow = namedtuple("TrendRow", "n ratio deviation")
 
 
-def _context():
-    return localcontext(Context(prec=DPS))
-
-
 def alpha_constant():
     """12*sqrt(3) * pi^(-5/2) * e^(pi^2/12), to DPS digits."""
-    with _context():
+    with decimal_context(DPS):
         return 12 * Decimal(3).sqrt() / (PI * PI * PI.sqrt()) * (PI * PI / 12).exp()
 
 
 def beta_constant():
     """6*sqrt(2) * pi^(-2) * e^(pi^2/24), to DPS digits."""
-    with _context():
+    with decimal_context(DPS):
         return 6 * Decimal(2).sqrt() / (PI * PI) * (PI * PI / 24).exp()
 
 
@@ -62,7 +58,7 @@ def trend(which: str, n_max: int):
     constant, numerator, sqrt_factor = MAIN_TERMS[which]
     series = univariate_fishburn_series(which, n_max)
     rows = []
-    with _context():
+    with decimal_context(DPS):
         const = constant()
         base = numerator / (PI * PI)
         for n in range(1, n_max + 1):

@@ -45,6 +45,9 @@ def _emit(args, payload, text_fn):
 
 
 def _report_exit(reports) -> int:
+    """2 when a check did not converge, else 1 when one found a mismatch."""
+    if any(r.outcome == "inconclusive" for r in reports):
+        return EXIT_ERROR
     return EXIT_OK if all(r.ok for r in reports) else EXIT_MISMATCH
 
 
@@ -112,13 +115,13 @@ def cmd_enumerate(args) -> int:
         stats = interval_order_statistics(size)
         payload = {"family": fam, "size": size, "total": stats["count"],
                    "counts": {str(k): v for k, v in sorted(stats["joint"].items())}}
-    else:  # ascentSequences, the last of the --family choices
+    elif args.dump:  # ascentSequences, the last of the --family choices
+        for seq in ascent_sequences(size):
+            print(" ".join(map(str, seq)))
+        return EXIT_OK
+    else:
         payload = {"family": fam, "size": size,
                    "total": count_ascent_sequences(size)}
-        if args.dump:
-            for seq in ascent_sequences(size):
-                print(" ".join(map(str, seq)))
-            return EXIT_OK
 
     def text():
         print(f"{fam} size {size}: total {payload['total']}")
@@ -194,8 +197,8 @@ def cmd_numeric(args) -> int:
             values[name] = complex(raw)
         points = [values]
     else:
-        if args.draws < 1:
-            raise ParameterError(f"--draws must be at least 1, got {args.draws}")
+        if not 1 <= args.draws <= hypergeom.DRAWS_CAP:
+            raise ParameterError(f"--draws {args.draws} is not within 1..{hypergeom.DRAWS_CAP}")
         import random
         rng = random.Random(hypergeom.DRAW_SEED if args.seed is None else args.seed)
         points = [sampler(rng).values for _ in range(args.draws)]
@@ -212,8 +215,6 @@ def cmd_numeric(args) -> int:
             print(f"{r.id}: {r.outcome} (|diff| = {r.detail.get('abs_diff')}, "
                   f"tol = {pt.tol})")
     _emit(args, payload, text)
-    if any(r.outcome == "inconclusive" for r in reports):
-        return EXIT_ERROR
     return _report_exit(reports)
 
 

@@ -47,14 +47,16 @@ cyclotomic polynomials of the proper divisors of k.
 The package's one numeric type lives here too: `_DecimalComplex`, a complex
 number with `decimal.Decimal` parts, which the numeric checks sum in and
 `CyclotomicElement.embed` maps an element to, with zeta_k = e^(2 pi i/k)
-summed from the literal `PI`.  `decimal_str` prints every such number.
+summed from the literal `PI`.  `decimal_context` is the one decimal context
+that the numeric checks, the roots cross-check and the asymptotic trends
+compute in, and `decimal_str` prints every such number.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -94,6 +96,19 @@ def decimal_str(x: Decimal, digits: int) -> str:
         mantissa = "0" * -e + mantissa if e < 0 else mantissa.ljust(point, "0")
     text = f"{mantissa[:point]}.{mantissa[point:]}".rstrip("0")
     return "-" * sign + text + "0" * text.endswith(".") + suffix
+
+
+# digits that every decimal computation carries beyond the digits it is
+# asked for, so that rounding in its sums stays below the last of them
+DECIMAL_GUARD_DIGITS = 5
+
+
+def decimal_context(digits: int):
+    """The one decimal context of a decimal computation good to `digits`
+    digits: DECIMAL_GUARD_DIGITS more working digits, and an unbounded
+    exponent range, so that the q^{n^2} tails of a numeric sum never
+    underflow."""
+    return localcontext(Context(prec=digits + DECIMAL_GUARD_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX))
 
 
 # pi to 85 significant digits: the embedding of Q(zeta_k) and the asymptotic
@@ -162,18 +177,19 @@ class _DecimalComplex:
 
 @functools.lru_cache(maxsize=None)
 def _zeta_image(k, dps):
-    """e^(2 pi i/k) to `dps` digits, by the Taylor series of the exponential:
-    the term (2 pi i/k)^n/n! lies on 1, i, -1 or -i as n is 0, 1, 2 or 3
-    mod 4.  The terms are summed until one falls below 10^(-dps - 1)."""
-    with localcontext(Context(prec=dps)):
-        x = 2 * PI / k
-        parts = [Decimal(0)] * 4
-        term, n = Decimal(1), 0
-        while term.adjusted() > -dps - 2:
-            parts[n % 4] += term
-            n += 1
-            term = term * x / n
-        return _DecimalComplex(parts[0] - parts[2], parts[1] - parts[3])
+    """e^(2 pi i/k) to `dps` digits, the precision of the current decimal
+    context, which `embed` reads off a `decimal_context`: by the Taylor
+    series of the exponential, whose term (2 pi i/k)^n/n! lies on 1, i, -1
+    or -i as n is 0, 1, 2 or 3 mod 4.  The terms are summed until one falls
+    below 10^(-dps - 1)."""
+    x = 2 * PI / k
+    parts = [Decimal(0)] * 4
+    term, n = Decimal(1), 0
+    while term.adjusted() > -dps - 2:
+        parts[n % 4] += term
+        n += 1
+        term = term * x / n
+    return _DecimalComplex(parts[0] - parts[2], parts[1] - parts[3])
 
 
 # a signed run of ASCII digits with at most one decimal point, optionally
@@ -510,15 +526,15 @@ class CyclotomicElement:
             raise ValueError("element is not rational")
         return Fraction(self.coeffs[0])
 
-    def embed(self, dps: int):
+    def embed(self):
         """The image under zeta_k -> e^(2 pi i/k), a _DecimalComplex computed
-        in a decimal context of `dps` digits, at most 80."""
-        with localcontext(Context(prec=dps)):
-            zeta = _zeta_image(self.field.k, dps)
-            image = _DecimalComplex(Decimal(0))
-            for c in reversed(self.coeffs):
-                image = image * zeta + _DecimalComplex(Decimal(c.numerator) / c.denominator)
-            return image
+        in the current decimal context (`decimal_context` in every caller),
+        to its precision of at most 80 digits."""
+        zeta = _zeta_image(self.field.k, getcontext().prec)
+        image = _DecimalComplex(Decimal(0))
+        for c in reversed(self.coeffs):
+            image = image * zeta + _DecimalComplex(Decimal(c.numerator) / c.denominator)
+        return image
 
     def __repr__(self):
         parts = []

@@ -23,11 +23,12 @@ not have.
 
 A numeric check computes in one arithmetic: complex numbers with
 `decimal.Decimal` parts (`cyclotomic._DecimalComplex`, over the C library
-libmpdec), the package's one numeric type, in one decimal context of
-the working digits plus SUM_GUARD_DIGITS with an unbounded exponent range, so
-that the q^{n^2} tails never underflow.  Each parameter is read once, exactly,
-from its Python complex; the side prefactors, the pole guards, the sums and
-|LHS - RHS| are all computed there, and magnitudes are compared squared.
+libmpdec), the package's one numeric type, in the package's one decimal
+context (`cyclotomic.decimal_context`) at the working digits, at most
+DPS_CAP, whose unbounded exponent range keeps the q^{n^2} tails from
+underflowing.  Each parameter is read once, exactly, from its Python
+complex; the side prefactors, the pole guards, the sums and |LHS - RHS| are
+all computed there, and magnitudes are compared squared.
 The report and error strings print those decimals to a fixed number of
 significant digits (`_nstr`, through `cyclotomic.decimal_str`), so no other
 arithmetic is loaded.
@@ -40,13 +41,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import count, islice
 from operator import itemgetter
 from typing import NamedTuple
 
-from .cyclotomic import _DecimalComplex, decimal_str, fraction_str
+from .cyclotomic import (DECIMAL_GUARD_DIGITS, _DecimalComplex, decimal_context, decimal_str,
+                         fraction_str)
 from .errors import BoundExceededError, ConvergenceError, ParameterError, PoleError
 from .identities import VerificationReport, _record_until_failure
 from .qseries import (PochhammerSum, _ratio_factors, _terms, _vanishing_index,
@@ -61,19 +63,25 @@ SUMMATION_MARGIN = Decimal("1e-3")
 # rounding in the partial sums stays below it: at tol 1e-25 the sampled
 # points differ by up to 1e-27 at 28 digits and report mismatches at 25
 GUARD_DIGITS = 5
-# digits that a numeric check carries beyond the working precision
-SUM_GUARD_DIGITS = 5
 # the largest N of the exact Watson check: its rationals grow with N, so
 # N = 128 took 0.29 s and N = 256 took 5.6 s
 WATSON_N_CAP = 128
 # the seed of the registry's parameter draws, and of `fishburn numeric`'s
 # unless it is given one
 DRAW_SEED = 20260809
+# the most working digits of a numeric check: `fishburn numeric --draws 1
+# --digits 1000 --tol-exp 990` sums the 400 default terms of each side in
+# 0.4 to 0.7 s for rf, grf and watson-limit; 100000 digits took 8.4 to 9.3 s
+DPS_CAP = 1000
+# the most draws of `fishburn numeric`, whose parameter sets are all made
+# before the first check: `--draws 100` takes 0.4 to 0.6 s at the defaults
+DRAWS_CAP = 100
 
 
 @dataclass
 class NumericEvalParams:
-    """Complex parameter values plus working precision and stopping rules."""
+    """Complex parameter values plus working precision, at most DPS_CAP
+    digits, and stopping rules."""
 
     values: dict
     dps: int = 60
@@ -81,6 +89,8 @@ class NumericEvalParams:
     max_terms: int = 400
 
     def __post_init__(self):
+        if self.dps > DPS_CAP:
+            raise ParameterError(f"dps (--digits) is capped at {DPS_CAP}, got {self.dps}")
         if self.max_terms < 1:
             raise ParameterError(f"the term budget max_terms (--max-terms) must be at "
                                  f"least 1, got {self.max_terms}")
@@ -92,11 +102,6 @@ class NumericEvalParams:
 # grf-degeneration puts gamma this many decades below tol * SUMMATION_MARGIN,
 # where the O(gamma) gap between the two identities cannot reach the tolerance
 DEGENERATION_DECADES = 2
-
-
-def _context(dps):
-    """The one decimal context of a numeric check at `dps` working digits."""
-    return localcontext(Context(prec=dps + SUM_GUARD_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX))
 
 
 def _nstr(x, digits):
@@ -115,7 +120,7 @@ def _pole_guard_exponent(dps):
 
 def _pole_guard():
     """The pole guard of the open check, read off its decimal context."""
-    return Decimal(f"1e{_pole_guard_exponent(getcontext().prec - SUM_GUARD_DIGITS)}")
+    return Decimal(f"1e{_pole_guard_exponent(getcontext().prec - DECIMAL_GUARD_DIGITS)}")
 
 
 def _pole(label):
@@ -208,9 +213,9 @@ def _compare_sides(alias, params, sides, require=None):
     """Sum every side of the numeric identity `alias` at `params` and
     compare the first side with each other one.
 
-    One decimal context (`_context`) holds the whole check: the parameters
-    are read into it once, exactly, and the sides, the sums and |LHS - RHS|
-    are computed in it.  Each side takes the identity's parameters in the
+    One decimal context (`decimal_context`) holds the whole check: the
+    parameters are read into it once, exactly, and the sides, the sums and
+    |LHS - RHS| are computed in it.  Each side takes the identity's parameters in the
     order of NUMERIC_IDENTITIES and returns its Side, which is summed to the
     summation tolerance within the term budget before the next side is
     built.  `require(vals)` may reject the point before
@@ -225,7 +230,7 @@ def _compare_sides(alias, params, sides, require=None):
     unknown = [name for name in params.values if name not in names]
     if unknown:
         raise ParameterError(f"{ident} takes only {list(names)}, not {unknown}")
-    with _context(params.dps):
+    with decimal_context(params.dps):
         vals = {k: _DecimalComplex.read(v) for k, v in params.values.items()}
         if require is not None:
             require(vals)

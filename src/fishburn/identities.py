@@ -7,6 +7,9 @@ series, `terminating-exact` ones as finite sums over exact fields, and
 decay guard.  An analytic identity is never "proved" by truncation alone.
 A sum is terminating at a point when a factor (1 - a r^n) of its term ratio
 vanishes there (`qseries.termination_index`); where none does it is refused.
+`verify_terminating` is the one check of a compact identity at a point, and
+at a point of Q(zeta_k) it also re-sums every exact value in `decimal` at the
+point's complex image, the independent route of a root-of-unity check.
 
 Every check makes its VerificationReport first and returns `rep.finish()`,
 which sets the report's time from the moment it was made.  In between,
@@ -21,12 +24,13 @@ from __future__ import annotations
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from importlib import import_module
 from itertools import product
 from operator import attrgetter
 
-from .cyclotomic import CyclotomicElement, fraction_str
+from .cyclotomic import CyclotomicElement, decimal_context, decimal_str, fraction_str
 from .errors import (BoundExceededError, CertificateError, ParameterError,
                      UnknownFamilyError)
 from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS, TERMINATING_FAMILIES
@@ -279,10 +283,41 @@ def evaluate_terminating(expr: str, p, q):
     return partial_sum(spec, count)
 
 
-def _terminating_values(family, p, q, rep):
-    """The (expression, value, term count) of each of `family`'s expressions
-    at (p, q); `rep` becomes a mismatch at the first value that differs from
-    the first one."""
+# the embedding cross-check sums in the decimal context of EMBED_DPS digits,
+# and accepts |image of an exact value - decimal sum| up to EMBED_TOL
+EMBED_TOL = Decimal("1e-40")
+EMBED_DPS = 60
+
+
+def _embedding_check(rep, p, q, values):
+    """Cross-check the exact `values`, each (expression, value, term count)
+    at the cyclotomic point (p, q), for the report `rep`: each sum is
+    re-summed over as many terms at the point's decimal image, and
+    detail["embedding_diff"] is the largest |image of the value - decimal
+    sum|.  Above EMBED_TOL a report that is still ok becomes a mismatch at
+    the index "embedding"."""
+    with decimal_context(EMBED_DPS):
+        point = Point(p.embed(), q.embed())
+        worst2 = max((partial_sum(COMPACT_SUMS[e](point), count) - v.embed()).norm()
+                     for e, v, count in values)
+        diff = rep.detail["embedding_diff"] = decimal_str(worst2.sqrt(), 8)
+        if worst2 > EMBED_TOL * EMBED_TOL and rep.ok:
+            rep.mismatch("embedding", values[0][1], diff)
+
+
+def verify_terminating(family: str, p, q) -> VerificationReport:
+    """Evaluate all terminating expressions of a compact identity at (p, q)
+    and assert exact equality: a mismatch at the first value that differs
+    from the first one.  When p or q is an element of Q(zeta_k), both are
+    taken there, and every value is also cross-checked at the point's
+    decimal image (`_embedding_check`)."""
+    rep = VerificationReport(f"{family}-terminating", "terminating-exact")
+    if family not in TERMINATING_FAMILIES:
+        raise UnknownFamilyError("terminating families are comp1 and comp2")
+    # a point with a cyclotomic coordinate lies in its field, as both values
+    field = next((x.field for x in (p, q) if isinstance(x, CyclotomicElement)), None)
+    if field is not None:
+        p, q = field.coerce(p), field.coerce(q)
     certified = _all_certified(TERMINATING_FAMILIES[family], p, q)
     values = [(e, partial_sum(spec, count), count) for e, spec, count in certified]
     base = values[0][1]
@@ -290,18 +325,10 @@ def _terminating_values(family, p, q, rep):
         if v != base:
             rep.mismatch(e, base, v)
             break
-    return values
-
-
-def verify_terminating(family: str, p, q) -> VerificationReport:
-    """Evaluate all terminating expressions of a compact identity at (p, q)
-    and assert exact equality."""
-    rep = VerificationReport(f"{family}-terminating", "terminating-exact")
-    if family not in TERMINATING_FAMILIES:
-        raise UnknownFamilyError("terminating families are comp1 and comp2")
-    values = _terminating_values(family, p, q, rep)
     rep.detail = {"p": _fmt_scalar(p), "q": _fmt_scalar(q),
                   "values": {e: _fmt_scalar(v) for e, v, _ in values}}
+    if field is not None:
+        _embedding_check(rep, p, q, values)
     return rep.finish()
 
 
@@ -328,10 +355,11 @@ def _pair_runner(ident, left_family, right_family):
 def _pentagonal_runner(order=None, **_):
     n = 30 if order is None else order
     rep = VerificationReport("pentagonal-3way", "formal", n)
-    one = TruncatedSeries.constant(ZZ, 1, n, 1, ("w",))
     s = _expanded("pentagonal-sum", n)
     prod = _expanded("pentagonal-product", n)
     theta = _expanded("pentagonal-theta", n)
+    # made after the expansions, which refuse an order out of range first
+    one = TruncatedSeries.constant(ZZ, 1, n, 1, ("w",))
     return rep.compare(n, [(s, one - prod, "sum vs 1-product"),
                            (s, one - theta, "sum vs 1-theta")]).finish()
 

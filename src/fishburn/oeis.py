@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import BFileFormatError, ParameterError
-from .qseries import fishburn_numbers, row_fishburn_numbers
+from .errors import BFileFormatError, BoundExceededError, ParameterError
+from .qseries import SEQUENCE_N_CAP, fishburn_numbers, row_fishburn_numbers
 
 BFileRecord = namedtuple("BFileRecord", "index value")
 
@@ -54,26 +54,27 @@ def parse_b_file(path: str):
         return parse_b_file_lines(fh, source=path)
 
 
-def cross_check(tag: str, records, max_n=None) -> dict:
+def cross_check(tag: str, records, max_n=SEQUENCE_N_CAP) -> dict:
     """Compare ingested values against the library's own sequence.
 
     Returns {"tag", "checked", "matches", "rows": [(n, ours, theirs, ok)]}.
-    Negative or out-of-range indices are skipped (b-files may carry offsets
-    the library does not materialize).  A negative `max_n`, or records that
-    leave no index to compare, raise ParameterError: a check of nothing
-    neither matches nor mismatches.
+    Indices below 0 or above `max_n` are skipped (b-files may carry offsets
+    and lengths the library does not materialize).  A negative `max_n`, or
+    records that leave no index to compare, raise ParameterError: a check of
+    nothing neither matches nor mismatches.  A `max_n` above SEQUENCE_N_CAP
+    is BoundExceededError.
     """
     if tag not in SEQUENCES:
         raise ParameterError(
             f"unsupported sequence {tag!r}; supported: {', '.join(sorted(SEQUENCES))}")
-    if max_n is not None and max_n < 0:
+    if max_n < 0:
         raise ParameterError(f"max_n (--max-n) must be nonnegative, got {max_n}")
-    usable = [r for r in records if r.index >= 0]
-    if max_n is not None:
-        usable = [r for r in usable if r.index <= max_n]
+    if max_n > SEQUENCE_N_CAP:
+        raise BoundExceededError(f"max_n (--max-n) is capped at {SEQUENCE_N_CAP}, got {max_n}")
+    usable = [r for r in records if 0 <= r.index <= max_n]
     if not usable:
-        upto = "" if max_n is None else f" up to {max_n}"
-        raise ParameterError(f"the records of {tag} have no index from 0{upto} to compare")
+        raise ParameterError(f"the records of {tag} have no index from 0 up to {max_n} "
+                             "to compare")
     top = max(r.index for r in usable)
     ours = SEQUENCES[tag][1](top)
     rows = []

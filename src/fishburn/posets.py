@@ -31,6 +31,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import BoundExceededError, ParameterError
+from .qseries import SEQUENCE_N_CAP
 
 POSET_SIZE_BOUND = 8
 
@@ -146,25 +147,31 @@ def _marginal(joint, axis):
 # ascent sequences
 
 
-def ascent_sequences(n: int):
-    """All ascent sequences of length n (x1 = 0, each entry at most one more
-    than the number of ascents so far), in lexicographic order."""
+def _require_length(n):
+    """Refuse a length below 0 or above SEQUENCE_N_CAP, the bound of the
+    Fishburn numbers that the ascent sequences count."""
     if n < 0:
         raise ParameterError("length must be nonnegative")
-    if n == 0:
-        yield ()
+    if n > SEQUENCE_N_CAP:
+        raise BoundExceededError(f"ascent sequence length capped at {SEQUENCE_N_CAP} (got {n})")
+
+
+def ascent_sequences(n: int):
+    """All ascent sequences of length n (x1 = 0, each entry at most one more
+    than the number of ascents so far), in lexicographic order.  The length
+    is checked when this is called, before the first sequence is asked for."""
+    _require_length(n)
+    return _ascent_extensions((0,), 0, n) if n else iter([()])
+
+
+def _ascent_extensions(seq, ascents, n):
+    """The ascent sequences of length n that begin with `seq`, a nonempty
+    ascent sequence with `ascents` ascents, in lexicographic order."""
+    if len(seq) == n:
+        yield seq
         return
-    seq = [0] * n
-
-    def rec(i, ascents):
-        if i == n:
-            yield tuple(seq)
-            return
-        for v in range(ascents + 2):
-            seq[i] = v
-            yield from rec(i + 1, ascents + (1 if v > seq[i - 1] else 0))
-
-    yield from rec(1, 0)
+    for v in range(ascents + 2):
+        yield from _ascent_extensions(seq + (v,), ascents + (v > seq[-1]), n)
 
 
 def count_ascent_sequences(n: int) -> int:
@@ -175,10 +182,7 @@ def count_ascent_sequences(n: int) -> int:
     a ascents when v <= l and makes a + 1 when v > l, so row a passes its
     suffix sums to entries 0..a of row a and its prefix sums to entries
     1..a + 1 of row a + 1."""
-    if n < 0:
-        raise ParameterError("length must be nonnegative")
-    if n == 0:
-        return 1
+    _require_length(n)
     counts = [[1]]
     for _ in range(n - 1):
         nxt = [[0] * (a + 1) for a in range(len(counts) + 1)]

@@ -13,7 +13,9 @@ order above its cap in the one function it starts in, before it does any
 work: `expand_family` for the families, against `FORMAL_ORDER_CAP` for the
 series in two or three variables and `N_MAX_CAP` for the one-variable
 pentagonal forms, and `roots.RootContext`, against `FORMAL_ORDER_CAP`, for
-the expansions at roots of unity.  `_require_order` is the one check.
+the expansions at roots of unity.  `_require_order` is the one check, and
+`univariate_fishburn_series` asks it against `SEQUENCE_N_CAP` for the
+Fishburn and row-Fishburn sequences.
 
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
@@ -60,6 +62,11 @@ FORMAL_ORDER_CAP = 32
 # the largest order of the one-variable pentagonal forms, and of the
 # asymptotic trend tables
 N_MAX_CAP = 120
+# the largest index of the Fishburn and row-Fishburn sequences, summed here
+# and counted by `posets.count_ascent_sequences`: at 200 fishburn_numbers
+# took 0.14-0.21 s, row_fishburn_numbers 0.23-0.32 s and the ascent count
+# 0.37-0.48 s, and at 300 each took four to six times as long
+SEQUENCE_N_CAP = 200
 
 
 def _require_order(order, cap, what):
@@ -532,10 +539,12 @@ _DIAGONALS = {
 
 def univariate_fishburn_series(which: str, order: int) -> TruncatedSeries:
     """F1(x,x) resp. G3(x,x) as a one-variable series; coefficient of x^m is
-    the Fishburn number f_m resp. the row-Fishburn number r_m."""
+    the Fishburn number f_m resp. the row-Fishburn number r_m, for an order
+    of at most SEQUENCE_N_CAP."""
     if which not in _DIAGONALS:
         raise UnknownFamilyError(
             f"unknown univariate sequence {which!r}; use fishburn or rowFishburn")
+    _require_order(order, SEQUENCE_N_CAP, f"the {which} sequence")
     one = TruncatedSeries.constant(ZZ, 1, order, 1, ("x",))
     u = one - TruncatedSeries.variable(ZZ, 1, order, 0, ("x",))
     return truncated_sum(_DIAGONALS[which](u))

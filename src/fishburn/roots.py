@@ -19,22 +19,22 @@ an order above `qseries.FORMAL_ORDER_CAP` when it is made, with the check
 the formal families use (`qseries._require_order`), before any field is
 built or any sum summed.
 
-Exact cyclotomic arithmetic is the source of truth throughout; the
-terminating checks re-sum the same specs in `decimal`, at the complex
-image of (p, q) under zeta_k -> e^(2 pi i/k) (`CyclotomicElement.embed`),
-only to cross-check it.
+Exact cyclotomic arithmetic is the source of truth throughout.  A
+terminating check at a root of unity is `identities.verify_terminating`,
+which re-sums the same specs in `decimal`, at the complex image of (p, q)
+under zeta_k -> e^(2 pi i/k) (`CyclotomicElement.embed`), only to
+cross-check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from dataclasses import dataclass, replace
 
-from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, decimal_str, get_field
+from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
-from .identities import VerificationReport, _terminating_values
+from .identities import VerificationReport, verify_terminating
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order, partial_sum,
+from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order,
                       termination_index, truncated_sum)
 from .series import TruncatedSeries
 
@@ -161,36 +161,20 @@ def conjecture_explore(ctx: RootContext) -> ConjectureReport:
 
 
 # ---------------------------------------------------------------------------
-# terminating checks over Q(zeta_k) with complex cross-check
-
-
-# the embedding cross-check computes at EMBED_DPS digits plus
-# EMBED_GUARD_DIGITS, and accepts |exact image - decimal sum| up to EMBED_TOL
-EMBED_TOL = Decimal("1e-40")
-EMBED_DPS = 60
-EMBED_GUARD_DIGITS = 5
+# terminating checks over Q(zeta_k)
 
 
 def root_terminating_check(family: str, p: CyclotomicElement,
                            q: CyclotomicElement) -> VerificationReport:
-    """Exact equality of the terminating sums over Q(zeta_k), plus a 60-digit
-    decimal re-check of every value through the complex embedding.  Elements
-    of a field beyond CONDUCTOR_CAP are refused, as RootContext refuses them."""
-    rep = VerificationReport(family, "terminating-exact")
+    """`identities.verify_terminating` of the terminating family that the
+    check `family` names, at (p, q) in Q(zeta_k), under the id `family`:
+    exact equality of the sums, plus the decimal re-check of every value
+    through the complex embedding.  Elements of a field beyond CONDUCTOR_CAP
+    are refused, as RootContext refuses them: the cross-check's bound is set
+    for the fields up to it."""
     if family not in ROOT_CHECK_FAMILIES:
         raise UnknownFamilyError(
             f"unknown family {family!r}; known: {', '.join(ROOT_CHECK_FAMILIES)}")
     for x in (p, q):
         _require_conductor(x.field.k)
-    values = _terminating_values(ROOT_CHECK_FAMILIES[family], p, q, rep)
-    # complex embedding cross-check, summing as many terms as the exact sums
-    dps = EMBED_DPS + EMBED_GUARD_DIGITS
-    with localcontext(Context(prec=dps)):
-        point = Point(p.embed(dps), q.embed(dps))
-        worst2 = max((partial_sum(COMPACT_SUMS[e](point), count) - val.embed(dps)).norm()
-                     for e, val, count in values)
-        diff = rep.detail["embedding_diff"] = decimal_str(worst2.sqrt(), 8)
-        if worst2 > EMBED_TOL * EMBED_TOL and rep.ok:
-            rep.mismatch("embedding", values[0][1], diff)
-    rep.detail["values"] = {e: repr(v) for e, v, _ in values}
-    return rep.finish()
+    return replace(verify_terminating(ROOT_CHECK_FAMILIES[family], p, q), id=family)

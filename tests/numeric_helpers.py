@@ -7,8 +7,9 @@ from itertools import count
 
 import mpmath as mp
 
+from fishburn.cyclotomic import DECIMAL_GUARD_DIGITS
 from fishburn.errors import ConvergenceError
-from fishburn.hypergeom import (DECAY_RUN, SUM_GUARD_DIGITS, _DecimalComplex, _pole,
+from fishburn.hypergeom import (DECAY_RUN, _DecimalComplex, _pole,
                                 _pole_guard, _weighted)
 from fishburn.qseries import PochhammerSum, pochhammer_terms
 
@@ -32,17 +33,17 @@ def _to_mp(entry):
 
 
 def _to_decimal(z):
-    digits = mp.mp.dps + SUM_GUARD_DIGITS
+    digits = mp.mp.dps + DECIMAL_GUARD_DIGITS
     return _DecimalComplex(Decimal(mp.nstr(z.real, digits)), Decimal(mp.nstr(z.imag, digits)))
 
 
 def reference_sum_with_guard(side, tol, max_terms):
     """hypergeom._sum_with_guard with every term, partial sum and magnitude
     an mpmath number at the working precision, the digits of the current
-    decimal context less SUM_GUARD_DIGITS.  It takes the decimal Side that
+    decimal context less DECIMAL_GUARD_DIGITS.  It takes the decimal Side that
     hypergeom's sides return and returns a decimal value.  Its denominators
     are a second term stream, with the spec's inverses as factors."""
-    with mp.workdps(getcontext().prec - SUM_GUARD_DIGITS):
+    with mp.workdps(getcontext().prec - DECIMAL_GUARD_DIGITS):
         spec, den0 = PochhammerSum(*_to_mp(side.spec)), _to_mp(side.den0)
         tol, guard = mp.mpf(str(tol)), mp.mpf(str(_pole_guard()))
 

@@ -16,9 +16,11 @@ import pytest
 
 import fishburn
 from fishburn import names
-from fishburn.cli import build_parser, main
+from fishburn.cli import _report_exit, build_parser, main
 from fishburn.cyclotomic import CONDUCTOR_CAP
-from fishburn.qseries import (FORMAL_ORDER_CAP, N_MAX_CAP, fishburn_numbers,
+from fishburn.hypergeom import DPS_CAP, DRAWS_CAP
+from fishburn.identities import VerificationReport
+from fishburn.qseries import (FORMAL_ORDER_CAP, N_MAX_CAP, SEQUENCE_N_CAP, fishburn_numbers,
                               row_fishburn_numbers)
 
 
@@ -428,6 +430,18 @@ def test_an_order_above_its_cap_is_refused_before_any_work(capsys, argv, cap):
     assert err.startswith(f"error: order capped at {cap} for ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--family", "G1", "--order", "-1", "--no-cache"],
+    ["pentagonal", "--order", "-1"],
+    ["verify", "--id", "pentagonal-3way", "--order", "-1"],
+    ["roots", "explore", "--k", "4", "--order", "-1"],
+    ["roots", "expand", "--k", "4", "--order", "-1"],
+])
+def test_a_negative_order_is_refused_with_the_shared_message(capsys, argv):
+    # pentagonal once built a series of order -1 before any family expanded
+    assert run(capsys, *argv) == (2, "", "error: order must be nonnegative\n")
+
+
 def test_expand_above_the_cap_writes_no_cache_file(capsys, tmp_path):
     code, _, err = run(capsys, "expand", "--family", "G1", "--order", "100",
                        "--cache-dir", str(tmp_path))
@@ -727,6 +741,47 @@ def test_terminating_above_the_term_cap_exits_2_at_once(capsys):
     # the 603-digit p is named by its size, so the error stays one short line
     assert err.count("\n") == 1 and len(err) < 200
     assert "p=<a number of 603 digits>" in err
+
+
+# commands that ran unbounded before a bound refused them: the ascent count
+# and the oeis-check were still running when a 20 s timeout killed them, the
+# dump computed a count it never printed and then raised RecursionError, and
+# 100000 digits took over 8 s
+BOUNDED_COMMANDS = {
+    "ascent count": (["enumerate", "--family", "ascentSequences", "--size", "100000000"],
+                     f"ascent sequence length capped at {SEQUENCE_N_CAP} (got 100000000)"),
+    "ascent dump": (["enumerate", "--family", "ascentSequences", "--size", "100000000",
+                     "--dump"],
+                    f"ascent sequence length capped at {SEQUENCE_N_CAP} (got 100000000)"),
+    "oeis-check max-n": (["oeis-check", "--seq", "A022493", "--bfile", "BFILE",
+                          "--max-n", "100000"],
+                         f"max_n (--max-n) is capped at {SEQUENCE_N_CAP}, got 100000"),
+    "numeric digits": (["numeric", "--id", "rf", "--draws", "1", "--digits", "100000"],
+                       f"dps (--digits) is capped at {DPS_CAP}, got 100000"),
+    "numeric draws": (["numeric", "--id", "rf", "--draws", "100000000"],
+                      f"--draws 100000000 is not within 1..{DRAWS_CAP}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_COMMANDS))
+def test_a_bounded_command_exits_2_at_once(capsys, tmp_path, name):
+    argv, message = BOUNDED_COMMANDS[name]
+    bfile = tmp_path / "b022493.txt"
+    bfile.write_text("100000 1\n")
+    argv = [str(bfile) if arg == "BFILE" else arg for arg in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_report_exit_is_2_when_a_check_did_not_converge():
+    # as the module docstring promises for every command, ahead of a mismatch
+    verified, mismatch, inconclusive = (VerificationReport("x", "numeric", outcome=outcome)
+                                        for outcome in ("verified", "mismatch", "inconclusive"))
+    assert _report_exit([verified]) == 0
+    assert _report_exit([verified, mismatch]) == 1
+    assert _report_exit([mismatch, inconclusive]) == 2
 
 
 def test_watson_above_its_cap_exits_2_at_once(capsys):

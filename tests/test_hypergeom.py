@@ -9,8 +9,9 @@ import mpmath as mp
 import pytest
 
 from fishburn import hypergeom
+from fishburn.cyclotomic import decimal_context
 from fishburn.errors import ConvergenceError, ParameterError, PoleError
-from fishburn.hypergeom import (NUMERIC_IDENTITIES, NumericEvalParams, Side,
+from fishburn.hypergeom import (DPS_CAP, NUMERIC_IDENTITIES, NumericEvalParams, Side,
                                 generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
                                 random_rf_params, random_watson_limit_params,
@@ -112,6 +113,13 @@ def test_precision_must_resolve_the_tolerance():
             NumericEvalParams(values=values, dps=dps, tol=tol)
 
 
+def test_precision_is_capped():
+    values = {"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}
+    NumericEvalParams(values=values, dps=DPS_CAP)
+    with pytest.raises(ParameterError, match=f"capped at {DPS_CAP}, got {DPS_CAP + 1}$"):
+        NumericEvalParams(values=values, dps=DPS_CAP + 1)
+
+
 def test_parameters_must_be_those_of_the_identity():
     with pytest.raises(ParameterError, match="missing"):
         rogers_fine_check(NumericEvalParams(values={"a": 0.3, "b": 0.2, "t": 0.4}))
@@ -179,7 +187,7 @@ def test_each_inverse_factor_is_stepped_once_per_term(monkeypatch):
     def counted(self, one):
         ones.append(self)
         return rsub(self, one)
-    with hypergeom._context(60):
+    with decimal_context(60):
         side = hypergeom.rogers_fine_lhs(*map(dc.read, (0.3, 0.2, 0.4, 0.5)))
         monkeypatch.setattr(dc, "__rsub__", counted)
         _, used = hypergeom._sum_with_guard(side, Decimal("1e-28"), 400)
@@ -210,7 +218,7 @@ def _run_with(monkeypatch, summer, checker, params):
 def test_decay_guard_bounds_the_magnitude_ratio(summer):
     # squared magnitudes must decay by DECAY_RATIO^2: a geometric sum of
     # ratio 0.88 converges, one of ratio 0.92i never counts as decaying
-    with hypergeom._context(60):
+    with decimal_context(60):
         budget = (Decimal("1e-6"), 400)
         ratio = hypergeom._DecimalComplex(Decimal("0.88"))
         total, used = summer(Side(PochhammerSum(hypergeom._ONE, (ratio,)), "none"), *budget)
@@ -225,7 +233,7 @@ def test_pole_guard_bounds_the_modulus_not_its_square():
     # the 60-digit guard is 1e-40, compared with squared moduli: a first
     # denominator of modulus 1e-30 is summed, one of modulus 1e-41 is a pole
     dc = hypergeom._DecimalComplex
-    with hypergeom._context(60):
+    with decimal_context(60):
         budget = (Decimal("1e-6"), 400)
         spec = PochhammerSum(hypergeom._ONE, (dc(Decimal("0.5")),))
         total, _ = hypergeom._sum_with_guard(Side(spec, "d", dc(Decimal("1e-30"))), *budget)
@@ -251,7 +259,7 @@ def test_decimal_sums_match_the_mpmath_reference(monkeypatch, alias, dps, tol):
         assert fast.detail.get("terms") == ref.detail.get("terms")
         assert fast.detail.get("abs_diff") == ref.detail.get("abs_diff")
         assert [n for _, n in fast_sums] == [n for _, n in ref_sums]
-        with hypergeom._context(dps):
+        with decimal_context(dps):
             for (value, _), (want, _) in zip(fast_sums, ref_sums):
                 bound2 = Decimal(f"1e{2 * (10 - dps)}") * max(1, want.norm())
                 assert (value - want).norm() <= bound2

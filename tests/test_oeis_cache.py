@@ -8,9 +8,9 @@ import pytest
 
 from fishburn.cache import SCHEMA_VERSION, SeriesCache
 from fishburn.cyclotomic import get_field
-from fishburn.errors import BFileFormatError, ParameterError, PayloadError
+from fishburn.errors import BFileFormatError, BoundExceededError, ParameterError, PayloadError
 from fishburn.oeis import cross_check, parse_b_file, parse_b_file_lines
-from fishburn.qseries import expand_family, fishburn_numbers
+from fishburn.qseries import SEQUENCE_N_CAP, expand_family, fishburn_numbers
 from fishburn.rings import QQ, ZZ
 from fishburn.serialize import series_from_payload, series_to_payload
 from fishburn.series import TruncatedSeries
@@ -57,6 +57,15 @@ def test_cross_check_detects_mismatch():
     result = cross_check("A022493", records)
     rows = {n: ok for n, _, _, ok in result["rows"]}
     assert rows == {0: True, 1: True, 2: False}
+
+
+def test_cross_check_skips_indices_past_the_sequence_cap():
+    records = parse_b_file_lines([f"{n} {v}" for n, v in enumerate(fishburn_numbers(5))]
+                                 + [f"{SEQUENCE_N_CAP + 1} 1", "100000 1"])
+    result = cross_check("A022493", records)
+    assert (result["checked"], result["matches"]) == (6, 6)
+    with pytest.raises(BoundExceededError, match=f"capped at {SEQUENCE_N_CAP}, got 100000$"):
+        cross_check("A022493", records, max_n=100000)
 
 
 def test_cross_check_unknown_tag():

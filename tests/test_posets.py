@@ -15,7 +15,7 @@ from fishburn.errors import BoundExceededError, ParameterError
 from fishburn.posets import (Poset, _characteristic_key, _extensions,
                              ascent_sequences, count_ascent_sequences,
                              interval_orders, interval_order_statistics)
-from fishburn.qseries import fishburn_numbers
+from fishburn.qseries import SEQUENCE_N_CAP, fishburn_numbers
 from poset_helpers import (_order_ideals, canonical_form, down_sets, dual,
                            extend, grow, is_interval_order, is_self_dual,
                            labelled_classes, less, naturally_labeled_orders,
@@ -243,6 +243,18 @@ def test_ascent_sequence_counts(n):
 def test_ascent_sequence_counts_match_the_series_to_sixty():
     # the loop over (ascents, last entry) against the q-series Fishburn numbers
     assert [count_ascent_sequences(n) for n in range(61)] == fishburn_numbers(60)
+
+
+def test_ascent_sequences_stop_at_the_sequence_cap():
+    # refused when called: the generator is not started, nor anything counted
+    too_long = SEQUENCE_N_CAP + 1
+    message = f"^ascent sequence length capped at {SEQUENCE_N_CAP} \\(got {too_long}\\)$"
+    with pytest.raises(BoundExceededError, match=message):
+        count_ascent_sequences(too_long)
+    with pytest.raises(BoundExceededError, match=message):
+        ascent_sequences(too_long)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        ascent_sequences(-1)
 
 
 def test_ascent_sequence_count_needs_no_recursion():

@@ -11,8 +11,8 @@ from fishburn import qseries
 from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.names import FAMILY_IDS
-from fishburn.qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, N_MAX_CAP, Point,
-                              PochhammerSum, expand_family, family_parameters, family_ring,
+from fishburn.qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, N_MAX_CAP, SEQUENCE_N_CAP,
+                              Point, PochhammerSum, expand_family, family_parameters, family_ring,
                               fishburn_numbers, partial_sum,
                               partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
@@ -65,6 +65,15 @@ def test_infinite_pochhammer_matches_long_finite_product():
 def test_univariate_unknown_sequence():
     with pytest.raises(UnknownFamilyError):
         univariate_fishburn_series("selfDual", 4)
+
+
+@pytest.mark.parametrize("which", ["fishburn", "rowFishburn"])
+def test_univariate_sequences_stop_at_the_sequence_cap(which):
+    with pytest.raises(ParameterError, match=f"^order capped at {SEQUENCE_N_CAP} for the "
+                                             f"{which} sequence \\(got {SEQUENCE_N_CAP + 1}\\)$"):
+        univariate_fishburn_series(which, SEQUENCE_N_CAP + 1)
+    with pytest.raises(ParameterError, match="^order must be nonnegative$"):
+        univariate_fishburn_series(which, -1)
 
 
 @pytest.mark.parametrize("n", range(13))

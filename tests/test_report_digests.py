@@ -121,8 +121,8 @@ DIGESTS = {
     "grf_degeneration_check": "2668b188169d5f0a",
     "rogers_fine_check": "79e15f956b5d3b37",
     "rogers_fine_check inconclusive": "837f317d8a7e16b5",
-    "root_terminating_check comp1": "114f147c83d5994f",
-    "root_terminating_check comp2": "06c31ef5580354f2",
+    "root_terminating_check comp1": "adeebbfc90e154c0",
+    "root_terminating_check comp2": "716fdfcbc0a344d6",
     "verify all": "76465aec4140f7d7",
     "verify all gamma r": "681c28c45ca83f44",
     "verify gamma1@6": "55a3ea2ad7794803",
@@ -135,7 +135,7 @@ DIGESTS = {
     "watson_exact": "c0024ffb2a03261f",
     "watson_limit_check": "2801b443438c394e",
     "cli numeric grf": "cbc544ee5546c3e7",
-    "cli roots check": "979c78ce012a4242",
+    "cli roots check": "11cb29b899d41570",
     "cli roots explore": "5732543811789199",
     "cli terminating comp1-left": "e316e87438a714ea",
     "cli terminating comp2": "e2ffc13f46b497a9",

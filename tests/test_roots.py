@@ -1,18 +1,19 @@
 """Root-of-unity expansions, the conjecture explorer, terminating checks."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from fishburn import roots
+from fishburn import identities
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError, ParameterError
-from fishburn.identities import evaluate_terminating
+from fishburn.identities import evaluate_terminating, verify_terminating
 from fishburn.qseries import FORMAL_ORDER_CAP, expand_family
 from fishburn.rings import QQ
-from fishburn.names import ROOT_EXPRS
+from fishburn.names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
 from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
                             conjecture_explore, expand_at_root, expand_q_only,
                             root_terminating_check)
@@ -282,21 +283,81 @@ def test_embedding_cross_check_verifies_every_certified_point(k):
     assert certified == EMBEDDING_SWEEP_CERTIFIED[k]
 
 
+def _first_value_times_zeta(monkeypatch):
+    """Multiply the first exact value by zeta after the exact values were
+    compared, just before the embedding cross-check reads them."""
+    real = identities._embedding_check
+
+    def first_times_zeta(rep, p, q, values):
+        (e, value, count), *rest = values
+        return real(rep, p, q, [(e, value * value.field.zeta(), count), *rest])
+
+    monkeypatch.setattr(identities, "_embedding_check", first_times_zeta)
+
+
 def test_embedding_cross_check_catches_a_value_times_zeta(monkeypatch):
     """The first value, multiplied by zeta after the exact values were
     compared, is refused by the embedding cross-check alone."""
-    real = roots._terminating_values
-
-    def first_times_zeta(*args):
-        (e, value, count), *rest = real(*args)
-        return [(e, value * value.field.zeta(), count), *rest]
-
-    monkeypatch.setattr(roots, "_terminating_values", first_times_zeta)
+    _first_value_times_zeta(monkeypatch)
     F = get_field(4)
     rep = root_terminating_check("comp2-three-way", F.zeta(2), F.zeta(1))
     assert rep.outcome == "mismatch"
     assert rep.witness["index"] == "embedding"
     assert Decimal(rep.witness["right"]) > 1
+
+
+@pytest.mark.parametrize("family, k, a, b", [("comp1", 3, 1, 1), ("comp2", 4, 2, 1),
+                                             ("comp1", 12, 5, 7)])
+def test_verify_terminating_cross_checks_a_cyclotomic_point(monkeypatch, family, k, a, b):
+    """verify_terminating itself re-sums the values at a point of Q(zeta_k),
+    and the zeta mutant is caught through it."""
+    F = get_field(k)
+    rep = verify_terminating(family, F.zeta(a), F.zeta(b))
+    assert rep.outcome == "verified"
+    assert Decimal(rep.detail["embedding_diff"]) < Decimal("1e-40")
+    _first_value_times_zeta(monkeypatch)
+    rep = verify_terminating(family, F.zeta(a), F.zeta(b))
+    assert rep.outcome == "mismatch"
+    assert rep.witness["index"] == "embedding"
+
+
+def test_verify_terminating_takes_a_rational_coordinate_into_the_field():
+    """Beside a cyclotomic coordinate a rational one is read in its field, so
+    every value is cyclotomic and cross-checked.  At (1, -6) comp1 has one
+    term, the first, which stayed rational when only q was cyclotomic."""
+    F = get_field(4)
+    for p, q in ((F.one, -6), (1, F.from_rational(-6)), (-1, F.zeta(1))):
+        rep = verify_terminating("comp1", p, q)
+        assert rep.outcome == "verified"
+        assert Decimal(rep.detail["embedding_diff"]) < Decimal("1e-40")
+        assert all(v.endswith(": k=4)") for v in rep.detail["values"].values())
+    assert "embedding_diff" not in verify_terminating("comp1", 1, -6).detail
+
+
+def _untimed_json(rep):
+    out = rep.to_json_dict()
+    del out["timing_ms"]
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_root_terminating_check_is_verify_terminating_under_its_own_id(k):
+    F = get_field(k)
+    for check, family in ROOT_CHECK_FAMILIES.items():
+        for a in range(k):
+            for b in range(k):
+                p, q = F.zeta(a), F.zeta(b)
+                try:
+                    want = verify_terminating(family, p, q)
+                except CertificateError as err:
+                    with pytest.raises(CertificateError, match=f"^{re.escape(str(err))}$"):
+                        root_terminating_check(check, p, q)
+                    continue
+                got = root_terminating_check(check, p, q)
+                assert (got.id, want.id) == (check, f"{family}-terminating")
+                got, want = _untimed_json(got), _untimed_json(want)
+                del got["id"], want["id"]
+                assert got == want
 
 
 def _eval_uv_polynomial(series, u_val, v_val, dps):
