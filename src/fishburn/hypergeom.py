@@ -76,12 +76,17 @@ DPS_CAP = 1000
 # the most draws of `fishburn numeric`, whose parameter sets are all made
 # before the first check: `--draws 100` takes 0.4 to 0.6 s at the defaults
 DRAWS_CAP = 100
+# the largest term budget of a numeric check, 25 times the default 400: a
+# side whose terms never pass the decay guard (t = 0.9999999, q = 0.5) spent
+# 10000 terms in 0.2 s for rf at the default 60 digits, and at 1000 digits
+# (--tol-exp 990) in 2.2 to 2.3 s for rf and 3.7 s for grf, each per process
+MAX_TERMS_CAP = 10000
 
 
 @dataclass
 class NumericEvalParams:
     """Complex parameter values plus working precision, at most DPS_CAP
-    digits, and stopping rules."""
+    digits, and stopping rules: a term budget of at most MAX_TERMS_CAP."""
 
     values: dict
     dps: int = 60
@@ -91,9 +96,9 @@ class NumericEvalParams:
     def __post_init__(self):
         if self.dps > DPS_CAP:
             raise ParameterError(f"dps (--digits) is capped at {DPS_CAP}, got {self.dps}")
-        if self.max_terms < 1:
-            raise ParameterError(f"the term budget max_terms (--max-terms) must be at "
-                                 f"least 1, got {self.max_terms}")
+        if not 1 <= self.max_terms <= MAX_TERMS_CAP:
+            raise ParameterError(f"the term budget max_terms (--max-terms) must be within "
+                                 f"1..{MAX_TERMS_CAP}, got {self.max_terms}")
         if Decimal(f"1e{GUARD_DIGITS - self.dps}") > Decimal(self.tol) * SUMMATION_MARGIN:
             raise ParameterError(f"{self.dps} digits are too few for tol {self.tol}: summing "
                                  f"to tol * {SUMMATION_MARGIN} needs {GUARD_DIGITS} more")

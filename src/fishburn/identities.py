@@ -34,8 +34,8 @@ from .cyclotomic import CyclotomicElement, decimal_context, decimal_str, fractio
 from .errors import (BoundExceededError, CertificateError, ParameterError,
                      UnknownFamilyError)
 from .names import NUMERIC_REGISTRY_IDS, TERMINATING_EXPRS, TERMINATING_FAMILIES
-from .qseries import (BIVARIATE_NAMES, COMPACT_SUMS, TERMINATING_TERM_CAP, Point,
-                      expand_family, family_parameters, partial_sum, termination_index)
+from .qseries import (COMPACT_SUMS, TERMINATING_TERM_CAP, Point, expand_family,
+                      family_parameters, involution, partial_sum, termination_index)
 from .rings import ZZ
 from .series import TruncatedSeries
 
@@ -189,10 +189,7 @@ def verify_proposition_specializations(order: int) -> VerificationReport:
         (lhs.specialize(2, -1, m), _expanded("G1", m), "r=-1 lhs vs G1"),
         (rhs.specialize(2, -1, m), _expanded("G2", m), "r=-1 rhs vs G2"),
     ]
-    one = TruncatedSeries.constant(ZZ, 2, m, 1, BIVARIATE_NAMES)
-    x = TruncatedSeries.variable(ZZ, 2, m, 0, BIVARIATE_NAMES)
-    y = TruncatedSeries.variable(ZZ, 2, m, 1, BIVARIATE_NAMES)
-    shift = {0: -x * (one - x).invert(), 1: -y * (one - y).invert()}
+    shift = involution(m, ZZ)
     cases += [
         (lhs.specialize(2, 1, m).substitute(shift), _expanded("F1", m),
          "r=1 substituted lhs vs F1"),

@@ -24,6 +24,21 @@ elements and decimal complex numbers), and each mode applies its
 own stopping rule.  The formal families, the root-of-unity expansions and
 the terminating evaluations all run the same specs.
 
+Each sum is summed as a series at the point where its factors are sparse,
+which its entry names (`SumEntry.inverse`).  A factor 1 - a r^n costs a
+product with as many terms as a r^n has.  The sums whose factors are in
+1/p and 1/q (comp1-left, comp1-right, comp2-first and the gamma lhs sides)
+are summed where 1/p = 1-y and 1/q = 1-x: there 1/p and 1/q are
+polynomials, while at p = 1-y, q = 1-x the factor 1 - (1/p) q^-n is dense
+in both variables, about N^2/2 terms.  Every other sum is summed where
+p = 1-y and q = 1-x.  The two points are exchanged by the involution
+x -> -x/(1-x), y -> -y/(1-y), which sends each variable to a series in that
+variable alone, so `expand_sum` changes coordinates once, with one
+separable substitution, when a sum's point is not its family's: G1, F2,
+gamma1-lhs, gamma2-lhs and prop12-lhs are substituted, and the others are
+summed at their family's point.  Around a root of unity the same entries
+choose between (p - p0, q - q0) and (1/p - 1/p0, 1/q - 1/q0) (`roots`).
+
 An exact series sum stops at the first term that truncates to zero.  This
 cutoff is exact: every term ratio is a power series of valuation >= 0, so
 each later term is a multiple of the vanished one and has no monomial at or
@@ -333,6 +348,20 @@ def xy_point(order: int, ring, names=BIVARIATE_NAMES, inverted=False) -> Point:
     return Point(pinv=w, qinv=u) if inverted else Point(p=w, q=u)
 
 
+class SumEntry(NamedTuple):
+    """A Pochhammer sum as a function of its point (and parameters), which
+    returns its PochhammerSum, and the point where its series is summed:
+    where 1/p = 1-y and 1/q = 1-x when `inverse`, since its factors are in
+    1/p and 1/q, and where p = 1-y and q = 1-x otherwise.  Calling the
+    entry calls the function."""
+
+    spec: object
+    inverse: bool = False
+
+    def __call__(self, pt, *params):
+        return self.spec(pt, *params)
+
+
 def _comp1_right(pt):
     step = pt.p * pt.qinv
     return PochhammerSum(step, (step,), ((pt.qinv, pt.qinv),))
@@ -343,18 +372,22 @@ def _comp1_right(pt):
 # are the comp2 sums at (1-y, 1-x).
 COMPACT_SUMS = {
     # sum_n (1/p; 1/q)_n
-    "comp1-left": lambda pt: PochhammerSum(pt.one, (), ((pt.pinv, pt.qinv),)),
+    "comp1-left": SumEntry(lambda pt: PochhammerSum(pt.one, (), ((pt.pinv, pt.qinv),)),
+                           inverse=True),
     # sum_n p q^n (p; q)_n (q; q)_n
-    "comp1-mid": lambda pt: PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (pt.q, pt.q))),
+    "comp1-mid": SumEntry(lambda pt: PochhammerSum(pt.p, (pt.q,),
+                                                   ((pt.p, pt.q), (pt.q, pt.q)))),
     # sum_n (p/q)^{n+1} (1/q; 1/q)_n
-    "comp1-right": _comp1_right,
+    "comp1-right": SumEntry(_comp1_right, inverse=True),
     # sum_n (-1)^n (1/p; 1/q)_n
-    "comp2-first": lambda pt: PochhammerSum(pt.one, (-1,), ((pt.pinv, pt.qinv),)),
+    "comp2-first": SumEntry(lambda pt: PochhammerSum(pt.one, (-1,), ((pt.pinv, pt.qinv),)),
+                            inverse=True),
     # sum_n p q^n (p; q)_n (-q; q)_n
-    "comp2-mid": lambda pt: PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (-pt.q, pt.q))),
+    "comp2-mid": SumEntry(lambda pt: PochhammerSum(pt.p, (pt.q,),
+                                                   ((pt.p, pt.q), (-pt.q, pt.q)))),
     # sum_n (q/p)^n (p; q^2)_n
-    "comp2-right": lambda pt: PochhammerSum(pt.one, (pt.q * pt.pinv,),
-                                            ((pt.p, pt.q * pt.q),)),
+    "comp2-right": SumEntry(lambda pt: PochhammerSum(pt.one, (pt.q * pt.pinv,),
+                                                     ((pt.p, pt.q * pt.q),))),
 }
 
 
@@ -363,7 +396,7 @@ COMPACT_SUMS = {
 # a formal variable: that is the formal-r proposition (`_formal_r`).
 
 
-def gamma1_lhs(pt, gamma, r):
+def _gamma1_lhs(pt, gamma, r):
     """sum_n r^n (gamma/(r q); q)_n (1/p; 1/q)_n / (gamma; q)_n"""
     factors, inverses = ((pt.pinv, pt.qinv),), ()
     if gamma:
@@ -372,13 +405,13 @@ def gamma1_lhs(pt, gamma, r):
     return PochhammerSum(pt.one, (r,), factors, inverses)
 
 
-def gamma1_rhs(pt, gamma, r):
+def _gamma1_rhs(pt, gamma, r):
     """sum_n p q^n (p; q)_n (r q; q)_n / (gamma; q)_n"""
     inverses = ((pt.one.scale(gamma), pt.q),) if gamma else ()
     return PochhammerSum(pt.p, (pt.q,), ((pt.p, pt.q), (pt.q * r, pt.q)), inverses)
 
 
-def gamma2_lhs(pt, gamma):
+def _gamma2_lhs(pt, gamma):
     """sum_n (-1)^n (1/p; 1/q)_n / (gamma; 1/q^2)_{floor(n/2)}, summed in the
     pairs n = 2m, 2m+1, which turns it into the standard sum
     sum_m (1/p) q^{-2m} (1/p; 1/q^2)_m (1/(pq); 1/q^2)_m / (gamma; 1/q^2)_m."""
@@ -388,7 +421,7 @@ def gamma2_lhs(pt, gamma):
     return PochhammerSum(pt.pinv, (q2inv,), factors, inverses)
 
 
-def gamma2_rhs(pt, gamma):
+def _gamma2_rhs(pt, gamma):
     """sum_n (q/p)^n (p; q^2)_n (gamma q p; 1/q^2)_n / (gamma; 1/q^2)_n"""
     factors, inverses = ((pt.p, pt.q * pt.q),), ()
     if gamma:
@@ -396,6 +429,45 @@ def gamma2_rhs(pt, gamma):
         factors += (((pt.q * pt.p).scale(gamma), q2inv),)
         inverses = ((pt.one.scale(gamma), q2inv),)
     return PochhammerSum(pt.one, (pt.q * pt.pinv,), factors, inverses)
+
+
+# the gamma sums by family id; the lhs sides carry the factor (1/p; 1/q)_n
+GAMMA_SUMS = {
+    "gamma1-lhs": SumEntry(_gamma1_lhs, inverse=True),
+    "gamma1-rhs": SumEntry(_gamma1_rhs),
+    "gamma2-lhs": SumEntry(_gamma2_lhs, inverse=True),
+    "gamma2-rhs": SumEntry(_gamma2_rhs),
+}
+
+
+def involution(order: int, ring, names=BIVARIATE_NAMES) -> dict:
+    """x -> -x/(1-x), y -> -y/(1-y) as a `TruncatedSeries.substitute`
+    assignment, in `names` (x and y first) truncated at `order`.  Since
+    1 - (-x/(1-x)) = 1/(1-x), it turns a series f(1-y, 1-x) into
+    f(1/(1-y), 1/(1-x)), and the other way round."""
+    nvars = len(names)
+
+    def geometric(i):
+        # -x_i/(1-x_i) = -(x_i + x_i^2 + ...)
+        return TruncatedSeries(ring, nvars, order, {
+            tuple(m if j == i else 0 for j in range(nvars)): -ring.one
+            for m in range(1, order + 1)}, names)
+    return {0: geometric(0), 1: geometric(1)}
+
+
+def expand_sum(entry: SumEntry, order: int, ring, *params, names=BIVARIATE_NAMES,
+               inverted=False) -> TruncatedSeries:
+    """The sum `entry` with `params` as a series in `names` at (p, q) =
+    (1-y, 1-x), or at (1/(1-y), 1/(1-x)) when `inverted`.
+
+    It is summed at the point its entry names, and the involution carries
+    it to the asked point when the two differ: one separable substitution,
+    which keeps every term of total degree <= order exact, since each
+    variable goes to a series of valuation 1."""
+    series = truncated_sum(entry(xy_point(order, ring, names, entry.inverse), *params))
+    if entry.inverse == inverted:
+        return series
+    return series.substitute(involution(order, ring, names))
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +505,20 @@ def _pentagonal_theta(N, ring):
 # family registry
 
 
-def _summed(spec, inverted=False):
-    """The expansion of a family that is the sum `spec` at (p, q) =
+def _summed(entry, inverted=False):
+    """The expansion of a family that is the sum `entry` at (p, q) =
     (1-y, 1-x), or at (1/(1-y), 1/(1-x)) when `inverted`."""
     def expand(N, ring, *params):
-        return truncated_sum(spec(xy_point(N, ring, inverted=inverted), *params))
+        return expand_sum(entry, N, ring, *params, inverted=inverted)
     return expand
 
 
-def _formal_r(spec):
-    """The expansion of the gamma1 side `spec` at gamma = 0, (p, q) =
+def _formal_r(entry):
+    """The expansion of the gamma1 side `entry` at gamma = 0, (p, q) =
     (1-y, 1-x) and r the third variable: a side of the formal-r proposition."""
     def expand(N, ring):
         r = TruncatedSeries.variable(ring, 3, N, 2, PROPOSITION_NAMES)
-        return truncated_sum(spec(xy_point(N, ring, PROPOSITION_NAMES), 0, r))
+        return expand_sum(entry, N, ring, 0, r, names=PROPOSITION_NAMES)
     return expand
 
 
@@ -470,12 +542,12 @@ _FAMILIES = {
     "pentagonal-sum": (ZZ, (), N_MAX_CAP, _pentagonal_sum),
     "pentagonal-product": (ZZ, (), N_MAX_CAP, _pentagonal_product),
     "pentagonal-theta": (ZZ, (), N_MAX_CAP, _pentagonal_theta),
-    "gamma1-lhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(gamma1_lhs)),
-    "gamma1-rhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(gamma1_rhs)),
-    "gamma2-lhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(gamma2_lhs)),
-    "gamma2-rhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(gamma2_rhs)),
-    "prop12-lhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(gamma1_lhs)),
-    "prop12-rhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(gamma1_rhs)),
+    "gamma1-lhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma1-lhs"])),
+    "gamma1-rhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma1-rhs"])),
+    "gamma2-lhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma2-lhs"])),
+    "gamma2-rhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma2-rhs"])),
+    "prop12-lhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(GAMMA_SUMS["gamma1-lhs"])),
+    "prop12-rhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(GAMMA_SUMS["gamma1-rhs"])),
 }
 
 

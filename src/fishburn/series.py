@@ -45,12 +45,17 @@ otherwise, as for the trivariate series, whose span is mostly empty.
 The ring decides how its coefficients enter the kernel, so the product
 loop multiplies and adds ints only, over every ring, and the order of the
 outer loop changes no sum; rings.py gives the account, and cyclotomic.py
-that of the packed Q(zeta_k) kernel.
+that of the packed Q(zeta_k) kernel.  `substitute` runs its sums through
+the same kernel.  It takes only a separable change of variables, each
+variable sent to a series in itself alone, so it composes one variable at
+a time from univariate powers and makes no product of multivariate
+series.  `invert` runs its degree recurrence on ints over ZZ and QQ,
+fraction-free, and on field elements over Q(zeta_k).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
@@ -61,6 +66,7 @@ from .errors import (
     TruncationError,
 )
 from .cyclotomic import fraction_str
+from .rings import QQ, ZZ, _over_lcm
 
 MatchReport = namedtuple("MatchReport", "equal index left right")
 MatchReport.__doc__ = """Outcome of equal_up_to: either equal, or the
@@ -300,19 +306,52 @@ class TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires an invertible constant term; computed by the order-by-order
-        recurrence b_d = -c0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
+        recurrence b_d = -a_0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
+        Over Q(zeta_k) the recurrence runs on field elements.  Over ZZ and QQ
+        it runs on ints, fraction-free: with the operand written as A / L,
+        A integral over the lcm L of its denominators, the levels
+        B_d = A_0^(d+1) b_d / L satisfy B_0 = 1 and
+        B_d = -sum_{e>=1} A_0^(e-1) A_e B_{d-e}, so each coefficient
+        b_d = L B_d / A_0^(d+1) is made once, at the end.
         """
         c0 = self.constant_term
         if not c0:
             raise NonInvertibleError("constant term 0 is not invertible")
-        c0inv = self.ring.invert(c0)
-        step = (self.trunc + 1) ** (self.nvars - 1)  # the key of one unit of degree
-        # nonconstant terms of self, grouped by total degree
+        c0inv = self.ring.invert(c0)  # refuses a non-unit of ZZ
+        keys, values = self._ordered()
+        if self.ring in (ZZ, QQ):
+            ints, den = _over_lcm(values)
+            # A_0^j, with A_0 first, as the constant term's key 0 sorts first
+            powers = _powers(ints[0], self.trunc + 1)
+            step = self._degree_step()
+            # A_0^(e-1) A_e for each nonconstant term, of degree e
+            scaled = [c * powers[k // step - 1] if k else c for k, c in zip(keys, ints)]
+            levels = self._inverse_levels(keys, scaled, 1, -1)
+            if self.ring == ZZ:  # A_0 = +-1 is its own inverse, and L = 1
+                return self._wrap({k: c * powers[d + 1]
+                                   for d, level in enumerate(levels) for k, c in level})
+            return self._wrap({k: Fraction(den * c, powers[d + 1])
+                               for d, level in enumerate(levels) for k, c in level})
+        levels = self._inverse_levels(keys, values, c0inv, -c0inv)
+        return self._wrap({k: c for level in levels for k, c in level})
+
+    def _degree_step(self):
+        """The key of one unit of total degree."""
+        return (self.trunc + 1) ** (self.nvars - 1)
+
+    def _inverse_levels(self, keys, values, first, factor):
+        """The levels L_0..L_N of the degree recurrence L_0 = `first` and
+        L_d = `factor` * sum_{e>=1} V_e L_{d-e}, where V_e are the terms of
+        degree e among `keys` and `values`, the operand's sorted keys and
+        values with the constant term first: each level as a list of
+        (key, value) pairs with nonzero values."""
+        step = self._degree_step()
+        # nonconstant terms, grouped by total degree
         by_deg = [[] for _ in range(self.trunc + 1)]
-        for k, c in zip(*self._ordered()):
+        for k, c in zip(keys, values):
             if k:
                 by_deg[k // step].append((k, c))
-        levels = [[(0, c0inv)]]  # inverse terms, by total degree
+        levels = [[(0, first)]]
         for d in range(1, self.trunc + 1):
             acc = {}
             for da in range(1, d + 1):
@@ -328,11 +367,11 @@ class TruncatedSeries:
                             acc[k] = ca * cb
             level = []
             for k, c in acc.items():
-                val = -(c0inv * c)
+                val = factor * c
                 if val:
                     level.append((k, val))
             levels.append(level)
-        return self._wrap({k: c for level in levels for k, c in level})
+        return levels
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -349,40 +388,85 @@ class TruncatedSeries:
         return out
 
     def substitute(self, assignment):
-        """Compose with per-variable series (zero constant term required).
+        """Compose with a separable change of variables.
 
-        `assignment` maps variable index -> replacement series; unmentioned
-        variables are substituted by themselves.
+        `assignment` maps a variable index i to a series s_i of this
+        series' shape that is a series in x_i alone with zero constant term;
+        the result is this series at x_i = s_i(x_i), and an unmentioned
+        variable is kept.  Any other replacement is refused.
+
+        The variables are composed one at a time.  For variable i the
+        univariate powers s_i^j are made once, for j up to the largest
+        exponent of x_i, and each term c x^e goes onto its row, the
+        monomial of the other variables, as c s_i^(e_i): in packed keys a
+        shift of the term's key by (m - e_i) units of x_i for each term
+        x_i^m of s_i^(e_i) that stays below the cut.  These sums run
+        through the ring's product kernel, with the terms as one operand
+        and the powers as the other, so no product of two multivariate
+        series is made.
         """
-        subs = []
-        for i in range(self.nvars):
-            s = assignment.get(i)
-            if s is None:
-                s = TruncatedSeries.variable(self.ring, self.nvars, self.trunc, i, self.names)
-            else:
-                self._compat(s)
-                if s.constant_term:
+        out = self
+        for i, s in sorted(assignment.items()):
+            if not 0 <= i < self.nvars:
+                raise ValueError("variable index out of range")
+            self._compat(s)
+            if s.constant_term:
+                raise SubstitutionError(
+                    f"substitution for variable {self.names[i]} has nonzero "
+                    f"constant term {s.constant_term!r}")
+            terms = {}
+            for k, c in s._keyed.items():
+                e = _unpack(k, self.trunc + 1, self.nvars)
+                if sum(e) != e[i]:
                     raise SubstitutionError(
-                        f"substitution for variable {self.names[i]} has nonzero "
-                        f"constant term {s.constant_term!r}")
-            subs.append(s)
-        one = TruncatedSeries.constant(self.ring, self.nvars, self.trunc, self.ring.one, self.names)
-        pow_cache = [{0: one} for _ in range(self.nvars)]
+                        f"substitution for variable {self.names[i]} is not a series "
+                        f"in {self.names[i]} alone: it has the term at {e}")
+                terms[(e[i],)] = c
+            out = out._compose(i, TruncatedSeries(self.ring, 1, self.trunc, terms))
+        return out
 
-        def powi(i, k):
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = powi(i, k - 1) * subs[i]
-            return cache[k]
-
-        total = TruncatedSeries.zero(self.ring, self.nvars, self.trunc, self.names)
-        for e, c in sorted(self.terms.items()):
-            mono = one
-            for i, k in enumerate(e):
-                if k:
-                    mono = mono * powi(i, k)
-            total = total + mono.scale(c)
-        return total
+    def _compose(self, i, s):
+        """This series at x_i = s(x_i), for the univariate series `s` of zero
+        constant term."""
+        if not self._keyed:
+            return self
+        radix, nvars, trunc = self.trunc + 1, self.nvars, self.trunc
+        step = self._degree_step()
+        keys, values = self._ordered()
+        # one more in x_i is one more degree, and one more in its digit
+        # unless x_i is the last variable, whose exponent is implied
+        if i < nvars - 1:
+            place = radix ** (nvars - 2 - i)
+            unit = step + place
+            exps = [k // place % radix for k in keys]
+        else:
+            unit = step
+            exps = [_unpack(k, radix, nvars)[i] for k in keys]
+        top = max(exps)
+        powers = [TruncatedSeries.constant(self.ring, 1, trunc, self.ring.one), s]
+        while len(powers) <= top:
+            powers.append(powers[-1] * s)
+        powers = [p._ordered() for p in powers[:top + 1]]
+        values, flat, state = self.ring.to_kernel(values, [c for _, cs in powers for c in cs])
+        # for each j, the exponents of s^j, ascending, and for each of its
+        # terms x_i^m the shift (m - j) * unit of a key and the kernel value
+        table, start = [], 0
+        for j, (ms, _) in enumerate(powers):
+            table.append((ms, [((m - j) * unit, flat[start + n]) for n, m in enumerate(ms)]))
+            start += len(ms)
+        acc = {}
+        for k, j, c in zip(keys, exps, values):
+            ms, shifts = table[j]
+            room = trunc - k // step + j  # the largest exponent of x_i the row keeps
+            for shift, pc in shifts[:bisect_right(ms, room)]:
+                key = k + shift
+                if key in acc:
+                    acc[key] += c * pc
+                else:
+                    acc[key] = c * pc
+        keys = [k for k, c in acc.items() if c]
+        values = self.ring.from_kernel([acc[k] for k in keys], state)
+        return self._wrap({k: c for k, c in zip(keys, values) if c})
 
     def specialize(self, var: int, scalar, new_trunc: int):
         """Substitute a ring scalar for one variable, returning a series in
@@ -488,6 +572,14 @@ class TruncatedSeries:
         if len(self.terms) > 8:
             body += " + ..."
         return f"<{body} | N={self.trunc}, {self.ring.tag}>"
+
+
+def _powers(base, n):
+    """base^0, ..., base^n."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
 
 
 def _default_names(nvars):

@@ -1,7 +1,8 @@
 """Series operations that only the tests need: re-truncation, a change of
-coefficient ring, and a comparison on exponent tuples."""
+coefficient ring, a comparison on exponent tuples and the generic
+substitution."""
 
-from fishburn.errors import TruncationError
+from fishburn.errors import SubstitutionError, TruncationError
 from fishburn.series import MatchReport, TruncatedSeries
 
 
@@ -33,3 +34,39 @@ def reference_equal_up_to(a, b, order):
         if sum(e) <= order and left != right:
             return MatchReport(False, e, left, right)
     return MatchReport(True, None, None, None)
+
+
+def reference_substitute(series, assignment):
+    """`series` composed with per-variable replacement series of zero
+    constant term, each of which may be any series in all the variables:
+    the generic composition, term by term through powers and products of
+    the replacements.  `assignment` maps a variable index to its
+    replacement; an unmentioned variable is kept."""
+    ring, nvars, trunc, names = series.ring, series.nvars, series.trunc, series.names
+    subs = []
+    for i in range(nvars):
+        s = assignment.get(i)
+        if s is None:
+            s = TruncatedSeries.variable(ring, nvars, trunc, i, names)
+        elif s.constant_term:
+            raise SubstitutionError(
+                f"substitution for variable {names[i]} has nonzero "
+                f"constant term {s.constant_term!r}")
+        subs.append(s)
+    one = TruncatedSeries.constant(ring, nvars, trunc, ring.one, names)
+    pow_cache = [{0: one} for _ in range(nvars)]
+
+    def powi(i, k):
+        cache = pow_cache[i]
+        if k not in cache:
+            cache[k] = powi(i, k - 1) * subs[i]
+        return cache[k]
+
+    total = TruncatedSeries.zero(ring, nvars, trunc, names)
+    for e, c in sorted(series.terms.items()):
+        mono = one
+        for i, k in enumerate(e):
+            if k:
+                mono = mono * powi(i, k)
+        total = total + mono.scale(c)
+    return total

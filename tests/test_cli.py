@@ -18,7 +18,7 @@ import fishburn
 from fishburn import names
 from fishburn.cli import _report_exit, build_parser, main
 from fishburn.cyclotomic import CONDUCTOR_CAP
-from fishburn.hypergeom import DPS_CAP, DRAWS_CAP
+from fishburn.hypergeom import DPS_CAP, DRAWS_CAP, MAX_TERMS_CAP
 from fishburn.identities import VerificationReport
 from fishburn.qseries import (FORMAL_ORDER_CAP, N_MAX_CAP, SEQUENCE_N_CAP, fishburn_numbers,
                               row_fishburn_numbers)
@@ -746,7 +746,8 @@ def test_terminating_above_the_term_cap_exits_2_at_once(capsys):
 # commands that ran unbounded before a bound refused them: the ascent count
 # and the oeis-check were still running when a 20 s timeout killed them, the
 # dump computed a count it never printed and then raised RecursionError, and
-# 100000 digits took over 8 s
+# 100000 digits took over 8 s, and a budget of 100000000 terms at a ratio of
+# 0.9999999 was still running when a 20 s timeout killed it
 BOUNDED_COMMANDS = {
     "ascent count": (["enumerate", "--family", "ascentSequences", "--size", "100000000"],
                      f"ascent sequence length capped at {SEQUENCE_N_CAP} (got 100000000)"),
@@ -760,6 +761,11 @@ BOUNDED_COMMANDS = {
                        f"dps (--digits) is capped at {DPS_CAP}, got 100000"),
     "numeric draws": (["numeric", "--id", "rf", "--draws", "100000000"],
                       f"--draws 100000000 is not within 1..{DRAWS_CAP}"),
+    "numeric max-terms": (["numeric", "--id", "rf", "--draws", "1", "--max-terms", "100000000",
+                           "--param", "a=0.3", "--param", "b=0.2", "--param", "t=0.9999999",
+                           "--param", "q=0.5"],
+                          "the term budget max_terms (--max-terms) must be within "
+                          f"1..{MAX_TERMS_CAP}, got 100000000"),
 }
 
 

@@ -11,8 +11,8 @@ import pytest
 from fishburn import hypergeom
 from fishburn.cyclotomic import decimal_context
 from fishburn.errors import ConvergenceError, ParameterError, PoleError
-from fishburn.hypergeom import (DPS_CAP, NUMERIC_IDENTITIES, NumericEvalParams, Side,
-                                generalized_rf_check,
+from fishburn.hypergeom import (DPS_CAP, MAX_TERMS_CAP, NUMERIC_IDENTITIES,
+                                NumericEvalParams, Side, generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
                                 random_rf_params, random_watson_limit_params,
                                 rogers_fine_check, watson_exact,
@@ -118,6 +118,14 @@ def test_precision_is_capped():
     NumericEvalParams(values=values, dps=DPS_CAP)
     with pytest.raises(ParameterError, match=f"capped at {DPS_CAP}, got {DPS_CAP + 1}$"):
         NumericEvalParams(values=values, dps=DPS_CAP + 1)
+
+
+def test_term_budget_is_capped():
+    values = {"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}
+    NumericEvalParams(values=values, max_terms=MAX_TERMS_CAP)
+    for max_terms in (0, MAX_TERMS_CAP + 1):
+        with pytest.raises(ParameterError, match=f"within 1..{MAX_TERMS_CAP}, got {max_terms}$"):
+            NumericEvalParams(values=values, max_terms=max_terms)
 
 
 def test_parameters_must_be_those_of_the_identity():

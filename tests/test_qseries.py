@@ -11,13 +11,15 @@ from fishburn import qseries
 from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.names import FAMILY_IDS
-from fishburn.qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, N_MAX_CAP, SEQUENCE_N_CAP,
-                              Point, PochhammerSum, expand_family, family_parameters, family_ring,
-                              fishburn_numbers, partial_sum,
-                              partition_parity_table, pochhammer_terms,
+from fishburn.identities import THM_MAIN_IDS
+from fishburn.qseries import (BIVARIATE_NAMES, COMPACT_SUMS, FORMAL_ORDER_CAP, GAMMA_SUMS,
+                              N_MAX_CAP, PROPOSITION_NAMES, SEQUENCE_N_CAP, Point,
+                              PochhammerSum, SumEntry, expand_family, expand_sum,
+                              family_parameters, family_ring, fishburn_numbers, involution,
+                              partial_sum, partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
                               termination_index, univariate_fishburn_series)
-from fishburn.rings import ZZ
+from fishburn.rings import QQ, ZZ
 from fishburn.series import TruncatedSeries
 from series_helpers import map_coefficients
 
@@ -342,3 +344,82 @@ def test_fraction_partial_sum_equals_the_plain_fraction_sum():
     assert all(type(t) is Fraction for t in terms)
     assert partial_sum(spec, count) == sum(terms[1:], terms[0])
 
+
+
+# -- each sum at both points ---------------------------------------------------
+
+# each family that is one Pochhammer sum: the sum, and whether the family's
+# point is (p, q) = (1/(1-y), 1/(1-x)) rather than (1-y, 1-x)
+FAMILY_SUMS = {
+    "F1": (COMPACT_SUMS["comp1-left"], True),
+    "F2": (COMPACT_SUMS["comp1-mid"], True),
+    "F3": (COMPACT_SUMS["comp1-right"], True),
+    "G1": (COMPACT_SUMS["comp2-first"], False),
+    "G2": (COMPACT_SUMS["comp2-mid"], False),
+    "G3": (COMPACT_SUMS["comp2-right"], False),
+    "gamma1-lhs": (GAMMA_SUMS["gamma1-lhs"], False),
+    "gamma1-rhs": (GAMMA_SUMS["gamma1-rhs"], False),
+    "gamma2-lhs": (GAMMA_SUMS["gamma2-lhs"], False),
+    "gamma2-rhs": (GAMMA_SUMS["gamma2-rhs"], False),
+    "prop12-lhs": (GAMMA_SUMS["gamma1-lhs"], False),
+    "prop12-rhs": (GAMMA_SUMS["gamma1-rhs"], False),
+}
+# 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n, the sum of F3-KR-first-form
+KR_SUM = SumEntry(lambda pt: PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
+GAMMA_PARAMS = [{"gamma": Fraction(2, 3), "r": Fraction(-3, 5)},
+                {"gamma": Fraction(-4, 3), "r": Fraction(7, 2)},
+                {"gamma": Fraction(0), "r": Fraction(1, 3)}]
+
+
+def _family_cases():
+    for family in FAMILY_SUMS:
+        names = family_parameters(family)
+        for params in GAMMA_PARAMS if names else [{}]:
+            yield family, {name: params[name] for name in names}
+
+
+@pytest.mark.parametrize("family,params", list(_family_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
+def test_each_family_is_its_sum_at_both_points(family, params):
+    """Every family that is one sum equals that sum summed at either point,
+    p = 1-y and q = 1-x or 1/p = 1-y and 1/q = 1-x, and carried to the
+    family's point by the involution where the two differ."""
+    entry, inverted = FAMILY_SUMS[family]
+    ring = family_ring(family)
+    for order in (0, 1, 2, 5, 9, 12):
+        want = expand_family(family, order, **params)
+        if family.startswith("prop12"):
+            r = TruncatedSeries.variable(ring, 3, order, 2, PROPOSITION_NAMES)
+            args, names = (0, r), PROPOSITION_NAMES
+        else:
+            args, names = tuple(params.values()), BIVARIATE_NAMES
+        for summed_inverse in (False, True):
+            got = expand_sum(entry._replace(inverse=summed_inverse), order, ring, *args,
+                             names=names, inverted=inverted)
+            assert got == want, (order, summed_inverse)
+
+
+def test_kr_first_form_is_its_sum_at_both_points():
+    for order in (0, 3, 12):
+        want = expand_family("F3-KR-first-form", order)
+        for summed_inverse in (False, True):
+            assert 1 + expand_sum(KR_SUM._replace(inverse=summed_inverse), order, ZZ) == want
+
+
+def test_each_thm_main_pair_compares_two_different_sums():
+    """The six families of thm-main are six different sums (each family is
+    its sum: see the test above), so no pair compares a sum with itself."""
+    for ident in THM_MAIN_IDS:
+        left, right = ident.split("=")
+        assert FAMILY_SUMS[left][0] is not FAMILY_SUMS[right][0]
+    assert len({id(FAMILY_SUMS[f][0]) for f in ("F1", "F2", "F3", "G1", "G2", "G3")}) == 6
+
+
+def test_the_involution_swaps_the_two_points():
+    """x -> -x/(1-x) sends 1 - x to 1/(1 - x), and back."""
+    order = 9
+    one = TruncatedSeries.constant(QQ, 2, order, 1)
+    u = one - TruncatedSeries.variable(QQ, 2, order, 0)
+    shift = involution(order, QQ)
+    assert u.substitute(shift) == u.invert()
+    assert u.invert().substitute(shift) == u

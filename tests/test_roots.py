@@ -11,15 +11,15 @@ from fishburn import identities
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating, verify_terminating
-from fishburn.qseries import FORMAL_ORDER_CAP, expand_family
+from fishburn.qseries import COMPACT_SUMS, FORMAL_ORDER_CAP, expand_family
 from fishburn.rings import QQ
 from fishburn.names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
+from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate, _sum_at_root,
                             conjecture_explore, expand_at_root, expand_q_only,
                             root_terminating_check)
 from fishburn.series import TruncatedSeries
 from numeric_helpers import mp_image
-from series_helpers import map_coefficients
+from series_helpers import map_coefficients, reference_substitute
 
 
 def test_context_validation():
@@ -160,9 +160,36 @@ def test_expansion_at_one_one_reproduces_f1_and_g1():
                                 ("comp2-right", "G3", direct)):
         series = map_coefficients(expand_at_root(expr, ctx), QQ,
                                   lambda c: c.as_rational())
-        got = series.substitute(shift)
+        got = reference_substitute(series, shift)
         want = map_coefficients(expand_family(family, N), QQ)
         assert got.equal_up_to(want, N).equal, expr
+
+
+# (k, order, the points (a, b)): every point of Q(zeta_3) and Q(zeta_4), and
+# of Q(zeta_12) those with a unit b and a in {0, 1, 5, 6}
+BOTH_POINTS_SWEEP = [(3, 9, [(a, b) for a in range(3) for b in range(3)]),
+                     (4, 8, [(a, b) for a in range(4) for b in range(4)]),
+                     (12, 4, [(a, b) for a in (0, 1, 5, 6) for b in (1, 5, 7, 11)])]
+
+
+@pytest.mark.parametrize("k,order,points", BOTH_POINTS_SWEEP, ids=["k3", "k4", "k12"])
+def test_each_root_expansion_is_the_same_in_both_coordinates(k, order, points):
+    """Each certified expression expands to the same series in (u, v),
+    summed there directly or summed in (1/p - 1/p0, 1/q - 1/q0) and
+    substituted back."""
+    checked = 0
+    for a, b in points:
+        ctx = RootContext(k, a, b, order)
+        for expr in ROOT_EXPRS:
+            try:
+                _require_certificate(expr, ctx)
+            except CertificateError:
+                continue
+            direct, inverse = (_sum_at_root(COMPACT_SUMS[expr]._replace(inverse=inv), ctx)
+                               for inv in (False, True))
+            assert direct == inverse, (a, b, expr)
+            checked += 1
+    assert checked >= len(points)
 
 
 @pytest.mark.parametrize("k,a,b", [(4, 2, 1), (2, 1, 1), (3, 1, 1)])

@@ -15,8 +15,9 @@ from fishburn.errors import (NonInvertibleError, SeriesCompatibilityError,
 from fishburn.qseries import expand_family
 from fishburn.rings import QQ, ZZ
 from fishburn.roots import RootContext, expand_at_root
+from fishburn import series
 from fishburn.series import TruncatedSeries, _pack, _unpack
-from series_helpers import reference_equal_up_to, restrict
+from series_helpers import reference_equal_up_to, reference_substitute, restrict
 
 
 def blocks(n, ring=ZZ):
@@ -217,8 +218,8 @@ def test_substitute_respects_products():
     sigma = {0: x + x * y, 1: -y + y * y}
     for _ in range(30):
         a, b = _random_series(rng, n), _random_series(rng, n)
-        lhs = (a * b).substitute(sigma)
-        rhs = a.substitute(sigma) * b.substitute(sigma)
+        lhs = reference_substitute(a * b, sigma)
+        rhs = reference_substitute(a, sigma) * reference_substitute(b, sigma)
         assert lhs.equal_up_to(rhs, n).equal
 
 
@@ -621,3 +622,103 @@ def test_high_truncation_trivariate_reads_back_by_arithmetic():
     rep = prod.equal_up_to(prod + b, 900)
     assert (rep.equal, rep.index, rep.left, rep.right) == (False, (100, 0, 200), 0, -3)
     assert time.perf_counter() - start < 0.05
+
+
+# -- separable substitution and the fraction-free inverse ----------------------
+
+
+@st.composite
+def separable_maps(draw, ring, nvars, trunc):
+    """A `substitute` assignment: for some variables i, a series in x_i
+    alone with zero constant term, often of one term or empty."""
+    assignment = {}
+    for i in range(nvars):
+        if draw(st.booleans()):
+            entries = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=max(trunc, 1)),
+                                              _coefficients(ring)),
+                                    max_size=draw(st.sampled_from((0, 1, 4)))))
+            terms = {tuple(m if j == i else 0 for j in range(nvars)): ring.coerce(c)
+                     for m, c in entries if c and m <= trunc}
+            assignment[i] = TruncatedSeries(ring, nvars, trunc, terms)
+    return assignment
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3), get_field(12)], ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_reference(ring, nvars, data):
+    a, _ = data.draw(series_pairs(ring, nvars))
+    assignment = data.draw(separable_maps(ring, nvars, a.trunc))
+    got = a.substitute(assignment)
+    assert got.terms == reference_substitute(a, assignment).terms
+    _assert_canonical(got)
+
+
+def test_substitute_involution_is_its_own_inverse():
+    """x -> -x/(1-x), applied twice, gives back every series, over ZZ in
+    three variables (the third kept) and over QQ."""
+    rng = random.Random(33)
+    for ring in (ZZ, QQ):
+        n = 7
+        one = TruncatedSeries.constant(ring, 3, n, 1)
+        shift = {i: -TruncatedSeries.variable(ring, 3, n, i) *
+                 (one - TruncatedSeries.variable(ring, 3, n, i)).invert() for i in (0, 1)}
+        for _ in range(10):
+            a = TruncatedSeries(ring, 3, n, {
+                e: ring.coerce(rng.randint(-9, 9)) for e in _exponents(3, n)
+                if rng.random() < 0.5})
+            assert a.substitute(shift).substitute(shift) == a
+            assert a.substitute(shift) == reference_substitute(a, shift)
+
+
+def test_substitute_refuses_a_replacement_in_other_variables():
+    one, x, y = blocks(4)
+    s = x * x + y
+    with pytest.raises(SubstitutionError, match="not a series in x alone"):
+        s.substitute({0: x + x * y})
+    with pytest.raises(SubstitutionError, match="not a series in y alone"):
+        s.substitute({1: x})
+    with pytest.raises(ValueError, match="out of range"):
+        s.substitute({2: x})
+
+
+def _huge_series(ring, nvars, trunc, c0, rng):
+    """A series with constant term `c0` and coefficients of +-2^200 and their
+    neighbours (over QQ divided by small ints) at random exponents."""
+    values = (2**200, -2**200, 2**200 - 1, 1 - 2**200, 3, -1)
+    terms = {e: ring.coerce(rng.choice(values) if ring == ZZ else
+                            Fraction(rng.choice(values), rng.randint(1, 9)))
+             for e in _exponents(nvars, trunc) if any(e) and rng.random() < 0.4}
+    terms[(0,) * nvars] = ring.coerce(c0)
+    return TruncatedSeries(ring, nvars, trunc, terms)
+
+
+INVERT_CASES = [(ZZ, 1), (ZZ, -1), (QQ, Fraction(1)), (QQ, Fraction(-3, 7)),
+                (QQ, Fraction(2**200, 3)), (QQ, Fraction(5, 2**200 - 1)), (QQ, Fraction(6))]
+
+
+@pytest.mark.parametrize("ring,c0", INVERT_CASES, ids=str)
+def test_fraction_free_invert_matches_the_element_recurrence(ring, c0):
+    """Over ZZ and QQ the int recurrence gives the element recurrence's
+    inverse, with huge coefficients and non-unit rational constant terms."""
+    rng = random.Random(200)
+    for nvars, trunc in ((1, 9), (2, 6), (3, 4)):
+        a = _huge_series(ring, nvars, trunc, c0, rng)
+        got = a.invert()
+        assert got.terms == reference_invert(a)
+        _assert_canonical(got)
+
+
+def test_invert_without_the_constant_term_powers_fails(monkeypatch):
+    """A mutant of the fraction-free inverse that drops the powers of A_0
+    (both the scaling of the recurrence and the final division) is caught
+    by the differential test over QQ with a non-unit constant term and over
+    ZZ with constant term -1."""
+    monkeypatch.setattr(series, "_powers", lambda base, n: [1] * (n + 1))
+    rng = random.Random(7)
+    for ring, c0 in ((QQ, Fraction(-3, 7)), (ZZ, -1)):
+        a = _huge_series(ring, 2, 6, c0, rng)
+        assert a.invert().terms != reference_invert(a)
+    a = _huge_series(ZZ, 2, 6, 1, rng)
+    assert a.invert().terms == reference_invert(a)  # A_0 = 1 needs no power
