@@ -1,9 +1,10 @@
 """Content-addressed on-disk cache for expanded series.
 
 One JSON file per entry, keyed by the SHA-256 of the canonical
-(id, params, truncation, ring) tuple.  Files carry a schema version; a
-version mismatch, like any entry that cannot be read back, is treated as a
-miss (with a warning) rather than an error.
+(id, params, truncation, ring) tuple.  Files carry a schema version and
+their id and params; a version mismatch, an entry of another expansion, and
+any entry that cannot be read back are treated as a miss (with a warning)
+rather than an error.
 Writes go through a temp file + rename so concurrent readers never observe a
 torn entry.
 """
@@ -59,9 +60,9 @@ class SeriesCache:
         """Cached series, or None on a miss.
 
         An entry that cannot be used -- undecodable JSON, a missing key, a
-        payload that fails validation, a schema version or a truncation/ring
-        other than the one requested -- is a miss with a warning; the next
-        `put` overwrites it.
+        payload that fails validation, a schema version, an id, parameters
+        or a truncation/ring other than the one requested -- is a miss with
+        a warning; the next `put` overwrites it.
         """
         path = self._path(self._key(expr_id, params, truncation, ring_tag))
         if not os.path.exists(path):
@@ -78,6 +79,11 @@ class SeriesCache:
             return _miss(
                 f"cache entry {name} has schema "
                 f"{entry.get('schema')} (current {SCHEMA_VERSION}); ignoring")
+        if entry.get("id") != expr_id or entry.get("params") != _exact_params(params):
+            return _miss(
+                f"cache entry {name} holds {entry.get('id')!r} with parameters "
+                f"{entry.get('params')!r}, not {expr_id!r} with "
+                f"{_exact_params(params)!r}; ignoring")
         if "series" not in entry:
             return _miss(f"cache entry {name} has no 'series' key; ignoring")
         try:

@@ -305,7 +305,8 @@ def cmd_oeis_check(args) -> int:
         if not os.path.exists(path):
             oeis.fetch_b_file(args.seq, path)
     records = oeis.parse_b_file(path)
-    result = oeis.cross_check(args.seq, records, max_n=args.max_n)
+    given = {} if args.max_n is None else {"max_n": args.max_n}
+    result = oeis.cross_check(args.seq, records, **given)
     payload = dict(result)
     payload["rows"] = [{"n": n, "computed": mine, "bfile": theirs, "match": ok}
                        for n, mine, theirs, ok in result["rows"]]
@@ -441,9 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis-check", help="cross-check a sequence b-file")
     p.add_argument("--seq", required=True, choices=OEIS_SEQUENCES)
     p.add_argument("--bfile", required=True)
-    p.add_argument("--max-n", type=int, default=64,
-                   help="compare indices up to this (default 64; values are "
-                        "recomputed exactly and the cost grows cubically)")
+    p.add_argument("--max-n", type=int,
+                   help="compare indices up to this (defaults to the sequence cap)")
     p.add_argument("--fetch", action="store_true",
                    help="download the b-file first if missing (needs network)")
     add_format(p)

@@ -24,20 +24,30 @@ elements and decimal complex numbers), and each mode applies its
 own stopping rule.  The formal families, the root-of-unity expansions and
 the terminating evaluations all run the same specs.
 
-Each sum is summed as a series at the point where its factors are sparse,
+Each sum is summed as a series in the form where its factors are sparse,
 which its entry names (`SumEntry.inverse`).  A factor 1 - a r^n costs a
 product with as many terms as a r^n has.  The sums whose factors are in
 1/p and 1/q (comp1-left, comp1-right, comp2-first and the gamma lhs sides)
-are summed where 1/p = 1-y and 1/q = 1-x: there 1/p and 1/q are
-polynomials, while at p = 1-y, q = 1-x the factor 1 - (1/p) q^-n is dense
-in both variables, about N^2/2 terms.  Every other sum is summed where
-p = 1-y and q = 1-x.  The two points are exchanged by the involution
-x -> -x/(1-x), y -> -y/(1-y), which sends each variable to a series in that
-variable alone, so `expand_sum` changes coordinates once, with one
-separable substitution, when a sum's point is not its family's: G1, F2,
-gamma1-lhs, gamma2-lhs and prop12-lhs are substituted, and the others are
-summed at their family's point.  Around a root of unity the same entries
-choose between (p - p0, q - q0) and (1/p - 1/p0, 1/q - 1/q0) (`roots`).
+are summed at a point given as 1/p and 1/q: at 1/p = 1-y and 1/q = 1-x
+these are polynomials, while at p = 1-y, q = 1-x the factor 1 - (1/p) q^-n
+is dense in both variables, about N^2/2 terms.  Every other sum is summed
+at a point given as p and q.
+
+`expand_sum` is the one place that makes this choice, for the families and
+for the expansions at roots of unity alike.  Its point gives p and q, or
+1/p and 1/q, each as a coordinate z = c + s t: a constant c, a sign
+s = +-1 and a variable t of its own.  When the entry's form is not the
+point's, the sum is summed at the flipped point (`Point.flip`), whose
+coordinate is 1/c + s t, and t is then replaced by s (1/z - 1/c), which
+turns 1/c + s t into 1/z.  That is one separable substitution, and it
+keeps every term up to the order exact, since each variable goes to a
+series of valuation 1 in itself.  Both forms have their constants at
+(c, 1/c), so a certificate asked at the constants holds in either.  At
+p = 1-y, q = 1-x the substitution is the involution x -> -x/(1-x),
+y -> -y/(1-y) (`involution`): G1, F2, gamma1-lhs, gamma2-lhs and prop12-lhs
+are substituted, and the other families are summed at their own point.
+Around a root of unity, at p = p0 + u and q = q0 + v (`roots`), it is
+u -> 1/(p0 + u) - 1/p0 and v -> 1/(q0 + v) - 1/q0.
 
 An exact series sum stops at the first term that truncates to zero.  This
 cutoff is exact: every term ratio is a power series of valuation >= 0, so
@@ -316,10 +326,11 @@ def termination_index(spec: PochhammerSum) -> int:
 class Point:
     """A point (p, q) of one arithmetic.  Either p or 1/p may be given, and
     likewise q; the other is computed on first use, so a sum inverts only the
-    quantities it uses."""
+    quantities it uses.  A point given as 1/p is `inverse`."""
 
     def __init__(self, p=None, q=None, pinv=None, qinv=None):
         self._known = {"p": p, "q": q, "pinv": pinv, "qinv": qinv}
+        self.inverse = p is None
 
     def _get(self, name, inverse):
         if self._known[name] is None:
@@ -337,6 +348,31 @@ class Point:
         q = self._known["q"]
         return (self._known["qinv"] if q is None else q) ** 0
 
+    def flip(self):
+        """This point of series in its other form, and the substitution that
+        carries a series there back here: each given coordinate c + s t
+        becomes 1/c + s t, and t goes to s (1/z - 1/c)."""
+        given = ("pinv", "qinv") if self.inverse else ("p", "q")
+        (p, back_p), (q, back_q) = (_flip(self._known[name]) for name in given)
+        other = Point(p, q) if self.inverse else Point(pinv=p, qinv=q)
+        return other, {**back_p, **back_q}
+
+
+def _flip(z):
+    """The coordinate z = c + s t, with s = +-1 and t a variable of its own,
+    in the other form, 1/c + s t, and the substitution {t: s (1/z - 1/c)}
+    under which that is 1/z."""
+    zinv = z.invert()
+    cinv = zinv.constant_term
+    st, shift = z - z.constant_term, zinv - cinv  # s t and 1/z - 1/c
+    for i in range(z.nvars):
+        t = TruncatedSeries.variable(z.ring, z.nvars, z.trunc, i, z.names)
+        if st == t:
+            return st + cinv, {i: shift}
+        if st == -t:
+            return st + cinv, {i: -shift}
+    raise ParameterError(f"coordinate {z!r} is not a constant plus or minus one variable")
+
 
 def xy_point(order: int, ring, names=BIVARIATE_NAMES, inverted=False) -> Point:
     """(p, q) = (1-y, 1-x), or (1/(1-y), 1/(1-x)) when `inverted`, as series
@@ -350,9 +386,9 @@ def xy_point(order: int, ring, names=BIVARIATE_NAMES, inverted=False) -> Point:
 
 class SumEntry(NamedTuple):
     """A Pochhammer sum as a function of its point (and parameters), which
-    returns its PochhammerSum, and the point where its series is summed:
-    where 1/p = 1-y and 1/q = 1-x when `inverse`, since its factors are in
-    1/p and 1/q, and where p = 1-y and q = 1-x otherwise.  Calling the
+    returns its PochhammerSum, and the form of the point where its series
+    is summed (`expand_sum`): given as 1/p and 1/q when `inverse`, since its
+    factors are in 1/p and 1/q, and as p and q otherwise.  Calling the
     entry calls the function."""
 
     spec: object
@@ -442,32 +478,22 @@ GAMMA_SUMS = {
 
 def involution(order: int, ring, names=BIVARIATE_NAMES) -> dict:
     """x -> -x/(1-x), y -> -y/(1-y) as a `TruncatedSeries.substitute`
-    assignment, in `names` (x and y first) truncated at `order`.  Since
-    1 - (-x/(1-x)) = 1/(1-x), it turns a series f(1-y, 1-x) into
-    f(1/(1-y), 1/(1-x)), and the other way round."""
-    nvars = len(names)
-
-    def geometric(i):
-        # -x_i/(1-x_i) = -(x_i + x_i^2 + ...)
-        return TruncatedSeries(ring, nvars, order, {
-            tuple(m if j == i else 0 for j in range(nvars)): -ring.one
-            for m in range(1, order + 1)}, names)
-    return {0: geometric(0), 1: geometric(1)}
+    assignment, in `names` (x and y first) truncated at `order`: the flip of
+    (p, q) = (1-y, 1-x).  Since 1 - (-x/(1-x)) = 1/(1-x), it turns a series
+    f(1-y, 1-x) into f(1/(1-y), 1/(1-x)), and the other way round."""
+    return xy_point(order, ring, names).flip()[1]
 
 
-def expand_sum(entry: SumEntry, order: int, ring, *params, names=BIVARIATE_NAMES,
-               inverted=False) -> TruncatedSeries:
-    """The sum `entry` with `params` as a series in `names` at (p, q) =
-    (1-y, 1-x), or at (1/(1-y), 1/(1-x)) when `inverted`.
-
-    It is summed at the point its entry names, and the involution carries
-    it to the asked point when the two differ: one separable substitution,
-    which keeps every term of total degree <= order exact, since each
-    variable goes to a series of valuation 1."""
-    series = truncated_sum(entry(xy_point(order, ring, names, entry.inverse), *params))
-    if entry.inverse == inverted:
-        return series
-    return series.substitute(involution(order, ring, names))
+def expand_sum(entry: SumEntry, point: Point, *params) -> TruncatedSeries:
+    """The sum `entry` with `params` as a series at `point`, a point of
+    series given in one form, each coordinate a constant plus or minus a
+    variable of its own.  It is summed at `point` when the entry's form is
+    the point's, and otherwise at the flipped point and carried back by one
+    separable substitution (see the module docstring)."""
+    if entry.inverse == point.inverse:
+        return truncated_sum(entry(point, *params))
+    other, back = point.flip()
+    return truncated_sum(entry(other, *params)).substitute(back)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +535,7 @@ def _summed(entry, inverted=False):
     """The expansion of a family that is the sum `entry` at (p, q) =
     (1-y, 1-x), or at (1/(1-y), 1/(1-x)) when `inverted`."""
     def expand(N, ring, *params):
-        return expand_sum(entry, N, ring, *params, inverted=inverted)
+        return expand_sum(entry, xy_point(N, ring, inverted=inverted), *params)
     return expand
 
 
@@ -518,7 +544,7 @@ def _formal_r(entry):
     (1-y, 1-x) and r the third variable: a side of the formal-r proposition."""
     def expand(N, ring):
         r = TruncatedSeries.variable(ring, 3, N, 2, PROPOSITION_NAMES)
-        return expand_sum(entry, N, ring, 0, r, names=PROPOSITION_NAMES)
+        return expand_sum(entry, xy_point(N, ring, PROPOSITION_NAMES), 0, r)
     return expand
 
 

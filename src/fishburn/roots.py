@@ -14,15 +14,10 @@ at the constants (p0, q0) before summing; without it the sum does not
 converge formally and the expansion is refused rather than truncated
 arbitrarily.
 
-A sum whose entry is summed at the inverse point (`qseries.SumEntry`:
-comp1-left, comp1-right and comp2-first, whose factors are in 1/p and 1/q)
-is summed in (u', v') = (1/p - 1/p0, 1/q - 1/q0) instead, where its factors
-1 - (1/p0 + u')(1/q0 + v')^n are polynomials, and u' and v' are then
-replaced by their series in u and v alone, 1/(p0 + u) - 1/p0 and
-1/(q0 + v) - 1/q0, in one separable substitution.  Both coordinate systems
-have their origin at (p0, q0), so the certificate is asked at the same
-constants in either; and u' and v' are series of valuation 1 in u and v,
-so the substitution keeps every term up to the order exact.
+A sum whose factors are in 1/p and 1/q is summed in
+(u', v') = (1/p - 1/p0, 1/q - 1/q0) and carried back to (u, v) by one
+substitution: `qseries.expand_sum` makes that choice for every expansion,
+here and at p = q = 1, and the `qseries` docstring describes it.
 
 Every expansion here is a series in two variables, so `RootContext` refuses
 an order above `qseries.FORMAL_ORDER_CAP` when it is made, with the check
@@ -44,7 +39,7 @@ from .cyclotomic import CONDUCTOR_CAP, CyclotomicElement, get_field
 from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, verify_terminating
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order,
+from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order, expand_sum,
                       termination_index, truncated_sum)
 from .series import TruncatedSeries
 
@@ -81,6 +76,13 @@ class RootContext:
         self.p0 = self.field.zeta(self.a)
         self.q0 = self.field.zeta(self.b)
 
+    def point(self) -> Point:
+        """(p, q) = (p0 + u, q0 + v), as series in (u, v) truncated at the
+        order."""
+        u, v = (TruncatedSeries.variable(self.field, 2, self.order, i, UV_NAMES)
+                for i in (0, 1))
+        return Point(u + self.p0, v + self.q0)
+
     def describe_point(self):
         return f"p0 = zeta_{self.k}^{self.a}, q0 = zeta_{self.k}^{self.b}"
 
@@ -88,10 +90,8 @@ class RootContext:
 def _require_certificate(expr: str, ctx: RootContext):
     """Refuse expr at ctx unless a factor (1 - a r^n) of its sum vanishes at
     the constants (p0, q0)."""
-    field = ctx.field
-    point = Point(ctx.p0, ctx.q0, field.zeta(-ctx.a), field.zeta(-ctx.b))
     try:
-        termination_index(COMPACT_SUMS[expr](point))
+        termination_index(COMPACT_SUMS[expr](Point(ctx.p0, ctx.q0)))
     except CertificateError:
         raise CertificateError(
             f"formal-convergence certificate failed for {expr} at "
@@ -106,32 +106,7 @@ def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
         raise UnknownFamilyError(
             f"unknown root expression {expr!r}; known: {', '.join(ROOT_EXPRS)}")
     _require_certificate(expr, ctx)
-    return _sum_at_root(COMPACT_SUMS[expr], ctx)
-
-
-def _sum_at_root(entry, ctx: RootContext) -> TruncatedSeries:
-    """The sum `entry` at (p0 + u, q0 + v), as a series in (u, v).  It is
-    summed in (u, v) itself, or, when its entry is summed at the inverse
-    point, in (u', v') = (1/p - 1/p0, 1/q - 1/q0), and then u' and v' are
-    replaced by their series in u and v."""
-    u = TruncatedSeries.variable(ctx.field, 2, ctx.order, 0, UV_NAMES)
-    v = TruncatedSeries.variable(ctx.field, 2, ctx.order, 1, UV_NAMES)
-    if not entry.inverse:
-        return truncated_sum(entry(Point(u + ctx.p0, v + ctx.q0)))
-    p0inv, q0inv = ctx.field.zeta(-ctx.a), ctx.field.zeta(-ctx.b)
-    series = truncated_sum(entry(Point(pinv=u + p0inv, qinv=v + q0inv)))
-    return series.substitute({0: _reciprocal_shift(ctx, 0, p0inv),
-                              1: _reciprocal_shift(ctx, 1, q0inv)})
-
-
-def _reciprocal_shift(ctx: RootContext, index: int, c0inv) -> TruncatedSeries:
-    """1/(c0 + t) - 1/c0 = sum_{m>=1} (-1)^m c0^-(m+1) t^m, with t the
-    variable `index` of (u, v) and c0inv = 1/c0."""
-    terms, coeff = {}, c0inv
-    for m in range(1, ctx.order + 1):
-        coeff = -coeff * c0inv
-        terms[(m, 0) if index == 0 else (0, m)] = coeff
-    return TruncatedSeries(ctx.field, 2, ctx.order, terms, UV_NAMES)
+    return expand_sum(COMPACT_SUMS[expr], ctx.point())
 
 
 # ---------------------------------------------------------------------------

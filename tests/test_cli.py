@@ -157,6 +157,25 @@ def test_expand_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     assert code == 0 and json.loads(out)["cached"] is True
 
 
+def test_expand_planted_entry_of_another_family_is_a_miss(tmp_path, capsys):
+    """A pentagonal-sum entry of the same truncation and ring, put at F2's
+    key path, is a miss: F2 is computed, and its own terms are printed."""
+    argv = ("expand", "--family", "F2", "--order", "6", "--format", "json")
+    _, want, _ = run(capsys, *argv, "--no-cache")
+    for family in ("F2", "pentagonal-sum"):
+        code, _, _ = run(capsys, "expand", "--family", family, "--order", "6",
+                         "--cache-dir", str(tmp_path / family))
+        assert code == 0
+    (f2,), (planted,) = ((tmp_path / family).glob("*.json") for family in ("F2", "pentagonal-sum"))
+    f2.write_text(planted.read_text())
+    with pytest.warns(UserWarning, match="holds 'pentagonal-sum'"):
+        code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "F2"))
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert json.loads(out) == json.loads(want)
+    code, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "F2"))
+    assert code == 0 and json.loads(out)["cached"] is True
+
+
 def test_expand_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FISHBURN_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, "expand", "--family", "F2", "--order", "5",
@@ -564,7 +583,7 @@ def test_oeis_check_bad_file_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--max-n", "-1"), "error: max_n (--max-n) must be nonnegative, got -1\n"),
-    ((), "error: the records of A022493 have no index from 0 up to 64 to compare\n"),
+    ((), "error: the records of A022493 have no index from 0 up to 200 to compare\n"),
 ])
 def test_oeis_check_of_nothing_exit_2(tmp_path, capsys, argv, message):
     # exit 1 means a mismatch was found; comparing no index finds none

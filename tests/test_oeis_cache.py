@@ -1,6 +1,7 @@
 """b-file parsing, sequence cross-checks, serialization, and the cache."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -229,6 +230,12 @@ def _rewrite(path, edit):
         json.dump(entry, fh)
 
 
+def _plant(path, family):
+    """Move `family`'s order-6 entry to `path`, the key path of another entry."""
+    os.replace(SeriesCache(os.path.dirname(path)).put(family, {}, 6, expand_family(family, 6)),
+               path)
+
+
 @pytest.mark.parametrize("corrupt,match", [
     (lambda path: open(path, "w").write(open(path).read()[:40]), "not valid JSON"),
     (lambda path: open(path, "w").write("[1, 2]"), "not a JSON object"),
@@ -246,9 +253,14 @@ def _rewrite(path, edit):
     (lambda path: _rewrite(path, lambda e: e["series"].update(ring=6)), "malformed"),
     (lambda path: _rewrite(path, lambda e: e["series"]["terms"][0].update(coeff="1e50")),
      "bad series"),
+    (lambda path: _plant(path, "G1"), "holds 'G1' with parameters {}, not 'F1'"),
+    (lambda path: _plant(path, "pentagonal-sum"), "holds 'pentagonal-sum'"),
+    (lambda path: _rewrite(path, lambda e: e.update(params={"gamma": "1/2"})),
+     "holds 'F1' with parameters {'gamma': '1/2'}, not 'F1' with {}"),
 ], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
         "rejected-payload", "other-truncation", "other-ring", "huge-truncation",
-        "huge-conductor", "ring-not-a-string", "exponent-coefficient"])
+        "huge-conductor", "ring-not-a-string", "exponent-coefficient", "other-id",
+        "other-family-shape", "other-params"])
 def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 6)

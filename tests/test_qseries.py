@@ -1,5 +1,6 @@
 """q-Pochhammer builders, series families, and the partition side table."""
 
+import random
 from fractions import Fraction
 from itertools import islice
 from math import inf
@@ -8,6 +9,7 @@ import pytest
 
 from count_helpers import distinct_partition_parity
 from fishburn import qseries
+from fishburn.cyclotomic import get_field
 from fishburn.enumeration import refined_counts
 from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.names import FAMILY_IDS
@@ -18,7 +20,7 @@ from fishburn.qseries import (BIVARIATE_NAMES, COMPACT_SUMS, FORMAL_ORDER_CAP, G
                               family_parameters, family_ring, fishburn_numbers, involution,
                               partial_sum, partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers,
-                              termination_index, univariate_fishburn_series)
+                              termination_index, univariate_fishburn_series, xy_point)
 from fishburn.rings import QQ, ZZ
 from fishburn.series import TruncatedSeries
 from series_helpers import map_coefficients
@@ -394,8 +396,8 @@ def test_each_family_is_its_sum_at_both_points(family, params):
         else:
             args, names = tuple(params.values()), BIVARIATE_NAMES
         for summed_inverse in (False, True):
-            got = expand_sum(entry._replace(inverse=summed_inverse), order, ring, *args,
-                             names=names, inverted=inverted)
+            got = expand_sum(entry._replace(inverse=summed_inverse),
+                             xy_point(order, ring, names, inverted), *args)
             assert got == want, (order, summed_inverse)
 
 
@@ -403,7 +405,8 @@ def test_kr_first_form_is_its_sum_at_both_points():
     for order in (0, 3, 12):
         want = expand_family("F3-KR-first-form", order)
         for summed_inverse in (False, True):
-            assert 1 + expand_sum(KR_SUM._replace(inverse=summed_inverse), order, ZZ) == want
+            assert 1 + expand_sum(KR_SUM._replace(inverse=summed_inverse),
+                                  xy_point(order, ZZ)) == want
 
 
 def test_each_thm_main_pair_compares_two_different_sums():
@@ -423,3 +426,65 @@ def test_the_involution_swaps_the_two_points():
     shift = involution(order, QQ)
     assert u.substitute(shift) == u.invert()
     assert u.invert().substitute(shift) == u
+
+
+def _nonzero(ring, rng):
+    """A random unit of `ring`: +-1 over ZZ, else a nonzero small element."""
+    while True:
+        if ring == ZZ:
+            c = rng.choice((1, -1))
+        elif ring == QQ:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        else:
+            c = ring.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(ring.degree)])
+        if c:
+            return c
+
+
+def _random_point(ring, nvars, rng):
+    """A point given as (p, q) or as (1/p, 1/q), each coordinate c + s t
+    with a random unit c, a random sign s and its own random variable t."""
+    order = rng.randint(0, 7)
+    t = rng.sample(range(nvars), 2)
+    p, q = (TruncatedSeries.variable(ring, nvars, order, i).scale(rng.choice((1, -1)))
+            + _nonzero(ring, rng) for i in t)
+    return Point(pinv=p, qinv=q) if rng.random() < 0.5 else Point(p, q)
+
+
+def _random_series(ring, nvars, order, rng):
+    one = TruncatedSeries.constant(ring, nvars, order, 1)
+    out = one.scale(_nonzero(ring, rng))
+    for _ in range(6):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        if sum(e) <= order:
+            out = out + TruncatedSeries(ring, nvars, order, {e: _nonzero(ring, rng)})
+    return out
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3), get_field(12)], ids=repr)
+def test_flip_twice_gives_back_the_point(ring, nvars):
+    """A point flipped twice is the point again; the flip's substitution
+    takes the flipped point's p, q, 1/p and 1/q to the point's; and the two
+    substitutions compose to the identity, in either order."""
+    rng = random.Random(nvars * 100 + len(ring.tag))
+    for _ in range(12):
+        point = _random_point(ring, nvars, rng)
+        other, back = point.flip()
+        again, forth = other.flip()
+        assert other.inverse != point.inverse and again.inverse == point.inverse
+        for name in ("p", "q", "pinv", "qinv"):
+            assert getattr(again, name) == getattr(point, name), name
+            assert getattr(other, name).substitute(back) == getattr(point, name), name
+            assert getattr(point, name).substitute(forth) == getattr(other, name), name
+        a = _random_series(ring, nvars, point.p.trunc, rng)
+        assert a.substitute(back).substitute(forth) == a
+        assert a.substitute(forth).substitute(back) == a
+
+
+def test_flip_refuses_a_coordinate_that_is_not_a_unit_shift():
+    one, u, w = xyu(4)
+    for p in (u * w, u.scale(2) - 1):
+        with pytest.raises(ParameterError, match="not a constant plus or minus one variable"):
+            Point(p, w).flip()

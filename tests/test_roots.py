@@ -11,10 +11,10 @@ from fishburn import identities
 from fishburn.cyclotomic import get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating, verify_terminating
-from fishburn.qseries import COMPACT_SUMS, FORMAL_ORDER_CAP, expand_family
+from fishburn.qseries import COMPACT_SUMS, FORMAL_ORDER_CAP, expand_family, expand_sum
 from fishburn.rings import QQ
 from fishburn.names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate, _sum_at_root,
+from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
                             conjecture_explore, expand_at_root, expand_q_only,
                             root_terminating_check)
 from fishburn.series import TruncatedSeries
@@ -185,7 +185,7 @@ def test_each_root_expansion_is_the_same_in_both_coordinates(k, order, points):
                 _require_certificate(expr, ctx)
             except CertificateError:
                 continue
-            direct, inverse = (_sum_at_root(COMPACT_SUMS[expr]._replace(inverse=inv), ctx)
+            direct, inverse = (expand_sum(COMPACT_SUMS[expr]._replace(inverse=inv), ctx.point())
                                for inv in (False, True))
             assert direct == inverse, (a, b, expr)
             checked += 1
