@@ -12,34 +12,48 @@ int arithmetic alone; a Fraction enters only where a non-unit is inverted.
 
 A product is the schoolbook product of the two residue polynomials, with its
 high coefficients folded back by x^phi(k) = x^phi(k) - Phi_k(x), highest
-first; powers of zeta are reduced the same way.  The inverse of a is the
-product of its other Galois conjugates a(zeta^j), 1 < j < k with
-gcd(j, k) = 1, divided by the norm N(a), which is a times that product and
-rational.  Conductors stay small here: `CONDUCTOR_CAP` below is 12, where
-phi(12) = 4, and the root explorer and the payload reader refuse a larger
-one.
+first; powers of zeta are reduced the same way.  The inverse of a unit
++-zeta^j is +-zeta^(-j); that of any other a is the product of its other
+Galois conjugates a(zeta^j), 1 < j < k with gcd(j, k) = 1, divided by the
+norm N(a), which is a times that product and rational.  Conductors stay
+small here: `CONDUCTOR_CAP` below is 12, where phi(12) = 4, and the root
+explorer and the payload reader refuse a larger one.
 
 `CyclotomicField` is also the coefficient ring of a series over Q(zeta_k),
 with the protocol of the rings in rings.py: the tag "QQ(zeta_k)", `coerce`,
-`invert`, the exact string form (comma-joined coordinates) and the kernel
-pair.  The series product kernel multiplies and adds ints only, so a series
-product over Q(zeta_k) multiplies no elements.  `to_kernel` brings each
-operand onto the lcm of its coordinate denominators and packs its int
-coordinate vector (c_0..c_{phi-1}) into the one int sum_i c_i 2^(B i) (a
-Kronecker substitution).  The product of two packed values is then the
-packed, unreduced product polynomial of 2 phi - 1 coordinates evaluated at
-2^B, and sums of such products stay packed.  A coordinate of a kernel value
-is a sum of at most phi products per term pair and of at most
-min(#a, #b) term pairs, so |coordinate| <= phi max|a| max|b| min(#a, #b);
-folding by Phi_k multiplies that bound by at most the field's `fold_gain`,
-the largest column sum of |x^j mod Phi_k| over j < 2 phi - 1.  The slot
-width B keeps the folded coordinates below 2^(B-3).  `from_kernel` then
-folds each value in packed form, as its centred residue modulo Phi_k(2^B),
-which is the folded polynomial at 2^B exactly because its coordinates are
-that small; it unpacks the phi signed coordinates and divides by the
-product of the two lcms.  So the folding runs once per kept coefficient
-rather than once per term pair, and a value such as 1 + zeta_3 + zeta_3^2
-is nonzero until it is folded.
+`invert`, the exact string form (comma-joined coordinates) and the stored
+form of a series.  A series over Q(zeta_k) keeps its coefficients packed,
+and elements are made only where it is read (`load`): a series product,
+sum or negation makes none.  Its state is (W, den, bound): each
+coefficient is the int coordinate vector (c_0..c_{phi-1}) of den times the
+element, packed as the one int sum_i c_i 2^(W i) (a Kronecker
+substitution), with den the lcm of the coordinate denominators, kept in
+lowest terms, and bound an upper bound on every |c_i|.  The slot width W
+is a multiple of 64 and every stored coordinate is below 2^(W-3), so each
+slot holds a signed coordinate and a sum of two stored values stays exact
+slot by slot.  `store` packs elements at the least such width.
+
+The product of two packed values is the packed, unreduced product
+polynomial of 2 phi - 1 coordinates evaluated at 2^W, and sums of such
+products stay packed.  A coordinate of a kernel value is a sum of at most
+phi products per term pair and of at most min(#a, #b) term pairs, so
+|coordinate| <= phi max|a| max|b| min(#a, #b); folding by Phi_k multiplies
+that bound by at most the field's `fold_gain`, the largest column sum of
+|x^j mod Phi_k| over j < 2 phi - 1.  `operands` takes the least width that
+keeps that folded bound below 2^(W-3), and repacks an operand only when it
+is stored at another width.  `fold` then folds each kept value in packed
+form, as its centred residue modulo Phi_k(2^W), which is the folded
+polynomial at 2^W exactly because its coordinates are that small.  So the
+folding runs once per kept coefficient rather than once per term pair, and
+a value such as 1 + zeta_3 + zeta_3^2 is nonzero until it is folded.  The
+product is stored at its width, with its bound read off the top 64-bit
+word of each slot, or off the unpacked coordinates when each of those
+words is -1, 0 or 1 (`_settle`): the bound stays within three times the
+largest coordinate, so the next product's width follows the coordinates,
+not the widths before it.  A sum (`join`) brings both operands to one denominator
+and to the wider width, or a wider one when the sum of their bounds needs
+it; two series compare after the same `join`.  Elements are made by
+`load`, and by `store` from the ints and Fractions it is given.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -56,6 +70,8 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
+from array import array
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import chain
@@ -244,14 +260,11 @@ def _pack(vecs, width):
     return packed
 
 
-def _scaled(coeffs):
-    """The coordinate vectors of the elements `coeffs` as ints over the lcm
-    of their denominators, that lcm, and the largest absolute coordinate."""
-    vecs = [c.coeffs for c in coeffs]
-    den = lcm(*[x.denominator for v in vecs for x in v if type(x) is not int])
-    if den != 1:
-        vecs = [[x.numerator * (den // x.denominator) for x in v] for v in vecs]
-    return vecs, den, max(map(abs, chain.from_iterable(vecs)), default=0)
+def _width(bound):
+    """The least multiple of 64 above the bit length of `bound` by 3 or more:
+    the slot width that keeps coordinates of absolute value at most `bound`
+    below 2^(width-3)."""
+    return (bound.bit_length() + 66) // 64 * 64
 
 
 def _canonical(vec) -> tuple:
@@ -297,6 +310,8 @@ class CyclotomicField:
         self.fold_gain = max(sum(abs(row[i]) for row in powers) for i in range(d))
         self.zero = CyclotomicElement(self, (0,) * d)
         self.one = CyclotomicElement(self, (1,) + self._pad)
+        self._moduli = {}  # Phi_k(2^W) by slot width W, made on first use
+        self._units = None  # the coordinates of each +-zeta^j, made on first use
 
     # -- constructors -----------------------------------------------------
 
@@ -351,39 +366,129 @@ class CyclotomicField:
     def invert(self, a):
         return a.inverse()
 
-    def to_kernel(self, a, b):
-        """Each operand's coordinate vectors, over the lcm of its coordinate
-        denominators, packed into ints with slots of one width B; the state
-        is (B, Phi_k(2^B), the product of the two lcms)."""
-        a, a_den, a_max = _scaled(a)
-        b, b_den, b_max = _scaled(b)
-        folded = self.fold_gain * self.degree * a_max * b_max * min(len(a), len(b))
-        width = folded.bit_length() + 3
-        modulus = sum(m << (width * i) for i, m in enumerate(self.modulus))
-        return _pack(a, width), _pack(b, width), (width, modulus, a_den * b_den)
+    # -- the stored form of a series (see the module docstring) -------------
 
-    def from_kernel(self, values, state):
-        """Fold each value by Phi_k in packed form, as its centred residue
-        modulo Phi_k(2^B), unpack its phi signed coordinates and divide by
-        the scale."""
-        width, modulus, den = state
-        shifts = range(0, self.degree * width, width)
-        half = 1 << (width - 1)
-        mask = (1 << width) - 1
+    def store(self, coeffs):
+        """The elements `coeffs` in stored form: their coordinates over the
+        lcm of their denominators, packed at the least width that holds them,
+        and the state (W, den, bound)."""
+        vecs = [self.coerce(c).coeffs for c in coeffs]
+        den = lcm(*[x.denominator for v in vecs for x in v if type(x) is not int])
+        if den != 1:
+            vecs = [[x.numerator * (den // x.denominator) for x in v] for v in vecs]
+        bound = max(map(abs, chain.from_iterable(vecs)), default=0)
+        width = _width(bound)
+        return _pack(vecs, width), (width, den, bound)
+
+    def load(self, values, state):
+        """The elements of the stored `values`."""
+        width, den, _ = state
+        return [CyclotomicElement(self, tuple(vec)) if den == 1 else
+                self.element([Fraction(c, den) for c in vec])
+                for vec in self._unpack(values, width)]
+
+    def operands(self, a, a_state, b, b_state, pairs):
+        """The stored values `a` and `b` at one width that holds a product in
+        which each kept value sums at most `pairs` term products, and the
+        state of its kernel values, (W, den)."""
+        (wa, da, ba), (wb, db, bb) = a_state, b_state
+        width = _width(self.fold_gain * self.degree * ba * bb * pairs)
+        if wa != width:
+            a = _pack(self._unpack(a, wa), width)
+        if wb != width:
+            b = _pack(self._unpack(b, wb), width)
+        return a, b, (width, da * db)
+
+    def fold(self, values, state):
+        """Kernel values of the state (W, den) in stored form: each folded by
+        Phi_k as its centred residue modulo Phi_k(2^W)."""
+        width, den = state
+        modulus = self._moduli.get(width)
+        if modulus is None:
+            modulus = self._moduli[width] = sum(
+                m << (width * i) for i, m in enumerate(self.modulus))
         centre = modulus >> 1
-        # adding half to every slot makes each one nonnegative, so no slot
-        # borrows from the next and each reads off with a shift and a mask
-        bias = sum(half << s for s in shifts)
         out = []
         for v in values:
             v %= modulus
-            if v > centre:
-                v -= modulus
+            out.append(v - modulus if v > centre else v)
+        return self._settle(out, width, den)
+
+    def join(self, a, a_state, b, b_state):
+        """The stored terms `a` and `b`, dicts, over one denominator and at a
+        width that holds their sum, and the state of that form."""
+        (wa, da, ba), (wb, db, bb) = a_state, b_state
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        bound = ba * fa + bb * fb
+        width = max(wa, wb, _width(bound))
+        return (self._lift(a, wa, fa, width), self._lift(b, wb, fb, width),
+                (width, den, bound))
+
+    def lowest(self, keyed, state):
+        """The stored terms `keyed`, a dict, and their state in lowest terms."""
+        width, den, _ = state
+        if den == 1:
+            return keyed, state
+        values, state = self._settle(list(keyed.values()), width, den)
+        return dict(zip(keyed, values)), state
+
+    def _lift(self, keyed, width, factor, new):
+        """The stored terms `keyed` at the width `new`, times `factor`."""
+        if width != new:
+            keyed = dict(zip(keyed, _pack(self._unpack(keyed.values(), width), new)))
+        if factor != 1:
+            keyed = {k: v * factor for k, v in keyed.items()}
+        return keyed
+
+    def _settle(self, values, width, den):
+        """The packed `values` over `den` in lowest terms, and their state.
+
+        The bound is read off the top 64-bit word of each slot of their two's
+        complement bytes.  A negative slot below borrows one from the slot
+        above, so that word is floor((c - b) / 2^(W-64)) with b = 0 or 1, and
+        |c| <= (|word| + 1) 2^(W-64).  When some top word is 2 or more in
+        absolute value, its coordinate is at least 2^(W-64) in absolute
+        value, so that bound is at most three times the largest |c|.
+        Otherwise (and when den is not 1) the coordinates are unpacked for
+        it, so that a product stored wider than it needs does not widen the
+        next one."""
+        if den == 1:
+            top = self._top_word(values, width)
+            if width == 64 or top > 1:
+                return values, (width, den, (top + 1) << (width - 64))
+        vecs = self._unpack(values, width)
+        g = gcd(den, *chain.from_iterable(vecs))
+        if g != 1:
+            den //= g
+            vecs = [[c // g for c in vec] for vec in vecs]
+            values = _pack(vecs, width)
+        return values, (width, den, max(map(abs, chain.from_iterable(vecs)), default=0))
+
+    def _unpack(self, values, width):
+        """The signed coordinate vectors of the packed `values`: adding half
+        a slot to every slot makes each one nonnegative, so no slot borrows
+        from the next and each reads off with a shift and a mask."""
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        shifts = range(0, self.degree * width, width)
+        bias = sum(half << s for s in shifts)
+        vecs = []
+        for v in values:
             v += bias
-            coords = tuple([((v >> s) & mask) - half for s in shifts])
-            out.append(CyclotomicElement(self, coords) if den == 1 else
-                       self.element([Fraction(c, den) for c in coords]))
-        return out
+            vecs.append([((v >> s) & mask) - half for s in shifts])
+        return vecs
+
+    def _top_word(self, values, width):
+        """The largest absolute value of the top 64-bit word of any slot of
+        the packed `values`, in two's complement."""
+        step = width // 64
+        words = array("q", b"".join([v.to_bytes(self.degree * width // 8, "little", signed=True)
+                                     for v in values]))
+        if sys.byteorder == "big":
+            words.byteswap()
+        tops = words[step - 1::step]
+        return max(max(tops), -min(tops)) if tops else 0
 
     def coeff_to_str(self, a):
         """The coordinates of `a`, each as "num" or "num/den", comma-joined."""
@@ -459,6 +564,24 @@ class CyclotomicElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/a: +-zeta^(-j) when a is +-zeta^j, found in a table of those
+        units that the field makes on first use, and `_norm_inverse`
+        otherwise."""
+        field = self.field
+        if field._units is None:
+            field._units = {}
+            for j in range(field.k):
+                z = field.zeta(j)
+                field._units[(-z).coeffs] = (j, -1)
+                field._units[z.coeffs] = (j, 1)
+        unit = field._units.get(self.coeffs)
+        if unit is None:
+            return self._norm_inverse()
+        j, sign = unit
+        inverse = field.zeta(-j)
+        return inverse if sign == 1 else -inverse
+
+    def _norm_inverse(self):
         """The product of the other Galois conjugates a(zeta^j), 1 < j < k
         with gcd(j, k) = 1, over the norm: a times that product, a rational."""
         field, coeffs = self.field, self.coeffs

@@ -1,57 +1,84 @@
 """Coefficient rings for truncated series.
 
 Ring elements are plain Python objects supporting the arithmetic operators
-(int, Fraction, CyclotomicElement), so series arithmetic works on them
-directly, and each is falsy exactly when it is zero, so a zero test is
-`if c:`.  A ring supplies only what the numbers cannot do themselves:
-coercion (`coerce`, `zero`, `one`), inversion (`invert`), the kernel pair
-(`to_kernel`, `from_kernel`) and the exact string form (`coeff_to_str`,
-`coeff_from_str`), all under one `tag`.  Every ring is exact, so `==` is
+(int, Fraction, CyclotomicElement), and each is falsy exactly when it is
+zero, so a zero test is `if c:`.  A ring supplies what the numbers cannot
+do themselves: coercion (`coerce`, `zero`, `one`), inversion (`invert`),
+the exact string form (`coeff_to_str`, `coeff_from_str`) and the stored
+form of a series, all under one `tag`.  Every ring is exact, so `==` is
 equality; two rings are equal when their tags are.
 
 Integers are the default ring (all coefficients of the interval-order series
 are integers), and rationals appear where a non-unit inversion is required.
 Q(zeta_k) is its own ring: `cyclotomic.CyclotomicField` carries the same
 protocol under the tag "QQ(zeta_k)", and its module docstring explains how
-its coordinates enter the product kernel.
+its coordinates are packed.
 
-A ring decides how its coefficients enter the series product kernel, which
-multiplies and adds ints only.  `to_kernel(a, b)` takes the coefficient
-lists of both operands and returns their kernel values and a state;
-`from_kernel(values, state)` turns kernel values (sums of products of one
-value of each operand) back into coefficients.  A zero kernel value is a
-zero coefficient, but a nonzero one may turn into zero, so the series drops
-coefficients after `from_kernel`.  Integers pass through.  Rationals enter
-as int numerators over the lcm of each operand's denominators; the state is
-the product of the two lcms.
+A series keeps its coefficients in its ring's stored form: ints, which the
+series product and sum loops multiply and add, and one state for the whole
+series.  `store(coeffs)` gives the values and state of a list of
+coefficients and `load(values, state)` gives the coefficients back; the
+series calls them only where coefficients come in or are read (the
+constructor, `terms`, `constant_term`, `coefficient`, the witness of
+`equal_up_to`, and the element recurrence of `invert` over Q(zeta_k)).
+Between them no coefficient is made.  A product asks `operands(a,
+a_state, b, b_state, pairs)` for both operands in one kernel form, whose
+values it multiplies and sums, and `fold(values, state)` for those sums in
+stored form; a sum, and a comparison, ask `join(a, a_state, b, b_state)`
+for both operands' dicts in one form, and a sum then asks `lowest(keyed,
+state)` for its result in lowest terms.  A zero kernel value is a zero
+coefficient, but a nonzero one may fold to zero, so the series drops
+values after `fold`.
+
+Rationals are stored as int numerators over one denominator per series,
+kept in lowest terms (gcd(den, numerators) = 1), so den is the lcm of the
+denominators and equal series store equal values; a product's denominator
+is the product of its operands', and a sum's their lcm.  Integers are
+stored the same way, over the denominator 1.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import CONDUCTOR_CAP, fraction_str, get_field, parse_fraction
 from .errors import NonInvertibleError
 
 
-def _over_lcm(coeffs):
-    """Rational `coeffs` as int numerators over the lcm of their
-    denominators, and that lcm."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class _Ring:
     """What ZZ and QQ share: equality, hash and repr by tag, the rational
-    string form, and kernel values that are the coefficients themselves."""
+    string form, and the stored form, int numerators over one denominator
+    in lowest terms, which over ZZ is 1."""
 
-    def to_kernel(self, a, b):
-        return a, b, None
+    def store(self, coeffs):
+        den = lcm(*[c.denominator for c in coeffs])
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    def from_kernel(self, values, state):
-        return values
+    def operands(self, a, a_den, b, b_den, pairs):
+        return a, b, a_den * b_den
+
+    def fold(self, values, den):
+        if den != 1:
+            g = gcd(den, *values)
+            if g != 1:
+                return [v // g for v in values], den // g
+        return values, den
+
+    def join(self, a, a_den, b, b_den):
+        if a_den == b_den:
+            return a, b, a_den
+        den = lcm(a_den, b_den)
+        fa, fb = den // a_den, den // b_den
+        return {k: v * fa for k, v in a.items()}, {k: v * fb for k, v in b.items()}, den
+
+    def lowest(self, keyed, den):
+        if den != 1:
+            values, low = self.fold(list(keyed.values()), den)
+            if low != den:
+                return dict(zip(keyed, values)), low
+        return keyed, den
 
     def coeff_to_str(self, a):
         return fraction_str(a)
@@ -87,6 +114,12 @@ class IntegerRing(_Ring):
             return a
         raise NonInvertibleError(f"{a} is not a unit in ZZ")
 
+    def store(self, coeffs):
+        return list(coeffs), 1
+
+    def load(self, values, den):
+        return values
+
 
 class RationalRing(_Ring):
     tag = "QQ"
@@ -104,14 +137,7 @@ class RationalRing(_Ring):
             raise NonInvertibleError("0 is not invertible in QQ")
         return Fraction(1) / a
 
-    def to_kernel(self, a, b):
-        """Each operand as int numerators over the lcm of its denominators;
-        the state is the product of the two lcms."""
-        a, a_den = _over_lcm(a)
-        b, b_den = _over_lcm(b)
-        return a, b, a_den * b_den
-
-    def from_kernel(self, values, den):
+    def load(self, values, den):
         return [Fraction(v, den) for v in values]
 
 

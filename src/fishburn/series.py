@@ -4,10 +4,11 @@ A series lives in R[[x_1..x_v]] / (total degree > N): operations are exact
 below the cut and every monomial above it is discarded.  Truncation is by
 TOTAL degree; per-variable views can be derived but are not stored.
 
-A series is stored as a dict from packed int keys to nonzero coefficients
-(a sparse Kronecker substitution, cf. Harvey, J. Symbolic Comput. 44, 2009;
-Monagan and Pearce, CASC 2007, keep packed monomials as the storage format
-in the same way), and every ring operation reads and writes that dict.  An
+A series is stored as a dict from packed int keys to the nonzero values of
+its coefficients in its ring's stored form (a sparse Kronecker
+substitution, cf. Harvey, J. Symbolic Comput. 44, 2009; Monagan and Pearce,
+CASC 2007, keep packed monomials as the storage format in the same way),
+and every ring operation reads and writes that dict.  An
 exponent (e_1..e_v) of total degree d is written in radix N+1 with the
 digits (d, e_1, ..., e_{v-1}); the last exponent is implied by d.  Every
 digit is a linear function of the exponents, so the key of a product
@@ -21,11 +22,22 @@ in `_pack` and its inverse `_unpack`, which read a key back by divmod; no
 exponent or key is tabulated, so no operation builds a structure sized by
 the (N+1)^v keys below the cut.
 
+The values are ints, with one state per series that the ring keeps
+(rings.py): one denominator over QQ (1 over ZZ), and a slot width, a
+denominator and a coordinate bound over Q(zeta_k), whose values are packed
+coordinate vectors (cyclotomic.py).  A product, a sum and a negation run
+on these ints alone; the ring only brings two operands to one form, and
+folds a product, so no coefficient is made between products.  Ints,
+Fractions and CyclotomicElements are made only where the series is read:
+`terms`, `constant_term`, `coefficient`, the witness of `equal_up_to` and
+`repr`, and in the element recurrence of `invert` over Q(zeta_k).
+
 The constructor takes a dict from exponent tuples and packs it at once.
 Each exponent is checked there, by the one check `coefficient` also uses:
 it must be nvars ints (not bools or floats), each >= 0, of total degree <=
-N.  Zero coefficients are dropped there too, so no stored coefficient is
-zero and two equal series have equal dicts.
+N.  Zero coefficients are dropped there too, so no stored value is zero.
+Two series compare by their dicts once the ring has brought them to one
+form.
 
 Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.  A series caches what it derives
@@ -42,15 +54,13 @@ It sums into a list indexed by key when the key span of the product,
 of term pairs, as it is for the dense bivariate series, and into a dict
 otherwise, as for the trivariate series, whose span is mostly empty.
 
-The ring decides how its coefficients enter the kernel, so the product
-loop multiplies and adds ints only, over every ring, and the order of the
-outer loop changes no sum; rings.py gives the account, and cyclotomic.py
-that of the packed Q(zeta_k) kernel.  `substitute` runs its sums through
-the same kernel.  It takes only a separable change of variables, each
-variable sent to a series in itself alone, so it composes one variable at
-a time from univariate powers and makes no product of multivariate
-series.  `invert` runs its degree recurrence on ints over ZZ and QQ,
-fraction-free, and on field elements over Q(zeta_k).
+The product loop multiplies and adds ints only, over every ring, and the
+order of the outer loop changes no sum.  `substitute` runs its sums
+through the same loop on ints.  It takes only a separable change of
+variables, each variable sent to a series in itself alone, so it composes
+one variable at a time from univariate powers and makes no product of
+multivariate series.  `invert` runs its degree recurrence on the stored
+ints over ZZ and QQ, fraction-free, and on field elements over Q(zeta_k).
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from .errors import (
     TruncationError,
 )
 from .cyclotomic import fraction_str
-from .rings import QQ, ZZ, _over_lcm
+from .rings import QQ, ZZ
 
 MatchReport = namedtuple("MatchReport", "equal index left right")
 MatchReport.__doc__ = """Outcome of equal_up_to: either equal, or the
@@ -74,7 +84,7 @@ lexicographically least differing multi-index with both coefficients."""
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_sorted", "_terms")
+    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_state", "_sorted", "_terms")
 
     def __init__(self, ring, nvars, trunc, terms=None, names=None):
         if not 1 <= nvars <= 3:
@@ -87,12 +97,15 @@ class TruncatedSeries:
         self.names = tuple(names) if names else _default_names(nvars)
         if len(self.names) != nvars:
             raise ValueError("one name per variable required")
-        self._keyed = {}
-        self._sorted = self._terms = None
+        keys, coeffs = [], []
         for exp, c in (terms or {}).items():
             key = self._key(exp)
             if c:
-                self._keyed[key] = c
+                keys.append(key)
+                coeffs.append(c)
+        values, self._state = ring.store(coeffs)
+        self._keyed = dict(zip(keys, values))
+        self._sorted = self._terms = None
 
     # -- constructors ------------------------------------------------------
 
@@ -120,16 +133,17 @@ class TruncatedSeries:
             raise SeriesCompatibilityError(
                 f"truncation mismatch: {self.trunc} vs {other.trunc}")
 
-    def _wrap(self, keyed, ordered=None):
-        """A series like self with the packed terms `keyed`, and `ordered`,
-        their keys ascending and the coefficients in the same order, when
-        the caller has them."""
+    def _wrap(self, keyed, state, ordered=None):
+        """A series like self with the packed terms `keyed`, stored values of
+        the state `state`, and `ordered`, their keys ascending and the values
+        in the same order, when the caller has them."""
         out = object.__new__(TruncatedSeries)
         out.ring = self.ring
         out.nvars = self.nvars
         out.trunc = self.trunc
         out.names = self.names
         out._keyed = keyed
+        out._state = state
         out._sorted = ordered
         out._terms = None
         return out
@@ -149,8 +163,8 @@ class TruncatedSeries:
         return _pack(exp, self.trunc + 1)
 
     def _ordered(self):
-        """The packed keys ascending (so by total degree), and the
-        coefficients in the same order."""
+        """The packed keys ascending (so by total degree), and the stored
+        values in the same order."""
         ordered = self._sorted
         if ordered is None:
             keyed = self._keyed
@@ -168,7 +182,13 @@ class TruncatedSeries:
 
     def _tuple_view(self):
         radix, nvars = self.trunc + 1, self.nvars
-        return {_unpack(k, radix, nvars): c for k, c in self._keyed.items()}
+        keyed = self._keyed
+        return dict(zip([_unpack(k, radix, nvars) for k in keyed],
+                        self.ring.load(list(keyed.values()), self._state)))
+
+    def _load(self, value):
+        """The coefficient of the stored `value`."""
+        return self.ring.load([value], self._state)[0]
 
     def _as_scalar(self, x):
         try:
@@ -178,10 +198,10 @@ class TruncatedSeries:
 
     @property
     def constant_term(self):
-        return self._keyed.get(0, self.ring.zero)
+        return self._load(self._keyed.get(0, 0))
 
     def coefficient(self, exponents):
-        return self._keyed.get(self._key(tuple(exponents)), self.ring.zero)
+        return self._load(self._keyed.get(self._key(tuple(exponents)), 0))
 
     def support(self):
         return sorted(self.terms)
@@ -191,40 +211,43 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _plus_constant(self, keyed, scalar):
-        """`keyed`, a dict of packed terms this call may change, plus the
-        constant `scalar`; a constant that cancels to zero is dropped."""
-        acc = keyed.get(0, self.ring.zero) + scalar
+    def _plus_constant(self, keyed, state, scalar):
+        """`keyed`, a dict of stored terms of the state `state` that this
+        call may change, plus the constant `scalar`; a constant that cancels
+        to zero is dropped."""
+        values, scalar_state = self.ring.store([scalar])
+        keyed, constant, state = self.ring.join(keyed, state, {0: values[0]}, scalar_state)
+        acc = keyed.get(0, 0) + constant[0]
         if acc:
             keyed[0] = acc
         else:
             keyed.pop(0, None)
-        return self._wrap(keyed)
+        return self._wrap(*self.ring.lowest(keyed, state))
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             scalar = self._as_scalar(other)
             if scalar is None:
                 return NotImplemented
-            return self._plus_constant(dict(self._keyed), scalar)
+            return self._plus_constant(dict(self._keyed), self._state, scalar)
         self._compat(other)
-        big, small = self._keyed, other._keyed
+        big, small, state = self.ring.join(self._keyed, self._state,
+                                           other._keyed, other._state)
         if len(big) < len(small):
             big, small = small, big
         keyed = dict(big)
-        zero = self.ring.zero
         for k, c in small.items():
-            acc = keyed.get(k, zero) + c
+            acc = keyed.get(k, 0) + c
             if acc:
                 keyed[k] = acc
             else:
-                keyed.pop(k, None)
-        return self._wrap(keyed)
+                del keyed[k]
+        return self._wrap(*self.ring.lowest(keyed, state))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self._keyed.items()})
+        return self._wrap({k: -c for k, c in self._keyed.items()}, self._state)
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -232,24 +255,21 @@ class TruncatedSeries:
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant(dict(self._keyed), -scalar)
+        return self._plus_constant(dict(self._keyed), self._state, -scalar)
 
     def __rsub__(self, other):
         scalar = self._as_scalar(other)
         if scalar is None:
             return NotImplemented
-        return self._plus_constant({k: -c for k, c in self._keyed.items()}, scalar)
+        return self._plus_constant({k: -c for k, c in self._keyed.items()}, self._state,
+                                   scalar)
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)
-        if not scalar:
-            return self._wrap({})
-        keyed = {}
-        for k, c in self._keyed.items():
-            acc = c * scalar
-            if acc:
-                keyed[k] = acc
-        return self._wrap(keyed)
+        if scalar == 1 or scalar == -1:  # such as the -1 of comp2-first
+            return self if scalar == 1 else -self
+        values, state = self.ring.store([scalar] if scalar else [])
+        return self * self._wrap(dict(zip((0,), values)), state)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -260,12 +280,15 @@ class TruncatedSeries:
         self._compat(other)
         a_keys, a_vals = self._ordered()
         b_keys, b_vals = other._ordered()
+        a_state, b_state = self._state, other._state
         if len(a_keys) > len(b_keys):
             a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
+            a_state, b_state = b_state, a_state
         if not a_keys:
-            return self._wrap({}, ([], []))
+            return TruncatedSeries.zero(self.ring, self.nvars, self.trunc, self.names)
         limit = (self.trunc + 1) ** self.nvars  # the least key of degree N + 1
-        a_vals, b_vals, state = self.ring.to_kernel(a_vals, b_vals)
+        a_vals, b_vals, state = self.ring.operands(a_vals, a_state, b_vals, b_state,
+                                                   len(a_keys))
         b = list(zip(b_keys, b_vals))
         # Each row reads the terms of b that keep the product below the cut,
         # a prefix.  ka + kb is then exact: a kept product has total degree
@@ -293,12 +316,12 @@ class TruncatedSeries:
             keys = [k for k, c in acc.items() if c]
             values = [acc[k] for k in keys]
         # A zero kernel value is a zero coefficient, but a nonzero one may
-        # still turn into zero (a Q(zeta_k) value folded by Phi_k).
-        values = self.ring.from_kernel(values, state)
+        # still fold to zero (a Q(zeta_k) value folded by Phi_k).
+        values, state = self.ring.fold(values, state)
         if not all(values):
             keys = [k for k, c in zip(keys, values) if c]
             values = [c for c in values if c]
-        return self._wrap(dict(zip(keys, values)), (keys, values) if dense else None)
+        return self._wrap(dict(zip(keys, values)), state, (keys, values) if dense else None)
 
     __rmul__ = __mul__
 
@@ -308,11 +331,11 @@ class TruncatedSeries:
         Requires an invertible constant term; computed by the order-by-order
         recurrence b_d = -a_0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
         Over Q(zeta_k) the recurrence runs on field elements.  Over ZZ and QQ
-        it runs on ints, fraction-free: with the operand written as A / L,
-        A integral over the lcm L of its denominators, the levels
+        it runs on the stored ints, fraction-free: with the operand stored as
+        A / L, A its int numerators over its denominator L, the levels
         B_d = A_0^(d+1) b_d / L satisfy B_0 = 1 and
-        B_d = -sum_{e>=1} A_0^(e-1) A_e B_{d-e}, so each coefficient
-        b_d = L B_d / A_0^(d+1) is made once, at the end.
+        B_d = -sum_{e>=1} A_0^(e-1) A_e B_{d-e}, so b_d = L B_d / A_0^(d+1),
+        all over the one denominator A_0^(N+1).
         """
         c0 = self.constant_term
         if not c0:
@@ -320,20 +343,27 @@ class TruncatedSeries:
         c0inv = self.ring.invert(c0)  # refuses a non-unit of ZZ
         keys, values = self._ordered()
         if self.ring in (ZZ, QQ):
-            ints, den = _over_lcm(values)
             # A_0^j, with A_0 first, as the constant term's key 0 sorts first
-            powers = _powers(ints[0], self.trunc + 1)
+            powers = _powers(values[0], self.trunc + 1)
             step = self._degree_step()
             # A_0^(e-1) A_e for each nonconstant term, of degree e
-            scaled = [c * powers[k // step - 1] if k else c for k, c in zip(keys, ints)]
+            scaled = [c * powers[k // step - 1] if k else c for k, c in zip(keys, values)]
             levels = self._inverse_levels(keys, scaled, 1, -1)
             if self.ring == ZZ:  # A_0 = +-1 is its own inverse, and L = 1
                 return self._wrap({k: c * powers[d + 1]
-                                   for d, level in enumerate(levels) for k, c in level})
-            return self._wrap({k: Fraction(den * c, powers[d + 1])
-                               for d, level in enumerate(levels) for k, c in level})
-        levels = self._inverse_levels(keys, values, c0inv, -c0inv)
-        return self._wrap({k: c for level in levels for k, c in level})
+                                   for d, level in enumerate(levels) for k, c in level}, 1)
+            # b_d = L B_d A_0^(N-d) / A_0^(N+1), signed so that the
+            # denominator is positive
+            top = self.trunc
+            factor = self._state if powers[-1] > 0 else -self._state
+            return self._wrap(*self.ring.lowest(
+                {k: factor * c * powers[top - d] for d, level in enumerate(levels)
+                 for k, c in level}, abs(powers[-1])))
+        levels = self._inverse_levels(keys, self.ring.load(values, self._state),
+                                      c0inv, -c0inv)
+        keys = [k for level in levels for k, _ in level]
+        values, state = self.ring.store([c for level in levels for _, c in level])
+        return self._wrap(dict(zip(keys, values)), state)
 
     def _degree_step(self):
         """The key of one unit of total degree."""
@@ -400,33 +430,32 @@ class TruncatedSeries:
         exponent of x_i, and each term c x^e goes onto its row, the
         monomial of the other variables, as c s_i^(e_i): in packed keys a
         shift of the term's key by (m - e_i) units of x_i for each term
-        x_i^m of s_i^(e_i) that stays below the cut.  These sums run
-        through the ring's product kernel, with the terms as one operand
-        and the powers as the other, so no product of two multivariate
-        series is made.
+        x_i^m of s_i^(e_i) that stays below the cut.  The ring brings the
+        terms and all the powers to one kernel form (`join`, `operands`),
+        and the sums run on ints and are folded once, as a product's are,
+        so no product of two multivariate series is made.
         """
+        radix, nvars = self.trunc + 1, self.nvars
         out = self
         for i, s in sorted(assignment.items()):
-            if not 0 <= i < self.nvars:
+            if not 0 <= i < nvars:
                 raise ValueError("variable index out of range")
             self._compat(s)
             if s.constant_term:
                 raise SubstitutionError(
                     f"substitution for variable {self.names[i]} has nonzero "
                     f"constant term {s.constant_term!r}")
-            terms = {}
-            for k, c in s._keyed.items():
-                e = _unpack(k, self.trunc + 1, self.nvars)
+            for k in s._keyed:
+                e = _unpack(k, radix, nvars)
                 if sum(e) != e[i]:
                     raise SubstitutionError(
                         f"substitution for variable {self.names[i]} is not a series "
                         f"in {self.names[i]} alone: it has the term at {e}")
-                terms[(e[i],)] = c
-            out = out._compose(i, TruncatedSeries(self.ring, 1, self.trunc, terms))
+            out = out._compose(i, s)
         return out
 
     def _compose(self, i, s):
-        """This series at x_i = s(x_i), for the univariate series `s` of zero
+        """This series at x_i = s, for a series `s` in x_i alone of zero
         constant term."""
         if not self._keyed:
             return self
@@ -442,17 +471,30 @@ class TruncatedSeries:
         else:
             unit = step
             exps = [_unpack(k, radix, nvars)[i] for k in keys]
+        # s as a series in one variable, and its powers s^0..s^top
         top = max(exps)
-        powers = [TruncatedSeries.constant(self.ring, 1, trunc, self.ring.one), s]
+        s = TruncatedSeries(self.ring, 1, trunc)._wrap(
+            {k // unit: c for k, c in s._keyed.items()}, s._state)
+        powers = [s ** 0, s][:top + 1]
         while len(powers) <= top:
             powers.append(powers[-1] * s)
-        powers = [p._ordered() for p in powers[:top + 1]]
-        values, flat, state = self.ring.to_kernel(values, [c for _, cs in powers for c in cs])
-        # for each j, the exponents of s^j, ascending, and for each of its
-        # terms x_i^m the shift (m - j) * unit of a key and the kernel value
+        powers = [p._ordered() + (p._state,) for p in powers]
+        # the terms of every power in one stored form, in that order
+        flat, state = [c for _, cs, _ in powers for c in cs], powers[0][2]
+        if any(power_state != state for _, _, power_state in powers):
+            joined = {}
+            for j, (ms, cs, power_state) in enumerate(powers):
+                joined, more, state = self.ring.join(
+                    joined, state, {(j, m): c for m, c in zip(ms, cs)}, power_state)
+                joined.update(more)
+            flat = list(joined.values())
+        values, flat, kernel = self.ring.operands(values, self._state, flat, state, len(keys))
+        # for each j, the exponents m of the terms x_i^m of s^j, ascending,
+        # and for each the shift (m - j) * unit of a key and its value
         table, start = [], 0
-        for j, (ms, _) in enumerate(powers):
-            table.append((ms, [((m - j) * unit, flat[start + n]) for n, m in enumerate(ms)]))
+        for j, (ms, _, _) in enumerate(powers):
+            table.append((ms, [((m - j) * unit, c)
+                               for m, c in zip(ms, flat[start:start + len(ms)])]))
             start += len(ms)
         acc = {}
         for k, j, c in zip(keys, exps, values):
@@ -465,8 +507,8 @@ class TruncatedSeries:
                 else:
                     acc[key] = c * pc
         keys = [k for k, c in acc.items() if c]
-        values = self.ring.from_kernel([acc[k] for k in keys], state)
-        return self._wrap({k: c for k, c in zip(keys, values) if c})
+        values, state = self.ring.fold([acc[k] for k in keys], kernel)
+        return self._wrap({k: c for k, c in zip(keys, values) if c}, state)
 
     def specialize(self, var: int, scalar, new_trunc: int):
         """Substitute a ring scalar for one variable, returning a series in
@@ -517,25 +559,27 @@ class TruncatedSeries:
             raise TruncationError(
                 f"comparison order {order} exceeds truncation "
                 f"({self.trunc}, {other.trunc})")
-        a, b = self._cut(order), other._cut(order)
+        a, b, state = self.ring.join(self._keyed, self._state, other._keyed, other._state)
+        a, b = self._cut(a, order), other._cut(b, order)
         if a == b:
             return MatchReport(True, None, None, None)
-        zero = self.ring.zero
         radix, nvars = order + 1, self.nvars
         index = min(_unpack(k, radix, nvars) for k in a.keys() | b.keys()
-                    if a.get(k, zero) != b.get(k, zero))
+                    if a.get(k, 0) != b.get(k, 0))
         k = _pack(index, radix)
-        return MatchReport(False, index, a.get(k, zero), b.get(k, zero))
+        left, right = self.ring.load([a.get(k, 0), b.get(k, 0)], state)
+        return MatchReport(False, index, left, right)
 
-    def _cut(self, order):
-        """The terms of total degree <= order, keyed in radix order + 1."""
+    def _cut(self, keyed, order):
+        """The terms `keyed`, of this series' keys, of total degree <= order,
+        keyed in radix order + 1."""
         if order == self.trunc:
-            return self._keyed
+            return keyed
         radix, nvars = self.trunc + 1, self.nvars
         # the keys of degree <= order are those whose degree digit is <= order
         bound = (order + 1) * radix ** (nvars - 1)
         return {_pack(_unpack(k, radix, nvars), order + 1): c
-                for k, c in self._keyed.items() if k < bound}
+                for k, c in keyed.items() if k < bound}
 
     def _compat_loose(self, other):
         # comparison allows different truncations (order is checked separately)
@@ -549,8 +593,10 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring == other.ring and self.nvars == other.nvars
-                and self.trunc == other.trunc and self._keyed == other._keyed)
+        if (self.ring, self.nvars, self.trunc) != (other.ring, other.nvars, other.trunc):
+            return False
+        a, b, _ = self.ring.join(self._keyed, self._state, other._keyed, other._state)
+        return a == b
 
     __hash__ = None  # mutable-by-content; not hashable
 

@@ -1,6 +1,7 @@
 """Series operations that only the tests need: re-truncation, a change of
-coefficient ring, a comparison on exponent tuples and the generic
-substitution."""
+coefficient ring, and the references on exponent tuples that the packed
+kernel is tested against: sum, product, inverse, comparison and the
+generic substitution."""
 
 from fishburn.errors import SubstitutionError, TruncationError
 from fishburn.series import MatchReport, TruncatedSeries
@@ -70,3 +71,55 @@ def reference_substitute(series, assignment):
                 mono = mono * powi(i, k)
         total = total + mono.scale(c)
     return total
+
+
+def reference_add(a, b):
+    """The sum of `a` and `b` on exponent tuples."""
+    zero = a.ring.zero
+    terms = {e: a.terms.get(e, zero) + b.terms.get(e, zero)
+             for e in a.terms.keys() | b.terms.keys()}
+    return {e: c for e, c in terms.items() if c}
+
+
+def reference_mul(a, b):
+    """Schoolbook product on exponent tuples with degree-bound pruning -- the
+    loop the packed-key kernel replaced."""
+    bound = a.trunc
+    sa = sorted(((sum(e), e, c) for e, c in a.terms.items()))
+    sb = sorted(((sum(e), e, c) for e, c in b.terms.items()))
+    terms = {}
+    for da, ea, ca in sa:
+        for db, eb, cb in sb:
+            if da + db > bound:
+                break
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            prod = ca * cb
+            if exp in terms:
+                terms[exp] = terms[exp] + prod
+            else:
+                terms[exp] = prod
+    return {e: c for e, c in terms.items() if c}
+
+
+def reference_invert(a):
+    """Order-by-order inverse on exponent tuples -- the recurrence the
+    packed-key kernel replaced."""
+    ring = a.ring
+    c0inv = ring.invert(a.constant_term)
+    by_deg = {}
+    for e, c in a.terms.items():
+        if sum(e):
+            by_deg.setdefault(sum(e), []).append((e, c))
+    levels = [{(0,) * a.nvars: c0inv}]
+    for d in range(1, a.trunc + 1):
+        acc = {}
+        for da, entries in by_deg.items():
+            if da > d:
+                continue
+            for eb, cb in levels[d - da].items():
+                for ea, ca in entries:
+                    exp = tuple(x + y for x, y in zip(ea, eb))
+                    prod = ca * cb
+                    acc[exp] = acc[exp] + prod if exp in acc else prod
+        levels.append({e: -(c0inv * c) for e, c in acc.items() if c0inv * c})
+    return {e: c for level in levels for e, c in level.items()}

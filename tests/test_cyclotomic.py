@@ -130,6 +130,18 @@ def test_random_nonzero_elements_invert(k):
         assert e * inverse == F.one
 
 
+@pytest.mark.parametrize("k", range(1, CONDUCTOR_CAP + 1))
+def test_unit_monomial_inverse_matches_the_norm_inverse(k):
+    """1/(+-zeta^j), read off the table of units, is the general inverse
+    (the conjugate product over the norm) for every j and both signs."""
+    F = get_field(k)
+    for j in range(k):
+        for x in (F.zeta(j), -F.zeta(j)):
+            inverse = x.inverse()
+            assert inverse.coeffs == x._norm_inverse().coeffs
+            assert x * inverse == F.one
+
+
 def test_zero_has_no_inverse():
     F = get_field(4)
     with pytest.raises(NonInvertibleError):

@@ -54,7 +54,7 @@ def test_ring_equality_and_tags():
 @pytest.mark.parametrize("k", [*range(1, 13), 15, 21, 30])
 def test_packed_fold_matches_reduce_at_the_slot_bound(k):
     """Kernel values whose unreduced coordinates reach the bound that
-    `to_kernel` sizes its slots for, phi max|a| max|b| min(#a, #b), fold in
+    `operands` sizes its slots for, phi max|a| max|b| min(#a, #b), fold in
     packed form to the coordinates `_reduce` gives.  The bound sits just
     below a power of two, where the slots have the least room; conductors
     15, 21 and 30 fold with gains 6, 7 and 6."""
@@ -63,8 +63,8 @@ def test_packed_fold_matches_reduce_at_the_slot_bound(k):
     rng = random.Random(k)
     terms = rng.randint(1, 5)
     top = isqrt((2 ** rng.randint(30, 60) - 1) // (d * terms))
-    operand = [ring.element([top] + [-top] * (d - 1))] * terms
-    *_, state = ring.to_kernel(operand, operand)
+    values, stored = ring.store([ring.element([top] + [-top] * (d - 1))] * terms)
+    *_, state = ring.operands(values, stored, values, stored, terms)
     width, bound = state[0], d * top * top * terms
     cases = [[rng.choice((-bound, bound, rng.randint(-bound, bound)))
               for _ in range(2 * d - 1)] for _ in range(50)]
@@ -75,4 +75,5 @@ def test_packed_fold_matches_reduce_at_the_slot_bound(k):
         cases += [worst, [-c for c in worst]]
     for coords in cases:
         packed = sum(c << (width * j) for j, c in enumerate(coords))
-        assert ring.from_kernel([packed], state)[0].coeffs == ring._reduce(coords)
+        folded, folded_state = ring.fold([packed], state)
+        assert ring.load(folded, folded_state)[0].coeffs == ring._reduce(coords)

@@ -17,7 +17,8 @@ from fishburn.rings import QQ, ZZ
 from fishburn.roots import RootContext, expand_at_root
 from fishburn import series
 from fishburn.series import TruncatedSeries, _pack, _unpack
-from series_helpers import reference_equal_up_to, reference_substitute, restrict
+from series_helpers import (reference_add, reference_equal_up_to, reference_invert,
+                            reference_mul, reference_substitute, restrict)
 
 
 def blocks(n, ring=ZZ):
@@ -255,50 +256,6 @@ def test_specialize_sums_variable_powers():
 # -- packed-key kernel: differential tests against the tuple-keyed loops -------
 
 
-def reference_mul(a, b):
-    """Schoolbook product on exponent tuples with degree-bound pruning -- the
-    loop the packed-key kernel replaced."""
-    bound = a.trunc
-    sa = sorted(((sum(e), e, c) for e, c in a.terms.items()))
-    sb = sorted(((sum(e), e, c) for e, c in b.terms.items()))
-    terms = {}
-    for da, ea, ca in sa:
-        for db, eb, cb in sb:
-            if da + db > bound:
-                break
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            prod = ca * cb
-            if exp in terms:
-                terms[exp] = terms[exp] + prod
-            else:
-                terms[exp] = prod
-    return {e: c for e, c in terms.items() if c}
-
-
-def reference_invert(a):
-    """Order-by-order inverse on exponent tuples -- the recurrence the
-    packed-key kernel replaced."""
-    ring = a.ring
-    c0inv = ring.invert(a.constant_term)
-    by_deg = {}
-    for e, c in a.terms.items():
-        if sum(e):
-            by_deg.setdefault(sum(e), []).append((e, c))
-    levels = [{(0,) * a.nvars: c0inv}]
-    for d in range(1, a.trunc + 1):
-        acc = {}
-        for da, entries in by_deg.items():
-            if da > d:
-                continue
-            for eb, cb in levels[d - da].items():
-                for ea, ca in entries:
-                    exp = tuple(x + y for x, y in zip(ea, eb))
-                    prod = ca * cb
-                    acc[exp] = acc[exp] + prod if exp in acc else prod
-        levels.append({e: -(c0inv * c) for e, c in acc.items() if c0inv * c})
-    return {e: c for level in levels for e, c in level.items()}
-
-
 def _coefficients(ring):
     if ring == ZZ:
         return st.integers(min_value=-2**70, max_value=2**70)
@@ -412,9 +369,11 @@ def test_folding_to_zero_drops_the_monomial():
     zeta = ring.zeta()
     a = TruncatedSeries(ring, 1, 2, {(0,): ring.one, (1,): zeta})
     b = TruncatedSeries(ring, 1, 2, {(0,): zeta, (1,): 1 + zeta})
-    ka, kb, state = ring.to_kernel([ring.one, zeta], [zeta, 1 + zeta])
+    ka, a_state = ring.store([ring.one, zeta])
+    kb, b_state = ring.store([zeta, 1 + zeta])
+    ka, kb, state = ring.operands(ka, a_state, kb, b_state, 2)
     value = ka[0] * kb[1] + ka[1] * kb[0]
-    assert value and ring.from_kernel([value], state) == [ring.zero]
+    assert value and ring.fold([value], state)[0] == [0]
     got = a * b
     assert (1,) not in got.terms
     assert got.terms == reference_mul(a, b) == {(0,): zeta, (2,): zeta + zeta * zeta}
@@ -422,7 +381,9 @@ def test_folding_to_zero_drops_the_monomial():
 
 def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
     """A Q(zeta_k) series product folds each kept coefficient once and
-    multiplies no pair of elements."""
+    multiplies no pair of elements, and a chain of products, sums,
+    differences and negations makes no element at all until `terms` is
+    read."""
     ring = get_field(12)
     rng = random.Random(12)
 
@@ -431,15 +392,27 @@ def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
             (i, j): ring.element([rng.randint(-5, 5) for _ in range(4)])
             for i in range(9) for j in range(9 - i)})
     a, b = dense(), dense()
-    calls = []
+    assert len(a.terms) > 30 and len(b.terms) > 30
+    calls, made = [], []
     element_mul = CyclotomicField._mul
     monkeypatch.setattr(CyclotomicField, "_mul",
                         lambda *args: calls.append(1) or element_mul(*args))
+    element_init = CyclotomicElement.__init__
+    monkeypatch.setattr(CyclotomicElement, "__init__",
+                        lambda *args: made.append(1) or element_init(*args))
     got = a * b
-    assert len(a.terms) > 30 and len(b.terms) > 30
-    assert calls == []
+    chain = (got + a) * (b - a) * -(a * a - b)
+    assert calls == [] and made == []
+    terms = chain.terms
+    assert made
     monkeypatch.undo()
     assert got.terms == reference_mul(a, b)
+    left = TruncatedSeries(ring, 2, 8, reference_add(got, a))
+    right = TruncatedSeries(ring, 2, 8, reference_add(b, -a))
+    square = TruncatedSeries(ring, 2, 8, reference_mul(a, a))
+    last = TruncatedSeries(ring, 2, 8, reference_add(b, -square))
+    assert terms == reference_mul(TruncatedSeries(ring, 2, 8, reference_mul(left, right)),
+                                  last)
 
 
 def test_construction_refuses_bad_exponents():

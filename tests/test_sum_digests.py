@@ -28,7 +28,8 @@ from fishburn.qseries import (COMPACT_SUMS, FAMILY_IDS, Point, expand_family,
                               pochhammer_terms, q_pochhammer, row_fishburn_numbers,
                               termination_index)
 from fishburn.rings import ZZ
-from fishburn.roots import ROOT_EXPRS, RootContext, expand_at_root, expand_q_only
+from fishburn.roots import (ROOT_EXPRS, RootContext, conjecture_explore, expand_at_root,
+                            expand_q_only)
 from fishburn.serialize import series_to_payload
 from fishburn.series import TruncatedSeries
 
@@ -388,3 +389,28 @@ def test_inside_out_sums_equal_the_sums_of_their_terms():
             count = termination_index(spec) + 1
             terms = list(islice(pochhammer_terms(spec), count))
             assert partial_sum(spec, count) == sum(terms[1:], terms[0]), (expr, p, q)
+
+
+# At (12, 5, 7), order 12, the expansions' coordinates reach 105 bits, so
+# their products run in slots of two and three 64-bit words; recorded from
+# the kernel that packed and unpacked around every product
+WIDE_POINT = (12, 5, 7, 12)
+WIDE_EXPECTED = {
+    "comp1-left": "145c6e97a3044f18",
+    "comp1-right": "145c6e97a3044f18",
+    "q-only mid": "6da2d05e28b8f291",
+    "q-only right": "6da2d05e28b8f291",
+    "explorer": "d5f10db1799da3dc",
+}
+
+
+def test_wide_slot_expansions_match_their_recorded_output():
+    ctx = RootContext(*WIDE_POINT)
+    got = {expr: digest(expand_at_root(expr, ctx)) for expr in ("comp1-left", "comp1-right")}
+    for side in ("mid", "right"):
+        got[f"q-only {side}"] = digest(expand_q_only(side, ctx))
+    report = conjecture_explore(ctx).to_json_dict()
+    for sub in ("conj1", "conj2"):
+        del report[sub]["timing_ms"]
+    got["explorer"] = _hash(report)
+    assert got == WIDE_EXPECTED
