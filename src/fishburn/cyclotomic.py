@@ -46,14 +46,24 @@ form, as its centred residue modulo Phi_k(2^W), which is the folded
 polynomial at 2^W exactly because its coordinates are that small.  So the
 folding runs once per kept coefficient rather than once per term pair, and
 a value such as 1 + zeta_3 + zeta_3^2 is nonzero until it is folded.  The
-product is stored at its width, with its bound read off the top 64-bit
-word of each slot, or off the unpacked coordinates when each of those
-words is -1, 0 or 1 (`_settle`): the bound stays within three times the
-largest coordinate, so the next product's width follows the coordinates,
-not the widths before it.  A sum (`join`) brings both operands to one denominator
-and to the wider width, or a wider one when the sum of their bounds needs
-it; two series compare after the same `join`.  Elements are made by
-`load`, and by `store` from the ints and Fractions it is given.
+product is stored at its width and keeps the bound that width was chosen
+for, which is an upper bound; over a denominator other than 1 it is
+brought to lowest terms (`_settle`), which reads the exact bound off its
+coordinates.  A kept bound grows by fold_gain phi pairs at each product,
+so it is read off the values only when a product needs it: when the
+width of a product would exceed both operands' widths (`widens`), the
+series has each operand's bound read (`measure`), once per series, off
+the top 64-bit word of each slot, or off the unpacked coordinates when
+each of those words is -1, 0 or 1.  That bound stays within three times
+the largest coordinate, so the widths follow the coordinates, not the
+products before them, and a product whose width is no wider than an
+operand's reads no bound at all.  An int constant n is added in stored
+form (`constant`): n den in slot 0, with the bound raised by |n den| and
+the terms repacked only when their width no longer holds it.  A sum
+(`join`) brings both operands to one denominator and to the wider width,
+or a wider one when the sum of their bounds needs it; two series compare
+after the same `join`.  Elements are made by `load`, and by `store` from
+the ints and Fractions it is given.
 
 Phi_k itself is computed exactly by iterated division of x^k - 1 by the
 cyclotomic polynomials of the proper divisors of k.
@@ -387,22 +397,36 @@ class CyclotomicField:
                 self.element([Fraction(c, den) for c in vec])
                 for vec in self._unpack(values, width)]
 
+    def widens(self, a_state, b_state, pairs):
+        """Whether the slots that `operands` takes for these operand states
+        are wider than both operands': only then does a series measure its
+        operands' bounds (`measure`) before it asks for them."""
+        width = _width(self._product_bound(a_state, b_state, pairs))
+        return width > max(a_state[0], b_state[0])
+
+    def _product_bound(self, a_state, b_state, pairs):
+        """A bound on every folded coordinate of a product of operands of
+        these states, each kept value a sum of at most `pairs` term
+        products."""
+        return self.fold_gain * self.degree * a_state[2] * b_state[2] * pairs
+
     def operands(self, a, a_state, b, b_state, pairs):
         """The stored values `a` and `b` at one width that holds a product in
         which each kept value sums at most `pairs` term products, and the
-        state of its kernel values, (W, den)."""
-        (wa, da, ba), (wb, db, bb) = a_state, b_state
-        width = _width(self.fold_gain * self.degree * ba * bb * pairs)
+        state of its kernel values, whose bound is that of the product."""
+        (wa, da, _), (wb, db, _) = a_state, b_state
+        bound = self._product_bound(a_state, b_state, pairs)
+        width = _width(bound)
         if wa != width:
             a = _pack(self._unpack(a, wa), width)
         if wb != width:
             b = _pack(self._unpack(b, wb), width)
-        return a, b, (width, da * db)
+        return a, b, (width, da * db, bound)
 
     def fold(self, values, state):
-        """Kernel values of the state (W, den) in stored form: each folded by
-        Phi_k as its centred residue modulo Phi_k(2^W)."""
-        width, den = state
+        """Kernel values of the state `state` in stored form: each folded by
+        Phi_k as its centred residue modulo Phi_k(2^W), in lowest terms."""
+        width, den, _ = state
         modulus = self._moduli.get(width)
         if modulus is None:
             modulus = self._moduli[width] = sum(
@@ -412,7 +436,7 @@ class CyclotomicField:
         for v in values:
             v %= modulus
             out.append(v - modulus if v > centre else v)
-        return self._settle(out, width, den)
+        return (out, state) if den == 1 else self._settle(out, width, den)
 
     def join(self, a, a_state, b, b_state):
         """The stored terms `a` and `b`, dicts, over one denominator and at a
@@ -425,6 +449,16 @@ class CyclotomicField:
         return (self._lift(a, wa, fa, width), self._lift(b, wb, fb, width),
                 (width, den, bound))
 
+    def constant(self, keyed, state, n):
+        """The stored terms `keyed`, a dict, at a width that holds them plus
+        the int n, the stored value of n there, n den in slot 0, and the
+        state of that form, whose bound grows by |n den|."""
+        width, den, bound = state
+        n *= den
+        bound += abs(n)
+        new = max(width, _width(bound))
+        return self._lift(keyed, width, 1, new), n, (new, den, bound)
+
     def lowest(self, keyed, state):
         """The stored terms `keyed`, a dict, and their state in lowest terms."""
         width, den, _ = state
@@ -432,6 +466,26 @@ class CyclotomicField:
             return keyed, state
         values, state = self._settle(list(keyed.values()), width, den)
         return dict(zip(keyed, values)), state
+
+    def measure(self, values, state):
+        """The state `state` of the packed `values`, with the bound read off
+        them.
+
+        The bound is read off the top 64-bit word of each slot of their two's
+        complement bytes.  A negative slot below borrows one from the slot
+        above, so that word is floor((c - b) / 2^(W-64)) with b = 0 or 1, and
+        |c| <= (|word| + 1) 2^(W-64).  When some top word is 2 or more in
+        absolute value, its coordinate is at least 2^(W-64) in absolute
+        value, so that bound is at most three times the largest |c|.
+        Otherwise the coordinates are unpacked for it.  The bound read never
+        exceeds the one stated."""
+        width, den, bound = state
+        top = self._top_word(values, width)
+        if width == 64 or top > 1:
+            read = (top + 1) << (width - 64)
+        else:
+            read = max(map(abs, chain.from_iterable(self._unpack(values, width))), default=0)
+        return width, den, min(bound, read)
 
     def _lift(self, keyed, width, factor, new):
         """The stored terms `keyed` at the width `new`, times `factor`."""
@@ -442,21 +496,8 @@ class CyclotomicField:
         return keyed
 
     def _settle(self, values, width, den):
-        """The packed `values` over `den` in lowest terms, and their state.
-
-        The bound is read off the top 64-bit word of each slot of their two's
-        complement bytes.  A negative slot below borrows one from the slot
-        above, so that word is floor((c - b) / 2^(W-64)) with b = 0 or 1, and
-        |c| <= (|word| + 1) 2^(W-64).  When some top word is 2 or more in
-        absolute value, its coordinate is at least 2^(W-64) in absolute
-        value, so that bound is at most three times the largest |c|.
-        Otherwise (and when den is not 1) the coordinates are unpacked for
-        it, so that a product stored wider than it needs does not widen the
-        next one."""
-        if den == 1:
-            top = self._top_word(values, width)
-            if width == 64 or top > 1:
-                return values, (width, den, (top + 1) << (width - 64))
+        """The packed `values` over `den` in lowest terms, and their state,
+        whose bound is the largest |coordinate|."""
         vecs = self._unpack(values, width)
         g = gcd(den, *chain.from_iterable(vecs))
         if g != 1:

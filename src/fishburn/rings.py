@@ -24,11 +24,17 @@ constructor, `terms`, `constant_term`, `coefficient`, the witness of
 Between them no coefficient is made.  A product asks `operands(a,
 a_state, b, b_state, pairs)` for both operands in one kernel form, whose
 values it multiplies and sums, and `fold(values, state)` for those sums in
-stored form; a sum, and a comparison, ask `join(a, a_state, b, b_state)`
-for both operands' dicts in one form, and a sum then asks `lowest(keyed,
-state)` for its result in lowest terms.  A zero kernel value is a zero
-coefficient, but a nonzero one may fold to zero, so the series drops
-values after `fold`.
+stored form.  Before that it asks `widens(a_state, b_state, pairs)`, and
+when that is true it replaces each operand's state, once per series, by
+`measure(values, state)`, the same state with a bound read off the
+values; only Q(zeta_k), whose states carry a bound, answers true.  A sum,
+and a comparison, ask `join(a, a_state, b, b_state)` for both operands'
+dicts in one form, and a sum then asks `lowest(keyed, state)` for its
+result in lowest terms.  An int constant n is added as the value that
+`constant(keyed, state, n)` gives, in the form it gives: n den, which
+leaves the terms in lowest terms, so no element is made for it.  A zero
+kernel value is a zero coefficient, but a nonzero one may fold to zero,
+so the series drops values after `fold`.
 
 Rationals are stored as int numerators over one denominator per series,
 kept in lowest terms (gcd(den, numerators) = 1), so den is the lcm of the
@@ -56,6 +62,9 @@ class _Ring:
         den = lcm(*[c.denominator for c in coeffs])
         return [c.numerator * (den // c.denominator) for c in coeffs], den
 
+    def widens(self, a_den, b_den, pairs):
+        return False
+
     def operands(self, a, a_den, b, b_den, pairs):
         return a, b, a_den * b_den
 
@@ -72,6 +81,9 @@ class _Ring:
         den = lcm(a_den, b_den)
         fa, fb = den // a_den, den // b_den
         return {k: v * fa for k, v in a.items()}, {k: v * fb for k, v in b.items()}, den
+
+    def constant(self, keyed, den, n):
+        return keyed, n * den, den
 
     def lowest(self, keyed, den):
         if den != 1:

@@ -25,9 +25,10 @@ the (N+1)^v keys below the cut.
 The values are ints, with one state per series that the ring keeps
 (rings.py): one denominator over QQ (1 over ZZ), and a slot width, a
 denominator and a coordinate bound over Q(zeta_k), whose values are packed
-coordinate vectors (cyclotomic.py).  A product, a sum and a negation run
-on these ints alone; the ring only brings two operands to one form, and
-folds a product, so no coefficient is made between products.  Ints,
+coordinate vectors (cyclotomic.py).  A product, a sum, a negation and an
+int constant run on these ints alone; the ring only brings two operands
+to one form, folds a product and gives a constant's stored value, so no
+coefficient is made between products.  Ints,
 Fractions and CyclotomicElements are made only where the series is read:
 `terms`, `constant_term`, `coefficient`, the witness of `equal_up_to` and
 `repr`, and in the element recurrence of `invert` over Q(zeta_k).
@@ -42,10 +43,12 @@ form.
 Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.  A series caches what it derives
 from its terms: its keys and coefficients sorted by key, made the first time
-it is a product operand (or by the product that made it), and `terms`, the
-public view, a dict from exponent tuples to coefficients built on its first
-read.  Each cache is a pure function of the stored terms, so two threads
-that race to fill one compute the same value.
+it is a product operand (or by the product that made it), the bound that
+the ring reads off its values the first time a product needs it
+(`_measure`), and `terms`, the public view, a dict from exponent tuples to
+coefficients built on its first read.  Each cache is a pure function of
+the stored terms, so two threads that race to fill one compute the same
+value.
 
 A product runs the operand with fewer terms in the outer loop, so a factor
 of one or two terms makes one or two passes over a prefix of the other.
@@ -84,7 +87,8 @@ lexicographically least differing multi-index with both coefficients."""
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_state", "_sorted", "_terms")
+    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_state", "_measured", "_sorted",
+                 "_terms")
 
     def __init__(self, ring, nvars, trunc, terms=None, names=None):
         if not 1 <= nvars <= 3:
@@ -105,6 +109,7 @@ class TruncatedSeries:
                 coeffs.append(c)
         values, self._state = ring.store(coeffs)
         self._keyed = dict(zip(keys, values))
+        self._measured = True  # a stored state's bound is read off its coefficients
         self._sorted = self._terms = None
 
     # -- constructors ------------------------------------------------------
@@ -144,6 +149,7 @@ class TruncatedSeries:
         out.names = self.names
         out._keyed = keyed
         out._state = state
+        out._measured = False
         out._sorted = ordered
         out._terms = None
         return out
@@ -172,6 +178,15 @@ class TruncatedSeries:
             ordered = self._sorted = (keys, [keyed[k] for k in keys])
         return ordered
 
+    def _measure(self):
+        """Put the bound the ring reads off the stored values (`measure`)
+        into the state, the first time only: a product's state carries the
+        bound its width was chosen for, which may lie far above its
+        coefficients."""
+        if not self._measured:
+            self._state = self.ring.measure(self._keyed.values(), self._state)
+            self._measured = True
+
     @property
     def terms(self):
         """The nonzero coefficients as a dict from exponent tuples: a view of
@@ -191,6 +206,10 @@ class TruncatedSeries:
         return self.ring.load([value], self._state)[0]
 
     def _as_scalar(self, x):
+        """x itself when it is an int, which `_plus_constant` adds in stored
+        form, else x in the ring, or None when it is not a ring scalar."""
+        if type(x) is int:
+            return x
         try:
             return self.ring.coerce(x)
         except TypeError:
@@ -213,16 +232,21 @@ class TruncatedSeries:
 
     def _plus_constant(self, keyed, state, scalar):
         """`keyed`, a dict of stored terms of the state `state` that this
-        call may change, plus the constant `scalar`; a constant that cancels
-        to zero is dropped."""
-        values, scalar_state = self.ring.store([scalar])
-        keyed, constant, state = self.ring.join(keyed, state, {0: values[0]}, scalar_state)
-        acc = keyed.get(0, 0) + constant[0]
+        call may change, plus the constant `scalar`, an int or a ring
+        element; a constant that cancels to zero is dropped.  An int n is
+        added as its stored value (`ring.constant`), so no element is made,
+        and the terms stay in lowest terms: n den added to one numerator
+        changes no gcd with den."""
+        if type(scalar) is not int:
+            return self._wrap(keyed, state) + TruncatedSeries.constant(
+                self.ring, self.nvars, self.trunc, scalar, self.names)
+        keyed, constant, state = self.ring.constant(keyed, state, scalar)
+        acc = keyed.get(0, 0) + constant
         if acc:
             keyed[0] = acc
         else:
             keyed.pop(0, None)
-        return self._wrap(*self.ring.lowest(keyed, state))
+        return self._wrap(keyed, state)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -278,17 +302,18 @@ class TruncatedSeries:
                 return NotImplemented
             return self.scale(scalar)
         self._compat(other)
-        a_keys, a_vals = self._ordered()
-        b_keys, b_vals = other._ordered()
-        a_state, b_state = self._state, other._state
-        if len(a_keys) > len(b_keys):
-            a_keys, a_vals, b_keys, b_vals = b_keys, b_vals, a_keys, a_vals
-            a_state, b_state = b_state, a_state
+        # the operand with fewer terms, x, runs in the outer loop
+        x, y = (self, other) if len(self._keyed) <= len(other._keyed) else (other, self)
+        a_keys, a_vals = x._ordered()
+        b_keys, b_vals = y._ordered()
         if not a_keys:
             return TruncatedSeries.zero(self.ring, self.nvars, self.trunc, self.names)
         limit = (self.trunc + 1) ** self.nvars  # the least key of degree N + 1
-        a_vals, b_vals, state = self.ring.operands(a_vals, a_state, b_vals, b_state,
-                                                   len(a_keys))
+        pairs = len(a_keys)  # the most term products that one kept value sums
+        if self.ring.widens(x._state, y._state, pairs):
+            x._measure()
+            y._measure()
+        a_vals, b_vals, state = self.ring.operands(a_vals, x._state, b_vals, y._state, pairs)
         b = list(zip(b_keys, b_vals))
         # Each row reads the terms of b that keep the product below the cut,
         # a prefix.  ka + kb is then exact: a kept product has total degree

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from fishburn import identities
-from fishburn.cyclotomic import get_field
+from fishburn.cyclotomic import CyclotomicElement, get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating, verify_terminating
 from fishburn.qseries import COMPACT_SUMS, FORMAL_ORDER_CAP, expand_family, expand_sum
@@ -499,6 +499,46 @@ def test_explorer_agreement_at_k6_point():
     report = conjecture_explore(ctx)
     assert report.conj1.outcome == "agreement"
     assert report.conj2.outcome == "agreement"
+
+
+def test_an_explorer_pass_reads_few_bounds_and_adds_int_constants_without_elements(
+        monkeypatch):
+    """At (12, 6, 1), order 6, fewer than half of the series products read
+    a coefficient bound (`measure`, or `_settle` over a denominator), and
+    there are fewer bound reads than products: a product keeps the bound
+    its slots were sized by, and its operands are measured, once each, only
+    when the product would need wider slots than both.  No int constant,
+    such as the 1 of each factor 1 - a r^n, makes an element."""
+    field = get_field(12)
+    reads, made, products, constants = [], [], [], []
+    for name in ("measure", "_settle"):
+        read = getattr(type(field), name)
+        monkeypatch.setattr(type(field), name, lambda *args, read=read: reads.append(1)
+                            or read(*args))
+    element_init = CyclotomicElement.__init__
+    monkeypatch.setattr(CyclotomicElement, "__init__",
+                        lambda *args: made.append(1) or element_init(*args))
+    mul, plus = TruncatedSeries.__mul__, TruncatedSeries._plus_constant
+
+    def counted_mul(a, b):
+        before = len(reads)
+        out = mul(a, b)
+        products.append(len(reads) > before)
+        return out
+
+    def counted_plus(series, keyed, state, scalar):
+        before = len(made)
+        out = plus(series, keyed, state, scalar)
+        if type(scalar) is int:
+            constants.append(len(made) - before)
+        return out
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(TruncatedSeries, "_plus_constant", counted_plus)
+    report = conjecture_explore(RootContext(12, 6, 1, 6))
+    assert report.ok
+    assert len(products) > 500 and sum(products) < len(products) / 2
+    assert len(reads) < len(products)
+    assert len(constants) > 100 and not any(constants)
 
 
 def test_rational_point_through_cyclotomic_field():

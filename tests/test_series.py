@@ -382,8 +382,8 @@ def test_folding_to_zero_drops_the_monomial():
 def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
     """A Q(zeta_k) series product folds each kept coefficient once and
     multiplies no pair of elements, and a chain of products, sums,
-    differences and negations makes no element at all until `terms` is
-    read."""
+    differences and negations, and int constants added on either side,
+    make no element at all until `terms` is read."""
     ring = get_field(12)
     rng = random.Random(12)
 
@@ -402,10 +402,14 @@ def test_cyclotomic_series_product_makes_no_element_products(monkeypatch):
                         lambda *args: made.append(1) or element_init(*args))
     got = a * b
     chain = (got + a) * (b - a) * -(a * a - b)
+    constants = {(1, -1): 1 - a, (2, 1): a + 2, (-3, 1): a - 3, (-5, 1): -5 + a}
     assert calls == [] and made == []
     terms = chain.terms
     assert made
     monkeypatch.undo()
+    for (n, sign), got_constant in constants.items():
+        assert got_constant.terms == reference_add(
+            TruncatedSeries.constant(ring, 2, 8, n), a if sign == 1 else -a)
     assert got.terms == reference_mul(a, b)
     left = TruncatedSeries(ring, 2, 8, reference_add(got, a))
     right = TruncatedSeries(ring, 2, 8, reference_add(b, -a))

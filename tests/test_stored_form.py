@@ -8,8 +8,11 @@ inverses, substitutions, `==` and `equal_up_to` are compared with the
 references over QQ, Q(zeta_3) and Q(zeta_12), with coefficients whose
 numerators or coordinates straddle the slot edges (2^60 to 2^66 and 2^124
 to 2^130) or reach 300 bits, of both signs, and with operands stored at
-different widths.  A kernel whose slots are one word too narrow fails the
-same comparisons.
+different widths.  Int constants are added to series at every width, over
+QQ with a denominator other than 1 and over Q(zeta_k), and a chain of
+products in the pattern of a sum's terms, t (zeta^j + x) (1 - a r^n),
+carries the bounds a product is sized by from one product to the next.  A
+kernel whose slots are one word too narrow fails the same comparisons.
 """
 
 import random
@@ -91,9 +94,69 @@ def _check_arithmetic(ring, seed):
     return None
 
 
+def _constant(ring, n):
+    return TruncatedSeries.constant(ring, 2, TRUNC, n)
+
+
+def _check_constants(ring, seed):
+    """Int constants at the slot edges added to series at each width, over
+    a denominator other than 1, on either side, one of them cancelling the
+    constant term, and each sum then multiplied, against the references;
+    the first mismatch is returned, None when all agree."""
+    rng = random.Random(seed)
+    for bits in [3, *EDGE_BITS]:
+        m = _number(rng, bits)
+        a = _series(ring, rng, bits) + _constant(ring, Fraction(1, 3)) * _series(ring, rng, 3)
+        a += m - a.constant_term  # an int constant term m, over a denominator
+        b = _series(ring, rng, rng.choice(EDGE_BITS))
+        for n in (_number(rng, rng.choice(EDGE_BITS)), -m):
+            sums = [("plus int", a + n, reference_add(a, _constant(ring, n))),
+                    ("int plus", n + a, reference_add(_constant(ring, n), a)),
+                    ("minus int", a - n, reference_add(a, _constant(ring, -n))),
+                    ("int minus", n - a, reference_add(_constant(ring, n), -a))]
+            for name, got, want in sums:
+                if got.terms != want:
+                    return name
+                if (got * b).terms != reference_mul(TruncatedSeries(ring, 2, TRUNC, want), b):
+                    return name + " times"
+        if (0, 0) in (a - m).terms:
+            return "cancelled constant"
+    return None
+
+
+def _check_chain(ring, seed):
+    """t <- t (zeta^j + x), then t <- t (1 - a r^n) with a = zeta^i + x and
+    r = zeta + y, as a sum's terms are made: 40 products, each compared
+    with the reference product of its operands; the first mismatch is
+    returned, None when all agree."""
+    rng = random.Random(seed)
+    x, y = (TruncatedSeries.variable(ring, 2, TRUNC, i) for i in (0, 1))
+    r = y + ring.zeta()
+    t, rn = _series(ring, rng, 60, unit=True), _constant(ring, 1)
+    for step in range(20):
+        a = x + ring.zeta(rng.randrange(ring.k))
+        rn = rn * r
+        for factor in (x + ring.zeta(step), 1 - a * rn):
+            got = t * factor
+            if got.terms != reference_mul(t, factor):
+                return f"product {step}"
+            t = got
+    return None
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
 def test_arithmetic_at_the_slot_edges_matches_the_references(ring):
     assert _check_arithmetic(ring, 35) is None
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_int_constants_at_the_slot_edges_match_the_references(ring):
+    assert _check_constants(ring, 38) is None
+
+
+@pytest.mark.parametrize("ring", RINGS[1:], ids=repr)
+def test_a_chain_of_products_carries_its_bounds_exactly(ring):
+    assert _check_chain(ring, 39) is None
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -139,16 +202,28 @@ def test_a_wide_value_that_folds_to_zero_is_dropped():
     assert (1,) not in got.terms and got.terms == reference_mul(a, b)
 
 
+def _narrow_slots_fail(monkeypatch, check, seed):
+    """Whether `check` over Q(zeta_12) fails with slots one word too
+    narrow, and passes once the width is restored."""
+    width = cyclotomic._width
+    monkeypatch.setattr(cyclotomic, "_width", lambda bound: max(64, width(bound) - 64))
+    try:
+        failure = check(get_field(12), seed)
+    except OverflowError:
+        failure = "overflow"
+    monkeypatch.undo()
+    return failure is not None and check(get_field(12), seed) is None
+
+
 def test_a_slot_one_word_too_narrow_fails(monkeypatch):
     """With every slot width 64 bits less than the one chosen (but at least
     64), the comparisons over Q(zeta_12) fail, by a wrong coefficient or a
     value too wide for its slots: the edge cases are sharp."""
-    width = cyclotomic._width
-    monkeypatch.setattr(cyclotomic, "_width", lambda bound: max(64, width(bound) - 64))
-    try:
-        failure = _check_arithmetic(get_field(12), 35)
-    except OverflowError:
-        failure = "overflow"
-    assert failure is not None
-    monkeypatch.undo()
-    assert _check_arithmetic(get_field(12), 35) is None
+    assert _narrow_slots_fail(monkeypatch, _check_arithmetic, 35)
+
+
+@pytest.mark.parametrize("check, seed", [(_check_constants, 38), (_check_chain, 39)],
+                         ids=["constants", "chain"])
+def test_int_constants_and_product_chains_fail_in_slots_one_word_too_narrow(monkeypatch,
+                                                                             check, seed):
+    assert _narrow_slots_fail(monkeypatch, check, seed)
