@@ -24,30 +24,37 @@ elements and decimal complex numbers), and each mode applies its
 own stopping rule.  The formal families, the root-of-unity expansions and
 the terminating evaluations all run the same specs.
 
-Each sum is summed as a series in the form where its factors are sparse,
-which its entry names (`SumEntry.inverse`).  A factor 1 - a r^n costs a
-product with as many terms as a r^n has.  The sums whose factors are in
-1/p and 1/q (comp1-left, comp1-right, comp2-first and the gamma lhs sides)
-are summed at a point given as 1/p and 1/q: at 1/p = 1-y and 1/q = 1-x
-these are polynomials, while at p = 1-y, q = 1-x the factor 1 - (1/p) q^-n
-is dense in both variables, about N^2/2 terms.  Every other sum is summed
-at a point given as p and q.
+Each sum is summed as a series in the forms where its factors are sparse,
+one form per coordinate, which its entry names (`SumEntry.inverse`, a pair
+of p form and q form).  A factor 1 - a r^n costs a product with as many
+terms as a r^n has.  The sums whose factors are in 1/p and 1/q (comp1-left,
+comp2-first and the gamma lhs sides) are summed at a point given as 1/p
+and 1/q: at 1/p = 1-y and 1/q = 1-x these are polynomials, while at
+p = 1-y, q = 1-x the factor 1 - (1/p) q^-n is dense in both variables,
+about N^2/2 terms.  comp1-right, sum (p/q)^{n+1} (1/q; 1/q)_n, is in p and
+1/q, and is summed at a point given as p and 1/q.  Every other sum is
+summed at a point given as p and q.
 
-`expand_sum` is the one place that makes this choice, for the families and
-for the expansions at roots of unity alike.  Its point gives p and q, or
-1/p and 1/q, each as a coordinate z = c + s t: a constant c, a sign
-s = +-1 and a variable t of its own.  When the entry's form is not the
-point's, the sum is summed at the flipped point (`Point.flip`), whose
-coordinate is 1/c + s t, and t is then replaced by s (1/z - 1/c), which
-turns 1/c + s t into 1/z.  That is one separable substitution, and it
-keeps every term up to the order exact, since each variable goes to a
-series of valuation 1 in itself.  Both forms have their constants at
-(c, 1/c), so a certificate asked at the constants holds in either.  At
-p = 1-y, q = 1-x the substitution is the involution x -> -x/(1-x),
-y -> -y/(1-y) (`involution`): G1, F2, gamma1-lhs, gamma2-lhs and prop12-lhs
-are substituted, and the other families are summed at their own point.
-Around a root of unity, at p = p0 + u and q = q0 + v (`roots`), it is
-u -> 1/(p0 + u) - 1/p0 and v -> 1/(q0 + v) - 1/q0.
+`expand_sum` is the one place that makes this choice, and the one caller
+of `truncated_sum`: for the families, the pentagonal sum, the Fishburn
+diagonals and the expansions at roots of unity alike.  Its point gives each
+coordinate in one form, p or 1/p and q or 1/q.  A coordinate in the
+entry's form is used as it is, whatever series it is: the q-only sides at
+a root of unity keep p a bare variable, which has no inverse.  A coordinate
+in the other form must be z = c + s t: a nonzero constant c, a sign
+s = +-1 and a variable t of its own.  The sum is summed at the point
+flipped to the entry's forms (`Point.flip`), whose flipped coordinate is
+1/c + s t, and t is then replaced by s (1/z - 1/c), which turns 1/c + s t
+into 1/z.  That is one separable substitution, and it keeps every term up
+to the order exact, since each variable goes to a series of valuation 1 in
+itself.  Both forms have their constants at (c, 1/c), so a certificate
+asked at the constants holds in either.  At p = 1-y, q = 1-x the
+substitution is the involution x -> -x/(1-x), y -> -y/(1-y)
+(`involution`): G1, F2, gamma1-lhs, gamma2-lhs and prop12-lhs are
+substituted in x and y, F3 in y alone, and the other families are summed
+at their own point.  Around a root of unity, at p = p0 + u and
+q = q0 + v (`roots`), it is u -> 1/(p0 + u) - 1/p0 and
+v -> 1/(q0 + v) - 1/q0.
 
 An exact series sum stops at the first term that truncates to zero.  This
 cutoff is exact: every term ratio is a power series of valuation >= 0, so
@@ -326,11 +333,12 @@ def termination_index(spec: PochhammerSum) -> int:
 class Point:
     """A point (p, q) of one arithmetic.  Either p or 1/p may be given, and
     likewise q; the other is computed on first use, so a sum inverts only the
-    quantities it uses.  A point given as 1/p is `inverse`."""
+    quantities it uses.  `inverse` is the pair of its forms, (p form, q form),
+    each True when that coordinate is given as its inverse."""
 
     def __init__(self, p=None, q=None, pinv=None, qinv=None):
         self._known = {"p": p, "q": q, "pinv": pinv, "qinv": qinv}
-        self.inverse = p is None
+        self.inverse = (p is None, q is None)
 
     def _get(self, name, inverse):
         if self._known[name] is None:
@@ -348,29 +356,35 @@ class Point:
         q = self._known["q"]
         return (self._known["qinv"] if q is None else q) ** 0
 
-    def flip(self):
-        """This point of series in its other form, and the substitution that
-        carries a series there back here: each given coordinate c + s t
-        becomes 1/c + s t, and t goes to s (1/z - 1/c)."""
-        given = ("pinv", "qinv") if self.inverse else ("p", "q")
-        (p, back_p), (q, back_q) = (_flip(self._known[name]) for name in given)
-        other = Point(p, q) if self.inverse else Point(pinv=p, qinv=q)
-        return other, {**back_p, **back_q}
+    def flip(self, forms):
+        """This point of series given in `forms`, and the substitution that
+        carries a series there back here: each coordinate c + s t whose form
+        differs becomes 1/c + s t, and its t goes to s (1/z - 1/c).  The
+        other coordinates are kept as they are, and with none flipped the
+        substitution is empty."""
+        coords, back = {}, {}
+        for name, form, given in zip(("p", "q"), forms, self.inverse):
+            z = self._known[name + "inv" if given else name]
+            if form != given:
+                z, shift = _flip(z)
+                back.update(shift)
+            coords[name + "inv" if form else name] = z
+        return Point(**coords), back
 
 
 def _flip(z):
-    """The coordinate z = c + s t, with s = +-1 and t a variable of its own,
-    in the other form, 1/c + s t, and the substitution {t: s (1/z - 1/c)}
-    under which that is 1/z."""
-    zinv = z.invert()
-    cinv = zinv.constant_term
-    st, shift = z - z.constant_term, zinv - cinv  # s t and 1/z - 1/c
+    """The coordinate z = c + s t, with c != 0, s = +-1 and t a variable of
+    its own, in the other form, 1/c + s t, and the substitution
+    {t: s (1/z - 1/c)} under which that is 1/z."""
+    c = z.constant_term
+    st = z - c  # s t
     for i in range(z.nvars):
         t = TruncatedSeries.variable(z.ring, z.nvars, z.trunc, i, z.names)
-        if st == t:
-            return st + cinv, {i: shift}
-        if st == -t:
-            return st + cinv, {i: -shift}
+        if c and st in (t, -t):
+            zinv = z.invert()
+            cinv = zinv.constant_term
+            shift = zinv - cinv  # 1/z - 1/c
+            return st + cinv, {i: shift if st == t else -shift}
     raise ParameterError(f"coordinate {z!r} is not a constant plus or minus one variable")
 
 
@@ -386,21 +400,16 @@ def xy_point(order: int, ring, names=BIVARIATE_NAMES, inverted=False) -> Point:
 
 class SumEntry(NamedTuple):
     """A Pochhammer sum as a function of its point (and parameters), which
-    returns its PochhammerSum, and the form of the point where its series
-    is summed (`expand_sum`): given as 1/p and 1/q when `inverse`, since its
-    factors are in 1/p and 1/q, and as p and q otherwise.  Calling the
-    entry calls the function."""
+    returns its PochhammerSum, and the forms of the point where its series
+    is summed (`expand_sum`): a (p form, q form) pair like `Point.inverse`,
+    each True when the sum's factors are in the inverse of that coordinate.
+    Calling the entry calls the function."""
 
     spec: object
-    inverse: bool = False
+    inverse: tuple = (False, False)
 
     def __call__(self, pt, *params):
         return self.spec(pt, *params)
-
-
-def _comp1_right(pt):
-    step = pt.p * pt.qinv
-    return PochhammerSum(step, (step,), ((pt.qinv, pt.qinv),))
 
 
 # The compact sums of the paper, each as its first term and term ratio.
@@ -409,15 +418,17 @@ def _comp1_right(pt):
 COMPACT_SUMS = {
     # sum_n (1/p; 1/q)_n
     "comp1-left": SumEntry(lambda pt: PochhammerSum(pt.one, (), ((pt.pinv, pt.qinv),)),
-                           inverse=True),
+                           inverse=(True, True)),
     # sum_n p q^n (p; q)_n (q; q)_n
     "comp1-mid": SumEntry(lambda pt: PochhammerSum(pt.p, (pt.q,),
                                                    ((pt.p, pt.q), (pt.q, pt.q)))),
     # sum_n (p/q)^{n+1} (1/q; 1/q)_n
-    "comp1-right": SumEntry(_comp1_right, inverse=True),
+    "comp1-right": SumEntry(lambda pt: PochhammerSum(step := pt.p * pt.qinv, (step,),
+                                                     ((pt.qinv, pt.qinv),)),
+                            inverse=(False, True)),
     # sum_n (-1)^n (1/p; 1/q)_n
     "comp2-first": SumEntry(lambda pt: PochhammerSum(pt.one, (-1,), ((pt.pinv, pt.qinv),)),
-                            inverse=True),
+                            inverse=(True, True)),
     # sum_n p q^n (p; q)_n (-q; q)_n
     "comp2-mid": SumEntry(lambda pt: PochhammerSum(pt.p, (pt.q,),
                                                    ((pt.p, pt.q), (-pt.q, pt.q)))),
@@ -469,9 +480,9 @@ def _gamma2_rhs(pt, gamma):
 
 # the gamma sums by family id; the lhs sides carry the factor (1/p; 1/q)_n
 GAMMA_SUMS = {
-    "gamma1-lhs": SumEntry(_gamma1_lhs, inverse=True),
+    "gamma1-lhs": SumEntry(_gamma1_lhs, inverse=(True, True)),
     "gamma1-rhs": SumEntry(_gamma1_rhs),
-    "gamma2-lhs": SumEntry(_gamma2_lhs, inverse=True),
+    "gamma2-lhs": SumEntry(_gamma2_lhs, inverse=(True, True)),
     "gamma2-rhs": SumEntry(_gamma2_rhs),
 }
 
@@ -481,18 +492,16 @@ def involution(order: int, ring, names=BIVARIATE_NAMES) -> dict:
     assignment, in `names` (x and y first) truncated at `order`: the flip of
     (p, q) = (1-y, 1-x).  Since 1 - (-x/(1-x)) = 1/(1-x), it turns a series
     f(1-y, 1-x) into f(1/(1-y), 1/(1-x)), and the other way round."""
-    return xy_point(order, ring, names).flip()[1]
+    return xy_point(order, ring, names).flip((True, True))[1]
 
 
 def expand_sum(entry: SumEntry, point: Point, *params) -> TruncatedSeries:
     """The sum `entry` with `params` as a series at `point`, a point of
-    series given in one form, each coordinate a constant plus or minus a
-    variable of its own.  It is summed at `point` when the entry's form is
-    the point's, and otherwise at the flipped point and carried back by one
-    separable substitution (see the module docstring)."""
-    if entry.inverse == point.inverse:
-        return truncated_sum(entry(point, *params))
-    other, back = point.flip()
+    series whose coordinates are each a constant plus or minus a variable of
+    its own.  It is summed at `point` when the entry's forms are the point's,
+    and otherwise at the point flipped to the entry's forms and carried back
+    by one separable substitution (see the module docstring)."""
+    other, back = point.flip(entry.inverse)
     return truncated_sum(entry(other, *params)).substitute(back)
 
 
@@ -500,14 +509,14 @@ def expand_sum(entry: SumEntry, point: Point, *params) -> TruncatedSeries:
 # pentagonal forms (univariate in w)
 
 
-def _pentagonal_spec(N, ring):
-    # sum_{n>=0} w^{n+1} (w; w)_n: the comp1-right sum at p = 1, q = 1/w
+def _pentagonal_point(N, ring):
+    # sum_{n>=0} w^{n+1} (w; w)_n is the comp1-right sum at p = 1, q = 1/w
     wv = TruncatedSeries.variable(ring, 1, N, 0, PENTAGONAL_NAMES)
-    return _comp1_right(Point(p=wv ** 0, qinv=wv))
+    return Point(p=wv ** 0, qinv=wv)
 
 
 def _pentagonal_sum(N, ring):
-    return truncated_sum(_pentagonal_spec(N, ring))
+    return expand_sum(COMPACT_SUMS["comp1-right"], _pentagonal_point(N, ring))
 
 
 def _pentagonal_product(N, ring):
@@ -548,11 +557,13 @@ def _formal_r(entry):
     return expand
 
 
+# F3-KR-first-form is 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n at p = 1-y,
+# q = 1-x, where y/(1-y) = 1/p - 1: one plus this sum
+KR_SUM = SumEntry(lambda pt: PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
+
+
 def _kr_first_form(N, ring):
-    # 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n at p = 1-y, q = 1-x, where
-    # y/(1-y) = 1/p - 1
-    pt = xy_point(N, ring)
-    return pt.one + truncated_sum(PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
+    return 1 + expand_sum(KR_SUM, xy_point(N, ring))
 
 
 # family id -> (coefficient ring, parameter names, order cap,
@@ -625,13 +636,13 @@ def expand_family(family: str, order: int, **params) -> TruncatedSeries:
 # the Fishburn and row-Fishburn sequences
 
 
-# The x = y diagonals of the two identities, as sums at u = 1 - x.
+# The x = y diagonals of the two identities, as sums at points in u = 1 - x.
 _DIAGONALS = {
     # F1(x, x) = sum_n (u; u)_n, Zagier's sum (Topology 40, 2001)
-    "fishburn": lambda u: COMPACT_SUMS["comp1-left"](Point(pinv=u, qinv=u)),
+    "fishburn": lambda u: (COMPACT_SUMS["comp1-left"], Point(pinv=u, qinv=u)),
     # G3(x, x) = sum_n (u; u^2)_n: each factor 1 - u^{2k+1} is sparse, where
     # the G1 diagonal multiplies dense series in 1/u
-    "rowFishburn": lambda u: COMPACT_SUMS["comp2-right"](Point(p=u, q=u)),
+    "rowFishburn": lambda u: (COMPACT_SUMS["comp2-right"], Point(p=u, q=u)),
 }
 
 
@@ -645,7 +656,7 @@ def univariate_fishburn_series(which: str, order: int) -> TruncatedSeries:
     _require_order(order, SEQUENCE_N_CAP, f"the {which} sequence")
     one = TruncatedSeries.constant(ZZ, 1, order, 1, ("x",))
     u = one - TruncatedSeries.variable(ZZ, 1, order, 0, ("x",))
-    return truncated_sum(_DIAGONALS[which](u))
+    return expand_sum(*_DIAGONALS[which](u))
 
 
 def _coefficients(series) -> list:
@@ -692,7 +703,7 @@ def partition_parity_table(max_part: int, max_weight: int) -> PartitionParityTab
     if max_part < 1 or max_weight < 1:
         raise ParameterError("table bounds must be >= 1")
     # slice r is term r - 1 of the pentagonal sum, w^r (w; w)_{r-1}
-    terms = pochhammer_terms(_pentagonal_spec(max_weight, ZZ))
+    terms = pochhammer_terms(COMPACT_SUMS["comp1-right"](_pentagonal_point(max_weight, ZZ)))
     entries = {(r, s): c for r, term in enumerate(islice(terms, max_part), 1)
                for (s,), c in sorted(term.terms.items())}
     return PartitionParityTable(max_part, max_weight, entries)

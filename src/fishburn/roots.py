@@ -14,10 +14,15 @@ at the constants (p0, q0) before summing; without it the sum does not
 converge formally and the expansion is refused rather than truncated
 arbitrarily.
 
-A sum whose factors are in 1/p and 1/q is summed in
-(u', v') = (1/p - 1/p0, 1/q - 1/q0) and carried back to (u, v) by one
-substitution: `qseries.expand_sum` makes that choice for every expansion,
-here and at p = q = 1, and the `qseries` docstring describes it.
+Each sum is summed in the coordinates its entry names and carried back to
+(u, v) by one substitution in those it flipped: comp1-left and comp2-first
+in (u', v') = (1/p - 1/p0, 1/q - 1/q0), comp1-right in (u, v') and
+comp2-mid and comp2-right in (u, v).  The q-only sides, in the formal
+variable p and v, go through the same function: the mid side is summed
+there, and the right side in (p, v') with v alone substituted back, so p,
+which has no inverse, is never flipped.  `qseries.expand_sum` makes this
+choice for every expansion, here and at p = q = 1, and the `qseries`
+docstring describes it.
 
 Every expansion here is a series in two variables, so `RootContext` refuses
 an order above `qseries.FORMAL_ORDER_CAP` when it is made, with the check
@@ -40,7 +45,7 @@ from .errors import CertificateError, ParameterError, UnknownFamilyError
 from .identities import VerificationReport, verify_terminating
 from .names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
 from .qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, _require_order, expand_sum,
-                      termination_index, truncated_sum)
+                      termination_index)
 from .series import TruncatedSeries
 
 UV_NAMES = ("u", "v")
@@ -116,12 +121,13 @@ def expand_at_root(expr: str, ctx: RootContext) -> TruncatedSeries:
 def expand_q_only(side: str, ctx: RootContext) -> TruncatedSeries:
     """Expand a side of the q-only comparison (mid or right expression) as a
     series in the formal variable p and v = q - q0.  p has no inverse here,
-    and neither side needs one."""
+    and neither side needs one: `expand_sum` flips only q, for the right
+    side, whose sum is in p and 1/q."""
     if side not in ("mid", "right"):
         raise UnknownFamilyError("q-only sides are 'mid' and 'right'")
     p = TruncatedSeries.variable(ctx.field, 2, ctx.order, 0, PFORMAL_NAMES)
     v = TruncatedSeries.variable(ctx.field, 2, ctx.order, 1, PFORMAL_NAMES)
-    return truncated_sum(COMPACT_SUMS["comp1-" + side](Point(p, v + ctx.q0)))
+    return expand_sum(COMPACT_SUMS["comp1-" + side], Point(p, v + ctx.q0))
 
 
 # ---------------------------------------------------------------------------

@@ -374,11 +374,9 @@ class TruncatedSeries:
             # A_0^(e-1) A_e for each nonconstant term, of degree e
             scaled = [c * powers[k // step - 1] if k else c for k, c in zip(keys, values)]
             levels = self._inverse_levels(keys, scaled, 1, -1)
-            if self.ring == ZZ:  # A_0 = +-1 is its own inverse, and L = 1
-                return self._wrap({k: c * powers[d + 1]
-                                   for d, level in enumerate(levels) for k, c in level}, 1)
             # b_d = L B_d A_0^(N-d) / A_0^(N+1), signed so that the
-            # denominator is positive
+            # denominator is positive; over ZZ, where L = 1 and A_0 = +-1,
+            # that is A_0^(d+1) B_d over 1
             top = self.trunc
             factor = self._state if powers[-1] > 0 else -self._state
             return self._wrap(*self.ring.lowest(

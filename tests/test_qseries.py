@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import inf
 
 import pytest
@@ -15,12 +15,12 @@ from fishburn.errors import ParameterError, UnknownFamilyError
 from fishburn.names import FAMILY_IDS
 from fishburn.identities import THM_MAIN_IDS
 from fishburn.qseries import (BIVARIATE_NAMES, COMPACT_SUMS, FORMAL_ORDER_CAP, GAMMA_SUMS,
-                              N_MAX_CAP, PROPOSITION_NAMES, SEQUENCE_N_CAP, Point,
-                              PochhammerSum, SumEntry, expand_family, expand_sum,
+                              KR_SUM, N_MAX_CAP, PENTAGONAL_NAMES, PROPOSITION_NAMES,
+                              SEQUENCE_N_CAP, Point, PochhammerSum, expand_family, expand_sum,
                               family_parameters, family_ring, fishburn_numbers, involution,
                               partial_sum, partition_parity_table, pochhammer_terms,
-                              q_pochhammer, row_fishburn_numbers,
-                              termination_index, univariate_fishburn_series, xy_point)
+                              q_pochhammer, row_fishburn_numbers, termination_index,
+                              truncated_sum, univariate_fishburn_series, xy_point)
 from fishburn.rings import QQ, ZZ
 from fishburn.series import TruncatedSeries
 from series_helpers import map_coefficients
@@ -163,6 +163,22 @@ def test_univariate_matches_diagonal_specialization():
 
 def test_fishburn_order_zero():
     assert fishburn_numbers(0) == [1]
+
+
+def test_pentagonal_sum_and_diagonals_match_their_direct_sums():
+    """The pentagonal sum and the two diagonals, summed by `expand_sum`,
+    equal their sums summed directly: comp1-right at p = 1, q = 1/w,
+    comp1-left at p = q = 1/u and comp2-right at p = q = u."""
+    N = 14
+    w = TruncatedSeries.variable(ZZ, 1, N, 0, PENTAGONAL_NAMES)
+    want = truncated_sum(COMPACT_SUMS["comp1-right"](Point(p=w ** 0, qinv=w)))
+    assert expand_family("pentagonal-sum", N) == want
+    one = TruncatedSeries.constant(ZZ, 1, N, 1, ("x",))
+    u = one - TruncatedSeries.variable(ZZ, 1, N, 0, ("x",))
+    for which, entry, point in (("fishburn", "comp1-left", Point(pinv=u, qinv=u)),
+                                ("rowFishburn", "comp2-right", Point(p=u, q=u))):
+        want = truncated_sum(COMPACT_SUMS[entry](point))
+        assert univariate_fishburn_series(which, N) == want, which
 
 
 def test_pentagonal_product_sparse():
@@ -366,8 +382,8 @@ FAMILY_SUMS = {
     "prop12-lhs": (GAMMA_SUMS["gamma1-lhs"], False),
     "prop12-rhs": (GAMMA_SUMS["gamma1-rhs"], False),
 }
-# 1 + sum_{n>=0} y/(1-y)^{n+1} (q; q)_n, the sum of F3-KR-first-form
-KR_SUM = SumEntry(lambda pt: PochhammerSum(pt.pinv - pt.one, (pt.pinv,), ((pt.q, pt.q),)))
+# every (p form, q form) pair, True meaning given as the inverse
+FORMS = list(product((False, True), repeat=2))
 GAMMA_PARAMS = [{"gamma": Fraction(2, 3), "r": Fraction(-3, 5)},
                 {"gamma": Fraction(-4, 3), "r": Fraction(7, 2)},
                 {"gamma": Fraction(0), "r": Fraction(1, 3)}]
@@ -383,9 +399,10 @@ def _family_cases():
 @pytest.mark.parametrize("family,params", list(_family_cases()),
                          ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v.values())))
 def test_each_family_is_its_sum_at_both_points(family, params):
-    """Every family that is one sum equals that sum summed at either point,
-    p = 1-y and q = 1-x or 1/p = 1-y and 1/q = 1-x, and carried to the
-    family's point by the involution where the two differ."""
+    """Every family that is one sum equals that sum summed at the point in
+    any forms, p = 1-y or 1/p = 1-y and q = 1-x or 1/q = 1-x, and carried to
+    the family's point by the involution in each coordinate where the two
+    differ."""
     entry, inverted = FAMILY_SUMS[family]
     ring = family_ring(family)
     for order in (0, 1, 2, 5, 9, 12):
@@ -395,18 +412,18 @@ def test_each_family_is_its_sum_at_both_points(family, params):
             args, names = (0, r), PROPOSITION_NAMES
         else:
             args, names = tuple(params.values()), BIVARIATE_NAMES
-        for summed_inverse in (False, True):
-            got = expand_sum(entry._replace(inverse=summed_inverse),
+        for forms in FORMS:
+            got = expand_sum(entry._replace(inverse=forms),
                              xy_point(order, ring, names, inverted), *args)
-            assert got == want, (order, summed_inverse)
+            assert got == want, (order, forms)
 
 
 def test_kr_first_form_is_its_sum_at_both_points():
     for order in (0, 3, 12):
         want = expand_family("F3-KR-first-form", order)
-        for summed_inverse in (False, True):
-            assert 1 + expand_sum(KR_SUM._replace(inverse=summed_inverse),
-                                  xy_point(order, ZZ)) == want
+        for forms in FORMS:
+            assert 1 + expand_sum(KR_SUM._replace(inverse=forms),
+                                  xy_point(order, ZZ)) == want, (order, forms)
 
 
 def test_each_thm_main_pair_compares_two_different_sums():
@@ -443,13 +460,14 @@ def _nonzero(ring, rng):
 
 
 def _random_point(ring, nvars, rng):
-    """A point given as (p, q) or as (1/p, 1/q), each coordinate c + s t
-    with a random unit c, a random sign s and its own random variable t."""
+    """A point given in random forms, as p or 1/p and as q or 1/q, each
+    coordinate c + s t with a random unit c, a random sign s and its own
+    random variable t."""
     order = rng.randint(0, 7)
     t = rng.sample(range(nvars), 2)
     p, q = (TruncatedSeries.variable(ring, nvars, order, i).scale(rng.choice((1, -1)))
             + _nonzero(ring, rng) for i in t)
-    return Point(pinv=p, qinv=q) if rng.random() < 0.5 else Point(p, q)
+    return Point(**{rng.choice(("p", "pinv")): p, rng.choice(("q", "qinv")): q})
 
 
 def _random_series(ring, nvars, order, rng):
@@ -465,15 +483,15 @@ def _random_series(ring, nvars, order, rng):
 @pytest.mark.parametrize("nvars", [2, 3])
 @pytest.mark.parametrize("ring", [ZZ, QQ, get_field(3), get_field(12)], ids=repr)
 def test_flip_twice_gives_back_the_point(ring, nvars):
-    """A point flipped twice is the point again; the flip's substitution
-    takes the flipped point's p, q, 1/p and 1/q to the point's; and the two
-    substitutions compose to the identity, in either order."""
+    """A point flipped to any forms and back is the point again; the flip's
+    substitution takes the flipped point's p, q, 1/p and 1/q to the point's;
+    and the two substitutions compose to the identity, in either order."""
     rng = random.Random(nvars * 100 + len(ring.tag))
-    for _ in range(12):
+    for _, forms in product(range(12), FORMS):
         point = _random_point(ring, nvars, rng)
-        other, back = point.flip()
-        again, forth = other.flip()
-        assert other.inverse != point.inverse and again.inverse == point.inverse
+        other, back = point.flip(forms)
+        again, forth = other.flip(point.inverse)
+        assert other.inverse == forms and again.inverse == point.inverse
         for name in ("p", "q", "pinv", "qinv"):
             assert getattr(again, name) == getattr(point, name), name
             assert getattr(other, name).substitute(back) == getattr(point, name), name
@@ -485,6 +503,7 @@ def test_flip_twice_gives_back_the_point(ring, nvars):
 
 def test_flip_refuses_a_coordinate_that_is_not_a_unit_shift():
     one, u, w = xyu(4)
-    for p in (u * w, u.scale(2) - 1):
+    # a bare variable has constant term 0, so it is refused before any inverse
+    for p, forms in product((u * w, u.scale(2) - 1, one - u), ((True, False), (True, True))):
         with pytest.raises(ParameterError, match="not a constant plus or minus one variable"):
-            Point(p, w).flip()
+            Point(p, w).flip(forms)

@@ -3,6 +3,7 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -11,10 +12,11 @@ from fishburn import identities
 from fishburn.cyclotomic import CyclotomicElement, get_field
 from fishburn.errors import CertificateError, ParameterError
 from fishburn.identities import evaluate_terminating, verify_terminating
-from fishburn.qseries import COMPACT_SUMS, FORMAL_ORDER_CAP, expand_family, expand_sum
+from fishburn.qseries import (COMPACT_SUMS, FORMAL_ORDER_CAP, Point, expand_family, expand_sum,
+                              truncated_sum)
 from fishburn.rings import QQ
 from fishburn.names import ROOT_CHECK_FAMILIES, ROOT_EXPRS
-from fishburn.roots import (CONDUCTOR_CAP, RootContext, _require_certificate,
+from fishburn.roots import (CONDUCTOR_CAP, PFORMAL_NAMES, RootContext, _require_certificate,
                             conjecture_explore, expand_at_root, expand_q_only,
                             root_terminating_check)
 from fishburn.series import TruncatedSeries
@@ -175,8 +177,8 @@ BOTH_POINTS_SWEEP = [(3, 9, [(a, b) for a in range(3) for b in range(3)]),
 @pytest.mark.parametrize("k,order,points", BOTH_POINTS_SWEEP, ids=["k3", "k4", "k12"])
 def test_each_root_expansion_is_the_same_in_both_coordinates(k, order, points):
     """Each certified expression expands to the same series in (u, v),
-    summed there directly or summed in (1/p - 1/p0, 1/q - 1/q0) and
-    substituted back."""
+    summed at the point in any forms, as p - p0 or 1/p - 1/p0 and as q - q0
+    or 1/q - 1/q0, and substituted back in each flipped coordinate."""
     checked = 0
     for a, b in points:
         ctx = RootContext(k, a, b, order)
@@ -185,9 +187,10 @@ def test_each_root_expansion_is_the_same_in_both_coordinates(k, order, points):
                 _require_certificate(expr, ctx)
             except CertificateError:
                 continue
-            direct, inverse = (expand_sum(COMPACT_SUMS[expr]._replace(inverse=inv), ctx.point())
-                               for inv in (False, True))
-            assert direct == inverse, (a, b, expr)
+            direct, *flipped = (
+                expand_sum(COMPACT_SUMS[expr]._replace(inverse=forms), ctx.point())
+                for forms in product((False, True), repeat=2))
+            assert all(series == direct for series in flipped), (a, b, expr)
             checked += 1
     assert checked >= len(points)
 
@@ -209,6 +212,18 @@ def test_constant_term_equals_terminating_value(expr, k, a, b):
     except CertificateError:
         pytest.skip("no terminating certificate at this point")
     assert series.constant_term == value
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 12])
+def test_q_only_sides_match_their_direct_sums(k):
+    """Each q-only side, summed by `expand_sum` (which flips q for the right
+    side), equals its sum summed directly at (p, q0 + v), with no flip."""
+    for a, b in product(range(k), repeat=2):
+        ctx = RootContext(k, a, b, 6)
+        p, v = (TruncatedSeries.variable(ctx.field, 2, 6, i, PFORMAL_NAMES) for i in (0, 1))
+        for side in ("mid", "right"):
+            want = truncated_sum(COMPACT_SUMS["comp1-" + side](Point(p, v + ctx.q0)))
+            assert expand_q_only(side, ctx) == want, (a, b, side)
 
 
 def test_q_only_sides_need_only_q0():
