@@ -2,9 +2,9 @@
 
 One JSON file per entry, keyed by the SHA-256 of the canonical
 (id, params, truncation, ring) tuple.  Files carry a schema version and
-their id and params; a version mismatch, an entry of another expansion, and
-any entry that cannot be read back are treated as a miss (with a warning)
-rather than an error.
+their id and params; a version mismatch, an entry of another expansion, a
+series in other variables than the family's, and any entry that cannot be
+read back are treated as a miss (with a warning) rather than an error.
 Writes go through a temp file + rename so concurrent readers never observe a
 torn entry.
 """
@@ -56,13 +56,16 @@ class SeriesCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
 
-    def get(self, expr_id: str, params: dict, truncation: int, ring_tag: str):
+    def get(self, expr_id: str, params: dict, truncation: int, ring_tag: str, names):
         """Cached series, or None on a miss.
 
         An entry that cannot be used -- undecodable JSON, a missing key, a
-        payload that fails validation, a schema version, an id, parameters
-        or a truncation/ring other than the one requested -- is a miss with
-        a warning; the next `put` overwrites it.
+        payload that fails validation, a schema version, an id, parameters,
+        a truncation/ring or variable names other than the ones requested --
+        is a miss with a warning; the next `put` overwrites it.  The key
+        does not hold the names, so a series planted in other variables
+        would otherwise be served with its coefficients under the wrong
+        variables.
         """
         path = self._path(self._key(expr_id, params, truncation, ring_tag))
         if not os.path.exists(path):
@@ -90,10 +93,11 @@ class SeriesCache:
             series = series_from_payload(entry["series"])
         except PayloadError as exc:
             return _miss(f"cache entry {name} holds a bad series ({exc}); ignoring")
-        if series.trunc != truncation or series.ring.tag != ring_tag:
+        if (series.trunc, series.ring.tag, series.names) != (truncation, ring_tag, tuple(names)):
             return _miss(
-                f"cache entry {name} holds a {series.ring.tag} series truncated "
-                f"at {series.trunc}, not {ring_tag} at {truncation}; ignoring")
+                f"cache entry {name} holds a {series.ring.tag} series in {series.names} "
+                f"truncated at {series.trunc}, not {ring_tag} in {tuple(names)} at "
+                f"{truncation}; ignoring")
         return series
 
     def put(self, expr_id: str, params: dict, truncation: int, series) -> str:

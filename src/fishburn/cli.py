@@ -62,20 +62,19 @@ def _family_params(args) -> dict:
 
 def cmd_expand(args) -> int:
     from .cache import SeriesCache, default_cache_dir
-    from .qseries import expand_family, family_ring
+    from .qseries import expand_family, family_names, family_ring
     from .serialize import series_to_payload
 
     params = _family_params(args)
     cache_dir = args.cache_dir or default_cache_dir()
     cache = SeriesCache(cache_dir) if cache_dir and not args.no_cache else None
     series = None
-    ring_tag = family_ring(args.family).tag
     if cache is not None:
-        series = cache.get(args.family, params, args.order, ring_tag)
-        cached = series is not None
-    if series is None:
+        series = cache.get(args.family, params, args.order, family_ring(args.family).tag,
+                           family_names(args.family))
+    cached = series is not None
+    if not cached:
         series = expand_family(args.family, args.order, **params)
-        cached = False
         if cache is not None:
             cache.put(args.family, params, args.order, series)
     payload = series_to_payload(series)

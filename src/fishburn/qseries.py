@@ -6,16 +6,18 @@ the gamma-generalized families, both sides of the formal-r proposition
 (prop12-lhs and prop12-rhs, in x, y and r), and the pentagonal
 sum/product/theta forms are all built here on top of TruncatedSeries.  The
 family table `_FAMILIES` gives each its coefficient ring, the parameters it
-takes and its order cap, and `expand_family` reads all three from it.
+takes and its variable names, and `expand_family` reads all three from it;
+`family_names` gives the names alone, which a cache entry must carry.
 
 Every family expansion and every expansion at a root of unity refuses an
 order above its cap in the one function it starts in, before it does any
 work: `expand_family` for the families, against `FORMAL_ORDER_CAP` for the
 series in two or three variables and `N_MAX_CAP` for the one-variable
 pentagonal forms, and `roots.RootContext`, against `FORMAL_ORDER_CAP`, for
-the expansions at roots of unity.  `_require_order` is the one check, and
+the expansions at roots of unity.  `_require_order` is the one check;
 `univariate_fishburn_series` asks it against `SEQUENCE_N_CAP` for the
-Fishburn and row-Fishburn sequences.
+Fishburn and row-Fishburn sequences, and `partition_parity_table` against
+`N_MAX_CAP` for its largest weight.
 
 Every Pochhammer sum is written once, as a PochhammerSum: its first term and
 its term ratio.  One generator yields the terms in any arithmetic the
@@ -566,25 +568,26 @@ def _kr_first_form(N, ring):
     return 1 + expand_sum(KR_SUM, xy_point(N, ring))
 
 
-# family id -> (coefficient ring, parameter names, order cap,
-#                expand(order, ring, *parameters))
+# family id -> (coefficient ring, parameter names, variable names,
+#                expand(order, ring, *parameters)); the variable count
+# fixes the order cap
 _FAMILIES = {
-    "F1": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-left"], inverted=True)),
-    "F2": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-mid"], inverted=True)),
-    "F3": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp1-right"], inverted=True)),
-    "G1": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-first"])),
-    "G2": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-mid"])),
-    "G3": (ZZ, (), FORMAL_ORDER_CAP, _summed(COMPACT_SUMS["comp2-right"])),
-    "F3-KR-first-form": (ZZ, (), FORMAL_ORDER_CAP, _kr_first_form),
-    "pentagonal-sum": (ZZ, (), N_MAX_CAP, _pentagonal_sum),
-    "pentagonal-product": (ZZ, (), N_MAX_CAP, _pentagonal_product),
-    "pentagonal-theta": (ZZ, (), N_MAX_CAP, _pentagonal_theta),
-    "gamma1-lhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma1-lhs"])),
-    "gamma1-rhs": (QQ, ("gamma", "r"), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma1-rhs"])),
-    "gamma2-lhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma2-lhs"])),
-    "gamma2-rhs": (QQ, ("gamma",), FORMAL_ORDER_CAP, _summed(GAMMA_SUMS["gamma2-rhs"])),
-    "prop12-lhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(GAMMA_SUMS["gamma1-lhs"])),
-    "prop12-rhs": (ZZ, (), FORMAL_ORDER_CAP, _formal_r(GAMMA_SUMS["gamma1-rhs"])),
+    "F1": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp1-left"], inverted=True)),
+    "F2": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp1-mid"], inverted=True)),
+    "F3": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp1-right"], inverted=True)),
+    "G1": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp2-first"])),
+    "G2": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp2-mid"])),
+    "G3": (ZZ, (), BIVARIATE_NAMES, _summed(COMPACT_SUMS["comp2-right"])),
+    "F3-KR-first-form": (ZZ, (), BIVARIATE_NAMES, _kr_first_form),
+    "pentagonal-sum": (ZZ, (), PENTAGONAL_NAMES, _pentagonal_sum),
+    "pentagonal-product": (ZZ, (), PENTAGONAL_NAMES, _pentagonal_product),
+    "pentagonal-theta": (ZZ, (), PENTAGONAL_NAMES, _pentagonal_theta),
+    "gamma1-lhs": (QQ, ("gamma", "r"), BIVARIATE_NAMES, _summed(GAMMA_SUMS["gamma1-lhs"])),
+    "gamma1-rhs": (QQ, ("gamma", "r"), BIVARIATE_NAMES, _summed(GAMMA_SUMS["gamma1-rhs"])),
+    "gamma2-lhs": (QQ, ("gamma",), BIVARIATE_NAMES, _summed(GAMMA_SUMS["gamma2-lhs"])),
+    "gamma2-rhs": (QQ, ("gamma",), BIVARIATE_NAMES, _summed(GAMMA_SUMS["gamma2-rhs"])),
+    "prop12-lhs": (ZZ, (), PROPOSITION_NAMES, _formal_r(GAMMA_SUMS["gamma1-lhs"])),
+    "prop12-rhs": (ZZ, (), PROPOSITION_NAMES, _formal_r(GAMMA_SUMS["gamma1-rhs"])),
 }
 
 
@@ -607,6 +610,11 @@ def family_parameters(family: str) -> tuple:
     return _family(family)[1]
 
 
+def family_names(family: str) -> tuple:
+    """The names of the variables of `family`'s expansion."""
+    return _family(family)[2]
+
+
 def expand_family(family: str, order: int, **params) -> TruncatedSeries:
     """Expand a named series family to the given total-degree order.
 
@@ -617,8 +625,8 @@ def expand_family(family: str, order: int, **params) -> TruncatedSeries:
     pentagonal forms are univariate in w.  An order above the family's cap
     is refused before any work.
     """
-    ring, names, cap, expand = _family(family)
-    _require_order(order, cap, family)
+    ring, names, variables, expand = _family(family)
+    _require_order(order, N_MAX_CAP if len(variables) == 1 else FORMAL_ORDER_CAP, family)
     given = {k: v for k, v in params.items() if v is not None}
     if sorted(given) != sorted(names):
         raise ParameterError(
@@ -700,10 +708,14 @@ class PartitionParityTable:
 
 
 def partition_parity_table(max_part: int, max_weight: int) -> PartitionParityTable:
+    """The table a_{r,s} for r <= max_part and s <= max_weight; a max_weight
+    above N_MAX_CAP is refused before any work."""
     if max_part < 1 or max_weight < 1:
         raise ParameterError("table bounds must be >= 1")
-    # slice r is term r - 1 of the pentagonal sum, w^r (w; w)_{r-1}
+    _require_order(max_weight, N_MAX_CAP, "the partition parity table")
+    # slice r is term r - 1 of the pentagonal sum, w^r (w; w)_{r-1}, which
+    # is zero below the cut for r > max_weight: those rows are not made
     terms = pochhammer_terms(COMPACT_SUMS["comp1-right"](_pentagonal_point(max_weight, ZZ)))
-    entries = {(r, s): c for r, term in enumerate(islice(terms, max_part), 1)
+    entries = {(r, s): c for r, term in enumerate(islice(terms, min(max_part, max_weight)), 1)
                for (s,), c in sorted(term.terms.items())}
     return PartitionParityTable(max_part, max_weight, entries)

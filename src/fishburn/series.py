@@ -50,20 +50,26 @@ coefficients built on its first read.  Each cache is a pure function of
 the stored terms, so two threads that race to fill one compute the same
 value.
 
-A product runs the operand with fewer terms in the outer loop, so a factor
-of one or two terms makes one or two passes over a prefix of the other.
-It sums into a list indexed by key when the key span of the product,
-[a_0 + b_0, min(limit, a_last + b_last + 1)), is no longer than the number
-of term pairs, as it is for the dense bivariate series, and into a dict
-otherwise, as for the trivariate series, whose span is mostly empty.
+One loop, `_sum_products`, sums the term products of `*`, `invert` and
+`substitute`.  Each caller hands it rows, each a key and a value with the
+(key, value) pairs the row meets, and it adds the product of the two values
+at the sum of the two keys.  A product's rows are the terms of the operand
+with fewer terms, each with the prefix of the other that stays below the
+cut, so a factor of one or two terms makes one or two passes over a prefix
+of the other.  The product alone picks the list accumulator: it sums into a
+list indexed by key when the key span of the product, [a_0 + b_0,
+min(limit, a_last + b_last + 1)), is no longer than the number of term
+pairs, as it is for the dense bivariate series, and into a dict otherwise,
+as for the trivariate series, whose span is mostly empty.  The inverse and
+the substitution sum into a dict.
 
-The product loop multiplies and adds ints only, over every ring, and the
-order of the outer loop changes no sum.  `substitute` runs its sums
-through the same loop on ints.  It takes only a separable change of
-variables, each variable sent to a series in itself alone, so it composes
-one variable at a time from univariate powers and makes no product of
-multivariate series.  `invert` runs its degree recurrence on the stored
-ints over ZZ and QQ, fraction-free, and on field elements over Q(zeta_k).
+The loop multiplies and adds ints only in a product and a substitution,
+over every ring, and the order of the rows changes no sum.  `substitute`
+takes only a separable change of variables, each variable sent to a series
+in itself alone, so it composes one variable at a time from univariate
+powers and makes no product of multivariate series.  `invert` runs its
+degree recurrence through the same loop, on the stored ints over ZZ and
+QQ, fraction-free, and on field elements over Q(zeta_k).
 """
 
 from __future__ import annotations
@@ -321,25 +327,9 @@ class TruncatedSeries:
         low = a_keys[0] + b_keys[0]
         span = min(limit, a_keys[-1] + b_keys[-1] + 1) - low
         dense = span <= len(a_keys) * len(b_keys)
-        if dense:
-            acc = [0] * span
-            for ka, ca in zip(a_keys, a_vals):
-                row = ka - low
-                for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
-                    acc[row + kb] += ca * cb
-            keys = [low + i for i, c in enumerate(acc) if c]
-            values = [c for c in acc if c]
-        else:
-            acc = {}
-            for ka, ca in zip(a_keys, a_vals):
-                for kb, cb in b[:bisect_left(b_keys, limit - ka)]:
-                    k = ka + kb
-                    if k in acc:
-                        acc[k] += ca * cb
-                    else:
-                        acc[k] = ca * cb
-            keys = [k for k, c in acc.items() if c]
-            values = [acc[k] for k in keys]
+        keys, values = _sum_products(a_keys, a_vals,
+                                     [b[:bisect_left(b_keys, limit - ka)] for ka in a_keys],
+                                     low, span if dense else None)
         # A zero kernel value is a zero coefficient, but a nonzero one may
         # still fold to zero (a Q(zeta_k) value folded by Phi_k).
         values, state = self.ring.fold(values, state)
@@ -354,9 +344,11 @@ class TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         Requires an invertible constant term; computed by the order-by-order
-        recurrence b_d = -a_0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys.
-        Over Q(zeta_k) the recurrence runs on field elements.  Over ZZ and QQ
-        it runs on the stored ints, fraction-free: with the operand stored as
+        recurrence b_d = -a_0^{-1} * sum_{e>=1} a_e b_{d-e} on packed keys,
+        whose sums at each degree are one call of the loop of every product,
+        `_sum_products`.  Over Q(zeta_k) the recurrence runs on field
+        elements.  Over ZZ and QQ it runs on the stored ints,
+        fraction-free: with the operand stored as
         A / L, A its int numerators over its denominator L, the levels
         B_d = A_0^(d+1) b_d / L satisfy B_0 = 1 and
         B_d = -sum_{e>=1} A_0^(e-1) A_e B_{d-e}, so b_d = L B_d / A_0^(d+1),
@@ -373,19 +365,18 @@ class TruncatedSeries:
             step = self._degree_step()
             # A_0^(e-1) A_e for each nonconstant term, of degree e
             scaled = [c * powers[k // step - 1] if k else c for k, c in zip(keys, values)]
-            levels = self._inverse_levels(keys, scaled, 1, -1)
+            keys, values = self._inverse_levels(keys, scaled, 1, -1)
             # b_d = L B_d A_0^(N-d) / A_0^(N+1), signed so that the
             # denominator is positive; over ZZ, where L = 1 and A_0 = +-1,
             # that is A_0^(d+1) B_d over 1
             top = self.trunc
             factor = self._state if powers[-1] > 0 else -self._state
             return self._wrap(*self.ring.lowest(
-                {k: factor * c * powers[top - d] for d, level in enumerate(levels)
-                 for k, c in level}, abs(powers[-1])))
-        levels = self._inverse_levels(keys, self.ring.load(values, self._state),
-                                      c0inv, -c0inv)
-        keys = [k for level in levels for k, _ in level]
-        values, state = self.ring.store([c for level in levels for _, c in level])
+                {k: factor * c * powers[top - k // step] for k, c in zip(keys, values)},
+                abs(powers[-1])))
+        keys, values = self._inverse_levels(keys, self.ring.load(values, self._state),
+                                            c0inv, -c0inv)
+        values, state = self.ring.store(values)
         return self._wrap(dict(zip(keys, values)), state)
 
     def _degree_step(self):
@@ -396,35 +387,25 @@ class TruncatedSeries:
         """The levels L_0..L_N of the degree recurrence L_0 = `first` and
         L_d = `factor` * sum_{e>=1} V_e L_{d-e}, where V_e are the terms of
         degree e among `keys` and `values`, the operand's sorted keys and
-        values with the constant term first: each level as a list of
-        (key, value) pairs with nonzero values."""
+        values with the constant term first: the keys and the nonzero values
+        of every level, level by level.  Level d is one call of
+        `_sum_products`, whose rows are the terms of L_0..L_{d-1}, each term
+        of L_{d-e} with the terms of `factor` V_e; `factor` is a unit, so it
+        makes no sum zero."""
         step = self._degree_step()
-        # nonconstant terms, grouped by total degree
+        # the nonconstant terms, times factor, grouped by total degree
         by_deg = [[] for _ in range(self.trunc + 1)]
-        for k, c in zip(keys, values):
-            if k:
-                by_deg[k // step].append((k, c))
-        levels = [[(0, first)]]
+        for k, c in zip(keys[1:], values[1:]):
+            by_deg[k // step].append((k, factor * c))
+        # the terms of the levels so far, and the degree of each
+        keys, values, degrees = [0], [first], [0]
         for d in range(1, self.trunc + 1):
-            acc = {}
-            for da in range(1, d + 1):
-                entries = by_deg[da]
-                if not entries:
-                    continue
-                for kb, cb in levels[d - da]:
-                    for ka, ca in entries:
-                        k = ka + kb
-                        if k in acc:
-                            acc[k] += ca * cb
-                        else:
-                            acc[k] = ca * cb
-            level = []
-            for k, c in acc.items():
-                val = factor * c
-                if val:
-                    level.append((k, val))
-            levels.append(level)
-        return levels
+            level_keys, level_values = _sum_products(keys, values,
+                                                     [by_deg[d - r] for r in degrees])
+            keys += level_keys
+            values += level_values
+            degrees += [d] * len(level_keys)
+        return keys, values
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -514,23 +495,14 @@ class TruncatedSeries:
         values, flat, kernel = self.ring.operands(values, self._state, flat, state, len(keys))
         # for each j, the exponents m of the terms x_i^m of s^j, ascending,
         # and for each the shift (m - j) * unit of a key and its value
-        table, start = [], 0
-        for j, (ms, _, _) in enumerate(powers):
-            table.append((ms, [((m - j) * unit, c)
-                               for m, c in zip(ms, flat[start:start + len(ms)])]))
-            start += len(ms)
-        acc = {}
-        for k, j, c in zip(keys, exps, values):
-            ms, shifts = table[j]
-            room = trunc - k // step + j  # the largest exponent of x_i the row keeps
-            for shift, pc in shifts[:bisect_right(ms, room)]:
-                key = k + shift
-                if key in acc:
-                    acc[key] += c * pc
-                else:
-                    acc[key] = c * pc
-        keys = [k for k, c in acc.items() if c]
-        values, state = self.ring.fold([acc[k] for k in keys], kernel)
+        flat = iter(flat)
+        table = [(ms, [((m - j) * unit, next(flat)) for m in ms])
+                 for j, (ms, _, _) in enumerate(powers)]
+        # each row keeps the terms x_i^m of s^j with m <= trunc - deg + j
+        keys, values = _sum_products(keys, values, [
+            table[j][1][:bisect_right(table[j][0], trunc - k // step + j)]
+            for k, j in zip(keys, exps)])
+        values, state = self.ring.fold(values, kernel)
         return self._wrap({k: c for k, c in zip(keys, values) if c}, state)
 
     def specialize(self, var: int, scalar, new_trunc: int):
@@ -641,6 +613,30 @@ class TruncatedSeries:
         if len(self.terms) > 8:
             body += " + ..."
         return f"<{body} | N={self.trunc}, {self.ring.tag}>"
+
+
+def _sum_products(keys, values, partners, low=0, span=None):
+    """The keys and nonzero sums of values[i] * c at key keys[i] + k, over
+    each row i and each (k, c) of partners[i]: the one loop of every
+    product, inverse and substitution.  Given `span`, the sums run in a list
+    over the keys [low, low + span), and the keys come back ascending;
+    otherwise in a dict."""
+    if span is not None:
+        acc = [0] * span
+        for ka, ca, row in zip(keys, values, partners):
+            ka -= low
+            for kb, cb in row:
+                acc[ka + kb] += ca * cb
+        return [low + i for i, c in enumerate(acc) if c], [c for c in acc if c]
+    acc = {}
+    for ka, ca, row in zip(keys, values, partners):
+        for kb, cb in row:
+            k = ka + kb
+            if k in acc:
+                acc[k] += ca * cb
+            else:
+                acc[k] = ca * cb
+    return [k for k, c in acc.items() if c], [c for c in acc.values() if c]
 
 
 def _powers(base, n):

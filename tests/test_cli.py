@@ -176,6 +176,24 @@ def test_expand_planted_entry_of_another_family_is_a_miss(tmp_path, capsys):
     assert code == 0 and json.loads(out)["cached"] is True
 
 
+def test_expand_planted_entry_in_other_variables_is_a_miss(tmp_path, capsys):
+    """An F1 entry whose series is in (y, x) holds the same terms under
+    swapped names; it is a miss, and F1 is computed in (x, y)."""
+    argv = ("expand", "--family", "F1", "--order", "6", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(want)["vars"] == ["x", "y"]
+    (entry,) = tmp_path.glob("*.json")
+    planted = json.loads(entry.read_text())
+    planted["series"]["vars"] = ["y", "x"]
+    entry.write_text(json.dumps(planted))
+    with pytest.warns(UserWarning, match=r"series in \('y', 'x'\)"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out) == json.loads(want)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out) == {**json.loads(want), "cached": True}
+
+
 def test_expand_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FISHBURN_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, "expand", "--family", "F2", "--order", "5",

@@ -11,7 +11,7 @@ from fishburn.cache import SCHEMA_VERSION, SeriesCache
 from fishburn.cyclotomic import get_field
 from fishburn.errors import BFileFormatError, BoundExceededError, ParameterError, PayloadError
 from fishburn.oeis import cross_check, parse_b_file, parse_b_file_lines
-from fishburn.qseries import SEQUENCE_N_CAP, expand_family, fishburn_numbers
+from fishburn.qseries import BIVARIATE_NAMES, SEQUENCE_N_CAP, expand_family, fishburn_numbers
 from fishburn.rings import QQ, ZZ
 from fishburn.serialize import series_from_payload, series_to_payload
 from fishburn.series import TruncatedSeries
@@ -183,16 +183,16 @@ def test_cache_roundtrip(tmp_path):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 10)
     cache.put("F1", {}, 10, s)
-    got = cache.get("F1", {}, 10, "ZZ")
+    got = cache.get("F1", {}, 10, "ZZ", BIVARIATE_NAMES)
     assert got == s
 
 
 def test_cache_miss_on_different_key(tmp_path):
     cache = SeriesCache(str(tmp_path))
     cache.put("F1", {}, 10, expand_family("F1", 10))
-    assert cache.get("F1", {}, 11, "ZZ") is None
-    assert cache.get("F2", {}, 10, "ZZ") is None
-    assert cache.get("F1", {"gamma": "1/2"}, 10, "ZZ") is None
+    assert cache.get("F1", {}, 11, "ZZ", BIVARIATE_NAMES) is None
+    assert cache.get("F2", {}, 10, "ZZ", BIVARIATE_NAMES) is None
+    assert cache.get("F1", {"gamma": "1/2"}, 10, "ZZ", BIVARIATE_NAMES) is None
 
 
 def test_cache_miss_after_clear(tmp_path):
@@ -200,7 +200,7 @@ def test_cache_miss_after_clear(tmp_path):
     path = cache.put("F1", {}, 6, expand_family("F1", 6))
     import os
     os.unlink(path)
-    assert cache.get("F1", {}, 6, "ZZ") is None
+    assert cache.get("F1", {}, 6, "ZZ", BIVARIATE_NAMES) is None
 
 
 def test_cache_schema_mismatch_warns_and_misses(tmp_path):
@@ -211,7 +211,7 @@ def test_cache_schema_mismatch_warns_and_misses(tmp_path):
     with open(path, "w") as fh:
         json.dump(entry, fh)
     with pytest.warns(UserWarning, match="schema"):
-        assert cache.get("F1", {}, 6, "ZZ") is None
+        assert cache.get("F1", {}, 6, "ZZ", BIVARIATE_NAMES) is None
 
 
 def test_cache_entries_are_content_addressed(tmp_path):
@@ -257,16 +257,19 @@ def _plant(path, family):
     (lambda path: _plant(path, "pentagonal-sum"), "holds 'pentagonal-sum'"),
     (lambda path: _rewrite(path, lambda e: e.update(params={"gamma": "1/2"})),
      "holds 'F1' with parameters {'gamma': '1/2'}, not 'F1' with {}"),
+    (lambda path: _rewrite(path, lambda e: e["series"].update(vars=["y", "x"])),
+     r"series in \('y', 'x'\) truncated at 6, not ZZ in \('x', 'y'\)"),
 ], ids=["truncated-json", "not-object", "missing-series", "missing-terms",
         "rejected-payload", "other-truncation", "other-ring", "huge-truncation",
         "huge-conductor", "ring-not-a-string", "exponent-coefficient", "other-id",
-        "other-family-shape", "other-params"])
+        "other-family-shape", "other-params", "swapped-vars"])
 def test_unusable_cache_entry_is_a_miss_then_overwritten(tmp_path, corrupt, match):
     cache = SeriesCache(str(tmp_path))
     s = expand_family("F1", 6)
     path = cache.put("F1", {}, 6, s)
     corrupt(path)
     with pytest.warns(UserWarning, match=match):
-        assert cache.get("F1", {}, 6, "ZZ") is None
+        assert cache.get("F1", {}, 6, "ZZ", BIVARIATE_NAMES) is None
     assert cache.put("F1", {}, 6, s) == path
-    assert cache.get("F1", {}, 6, "ZZ") == s
+    assert cache.get("F1", {}, 6, "ZZ", BIVARIATE_NAMES) == s
+

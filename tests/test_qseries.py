@@ -17,7 +17,8 @@ from fishburn.identities import THM_MAIN_IDS
 from fishburn.qseries import (BIVARIATE_NAMES, COMPACT_SUMS, FORMAL_ORDER_CAP, GAMMA_SUMS,
                               KR_SUM, N_MAX_CAP, PENTAGONAL_NAMES, PROPOSITION_NAMES,
                               SEQUENCE_N_CAP, Point, PochhammerSum, expand_family, expand_sum,
-                              family_parameters, family_ring, fishburn_numbers, involution,
+                              family_names, family_parameters, family_ring,
+                              fishburn_numbers, involution,
                               partial_sum, partition_parity_table, pochhammer_terms,
                               q_pochhammer, row_fishburn_numbers, termination_index,
                               truncated_sum, univariate_fishburn_series, xy_point)
@@ -246,6 +247,7 @@ def test_each_family_takes_exactly_its_declared_parameters(family):
     params = {name: PARAMETER_VALUES[name] for name in names}
     series = expand_family(family, 2, **params)
     assert series.trunc == 2 and series.ring == family_ring(family)
+    assert series.names == family_names(family)
     # a None value is a parameter not given
     assert expand_family(family, 2, **params, delta=None) == series
     extra = next((n for n in PARAMETER_VALUES if n not in names), "delta")
@@ -291,6 +293,31 @@ def test_partition_table_examples():
     # zero outside the feasible weight window
     assert tab.a(3, 2) == 0
     assert tab.a(3, 7) == 0  # 7 > 3*4/2 = 6
+
+
+def test_partition_table_refuses_a_weight_above_its_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(qseries, "pochhammer_terms", _no_work)
+    with pytest.raises(ParameterError,
+                       match=f"^order capped at {N_MAX_CAP} for the partition parity table "
+                             f"\\(got {N_MAX_CAP + 1}\\)$"):
+        partition_parity_table(4, N_MAX_CAP + 1)
+    with pytest.raises(AssertionError, match="the expansion ran"):
+        partition_parity_table(4, N_MAX_CAP)
+
+
+def test_partition_table_makes_no_row_past_its_weight(monkeypatch):
+    # row r is w^r (w; w)_{r-1}, zero below the cut for r > max_weight: a
+    # table with 10^5 parts reads the rows of one with 10, and no more
+    made = []
+    terms = qseries.pochhammer_terms
+    monkeypatch.setattr(qseries, "pochhammer_terms",
+                        lambda spec: (made.append(t) or t for t in terms(spec)))
+    want = partition_parity_table(10, 10)
+    assert len(made) == 10
+    made.clear()
+    tab = partition_parity_table(10**5, 10)
+    assert tab.entries == want.entries and len(made) == 10
+    assert tab.max_part == 10**5 and tab.a(10**5, 10) == 0
 
 
 def test_partition_table_zero_pattern():

@@ -699,3 +699,38 @@ def test_invert_without_the_constant_term_powers_fails(monkeypatch):
         assert a.invert().terms != reference_invert(a)
     a = _huge_series(ZZ, 2, 6, 1, rng)
     assert a.invert().terms == reference_invert(a)  # A_0 = 1 needs no power
+
+
+@pytest.mark.parametrize("ring", [ZZ, get_field(12)], ids=repr)
+def test_a_mutant_of_the_one_loop_is_caught_through_every_caller(ring, monkeypatch):
+    """A product on either accumulator, `invert` and `substitute` all sum
+    through `series._sum_products`: with the last partner of each row
+    dropped, each differs from its reference on exponent tuples."""
+    rng = random.Random(38)
+    a, b = _dense(ring, 2, 6, rng), _dense(ring, 2, 6, rng)
+    c = TruncatedSeries(ring, 3, 8, {(0, 0, 0): ring.one, (1, 0, 2): _small(ring, rng),
+                                     (0, 0, 4): _small(ring, rng)})
+    d = TruncatedSeries(ring, 3, 8, {(0, 1, 0): _small(ring, rng), (2, 0, 1): ring.one,
+                                     (0, 3, 3): _small(ring, rng)})
+    assert _span_and_pairs(a, b)[0] <= _span_and_pairs(a, b)[1]
+    assert _span_and_pairs(c, d)[0] > _span_and_pairs(c, d)[1]
+    x = TruncatedSeries.variable(ring, 2, 6, 0)
+    shift = {0: x + x * x.scale(_small(ring, rng))}
+    cases = {"list product": (lambda: (a * b).terms, reference_mul(a, b)),
+             "dict product": (lambda: (c * d).terms, reference_mul(c, d)),
+             "invert": (lambda: a.invert().terms, reference_invert(a)),
+             "substitute": (lambda: a.substitute(shift).terms,
+                            reference_substitute(a, shift).terms)}
+    for name, (run, want) in cases.items():
+        assert run() == want, name
+    calls = []
+    loop = series._sum_products
+
+    def mutant(keys, values, partners, *span):
+        calls.append(1)
+        return loop(keys, values, [row[:-1] for row in partners], *span)
+
+    monkeypatch.setattr(series, "_sum_products", mutant)
+    for name, (run, want) in cases.items():
+        calls.clear()
+        assert run() != want and calls, name
