@@ -184,7 +184,7 @@ def cmd_numeric(args) -> int:
 
     if args.tol_exp is not None and args.tol_exp < 1:
         raise ParameterError(f"--tol-exp must be at least 1, got {args.tol_exp}")
-    _ident, sampler, checker, _names = hypergeom.NUMERIC_IDENTITIES[args.id]
+    checker = hypergeom.NUMERIC_IDENTITIES[args.id][2]
     if args.param:
         values = {}
         for spec in args.param:
@@ -196,11 +196,7 @@ def cmd_numeric(args) -> int:
             values[name] = complex(raw)
         points = [values]
     else:
-        if not 1 <= args.draws <= hypergeom.DRAWS_CAP:
-            raise ParameterError(f"--draws {args.draws} is not within 1..{hypergeom.DRAWS_CAP}")
-        import random
-        rng = random.Random(hypergeom.DRAW_SEED if args.seed is None else args.seed)
-        points = [sampler(rng).values for _ in range(args.draws)]
+        points = [p.values for p in hypergeom.draw_params(args.id, args.draws, args.seed)]
     # the settings given; NumericEvalParams holds the defaults of the others
     given = {"dps": args.digits, "max_terms": args.max_terms,
              "tol": None if args.tol_exp is None else f"1e-{args.tol_exp}"}

@@ -51,12 +51,13 @@ for, which is an upper bound; over a denominator other than 1 it is
 brought to lowest terms (`_settle`), which reads the exact bound off its
 coordinates.  A kept bound grows by fold_gain phi pairs at each product,
 so it is read off the values only when a product needs it: when the
-width of a product would exceed both operands' widths (`widens`), the
-series has each operand's bound read (`measure`), once per series, off
-the top 64-bit word of each slot, or off the unpacked coordinates when
-each of those words is -1, 0 or 1.  That bound stays within three times
-the largest coordinate, so the widths follow the coordinates, not the
-products before them, and a product whose width is no wider than an
+width of a product would exceed both operands' widths, `operands` reads
+each operand's bound (`_read_bound`) off the top 64-bit word of each slot,
+or off the unpacked coordinates when each of those words is -1, 0 or 1,
+takes the width again from those bounds, and hands back the operands'
+states with them, which the series keeps.  That bound stays within three
+times the largest coordinate, so the widths follow the coordinates, not
+the products before them, and a product whose width is no wider than an
 operand's reads no bound at all.  An int constant n is added in stored
 form (`constant`): n den in slot 0, with the bound raised by |n den| and
 the terms repacked only when their width no longer holds it.  A sum
@@ -397,31 +398,27 @@ class CyclotomicField:
                 self.element([Fraction(c, den) for c in vec])
                 for vec in self._unpack(values, width)]
 
-    def widens(self, a_state, b_state, pairs):
-        """Whether the slots that `operands` takes for these operand states
-        are wider than both operands': only then does a series measure its
-        operands' bounds (`measure`) before it asks for them."""
-        width = _width(self._product_bound(a_state, b_state, pairs))
-        return width > max(a_state[0], b_state[0])
-
-    def _product_bound(self, a_state, b_state, pairs):
-        """A bound on every folded coordinate of a product of operands of
-        these states, each kept value a sum of at most `pairs` term
-        products."""
-        return self.fold_gain * self.degree * a_state[2] * b_state[2] * pairs
-
     def operands(self, a, a_state, b, b_state, pairs):
         """The stored values `a` and `b` at one width that holds a product in
-        which each kept value sums at most `pairs` term products, and the
-        state of its kernel values, whose bound is that of the product."""
-        (wa, da, _), (wb, db, _) = a_state, b_state
-        bound = self._product_bound(a_state, b_state, pairs)
+        which each kept value sums at most `pairs` term products, the states
+        of `a` and `b`, and the state of the kernel values, whose bound is
+        that of the product.  Only when that width would exceed both
+        operands' widths are their bounds read off their values
+        (`_read_bound`) and the width taken again from them; the states
+        returned then carry those bounds, which the series keeps."""
+        gain = self.fold_gain * self.degree * pairs
+        bound = gain * a_state[2] * b_state[2]
         width = _width(bound)
+        if width > max(a_state[0], b_state[0]):
+            a_state, b_state = self._read_bound(a, a_state), self._read_bound(b, b_state)
+            bound = gain * a_state[2] * b_state[2]
+            width = _width(bound)
+        (wa, da, _), (wb, db, _) = a_state, b_state
         if wa != width:
             a = _pack(self._unpack(a, wa), width)
         if wb != width:
             b = _pack(self._unpack(b, wb), width)
-        return a, b, (width, da * db, bound)
+        return a, b, a_state, b_state, (width, da * db, bound)
 
     def fold(self, values, state):
         """Kernel values of the state `state` in stored form: each folded by
@@ -467,7 +464,7 @@ class CyclotomicField:
         values, state = self._settle(list(keyed.values()), width, den)
         return dict(zip(keyed, values)), state
 
-    def measure(self, values, state):
+    def _read_bound(self, values, state):
         """The state `state` of the packed `values`, with the bound read off
         them.
 

@@ -226,7 +226,8 @@ def _compare_sides(alias, params, sides, require=None):
     built.  `require(vals)` may reject the point before
     any summation.  A side that fails the decay guard makes the outcome
     `inconclusive`; a difference at or above the tolerance is a mismatch,
-    with the point and the first two sides as witness."""
+    with the point, the first side and the side farthest from it as
+    witness, and the label of that side in the detail."""
     ident, _sampler, _checker, names = NUMERIC_IDENTITIES[alias]
     rep = VerificationReport(ident, "numeric", None)
     missing = [name for name in names if name not in params.values]
@@ -242,17 +243,19 @@ def _compare_sides(alias, params, sides, require=None):
         tol = Decimal(params.tol)
         args = [vals[name] for name in names]
         try:
-            sums = [_sum_with_guard(side(*args), tol * SUMMATION_MARGIN, params.max_terms)
-                    for side in sides]
+            sums = [(s.label, *_sum_with_guard(s, tol * SUMMATION_MARGIN, params.max_terms))
+                    for s in (side(*args) for side in sides)]
         except ConvergenceError as exc:
             rep.outcome = "inconclusive"
             rep.detail["reason"] = str(exc)
             return rep.finish()
-        (left, _), (right, _) = sums[:2]
-        diff2 = max((left - value).norm() for value, _ in sums[1:])
-        rep.detail.update({"abs_diff": _nstr(diff2.sqrt(), 8), "terms": [n for _, n in sums],
+        (_, left, _), *others = sums
+        label, right, _ = max(others, key=lambda other: (left - other[1]).norm())
+        diff2 = (left - right).norm()
+        rep.detail.update({"abs_diff": _nstr(diff2.sqrt(), 8), "terms": [n for *_, n in sums],
                            "tol": params.tol})
         if diff2 >= tol * tol:
+            rep.detail["side"] = label
             rep.mismatch({k: _nstr(v, 20) for k, v in vals.items()},
                          _nstr(left, 30), _nstr(right, 30))
         return rep.finish()
@@ -505,13 +508,23 @@ def _random_disk(rng, radius, min_mag=0.02, avoid_one=False):
         return complex(re, im)
 
 
+def draw_params(alias, draws, seed=None):
+    """`draws` parameter sets of the numeric identity `alias`, drawn from its
+    sampler with the seed `seed` (DRAW_SEED when None); a count outside
+    1..DRAWS_CAP is refused before any draw."""
+    if not 1 <= draws <= DRAWS_CAP:
+        raise ParameterError(f"--draws {draws} is not within 1..{DRAWS_CAP}")
+    sampler = NUMERIC_IDENTITIES[alias][1]
+    rng = random.Random(DRAW_SEED if seed is None else seed)
+    return [sampler(rng) for _ in range(draws)]
+
+
 def sampled_report(alias):
     """The registry report of the numeric identity `alias`: its checker at
-    three points drawn with one fixed seed."""
-    ident, sampler, checker, _names = NUMERIC_IDENTITIES[alias]
+    three points drawn with the seed DRAW_SEED."""
+    ident, _sampler, checker, _names = NUMERIC_IDENTITIES[alias]
     rep = VerificationReport(ident, "numeric")
-    rng = random.Random(DRAW_SEED)
-    draws = (checker(sampler(rng)) for _ in range(3))
+    draws = (checker(params) for params in draw_params(alias, 3))
     return _record_until_failure(rep, "draws", draws).finish()
 
 

@@ -52,6 +52,8 @@ class Poset:
         if len(rel) != n:
             raise ParameterError("relation row count must equal n")
         for i in range(n):
+            if not 0 <= rel[i] < 1 << n:
+                raise ParameterError(f"relation row {i} mask {rel[i]} is outside [0, 2^{n})")
             if rel[i] >> i & 1:
                 raise ParameterError(f"relation is not irreflexive at {i}")
             for j in range(n):

@@ -24,10 +24,10 @@ constructor, `terms`, `constant_term`, `coefficient`, the witness of
 Between them no coefficient is made.  A product asks `operands(a,
 a_state, b, b_state, pairs)` for both operands in one kernel form, whose
 values it multiplies and sums, and `fold(values, state)` for those sums in
-stored form.  Before that it asks `widens(a_state, b_state, pairs)`, and
-when that is true it replaces each operand's state, once per series, by
-`measure(values, state)`, the same state with a bound read off the
-values; only Q(zeta_k), whose states carry a bound, answers true.  A sum,
+stored form.  `operands` also gives back the operands' states, which the
+series keeps: over Q(zeta_k), whose states carry a bound, they may carry
+a tighter bound read off the values, and over ZZ and QQ they are the
+states given.  A sum,
 and a comparison, ask `join(a, a_state, b, b_state)` for both operands'
 dicts in one form, and a sum then asks `lowest(keyed, state)` for its
 result in lowest terms.  An int constant n is added as the value that
@@ -62,11 +62,8 @@ class _Ring:
         den = lcm(*[c.denominator for c in coeffs])
         return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    def widens(self, a_den, b_den, pairs):
-        return False
-
     def operands(self, a, a_den, b, b_den, pairs):
-        return a, b, a_den * b_den
+        return a, b, a_den, b_den, a_den * b_den
 
     def fold(self, values, den):
         if den != 1:

@@ -43,9 +43,9 @@ form.
 Values are immutable after construction and all operations are pure, so
 series can be shared freely across threads.  A series caches what it derives
 from its terms: its keys and coefficients sorted by key, made the first time
-it is a product operand (or by the product that made it), the bound that
-the ring reads off its values the first time a product needs it
-(`_measure`), and `terms`, the public view, a dict from exponent tuples to
+it is a product operand (or by the product that made it), the state with
+the bound that the ring reads off its values when a product needs it
+(`operands`), and `terms`, the public view, a dict from exponent tuples to
 coefficients built on its first read.  Each cache is a pure function of
 the stored terms, so two threads that race to fill one compute the same
 value.
@@ -93,8 +93,7 @@ lexicographically least differing multi-index with both coefficients."""
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_state", "_measured", "_sorted",
-                 "_terms")
+    __slots__ = ("ring", "nvars", "trunc", "names", "_keyed", "_state", "_sorted", "_terms")
 
     def __init__(self, ring, nvars, trunc, terms=None, names=None):
         if not 1 <= nvars <= 3:
@@ -115,7 +114,6 @@ class TruncatedSeries:
                 coeffs.append(c)
         values, self._state = ring.store(coeffs)
         self._keyed = dict(zip(keys, values))
-        self._measured = True  # a stored state's bound is read off its coefficients
         self._sorted = self._terms = None
 
     # -- constructors ------------------------------------------------------
@@ -155,7 +153,6 @@ class TruncatedSeries:
         out.names = self.names
         out._keyed = keyed
         out._state = state
-        out._measured = False
         out._sorted = ordered
         out._terms = None
         return out
@@ -183,15 +180,6 @@ class TruncatedSeries:
             keys = sorted(keyed)
             ordered = self._sorted = (keys, [keyed[k] for k in keys])
         return ordered
-
-    def _measure(self):
-        """Put the bound the ring reads off the stored values (`measure`)
-        into the state, the first time only: a product's state carries the
-        bound its width was chosen for, which may lie far above its
-        coefficients."""
-        if not self._measured:
-            self._state = self.ring.measure(self._keyed.values(), self._state)
-            self._measured = True
 
     @property
     def terms(self):
@@ -296,8 +284,6 @@ class TruncatedSeries:
 
     def scale(self, scalar):
         scalar = self.ring.coerce(scalar)
-        if scalar == 1 or scalar == -1:  # such as the -1 of comp2-first
-            return self if scalar == 1 else -self
         values, state = self.ring.store([scalar] if scalar else [])
         return self * self._wrap(dict(zip((0,), values)), state)
 
@@ -316,10 +302,10 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.ring, self.nvars, self.trunc, self.names)
         limit = (self.trunc + 1) ** self.nvars  # the least key of degree N + 1
         pairs = len(a_keys)  # the most term products that one kept value sums
-        if self.ring.widens(x._state, y._state, pairs):
-            x._measure()
-            y._measure()
-        a_vals, b_vals, state = self.ring.operands(a_vals, x._state, b_vals, y._state, pairs)
+        # the ring may read the operands' bounds for the kernel form, and
+        # each operand keeps the state it hands back
+        a_vals, b_vals, x._state, y._state, state = self.ring.operands(
+            a_vals, x._state, b_vals, y._state, pairs)
         b = list(zip(b_keys, b_vals))
         # Each row reads the terms of b that keep the product below the cut,
         # a prefix.  ka + kb is then exact: a kept product has total degree
@@ -492,7 +478,8 @@ class TruncatedSeries:
                     joined, state, {(j, m): c for m, c in zip(ms, cs)}, power_state)
                 joined.update(more)
             flat = list(joined.values())
-        values, flat, kernel = self.ring.operands(values, self._state, flat, state, len(keys))
+        values, flat, self._state, _, kernel = self.ring.operands(
+            values, self._state, flat, state, len(keys))
         # for each j, the exponents m of the terms x_i^m of s^j, ascending,
         # and for each the shift (m - j) * unit of a key and its value
         flat = iter(flat)

@@ -11,8 +11,9 @@ import pytest
 from fishburn import hypergeom
 from fishburn.cyclotomic import decimal_context
 from fishburn.errors import ConvergenceError, ParameterError, PoleError
-from fishburn.hypergeom import (DPS_CAP, MAX_TERMS_CAP, NUMERIC_IDENTITIES,
-                                NumericEvalParams, Side, generalized_rf_check,
+from fishburn.hypergeom import (DPS_CAP, DRAW_SEED, DRAWS_CAP, MAX_TERMS_CAP,
+                                NUMERIC_IDENTITIES, NumericEvalParams, Side,
+                                draw_params, generalized_rf_check,
                                 grf_degeneration_check, random_grf_params,
                                 random_rf_params, random_watson_limit_params,
                                 rogers_fine_check, watson_exact,
@@ -50,10 +51,29 @@ def test_watson_limit_random_draws():
         assert rep.outcome == "verified", rep.witness
 
 
+def test_draws_are_refused_outside_their_cap_before_any_draw(monkeypatch):
+    """`draw_params` refuses a count outside 1..DRAWS_CAP before it calls
+    the sampler, and otherwise draws from the alias's sampler with
+    DRAW_SEED unless it is given a seed."""
+    calls = []
+    ident, sampler, checker, names = NUMERIC_IDENTITIES["rf"]
+    monkeypatch.setitem(NUMERIC_IDENTITIES, "rf",
+                        (ident, lambda rng: calls.append(1) or sampler(rng), checker, names))
+    for draws in (0, -3, DRAWS_CAP + 1):
+        with pytest.raises(ParameterError, match=f"--draws {draws} is not within 1..{DRAWS_CAP}"):
+            draw_params("rf", draws)
+    assert not calls
+    rng = random.Random(DRAW_SEED)
+    seeded = [random_rf_params(rng) for _ in range(3)]
+    assert draw_params("rf", 3) == draw_params("grf-degeneration", 3) == seeded
+    assert len(calls) == 3
+    assert draw_params("rf", 3, seed=7) != seeded
+
+
 def test_grf_degenerates_to_rf():
     rep = grf_degeneration_check(NumericEvalParams(
         values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
-    assert rep.outcome == "verified"
+    assert rep.outcome == "verified" and "side" not in rep.detail
 
 
 def test_grf_degeneration_mismatch_witness(monkeypatch):
@@ -71,10 +91,39 @@ def test_grf_degeneration_mismatch_witness(monkeypatch):
         values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
     assert rep.outcome == "mismatch"
     assert rep.detail["gamma"] == "1e-30"
-    assert mp.mpf(rep.detail["abs_diff"]) == pytest.approx(1e-20, rel=1e-6)
+    assert mp.mpf(rep.detail["abs_diff"]) == pytest.approx(1e-20, rel=1e-6, abs=0)
     assert set(rep.witness) == {"index", "left", "right"}
     assert set(rep.witness["index"]) == {"a", "b", "t", "q"}
     assert rep.witness["left"] != rep.witness["right"]
+
+
+def _witness_gap(rep):
+    """|left - right| of a numeric witness, each printed as (re +- imj)."""
+    def parts(text):
+        re, sign, im = text[1:-2].split(" ")
+        return Decimal(re), Decimal(sign + im)
+    (lre, lim), (rre, rim) = parts(rep.witness["left"]), parts(rep.witness["right"])
+    return ((lre - rre) ** 2 + (lim - rim) ** 2).sqrt()
+
+
+def test_grf_degeneration_mismatch_witness_names_the_side_that_differs(monkeypatch):
+    # the generalized right side off by 1e-20: the witness must set it
+    # against the Rogers-Fine side, not show the two sides that agree
+    summer = hypergeom._sum_with_guard
+    label = "(beta;q)_n (gamma;q)_n (t;q)_{n+1}"
+
+    def shifted(side, *budget):
+        value, n = summer(side, *budget)
+        if side.label == label:
+            value += hypergeom._DecimalComplex(Decimal("1e-20"))
+        return value, n
+    monkeypatch.setattr(hypergeom, "_sum_with_guard", shifted)
+    rep = grf_degeneration_check(NumericEvalParams(
+        values={"a": 0.3, "b": 0.2, "t": 0.4, "q": 0.5}))
+    assert rep.outcome == "mismatch"
+    assert mp.mpf(rep.detail["abs_diff"]) == pytest.approx(1e-20, rel=1e-6, abs=0)
+    assert float(_witness_gap(rep)) == pytest.approx(1e-20, rel=1e-6, abs=0)
+    assert rep.detail["side"] == label
 
 
 @pytest.mark.parametrize("dps", (33, 43))

@@ -163,6 +163,8 @@ def test_chain_and_antichain_are_interval_orders():
     (2, [0b10, 0b1], "antisymmetry"),
     (3, [0b10, 0b100, 0], "transitivity"),
     (2, [0], "row count"),
+    (2, [0b100, 0], r"row 0 mask 4 is outside \[0, 2\^2\)"),
+    (2, [0, -2], r"row 1 mask -2 is outside \[0, 2\^2\)"),
 ])
 def test_a_relation_that_is_not_a_strict_order_is_refused(n, rel, message):
     with pytest.raises(ParameterError, match=message):

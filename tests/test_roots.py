@@ -519,14 +519,14 @@ def test_explorer_agreement_at_k6_point():
 def test_an_explorer_pass_reads_few_bounds_and_adds_int_constants_without_elements(
         monkeypatch):
     """At (12, 6, 1), order 6, fewer than half of the series products read
-    a coefficient bound (`measure`, or `_settle` over a denominator), and
+    a coefficient bound (`_read_bound`, or `_settle` over a denominator), and
     there are fewer bound reads than products: a product keeps the bound
-    its slots were sized by, and its operands are measured, once each, only
+    its slots were sized by, and `operands` reads its operands' bounds only
     when the product would need wider slots than both.  No int constant,
     such as the 1 of each factor 1 - a r^n, makes an element."""
     field = get_field(12)
     reads, made, products, constants = [], [], [], []
-    for name in ("measure", "_settle"):
+    for name in ("_read_bound", "_settle"):
         read = getattr(type(field), name)
         monkeypatch.setattr(type(field), name, lambda *args, read=read: reads.append(1)
                             or read(*args))

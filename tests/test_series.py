@@ -371,7 +371,7 @@ def test_folding_to_zero_drops_the_monomial():
     b = TruncatedSeries(ring, 1, 2, {(0,): zeta, (1,): 1 + zeta})
     ka, a_state = ring.store([ring.one, zeta])
     kb, b_state = ring.store([zeta, 1 + zeta])
-    ka, kb, state = ring.operands(ka, a_state, kb, b_state, 2)
+    ka, kb, *_, state = ring.operands(ka, a_state, kb, b_state, 2)
     value = ka[0] * kb[1] + ka[1] * kb[0]
     assert value and ring.fold([value], state)[0] == [0]
     got = a * b

@@ -202,6 +202,43 @@ def test_a_wide_value_that_folds_to_zero_is_dropped():
     assert (1,) not in got.terms and got.terms == reference_mul(a, b)
 
 
+@pytest.mark.parametrize("ring", RINGS[1:], ids=repr)
+def test_a_product_reads_its_operands_bounds_only_when_its_slots_widen(ring, monkeypatch):
+    """A product whose slots fit in its operands' widths reads no bound, so
+    s^8, made by squaring, keeps the bound its last slots were sized for,
+    far above its coordinates.  The product of two such powers would need
+    wider slots: `operands` reads each operand's bound once, off its
+    values, and the operands keep the bounds read, so the same product
+    again reads none."""
+    reads = []
+    read = type(ring)._read_bound
+    monkeypatch.setattr(type(ring), "_read_bound",
+                        lambda field, values, state: reads.append(state)
+                        or read(field, values, state))
+
+    def eighth_power(seed):
+        rng = random.Random(seed)
+        s = TruncatedSeries(ring, 2, TRUNC, {
+            (i, j): ring.element([rng.choice((-1, 1)) for _ in range(ring.degree)])
+            for i in range(TRUNC + 1) for j in range(TRUNC + 1 - i)})
+        for _ in range(3):
+            s = s * s
+        return s
+    a, b = eighth_power(40), eighth_power(41)
+    assert not reads and _width(a) == _width(b) == 64
+    kept = a._state, b._state
+    assert min(kept[0][2], kept[1][2]) > 1 << 32  # a product of both needs 128-bit slots
+    got = a * b
+    assert reads == list(kept)
+    for series, state in zip((a, b), kept):
+        coords = [abs(c) for value in series.terms.values() for c in value.coeffs]
+        assert series._state == (64, 1, series._state[2])
+        assert max(coords) <= series._state[2] <= 3 * max(coords) < state[2]
+    assert got.terms == reference_mul(a, b) and _width(got) == 64
+    again = a * b
+    assert reads == list(kept) and again == got
+
+
 def _narrow_slots_fail(monkeypatch, check, seed):
     """Whether `check` over Q(zeta_12) fails with slots one word too
     narrow, and passes once the width is restored."""
